@@ -71,6 +71,14 @@ class Catalog:
         # value class -> OpaqueType (or None), so hot serialization paths
         # don't scan every registered UDT per cell.
         self._opaque_by_class: dict[type, OpaqueType | None] = {}
+        #: Moves whenever something a query plan was built from changes:
+        #: a table created or dropped, an index attached or detached
+        #: (however it was attached), ANALYZE, a type, function or
+        #: aggregate registered.  Cached plans compare against it.
+        self.version = 0
+
+    def _bump_version(self) -> None:
+        self.version += 1
 
     # -- tables -----------------------------------------------------------------
 
@@ -82,6 +90,8 @@ class Catalog:
         if table is None:
             table = Table(schema)
         self._tables[schema.name] = table
+        table.on_plan_change = self._bump_version
+        self._bump_version()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -89,6 +99,7 @@ class Catalog:
             del self._tables[name.lower()]
         except KeyError:
             raise CatalogError(f"no table named {name!r}") from None
+        self._bump_version()
 
     def table(self, name: str) -> Table:
         try:
@@ -114,6 +125,7 @@ class Catalog:
             raise CatalogError(f"type {opaque.name!r} already registered")
         self._types[opaque.name] = opaque
         self._opaque_by_class.clear()
+        self._bump_version()
 
     def resolve_type(self, name: str) -> SqlType:
         """Look up a type name: built-ins first, then registered UDTs."""
@@ -170,6 +182,7 @@ class Catalog:
                 f"function {descriptor.name!r} already registered"
             )
         self._functions[descriptor.name] = descriptor
+        self._bump_version()
 
     def function(self, name: str) -> SqlFunction:
         try:
@@ -193,6 +206,7 @@ class Catalog:
                 f"aggregate {aggregate.name!r} already registered"
             )
         self._aggregates[aggregate.name] = aggregate
+        self._bump_version()
 
     def aggregate(self, name: str) -> SqlAggregate:
         try:

@@ -18,6 +18,7 @@ the whole Genomics Algebra in.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
@@ -30,6 +31,7 @@ from repro.db.sql.expressions import Evaluator, Frame, RowContext
 from repro.db.sql.functions import register_builtin_functions
 from repro.db.sql.optimizer import Planner
 from repro.db.sql.parser import parse
+from repro.db.sql.plan import PlanNode
 from repro.db.table import Table
 from repro.db.values import NULL, OpaqueType
 from repro.errors import (
@@ -112,6 +114,30 @@ class ResultSet:
         return "\n".join(lines)
 
 
+#: Statements a database keeps prepared, least recently used evicted.
+#: The whole stack issues a few dozen distinct parametrised texts.
+STATEMENT_CACHE_SIZE = 256
+
+
+class _Prepared:
+    """One cached statement: its AST and, for a SELECT, its plan.
+
+    ``version`` is the catalog version ``plan`` and ``subplans`` were
+    built under (−1: not planned yet).  ``subplans`` memoises the plans
+    of the statement's subqueries, keyed on the identity of their
+    ``Select`` node — the AST is kept alive by this entry, so the ids
+    are stable for as long as the memo exists.
+    """
+
+    __slots__ = ("statement", "plan", "version", "subplans")
+
+    def __init__(self, statement: ast.Statement) -> None:
+        self.statement = statement
+        self.plan: "PlanNode | None" = None
+        self.version = -1
+        self.subplans: dict[int, PlanNode] = {}
+
+
 class Database:
     """An extensible relational database.
 
@@ -123,6 +149,10 @@ class Database:
     data larger than the budget still complete; ``None`` disables
     spilling.  ``page_rows`` is the row-group height of columnar
     tables.
+
+    Every statement runs from a prepared entry (:meth:`_prepare`): the
+    SQL text is parsed once and a SELECT planned once per catalog
+    version, however often it is executed.
     """
 
     def __init__(self, optimize: bool = True, layout: str = "row",
@@ -142,6 +172,9 @@ class Database:
         self._snapshot: dict | None = None
         self._wal: "Callable[[str, Sequence[Any]], None] | None" = None
         self._transaction_log: list[tuple[str, Sequence[Any]]] = []
+        self._statements: "OrderedDict[str, _Prepared]" = OrderedDict()
+        #: The entry whose statement is executing (subplans memoise there).
+        self._running: "_Prepared | None" = None
         register_builtin_functions(self.catalog)
 
     # -- extensibility hooks ----------------------------------------------------
@@ -228,18 +261,61 @@ class Database:
 
     # -- execution -------------------------------------------------------------------
 
-    def execute(self, sql: str, parameters: Sequence[Any] = ()) -> Any:
+    def _prepare(self, sql: str) -> _Prepared:
+        """The prepared entry for *sql*: parsed on first sight, (re)planned
+        when the catalog version has moved since it was last planned.
+
+        The ``sql.parse`` / ``sql.plan`` spans are emitted per statement
+        either way, tagged ``cache="hit"|"miss"``.
+        """
+        entry = self._statements.get(sql)
+        if entry is None:
+            with _span("sql.parse", cache="miss"):
+                entry = _Prepared(parse(sql))
+            self._statements[sql] = entry
+            if len(self._statements) > STATEMENT_CACHE_SIZE:
+                self._statements.popitem(last=False)
+        else:
+            self._statements.move_to_end(sql)
+            with _span("sql.parse", cache="hit"):
+                pass
+        version = self.catalog.version
+        if entry.version == version:
+            if entry.plan is not None:
+                with _span("sql.plan", cache="hit"):
+                    pass
+            return entry
+        entry.subplans.clear()
+        if isinstance(entry.statement, ast.Select):
+            with _span("sql.plan", cache="miss"):
+                entry.plan = self._planner.plan_select(entry.statement)
+        entry.version = version
+        return entry
+
+    def execute(self, sql: str, parameters: Sequence[Any] = (), *,
+                check: "Callable[[ast.Statement], None] | None" = None,
+                ) -> Any:
         """Run one SQL statement.
 
         Returns a :class:`ResultSet` for SELECT, the number of affected
-        rows for DML, and ``None`` for DDL.
+        rows for DML, and ``None`` for DDL.  *check*, if given, sees the
+        parsed statement before it runs and may raise to refuse it.
         """
-        with _span("sql.parse"):
-            statement = parse(sql)
-        mutating = not isinstance(statement, ast.Select)
-        result = self._dispatch(statement, parameters)
-        if mutating:
-            self._log_mutation(sql, parameters)
+        if parameters is None:
+            raise DatabaseError(
+                f"parameters of {sql!r} must be a sequence, got None"
+            )
+        entry = self._prepare(sql)
+        if check is not None:
+            check(entry.statement)
+        suspended, self._running = self._running, entry
+        try:
+            if entry.plan is not None:
+                return self._run_select(entry.plan, parameters)
+            result = self._dispatch(entry.statement, parameters)
+        finally:
+            self._running = suspended
+        self._log_mutation(sql, parameters)
         return result
 
     def executemany(self, sql: str,
@@ -259,11 +335,11 @@ class Database:
         return result
 
     def explain(self, sql: str) -> str:
-        """The optimizer's plan for a SELECT, as an indented tree."""
-        statement = parse(sql)
-        if not isinstance(statement, ast.Select):
+        """The plan :meth:`execute` runs for a SELECT, as an indented tree."""
+        plan = self._prepare(sql).plan
+        if plan is None:
             raise DatabaseError("EXPLAIN supports only SELECT")
-        return self._planner.plan_select(statement).explain()
+        return plan.explain()
 
     def _log_mutation(self, sql: str, parameters: Sequence[Any]) -> None:
         if self.in_transaction:
@@ -273,8 +349,6 @@ class Database:
 
     def _dispatch(self, statement: ast.Statement,
                   parameters: Sequence[Any]) -> Any:
-        if isinstance(statement, ast.Select):
-            return self._run_select(statement, parameters)
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateIndex):
@@ -302,10 +376,8 @@ class Database:
 
     # -- SELECT ----------------------------------------------------------------------
 
-    def _run_select(self, select: ast.Select,
+    def _run_select(self, plan: PlanNode,
                     parameters: Sequence[Any]) -> ResultSet:
-        with _span("sql.plan"):
-            plan = self._planner.plan_select(select)
         with _span("sql.execute") as spn:
             rows = list(plan.execute(parameters, None))
             spn.annotate(rows=len(rows))
@@ -318,8 +390,15 @@ class Database:
         outer: "RowContext | None",
         limit: int | None = None,
     ) -> list[tuple]:
-        """Execute a (possibly correlated) subquery; used by the evaluator."""
-        plan = self._planner.plan_select(select)
+        """Execute a (possibly correlated) subquery; used by the evaluator.
+
+        Its plan is memoised on the running statement's prepared entry,
+        so a correlated subquery is planned once, not once per outer row.
+        """
+        memo = self._running.subplans if self._running is not None else {}
+        plan = memo.get(id(select))
+        if plan is None:
+            plan = memo[id(select)] = self._planner.plan_select(select)
         parameters = outer.parameters if outer is not None else ()
         rows: list[tuple] = []
         for values in plan.execute(parameters, outer):

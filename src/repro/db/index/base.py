@@ -5,10 +5,12 @@ need arises for indexing these data by using domain-specific, i.e.,
 genomic, indexing techniques … The DBMS must then offer a mechanism to
 integrate these user-defined index structures."  That mechanism is this
 interface: any object implementing it can be registered with the catalog
-and the optimizer will consider it.  Four implementations ship:
+and the optimizer will consider it.  Five implementations ship:
 
 - :class:`~repro.db.index.btree.BTreeIndex` — equality + range.
 - :class:`~repro.db.index.hashindex.HashIndex` — equality only.
+- :class:`~repro.db.index.hashindex.UniqueHashIndex` — equality on a
+  PRIMARY KEY / UNIQUE column; built by the table, enforces the key.
 - :class:`~repro.db.index.kmer.KmerIndex` — genomic ``contains`` candidates.
 - :class:`~repro.db.index.suffix.SuffixArrayIndex` — exact genomic
   substring search.
@@ -32,6 +34,8 @@ class Index:
     supports_equality = False
     supports_range = False
     supports_contains = False
+    #: True when each key maps to at most one row (a key constraint).
+    unique = False
 
     def __init__(self, name: str, table_name: str, column: str) -> None:
         self.name = name.lower()

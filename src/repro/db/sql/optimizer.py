@@ -8,7 +8,8 @@ implements the rules that matter for the paper's workloads:
 - **predicate pushdown** — WHERE conjuncts are applied at the deepest
   operator that binds all their columns;
 - **index selection** — equality/range conjuncts pick hash/B-tree
-  indexes; ``contains(column, pattern)`` picks a genomic k-mer or
+  indexes, and equality on a PRIMARY KEY / UNIQUE column its key index
+  (one row); ``contains(column, pattern)`` picks a genomic k-mer or
   suffix-array index (the candidate set is re-verified by a residual
   filter, so over-approximation stays sound);
 - **selectivity-based choice** — each registered UDF predicate carries a
@@ -214,9 +215,9 @@ class Planner:
             # Equality:  col = value  /  value = col
             if (isinstance(conjunct, ast.Binary)
                     and conjunct.operator == "="):
-                for column_side, value_side in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
+                for column_side, value_side, probe_first in (
+                    (conjunct.left, conjunct.right, False),
+                    (conjunct.right, conjunct.left, True),
                 ):
                     column = self._column_of(column_side, binding, table)
                     if column is None:
@@ -228,8 +229,14 @@ class Planner:
                         if index.supports_equality:
                             plan = IndexEqualScan(
                                 table, binding, index, value_side,
-                                self._evaluator,
+                                self._evaluator, probe_first,
                             )
+                            if index.unique:
+                                # At most one row whatever the table's
+                                # size: ranks ahead of every estimate.
+                                plan.estimated_rows = 1.0
+                                candidates.append((0.0, plan, rest))
+                                break
                             plan.estimated_rows = (
                                 base_rows
                                 * self._selectivity(conjunct, schemas)
@@ -246,7 +253,8 @@ class Planner:
                 column = self._column_of(conjunct.left, binding, table)
                 value = conjunct.right
                 operator = conjunct.operator
-                if column is None:
+                probe_first = column is None
+                if probe_first:
                     column = self._column_of(conjunct.right, binding, table)
                     value = conjunct.left
                     # Mirror the operator when the column is on the right.
@@ -256,10 +264,10 @@ class Planner:
                         and self._expression_is_independent(value, schemas)):
                     if operator in ("<", "<="):
                         range_spec = (column, None, value, True,
-                                      operator == "<=")
+                                      operator == "<=", probe_first)
                     else:
                         range_spec = (column, value, None,
-                                      operator == ">=", True)
+                                      operator == ">=", True, probe_first)
             elif isinstance(conjunct, ast.Between) and not conjunct.negated:
                 column = self._column_of(conjunct.operand, binding, table)
                 if (column is not None
@@ -268,14 +276,16 @@ class Planner:
                         and self._expression_is_independent(conjunct.high,
                                                             schemas)):
                     range_spec = (column, conjunct.low, conjunct.high,
-                                  True, True)
+                                  True, True, False)
             if range_spec is not None:
-                column, low, high, include_low, include_high = range_spec
+                (column, low, high, include_low, include_high,
+                 probe_first) = range_spec
                 for index in table.indexes_on(column):
                     if index.supports_range:
                         plan = IndexRangeScan(
                             table, binding, index, self._evaluator,
                             low, high, include_low, include_high,
+                            probe_first,
                         )
                         plan.estimated_rows = base_rows * RANGE_SELECTIVITY
                         candidates.append((plan.estimated_rows, plan, rest))

@@ -37,7 +37,7 @@ from repro.db.sql.expressions import (
     RowContext,
 )
 from repro.db.table import Table
-from repro.db.values import NULL, sort_key
+from repro.db.values import NULL, comparable, compare, sort_key
 from repro.errors import DatabaseError, SqlSyntaxError, TypeCheckError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,16 +128,46 @@ class SeqScan(PlanNode):
             yield tuple(row)
 
 
+def _index_probe(scan, expression: "ast.Expression | None", parameters,
+                 outer) -> Any:
+    """Evaluate one probe value of an index scan, type-checked as the
+    comparison it replaces would be.
+
+    A scan compares the probe with every non-NULL stored value and so
+    rejects a mistyped one; a dict or tree lookup would silently find
+    nothing (or, for ``1.0 = TRUE``, the wrong thing).  An index without
+    entries has nothing to compare with, and neither has a NULL probe.
+    """
+    if expression is None:
+        return None
+    value = scan.evaluator.evaluate(
+        expression, RowContext(Frame(()), (), parameters, outer))
+    if value is not NULL and len(scan.index):
+        schema = scan.table.schema
+        if not comparable(schema.column(scan.index.column).sql_type, value):
+            # Let compare() raise what the scan would have: same
+            # function, first stored value, same operand order.
+            position = schema.position(scan.index.column)
+            stored = next(row[position] for _, row in scan.table.rows()
+                          if row[position] is not NULL)
+            compare("=", *((value, stored) if scan.probe_first
+                           else (stored, value)))
+    return value
+
+
 class IndexEqualScan(PlanNode):
-    """Equality probe through a hash or B-tree index."""
+    """Equality probe through a hash, unique-key or B-tree index."""
 
     def __init__(self, table: Table, binding: str, index: "Index",
-                 key: ast.Expression, evaluator: Evaluator) -> None:
+                 key: ast.Expression, evaluator: Evaluator,
+                 probe_first: bool = False) -> None:
         self.table = table
         self.binding = binding
         self.index = index
         self.key = key
         self.evaluator = evaluator
+        #: The statement wrote ``value = column``, not ``column = value``.
+        self.probe_first = probe_first
         self.frame = Frame.for_table(binding, table.schema.column_names)
 
     def label(self) -> str:
@@ -145,8 +175,7 @@ class IndexEqualScan(PlanNode):
                 f"USING {self.index.name} ON {self.index.column} = {self.key})")
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
-        probe_context = RowContext(Frame(()), (), parameters, outer)
-        key = self.evaluator.evaluate(self.key, probe_context)
+        key = _index_probe(self, self.key, parameters, outer)
         for row_id in self.index.search_equal(key):
             if self.table.has_row(row_id):
                 yield tuple(self.table.row(row_id))
@@ -165,11 +194,13 @@ class IndexRangeScan(PlanNode):
         high: ast.Expression | None = None,
         include_low: bool = True,
         include_high: bool = True,
+        probe_first: bool = False,
     ) -> None:
         self.table = table
         self.binding = binding
         self.index = index
         self.evaluator = evaluator
+        self.probe_first = probe_first
         self.low = low
         self.high = high
         self.include_low = include_low
@@ -185,11 +216,11 @@ class IndexRangeScan(PlanNode):
                 f"{']' if self.include_high else ')'})")
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
-        probe_context = RowContext(Frame(()), (), parameters, outer)
-        low = (self.evaluator.evaluate(self.low, probe_context)
-               if self.low is not None else None)
-        high = (self.evaluator.evaluate(self.high, probe_context)
-                if self.high is not None else None)
+        low = _index_probe(self, self.low, parameters, outer)
+        high = _index_probe(self, self.high, parameters, outer)
+        if ((self.low is not None and low is NULL)
+                or (self.high is not None and high is NULL)):
+            return  # a comparison with NULL is never true
         for row_id in self.index.search_range(
             low, high, self.include_low, self.include_high
         ):

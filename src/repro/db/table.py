@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.db.index.base import Index
+from repro.db.index.hashindex import UniqueHashIndex, hashable
 from repro.db.schema import TableSchema
 from repro.db.values import NULL
-from repro.errors import ConstraintError, DatabaseError
-
-
-def _unique_key(value: Any) -> Any:
-    """A hashable stand-in for uniqueness checks on any value."""
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        return repr(value)
+from repro.errors import DatabaseError
 
 
 class RowHeap:
@@ -53,9 +45,12 @@ class RowHeap:
 class Table:
     """A heap of rows with stable integer row ids.
 
-    The table owns constraint enforcement (primary key / unique) and keeps
-    every attached :class:`~repro.db.index.base.Index` synchronized on
-    each mutation.  Row storage is pluggable: ``layout="row"`` keeps the
+    The table keeps every :class:`~repro.db.index.base.Index`
+    synchronized on each mutation.  PRIMARY KEY / UNIQUE columns get a
+    :class:`~repro.db.index.hashindex.UniqueHashIndex` from the schema:
+    it enforces the constraint and is an access path like any attached
+    index, but cannot be detached.  Row storage is pluggable:
+    ``layout="row"`` keeps the
     classic in-memory row-list heap; ``layout="column"`` stores rows as
     sealed column pages (:class:`~repro.db.columnar.store.ColumnStore`)
     behind the same protocol — stable ids, insertion-order iteration,
@@ -77,14 +72,24 @@ class Table:
         else:
             raise DatabaseError(f"unknown table layout {layout!r}")
         self._next_row_id = 1
-        self._indexes: dict[str, Index] = {}
         self._statistics: "dict[str, int] | None" = None
-        # Uniqueness bookkeeping: column -> {unique key -> row id}.
-        self._unique_columns: dict[str, dict[Any, int]] = {}
-        if schema.primary_key:
-            self._unique_columns[schema.primary_key] = {}
-        for column in schema.unique:
-            self._unique_columns.setdefault(column, {})
+        #: Called when an access path or statistic changes (index
+        #: attach/detach, ANALYZE); the catalog points it at its version
+        #: bump so cached plans over this table are re-planned.
+        self.on_plan_change: Callable[[], None] = lambda: None
+        key_columns = dict.fromkeys(
+            filter(None, (schema.primary_key, *schema.unique))
+        )
+        # "$" keeps the names out of the namespace CREATE INDEX draws
+        # from: no bare identifier can spell one.
+        self._key_indexes = tuple(
+            UniqueHashIndex(f"${schema.name}_{column}_key", schema.name,
+                            column)
+            for column in key_columns
+        )
+        self._indexes: dict[str, Index] = {
+            index.name: index for index in self._key_indexes
+        }
 
     @property
     def name(self) -> str:
@@ -118,43 +123,21 @@ class Table:
     def has_row(self, row_id: int) -> bool:
         return self._heap.has(row_id)
 
-    # -- uniqueness ---------------------------------------------------------------
-
-    def _check_unique(self, row: list[Any],
-                      ignore_row_id: int | None = None) -> None:
-        for column, claimed in self._unique_columns.items():
-            value = row[self.schema.position(column)]
-            if value is NULL:
-                continue
-            owner = claimed.get(_unique_key(value))
-            if owner is not None and owner != ignore_row_id:
-                raise ConstraintError(
-                    f"duplicate value {value!r} for unique column "
-                    f"{self.name}.{column}"
-                )
-
-    def _claim_unique(self, row: list[Any], row_id: int) -> None:
-        for column, claimed in self._unique_columns.items():
-            value = row[self.schema.position(column)]
-            if value is not NULL:
-                claimed[_unique_key(value)] = row_id
-
-    def _release_unique(self, row: list[Any], row_id: int) -> None:
-        for column, claimed in self._unique_columns.items():
-            value = row[self.schema.position(column)]
-            if value is not NULL and claimed.get(_unique_key(value)) == row_id:
-                del claimed[_unique_key(value)]
-
     # -- mutation --------------------------------------------------------------------
+
+    def _check_keys(self, row: list[Any], row_id: "int | None") -> None:
+        """Raise ``ConstraintError`` if *row* would duplicate a key held
+        by a row other than *row_id* — before anything is changed."""
+        for index in self._key_indexes:
+            index.check(row[self.schema.position(index.column)], row_id)
 
     def insert(self, row: Iterable[Any]) -> int:
         """Validate and insert one full row; returns its row id."""
         validated = self.schema.validate_row(row)
-        self._check_unique(validated)
+        self._check_keys(validated, None)
         row_id = self._next_row_id
         self._next_row_id += 1
         self._heap.append(row_id, validated)
-        self._claim_unique(validated, row_id)
         for index in self._indexes.values():
             index.insert(validated[self.schema.position(index.column)], row_id)
         return row_id
@@ -167,7 +150,6 @@ class Table:
         """Remove one row; returns the removed row."""
         row = self.row(row_id)
         self._heap.remove(row_id)
-        self._release_unique(row, row_id)
         for index in self._indexes.values():
             index.delete(row[self.schema.position(index.column)], row_id)
         return row
@@ -176,9 +158,7 @@ class Table:
         """Replace one row in place (same row id)."""
         old_row = self.row(row_id)
         validated = self.schema.validate_row(new_row)
-        self._check_unique(validated, ignore_row_id=row_id)
-        self._release_unique(old_row, row_id)
-        self._claim_unique(validated, row_id)
+        self._check_keys(validated, row_id)
         for index in self._indexes.values():
             position = self.schema.position(index.column)
             if old_row[position] != validated[position]:
@@ -189,8 +169,6 @@ class Table:
     def truncate(self) -> None:
         """Remove all rows (keeps schema and indexes)."""
         self._heap.clear()
-        for claimed in self._unique_columns.values():
-            claimed.clear()
         for index in self._indexes.values():
             index.clear()
 
@@ -205,12 +183,20 @@ class Table:
         for row_id, row in self._heap.items():
             index.insert(row[position], row_id)
         self._indexes[index.name] = index
+        self.on_plan_change()
 
     def detach_index(self, name: str) -> Index:
-        try:
-            return self._indexes.pop(name.lower())
-        except KeyError:
-            raise DatabaseError(f"no index named {name!r}") from None
+        index = self._indexes.get(name.lower())
+        if index is None:
+            raise DatabaseError(f"no index named {name!r}")
+        if index.unique:
+            raise DatabaseError(
+                f"index {index.name!r} enforces a key of table "
+                f"{self.name!r} and cannot be detached"
+            )
+        del self._indexes[index.name]
+        self.on_plan_change()
+        return index
 
     @property
     def indexes(self) -> tuple[Index, ...]:
@@ -241,12 +227,13 @@ class Table:
         for _, row in self._heap.items():
             for position, value in enumerate(row):
                 if value is not NULL:
-                    distinct[position].add(_unique_key(value))
+                    distinct[position].add(hashable(value))
         counts = {
             column.name: len(distinct[position])
             for position, column in enumerate(self.schema.columns)
         }
         self._statistics = counts
+        self.on_plan_change()
         return counts
 
     # -- snapshots (transaction support) ---------------------------------------------
@@ -263,10 +250,6 @@ class Table:
         for row_id, row in snapshot["rows"].items():
             self._heap.append(row_id, list(row))
         self._next_row_id = snapshot["next_row_id"]
-        for claimed in self._unique_columns.values():
-            claimed.clear()
-        for row_id, row in self._heap.items():
-            self._claim_unique(row, row_id)
         for index in self._indexes.values():
             index.clear()
             position = self.schema.position(index.column)

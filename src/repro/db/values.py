@@ -241,6 +241,19 @@ def compare(operator: str, left: Any, right: Any) -> "bool | None":
     raise TypeCheckError(f"unknown comparison operator {operator!r}")
 
 
+def comparable(sql_type: SqlType, value: Any) -> bool:
+    """Would :func:`compare` accept non-NULL *value* against the
+    non-NULL values of a *sql_type* column?
+
+    Numeric columns take ``int``/``float`` (never ``bool``), every
+    other column only values of its own type.  Index scans ask this
+    before looking a probe up, because a lookup never compares.
+    """
+    if isinstance(sql_type, (IntegerType, RealType)):
+        return REAL.contains(value)
+    return sql_type.contains(value)
+
+
 def sort_key(value: Any) -> tuple:
     """A total-order key across NULLs and mixed values (NULLs first)."""
     if value is NULL:

@@ -22,7 +22,7 @@ from repro.adapter import install_genomics
 from repro.core.types import DnaSequence, Gene, Interval, Protein
 from repro.core.ops import gc_content
 from repro.db import Database, NULL, ResultSet
-from repro.db.sql import ast, parse
+from repro.db.sql import ast
 from repro.errors import IntegrationError, ReproError
 from repro.etl.delta import DELETE, Delta
 from repro.etl.monitors import SourceMonitor, choose_monitor
@@ -79,6 +79,20 @@ def _exons_from_text(text: str | None) -> tuple[Interval, ...]:
         for start, _, end in (span.partition("-")
                               for span in text.split(";"))
     )
+
+
+def _refuse_public_write(statement: ast.Statement) -> None:
+    """The :meth:`UnifyingDatabase.execute_user` guard (§5.1)."""
+    target: str | None = None
+    if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+        target = statement.table
+    elif isinstance(statement, (ast.CreateTable, ast.DropTable)):
+        target = statement.name
+    if target is not None and is_public_table(target):
+        raise IntegrationError(
+            f"table {target!r} is in the public space and read-only; "
+            f"use annotations or user tables instead"
+        )
 
 
 class UnifyingDatabase:
@@ -414,18 +428,7 @@ class UnifyingDatabase:
         "The schema containing the external data is read-only …
         user-owned entities are updateable by their owners." (§5.1)
         """
-        statement = parse(sql)
-        target: str | None = None
-        if isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
-            target = statement.table
-        elif isinstance(statement, (ast.CreateTable, ast.DropTable)):
-            target = statement.name
-        if target is not None and is_public_table(target):
-            raise IntegrationError(
-                f"table {target!r} is in the public space and read-only; "
-                f"use annotations or user tables instead"
-            )
-        return self.db.execute(sql, parameters)
+        return self.db.execute(sql, parameters, check=_refuse_public_write)
 
     def annotate(self, owner: str, accession: str, note: str) -> int:
         """Attach a user annotation to a public record."""

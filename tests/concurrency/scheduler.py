@@ -111,3 +111,16 @@ def all_interleavings(steps_per_task):
                 for tail in orders(rest):
                     yield (index,) + tail
     return orders(list(steps_per_task))
+
+
+def sampled_interleavings(steps_per_task, count, seed):
+    """*count* seeded-random orders out of :func:`all_interleavings`'s
+    space (uniform, with repeats) — for task sets whose exhaustive walk
+    is too long to pay on every run.  CI's seed matrix widens coverage.
+    """
+    rng = random.Random(("interleavings", seed).__repr__())
+    steps = [index for index, steps_of_task in enumerate(steps_per_task)
+             for __ in range(steps_of_task)]
+    for __ in range(count):
+        rng.shuffle(steps)
+        yield tuple(steps)

@@ -4,6 +4,7 @@ from tests.concurrency.scheduler import (
     DeterministicPool,
     Interleaver,
     all_interleavings,
+    sampled_interleavings,
 )
 
 
@@ -79,3 +80,13 @@ class TestAllInterleavings:
     def test_each_order_consumes_every_step(self):
         for order in all_interleavings([2, 1, 2]):
             assert sorted(order) == [0, 0, 1, 2, 2]
+
+
+class TestSampledInterleavings:
+    def test_samples_are_seeded_orders_of_the_full_space(self, seed):
+        space = set(all_interleavings([2, 1, 2]))
+        first = list(sampled_interleavings([2, 1, 2], 50, seed))
+        assert first == list(sampled_interleavings([2, 1, 2], 50, seed))
+        assert first != list(sampled_interleavings([2, 1, 2], 50, seed + 1))
+        assert len(first) == 50 and set(first) <= space
+        assert len(set(first)) > len(space) // 2

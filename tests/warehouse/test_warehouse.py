@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.core.types import Alternatives, DnaSequence, Gene
 from repro.errors import IntegrationError
+from repro.obs.export import InMemorySink
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -219,6 +221,18 @@ class TestUserSpace:
         )
         warehouse.execute_user("INSERT INTO my_hits VALUES (1, 'x')")
         assert warehouse.query("SELECT note FROM my_hits").scalar() == "x"
+
+    def test_user_statement_is_prepared_once(self, fresh):
+        __, __, warehouse = fresh
+        sink = InMemorySink()
+        obs.enable(sink=sink)
+        try:
+            warehouse.execute_user("SELECT count(*) FROM public_genes")
+        finally:
+            obs.disable()
+        names = [span["name"] for span in sink.spans()]
+        assert names.count("sql.parse") == 1
+        assert names.count("sql.plan") == 1
 
     def test_annotations(self, fresh):
         __, __, warehouse = fresh
