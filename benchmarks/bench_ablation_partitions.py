@@ -18,11 +18,15 @@ measurable clauses, and this ablation prices each one:
   partition.  Both must complete within ``lease timeout + promotion
   window``: the lease is exactly the price of not having a perfect
   failure detector, and the gate (``--check``) holds the budget;
-- **hot-path overhead** — real ``time.perf_counter`` seconds for the
-  end-to-end execute+append path, leased versus leaseless, interleaved
-  min-of-repeats like every other ablation.  The epoch/lease checks
-  must stay within 5% of the legacy leaseless path — the fence is a
-  comparison and a set insert, not a protocol round-trip.
+- **hot-path cost** — CPU seconds for the end-to-end execute+append
+  path, leased versus leaseless, interleaved min-of-repeats like every
+  other ablation, reported as the **absolute difference per write** in
+  microseconds.  The epoch/lease checks and acknowledgment bookkeeping
+  must stay under ``MAX_LEASE_US`` per write — the fence is a
+  comparison and a set insert, not a protocol round-trip.  (An
+  absolute budget, not a ratio: the denominator of a ratio is the SQL
+  engine, which this experiment is not about and which got 6× cheaper
+  without the lease cost moving.)
 
 Standalone report:  python benchmarks/bench_ablation_partitions.py [--quick]
 CI gate:            python benchmarks/bench_ablation_partitions.py --quick --check
@@ -49,9 +53,11 @@ from repro.sources import VirtualClock
 STATEMENTS = 4_000
 REPEATS = 5
 
-#: The CI smoke gate: the lease/epoch bookkeeping must stay within
-#: this of the leaseless path on the end-to-end execute hot path.
-MAX_LEASE_OVERHEAD = 0.05
+#: The CI smoke gate: microseconds per write the lease/epoch checks
+#: and acknowledgment bookkeeping may add to the leaseless path.
+#: Calibrated from ten consecutive ``--quick`` runs on the reference
+#: box (0.66–1.45) with at least 2× headroom over the worst of them.
+MAX_LEASE_US = 3.0
 
 #: The availability sweep (virtual time, fully seeded).
 DROP_RATES = (0.0, 0.1, 0.3, 0.5)
@@ -96,7 +102,8 @@ def _hot_path_workload(workdir, rows, *, leased):
     spent inside the execute loop alone.  Setup
     (tempdir, WAL open) and teardown (the closing flush) are identical
     across modes, and their fsync jitter is large enough to swamp a
-    5% signal — so they stay outside the timed region, mid-run
+    microsecond-per-write signal — so they stay outside the timed
+    region, mid-run
     flushes are deferred, and the clock is ``time.process_time`` so
     scheduler and I/O-wait noise don't land on either mode.  The
     lease check is pure CPU, so CPU time is the honest ruler for it.
@@ -239,8 +246,8 @@ def measure_failover(mode, *, seed=0, lease_timeout=FAILOVER_LEASE,
     }
 
 
-def _overhead(best):
-    return best["leased"] / best["leaseless"] - 1.0
+def _lease_us_per_write(best, statements):
+    return (best["leased"] - best["leaseless"]) / statements * 1e6
 
 
 class TestA16Shape:
@@ -318,11 +325,13 @@ def report(statements=STATEMENTS, repeats=REPEATS,
               f"virtual s (within budget: {result['within_budget']})")
 
     hot = measure_hot_path(rows, repeats)
-    overhead = _overhead(hot)
+    lease_us = _lease_us_per_write(hot, statements)
     print(f"\nexecute+append hot path (gated):")
-    print(f"  {'leased':<10} {hot['leased']:>9.4f} s")
-    print(f"  {'leaseless':<10} {hot['leaseless']:>9.4f} s")
-    print(f"  overhead {overhead:.1%} (budget {MAX_LEASE_OVERHEAD:.0%})")
+    for mode in MODES:
+        print(f"  {mode:<10} {hot[mode]:>9.4f} s "
+              f"{hot[mode] / statements * 1e6:>8.2f} us/write")
+    print(f"  lease cost {lease_us:.2f} us/write "
+          f"(budget {MAX_LEASE_US:.2f})")
     return {
         "statements": statements,
         "repeats": repeats,
@@ -332,9 +341,9 @@ def report(statements=STATEMENTS, repeats=REPEATS,
         "hot_path": {
             "leased_s": hot["leased"],
             "leaseless_s": hot["leaseless"],
-            "overhead": overhead,
+            "lease_us_per_write": lease_us,
         },
-        "gate_budget": MAX_LEASE_OVERHEAD,
+        "gate_budget_us": MAX_LEASE_US,
     }
 
 
@@ -349,11 +358,11 @@ if __name__ == "__main__":
     if "--check" in sys.argv:
         print()
         failures = []
-        if payload["hot_path"]["overhead"] > MAX_LEASE_OVERHEAD:
+        lease_us = payload["hot_path"]["lease_us_per_write"]
+        if lease_us > MAX_LEASE_US:
             failures.append(
-                f"lease checks cost {payload['hot_path']['overhead']:.1%} "
-                f"on the execute hot path (budget "
-                f"{MAX_LEASE_OVERHEAD:.0%})")
+                f"lease checks cost {lease_us:.2f} us per write on the "
+                f"execute hot path (budget {MAX_LEASE_US:.2f})")
         if not payload["grid_consistent"]:
             failures.append("a grid cell lost consistency under "
                             "partition — the fence leaked")
@@ -367,6 +376,6 @@ if __name__ == "__main__":
             for failure in failures:
                 print(f"FAIL: {failure}")
             sys.exit(1)
-        print("PASS: lease overhead within budget, every grid cell "
+        print("PASS: lease cost per write within budget, every grid cell "
               "consistent, failover within lease + window")
     sys.exit(0)

@@ -4,10 +4,12 @@ The WAL used to pay a file open-append-close per mutating statement.
 This ablation measures what the persistent-handle + group-commit rewrite
 buys, and what recovery costs:
 
-- **append modes** — ``reopen`` (the legacy per-statement open, kept in
-  the code only as this baseline), ``flush=1`` (persistent handle, one
-  group commit per statement), ``flush=64`` / ``flush=1024`` (real group
-  commit), and ``fsync`` (every flush forced to stable storage);
+- **append modes** — ``reopen`` (the per-statement open the WAL started
+  with; the baseline is :class:`ReopenPerStatementLog` below — ablation
+  baselines live in ``benchmarks/``, never as switches on production
+  classes), ``flush=1`` (persistent handle, one group commit per
+  statement), ``flush=64`` / ``flush=1024`` (real group commit), and
+  ``fsync`` (every flush forced to stable storage);
 - **recovery latency** — image restore + WAL replay as a function of how
   many statements crashed outside the last checkpoint;
 - **WAL amplification** — log bytes per statement payload byte, and the
@@ -48,12 +50,32 @@ def _fresh_db():
     return database
 
 
-def _append_workload(path, rows, **wal_options):
-    """Append *rows* through one WriteAheadLog configured by options."""
+class ReopenPerStatementLog:
+    """The A7 baseline: an open-append-close per statement.
+
+    What the WAL did before it kept a persistent handle, rebuilt from
+    the public API: closing the real log after every append makes the
+    next one reopen the file, so the bytes written are identical and
+    only the per-statement open/close is added."""
+
+    def __init__(self, path, database):
+        self._log = WriteAheadLog(path, database)
+
+    def append(self, sql, parameters):
+        self._log.append(sql, parameters)
+        self._log.close()
+
+    def close(self):
+        self._log.close()
+
+
+def _append_workload(path, rows, open_log=WriteAheadLog, **wal_options):
+    """Append *rows* through one log: a WriteAheadLog configured by
+    options, or the reopen-per-statement baseline."""
     database = _fresh_db()
     if os.path.exists(path):
         os.remove(path)
-    log = WriteAheadLog(path, database, **wal_options)
+    log = open_log(path, database, **wal_options)
     for row in rows:
         log.append(SQL, row)
     log.close()
@@ -67,7 +89,7 @@ def rows():
 @pytest.mark.benchmark(group="a7-append")
 def test_bench_append_reopen_per_statement(benchmark, rows, tmp_path):
     path = str(tmp_path / "wal.jsonl")
-    benchmark(_append_workload, path, rows, reopen_each=True)
+    benchmark(_append_workload, path, rows, ReopenPerStatementLog)
 
 
 @pytest.mark.benchmark(group="a7-append")
@@ -111,7 +133,7 @@ class TestA7Shape:
             return time.perf_counter() - start
 
         timed(flush_every_n=256)  # warm caches fairly
-        reopen = timed(reopen_each=True)
+        reopen = timed(open_log=ReopenPerStatementLog)
         grouped = timed(flush_every_n=256)
         assert grouped < reopen, (
             f"group commit {grouped:.4f}s not faster than "
@@ -163,7 +185,8 @@ def report() -> dict:
         print("-" * 72)
 
         modes = [
-            ("reopen per statement", dict(reopen_each=True)),
+            ("reopen per statement",
+             dict(open_log=ReopenPerStatementLog)),
             ("flush every statement", dict(flush_every_n=1)),
             ("group commit n=64", dict(flush_every_n=64)),
             ("group commit n=1024", dict(flush_every_n=1024)),

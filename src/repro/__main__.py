@@ -17,7 +17,8 @@ Commands:
   deadline budgets, replica failover, bit-rot repair;
 - ``scrub``   — verify the checksums of an ``image + WAL`` pair on
   disk without replaying anything (``--image``/``--wal``), localizing
-  any bit rot to the record and byte offset, or run the seeded
+  any bit rot to the record and byte offset (a named path that cannot
+  be opened is reported ``unreadable``, exit 1), or run the seeded
   corruption matrix (``--self-test``);
 - ``trace``   — run one BiQL query plus a mediated fan-out against a
   4-source faulty federation with tracing on, render the span tree

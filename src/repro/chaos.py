@@ -76,8 +76,6 @@ worker per source); ``--only NAME`` runs a single scenario.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import MediatorError
 from repro.etl.delta import DELETE
 from repro.etl.monitors import LogMonitor, SnapshotMonitor, TriggerMonitor
@@ -88,6 +86,7 @@ from repro.mediator import (
     RetryPolicy,
 )
 from repro.mediator.cache import normalize_query
+from repro.selftest import ScenarioFailure, ScenarioMatrix, expect as _expect
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -98,28 +97,6 @@ from repro.sources import (
     Universe,
     VirtualClock,
 )
-
-
-@dataclass
-class ScenarioResult:
-    """Outcome of one chaos scenario."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"  {status:<4} {self.name:<22} {self.detail}"
-
-
-class _ScenarioFailure(AssertionError):
-    """A scenario expectation that did not hold."""
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise _ScenarioFailure(message)
 
 
 def _federation(seed: int = 101, size: int = 24):
@@ -191,7 +168,7 @@ def scenario_outage_window(concurrency: int | None = None) -> str:
     except MediatorError as error:
         _expect("EMBL" in str(error), "strict error does not name EMBL")
     else:
-        raise _ScenarioFailure("strict=True did not raise on a dead source")
+        raise ScenarioFailure("strict=True did not raise on a dead source")
     return (f"{len(answers)} rows from 2 live sources; "
             f"failed={','.join(health.sources_failed)}; strict raised")
 
@@ -997,59 +974,33 @@ def scenario_split_brain(concurrency: int | None = None) -> str:
             f"epoch, 0 replicated acks lost, survivors byte-identical")
 
 
-_SCENARIOS = (
-    ("intermittent-retry", scenario_intermittent_retry),
-    ("outage-window", scenario_outage_window),
-    ("breaker-recovery", scenario_breaker_recovery),
-    ("corrupt-snapshot", scenario_corrupt_snapshot),
-    ("log-channel-loss", scenario_log_channel_loss),
-    ("deadline-exhaustion", scenario_deadline_exhaustion),
-    ("push-channel-loss", scenario_push_channel_loss),
-    ("concurrent-fanout", scenario_concurrent_fanout),
-    ("cache-invalidation-storm", scenario_cache_invalidation_storm),
-    ("trace-correlation", scenario_trace_correlation),
-    ("overload-storm", scenario_overload_storm),
-    ("replica-failover", scenario_replica_failover),
-    ("bit-rot-repair", scenario_bit_rot_repair),
-    ("split-brain", scenario_split_brain),
+MATRIX = ScenarioMatrix(
+    title="federation fault-injection scenario matrix:",
+    verdict="scenarios degraded and recovered correctly",
+    scenarios=(
+        ("intermittent-retry", scenario_intermittent_retry),
+        ("outage-window", scenario_outage_window),
+        ("breaker-recovery", scenario_breaker_recovery),
+        ("corrupt-snapshot", scenario_corrupt_snapshot),
+        ("log-channel-loss", scenario_log_channel_loss),
+        ("deadline-exhaustion", scenario_deadline_exhaustion),
+        ("push-channel-loss", scenario_push_channel_loss),
+        ("concurrent-fanout", scenario_concurrent_fanout),
+        ("cache-invalidation-storm", scenario_cache_invalidation_storm),
+        ("trace-correlation", scenario_trace_correlation),
+        ("overload-storm", scenario_overload_storm),
+        ("replica-failover", scenario_replica_failover),
+        ("bit-rot-repair", scenario_bit_rot_repair),
+        ("split-brain", scenario_split_brain),
+    ),
+    passed_label="PASS",
+    name_width=22,
 )
-
-
-def run_chaos_matrix(
-    concurrency: int | None = None,
-    only: str | None = None,
-) -> list[ScenarioResult]:
-    """Run every scenario (or just *only*); never raises — failures
-    land in the results."""
-    if only is not None and only not in dict(_SCENARIOS):
-        known = ", ".join(name for name, __ in _SCENARIOS)
-        raise ValueError(f"unknown scenario {only!r}; one of: {known}")
-    results = []
-    for name, scenario in _SCENARIOS:
-        if only is not None and name != only:
-            continue
-        try:
-            detail = scenario(concurrency)
-        except _ScenarioFailure as failure:
-            results.append(ScenarioResult(name, False, str(failure)))
-        except Exception as error:  # a crash is also a failed scenario
-            results.append(ScenarioResult(
-                name, False, f"crashed: {type(error).__name__}: {error}"
-            ))
-        else:
-            results.append(ScenarioResult(name, True, detail))
-    return results
 
 
 def self_test(verbose: bool = True, concurrency: int | None = None,
               only: str | None = None) -> bool:
-    """The ``python -m repro chaos --self-test`` smoke target."""
-    results = run_chaos_matrix(concurrency, only)
-    if verbose:
-        print("federation fault-injection scenario matrix:")
-        for result in results:
-            print(result.line())
-        passed = sum(result.passed for result in results)
-        print(f"{passed}/{len(results)} scenarios degraded and "
-              f"recovered correctly")
-    return all(result.passed for result in results)
+    """The ``python -m repro chaos --self-test`` smoke target: every
+    scenario (or just *only*) at fan-out width *concurrency*."""
+    return MATRIX.self_test(
+        verbose, lambda scenario: scenario(concurrency), only)

@@ -27,12 +27,12 @@ and asserts the result equals the reference.  ``python -m repro recover
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.db.database import Database
 from repro.db.storage import (
@@ -49,6 +49,7 @@ from repro.db.storage import (
 from repro.errors import StorageError
 from repro.obs.metrics import count as _metric, observe as _observe
 from repro.obs.trace import span as _span
+from repro.selftest import ScenarioMatrix, ScenarioResult, in_temp_dir
 
 
 @dataclass
@@ -189,21 +190,6 @@ def databases_equal(first: Database, second: Database) -> bool:
 # Fault-injection harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ScenarioResult:
-    name: str
-    passed: bool
-    detail: str = ""
-    statements_applied: int = 0
-    elapsed_ms: float = 0.0
-
-    def line(self) -> str:
-        status = "ok  " if self.passed else "FAIL"
-        return (f"  {status} {self.name:<28} "
-                f"{self.statements_applied:>4} stmts "
-                f"{self.elapsed_ms:>7.1f} ms  {self.detail}")
-
-
 def _genomic_database() -> Database:
     from repro.adapter import install_genomics
 
@@ -268,14 +254,6 @@ def _tear_middle(path: str) -> None:
         handle.writelines(lines)
 
 
-def _scenario(name: str):
-    def wrap(function: Callable[[str], ScenarioResult]):
-        function.scenario_name = name
-        return function
-    return wrap
-
-
-@_scenario("torn-final-record")
 def _run_torn_tail(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -303,7 +281,6 @@ def _run_torn_tail(workdir: str) -> ScenarioResult:
                           report.elapsed_ms)
 
 
-@_scenario("torn-middle-record")
 def _run_torn_middle(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -327,7 +304,6 @@ def _run_torn_middle(workdir: str) -> ScenarioResult:
                           "corrupt log was replayed silently")
 
 
-@_scenario("missing-image")
 def _run_missing_image(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -350,7 +326,6 @@ def _run_missing_image(workdir: str) -> ScenarioResult:
                           report.statements_applied, report.elapsed_ms)
 
 
-@_scenario("image-wal-generation-skew")
 def _run_skew(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -379,7 +354,6 @@ def _run_skew(workdir: str) -> ScenarioResult:
                           report.elapsed_ms)
 
 
-@_scenario("crash-mid-checkpoint")
 def _run_mid_checkpoint(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -409,7 +383,6 @@ def _run_mid_checkpoint(workdir: str) -> ScenarioResult:
                           report.elapsed_ms)
 
 
-@_scenario("unflushed-group-commit")
 def _run_group_commit_window(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -446,7 +419,6 @@ def _run_group_commit_window(workdir: str) -> ScenarioResult:
         report.statements_applied, report.elapsed_ms)
 
 
-@_scenario("replay-does-not-grow-log")
 def _run_replay_amplification(workdir: str) -> ScenarioResult:
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -483,7 +455,6 @@ def _run_replay_amplification(workdir: str) -> ScenarioResult:
         first)
 
 
-@_scenario("replica-catch-up")
 def _run_replica_catch_up(workdir: str) -> ScenarioResult:
     # WAL shipping rides on this module's replay path: a follower that
     # catches up across a rotation boundary AND a torn active tail must
@@ -525,14 +496,13 @@ def _run_replica_catch_up(workdir: str) -> ScenarioResult:
         first + second)
 
 
-@_scenario("scrub-during-recovery")
 def _run_scrub_during_recovery(workdir: str) -> ScenarioResult:
     # A crash leaves a sealed segment plus a torn active tail.  Scrub
     # must map the damage exactly (torn tail on the active file, sealed
     # segment clean), recovery must still succeed through it — and once
     # a sealed record bit-rots, both tools must agree: scrub localizes
     # the record, recovery refuses with the same structured context.
-    from repro.db.scrub import BIT_ROT, TORN_TAIL, scrub
+    from repro.db.scrub import BIT_ROT, TORN_TAIL, _flip_byte, scrub
 
     image = os.path.join(workdir, "image.json")
     wal_path = os.path.join(workdir, "wal.jsonl")
@@ -564,16 +534,9 @@ def _run_scrub_during_recovery(workdir: str) -> ScenarioResult:
                 and databases_equal(recovered, reference)
                 and report.torn_tail_dropped)
 
-    # Now a sealed record rots: flip one alphanumeric byte in place.
+    # Now a sealed record rots: one alphanumeric byte flips in place.
     sealed_path = sealed.path
-    with open(sealed_path, "rb") as handle:
-        data = bytearray(handle.read())
-    offset = next(index for index in range(len(data) // 2, len(data))
-                  if chr(data[index]).isalnum()
-                  and chr(data[index] ^ 0x01).isalnum())
-    data[offset] ^= 0x01
-    with open(sealed_path, "wb") as handle:
-        handle.write(data)
+    offset = _flip_byte(sealed_path)
 
     rot_report = scrub(image, wal_path)
     rotted = next((verdict for verdict in rot_report.damaged
@@ -599,40 +562,30 @@ def _run_scrub_during_recovery(workdir: str) -> ScenarioResult:
                           report.elapsed_ms)
 
 
-_SCENARIOS = (
-    _run_torn_tail,
-    _run_torn_middle,
-    _run_missing_image,
-    _run_skew,
-    _run_mid_checkpoint,
-    _run_group_commit_window,
-    _run_replay_amplification,
-    _run_replica_catch_up,
-    _run_scrub_during_recovery,
+MATRIX = ScenarioMatrix(
+    title="crash-recovery fault-injection matrix:",
+    verdict="scenarios recovered correctly",
+    scenarios=(
+        ("torn-final-record", _run_torn_tail),
+        ("torn-middle-record", _run_torn_middle),
+        ("missing-image", _run_missing_image),
+        ("image-wal-generation-skew", _run_skew),
+        ("crash-mid-checkpoint", _run_mid_checkpoint),
+        ("unflushed-group-commit", _run_group_commit_window),
+        ("replay-does-not-grow-log", _run_replay_amplification),
+        ("replica-catch-up", _run_replica_catch_up),
+        ("scrub-during-recovery", _run_scrub_during_recovery),
+    ),
+    timed=True,
 )
 
 
 def run_crash_matrix(workdir: str | None = None) -> list[ScenarioResult]:
-    """Run every fault-injection scenario; returns one result each."""
-    results = []
-    for scenario in _SCENARIOS:
-        if workdir is None:
-            with tempfile.TemporaryDirectory() as temporary:
-                results.append(scenario(temporary))
-        else:
-            scenario_dir = os.path.join(workdir, scenario.scenario_name)
-            os.makedirs(scenario_dir, exist_ok=True)
-            results.append(scenario(scenario_dir))
-    return results
+    """Run every fault-injection scenario, each in a fresh directory
+    (under *workdir* when given); returns one result each."""
+    return MATRIX.run(functools.partial(in_temp_dir, root=workdir))
 
 
 def self_test(verbose: bool = True) -> bool:
     """The ``python -m repro recover --self-test`` smoke target."""
-    results = run_crash_matrix()
-    if verbose:
-        print("crash-recovery fault-injection matrix:")
-        for result in results:
-            print(result.line())
-        passed = sum(result.passed for result in results)
-        print(f"{passed}/{len(results)} scenarios recovered correctly")
-    return all(result.passed for result in results)
+    return MATRIX.self_test(verbose)

@@ -8,25 +8,26 @@ integrity story: walk everything on disk, recompute every CRC32 and
 image digest, and report damage **localized** (file, record index, byte
 offset) while the primary is still healthy enough to repair from.
 
-Unlike :func:`~repro.db.storage.read_wal_records`, which aborts at the
-first corrupt record (replaying around a hole would diverge), the
-scrubber keeps scanning past damage so one pass maps *all* of it.
+Replay and scrub read WAL files through the same classifier
+(:func:`repro.db.storage.classify_wal`), so they agree on every line by
+construction.  Replay aborts at the first damaged one (replaying around
+a hole would diverge); the scrubber collects them all, so one pass maps
+*all* the damage.
 
-Verdicts, per file:
+Verdicts, per file — the worst thing found in it:
 
-- ``ok``              — every record parsed and every checksum matched;
-- ``legacy``          — a pre-checksum (version-1) file; nothing to
-  verify, nothing wrong: old files never regress to "corrupt";
+- ``ok``              — every line parsed and every checksum matched;
 - ``torn_tail``       — unparseable final record.  On the **active**
   segment this is an ordinary crash artifact (recovery drops it) and
-  does not damage the report; on a **sealed** segment or anywhere else
-  it is damage;
-- ``corrupt_middle``  — unparseable record followed by valid ones;
-- ``bit_rot``         — a record that parses but fails its CRC32 (the
-  corruption that would have been applied silently before checksums);
+  does not damage the report; on a **sealed** segment it is damage;
+- ``malformed``       — structurally wrong record or image, or a file
+  in a format version this build does not read;
+- ``corrupt_middle``  — unparseable record followed by other records;
+- ``bit_rot``         — a line whose CRC32 is wrong or missing, or
+  whose bytes no longer decode;
 - ``digest_mismatch`` — an image whose whole-file digest changed;
-- ``malformed``       — structurally wrong record or image;
-- ``unreadable``      — the file cannot be opened.
+- ``unreadable``      — the file cannot be opened (a path the operator
+  named that does not exist included).
 
 ``python -m repro scrub --image X --wal Y`` prints the report;
 ``--self-test`` runs the seeded corruption matrix below.
@@ -34,32 +35,32 @@ Verdicts, per file:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 
 from repro.db.storage import (
-    IMAGE_FORMAT,
-    line_checksum_ok,
+    BIT_ROT,
+    CORRUPT_MIDDLE,
+    HEADER,
+    MALFORMED,
+    OK,
+    TORN_TAIL,
+    checksum_line,
+    classify_wal,
     list_sealed_segments,
     read_image,
 )
 from repro.errors import StorageError
 from repro.obs.metrics import count as _metric, observe as _observe
 from repro.obs.trace import span as _span
+from repro.selftest import ScenarioMatrix, ScenarioResult
 
-OK = "ok"
-LEGACY = "legacy"
-TORN_TAIL = "torn_tail"
-MALFORMED = "malformed"
-CORRUPT_MIDDLE = "corrupt_middle"
-BIT_ROT = "bit_rot"
 DIGEST_MISMATCH = "digest_mismatch"
 UNREADABLE = "unreadable"
 
 #: Severity order: a file's verdict is the worst thing found in it.
-_SEVERITY = (OK, LEGACY, TORN_TAIL, MALFORMED, CORRUPT_MIDDLE, BIT_ROT,
+_SEVERITY = (OK, TORN_TAIL, MALFORMED, CORRUPT_MIDDLE, BIT_ROT,
              DIGEST_MISMATCH, UNREADABLE)
 _RANK = {verdict: rank for rank, verdict in enumerate(_SEVERITY)}
 
@@ -76,7 +77,6 @@ class FileVerdict:
     kind: str                     # "image" | "wal_active" | "wal_sealed"
     verdict: str = OK
     records_checked: int = 0
-    records_legacy: int = 0
     bad_offsets: list = field(default_factory=list)  # (record_index, offset)
     detail: str = ""
 
@@ -86,7 +86,7 @@ class FileVerdict:
         on the *active* segment is a crash artifact, not damage."""
         if self.verdict == TORN_TAIL:
             return self.kind != "wal_active"
-        return self.verdict not in (OK, LEGACY)
+        return self.verdict != OK
 
     def line(self) -> str:
         status = "BAD " if self.damaged else "ok  "
@@ -99,8 +99,8 @@ class FileVerdict:
             where = f"  [{spots}]"
         name = os.path.basename(self.path)
         return (f"  {status} {name:<24} {self.kind:<10} "
-                f"{self.verdict:<15} {self.records_checked:>5} checked "
-                f"{self.records_legacy:>3} legacy{where}  {self.detail}")
+                f"{self.verdict:<15} {self.records_checked:>5} checked"
+                f"{where}  {self.detail}")
 
 
 @dataclass
@@ -139,10 +139,9 @@ def scrub_wal_file(path: str, *, active: bool = False) -> FileVerdict:
 
     Keeps going past damage (unlike replay) so a single pass reports
     all of it: each entry in ``bad_offsets`` is ``(record_index,
-    byte_offset)`` of a line that failed to parse or failed its CRC.
+    byte_offset)`` of a line replay would refuse.
     """
-    kind = "wal_active" if active else "wal_sealed"
-    result = FileVerdict(path, kind)
+    result = FileVerdict(path, "wal_active" if active else "wal_sealed")
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -150,96 +149,58 @@ def scrub_wal_file(path: str, *, active: bool = False) -> FileVerdict:
         result.verdict = UNREADABLE
         result.detail = str(exc)
         return result
-    # Work on raw bytes so byte offsets stay exact and an undecodable
-    # line is localized instead of aborting the whole scan.
-    chunks = data.split(b"\n")
-    lines = [chunk + b"\n" for chunk in chunks[:-1]]
-    if chunks[-1]:
-        lines.append(chunks[-1])
-    nonempty = [index for index, line in enumerate(lines) if line.strip()]
-    last = nonempty[-1] if nonempty else -1
-    offset = 0
-    for index, line in enumerate(lines):
-        if not line.strip():
-            offset += len(line)
+    for index, offset, kind, __, why in classify_wal(data):
+        if kind in (OK, HEADER):
+            result.records_checked += 1
             continue
-        try:
-            stripped = line.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            # Writers emit ASCII-only JSON, so bytes that fail to
-            # decode are media damage — bit rot even at the tail,
-            # never a torn-tail crash artifact (replay agrees: it
-            # refuses undecodable bytes in the active segment too).
-            result.bad_offsets.append((index + 1, offset))
-            result.verdict = _worse(result.verdict, BIT_ROT)
-            offset += len(line)
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError:
-            found = TORN_TAIL if index == last else CORRUPT_MIDDLE
-            result.bad_offsets.append((index + 1, offset))
-            result.verdict = _worse(result.verdict, found)
-        else:
-            header = isinstance(record, dict) and "$wal" in record
-            if not header and (not isinstance(record, dict)
-                               or "sql" not in record
-                               or "params" not in record):
-                result.bad_offsets.append((index + 1, offset))
-                result.verdict = _worse(result.verdict, MALFORMED)
-            elif not isinstance(record.get("crc"), int):
-                result.records_legacy += 1
-            elif not line_checksum_ok(stripped, record):
-                result.records_checked += 1
-                result.bad_offsets.append((index + 1, offset))
-                result.verdict = _worse(result.verdict, BIT_ROT)
-            else:
-                result.records_checked += 1
-        offset += len(line)
-    if result.verdict == OK and result.records_checked == 0 \
-            and result.records_legacy > 0:
-        result.verdict = LEGACY
+        if not result.bad_offsets:
+            result.detail = f"#{index} {why}"[:100]
+        result.bad_offsets.append((index, offset))
+        result.verdict = _worse(result.verdict, kind)
     if result.verdict == TORN_TAIL and active:
         result.detail = "crash artifact; recovery drops it"
     return result
 
 
 def scrub_image(path: str) -> FileVerdict:
-    """Verify one image's whole-file digest (format 2) or report it as
-    ``legacy`` (format 1, pre-digest)."""
+    """Verify one image's format, whole-file digest and shape."""
     result = FileVerdict(path, "image")
     try:
         image = read_image(path)
     except StorageError as exc:
-        result.verdict = (exc.kind if exc.kind in _RANK else MALFORMED)
+        # read_image reports a file it could not open as ``malformed``
+        # with the OSError chained; scrub names that case precisely.
+        result.verdict = (UNREADABLE if isinstance(exc.__cause__, OSError)
+                          else exc.kind if exc.kind in _RANK else MALFORMED)
         result.detail = str(exc).splitlines()[0][:100]
         return result
-    except OSError as exc:
-        result.verdict = UNREADABLE
-        result.detail = str(exc)
-        return result
-    if image.get("format") == IMAGE_FORMAT:
-        result.records_checked = 1
-        result.detail = f"digest {image.get('digest', '')[:12]}…"
-    else:
-        result.verdict = LEGACY
-        result.records_legacy = 1
+    result.records_checked = 1
+    result.detail = f"digest {image['digest'][:12]}…"
     return result
 
 
 def scrub(image_path: "str | None" = None,
           wal_path: "str | None" = None) -> ScrubReport:
     """Walk an image plus a WAL's sealed segments and active file,
-    verifying every checksum; returns the localized verdicts."""
+    verifying every checksum; returns the localized verdicts.
+
+    Every path given is accounted for: one that cannot be opened —
+    a missing image, a WAL with neither an active file nor sealed
+    segments — is listed as ``unreadable``, never silently skipped.
+    """
     report = ScrubReport()
     started = time.perf_counter()
     with _span("storage.scrub") as spn:
-        if image_path and os.path.exists(image_path):
+        if image_path:
             report.verdicts.append(scrub_image(image_path))
         if wal_path:
-            for __, path in list_sealed_segments(wal_path):
+            sealed = list_sealed_segments(wal_path)
+            for __, path in sealed:
                 report.verdicts.append(scrub_wal_file(path, active=False))
-            if os.path.exists(wal_path):
+            # Sealed segments without an active file is what a crash
+            # between sealing and reopening leaves; nothing at all is
+            # a wrong path.
+            if os.path.exists(wal_path) or not sealed:
                 report.verdicts.append(scrub_wal_file(wal_path,
                                                       active=True))
         report.elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -257,17 +218,6 @@ def scrub(image_path: "str | None" = None,
 # ---------------------------------------------------------------------------
 # Seeded corruption matrix (``python -m repro scrub --self-test``)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ScenarioResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def line(self) -> str:
-        status = "ok  " if self.passed else "FAIL"
-        return f"  {status} {self.name:<28} {self.detail}"
-
 
 def _build_checkpointed_state(workdir: str):
     """A genomic database with an image, two sealed segments, and an
@@ -375,53 +325,48 @@ def _scenario_torn_active_tail(workdir: str) -> ScenarioResult:
         f"active verdict {active.verdict}, recovery dropped it")
 
 
-def _scenario_legacy_file(workdir: str) -> ScenarioResult:
-    from repro.db.recovery import _apply, _genomic_database, \
-        _seed_statements
-    from repro.db.storage import WriteAheadLog
+def _scenario_old_format(workdir: str) -> ScenarioResult:
+    from repro.db.recovery import _genomic_database, recover
 
-    wal_path = os.path.join(workdir, "legacy.jsonl")
-    database = _genomic_database()
-    log = WriteAheadLog(wal_path, database, checksums=False)
-    log.attach()
-    _apply(database, _seed_statements(10))
-    log.close()
-    report = scrub(None, wal_path)
+    image, wal_path = _build_checkpointed_state(workdir)
+    with open(wal_path, "rb") as handle:
+        __, __, body = handle.read().partition(b"\n")
+    # What the previous release wrote: a version-2 header, no epoch.
+    old = checksum_line('{"$wal": 2, "generation": 3}').encode("utf-8")
+    with open(wal_path, "wb") as handle:
+        handle.write(old + b"\n" + body)
+    report = scrub(image, wal_path)
     active = report.verdicts[-1]
-    passed = (report.ok and active.verdict == LEGACY
-              and active.records_legacy > 0
-              and active.records_checked == 0)
+    try:
+        recover(image, wal_path, database=_genomic_database())
+    except StorageError as exc:
+        refused = (exc.kind == MALFORMED
+                   and (exc.record_index, exc.offset) == (1, 0)
+                   and "version 2" in str(exc))
+    else:
+        refused = False
+    passed = (refused and [verdict.path for verdict in report.damaged]
+              == [wal_path] and active.verdict == MALFORMED
+              and active.bad_offsets == [(1, 0)])
     return ScenarioResult(
-        "legacy-file-skips-verification", passed,
-        f"{active.records_legacy} unchecksummed records accepted")
+        "old-format-is-refused", passed,
+        f"version-2 header -> {active.verdict}, recovery refused "
+        f"in agreement")
 
 
-_SCENARIOS = (
-    ("clean-state-no-false-positives", _scenario_clean),
-    ("sealed-segment-bit-rot", _scenario_sealed_bit_rot),
-    ("image-digest-mismatch", _scenario_image_rot),
-    ("torn-active-tail-is-not-damage", _scenario_torn_active_tail),
-    ("legacy-file-skips-verification", _scenario_legacy_file),
+MATRIX = ScenarioMatrix(
+    title="integrity scrub corruption matrix:",
+    verdict="scenarios verified correctly",
+    scenarios=(
+        ("clean-state-no-false-positives", _scenario_clean),
+        ("sealed-segment-bit-rot", _scenario_sealed_bit_rot),
+        ("image-digest-mismatch", _scenario_image_rot),
+        ("torn-active-tail-is-not-damage", _scenario_torn_active_tail),
+        ("old-format-is-refused", _scenario_old_format),
+    ),
 )
 
 
 def self_test(verbose: bool = True) -> bool:
     """The ``python -m repro scrub --self-test`` smoke target."""
-    import tempfile
-
-    results = []
-    for name, scenario in _SCENARIOS:
-        with tempfile.TemporaryDirectory() as workdir:
-            try:
-                results.append(scenario(workdir))
-            except Exception as error:
-                results.append(ScenarioResult(
-                    name, False,
-                    f"crashed: {type(error).__name__}: {error}"))
-    if verbose:
-        print("integrity scrub corruption matrix:")
-        for result in results:
-            print(result.line())
-        passed = sum(result.passed for result in results)
-        print(f"{passed}/{len(results)} scenarios verified correctly")
-    return all(result.passed for result in results)
+    return MATRIX.self_test(verbose)

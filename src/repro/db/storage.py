@@ -22,29 +22,46 @@ Because UDTs and UDFs are *code*, images record only type **names**; a
 loader must re-register the same types and functions first (the adapter
 does this in one call), then :func:`load_database` re-attaches values.
 
-The durability contract of one WAL file:
+The on-disk formats — one of each, and no reader for any other:
 
-- the first line is a header record ``{"$wal": 2, "generation": N,
-  "crc": C}`` (version 1 headers — no checksums anywhere in the file —
-  are the legacy format and stay readable, verification skipped);
-- every other line is ``{"sql": ..., "params": [...], "crc": C}`` where
-  ``C`` is the CRC32 of the record's own serialization without the
-  ``crc`` field — a flipped bit that still parses as JSON no longer
-  replays silently;
-- a torn **final** line is a crash mid-append and is dropped on replay
-  (``kind="torn_tail"``);
-- a torn line **followed by valid lines** cannot be a crashed append and
-  is reported as :class:`~repro.errors.StorageError` with
-  ``kind="corrupt_middle"`` — silently skipping it would replay a
-  history with a hole in the middle;
-- a line that parses but fails its CRC is **bit rot**
-  (``kind="bit_rot"``), reported with the file, record index, and byte
-  offset so :mod:`repro.db.scrub` can localize the damage.
+==========  ==========================================================
+WAL header  ``{"$wal": 3, "generation": N, "epoch": E-or-null,
+            "crc": C}`` — the first line of every segment
+WAL record  ``{"sql": ..., "params": [...], "crc": C}`` — every other
+            line
+image       ``{"format": 2, "tables": [...], "indexes": [...],
+            "digest": D}`` (plus ``wal_generation`` after a
+            checkpoint); every table spec names its ``layout``
+==========  ==========================================================
 
-Images carry a whole-file SHA-256 digest in their header (format 2);
-:func:`read_image` verifies it on every load and raises
-``kind="digest_mismatch"`` when the bytes under the JSON changed.
-Format-1 images (pre-digest) load with verification skipped.
+``C`` is the CRC32 of the line's own bytes before ``, "crc": `` (plus
+the closing brace) and is mandatory: a line without an integer ``crc``
+that matches is ``bit_rot``, so a flipped bit that still parses as
+JSON never replays silently.  ``D`` is the SHA-256 of the image's
+canonical serialization without the ``digest`` field, equally
+mandatory.  A file stamped with any other ``$wal`` / ``format``
+version is refused as ``malformed``, naming the version found and the
+version this build reads.
+
+:func:`classify_wal` is the single parser of WAL lines: it walks a
+file's bytes once and labels every line ``ok`` / ``header`` or with
+the :class:`~repro.errors.StorageError` kind it would raise —
+
+- ``torn_tail``: an unparseable **final** line, i.e. a crash
+  mid-append; replay drops it from the active segment;
+- ``corrupt_middle``: an unparseable line **followed by other lines**
+  cannot be a crashed append — skipping it would replay a history with
+  a hole in the middle;
+- ``malformed``: valid JSON that is not a WAL record, or a header of
+  another format version;
+- ``bit_rot``: the CRC does not match, is missing, or the bytes do not
+  even decode (writers emit ASCII-only JSON, so an invalid sequence can
+  only be media damage, never a crash artifact).
+
+Replay (:func:`read_wal_records` / :func:`parse_wal_payload`) stops at
+the first damaged line and raises it with the file, 1-based record
+index and byte offset; :mod:`repro.db.scrub` collects all of them.
+Both consume the same classification, so they cannot disagree.
 """
 
 from __future__ import annotations
@@ -65,25 +82,29 @@ from repro.obs.metrics import count as _metric
 
 #: The keys every image table/column/index spec must carry; a truncated
 #: or hand-edited image fails with StorageError, never a bare KeyError.
-_TABLE_KEYS = ("name", "columns", "primary_key", "unique", "rows")
+_TABLE_KEYS = ("name", "columns", "primary_key", "unique", "layout", "rows")
 _COLUMN_KEYS = ("name", "type", "not_null", "default")
 _INDEX_KEYS = ("name", "table", "column", "using", "parameters")
 
 _SEGMENT_SUFFIX = re.compile(r"\.(\d{6})$")
 
-#: Current on-disk format versions.  WAL version 2 adds a per-record
-#: CRC32; image format 2 adds a whole-file SHA-256 digest.  Version-1
-#: files remain readable with verification skipped (``legacy``).
-WAL_FORMAT = 2
+#: The on-disk format versions this build writes and reads.  There is
+#: deliberately no reader for older ones and no upgrader: no file in an
+#: older format exists outside this repository's history.
+WAL_FORMAT = 3
 IMAGE_FORMAT = 2
 
-#: WAL headers gain a replication ``epoch`` field under version 3
-#: (``{"$wal": 3, "generation": N, "epoch": E, "crc": C}``).  The
-#: epoch is stamped only when the log belongs to a lease-holding
-#: primary (:mod:`repro.federation.membership`); logs without one keep
-#: writing version-2 headers byte-for-byte, and version-1/2 files stay
-#: readable — :func:`segment_epoch` simply reports ``None`` for them.
-WAL_EPOCH_FORMAT = 3
+#: What :func:`classify_wal` calls a line: ``ok`` (a verified
+#: statement record), ``header`` (a verified ``$wal`` header), or the
+#: :class:`StorageError` ``kind`` that replaying it raises.
+OK = "ok"
+HEADER = "header"
+TORN_TAIL = "torn_tail"
+CORRUPT_MIDDLE = "corrupt_middle"
+MALFORMED = "malformed"
+BIT_ROT = "bit_rot"
+
+_CRC_MARK = b', "crc": '
 
 
 def checksum_line(body: str) -> str:
@@ -91,67 +112,17 @@ def checksum_line(body: str) -> str:
 
     ``body`` must be a ``json.dumps`` of a dict (so it ends in ``}``);
     the CRC32 covers exactly the bytes of *body*, which the verifier
-    reconstructs by re-serializing the parsed record without ``crc``.
+    recovers by cutting the line at its last ``, "crc": ``.
     """
     crc = zlib.crc32(body.encode("utf-8"))
     return f'{body[:-1]}, "crc": {crc}}}'
 
 
 def record_checksum_body(record: dict) -> str:
-    """The canonical serialization a WAL record's CRC covers.
-
-    Missing fields serialize as ``null`` instead of raising: a record
-    whose expected key was damaged away can never match its stored
-    CRC, so the caller classifies it as bit rot rather than crashing
-    on a bare ``KeyError``.
-    """
-    if "$wal" in record:
-        body = {"$wal": record["$wal"],
-                "generation": record.get("generation")}
-        # Version-3 headers cover the epoch too; an epoch field that
-        # rotted away leaves the CRC unable to match, which is exactly
-        # the bit_rot verdict we want.  Version-2 headers never had
-        # the key, so their checksum body is unchanged (back-compat).
-        if "epoch" in record:
-            body["epoch"] = record.get("epoch")
-        return json.dumps(body)
-    return json.dumps({"sql": record.get("sql"),
-                       "params": record.get("params")})
-
-
-def record_checksum_ok(record: dict) -> bool:
-    """Recompute a parsed record's CRC32 and compare it to the stored
-    ``crc`` field.  Records without one (legacy format) pass."""
-    stored = record.get("crc")
-    if stored is None:
-        return True
-    body = record_checksum_body(record)
-    return zlib.crc32(body.encode("utf-8")) == stored
-
-
-_CRC_MARK = ', "crc": '
-
-
-def line_checksum_ok(line: str, record: dict) -> bool:
-    """Verify one WAL line's CRC32, preferring the raw bytes.
-
-    :func:`checksum_line` always splices ``, "crc": N`` in as the last
-    field, so the covered body is the line with that suffix removed —
-    one ``crc32`` over the bytes as written, no re-serialization.
-    This is both faster than :func:`record_checksum_ok` (the replay
-    hot path calls this per record) and byte-exact.  Lines not in
-    writer format (foreign serialization, legacy records) fall back
-    to the semantic check, so nothing readable regresses.
-    """
-    mark = line.rfind(_CRC_MARK)
-    if mark != -1 and line.endswith("}"):
-        digits = line[mark + len(_CRC_MARK):-1]
-        if digits.isdigit():
-            crc = zlib.crc32(
-                b"}", zlib.crc32(line[:mark].encode("utf-8")))
-            if crc == int(digits):
-                return True
-    return record_checksum_ok(record)
+    """The canonical serialization of one statement record — the bytes
+    its CRC covers, and the yardstick for "same statement" when two
+    histories are compared."""
+    return json.dumps({"sql": record["sql"], "params": record["params"]})
 
 
 def fsync_directory(path: str) -> None:
@@ -175,13 +146,15 @@ def fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _require_keys(spec: Any, keys: Sequence[str], what: str) -> None:
+def _require_keys(spec: Any, keys: Sequence[str], what: str,
+                  path: str) -> None:
     if not isinstance(spec, dict) or any(key not in spec for key in keys):
         missing = ([key for key in keys if key not in spec]
                    if isinstance(spec, dict) else list(keys))
         raise StorageError(
-            f"malformed image: {what} is missing {missing!r} "
-            f"(truncated or foreign file?)"
+            f"malformed image {path!r}: {what} is missing {missing!r} "
+            f"(truncated or foreign file?)",
+            path=path, kind="malformed",
         )
 
 
@@ -289,13 +262,9 @@ def save_database(database: Database, path: str,
     _metric("storage", "images_saved")
 
 
-def read_image(path: str, *, verify: bool = True) -> dict[str, Any]:
-    """Read and format-check an image document without restoring it.
-
-    Format-2 images carry a whole-file digest that is verified here
-    (``verify=False`` skips it — scrub does its own pass); format-1
-    images predate the digest and load with verification skipped.
-    """
+def read_image(path: str) -> dict[str, Any]:
+    """Read, format-check and digest-verify an image document without
+    restoring it."""
     try:
         with open(path, encoding="utf-8") as handle:
             image = json.load(handle)
@@ -310,43 +279,48 @@ def read_image(path: str, *, verify: bool = True) -> dict[str, Any]:
             f"cannot read database image {path!r}: {exc}",
             path=path, kind="malformed",
         ) from exc
-    if not isinstance(image, dict) \
-            or image.get("format") not in (1, IMAGE_FORMAT):
+    found = image.get("format") if isinstance(image, dict) else None
+    if found != IMAGE_FORMAT:
         raise StorageError(
-            f"unsupported image format "
-            f"{image.get('format') if isinstance(image, dict) else image!r}",
+            f"database image {path!r} is format {found!r}; this build "
+            f"reads format {IMAGE_FORMAT} only",
             path=path, kind="malformed",
         )
-    if verify and image.get("format") == IMAGE_FORMAT:
-        stored = image.get("digest")
-        if not isinstance(stored, str):
-            raise StorageError(
-                f"image {path!r} is format {IMAGE_FORMAT} but carries "
-                f"no digest", path=path, kind="malformed",
-            )
-        actual = image_digest(image)
-        if actual != stored:
-            raise StorageError(
-                f"image {path!r} failed its whole-file digest check "
-                f"(stored {stored[:12]}…, actual {actual[:12]}…): the "
-                f"bytes under this image changed since it was written",
-                path=path, kind="digest_mismatch",
-            )
-        _metric("storage", "images_verified")
-    _require_keys(image, ("tables", "indexes"), "image")
+    stored = image.get("digest")
+    if not isinstance(stored, str):
+        raise StorageError(
+            f"image {path!r} carries no digest", path=path,
+            kind="malformed",
+        )
+    actual = image_digest(image)
+    if actual != stored:
+        raise StorageError(
+            f"image {path!r} failed its whole-file digest check "
+            f"(stored {stored[:12]}…, actual {actual[:12]}…): the "
+            f"bytes under this image changed since it was written",
+            path=path, kind="digest_mismatch",
+        )
+    _metric("storage", "images_verified")
+    _require_keys(image, ("tables", "indexes"), "image", path)
+    for table_spec in image["tables"]:
+        _require_keys(table_spec, _TABLE_KEYS, "table spec", path)
+        for column_spec in table_spec["columns"]:
+            _require_keys(column_spec, _COLUMN_KEYS,
+                          f"column spec of table {table_spec['name']!r}",
+                          path)
+    for index_spec in image["indexes"]:
+        _require_keys(index_spec, _INDEX_KEYS, "index spec", path)
     return image
 
 
 def restore_image(image: dict[str, Any],
                   database: Database | None = None) -> Database:
-    """Rebuild a database from an already-read image document."""
+    """Rebuild a database from an image document :func:`read_image`
+    has already verified and shape-checked."""
     database = database or Database()
     for table_spec in image["tables"]:
-        _require_keys(table_spec, _TABLE_KEYS, "table spec")
         columns = []
         for column_spec in table_spec["columns"]:
-            _require_keys(column_spec, _COLUMN_KEYS,
-                          f"column spec of table {table_spec['name']!r}")
             columns.append(Column(
                 column_spec["name"],
                 database.catalog.resolve_type(column_spec["type"]),
@@ -357,18 +331,13 @@ def restore_image(image: dict[str, Any],
             table_spec["name"], columns,
             table_spec["primary_key"], tuple(table_spec["unique"]),
         )
-        # Format-1 images predate per-table layouts; fall back to the
-        # restoring database's default.
-        table = database.create_table(
-            schema, layout=table_spec.get("layout")
-        )
+        table = database.create_table(schema, layout=table_spec["layout"])
         for encoded_row in table_spec["rows"]:
             table.insert([
                 _decode_value(value, database) for value in encoded_row
             ])
 
     for index_spec in image["indexes"]:
-        _require_keys(index_spec, _INDEX_KEYS, "index spec")
         statement = ast.CreateIndex(
             index_spec["name"], index_spec["table"], index_spec["column"],
             index_spec["using"], dict(index_spec["parameters"]),
@@ -408,178 +377,151 @@ def list_sealed_segments(wal_path: str) -> list[tuple[int, str]]:
     return segments
 
 
-def _header_record(generation: int, *, checksums: bool = True,
-                   epoch: int | None = None) -> str:
-    if not checksums:
-        record = {"$wal": 1, "generation": generation}
-        if epoch is not None:
-            record["epoch"] = epoch
-        return json.dumps(record) + "\n"
-    if epoch is None:
-        body = json.dumps({"$wal": WAL_FORMAT, "generation": generation})
-    else:
-        body = json.dumps({"$wal": WAL_EPOCH_FORMAT,
-                           "generation": generation, "epoch": epoch})
-    return checksum_line(body) + "\n"
+def _header_record(generation: int, epoch: int | None) -> str:
+    return checksum_line(json.dumps(
+        {"$wal": WAL_FORMAT, "generation": generation, "epoch": epoch}
+    )) + "\n"
+
+
+def classify_wal(data: bytes):
+    """Walk one WAL file's bytes once and classify every non-blank line.
+
+    Yields ``(record_index, offset, kind, record, why)`` per line: the
+    1-based line number, the byte offset where the line starts, its
+    kind (:data:`OK`, :data:`HEADER`, or a damage kind — see the module
+    docstring), the parsed record (``None`` when it did not parse) and,
+    for damaged lines, what is wrong.  This is the only parser of WAL
+    lines, so replay, scrub and the header readers agree by
+    construction.  An undamaged line costs one JSON parse and one
+    CRC32 over the bytes as written; nothing else is computed for it.
+    """
+    loads = json.loads
+    crc32 = zlib.crc32
+    crc_at = len(_CRC_MARK)
+    lines = data.split(b"\n")
+    last = len(lines)
+    while last and not lines[last - 1].strip():
+        last -= 1
+    offset = 0
+    for index, raw in enumerate(lines, 1):
+        start = offset
+        offset += len(raw) + 1
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            record = loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            yield (index, start, BIT_ROT, None,
+                   f"holds undecodable bytes ({exc.reason})")
+            continue
+        except ValueError:
+            if index == last:
+                yield index, start, TORN_TAIL, None, "is torn"
+            else:
+                yield (index, start, CORRUPT_MIDDLE, None,
+                       "is torn but followed by other records; the log "
+                       "is corrupt, refusing to replay around the hole")
+            continue
+        header = isinstance(record, dict) and "$wal" in record
+        mark = raw.rfind(_CRC_MARK)
+        digits = raw[mark + crc_at:-1]
+        if header and record["$wal"] != WAL_FORMAT:
+            yield (index, start, MALFORMED, record,
+                   f"is a version {record['$wal']!r} header; this "
+                   f"build reads WAL version {WAL_FORMAT} only")
+        elif not header and (not isinstance(record, dict)
+                             or "sql" not in record
+                             or "params" not in record):
+            yield (index, start, MALFORMED, record,
+                   f"is not a WAL record: {record!r}")
+        elif (mark == -1 or not digits.isdigit()
+              or crc32(b"}", crc32(raw[:mark])) != int(digits)):
+            yield (index, start, BIT_ROT, record,
+                   "fails its CRC32 check: the bytes rotted since they "
+                   "were written (the line still parses, so without the "
+                   "checksum it would have replayed silently)")
+        elif not header:
+            yield index, start, OK, record, ""
+        elif (isinstance(record.get("generation"), int)
+              and "epoch" in record
+              and isinstance(record["epoch"], (int, type(None)))):
+            yield index, start, HEADER, record, ""
+        else:
+            yield (index, start, MALFORMED, record,
+                   f"is a header without a generation and an epoch: "
+                   f"{record!r}")
 
 
 def _read_header(path: str) -> dict | None:
-    """The first WAL header record of *path*, or ``None`` when the file
-    has no trustworthy header (missing, garbled, or failing its CRC)."""
+    """The ``$wal`` header that opens *path*, or ``None`` when the file
+    has no trustworthy one (missing, damaged, or another version)."""
     try:
         with open(path, "rb") as handle:
             for raw in handle:
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    return None
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    return None
-                if isinstance(record, dict) and "$wal" in record:
-                    if not record_checksum_ok(record):
-                        return None    # bit-rotted header: don't trust it
-                    return record
-                return None
+                if raw.strip():
+                    __, __, kind, record, __ = next(classify_wal(raw))
+                    return record if kind == HEADER else None
     except OSError:
-        return None
+        pass
     return None
 
 
 def segment_generation(path: str) -> int | None:
     """The generation stamped in a WAL file's header line, or ``None``."""
     header = _read_header(path)
-    if header is None:
-        return None
-    try:
-        return int(header.get("generation", 0))
-    except (ValueError, TypeError):
-        return None
+    return None if header is None else header["generation"]
 
 
 def segment_epoch(path: str) -> int | None:
-    """The replication epoch stamped in a WAL file's header, or ``None``.
-
-    Version-1/2 headers never carried one; for them (and for damaged
-    headers) the answer is honestly ``None`` — the segment predates
-    epoch fencing and carries no leadership claim.
-    """
+    """The replication epoch stamped in a WAL file's header; ``None``
+    when the segment was written without a lease (no leadership claim)
+    or its header cannot be trusted."""
     header = _read_header(path)
-    if header is None or "epoch" not in header:
-        return None
-    try:
-        return int(header["epoch"])
-    except (ValueError, TypeError):
-        return None
+    return None if header is None else header["epoch"]
 
 
-def _line_offset(lines: Sequence[str], index: int) -> int:
-    """Byte offset where line *index* starts (computed only on error)."""
-    return sum(len(line.encode("utf-8")) for line in lines[:index])
+def _replay(data: bytes, path: str,
+            allow_torn_tail: bool) -> tuple[list[dict], bool]:
+    """The fail-fast consumer of :func:`classify_wal`: the statement
+    records up to the first damaged line, which is raised."""
+    records: list[dict] = []
+    for index, offset, kind, record, why in classify_wal(data):
+        if kind == OK:
+            records.append(record)
+        elif kind == TORN_TAIL and allow_torn_tail:
+            return records, True
+        elif kind != HEADER:
+            raise StorageError(
+                f"WAL record at {path}:{index} {why}",
+                path=path, record_index=index, offset=offset, kind=kind,
+            )
+    return records, False
 
 
 def read_wal_records(path: str, *,
-                     allow_torn_tail: bool = True,
-                     verify: bool = True) -> tuple[list[dict], bool]:
-    """Parse one WAL file into records (headers dropped).
+                     allow_torn_tail: bool = True) -> tuple[list[dict], bool]:
+    """Parse one WAL file into statement records (headers dropped).
 
-    Returns ``(records, torn_tail)``.  Three kinds of damage are told
-    apart, each raising :class:`StorageError` with structured context
-    (``path`` / ``record_index`` / ``offset`` / ``kind``):
-
-    - an unparseable **final** line is a crashed append
-      (``torn_tail``) — dropped when ``allow_torn_tail`` is true;
-    - an unparseable line **followed by valid lines** cannot be a
-      crashed append (``corrupt_middle``): a hole in the middle of the
-      history is corruption, never replayed around;
-    - a line that parses but fails its CRC32 is **bit rot**
-      (``bit_rot``) — the silent killer this check exists for, since
-      a flipped bit that still parses would otherwise be applied,
-      shipped to followers, and served.
-
-    Legacy records without a ``crc`` field pass unverified (the
-    pre-checksum format stays readable); ``verify=False`` skips CRC
-    recomputation entirely.
-
-    Bytes that do not decode as UTF-8 are also ``bit_rot``: every
-    writer emits ASCII-only JSON, so an invalid sequence can only be
-    media damage — never a crash artifact — and is refused even for
-    the active segment.
+    Returns ``(records, torn_tail)``.  The first damaged line raises
+    :class:`StorageError` with structured context (``path`` /
+    ``record_index`` / ``offset`` / ``kind`` — the kinds are
+    :func:`classify_wal`'s).  Only a torn **final** line is survivable:
+    it is a crashed append, dropped when ``allow_torn_tail`` is true
+    (the active segment) and raised when it is false (a sealed one).
     """
     with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        payload = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise StorageError(
-            f"WAL file {path!r} holds undecodable bytes at offset "
-            f"{exc.start}: {exc.reason}",
-            path=path, offset=exc.start, kind="bit_rot",
-        ) from exc
-    return parse_wal_payload(payload, path=path,
-                             allow_torn_tail=allow_torn_tail, verify=verify)
+        return _replay(handle.read(), path, allow_torn_tail)
 
 
 def parse_wal_payload(payload: str, *, path: str = "<payload>",
                       allow_torn_tail: bool = True,
-                      verify: bool = True) -> tuple[list[dict], bool]:
+                      ) -> tuple[list[dict], bool]:
     """:func:`read_wal_records` over an in-memory payload.
 
     Replication verifies shipments through this before a byte touches
     the follower's disk; *path* only labels the errors."""
-    lines = payload.splitlines(keepends=True)
-    records: list[dict] = []
-    for index, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            if any(later.strip() for later in lines[index + 1:]):
-                raise StorageError(
-                    f"torn WAL record at {path}:{index + 1} is followed "
-                    f"by valid records; the log is corrupt, refusing to "
-                    f"replay around the hole",
-                    path=path, record_index=index + 1,
-                    offset=_line_offset(lines, index),
-                    kind="corrupt_middle",
-                ) from exc
-            if not allow_torn_tail:
-                raise StorageError(
-                    f"torn WAL record at {path}:{index + 1}",
-                    path=path, record_index=index + 1,
-                    offset=_line_offset(lines, index),
-                    kind="torn_tail",
-                ) from exc
-            return records, True
-        is_header = isinstance(record, dict) and "$wal" in record
-        if not is_header and (not isinstance(record, dict)
-                              or "sql" not in record
-                              or "params" not in record):
-            raise StorageError(
-                f"malformed WAL record at {path}:{index + 1}: {record!r}",
-                path=path, record_index=index + 1,
-                offset=_line_offset(lines, index),
-                kind="malformed",
-            )
-        if verify and not line_checksum_ok(stripped, record):
-            raise StorageError(
-                f"WAL record at {path}:{index + 1} fails its CRC32 "
-                f"check: the bytes rotted since they were written "
-                f"(the record still parses, so without the checksum "
-                f"it would have replayed silently)",
-                path=path, record_index=index + 1,
-                offset=_line_offset(lines, index),
-                kind="bit_rot",
-            )
-        if is_header:
-            continue
-        records.append(record)
-    return records, False
+    return _replay(payload.encode("utf-8"), path, allow_torn_tail)
 
 
 def apply_wal_records(records: Sequence[dict], target: Database) -> int:
@@ -603,15 +545,10 @@ class WriteAheadLog:
     handle; ``flush_every_n`` batches them into group commits (an
     explicit :meth:`flush` or :meth:`close` always drains, ``fsync=True``
     additionally forces the records to stable storage on each flush).
-    ``reopen_each=True`` restores the legacy open-append-close behaviour
-    per statement — kept only as the ablation baseline for
-    ``benchmarks/bench_ablation_recovery.py``.
-
     Every record (and the header) carries a CRC32 over its own
-    serialization, verified on replay; ``checksums=False`` writes the
-    legacy version-1 format — kept as the A13 ablation baseline
-    (``benchmarks/bench_ablation_integrity.py``) and for
-    byte-compatibility tests against pre-checksum files.
+    serialization, verified on replay.  *epoch* is the replication
+    epoch stamped into every header this log writes (``None``: written
+    without a lease).
 
     :meth:`replay` re-executes the log against a database restored from
     the last checkpoint image, with the target's WAL sink suppressed so
@@ -620,14 +557,11 @@ class WriteAheadLog:
 
     def __init__(self, path: str, database: Database, *,
                  flush_every_n: int = 1, fsync: bool = False,
-                 reopen_each: bool = False, checksums: bool = True,
                  epoch: int | None = None) -> None:
         self.path = path
         self._database = database
         self.flush_every_n = max(1, int(flush_every_n))
         self.fsync = fsync
-        self._reopen_each = reopen_each
-        self.checksums = checksums
         self.epoch = epoch
         self._handle = None
         self._pending = 0
@@ -688,27 +622,14 @@ class WriteAheadLog:
             "params": [_encode_value(value, self._database)
                        for value in parameters],
         }
-        body = json.dumps(record)
-        if self.checksums:
-            body = checksum_line(body)
-        line = body + "\n"
+        line = checksum_line(json.dumps(record)) + "\n"
         _metric("storage", "wal_appends")
-        if self._reopen_each:
-            blank = self._file_is_blank()
-            with open(self.path, "a", encoding="utf-8") as handle:
-                if blank:
-                    handle.write(_header_record(
-                        self._generation, checksums=self.checksums,
-                        epoch=self.epoch))
-                handle.write(line)
-            return
         if self._handle is None:
             blank = self._file_is_blank()
             self._handle = open(self.path, "a", encoding="utf-8")
             if blank:
-                self._handle.write(_header_record(
-                    self._generation, checksums=self.checksums,
-                    epoch=self.epoch))
+                self._handle.write(
+                    _header_record(self._generation, self.epoch))
         self._handle.write(line)
         self._pending += 1
         if self._pending >= self.flush_every_n:
@@ -739,9 +660,7 @@ class WriteAheadLog:
             # would fall back to generation 0 and recovery would
             # skew-skip everything appended since the last checkpoint.
             with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(_header_record(
-                    self._generation, checksums=self.checksums,
-                    epoch=self.epoch))
+                handle.write(_header_record(self._generation, self.epoch))
             return None
         sealed_path = f"{self.path}.{self._generation:06d}"
         os.replace(self.path, sealed_path)
@@ -751,9 +670,7 @@ class WriteAheadLog:
             fsync_directory(sealed_path)
         self._generation += 1
         with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(_header_record(
-                self._generation, checksums=self.checksums,
-                epoch=self.epoch))
+            handle.write(_header_record(self._generation, self.epoch))
         _metric("storage", "wal_rotations")
         return sealed_path
 
@@ -763,33 +680,24 @@ class WriteAheadLog:
         Called when a node wins (or loses) a lease mid-segment: future
         headers carry *epoch*, and the active file's existing header is
         rewritten in place so the segment a new primary is already
-        appending to names the epoch it was written under.  Damaged or
-        undecodable active files are left alone — recovery owns those.
+        appending to names the epoch it was written under.  Only a
+        verified header is replaced; damaged lines stay where they are
+        for recovery to refuse.
         """
         self.epoch = epoch
         if self._file_is_blank():
             return
         self.close()
-        try:
-            with open(self.path, "rb") as handle:
-                payload = handle.read().decode("utf-8")
-        except (OSError, UnicodeDecodeError):
-            return
-        lines = payload.splitlines(keepends=True)
-        body = []
-        for line in lines:
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, ValueError):
-                body.append(line)
-                continue
-            if not (isinstance(record, dict) and "$wal" in record):
-                body.append(line)
-        header = _header_record(self._generation, checksums=self.checksums,
-                                epoch=self.epoch)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(header)
-            handle.writelines(body)
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        headers = {index for index, __, kind, __, __ in classify_wal(data)
+                   if kind == HEADER}
+        body = [line for index, line in enumerate(data.split(b"\n"), 1)
+                if index not in headers]
+        with open(self.path, "wb") as handle:
+            handle.write(
+                _header_record(self._generation, epoch).encode("utf-8"))
+            handle.write(b"\n".join(body))
         if self.fsync:
             fsync_directory(self.path)
 
@@ -807,46 +715,18 @@ class WriteAheadLog:
 
     # -- replay ------------------------------------------------------------------
 
-    def replay(self, target: Database | None = None, *,
-               suppress: bool = True) -> int:
+    def replay(self, target: Database | None = None) -> int:
         """Re-execute logged statements; returns how many were applied.
 
         The target's WAL sink is suppressed for the duration, so replay
-        is idempotent with respect to the log file itself.  With
-        ``suppress=False`` the call refuses to proceed when the target's
-        sink is this log (or another log over the same file): replaying
-        into your own sink doubles the log on every recovery.
+        never re-appends to the log it is reading.
         """
         target = target or self._database
-        if not suppress:
-            sink = target.wal_sink
-            owner = getattr(sink, "__self__", None)
-            if isinstance(owner, WriteAheadLog) and \
-                    os.path.abspath(owner.path) == os.path.abspath(self.path):
-                raise StorageError(
-                    f"refusing to replay {self.path!r} into a database "
-                    f"whose WAL sink appends to the same file; replay "
-                    f"with suppress=True (the default)"
-                )
         self.flush()
         if not os.path.exists(self.path):
             return 0
         records, _ = read_wal_records(self.path, allow_torn_tail=True)
-        if suppress:
-            return apply_wal_records(records, target)
-        applied = 0
-        for record in records:
-            parameters = [_decode_value(value, target)
-                          for value in record["params"]]
-            target.execute(record["sql"], parameters)
-            applied += 1
-        return applied
-
-    def truncate(self) -> None:
-        """Reset the active segment in place (generation unchanged)."""
-        self.close()
-        with open(self.path, "w", encoding="utf-8"):
-            pass
+        return apply_wal_records(records, target)
 
 
 def checkpoint(database: Database, image_path: str,

@@ -152,15 +152,14 @@ def _read_wal_text(path: str, *, on_bit_rot: str = "raise") -> "str | None":
 class Shipment:
     """One WAL file in flight: its generation, full payload, whether it
     is sealed (immutable) or the still-growing active log, the SHA-256
-    digest of the payload as the sender read it (``None`` only for
-    hand-built legacy shipments — those apply unverified), and the
-    sender's **epoch claim** (``None`` means no leadership claim —
-    disk salvage and legacy senders — and is never fenced)."""
+    digest of the payload as the sender read it (always verified on
+    arrival), and the sender's **epoch claim** (``None`` means no
+    leadership claim — disk salvage — and is never fenced)."""
 
     generation: int
     payload: str
     sealed: bool
-    digest: "str | None" = None
+    digest: str
     epoch: "int | None" = None
 
     def __repr__(self) -> str:
@@ -318,8 +317,8 @@ class PrimaryNode:
     live lease already in its name (a promotion that elected first) or
     stands for election, stamps its epoch into every ``$wal`` header
     and shipment, and **refuses to acknowledge** writes the lease
-    cannot cover.  Without membership the node behaves exactly as
-    before — leaseless, epochless, zero added cost on the write path."""
+    cannot cover.  Without membership the node is leaseless and
+    epochless, and the write path pays nothing for either."""
 
     def __init__(self, name: str, directory: str, database: Database, *,
                  timeline, flush_every_n: int = 1, membership=None,
@@ -386,7 +385,8 @@ class PrimaryNode:
     def execute(self, sql: str, parameters: Sequence = ()) -> None:
         """Apply and *acknowledge* one write.
 
-        Leaseless primaries take the legacy fast path.  Leased
+        A primary with neither a lease nor an auditor wired has
+        nothing to check or record and executes directly.  Leased
         primaries check the lease before touching the database (expired
         ⇒ one renewal attempt through the channel, then a structured
         :class:`LeaseError` — the write is **refused**, never silently
@@ -640,7 +640,7 @@ class FollowerNode:
         than this follower has observed is from a deposed leader and is
         refused before any other check — its bytes may be perfectly
         intact, which is exactly the problem.  (Claimless shipments,
-        ``epoch=None``, are disk salvage or legacy senders and pass.)
+        ``epoch=None``, are disk salvage and pass.)
 
         Integrity is then checked **before** a byte touches disk: the
         shipment digest must match its payload, and the payload must
@@ -659,8 +659,7 @@ class FollowerNode:
                 f"follower {self.name!r} fenced stale-epoch shipment: "
                 f"{self.last_fence}")
         self.observe_epoch(shipment.epoch)
-        if (shipment.digest is not None
-                and payload_digest(shipment.payload) != shipment.digest):
+        if payload_digest(shipment.payload) != shipment.digest:
             self._reject(shipment, "digest mismatch in flight")
         path = (f"{self.wal_path}.{shipment.generation:06d}"
                 if shipment.sealed else self.wal_path)

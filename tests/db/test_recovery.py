@@ -24,8 +24,11 @@ from repro.db.recovery import (
     self_test,
 )
 from repro.db.storage import (
+    WAL_FORMAT,
     WriteAheadLog,
+    _header_record,
     checkpoint,
+    checksum_line,
     load_database,
     read_wal_records,
     save_database,
@@ -89,34 +92,6 @@ class TestReplaySelfAppendRegression:
             assert recovered.query(
                 "SELECT count(*) FROM t"
             ).scalar() == 3
-
-    def test_unsuppressed_replay_into_own_sink_refused(self, db, tmp_path):
-        wal_path = str(tmp_path / "wal.jsonl")
-        wal = WriteAheadLog(wal_path, db)
-        wal.attach()
-        db.execute("INSERT INTO t VALUES (3, 'c')")
-        wal.close()
-        with pytest.raises(StorageError):
-            wal.replay(suppress=False)
-
-    def test_unsuppressed_replay_into_other_log_allowed(self, db, tmp_path):
-        first = str(tmp_path / "a.jsonl")
-        second = str(tmp_path / "b.jsonl")
-        wal = WriteAheadLog(first, db)
-        wal.attach()
-        db.execute("INSERT INTO t VALUES (3, 'c')")
-        wal.close()
-
-        target = Database()
-        target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        other = WriteAheadLog(second, target)
-        other.attach()
-        assert WriteAheadLog(first, target).replay(
-            target, suppress=False
-        ) == 1
-        other.close()
-        records, _ = read_wal_records(second)
-        assert len(records) == 1  # forwarded to the *other* log
 
     def test_suppression_restored_after_replay(self, db, tmp_path):
         wal_path = str(tmp_path / "wal.jsonl")
@@ -336,7 +311,7 @@ class TestWalHeaderRegressions:
             self, db, tmp_path):
         wal_path = str(tmp_path / "wal.jsonl")
         with open(wal_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"$wal": 1, "generation": 7}) + "\n")
+            handle.write(_header_record(7, None))
         wal = WriteAheadLog(wal_path, db)
         assert wal.generation == 7
         assert wal.rotate() is None  # nothing to seal ...
@@ -373,11 +348,15 @@ class TestWalHeaderRegressions:
         for garbage in ("junk", None, [3], {"n": 1}):
             path = str(tmp_path / "wal.jsonl")
             with open(path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(
-                    {"$wal": 1, "generation": garbage}) + "\n")
+                handle.write(checksum_line(json.dumps(
+                    {"$wal": WAL_FORMAT, "generation": garbage,
+                     "epoch": None})) + "\n")
             assert segment_generation(path) is None
 
-    def test_recovery_survives_a_garbled_active_header(self, db, tmp_path):
+    def test_recovery_refuses_a_garbled_active_header(self, db, tmp_path):
+        """A header that cannot be trusted is a damaged line like any
+        other: recovery names it instead of guessing a generation (or
+        crashing on one, as it once did)."""
         image = str(tmp_path / "image.json")
         wal_path = str(tmp_path / "wal.jsonl")
         save_database(db, image, wal_generation=0)
@@ -387,12 +366,14 @@ class TestWalHeaderRegressions:
         wal.close()
         with open(wal_path, encoding="utf-8") as handle:
             lines = handle.readlines()
-        lines[0] = json.dumps({"$wal": 1, "generation": "junk"}) + "\n"
+        lines[0] = lines[0].replace('"generation": 0', '"generation": "x"')
         with open(wal_path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
-        recovered, report = recover(image, wal_path)
-        assert report.statements_applied == 1
-        assert recovered.query("SELECT count(*) FROM t").scalar() == 3
+        with pytest.raises(StorageError) as excinfo:
+            recover(image, wal_path)
+        error = excinfo.value
+        assert error.kind == "bit_rot" and error.path == wal_path
+        assert (error.record_index, error.offset) == (1, 0)
 
 
 class TestRecoveryWithUdts:
@@ -424,6 +405,15 @@ class TestRecoveryWithUdts:
 
 
 class TestImageValidation:
+    @staticmethod
+    def _write_image(path, document):
+        """A hand-built image in the current format, digest stamped."""
+        from repro.db.storage import IMAGE_FORMAT, image_digest
+
+        document = {"format": IMAGE_FORMAT, **document}
+        document["digest"] = image_digest(document)
+        path.write_text(json.dumps(document))
+
     def test_unreadable_image_chains_cause(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -433,31 +423,30 @@ class TestImageValidation:
 
     def test_truncated_table_spec_is_storage_error(self, tmp_path):
         path = tmp_path / "trunc.json"
-        path.write_text(json.dumps({
-            "format": 1,
+        self._write_image(path, {
             "tables": [{"name": "t", "columns": []}],  # keys missing
             "indexes": [],
-        }))
-        with pytest.raises(StorageError):
+        })
+        with pytest.raises(StorageError, match="table spec"):
             load_database(str(path))
 
     def test_truncated_column_spec_is_storage_error(self, tmp_path):
         path = tmp_path / "trunc.json"
-        path.write_text(json.dumps({
-            "format": 1,
+        self._write_image(path, {
             "tables": [{
                 "name": "t", "columns": [{"name": "id"}],
-                "primary_key": None, "unique": [], "rows": [],
+                "primary_key": None, "unique": [], "layout": "row",
+                "rows": [],
             }],
             "indexes": [],
-        }))
-        with pytest.raises(StorageError):
+        })
+        with pytest.raises(StorageError, match="column spec"):
             load_database(str(path))
 
     def test_missing_top_level_keys_is_storage_error(self, tmp_path):
         path = tmp_path / "trunc.json"
-        path.write_text(json.dumps({"format": 1, "tables": []}))
-        with pytest.raises(StorageError):
+        self._write_image(path, {"tables": []})
+        with pytest.raises(StorageError, match="indexes"):
             load_database(str(path))
 
 
@@ -551,15 +540,6 @@ class TestChecksumIntegrity:
             read_image(image)
         assert excinfo.value.kind == "digest_mismatch"
         assert excinfo.value.path == image
-
-    def test_legacy_unchecksummed_wal_still_recovers(self, db, tmp_path):
-        image, wal_path = self._crashed_state(db, tmp_path,
-                                              checksums=False)
-        records, __ = read_wal_records(wal_path)
-        assert all("crc" not in record for record in records)
-        recovered, report = recover(image, wal_path)
-        assert report.statements_applied == 2
-        assert recovered.query("SELECT count(*) FROM t").scalar() == 4
 
     def test_truncation_cannot_fake_a_valid_crc(self, db, tmp_path):
         # The crc field is spliced in LAST, so a torn record can never

@@ -5,8 +5,9 @@ replay aborts at the first corrupt record (replaying around a hole
 would diverge), but scrub keeps scanning so ONE pass maps ALL the
 damage.  These tests pin that, plus the verdict taxonomy (torn tail on
 the active segment is a crash artifact, anywhere else it is damage;
-legacy files never regress to "corrupt") and the structured offsets
-that let an operator — or anti-entropy — repair surgically.
+a file in a format version this build does not read is refused, never
+waved through) and the structured offsets that let an operator — or
+anti-entropy — repair surgically.
 """
 
 import json
@@ -18,7 +19,7 @@ from repro.db import Database
 from repro.db.scrub import (
     BIT_ROT,
     DIGEST_MISMATCH,
-    LEGACY,
+    MALFORMED,
     OK,
     TORN_TAIL,
     UNREADABLE,
@@ -32,6 +33,8 @@ from repro.db.scrub import (
 from repro.db.storage import (
     WriteAheadLog,
     checkpoint,
+    checksum_line,
+    read_image,
     read_wal_records,
     save_database,
 )
@@ -147,19 +150,38 @@ class TestDamageLocalization:
         assert verdict.verdict == UNREADABLE and verdict.damaged
 
 
-class TestLegacyFiles:
-    def test_unchecksummed_wal_is_legacy_not_corrupt(self, tmp_path):
+class TestOldFormatsAreRefused:
+    """There is one WAL format and one image format; a file stamped
+    with any other version is ``malformed`` to scrub and to replay
+    alike, and the refusal names both versions."""
+
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_other_wal_versions_are_malformed(self, tmp_path, version):
         wal_path = str(tmp_path / "wal.jsonl")
         database = _database()
-        log = WriteAheadLog(wal_path, database, checksums=False)
+        log = WriteAheadLog(wal_path, database)
         log.attach()
         database.execute("INSERT INTO t VALUES (1, 'a')")
         log.close()
+        with open(wal_path) as handle:
+            lines = handle.readlines()
+        lines[0] = checksum_line(json.dumps(
+            {"$wal": version, "generation": 0})) + "\n"
+        with open(wal_path, "w") as handle:
+            handle.writelines(lines)
         verdict = scrub_wal_file(wal_path, active=True)
-        assert verdict.verdict == LEGACY and not verdict.damaged
-        assert verdict.records_legacy > 0 and verdict.records_checked == 0
+        assert verdict.verdict == MALFORMED and verdict.damaged
+        assert verdict.bad_offsets == [(1, 0)]
+        with pytest.raises(StorageError) as excinfo:
+            read_wal_records(wal_path)
+        error = excinfo.value
+        assert error.kind == "malformed" and error.path == wal_path
+        assert (error.record_index, error.offset) == (1, 0)
+        assert wal_path in str(error)
+        assert f"version {version} " in str(error)
+        assert "version 3 " in str(error)
 
-    def test_format1_image_is_legacy(self, tmp_path):
+    def test_format1_image_is_malformed(self, tmp_path):
         image = str(tmp_path / "image.json")
         save_database(_database(), image)
         with open(image) as handle:
@@ -169,7 +191,30 @@ class TestLegacyFiles:
         with open(image, "w") as handle:
             json.dump(document, handle)
         verdict = scrub_image(image)
-        assert verdict.verdict == LEGACY and not verdict.damaged
+        assert verdict.verdict == MALFORMED and verdict.damaged
+        with pytest.raises(StorageError) as excinfo:
+            read_image(image)
+        error = excinfo.value
+        assert error.kind == "malformed" and error.path == image
+        assert image in str(error)
+        assert "format 1" in str(error) and "format 2" in str(error)
+
+
+class TestNamedPathsAreAccountedFor:
+    def test_missing_image_and_wal_are_unreadable(self, tmp_path):
+        report = scrub(str(tmp_path / "image.json"),
+                       str(tmp_path / "wal.jsonl"))
+        assert [(v.kind, v.verdict) for v in report.verdicts] == [
+            ("image", UNREADABLE), ("wal_active", UNREADABLE)]
+        assert not report.ok
+
+    def test_sealed_segments_without_an_active_file_is_a_crash(
+            self, state):
+        # A crash between sealing and reopening leaves exactly this.
+        image, wal_path = state
+        os.remove(wal_path)
+        report = scrub(image, wal_path)
+        assert report.ok and report.files_scanned == 3
 
 
 class TestReportShape:

@@ -1,9 +1,10 @@
 """Replication epochs in the ``$wal`` segment header (format v3).
 
-A leased primary stamps its epoch into every header it writes; old
-files keep working: version-1/2 headers parse exactly as before and
-honestly answer "no epoch".  The epoch is covered by the header CRC,
-so a bit-flipped claim is distrusted rather than believed.
+Every header names an epoch: a leased primary stamps its own, a log
+written without a lease stamps ``null``.  Headers of older format
+versions are not trusted — they answer neither epoch nor generation,
+and replay refuses them.  The epoch is covered by the header CRC, so a
+bit-flipped claim is distrusted rather than believed.
 """
 
 import json
@@ -13,8 +14,8 @@ import pytest
 from repro.db import Database
 from repro.db.recovery import databases_equal
 from repro.db.storage import (
-    WAL_EPOCH_FORMAT,
     WAL_FORMAT,
+    StorageError,
     WriteAheadLog,
     checksum_line,
     read_wal_records,
@@ -45,14 +46,15 @@ def _header(path):
 
 
 class TestEpochHeaders:
-    def test_leaseless_wal_writes_v2_headers(self, tmp_path):
+    def test_leaseless_wal_writes_a_null_epoch(self, tmp_path):
         database = _database()
         wal = _wal(tmp_path / "wal.jsonl", database)
         database.execute("INSERT INTO t VALUES (1, 'a')", [])
         wal.close()
         header = _header(wal.path)
-        assert header["$wal"] == WAL_FORMAT
-        assert "epoch" not in header
+        assert list(header) == ["$wal", "generation", "epoch", "crc"]
+        assert header["$wal"] == WAL_FORMAT == 3
+        assert header["epoch"] is None
         assert segment_epoch(wal.path) is None
 
     def test_epoch_stamped_as_v3_header(self, tmp_path):
@@ -61,7 +63,7 @@ class TestEpochHeaders:
         database.execute("INSERT INTO t VALUES (1, 'a')", [])
         wal.close()
         header = _header(wal.path)
-        assert header["$wal"] == WAL_EPOCH_FORMAT
+        assert header["$wal"] == WAL_FORMAT
         assert header["epoch"] == 7
         assert segment_epoch(wal.path) == 7
         assert segment_generation(wal.path) == wal.generation
@@ -113,28 +115,31 @@ class TestEpochHeaders:
 
 
 class TestBackCompat:
+    """There is none: one format, and a structured refusal for the
+    rest (which still must not claim an epoch)."""
+
     def test_v1_header_answers_no_epoch(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         path.write_text('{"$wal": 1, "generation": 3}\n')
-        assert segment_generation(str(path)) == 3
         assert segment_epoch(str(path)) is None
+        assert segment_generation(str(path)) is None
+        with pytest.raises(StorageError) as excinfo:
+            read_wal_records(str(path))
+        assert excinfo.value.kind == "malformed"
 
     def test_v2_header_answers_no_epoch(self, tmp_path):
+        # Exactly what the previous release wrote, CRC and all.
         path = tmp_path / "wal.jsonl"
         body = json.dumps({"$wal": 2, "generation": 6})
         path.write_text(checksum_line(body) + "\n")
-        assert segment_generation(str(path)) == 6
         assert segment_epoch(str(path)) is None
-
-    def test_v2_checksum_body_unchanged_by_the_new_format(self, tmp_path):
-        # A v2 header written by the previous release must still pass
-        # its CRC under the new verifier: the epoch key joins the
-        # checksum body only when present.
-        path = tmp_path / "wal.jsonl"
-        body = json.dumps({"$wal": 2, "generation": 1})
-        path.write_text(checksum_line(body) + "\n")
-        records, torn = read_wal_records(str(path))
-        assert records == [] and not torn
+        assert segment_generation(str(path)) is None
+        with pytest.raises(StorageError) as excinfo:
+            read_wal_records(str(path))
+        error = excinfo.value
+        assert error.kind == "malformed"
+        assert (error.record_index, error.offset) == (1, 0)
+        assert "version 2" in str(error) and "version 3" in str(error)
 
     def test_reopen_continues_generation_from_v3_header(self, tmp_path):
         database = _database()

@@ -18,6 +18,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
+from repro.db.storage import checksum_line, parse_wal_payload
 from repro.errors import FederationError, StorageError
 from repro.federation.replication import file_digest
 from repro.federation import (
@@ -105,9 +106,9 @@ class TestShipping:
         active = shipments[-1]
         # The primary crashes mid-append: the follower receives the
         # active segment with its final record torn in half.
-        torn = type(active)(active.generation,
-                            active.payload[: len(active.payload) - 12],
-                            active.sealed)
+        cut = active.payload[: len(active.payload) - 12]
+        torn = Shipment(active.generation, cut, active.sealed,
+                        payload_digest(cut))
         assert follower.apply_shipment(torn) == 1  # first insert only
         assert databases_equal(follower.database, _reference([(1, "a")]))
         # The complete segment ships later: only the once-torn final
@@ -312,15 +313,36 @@ class TestShipmentIntegrity:
         assert follower.catch_up(group.primary) == 0
         assert follower.staleness_bound() == pytest.approx(before)
 
-    def test_legacy_shipment_without_digest_still_applies(self, cluster):
+    def test_a_shipment_cannot_be_built_without_a_digest(self, cluster):
         group, __ = cluster
-        follower = group.followers[0]
         group.primary.execute("INSERT INTO t VALUES (1, 'a')", [])
         shipment = group.primary.ship()[0]
-        legacy = Shipment(shipment.generation, shipment.payload,
-                          shipment.sealed)
-        assert legacy.digest is None
-        assert follower.apply_shipment(legacy) == 1
+        with pytest.raises(TypeError):
+            Shipment(shipment.generation, shipment.payload,
+                     shipment.sealed)
+
+    def test_tampered_payload_with_a_stale_digest_is_rejected(
+            self, cluster):
+        """The payload is edited and every CRC restamped, so only the
+        shipment digest can tell — and it always looks."""
+        group, __ = cluster
+        follower = group.followers[0]
+        group.primary.execute("INSERT INTO t VALUES (1, 'aa')", [])
+        shipment = group.primary.ship()[0]
+        tampered = "".join(
+            checksum_line(line[:line.rfind(', "crc": ')]
+                          .replace("aa", "zz") + "}") + "\n"
+            for line in shipment.payload.splitlines())
+        assert tampered != shipment.payload
+        parse_wal_payload(tampered)         # per-record CRCs all pass
+        forged = Shipment(shipment.generation, tampered,
+                          shipment.sealed, shipment.digest)
+        with pytest.raises(FederationError):
+            follower.apply_shipment(forged)
+        assert follower.rejected_shipments == 1
+        assert "digest mismatch" in follower.last_rejection
+        assert not os.path.exists(follower.wal_path)
+        assert follower.applied_total() == 0
 
 
 class TestAntiEntropy:

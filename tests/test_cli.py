@@ -94,6 +94,36 @@ class TestCli:
         assert main(["scrub"]) == 2
         assert "--image" in capsys.readouterr().err
 
+    def test_scrub_of_files_that_do_not_exist_is_not_clean(
+            self, capsys, tmp_path):
+        """Naming a path scrub cannot open used to print ``0 files, 0
+        records verified, clean`` and exit 0."""
+        assert main(["scrub", "--image", str(tmp_path / "image.json"),
+                     "--wal", str(tmp_path / "wal.jsonl")]) == 1
+        output = capsys.readouterr().out
+        assert "clean" not in output
+        assert "2 files" in output and "2 damaged file(s)" in output
+        listed = [line for line in output.splitlines() if "BAD" in line]
+        assert len(listed) == 2
+        assert all("unreadable" in line for line in listed)
+        assert "image.json" in listed[0] and "wal.jsonl" in listed[1]
+
+    def test_recover_still_tolerates_a_missing_image(self, capsys,
+                                                     tmp_path):
+        from repro.db import Database
+        from repro.db.storage import WriteAheadLog
+
+        database = Database()
+        wal_path = str(tmp_path / "wal.jsonl")
+        log = WriteAheadLog(wal_path, database)
+        log.attach()
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        database.execute("INSERT INTO t VALUES (1, 'alpha')")
+        log.close()
+        assert main(["recover", "--image", str(tmp_path / "none.json"),
+                     "--wal", wal_path]) == 0
+        assert "image=no" in capsys.readouterr().out
+
     def test_scrub_clean_and_damaged_states(self, capsys, tmp_path):
         from repro.db import Database
         from repro.db.storage import WriteAheadLog, save_database
