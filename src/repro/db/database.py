@@ -500,13 +500,10 @@ class Database:
 
     # -- DML -------------------------------------------------------------------------------
 
-    def _empty_context(self, parameters: Sequence[Any]) -> RowContext:
-        return RowContext(Frame(()), (), parameters, None)
-
     def _insert(self, statement: ast.Insert,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
-        context = self._empty_context(parameters)
+        context = RowContext.without_row(parameters)
         inserted = 0
         for value_row in statement.rows:
             values = [self._evaluator.evaluate(expression, context)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 
@@ -11,12 +11,27 @@ from typing import Any
 # ---------------------------------------------------------------------------
 
 class Expression:
-    """Base class of all expression nodes."""
+    """Base class of all expression nodes.
+
+    Nodes are values: ``==`` and ``hash`` are structural, so two parses
+    of the same expression are equal and ``?`` placeholders differ by
+    index.  (A node holding a ``Select`` compares but does not hash.)
+    """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expression):
     value: Any
+
+    # Compared by (type, value): Python's 1 == True == 1.0 would
+    # otherwise make ``sum(id + 1)`` and ``sum(id + 1.0)`` one aggregate.
+    def __eq__(self, other: Any) -> bool:
+        return (isinstance(other, Literal)
+                and type(self.value) is type(other.value)
+                and self.value == other.value)
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
     def __str__(self) -> str:
         if self.value is None:
@@ -262,26 +277,55 @@ class Select(Statement):
     distinct: bool = False
 
 
+# ---------------------------------------------------------------------------
+# The fold: the one place that knows which children a node has
+# ---------------------------------------------------------------------------
+
+#: Every expression node type (all are direct subclasses).
+EXPRESSION_TYPES = tuple(Expression.__subclasses__())
+
+#: Per node type, its child-holding fields as ``(name, holds a tuple)``,
+#: read off the annotations.  A ``Select`` field is a scope of its own
+#: and not a child.
+_CHILD_FIELDS = {
+    node_type: tuple(
+        (spec.name, spec.type != "Expression") for spec in fields(node_type)
+        if spec.type in ("Expression", "tuple[Expression, ...]")
+    )
+    for node_type in EXPRESSION_TYPES
+}
+
+
+def children(expression: Expression) -> list[Expression]:
+    """The direct sub-expressions of a node, in source order."""
+    found: list[Expression] = []
+    for name, many in _CHILD_FIELDS[type(expression)]:
+        value = getattr(expression, name)
+        found.extend(value if many else (value,))
+    return found
+
+
 def walk_expression(expression: Expression):
     """Yield every node of an expression tree, pre-order."""
     yield expression
-    if isinstance(expression, Unary):
-        yield from walk_expression(expression.operand)
-    elif isinstance(expression, Binary):
-        yield from walk_expression(expression.left)
-        yield from walk_expression(expression.right)
-    elif isinstance(expression, IsNull):
-        yield from walk_expression(expression.operand)
-    elif isinstance(expression, Between):
-        yield from walk_expression(expression.operand)
-        yield from walk_expression(expression.low)
-        yield from walk_expression(expression.high)
-    elif isinstance(expression, InList):
-        yield from walk_expression(expression.operand)
-        for item in expression.items:
-            yield from walk_expression(item)
-    elif isinstance(expression, InSelect):
-        yield from walk_expression(expression.operand)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.args:
-            yield from walk_expression(argument)
+    for child in children(expression):
+        yield from walk_expression(child)
+
+
+def map_expression(fn, expression: Expression) -> Expression:
+    """Rewrite an expression tree bottom-up.
+
+    Every node is first rebuilt from its rewritten children, then
+    ``fn(node, rebuilt)`` — the node as written and that rebuilt copy —
+    returns what stands in its place: ``rebuilt`` to keep it, anything
+    else to replace it (a replacement is not descended into again).
+    """
+    changed = {}
+    for name, many in _CHILD_FIELDS[type(expression)]:
+        old = getattr(expression, name)
+        new = (tuple(map_expression(fn, child) for child in old) if many
+               else map_expression(fn, old))
+        if new != old:
+            changed[name] = new
+    return fn(expression,
+              replace(expression, **changed) if changed else expression)

@@ -68,7 +68,7 @@ class Frame:
 class RowContext:
     """A frame + its values, query parameters, and the enclosing context."""
 
-    __slots__ = ("frame", "values", "parameters", "outer", "aggregates")
+    __slots__ = ("frame", "values", "parameters", "outer")
 
     def __init__(
         self,
@@ -76,16 +76,19 @@ class RowContext:
         values: Sequence[Any],
         parameters: Sequence[Any] = (),
         outer: "RowContext | None" = None,
-        aggregates: dict[str, Any] | None = None,
     ) -> None:
         self.frame = frame
         self.values = values
         self.parameters = parameters
         self.outer = outer
-        #: Pre-computed aggregate values keyed by ``str(expr)`` — filled in
-        #: by the aggregation operator so outer expressions can mix
-        #: aggregates with group keys.
-        self.aggregates = aggregates or {}
+
+    @classmethod
+    def without_row(cls, parameters: Sequence[Any],
+                    outer: "RowContext | None" = None) -> "RowContext":
+        """The context of an expression that reads no row of its own
+        query level: index probes, zone bounds, kernel arguments and
+        INSERT values see only parameters and the enclosing row."""
+        return cls(_NO_COLUMNS, (), parameters, outer)
 
     def resolve(self, table: str | None, column: str) -> Any:
         positions = self.frame.positions(table, column)
@@ -101,9 +104,8 @@ class RowContext:
         qualifier = f"{table}." if table else ""
         raise SqlSyntaxError(f"unknown column {qualifier}{column}")
 
-    def child(self, frame: Frame, values: Sequence[Any]) -> "RowContext":
-        """A context for a subquery row, with *self* as the outer scope."""
-        return RowContext(frame, values, self.parameters, outer=self)
+
+_NO_COLUMNS = Frame(())
 
 
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
@@ -128,17 +130,17 @@ class Evaluator:
 
     def __init__(self, database: "Database") -> None:
         self._database = database
+        #: Node type -> bound handler, built once per evaluator; a node
+        #: type without an ``_eval_<name>`` method fails right here.
+        self._handlers = {
+            node_type: getattr(self, f"_eval_{node_type.__name__.lower()}")
+            for node_type in ast.EXPRESSION_TYPES
+        }
 
     # -- public API --------------------------------------------------------------
 
     def evaluate(self, expression: ast.Expression, context: RowContext) -> Any:
-        method = getattr(self, f"_eval_{type(expression).__name__.lower()}",
-                         None)
-        if method is None:
-            raise DatabaseError(
-                f"cannot evaluate expression node {type(expression).__name__}"
-            )
-        return method(expression, context)
+        return self._handlers[type(expression)](expression, context)
 
     def evaluate_predicate(self, expression: ast.Expression,
                            context: RowContext) -> bool:
@@ -314,11 +316,9 @@ class Evaluator:
 
     def _eval_functioncall(self, node: ast.FunctionCall,
                            context: RowContext) -> Any:
-        # Aggregates are computed by the aggregation operator and stashed
-        # in the context; a bare aggregate call outside grouping is an error.
-        key = str(node)
-        if key in context.aggregates:
-            return context.aggregates[key]
+        # The planner rewrites every aggregate call above an aggregation
+        # operator into a column of its frame; one that reaches the
+        # evaluator sits where no grouping applies.
         if self.is_aggregate_call(node):
             raise SqlSyntaxError(
                 f"aggregate {node.name!r} used outside GROUP BY context"

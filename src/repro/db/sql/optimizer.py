@@ -22,7 +22,6 @@ implements the rules that matter for the paper's workloads:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Iterable
 
 from repro.db.columnar.vector import KERNELS
@@ -37,6 +36,7 @@ from repro.db.sql.plan import (
     IndexContainsScan,
     IndexEqualScan,
     IndexRangeScan,
+    KernelSlot,
     Limit,
     NestedLoopJoin,
     OneRow,
@@ -60,6 +60,10 @@ DEFAULT_PREDICATE_SELECTIVITY = 0.33
 #: Fallback for boolean UDFs without a registered estimate.
 DEFAULT_UDF_SELECTIVITY = 0.10
 
+#: Comparison operators an access path reads, each with the operator
+#: that says the same with its operands swapped.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 def split_conjuncts(expression: ast.Expression | None) -> list[ast.Expression]:
     """Flatten a WHERE tree into its top-level AND conjuncts."""
@@ -80,6 +84,12 @@ def conjoin(conjuncts: Iterable[ast.Expression]) -> ast.Expression | None:
     return result
 
 
+def _map_order(fn, order_items: Iterable[ast.OrderItem]) -> list:
+    """The ORDER BY list with *fn* applied to every sort key."""
+    return [ast.OrderItem(fn(item.expression), item.ascending)
+            for item in order_items]
+
+
 class Planner:
     """Builds an executable plan from a parsed SELECT.
 
@@ -96,36 +106,37 @@ class Planner:
 
     # ------------------------------------------------------------------ helpers
 
+    @staticmethod
+    def _owner(reference: ast.ColumnRef,
+               schemas: dict[str, Table]) -> "str | None":
+        """The binding a column reference resolves to at this query level.
+
+        An unqualified name belongs to the one binding whose table has
+        it; one matching several (or none — it may belong to an outer
+        query) is unresolvable, reported as ``None``.
+        """
+        if reference.table is not None:
+            return reference.table if reference.table in schemas else None
+        owners = [binding for binding, table in schemas.items()
+                  if table.schema.has_column(reference.column)]
+        return owners[0] if len(owners) == 1 else None
+
     def _bindings_of(
         self,
         expression: ast.Expression,
         schemas: dict[str, Table],
     ) -> "set[str] | None":
-        """Binding names an expression touches; ``None`` = unresolvable.
-
-        Unqualified columns are attributed by searching the schemas; a
-        name matching several bindings (or none — it may belong to an
-        outer query) makes the expression non-pushable, reported as
-        ``None``.
-        """
+        """Binding names an expression touches; ``None`` when it holds a
+        subquery or an unresolvable column, which makes it non-pushable."""
         found: set[str] = set()
         for node in ast.walk_expression(expression):
             if isinstance(node, (ast.InSelect, ast.Exists)):
                 return None  # subqueries are never pushed into scans
-            if not isinstance(node, ast.ColumnRef):
-                continue
-            if node.table is not None:
-                if node.table not in schemas:
+            if isinstance(node, ast.ColumnRef):
+                owner = self._owner(node, schemas)
+                if owner is None:
                     return None
-                found.add(node.table)
-                continue
-            owners = [
-                binding for binding, table in schemas.items()
-                if table.schema.has_column(node.column)
-            ]
-            if len(owners) != 1:
-                return None
-            found.add(owners[0])
+                found.add(owner)
         return found
 
     def _equality_selectivity(
@@ -135,23 +146,16 @@ class Planner:
     ) -> float:
         """Equality selectivity: ``1/ndistinct`` after ANALYZE, else the
         fixed default (section 6.5's statistics hook)."""
-        if schemas:
-            for side in (conjunct.left, conjunct.right):
-                if not isinstance(side, ast.ColumnRef):
-                    continue
-                owners = [
-                    table for binding, table in schemas.items()
-                    if (side.table is None or side.table == binding)
-                    and table.schema.has_column(side.column)
-                ]
-                if len(owners) != 1:
-                    continue
-                table = owners[0]
-                stats = table.statistics
-                if stats and stats.get(side.column, 0) > 0:
-                    floor = 1.0 / max(1, len(table))
-                    return min(1.0, max(floor,
-                                        1.0 / stats[side.column]))
+        for side in (conjunct.left, conjunct.right):
+            owner = (self._owner(side, schemas)
+                     if schemas and isinstance(side, ast.ColumnRef) else None)
+            if owner is None:
+                continue
+            table = schemas[owner]
+            stats = table.statistics
+            if stats and stats.get(side.column, 0) > 0:
+                floor = 1.0 / max(1, len(table))
+                return min(1.0, max(floor, 1.0 / stats[side.column]))
         return EQUALITY_SELECTIVITY
 
     def _selectivity(
@@ -191,12 +195,53 @@ class Planner:
             return None
         return expression.column
 
-    def _expression_is_independent(
-        self, expression: ast.Expression, schemas: dict[str, Table]
-    ) -> bool:
+    def _independent(self, expression: ast.Expression,
+                     schemas: dict[str, Table]) -> bool:
         """True when the expression uses no columns of this query level."""
-        bindings = self._bindings_of(expression, schemas)
-        return bindings == set()
+        return self._bindings_of(expression, schemas) == set()
+
+    def _comparison_bounds(
+        self,
+        conjunct: ast.Expression,
+        binding: str,
+        table: Table,
+        schemas: dict[str, Table],
+    ) -> "tuple | None":
+        """Normalise ``column <op> value`` (either way round) and
+        ``column BETWEEN low AND high`` into ``(column, low, include_low,
+        high, include_high, probe_first)``, or None.
+
+        Bounds are expressions independent of this query level (``None``
+        = unbounded; an equality has its one value as both);
+        ``probe_first`` records that the statement wrote the value on the
+        left.  Index selection and zone-map pruning both read comparisons
+        through this.
+        """
+        if isinstance(conjunct, ast.Between):
+            column = self._column_of(conjunct.operand, binding, table)
+            if (column is None or conjunct.negated
+                    or not self._independent(conjunct.low, schemas)
+                    or not self._independent(conjunct.high, schemas)):
+                return None
+            return (column, conjunct.low, True, conjunct.high, True, False)
+        if not (isinstance(conjunct, ast.Binary)
+                and conjunct.operator in _MIRRORED):
+            return None
+        for column_side, value, operator, probe_first in (
+            (conjunct.left, conjunct.right, conjunct.operator, False),
+            (conjunct.right, conjunct.left, _MIRRORED[conjunct.operator],
+             True),
+        ):
+            column = self._column_of(column_side, binding, table)
+            if column is None or not self._independent(value, schemas):
+                continue
+            if operator == "=":
+                return (column, value, True, value, True, probe_first)
+            if operator in ("<", "<="):
+                return (column, None, True, value, operator == "<=",
+                        probe_first)
+            return (column, value, operator == ">=", None, True, probe_first)
+        return None
 
     def _try_index_path(
         self,
@@ -211,85 +256,38 @@ class Planner:
 
         for position, conjunct in enumerate(conjuncts):
             rest = conjuncts[:position] + conjuncts[position + 1:]
-
-            # Equality:  col = value  /  value = col
-            if (isinstance(conjunct, ast.Binary)
-                    and conjunct.operator == "="):
-                for column_side, value_side, probe_first in (
-                    (conjunct.left, conjunct.right, False),
-                    (conjunct.right, conjunct.left, True),
-                ):
-                    column = self._column_of(column_side, binding, table)
-                    if column is None:
-                        continue
-                    if not self._expression_is_independent(value_side,
-                                                           schemas):
-                        continue
-                    for index in table.indexes_on(column):
-                        if index.supports_equality:
-                            plan = IndexEqualScan(
-                                table, binding, index, value_side,
-                                self._evaluator, probe_first,
-                            )
-                            if index.unique:
-                                # At most one row whatever the table's
-                                # size: ranks ahead of every estimate.
-                                plan.estimated_rows = 1.0
-                                candidates.append((0.0, plan, rest))
-                                break
-                            plan.estimated_rows = (
-                                base_rows
-                                * self._selectivity(conjunct, schemas)
-                            )
-                            candidates.append(
-                                (plan.estimated_rows, plan, rest)
-                            )
-                            break
-
-            # Range:  col < value  etc., and BETWEEN.
-            range_spec = None
-            if (isinstance(conjunct, ast.Binary)
-                    and conjunct.operator in ("<", "<=", ">", ">=")):
-                column = self._column_of(conjunct.left, binding, table)
-                value = conjunct.right
-                operator = conjunct.operator
-                probe_first = column is None
-                if probe_first:
-                    column = self._column_of(conjunct.right, binding, table)
-                    value = conjunct.left
-                    # Mirror the operator when the column is on the right.
-                    operator = {"<": ">", "<=": ">=",
-                                ">": "<", ">=": "<="}[operator]
-                if (column is not None
-                        and self._expression_is_independent(value, schemas)):
-                    if operator in ("<", "<="):
-                        range_spec = (column, None, value, True,
-                                      operator == "<=", probe_first)
-                    else:
-                        range_spec = (column, value, None,
-                                      operator == ">=", True, probe_first)
-            elif isinstance(conjunct, ast.Between) and not conjunct.negated:
-                column = self._column_of(conjunct.operand, binding, table)
-                if (column is not None
-                        and self._expression_is_independent(conjunct.low,
-                                                            schemas)
-                        and self._expression_is_independent(conjunct.high,
-                                                            schemas)):
-                    range_spec = (column, conjunct.low, conjunct.high,
-                                  True, True, False)
-            if range_spec is not None:
-                (column, low, high, include_low, include_high,
-                 probe_first) = range_spec
+            bounds = self._comparison_bounds(conjunct, binding, table,
+                                             schemas)
+            if bounds is not None:
+                (column, low, include_low, high, include_high,
+                 probe_first) = bounds
+                equality = low is high
                 for index in table.indexes_on(column):
-                    if index.supports_range:
+                    if equality and index.supports_equality:
+                        plan: PlanNode = IndexEqualScan(
+                            table, binding, index, low, self._evaluator,
+                            probe_first,
+                        )
+                        if index.unique:
+                            # At most one row whatever the table's size:
+                            # ranks ahead of every estimate.
+                            plan.estimated_rows = 1.0
+                            candidates.append((0.0, plan, rest))
+                            break
+                        plan.estimated_rows = (
+                            base_rows * self._selectivity(conjunct, schemas)
+                        )
+                    elif not equality and index.supports_range:
                         plan = IndexRangeScan(
                             table, binding, index, self._evaluator,
                             low, high, include_low, include_high,
                             probe_first,
                         )
                         plan.estimated_rows = base_rows * RANGE_SELECTIVITY
-                        candidates.append((plan.estimated_rows, plan, rest))
-                        break
+                    else:
+                        continue
+                    candidates.append((plan.estimated_rows, plan, rest))
+                    break
 
             # Genomic contains(col, pattern): candidate fetch + re-check.
             if (isinstance(conjunct, ast.FunctionCall)
@@ -298,8 +296,7 @@ class Planner:
                 column = self._column_of(conjunct.args[0], binding, table)
                 pattern = conjunct.args[1]
                 if (column is not None
-                        and self._expression_is_independent(pattern,
-                                                            schemas)):
+                        and self._independent(pattern, schemas)):
                     for index in table.indexes_on(column):
                         if index.supports_contains:
                             plan = IndexContainsScan(
@@ -321,72 +318,20 @@ class Planner:
         _, plan, rest = candidates[0]
         return plan, rest
 
-    def _zone_bound(
-        self,
-        conjunct: ast.Expression,
-        binding: str,
-        table: Table,
-        schemas: dict[str, Table],
-    ) -> "tuple | None":
-        """A zone-map bound spec for one comparison conjunct, or None.
-
-        Returns ``(position, low, include_low, high, include_high)``
-        with expression bounds; the scan evaluates them at execute time.
-        The conjunct itself always stays in a Filter above — zone maps
-        only skip whole row groups, they never decide individual rows.
-        """
-        if isinstance(conjunct, ast.Binary) and conjunct.operator == "=":
-            for column_side, value_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                column = self._column_of(column_side, binding, table)
-                if (column is not None
-                        and self._expression_is_independent(value_side,
-                                                            schemas)):
-                    position = table.schema.position(column)
-                    return (position, value_side, True, value_side, True)
-            return None
-        if (isinstance(conjunct, ast.Binary)
-                and conjunct.operator in ("<", "<=", ">", ">=")):
-            column = self._column_of(conjunct.left, binding, table)
-            value = conjunct.right
-            operator = conjunct.operator
-            if column is None:
-                column = self._column_of(conjunct.right, binding, table)
-                value = conjunct.left
-                operator = {"<": ">", "<=": ">=",
-                            ">": "<", ">=": "<="}[operator]
-            if (column is None
-                    or not self._expression_is_independent(value, schemas)):
-                return None
-            position = table.schema.position(column)
-            if operator in ("<", "<="):
-                return (position, None, True, value, operator == "<=")
-            return (position, value, operator == ">=", None, True)
-        if isinstance(conjunct, ast.Between) and not conjunct.negated:
-            column = self._column_of(conjunct.operand, binding, table)
-            if (column is not None
-                    and self._expression_is_independent(conjunct.low,
-                                                        schemas)
-                    and self._expression_is_independent(conjunct.high,
-                                                        schemas)):
-                return (table.schema.position(column),
-                        conjunct.low, True, conjunct.high, True)
-        return None
-
-    def _kernel_spec(
+    def _kernel_slot(
         self,
         call: ast.FunctionCall,
         scan: ColumnarScan,
         schemas: dict[str, Table],
-    ) -> "tuple | None":
-        """(kernel, function, position, extras) when *call* vectorizes.
+    ) -> "KernelSlot | None":
+        """The :class:`KernelSlot` computing *call*, when it vectorizes.
 
         Eligible: a non-aggregate call to a catalog function whose
         registration carries a ``kernel=`` tag, first argument a column
         of the scanned table, remaining arguments independent of this
-        query level.
+        query level.  The slot carries the column's position, so ``seq``
+        and ``reads.seq`` name the same slot while ``?`` placeholders of
+        different index do not.
         """
         if call.star or not call.args:
             return None
@@ -402,10 +347,11 @@ class Planner:
         if column is None:
             return None
         for extra in call.args[1:]:
-            if not self._expression_is_independent(extra, schemas):
+            if not self._independent(extra, schemas):
                 return None
-        return (descriptor.kernel, call.name.lower(),
-                scan.table.schema.position(column), tuple(call.args[1:]))
+        return KernelSlot(str(call), descriptor.kernel, call.name.lower(),
+                          scan.table.schema.position(column),
+                          tuple(call.args[1:]))
 
     def _rewrite_kernel_calls(
         self,
@@ -420,43 +366,14 @@ class Planner:
         enclosing call (now over a non-schema column) stays row-at-a-time
         against the slot value.
         """
-        def rebuild(node: ast.Expression) -> ast.Expression:
-            return self._rewrite_kernel_calls(node, scan, schemas)
+        def to_slot_column(node, rebuilt):
+            if isinstance(rebuilt, ast.FunctionCall):
+                slot = self._kernel_slot(rebuilt, scan, schemas)
+                if slot is not None:
+                    return ast.ColumnRef(None, scan.ensure_kernel_slot(slot))
+            return rebuilt
 
-        if isinstance(expression, ast.Unary):
-            return ast.Unary(expression.operator,
-                             rebuild(expression.operand))
-        if isinstance(expression, ast.Binary):
-            return ast.Binary(expression.operator,
-                              rebuild(expression.left),
-                              rebuild(expression.right))
-        if isinstance(expression, ast.IsNull):
-            return ast.IsNull(rebuild(expression.operand),
-                              expression.negated)
-        if isinstance(expression, ast.Between):
-            return ast.Between(rebuild(expression.operand),
-                               rebuild(expression.low),
-                               rebuild(expression.high),
-                               expression.negated)
-        if isinstance(expression, ast.InList):
-            return ast.InList(rebuild(expression.operand),
-                              tuple(rebuild(item)
-                                    for item in expression.items),
-                              expression.negated)
-        if isinstance(expression, ast.FunctionCall):
-            call = ast.FunctionCall(
-                expression.name,
-                tuple(rebuild(argument) for argument in expression.args),
-                expression.star,
-            )
-            spec = self._kernel_spec(call, scan, schemas)
-            if spec is not None:
-                kernel, function_name, position, _ = spec
-                name = scan.ensure_kernel_slot(call, kernel,
-                                               function_name, position)
-                return ast.ColumnRef(None, name)
-            return call
-        return expression
+        return ast.map_expression(to_slot_column, expression)
 
     def _access_path(
         self,
@@ -474,9 +391,13 @@ class Planner:
             scan = ColumnarScan(table, binding, self._evaluator,
                                 self._database.catalog)
             for conjunct in conjuncts:
-                bound = self._zone_bound(conjunct, binding, table, schemas)
-                if bound is not None:
-                    scan.add_bound(*bound)
+                # Zone maps only skip whole row groups, never decide a
+                # row: the conjunct itself stays in a Filter above.
+                bounds = self._comparison_bounds(conjunct, binding, table,
+                                                 schemas)
+                if bounds is not None:
+                    scan.bounds.append(
+                        (table.schema.position(bounds[0]), *bounds[1:5]))
             # Kernel slots must all exist before any Filter captures the
             # scan frame, hence the two passes.
             remaining = [self._rewrite_kernel_calls(conjunct, scan, schemas)
@@ -485,10 +406,19 @@ class Planner:
         else:
             plan = SeqScan(table, binding)
             remaining = conjuncts
-        estimated = plan.estimated_rows
-        for conjunct in remaining:
+        return self._filtered(plan, remaining, schemas)
+
+    def _filtered(
+        self,
+        plan: PlanNode,
+        conjuncts: Iterable[ast.Expression],
+        schemas: "dict[str, Table] | None" = None,
+    ) -> PlanNode:
+        """*plan* under one Filter per conjunct, estimates compounding."""
+        for conjunct in conjuncts:
+            estimated = (plan.estimated_rows
+                         * self._selectivity(conjunct, schemas))
             plan = Filter(plan, conjunct, self._evaluator)
-            estimated *= self._selectivity(conjunct, schemas)
             plan.estimated_rows = estimated
         return plan
 
@@ -511,132 +441,93 @@ class Planner:
             if not (isinstance(conjunct, ast.Binary)
                     and conjunct.operator == "="):
                 continue
-            sides = {}
-            for label, expression in (("a", conjunct.left),
-                                      ("b", conjunct.right)):
-                bindings = self._bindings_of(expression, schemas)
-                if bindings is None or not bindings:
-                    sides = {}
-                    break
-                if bindings <= left_bindings:
-                    sides[label] = ("left", expression)
-                elif bindings == {right_binding}:
-                    sides[label] = ("right", expression)
-                else:
-                    sides = {}
-                    break
-            if len(sides) != 2:
-                continue
-            placements = {side for side, _ in sides.values()}
-            if placements != {"left", "right"}:
-                continue
-            left_key = next(e for s, e in sides.values() if s == "left")
-            right_key = next(e for s, e in sides.values() if s == "right")
-            residual = conjoin(conjuncts[:position]
-                               + conjuncts[position + 1:])
-            return left_key, right_key, residual
+            for left_key, right_key in ((conjunct.left, conjunct.right),
+                                        (conjunct.right, conjunct.left)):
+                left_side = self._bindings_of(left_key, schemas)
+                if (left_side and left_side <= left_bindings
+                        and self._bindings_of(right_key, schemas)
+                        == {right_binding}):
+                    return left_key, right_key, conjoin(
+                        conjuncts[:position] + conjuncts[position + 1:])
         return None
 
     # --------------------------------------------------------------- aggregation
 
+    def _resolved(self, expression: ast.Expression,
+                  schemas: dict[str, Table]) -> ast.Expression:
+        """*expression* in the form two expressions are compared in.
+
+        Every unqualified column reference gains the one binding that
+        owns it, so ``g`` and ``t.g`` come out equal; everything else
+        compares as the nodes do (parameters by index, literals by type
+        and value).  Only ever a comparison key — the tree that executes
+        stays as written, and so do the names and messages users see.
+        """
+        def qualify(node, rebuilt):
+            owner = (self._owner(node, schemas)
+                     if isinstance(node, ast.ColumnRef) else None)
+            return rebuilt if owner is None else ast.ColumnRef(owner,
+                                                               node.column)
+
+        return ast.map_expression(qualify, expression)
+
     def _collect_aggregates(
-        self, expressions: Iterable[ast.Expression]
-    ) -> list[ast.FunctionCall]:
-        calls: dict[str, ast.FunctionCall] = {}
+        self,
+        expressions: Iterable[ast.Expression],
+        schemas: dict[str, Table],
+    ) -> tuple[list[ast.FunctionCall], list[ast.Expression]]:
+        """The distinct aggregate calls of *expressions*, as written,
+        and the resolved form that tells them apart."""
+        calls: list[ast.FunctionCall] = []
+        keys: list[ast.Expression] = []
         for expression in expressions:
             for node in ast.walk_expression(expression):
-                if (isinstance(node, ast.FunctionCall)
-                        and self._evaluator.is_aggregate_call(node)):
-                    calls.setdefault(str(node), node)
-        return list(calls.values())
+                if self._evaluator.is_aggregate_call(node):
+                    key = self._resolved(node, schemas)
+                    if key not in keys:
+                        calls.append(node)
+                        keys.append(key)
+        return calls, keys
 
-    def _rewrite_for_aggregate(
+    def _vector_specs(
         self,
-        expression: ast.Expression,
-        group_map: dict[str, str],
-        aggregate_names: set[str],
-    ) -> ast.Expression:
-        """Replace group expressions / aggregate calls with frame columns."""
-        key = str(expression)
-        if key in group_map:
-            return ast.ColumnRef(None, group_map[key])
-        if key in aggregate_names and isinstance(expression,
-                                                 ast.FunctionCall):
-            return ast.ColumnRef(None, key)
-
-        rebuild = self._rewrite_for_aggregate
-        if isinstance(expression, ast.Unary):
-            return ast.Unary(
-                expression.operator,
-                rebuild(expression.operand, group_map, aggregate_names),
-            )
-        if isinstance(expression, ast.Binary):
-            return ast.Binary(
-                expression.operator,
-                rebuild(expression.left, group_map, aggregate_names),
-                rebuild(expression.right, group_map, aggregate_names),
-            )
-        if isinstance(expression, ast.IsNull):
-            return ast.IsNull(
-                rebuild(expression.operand, group_map, aggregate_names),
-                expression.negated,
-            )
-        if isinstance(expression, ast.Between):
-            return ast.Between(
-                rebuild(expression.operand, group_map, aggregate_names),
-                rebuild(expression.low, group_map, aggregate_names),
-                rebuild(expression.high, group_map, aggregate_names),
-                expression.negated,
-            )
-        if isinstance(expression, ast.InList):
-            return ast.InList(
-                rebuild(expression.operand, group_map, aggregate_names),
-                tuple(rebuild(item, group_map, aggregate_names)
-                      for item in expression.items),
-                expression.negated,
-            )
-        if isinstance(expression, ast.FunctionCall):
-            return ast.FunctionCall(
-                expression.name,
-                tuple(rebuild(argument, group_map, aggregate_names)
-                      for argument in expression.args),
-                expression.star,
-            )
-        return expression
-
-    def _vector_spec(
-        self,
-        call: ast.FunctionCall,
+        calls: list[ast.FunctionCall],
         scan: ColumnarScan,
         schemas: dict[str, Table],
-    ) -> "tuple | None":
-        """A :class:`VectorAggregate` spec for *call*, or None.
+    ) -> "list[KernelSlot | int | None] | None":
+        """The :class:`VectorAggregate` spec of every call — ``None`` for
+        ``count(*)``, a column position, or a kernel slot — or None when
+        one of them cannot fold page-at-a-time.
 
         Supported: native aggregates over ``*``, a scanned column, or a
         kernel-taggable function call of one.  Invalid shapes (``sum(*)``,
-        wrong arity) return None so the row-at-a-time Aggregate raises
-        its usual errors.
+        wrong arity) are unsupported, so the row-at-a-time Aggregate
+        raises its usual errors.
         """
-        name = call.name.lower()
-        if name not in NATIVE_AGGREGATES:
-            return None
-        if call.star:
-            return ("star",) if name == "count" else None
-        if len(call.args) != 1:
-            return None
-        argument = call.args[0]
-        if isinstance(argument, ast.ColumnRef):
-            column = self._column_of(argument, scan.binding, scan.table)
-            if column is None:
+        specs: "list[KernelSlot | int | None]" = []
+        for call in calls:
+            name = call.name.lower()
+            if name not in NATIVE_AGGREGATES:
                 return None
-            return ("column", scan.table.schema.position(column))
-        if isinstance(argument, ast.FunctionCall):
-            spec = self._kernel_spec(argument, scan, schemas)
+            if call.star:
+                if name != "count":
+                    return None
+                specs.append(None)
+                continue
+            if len(call.args) != 1:
+                return None
+            argument = call.args[0]
+            spec: "KernelSlot | int | None" = None
+            if isinstance(argument, ast.ColumnRef):
+                column = self._column_of(argument, scan.binding, scan.table)
+                if column is not None:
+                    spec = scan.table.schema.position(column)
+            elif isinstance(argument, ast.FunctionCall):
+                spec = self._kernel_slot(argument, scan, schemas)
             if spec is None:
                 return None
-            kernel, function_name, position, extras = spec
-            return ("kernel", kernel, function_name, position, extras)
-        return None
+            specs.append(spec)
+        return specs
 
     def _vectorize_projection(
         self,
@@ -649,36 +540,24 @@ class Planner:
 
         Only applies when the plan is a Filter chain over a
         :class:`ColumnarScan`.  New kernel slots widen the scan frame,
-        so the Filter chain is rebuilt to re-capture it (Filters alias
-        their child's frame at construction).
+        which every Filter of the chain aliases: they are re-pointed.
         """
         filters = []
-        node = plan
-        while isinstance(node, Filter):
-            filters.append(node)
-            node = node.child
-        if not isinstance(node, ColumnarScan):
-            return plan, items, order_items
-        scan = node
-        before = len(scan.kernel_slots)
+        scan = plan
+        while isinstance(scan, Filter):
+            filters.append(scan)
+            scan = scan.child
+        if not isinstance(scan, ColumnarScan):
+            return items, order_items
         items = [(self._rewrite_kernel_calls(expression, scan, schemas),
                   name)
                  for expression, name in items]
-        order_items = [
-            ast.OrderItem(
-                self._rewrite_kernel_calls(item.expression, scan, schemas),
-                item.ascending,
-            )
-            for item in order_items
-        ]
-        if len(scan.kernel_slots) != before and filters:
-            rebuilt: PlanNode = scan
-            for stale in reversed(filters):
-                fresh = Filter(rebuilt, stale.predicate, self._evaluator)
-                fresh.estimated_rows = stale.estimated_rows
-                rebuilt = fresh
-            return rebuilt, items, order_items
-        return plan, items, order_items
+        order_items = _map_order(
+            lambda key: self._rewrite_kernel_calls(key, scan, schemas),
+            order_items)
+        for stale in filters:
+            stale.frame = scan.frame
+        return items, order_items
 
     # ----------------------------------------------------------------- the plan
 
@@ -686,10 +565,8 @@ class Planner:
         if select.source is None:
             if select.joins or select.group_by or select.having:
                 raise SqlSyntaxError("FROM clause required here")
-            plan: PlanNode = OneRow()
             schemas: dict[str, Table] = {}
-            for conjunct in split_conjuncts(select.where):
-                plan = Filter(plan, conjunct, self._evaluator)
+            plan = self._filtered(OneRow(), split_conjuncts(select.where))
         else:
             schemas = {}
             source_table = self._database.catalog.table(select.source.name)
@@ -759,12 +636,7 @@ class Planner:
                 )
                 plan = joined
 
-            for conjunct in leftover:
-                filtered = Filter(plan, conjunct, self._evaluator)
-                filtered.estimated_rows = (
-                    plan.estimated_rows * self._selectivity(conjunct)
-                )
-                plan = filtered
+            plan = self._filtered(plan, leftover)
 
         # -- projection bookkeeping ------------------------------------------
 
@@ -796,41 +668,40 @@ class Planner:
             or expression.column != name
         }
 
-        def substitute_alias(expression: ast.Expression) -> ast.Expression:
-            if (isinstance(expression, ast.ColumnRef)
-                    and expression.table is None
-                    and expression.column in alias_map):
-                return alias_map[expression.column]
-            return expression
+        def output_alias(expression: ast.Expression) -> ast.Expression:
+            """ORDER BY sees output aliases: a bare name means the alias;
+            inside a larger key an input column of that name wins."""
+            def substitute(node, rebuilt):
+                if (isinstance(node, ast.ColumnRef) and node.table is None
+                        and node.column in alias_map
+                        and (node is expression or not any(
+                            table.schema.has_column(node.column)
+                            for table in schemas.values()))):
+                    return alias_map[node.column]
+                return rebuilt
 
-        order_items = [
-            ast.OrderItem(substitute_alias(item.expression), item.ascending)
-            for item in select.order_by
-        ]
+            return ast.map_expression(substitute, expression)
+
+        order_items = _map_order(output_alias, select.order_by)
         having = select.having
 
         # -- aggregation --------------------------------------------------------
 
-        aggregate_calls = self._collect_aggregates(
+        aggregate_calls, aggregate_keys = self._collect_aggregates(
             [expression for expression, _ in items]
             + ([having] if having is not None else [])
-            + [item.expression for item in order_items]
+            + [item.expression for item in order_items],
+            schemas,
         )
         needs_aggregate = bool(select.group_by) or bool(aggregate_calls)
 
         if needs_aggregate:
-            group_map = {
-                str(expression): f"__group_{index}"
-                for index, expression in enumerate(select.group_by)
-            }
-            aggregate_names = {str(call) for call in aggregate_calls}
             aggregated: PlanNode | None = None
             if (self.optimize and not select.group_by and aggregate_calls
                     and isinstance(plan, ColumnarScan)
                     and not plan.bounds and not plan.kernel_slots):
-                specs = [self._vector_spec(call, plan, schemas)
-                         for call in aggregate_calls]
-                if all(spec is not None for spec in specs):
+                specs = self._vector_specs(aggregate_calls, plan, schemas)
+                if specs is not None:
                     aggregated = VectorAggregate(
                         plan, aggregate_calls, self._evaluator,
                         self._database, specs,
@@ -845,28 +716,33 @@ class Planner:
             plan.estimated_rows = max(
                 1.0, plan.children()[0].estimated_rows / 10.0
             )
-            items = [
-                (self._rewrite_for_aggregate(expression, group_map,
-                                             aggregate_names), name)
-                for expression, name in items
-            ]
+            # The aggregation frame is group columns, then one per call:
+            # pair each with the resolved expression it stands for.
+            group_keys = [self._resolved(expression, schemas)
+                          for expression in select.group_by]
+            columns = [(key, column) for key, (_, column) in
+                       zip(group_keys + aggregate_keys, plan.frame.slots)]
+
+            def to_frame_column(node, rebuilt):
+                # Matched as written, outermost first: inside ``count(g)``
+                # the ``g`` is the call's argument, not the group key.
+                key = self._resolved(node, schemas)
+                for candidate, column in columns:
+                    if candidate == key:
+                        return ast.ColumnRef(None, column)
+                return rebuilt
+
+            def above(expression: ast.Expression) -> ast.Expression:
+                return ast.map_expression(to_frame_column, expression)
+
+            items = [(above(expression), name) for expression, name in items]
             if having is not None:
-                having = self._rewrite_for_aggregate(
-                    having, group_map, aggregate_names
-                )
-                plan = Filter(plan, having, self._evaluator)
-            order_items = [
-                ast.OrderItem(
-                    self._rewrite_for_aggregate(item.expression, group_map,
-                                                aggregate_names),
-                    item.ascending,
-                )
-                for item in order_items
-            ]
+                plan = Filter(plan, above(having), self._evaluator)
+            order_items = _map_order(above, order_items)
         elif having is not None:
             raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
         elif self.optimize and select.source is not None and not select.joins:
-            plan, items, order_items = self._vectorize_projection(
+            items, order_items = self._vectorize_projection(
                 plan, items, order_items, schemas,
             )
 
@@ -883,11 +759,3 @@ class Planner:
         if select.limit is not None or select.offset is not None:
             plan = Limit(plan, select.limit, select.offset)
         return plan
-
-
-@dataclasses.dataclass
-class ExplainedPlan:
-    """EXPLAIN output: the textual tree plus the root node."""
-
-    text: str
-    root: PlanNode

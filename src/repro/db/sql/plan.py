@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.db.columnar import pages as page_codec
@@ -89,6 +90,8 @@ class PlanNode:
 
     frame: Frame
     estimated_rows: float = 0.0
+    #: The input of a single-input operator.
+    child: "PlanNode | None" = None
 
     def execute(self, parameters: Sequence[Any],
                 outer: "RowContext | None") -> Iterator[tuple]:
@@ -98,17 +101,13 @@ class PlanNode:
         return type(self).__name__
 
     def children(self) -> tuple["PlanNode", ...]:
-        return ()
+        return () if self.child is None else (self.child,)
 
     def explain(self, indent: int = 0) -> str:
         lines = [f"{'  ' * indent}{self.label()}  "
                  f"(~{self.estimated_rows:.0f} rows)"]
         lines.extend(child.explain(indent + 1) for child in self.children())
         return "\n".join(lines)
-
-    def _context(self, values: Sequence[Any], parameters: Sequence[Any],
-                 outer: "RowContext | None") -> RowContext:
-        return RowContext(self.frame, values, parameters, outer)
 
 
 class SeqScan(PlanNode):
@@ -128,60 +127,78 @@ class SeqScan(PlanNode):
             yield tuple(row)
 
 
-def _index_probe(scan, expression: "ast.Expression | None", parameters,
-                 outer) -> Any:
-    """Evaluate one probe value of an index scan, type-checked as the
-    comparison it replaces would be.
+class _IndexScan(PlanNode):
+    """What the three index scans share: the table frame, probe
+    evaluation and fetching the live rows behind a list of row ids."""
 
-    A scan compares the probe with every non-NULL stored value and so
-    rejects a mistyped one; a dict or tree lookup would silently find
-    nothing (or, for ``1.0 = TRUE``, the wrong thing).  An index without
-    entries has nothing to compare with, and neither has a NULL probe.
-    """
-    if expression is None:
-        return None
-    value = scan.evaluator.evaluate(
-        expression, RowContext(Frame(()), (), parameters, outer))
-    if value is not NULL and len(scan.index):
-        schema = scan.table.schema
-        if not comparable(schema.column(scan.index.column).sql_type, value):
-            # Let compare() raise what the scan would have: same
-            # function, first stored value, same operand order.
-            position = schema.position(scan.index.column)
-            stored = next(row[position] for _, row in scan.table.rows()
-                          if row[position] is not NULL)
-            compare("=", *((value, stored) if scan.probe_first
-                           else (stored, value)))
-    return value
+    #: The statement wrote ``value = column``, not ``column = value``.
+    probe_first = False
+
+    def __init__(self, table: Table, binding: str, index: "Index",
+                 evaluator: Evaluator) -> None:
+        self.table = table
+        self.binding = binding
+        self.index = index
+        self.evaluator = evaluator
+        self.frame = Frame.for_table(binding, table.schema.column_names)
+
+    def _label(self, detail: str) -> str:
+        return (f"{type(self).__name__}({self.table.name} AS {self.binding} "
+                f"USING {self.index.name} {detail})")
+
+    def _probe(self, expression: "ast.Expression | None", parameters,
+               outer) -> Any:
+        """Evaluate one probe value, type-checked as the comparison it
+        replaces would be.
+
+        A scan compares the probe with every non-NULL stored value and so
+        rejects a mistyped one; a dict or tree lookup would silently find
+        nothing (or, for ``1.0 = TRUE``, the wrong thing).  An index
+        without entries has nothing to compare with, and neither has a
+        NULL probe.
+        """
+        if expression is None:
+            return None
+        value = self.evaluator.evaluate(
+            expression, RowContext.without_row(parameters, outer))
+        if value is not NULL and len(self.index):
+            schema = self.table.schema
+            if not comparable(schema.column(self.index.column).sql_type,
+                              value):
+                # Let compare() raise what the scan would have: same
+                # function, first stored value, same operand order.
+                position = schema.position(self.index.column)
+                stored = next(row[position] for _, row in self.table.rows()
+                              if row[position] is not NULL)
+                compare("=", *((value, stored) if self.probe_first
+                               else (stored, value)))
+        return value
+
+    def _fetch(self, row_ids) -> Iterator[tuple]:
+        for row_id in row_ids:
+            if self.table.has_row(row_id):
+                yield tuple(self.table.row(row_id))
 
 
-class IndexEqualScan(PlanNode):
+class IndexEqualScan(_IndexScan):
     """Equality probe through a hash, unique-key or B-tree index."""
 
     def __init__(self, table: Table, binding: str, index: "Index",
                  key: ast.Expression, evaluator: Evaluator,
                  probe_first: bool = False) -> None:
-        self.table = table
-        self.binding = binding
-        self.index = index
+        super().__init__(table, binding, index, evaluator)
         self.key = key
-        self.evaluator = evaluator
-        #: The statement wrote ``value = column``, not ``column = value``.
         self.probe_first = probe_first
-        self.frame = Frame.for_table(binding, table.schema.column_names)
 
     def label(self) -> str:
-        return (f"IndexEqualScan({self.table.name} AS {self.binding} "
-                f"USING {self.index.name} ON {self.index.column} = {self.key})")
+        return self._label(f"ON {self.index.column} = {self.key}")
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
-        key = _index_probe(self, self.key, parameters, outer)
-        for row_id in self.index.search_equal(key):
-            if self.table.has_row(row_id):
-                yield tuple(self.table.row(row_id))
+        key = self._probe(self.key, parameters, outer)
+        return self._fetch(self.index.search_equal(key))
 
 
-class IndexRangeScan(PlanNode):
+class IndexRangeScan(_IndexScan):
     """Range scan through a B-tree index."""
 
     def __init__(
@@ -196,39 +213,33 @@ class IndexRangeScan(PlanNode):
         include_high: bool = True,
         probe_first: bool = False,
     ) -> None:
-        self.table = table
-        self.binding = binding
-        self.index = index
-        self.evaluator = evaluator
+        super().__init__(table, binding, index, evaluator)
         self.probe_first = probe_first
         self.low = low
         self.high = high
         self.include_low = include_low
         self.include_high = include_high
-        self.frame = Frame.for_table(binding, table.schema.column_names)
 
     def label(self) -> str:
         low = str(self.low) if self.low is not None else "-inf"
         high = str(self.high) if self.high is not None else "+inf"
-        return (f"IndexRangeScan({self.table.name} AS {self.binding} "
-                f"USING {self.index.name} ON {self.index.column} "
-                f"IN {'[' if self.include_low else '('}{low}, {high}"
-                f"{']' if self.include_high else ')'})")
+        return self._label(
+            f"ON {self.index.column} "
+            f"IN {'[' if self.include_low else '('}{low}, {high}"
+            f"{']' if self.include_high else ')'}")
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
-        low = _index_probe(self, self.low, parameters, outer)
-        high = _index_probe(self, self.high, parameters, outer)
+        low = self._probe(self.low, parameters, outer)
+        high = self._probe(self.high, parameters, outer)
         if ((self.low is not None and low is NULL)
                 or (self.high is not None and high is NULL)):
-            return  # a comparison with NULL is never true
-        for row_id in self.index.search_range(
+            return iter(())  # a comparison with NULL is never true
+        return self._fetch(self.index.search_range(
             low, high, self.include_low, self.include_high
-        ):
-            if self.table.has_row(row_id):
-                yield tuple(self.table.row(row_id))
+        ))
 
 
-class IndexContainsScan(PlanNode):
+class IndexContainsScan(_IndexScan):
     """Candidate fetch through a genomic (k-mer / suffix) index.
 
     Produces the index's candidate rows; the enclosing
@@ -238,28 +249,19 @@ class IndexContainsScan(PlanNode):
 
     def __init__(self, table: Table, binding: str, index: "Index",
                  pattern: ast.Expression, evaluator: Evaluator) -> None:
-        self.table = table
-        self.binding = binding
-        self.index = index
+        super().__init__(table, binding, index, evaluator)
         self.pattern = pattern
-        self.evaluator = evaluator
-        self.frame = Frame.for_table(binding, table.schema.column_names)
 
     def label(self) -> str:
-        return (f"IndexContainsScan({self.table.name} AS {self.binding} "
-                f"USING {self.index.name} PATTERN {self.pattern})")
+        return self._label(f"PATTERN {self.pattern}")
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
-        probe_context = RowContext(Frame(()), (), parameters, outer)
-        pattern = self.evaluator.evaluate(self.pattern, probe_context)
+        pattern = self.evaluator.evaluate(
+            self.pattern, RowContext.without_row(parameters, outer))
         candidates = self.index.search_contains(str(pattern))
         if candidates is None:
-            for _, row in self.table.rows():
-                yield tuple(row)
-            return
-        for row_id in sorted(candidates):
-            if self.table.has_row(row_id):
-                yield tuple(self.table.row(row_id))
+            return (tuple(row) for _, row in self.table.rows())
+        return self._fetch(sorted(candidates))
 
 
 class OneRow(PlanNode):
@@ -286,12 +288,9 @@ class Filter(PlanNode):
     def label(self) -> str:
         return f"Filter({self.predicate})"
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def execute(self, parameters, outer) -> Iterator[tuple]:
         for values in self.child.execute(parameters, outer):
-            context = self._context(values, parameters, outer)
+            context = RowContext(self.frame, values, parameters, outer)
             if self.evaluator.evaluate_predicate(self.predicate, context):
                 yield values
 
@@ -332,7 +331,8 @@ class NestedLoopJoin(PlanNode):
                 matched = False
                 for right_values in right_rows:
                     combined = left_values + right_values
-                    context = self._context(combined, parameters, outer)
+                    context = RowContext(self.frame, combined, parameters,
+                                         outer)
                     if self.evaluator.evaluate_predicate(self.condition,
                                                          context):
                         matched = True
@@ -412,8 +412,8 @@ class HashJoin(PlanNode):
                     for ordinal in buckets.get(self._bucket_key(key), ()):
                         combined = left_values + tuple(build[ordinal])
                         if self.residual is not None:
-                            combined_context = self._context(
-                                combined, parameters, outer
+                            combined_context = RowContext(
+                                self.frame, combined, parameters, outer
                             )
                             if not self.evaluator.evaluate_predicate(
                                 self.residual, combined_context
@@ -441,9 +441,6 @@ class Project(PlanNode):
     def label(self) -> str:
         inner = ", ".join(f"{expr} AS {name}" for expr, name in self.items)
         return f"Project({inner})"
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         for values in self.child.execute(parameters, outer):
@@ -499,7 +496,12 @@ class _NativeAccumulator:
         self.nonnull += 1
         name = self.name
         if name in ("sum", "avg"):
-            self.total = self.total + value
+            try:
+                self.total = self.total + value
+            except TypeError:
+                raise TypeCheckError(
+                    f"cannot apply aggregate {name!r} to {value!r}"
+                ) from None
         elif name in ("min", "max"):
             key = sort_key(value)
             if self.nonnull == 1:
@@ -558,7 +560,7 @@ class Aggregate(PlanNode):
     """Grouping + aggregate evaluation, streaming with group spill.
 
     Output columns: one slot per group expression (named ``__group_i``)
-    followed by one per distinct aggregate call (named by ``str(call)``).
+    followed by one per distinct aggregate call (:func:`slot_names`).
     The optimizer rewrites outer expressions (projection, HAVING, ORDER
     BY) to reference these synthetic columns.
 
@@ -587,16 +589,14 @@ class Aggregate(PlanNode):
         self.runtime = runtime
         slots = [(None, f"__group_{i}")
                  for i in range(len(self.group_expressions))]
-        slots.extend((None, str(call)) for call in self.aggregate_calls)
+        slots.extend((None, name)
+                     for name in slot_names(self.aggregate_calls))
         self.frame = Frame(slots)
 
     def label(self) -> str:
         groups = ", ".join(str(e) for e in self.group_expressions) or "<all>"
         aggs = ", ".join(str(c) for c in self.aggregate_calls)
         return f"Aggregate(BY {groups}; {aggs})"
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def _accumulators(self) -> list:
         accumulators = []
@@ -613,50 +613,43 @@ class Aggregate(PlanNode):
     def execute(self, parameters, outer) -> Iterator[tuple]:
         spill = self.runtime.spill if self.runtime is not None else None
         capacity = spill.run_capacity() if spill is not None else None
-        groups: dict[tuple, _GroupState] = {}
         partitions: "list | None" = None
-        for ordinal, values in enumerate(
-                self.child.execute(parameters, outer)):
-            context = RowContext(self.child.frame, values, parameters, outer)
-            keys = [self.evaluator.evaluate(expression, context)
-                    for expression in self.group_expressions]
-            bucket_key = tuple(sort_key(k) for k in keys)
-            state = groups.get(bucket_key)
-            if state is None:
-                if capacity is not None and len(groups) >= capacity:
-                    # Too many live groups: route this row to an on-disk
-                    # partition by a stable hash of its key.
-                    if partitions is None:
-                        partitions = [spill.disk_run()
-                                      for _ in range(SPILL_PARTITIONS)]
-                    index = (zlib.crc32(repr(bucket_key).encode("utf-8"))
-                             % SPILL_PARTITIONS)
-                    partitions[index].append((ordinal,) + tuple(values))
-                    continue
-                state = _GroupState(keys, ordinal, self._accumulators())
-                groups[bucket_key] = state
-            for accumulator in state.accumulators:
-                accumulator.step(context)
+        results: list[_GroupState] = []
+        # The child's rows fold first, capped at *capacity* live groups;
+        # rows of groups past the cap go to on-disk partitions, which
+        # join this list and fold, uncapped, through the same loop.
+        sources: list = [enumerate(self.child.execute(parameters, outer))]
+        for source in sources:
+            groups: dict[tuple, _GroupState] = {}
+            for ordinal, values in source:
+                context = RowContext(self.child.frame, values, parameters,
+                                     outer)
+                keys = [self.evaluator.evaluate(expression, context)
+                        for expression in self.group_expressions]
+                bucket_key = tuple(sort_key(k) for k in keys)
+                state = groups.get(bucket_key)
+                if state is None:
+                    if capacity is not None and len(groups) >= capacity:
+                        # Too many live groups: route this row to an
+                        # on-disk partition by a stable hash of its key.
+                        if partitions is None:
+                            partitions = [spill.disk_run()
+                                          for _ in range(SPILL_PARTITIONS)]
+                            sources.extend(_run_entries(run)
+                                           for run in partitions)
+                        index = (zlib.crc32(repr(bucket_key).encode("utf-8"))
+                                 % SPILL_PARTITIONS)
+                        partitions[index].append((ordinal,) + tuple(values))
+                        continue
+                    state = _GroupState(keys, ordinal, self._accumulators())
+                    groups[bucket_key] = state
+                for accumulator in state.accumulators:
+                    accumulator.step(context)
+            results.extend(groups.values())
+            capacity = None  # a partition holds whole groups; none re-spill
 
-        results = list(groups.values())
         if partitions is not None:
             for run in partitions:
-                overflow: dict[tuple, _GroupState] = {}
-                for entry in run:
-                    ordinal, values = entry[0], tuple(entry[1:])
-                    context = RowContext(self.child.frame, values,
-                                         parameters, outer)
-                    keys = [self.evaluator.evaluate(expression, context)
-                            for expression in self.group_expressions]
-                    bucket_key = tuple(sort_key(k) for k in keys)
-                    state = overflow.get(bucket_key)
-                    if state is None:
-                        state = _GroupState(keys, ordinal,
-                                            self._accumulators())
-                        overflow[bucket_key] = state
-                    for accumulator in state.accumulators:
-                        accumulator.step(context)
-                results.extend(overflow.values())
                 run.close()
             # First-seen group order across the memory/disk split.
             results.sort(key=lambda state: state.ordinal)
@@ -677,9 +670,6 @@ class Distinct(PlanNode):
     def __init__(self, child: PlanNode) -> None:
         self.child = child
         self.frame = child.frame
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         seen: set = set()
@@ -717,9 +707,6 @@ class Sort(PlanNode):
         )
         return f"Sort({inner})"
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def execute(self, parameters, outer) -> Iterator[tuple]:
         def entry_key(entry: tuple):
             ordinal, values = entry
@@ -753,7 +740,7 @@ class Sort(PlanNode):
                 for _, values in chunk:
                     yield values
                 return
-            streams = [_sorted_stream(run) for run in runs]
+            streams = [_run_entries(run) for run in runs]
             streams.append(iter(chunk))
             for _, values in heapq.merge(*streams, key=entry_key):
                 yield values
@@ -762,7 +749,8 @@ class Sort(PlanNode):
                 run.close()
 
 
-def _sorted_stream(run: RowRun) -> Iterator[tuple]:
+def _run_entries(run: RowRun) -> Iterator[tuple]:
+    """The ``(ordinal, values)`` entries a Sort or Aggregate spilled."""
     for entry in run:
         yield entry[0], tuple(entry[1:])
 
@@ -780,9 +768,6 @@ class Limit(PlanNode):
     def label(self) -> str:
         return f"Limit({self.limit} OFFSET {self.offset})"
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.child,)
-
     def execute(self, parameters, outer) -> Iterator[tuple]:
         produced = 0
         skipped = 0
@@ -796,23 +781,62 @@ class Limit(PlanNode):
             yield values
 
 
-class KernelSlot:
-    """One vectorized function column a :class:`ColumnarScan` appends.
+def _unique_name(name: str, taken: Sequence[str]) -> str:
+    return name if name not in taken else f"{name}#{len(taken)}"
 
-    ``name`` is ``str(call)`` — the same synthetic-column convention the
-    aggregate frame uses — so the optimizer rewrites matching calls in
-    filters, projections and ORDER BY into plain column references.
+
+def slot_names(calls: Sequence[ast.FunctionCall]) -> list[str]:
+    """The frame column of each (distinct) call: ``str(call)``, which is
+    what EXPLAIN shows, suffixed ``#n`` only where two different calls
+    print alike (``sum((n + ?))`` for two different parameters)."""
+    names: list[str] = []
+    for call in calls:
+        names.append(_unique_name(str(call), names))
+    return names
+
+
+@dataclass
+class KernelSlot:
+    """One vectorized function column: ``function_name`` applied to the
+    scanned column at ``position`` with ``extra_args``, page-at-a-time.
+
+    A :class:`ColumnarScan` appends one frame column per distinct slot
+    and the optimizer rewrites matching calls in filters, projections
+    and ORDER BY into references to it; a :class:`VectorAggregate` folds
+    the same columns without materializing rows.  Two slots are the same
+    when everything but ``name`` (the frame label) is.
     """
 
-    __slots__ = ("name", "kernel", "function_name", "position", "extra_args")
+    name: str = field(compare=False)
+    kernel: str
+    function_name: str
+    position: int
+    extra_args: tuple
 
-    def __init__(self, name: str, kernel: str, function_name: str,
-                 position: int, extra_args: tuple) -> None:
-        self.name = name
-        self.kernel = kernel
-        self.function_name = function_name
-        self.position = position
-        self.extra_args = extra_args
+    def bind(self, evaluator: Evaluator, catalog, parameters, outer):
+        """Ready the slot for one execution: returns ``view -> values``,
+        the function applied to every ordinal of a row group."""
+        context = RowContext.without_row(parameters, outer)
+        args = tuple(evaluator.evaluate(argument, context)
+                     for argument in self.extra_args)
+        descriptor = catalog.function(self.function_name)
+        fallback = _page_function(self.function_name, descriptor.function)
+        position = self.position
+        if descriptor.kernel != self.kernel:
+            # The function was re-registered without the kernel tag since
+            # planning: evaluate it row-at-a-time, as the evaluator would.
+            return lambda view: [fallback(value, *args)
+                                 for value in view.column_values(position)]
+
+        def column(view) -> list:
+            data = view.raw_page(position)
+            raw = (page_codec.seq_raw_body(data)
+                   if data is not None else None)
+            return apply_kernel(
+                self.kernel, raw,
+                lambda: view.column_values(position), fallback, args,
+            )
+        return column
 
 
 class ColumnarScan(PlanNode):
@@ -821,7 +845,8 @@ class ColumnarScan(PlanNode):
     Emits exactly the rows ``SeqScan`` would, in the same order.  Two
     columnar-only abilities ride on top:
 
-    - ``bounds`` — already-split WHERE comparisons, evaluated at execute
+    - ``bounds`` — already-split WHERE comparisons ``(position, low,
+      include_low, high, include_high)``, evaluated at execute
       time and checked against each row group's zone maps; excluded
       groups are skipped without reading (or decoding) their pages.
       Every conjunct is still re-checked by the Filter above, so the
@@ -849,22 +874,17 @@ class ColumnarScan(PlanNode):
         slots.extend((None, slot.name) for slot in self.kernel_slots)
         self.frame = Frame(slots)
 
-    def add_bound(self, position: int, low: "ast.Expression | None",
-                  include_low: bool, high: "ast.Expression | None",
-                  include_high: bool) -> None:
-        self.bounds.append((position, low, include_low, high, include_high))
-
-    def ensure_kernel_slot(self, call: ast.FunctionCall, kernel: str,
-                           function_name: str, position: int) -> str:
-        name = str(call)
-        for slot in self.kernel_slots:
-            if slot.name == name:
-                return name
-        self.kernel_slots.append(KernelSlot(
-            name, kernel, function_name, position, tuple(call.args[1:]),
-        ))
+    def ensure_kernel_slot(self, slot: KernelSlot) -> str:
+        """The frame column computing *slot*, appended unless an equal
+        slot is already there."""
+        for existing in self.kernel_slots:
+            if existing == slot:
+                return existing.name
+        slot.name = _unique_name(slot.name,
+                                 [s.name for s in self.kernel_slots])
+        self.kernel_slots.append(slot)
         self._rebuild_frame()
-        return name
+        return slot.name
 
     def label(self) -> str:
         parts = [f"{self.table.name} AS {self.binding}"]
@@ -875,57 +895,28 @@ class ColumnarScan(PlanNode):
                          + ", ".join(s.name for s in self.kernel_slots))
         return f"ColumnarScan({'; '.join(parts)})"
 
-    def _kernel_column(self, view, slot: KernelSlot, args: tuple,
-                       descriptor) -> list:
-        fallback = _page_function(slot.function_name, descriptor.function)
-        if descriptor.kernel == slot.kernel:
-            data = view.raw_page(slot.position)
-            raw = (page_codec.seq_raw_body(data)
-                   if data is not None else None)
-            return apply_kernel(
-                slot.kernel, raw,
-                lambda: view.column_values(slot.position), fallback, args,
-            )
-        # The function was re-registered without the kernel tag since
-        # planning: evaluate it row-at-a-time, as the evaluator would.
-        return [fallback(value, *args)
-                for value in view.column_values(slot.position)]
-
     def execute(self, parameters, outer) -> Iterator[tuple]:
         store = self.table.column_store
-        if store is None:
-            # Defensive: a row-layout table behind a columnar plan still
-            # scans correctly (no zones, no kernels to compute).
-            for _, row in self.table.rows():
-                yield tuple(row)
-            return
         if len(store) == 0:
             return
-        probe = RowContext(Frame(()), (), parameters, outer)
-        bounds = []
-        for position, low, include_low, high, include_high in self.bounds:
-            bounds.append((
-                position,
-                (self.evaluator.evaluate(low, probe)
-                 if low is not None else None),
-                include_low,
-                (self.evaluator.evaluate(high, probe)
-                 if high is not None else None),
-                include_high,
-            ))
-        kernels = []
-        for slot in self.kernel_slots:
-            args = tuple(self.evaluator.evaluate(argument, probe)
-                         for argument in slot.extra_args)
-            descriptor = self.catalog.function(slot.function_name)
-            kernels.append((slot, args, descriptor))
+        probe = RowContext.without_row(parameters, outer)
+
+        def bound(expression: "ast.Expression | None") -> Any:
+            return (None if expression is None
+                    else self.evaluator.evaluate(expression, probe))
+
+        bounds = [
+            (position, bound(low), include_low, bound(high), include_high)
+            for position, low, include_low, high, include_high in self.bounds
+        ]
+        kernels = [slot.bind(self.evaluator, self.catalog, parameters, outer)
+                   for slot in self.kernel_slots]
         for view in store.scan(bounds or None):
             if not kernels:
                 for _, row in view.rows():
                     yield tuple(row)
                 continue
-            extras = [self._kernel_column(view, slot, args, descriptor)
-                      for slot, args, descriptor in kernels]
+            extras = [kernel(view) for kernel in kernels]
             for offset, row in view.enumerate_rows():
                 # Kernel failures stay wrapped (KernelError) here: they
                 # raise only if an expression actually reads the slot,
@@ -943,25 +934,25 @@ class VectorAggregate(PlanNode):
     call is a native aggregate over ``*``, a scanned column, or a
     kernel-tagged function of one — ``count``/``sum``/``avg``/``min``/
     ``max`` then fold whole column pages without materializing rows.
-    The output frame matches :class:`Aggregate` exactly (one ``str(call)``
-    slot per call), so the planner's rewrite machinery is shared.
+    The output frame matches :class:`Aggregate` exactly (one
+    :func:`slot_names` column per call), so the planner's rewrite
+    machinery is shared.
 
-    ``specs`` aligns with ``aggregate_calls``:  ``("star",)`` |
-    ``("column", position)`` | ``("kernel", kernel, function, position,
-    extra_args)``.
+    ``specs`` aligns with ``aggregate_calls``: ``None`` for ``count(*)``,
+    a column position, or the :class:`KernelSlot` computing the argument.
     """
 
     def __init__(self, scan: ColumnarScan,
                  aggregate_calls: Sequence[ast.FunctionCall],
                  evaluator: Evaluator, database,
-                 specs: Sequence[tuple]) -> None:
+                 specs: "Sequence[KernelSlot | int | None]") -> None:
         self.scan = scan
         self.aggregate_calls = list(aggregate_calls)
         self.evaluator = evaluator
         self.database = database
         self.specs = list(specs)
-        self.frame = Frame([(None, str(call))
-                            for call in self.aggregate_calls])
+        self.frame = Frame([(None, name)
+                            for name in slot_names(self.aggregate_calls)])
         self.estimated_rows = 1.0
 
     def label(self) -> str:
@@ -971,56 +962,30 @@ class VectorAggregate(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.scan,)
 
-    def _kernel_results(self, view, spec: tuple, args: tuple,
-                        descriptor) -> list:
-        _, kernel, function_name, position, _ = spec
-        fallback = _page_function(function_name, descriptor.function)
-        if descriptor.kernel == kernel:
-            data = view.raw_page(position)
-            raw = (page_codec.seq_raw_body(data)
-                   if data is not None else None)
-            return apply_kernel(
-                kernel, raw, lambda: view.column_values(position),
-                fallback, args,
-            )
-        return [fallback(value, *args)
-                for value in view.column_values(position)]
-
     def execute(self, parameters, outer) -> Iterator[tuple]:
         store = self.scan.table.column_store
         accumulators = [_NativeAccumulator(call, self.evaluator)
                         for call in self.aggregate_calls]
-        if store is None or len(store) == 0:
+        if len(store) == 0:
             yield tuple(acc.final() for acc in accumulators)
             return
-        probe = RowContext(Frame(()), (), parameters, outer)
-        prepared: list = []
-        for spec in self.specs:
-            if spec[0] == "kernel":
-                args = tuple(self.evaluator.evaluate(argument, probe)
-                             for argument in spec[4])
-                prepared.append(
-                    (args, self.database.catalog.function(spec[2]))
-                )
-            else:
-                prepared.append(None)
+        sources = [
+            spec.bind(self.evaluator, self.database.catalog, parameters,
+                      outer) if isinstance(spec, KernelSlot) else spec
+            for spec in self.specs
+        ]
         for view in store.scan():
             live = view.row_ids
             live_count = sum(1 for row_id in live if row_id is not None)
             if live_count == 0:
                 continue
             all_live = live_count == len(live)
-            for accumulator, spec, prep in zip(accumulators, self.specs,
-                                               prepared):
-                if spec[0] == "star":
+            for accumulator, source in zip(accumulators, sources):
+                if source is None:
                     accumulator.rows += live_count
                     continue
-                if spec[0] == "column":
-                    values = view.column_values(spec[1])
-                else:
-                    args, descriptor = prep
-                    values = self._kernel_results(view, spec, args,
-                                                  descriptor)
+                values = (view.column_values(source)
+                          if isinstance(source, int) else source(view))
                 if all_live:
                     for value in values:
                         accumulator.add(_unwrap(value))

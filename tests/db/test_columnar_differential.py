@@ -79,23 +79,63 @@ BATTERY = (
 )
 
 
-def _outcome(db, sql):
+#: The same traffic the way production sends it — every caller binds
+#: ``?`` — plus statements where two placeholders share a line of SQL:
+#: ``contains(seq, ?)`` twice is two kernels, not one slot read twice.
+PARAMETERISED = (
+    ("SELECT id FROM reads WHERE contains(seq, ?)", ("ACGT",)),
+    ("SELECT id FROM reads WHERE seq IS NOT NULL AND contains(seq, ?)",
+     ("ANT",)),
+    ("SELECT id FROM reads WHERE id BETWEEN ? AND ? AND sample = ?",
+     (10, 20, "s1")),
+    ("SELECT reads.id, samples.site FROM reads JOIN samples "
+     "ON reads.sample = samples.name WHERE contains(seq, ?)", ("GC",)),
+    ("SELECT id FROM reads WHERE seq IS NOT NULL AND contains(seq, ?) "
+     "AND NOT contains(seq, ?)", ("ACGT", "GGGG")),
+    ("SELECT id, contains(seq, ?), contains(seq, ?) FROM reads "
+     "WHERE seq IS NOT NULL", ("ACGT", "GGGG")),
+    ("SELECT id, contains(seq, ?), contains(reads.seq, ?) FROM reads "
+     "WHERE seq IS NOT NULL AND contains(seq, ?) ORDER BY contains(seq, ?)",
+     ("ACGT", "GGGG", "AC", "GGGG")),
+    ("SELECT sum(id + ?), sum(id + ?) FROM reads", (1, 100)),
+    ("SELECT sample, sum(length(seq) * ?), sum(length(seq) * ?) FROM reads "
+     "WHERE seq IS NOT NULL GROUP BY reads.sample", (1, 100)),
+    ("SELECT sum(seq) FROM reads", ()),                  # TypeCheckError
+)
+
+
+def _outcome(db, sql, parameters=()):
     """Rows on success, (type, message) on error — both must match the
     oracle exactly.  Genomic UDFs raise on NULL input, so queries that
     reach a NULL ``seq`` legitimately error; the columnar path must
     reproduce the identical error, not a different one and not rows."""
     try:
-        result = db.execute(sql)
+        result = db.execute(sql, parameters)
         return ("rows", tuple(result.columns), tuple(result.rows))
     except DatabaseError as exc:
         return ("error", type(exc).__name__, str(exc))
 
 
-@pytest.mark.parametrize("sql", BATTERY)
-def test_battery_is_bit_identical_across_configs(sql):
-    oracle = _outcome(_make(**CONFIGS[0]), sql)
+_CASES = [(sql, ()) for sql in BATTERY] + list(PARAMETERISED)
+
+
+@pytest.mark.parametrize("sql, parameters", _CASES,
+                         ids=[sql for sql, _ in _CASES])
+def test_battery_is_bit_identical_across_configs(sql, parameters):
+    oracle = _outcome(_make(**CONFIGS[0]), sql, parameters)
     for config in CONFIGS[1:]:
-        assert _outcome(_make(**config), sql) == oracle, (sql, config)
+        assert _outcome(_make(**config), sql, parameters) == oracle, (
+            sql, config)
+
+
+def test_distinct_literal_types_stay_distinct_aggregates():
+    # 1 == 1.0 in Python: told apart by text these were always two
+    # aggregates, told apart by structure they must stay two.
+    for config in CONFIGS:
+        rows = _make(**config).execute(
+            "SELECT sum(id + 1), sum(id + 1.0) FROM reads").rows
+        assert rows == [(820, 820.0)]
+        assert [type(value) for value in rows[0]] == [int, float]
 
 
 def test_kernels_actually_engage():

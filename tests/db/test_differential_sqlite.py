@@ -6,14 +6,20 @@ GROUP BY/HAVING, ORDER BY, LIMIT, inner joins) are executed on both; the
 result multisets must agree.  Division is excluded (integer-division
 semantics differ by design) and ordering is only compared when the query
 makes it total.
+
+Every query runs twice — as written and with its integer/text literals
+lifted into ``?`` parameters, which is the shape every production caller
+sends (the BiQL translator, the warehouse, the benchmarks).
 """
 
+import re
 import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.db import Database
+from tests.db.test_columnar_differential import CONFIGS
 
 # -- data generators ---------------------------------------------------------
 
@@ -63,8 +69,8 @@ def conditions(draw, depth=2, prefix=""):
     return f"({left}) {connective} ({right})"
 
 
-def build_engines(rows, second_rows=None):
-    ours = Database()
+def build_engines(rows, second_rows=None, **config):
+    ours = Database(**config)
     ours.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT)")
     theirs = sqlite3.connect(":memory:")
     theirs.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT)")
@@ -80,9 +86,42 @@ def build_engines(rows, second_rows=None):
     return ours, theirs
 
 
-def both(ours, theirs, sql):
-    mine = [tuple(r) for r in ours.query(sql).rows]
-    other = [tuple(r) for r in theirs.execute(sql).fetchall()]
+_LIFTABLE = re.compile(
+    r"(?P<keep>\?|\d+\.\d+|(?:LIMIT|OFFSET)\s+\d+)"
+    r"|(?P<text>'(?:[^']|'')*')|(?P<int>\b\d+\b)"
+)
+
+
+def lift_literals(sql, parameters=()):
+    """*sql* with every integer and text literal replaced by ``?``, and
+    the parameter list that makes it the same statement.  ``?`` already
+    there keep their values in place; LIMIT/OFFSET counts (not
+    expressions in either dialect's grammar here) and floats stay."""
+    given = iter(parameters)
+    lifted = []
+
+    def lift(match):
+        if match.group("keep") is not None:
+            if match.group() == "?":
+                lifted.append(next(given))
+            return match.group()
+        if match.group("int") is not None:
+            lifted.append(int(match.group()))
+        else:
+            lifted.append(match.group()[1:-1].replace("''", "'"))
+        return "?"
+
+    return _LIFTABLE.sub(lift, sql), lifted
+
+
+def both(ours, theirs, sql, parameters=()):
+    """Rows of *sql* from both engines, as written and with literals
+    lifted — each row tagged with its form so the two cannot mix."""
+    mine, other = [], []
+    forms = ((sql, list(parameters)), lift_literals(sql, parameters))
+    for form, (text, values) in enumerate(forms):
+        mine += [(form, *r) for r in ours.query(text, values).rows]
+        other += [(form, *r) for r in theirs.execute(text, values)]
     return mine, other
 
 
@@ -171,6 +210,50 @@ class TestSelectDifferential:
                f"(SELECT a FROM t WHERE {condition})")
         mine, other = both(ours, theirs, sql)
         assert as_multiset(mine) == as_multiset(other)
+
+
+STATEMENT_ROWS = [(0, 5, "alpha"), (1, 5, "alpha"), (2, None, "beta"),
+                  (3, 7, "beta"), (4, 7, "alpha"), (5, 1, "gamma"),
+                  (None, 2, None)]
+
+#: Statements that were silently wrong or refused while expressions were
+#: told apart by their printed text: ``?`` printed alike whatever its
+#: index, ``t.s`` unlike ``s``, and the aggregate rewrite never reached
+#: the operand of ``IN (SELECT ...)``.  Then ORDER BY aliases inside a
+#: larger sort key, with SQLite's precedence (input column first).
+STATEMENTS = (
+    ("SELECT sum(a + ?), sum(a + ?) FROM t", [1, 100]),
+    ("SELECT s, sum(a * ?) AS x, sum(a * ?) AS y FROM t GROUP BY s",
+     [1, 100]),
+    ("SELECT s FROM t GROUP BY s HAVING sum(a + ?) > sum(a + ?)",
+     [100, 1]),
+    ("SELECT s FROM t GROUP BY s HAVING count(*) IN (SELECT 3)", []),
+    ("SELECT s, count(*) IN (SELECT 3) FROM t GROUP BY s", []),
+    ("SELECT s FROM t GROUP BY s HAVING s IN (SELECT 'alpha')", []),
+    ("SELECT s FROM t GROUP BY s ORDER BY count(*) IN (SELECT 3), s", []),
+    ("SELECT s, count(*) FROM t GROUP BY t.s", []),
+    ("SELECT t.s, count(*) FROM t GROUP BY s", []),
+    ("SELECT s, count(s), count(t.s) FROM t GROUP BY s", []),
+    ("SELECT sum(a + 1), sum(a + 1.0) FROM t", []),
+    ("SELECT a AS k FROM t ORDER BY -k", []),
+    ("SELECT s, sum(a) AS x FROM t GROUP BY s ORDER BY -x", []),
+    ("SELECT -a AS a FROM t ORDER BY a + 0 LIMIT 3", []),
+    ("SELECT -a AS a FROM t ORDER BY a LIMIT 3", []),
+)
+
+
+class TestStatementsDifferential:
+    @pytest.mark.parametrize("config", CONFIGS, ids=repr)
+    @pytest.mark.parametrize("sql, parameters", STATEMENTS)
+    def test_statement_matches_sqlite(self, sql, parameters, config):
+        ours, theirs = build_engines(STATEMENT_ROWS, page_rows=4, **config)
+        mine, other = both(ours, theirs, sql, parameters)
+        if "ORDER BY" not in sql:
+            mine, other = as_multiset(mine), as_multiset(other)
+        assert mine == other
+        # Python's 820 == 820.0: equal rows must agree on float-ness too.
+        assert ([[isinstance(v, float) for v in r] for r in mine]
+                == [[isinstance(v, float) for v in r] for r in other])
 
 
 class TestDmlDifferential:

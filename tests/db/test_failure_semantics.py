@@ -57,6 +57,34 @@ class TestUdfFailures:
         assert sorted(db.query("SELECT v FROM t").column("v")) == [10, 20]
 
 
+class TestAggregateTypeErrors:
+    """``sum``/``avg`` over values ``+`` does not take is a structured
+    error naming the aggregate and the value — not a bare TypeError —
+    on the row path, the columnar path and the page-at-a-time fold."""
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    @pytest.mark.parametrize("aggregate", ["sum", "avg"])
+    @pytest.mark.parametrize("tail", ["", " WHERE id > 0", " GROUP BY id"])
+    def test_sum_of_text_is_a_type_check_error(self, layout, aggregate,
+                                               tail):
+        database = Database(layout=layout, page_rows=2)
+        database.execute("CREATE TABLE t (id INTEGER, g TEXT)")
+        database.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        with pytest.raises(TypeCheckError) as excinfo:
+            database.query(f"SELECT {aggregate}(g) FROM t{tail}")
+        assert aggregate in str(excinfo.value)
+        assert "'a'" in str(excinfo.value) or "'b'" in str(excinfo.value)
+
+    @pytest.mark.parametrize("layout", ["row", "column"])
+    def test_other_aggregates_of_text_are_unaffected(self, layout):
+        database = Database(layout=layout, page_rows=2)
+        database.execute("CREATE TABLE t (id INTEGER, g TEXT)")
+        database.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, NULL)")
+        assert database.query(
+            "SELECT min(g), max(g), count(g), count(*) FROM t"
+        ).rows == [("a", "b", 2, 3)]
+
+
 class TestMultiRowInsertAtomicity:
     def test_partial_insert_without_transaction(self, db):
         # The third row violates the primary key; the first lands first.

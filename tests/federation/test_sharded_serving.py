@@ -14,7 +14,14 @@ from repro.federation import (
     ShardedFederationServer,
     sharded_federation,
 )
+from repro.mediator import Mediator
 from repro.serving import Request, summarize, synthetic_workload
+from repro.sources import (
+    AceRepository,
+    EmblRepository,
+    GenBankRepository,
+    Universe,
+)
 
 
 def _request(kind, arrival=0.0, **params):
@@ -102,6 +109,50 @@ class TestServing:
         results = server.serve(requests)
         makespan = max(result.completed for result in results)
         assert timeline.now() - start == pytest.approx(makespan)
+
+
+def _keys(rows):
+    return [(row.source, row.accession, row.name, row.sequence_text)
+            for row in rows]
+
+
+class TestShardedEqualsUnsharded:
+    """The bit-identity oracle on the path production runs.
+
+    ``tests/federation/test_router.py`` proves sharded ≡ unsharded for
+    ``ShardedMediator``, which only tests construct; the macro simulator
+    and the wall-clock benchmark serve through
+    ``ShardedFederationServer``, whose ``_route``/``_fuse`` is a second
+    implementation of the same routing and fusion.  Same contract, asked
+    of that one: with faults off, every served answer equals the answer
+    of one unsharded mediator over the same universe."""
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_served_answers_match_one_unsharded_mediator(self, shards):
+        server, *__ = sharded_federation(shards, seed=71, size=48,
+                                         fail_rate=0.0, slow_rate=0.0)
+        universe = Universe(seed=71, size=48)
+        repositories = [GenBankRepository(universe),
+                        EmblRepository(universe),
+                        AceRepository(universe)]
+        single = Mediator(repositories)
+        union = sorted({accession for repository in repositories
+                        for accession in repository.accessions()})
+
+        for accession in union[::7]:
+            served = server.submit(_request("gene", accession=accession))
+            assert _keys(served.answer) == _keys(single.gene(accession))
+
+        wanted = list(reversed(union[::5]))  # spans every shard
+        served = server.submit(_request("genes", accessions=wanted))
+        flat = single.genes(wanted)
+        assert list(served.answer) == list(flat) == wanted
+        for accession in wanted:
+            assert _keys(served.answer[accession]) == _keys(flat[accession])
+
+        served = server.submit(_request("find_genes", min_length=1))
+        assert _keys(served.answer) == _keys(single.find_genes(min_length=1))
+        assert served.answer.health.complete
 
 
 class TestDeterminismAndScaling:
