@@ -24,10 +24,14 @@ legacy row-list layout on identical data:
 - **scan** — a selective range predicate over a clustered key.  Zone
   maps let the columnar scan skip every page that provably cannot
   match; the row layout evaluates the filter on every row.  This is
-  the gated number: columnar must win by
+  the first gated number: columnar must win by
   :data:`A15_GATE_MIN_SPEEDUP` or the ``--check`` run fails;
 - **aggregate** — full-table ``count/avg/min/max``, with and without
-  a vectorized genomic kernel (``gc_content`` over packed pages);
+  a vectorized genomic kernel (``gc_content`` over packed pages).
+  Nothing can be skipped here, so this measures the read path itself
+  (only the pages of the columns the plan names, decoded a whole
+  array at a time); the plain aggregate is the second gated number
+  (:data:`A15_GATE_MIN_AGGREGATE_SPEEDUP`);
 - **sort** — a full-table ORDER BY at memory budgets of none, 1× and
   ¼× the table's encoded size; the ¼× run *must* spill to disk runs
   and still return bit-identical rows (reported with spill counters).
@@ -217,6 +221,14 @@ A15_SEQ_BP = 60
 #: The CI smoke gate: the zone-map-pruned columnar scan must beat the
 #: row layout's full scan+filter by at least this factor.
 A15_GATE_MIN_SPEEDUP = 10.0
+
+#: Second floor of the same gate: the full-table aggregate, where no
+#: page can be skipped, so the win is the storage path alone — decode
+#: only the pages of the columns the calls name, a whole array at a
+#: time.  Ten ``--quick`` runs read 2.3–3.2x (the per-value decoder
+#: that read every column: 1.3–1.5x); what is left above the pages is
+#: per-value interpretation (ROADMAP item 2).
+A15_GATE_MIN_AGGREGATE_SPEEDUP = 2.0
 
 A15_SCAN_SQL = "SELECT id FROM reads WHERE k BETWEEN ? AND ?"
 A15_AGG_SQL = "SELECT count(*), avg(gc), min(k), max(k) FROM reads"
@@ -408,11 +420,15 @@ def report_a15(row_count=A15_ROWS, repeats=A15_REPEATS) -> dict:
 
     payload["gate_speedup"] = payload["scan"]["speedup"]
     payload["gate_min_speedup"] = A15_GATE_MIN_SPEEDUP
+    payload["gate_aggregate_speedup"] = payload["aggregate"]["speedup"]
+    payload["gate_min_aggregate_speedup"] = A15_GATE_MIN_AGGREGATE_SPEEDUP
     print(f"\nsmoke gate: selective scan speedup "
           f"{payload['gate_speedup']:.1f}x "
           f"(floor {A15_GATE_MIN_SPEEDUP:.0f}x); scan read "
           f"{skips['columnar_pages_read']} pages, skipped "
-          f"{skips['columnar_pages_skipped']}")
+          f"{skips['columnar_pages_skipped']}; aggregate speedup "
+          f"{payload['gate_aggregate_speedup']:.1f}x "
+          f"(floor {A15_GATE_MIN_AGGREGATE_SPEEDUP:.1f}x)")
     return payload
 
 
@@ -428,10 +444,16 @@ if __name__ == "__main__":
     }
     write_bench_json("ablation_storage", payload)
     if "--check" in sys.argv:
-        if payload["a15"]["gate_speedup"] < A15_GATE_MIN_SPEEDUP:
-            print(f"FAIL: columnar selective scan only "
-                  f"{payload['a15']['gate_speedup']:.1f}x the row scan "
-                  f"(floor {A15_GATE_MIN_SPEEDUP:.0f}x)")
-            sys.exit(1)
-        print("PASS: columnar scan speedup above the floor")
+        for what, got, floor in (
+            ("selective scan", payload["a15"]["gate_speedup"],
+             A15_GATE_MIN_SPEEDUP),
+            ("aggregate", payload["a15"]["gate_aggregate_speedup"],
+             A15_GATE_MIN_AGGREGATE_SPEEDUP),
+        ):
+            if got < floor:
+                print(f"FAIL: columnar {what} only {got:.1f}x the row "
+                      f"layout (floor {floor:.1f}x)")
+                sys.exit(1)
+        print("PASS: columnar scan and aggregate speedups above their "
+              "floors")
     sys.exit(0)

@@ -19,6 +19,7 @@ Concrete classes:
 from __future__ import annotations
 
 import struct
+from binascii import hexlify, unhexlify
 from typing import ClassVar, Iterator, Type, TypeVar
 
 from repro.core.types.alphabet import (
@@ -32,23 +33,25 @@ from repro.errors import SequenceError
 
 S = TypeVar("S", bound="PackedSequence")
 
-# Decode table: one packed byte -> the two 4-bit codes it holds.
-_UNPACK4 = [bytes(((byte >> 4) & 0xF, byte & 0xF)) for byte in range(256)]
+# The nibble codec is two C calls over the whole buffer: a code is one hex
+# digit, so packing is "spell the codes in hex, read the hex as bytes" and
+# unpacking the reverse.  A code past 15 spells as a non-digit and is
+# refused by ``unhexlify``.
+_TO_HEX = b"0123456789abcdef" + b"?" * 240
+_FROM_HEX = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def _pack4(codes: bytes) -> bytes:
     """Pack one-code-per-byte data into two codes per byte (high, low)."""
+    codes = bytes(codes)  # a copy of anything mutable: the pad is ours
     if len(codes) % 2:
         codes += b"\x00"
-    return bytes(
-        (high << 4) | low for high, low in zip(codes[::2], codes[1::2])
-    )
+    return unhexlify(codes.translate(_TO_HEX))
 
 
 def _unpack4(packed: bytes, length: int) -> bytes:
     """Inverse of :func:`_pack4`; *length* trims the possible pad code."""
-    unpacked = b"".join(_UNPACK4[byte] for byte in packed)
-    return unpacked[:length]
+    return hexlify(packed).translate(_FROM_HEX)[:length]
 
 
 class PackedSequence:
@@ -216,8 +219,12 @@ class PackedSequence:
                 f"serialized alphabet {name!r} does not match {expected!r}"
             )
         packed = data[cls._HEADER.size:]
-        expected_size = (length + 1) // 2 if cls._is_nibble_packed() else length
-        if len(packed) != expected_size:
+        nibble = cls._is_nibble_packed()
+        expected_size = (length + 1) // 2 if nibble else length
+        # An odd nibble-packed length ends in a pad nibble, which is zero:
+        # equality and hashing read the packed bytes.
+        if len(packed) != expected_size or (
+                nibble and length % 2 and packed[-1] & 0xF):
             raise SequenceError("corrupt sequence serialization payload")
         instance = cls.__new__(cls)
         instance._length = length

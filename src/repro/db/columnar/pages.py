@@ -30,7 +30,13 @@ Every page carries a null bitmap, a **zone map** (min/max over the
 non-null values, when they are totally ordered) and a CRC32 footer in
 the same failure taxonomy as the WAL: a page whose checksum does not
 match raises :class:`~repro.errors.StorageError` with
-``kind="bit_rot"`` instead of silently decoding garbage.
+``kind="bit_rot"`` instead of silently decoding garbage, and one whose
+checksum holds but whose body is not exactly what its counts and
+lengths declare raises ``kind="malformed"``.
+
+Pages move between values and bytes a whole array at a time (one
+``struct`` call per page, not per value; bitmaps through one big
+integer), and a page without NULLs skips the bitmap scatter.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from itertools import accumulate
 from typing import Any, Sequence
 
 from repro.core.types.sequence import PackedSequence, sequence_class_for
@@ -53,29 +60,34 @@ PAGE_FORMAT = 1
 #: Encoding tags (one byte on the wire).
 INT, FLOAT, BOOL, DICT, BLOB, SEQ, OBJ = 1, 2, 3, 4, 5, 6, 7
 
+#: What error messages call each encoding.
+ENCODING_NAMES = {INT: "INT", FLOAT: "FLOAT", BOOL: "BOOL", DICT: "DICT",
+                  BLOB: "BLOB", SEQ: "SEQ", OBJ: "OBJ"}
+
 _MAGIC = b"CP"
 _HEADER = struct.Struct("<2sBBI")  # magic, format, encoding, row count
 _U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_I64_RANGE = (-(1 << 63), (1 << 63) - 1)
+_SEQ_SIZES = struct.Struct("<II")  # symbol count, packed byte count
 
 #: Zone-map sentinel for a page with no non-null values: any comparison
 #: predicate is provably false over it, so scans may skip it outright.
 ZONE_EMPTY = "empty"
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _pack_bitmap(flags: Sequence[bool]) -> bytes:
-    out = bytearray((len(flags) + 7) // 8)
-    for index, flag in enumerate(flags):
-        if flag:
-            out[index // 8] |= 1 << (index % 8)
-    return bytes(out)
+    """Flag ``i`` as bit ``i % 8`` of byte ``i // 8``: the flags, last
+    first, are the binary digits of one little-endian integer."""
+    if not flags:
+        return b""
+    digits = bytes(flags)[::-1].translate(_BIT_DIGITS)
+    return int(digits, 2).to_bytes((len(flags) + 7) // 8, "little")
 
 
 def _unpack_bitmap(data: bytes, count: int) -> list[bool]:
-    return [bool(data[index // 8] >> (index % 8) & 1)
-            for index in range(count)]
+    digits = format(int.from_bytes(data, "little"), f"0{count}b")
+    return list(map("1".__eq__, digits[::-1][:count]))
 
 
 def zone_map_of(values: Sequence[Any]) -> "tuple[Any, Any] | str | None":
@@ -109,26 +121,49 @@ def zone_map_of(values: Sequence[Any]) -> "tuple[Any, Any] | str | None":
     return (lowest, highest)
 
 
+class _BodyMismatch(ValueError):
+    """A page body is not what its own counts and lengths declare."""
+
+
+def _exactly(body: bytes, size: int) -> None:
+    if len(body) != size:
+        raise _BodyMismatch(
+            f"holds a {len(body)}-byte body where it declares {size}")
+
+
+def _counted(values: list, count: int) -> list:
+    if len(values) != count:
+        raise _BodyMismatch(
+            f"holds {len(values)} values where it declares {count}")
+    return values
+
+
 # ---------------------------------------------------------------------------
-# body encoders (non-null values only; the null bitmap restores positions)
+# body codecs (non-null values only; the null bitmap restores positions)
 # ---------------------------------------------------------------------------
 
 def _encode_int(values: list[Any]) -> bytes:
-    if all(_I64_RANGE[0] <= value <= _I64_RANGE[1] for value in values):
-        return b"\x00" + b"".join(_I64.pack(value) for value in values)
-    payload = json.dumps(values).encode("utf-8")
-    return b"\x01" + _U32.pack(len(payload)) + payload
+    try:
+        return b"\x00" + struct.pack(f"<{len(values)}q", *values)
+    except struct.error:  # past int64: JSON, flagged in-band
+        payload = json.dumps(values).encode("utf-8")
+        return b"\x01" + _U32.pack(len(payload)) + payload
 
 
 def _decode_int(body: bytes, count: int) -> list[Any]:
-    if not body:
-        raise StorageError("column page INT body truncated",
-                           kind="malformed")
-    if body[0] == 0:
-        return [value for (value,)
-                in _I64.iter_unpack(body[1:1 + 8 * count])]
+    if body[:1] == b"\x00":
+        _exactly(body, 1 + 8 * count)
+        return list(struct.unpack_from(f"<{count}q", body, 1))
+    if body[:1] != b"\x01":
+        raise _BodyMismatch("has no INT body flag")
     (size,) = _U32.unpack_from(body, 1)
-    return json.loads(body[5:5 + size].decode("utf-8"))
+    _exactly(body, 5 + size)
+    return _counted(json.loads(body[5:]), count)
+
+
+def _decode_float(body: bytes, count: int) -> list[float]:
+    _exactly(body, 8 * count)
+    return list(struct.unpack(f"<{count}d", body))
 
 
 def _encode_seq(values: list[PackedSequence]) -> bytes:
@@ -137,33 +172,34 @@ def _encode_seq(values: list[PackedSequence]) -> bytes:
         name = value.alphabet.name.encode("ascii")
         packed = value._packed
         parts.append(bytes((len(name),)) + name
-                     + _U32.pack(len(value)) + _U32.pack(len(packed))
-                     + packed)
+                     + _SEQ_SIZES.pack(len(value), len(packed)) + packed)
     return b"".join(parts)
 
 
-def iter_seq_raw(body: bytes, count: int):
-    """Yield ``(alphabet_name, symbol_count, packed_bytes)`` per value.
-
-    This is the raw access path of the vector kernels: the packed code
-    buffers exactly as stored, no :class:`PackedSequence` construction.
-    """
+def _seq_triples(body: bytes, count: int) -> list[tuple[str, int, bytes]]:
+    """``(alphabet_name, symbol_count, packed_bytes)`` per value: the
+    packed code buffers exactly as stored, no :class:`PackedSequence`
+    construction — what the vector kernels read."""
+    triples = []
     offset = 0
     for _ in range(count):
-        name_len = body[offset]
-        offset += 1
-        name = body[offset:offset + name_len].decode("ascii")
-        offset += name_len
-        (length,) = _U32.unpack_from(body, offset)
-        (packed_len,) = _U32.unpack_from(body, offset + 4)
-        offset += 8
-        yield name, length, body[offset:offset + packed_len]
-        offset += packed_len
+        sizes_at = offset + 1 + body[offset]
+        length, packed_size = _SEQ_SIZES.unpack_from(body, sizes_at)
+        end = sizes_at + 8 + packed_size
+        packed = body[sizes_at + 8:end]
+        if len(packed) != packed_size:
+            raise _BodyMismatch(
+                f"ends inside a sequence of {length} symbols")
+        triples.append((body[offset + 1:sizes_at].decode("ascii"), length,
+                        packed))
+        offset = end
+    _exactly(body, offset)
+    return triples
 
 
 def _decode_seq(body: bytes, count: int) -> list[PackedSequence]:
     values = []
-    for name, length, packed in iter_seq_raw(body, count):
+    for name, length, packed in _seq_triples(body, count):
         klass = sequence_class_for(name)
         instance = klass.__new__(klass)
         instance._length = length
@@ -174,59 +210,47 @@ def _decode_seq(body: bytes, count: int) -> list[PackedSequence]:
 
 def _encode_dict(values: list[str]) -> bytes:
     codes: dict[str, int] = {}
-    order: list[bytes] = []
-    encoded = []
-    for value in values:
-        code = codes.get(value)
-        if code is None:
-            code = len(codes)
-            codes[value] = code
-            order.append(value.encode("utf-8"))
-        encoded.append(code)
-    width = 1 if len(codes) <= 0xFF else 2
-    fmt = "<B" if width == 1 else "<H"
-    parts = [_U32.pack(len(order))]
-    parts.extend(_U32.pack(len(entry)) + entry for entry in order)
-    parts.append(bytes((width,)))
-    parts.extend(struct.pack(fmt, code) for code in encoded)
+    encoded = [codes.setdefault(value, len(codes)) for value in values]
+    parts = [_U32.pack(len(codes))]
+    for value in codes:  # first-occurrence order
+        entry = value.encode("utf-8")
+        parts.append(_U32.pack(len(entry)) + entry)
+    if len(codes) <= 0xFF:
+        parts.append(b"\x01" + bytes(encoded))
+    else:
+        parts.append(b"\x02" + struct.pack(f"<{len(encoded)}H", *encoded))
     return b"".join(parts)
 
 
 def _decode_dict(body: bytes, count: int) -> list[str]:
-    (ndict,) = _U32.unpack_from(body, 0)
+    (entry_count,) = _U32.unpack_from(body, 0)
     offset = 4
     entries = []
-    for _ in range(ndict):
+    for _ in range(entry_count):
         (size,) = _U32.unpack_from(body, offset)
         offset += 4
-        entries.append(body[offset:offset + size].decode("utf-8"))
+        entries.append(str(body[offset:offset + size], "utf-8"))
         offset += size
     width = body[offset]
     offset += 1
-    fmt = "<B" if width == 1 else "<H"
-    step = struct.calcsize(fmt)
-    out = []
-    for _ in range(count):
-        (code,) = struct.unpack_from(fmt, body, offset)
-        offset += step
-        out.append(entries[code])
-    return out
+    if width not in (1, 2):
+        raise _BodyMismatch(f"has dictionary codes {width} bytes wide")
+    _exactly(body, offset + width * count)
+    codes = (body[offset:] if width == 1
+             else struct.unpack_from(f"<{count}H", body, offset))
+    return list(map(entries.__getitem__, codes))
 
 
 def _encode_blob(values: list[bytes]) -> bytes:
-    parts = [b"".join(_U32.pack(len(value)) for value in values)]
-    parts.extend(values)
-    return b"".join(parts)
+    return b"".join((struct.pack(f"<{len(values)}I", *map(len, values)),
+                     *values))
 
 
 def _decode_blob(body: bytes, count: int) -> list[bytes]:
-    sizes = [size for (size,) in _U32.iter_unpack(body[:4 * count])]
-    offset = 4 * count
-    out = []
-    for size in sizes:
-        out.append(body[offset:offset + size])
-        offset += size
-    return out
+    sizes = struct.unpack_from(f"<{count}I", body)
+    ends = list(accumulate(sizes, initial=4 * count))
+    _exactly(body, ends[-1])
+    return [body[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def choose_encoding(type_name: str, nonnull: list[Any]) -> int:
@@ -255,7 +279,7 @@ def encode_page(values: Sequence[Any], type_name: str, codec) -> bytes:
     if encoding == INT:
         body = _encode_int(nonnull)
     elif encoding == FLOAT:
-        body = b"".join(_F64.pack(value) for value in nonnull)
+        body = struct.pack(f"<{len(nonnull)}d", *nonnull)
     elif encoding == BOOL:
         body = _pack_bitmap([value is True for value in values])
     elif encoding == DICT:
@@ -281,6 +305,15 @@ def page_encoding(data: bytes) -> int:
     return encoding
 
 
+def _malformed(page_id: "int | None", encoding: int,
+               why: str) -> StorageError:
+    return StorageError(
+        f"column page {page_id!r} "
+        f"({ENCODING_NAMES.get(encoding, encoding)}) {why}",
+        kind="malformed",
+    )
+
+
 def _verify(data: bytes, page_id: "int | None") -> None:
     if len(data) < _HEADER.size + 4 or data[:2] != _MAGIC:
         raise StorageError(
@@ -295,9 +328,9 @@ def _verify(data: bytes, page_id: "int | None") -> None:
         )
 
 
-def decode_page(data: bytes, codec, *,
-                page_id: "int | None" = None) -> list[Any]:
-    """Verify and decode one page back into its positional value list."""
+def _open(data: bytes, page_id: "int | None") -> tuple:
+    """Verify a page and split it into ``(encoding, row count, null
+    flags, body)`` — the flags are ``None`` when no row is NULL."""
     _verify(data, page_id)
     _, fmt, encoding, count = _HEADER.unpack_from(data)
     if fmt != PAGE_FORMAT:
@@ -305,57 +338,71 @@ def decode_page(data: bytes, codec, *,
             f"column page {page_id!r} has unknown format {fmt}",
             kind="malformed",
         )
-    bitmap_size = (count + 7) // 8
-    nulls = _unpack_bitmap(data[_HEADER.size:_HEADER.size + bitmap_size],
-                           count)
-    body = data[_HEADER.size + bitmap_size:-4]
-    nonnull_count = count - sum(nulls)
-    if encoding == INT:
-        nonnull = _decode_int(body, nonnull_count)
-    elif encoding == FLOAT:
-        nonnull = [value for (value,)
-                   in _F64.iter_unpack(body[:8 * nonnull_count])]
-    elif encoding == BOOL:
-        flags = _unpack_bitmap(body, count)
-        return [NULL if null else flags[index]
-                for index, null in enumerate(nulls)]
-    elif encoding == DICT:
-        nonnull = _decode_dict(body, nonnull_count)
-    elif encoding == BLOB:
-        nonnull = _decode_blob(body, nonnull_count)
-    elif encoding == SEQ:
-        nonnull = _decode_seq(body, nonnull_count)
-    elif encoding == OBJ:
-        (size,) = _U32.unpack_from(body, 0)
-        nonnull = [codec.decode_value(item)
-                   for item in json.loads(body[4:4 + size].decode("utf-8"))]
-    else:
-        raise StorageError(
-            f"column page {page_id!r} has unknown encoding {encoding}",
-            kind="malformed",
-        )
-    out = []
-    position = 0
-    for null in nulls:
-        if null:
-            out.append(NULL)
+    body_at = _HEADER.size + (count + 7) // 8
+    if body_at > len(data) - 4:
+        raise _malformed(page_id, encoding,
+                         f"ends inside the null bitmap of its {count} rows")
+    bitmap = data[_HEADER.size:body_at]
+    nulls = _unpack_bitmap(bitmap, count) if any(bitmap) else None
+    return encoding, count, nulls, data[body_at:-4]
+
+
+def _placed(nonnull: list, nulls: "list[bool] | None") -> list:
+    """The page's positional values: NULL wherever the bitmap says."""
+    if nulls is None:
+        return nonnull
+    values = iter(nonnull)
+    return [NULL if null else next(values) for null in nulls]
+
+
+_DECODERS = {INT: _decode_int, FLOAT: _decode_float, DICT: _decode_dict,
+             BLOB: _decode_blob, SEQ: _decode_seq}
+
+#: What a CRC-valid body that contradicts itself raises while it is read:
+#: a :class:`_BodyMismatch`, a payload that is not JSON or not UTF-8
+#: (``ValueError``), a count or length field lying past the end
+#: (``struct.error``, ``IndexError``), a code past its dictionary.
+_STRUCTURAL = (ValueError, struct.error, IndexError)
+
+
+def decode_page(data: bytes, codec, *,
+                page_id: "int | None" = None) -> list[Any]:
+    """Verify and decode one page back into its positional value list."""
+    encoding, count, nulls, body = _open(data, page_id)
+    present = count - sum(nulls) if nulls else count
+    try:
+        if encoding == BOOL:
+            _exactly(body, (count + 7) // 8)
+            flags = _unpack_bitmap(body, count)
+            return (flags if nulls is None else
+                    [NULL if null else flag
+                     for null, flag in zip(nulls, flags)])
+        if encoding == OBJ:
+            (size,) = _U32.unpack_from(body, 0)
+            _exactly(body, 4 + size)
+            nonnull = [codec.decode_value(item)
+                       for item in _counted(json.loads(body[4:]), present)]
+        elif encoding in _DECODERS:
+            nonnull = _DECODERS[encoding](body, present)
         else:
-            out.append(nonnull[position])
-            position += 1
-    return out
+            raise _BodyMismatch("has an unknown encoding")
+    except _STRUCTURAL as exc:
+        raise _malformed(page_id, encoding, str(exc)) from None
+    return _placed(nonnull, nulls)
 
 
 def seq_raw_body(data: bytes, *, page_id: "int | None" = None):
-    """Raw ``(body, nulls)`` of a verified SEQ page, for vector kernels.
+    """The rows of a verified SEQ page as the vector kernels read them:
+    positionally, ``(alphabet_name, symbol_count, packed_bytes)`` or NULL.
 
     Returns ``None`` when the page is not SEQ-encoded (the caller falls
     back to the decoded-value path).
     """
-    _verify(data, page_id)
-    _, _, encoding, count = _HEADER.unpack_from(data)
+    encoding, count, nulls, body = _open(data, page_id)
     if encoding != SEQ:
         return None
-    bitmap_size = (count + 7) // 8
-    nulls = _unpack_bitmap(data[_HEADER.size:_HEADER.size + bitmap_size],
-                           count)
-    return data[_HEADER.size + bitmap_size:-4], nulls
+    try:
+        triples = _seq_triples(body, count - sum(nulls) if nulls else count)
+    except _STRUCTURAL as exc:
+        raise _malformed(page_id, encoding, str(exc)) from None
+    return _placed(triples, nulls)

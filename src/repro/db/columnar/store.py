@@ -19,7 +19,8 @@ cannot satisfy a comparison predicate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterator
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from repro.db.columnar import pages as page_codec
 from repro.db.columnar.pages import ZONE_EMPTY
@@ -89,7 +90,12 @@ def zone_excludes(zone, low, include_low, high, include_high) -> bool:
 
 
 class GroupView:
-    """One scannable unit: a sealed row group or the unsealed tail."""
+    """One scannable unit: a sealed row group or the unsealed tail.
+
+    A sealed group's pages are fetched and decoded one column at a time,
+    the first time that column is asked for: a scan pays for the columns
+    its plan reads and no others.
+    """
 
     __slots__ = ("_store", "_group", "row_ids", "_columns", "_tail_rows")
 
@@ -98,7 +104,7 @@ class GroupView:
         self._store = store
         self._group = group
         self.row_ids = row_ids  # None entries mark tombstones
-        self._columns: "list | None" = None
+        self._columns: dict[int, list] = {}   # position -> decoded values
         self._tail_rows = tail_rows
 
     @property
@@ -110,49 +116,43 @@ class GroupView:
             return None
         return self._group.pages[position].zone
 
-    def raw_page(self, position: int) -> "bytes | None":
-        """Encoded page bytes (sealed groups only)."""
+    def seq_rows(self, position: int) -> "list | None":
+        """One column as the vector kernels read it
+        (:func:`pages.seq_raw_body`): verified but not decoded.  ``None``
+        for the tail and for a page that is not SEQ-encoded."""
         if self._group is None:
             return None
         ref = self._group.pages[position]
-        return self._store.read_page(ref)
+        return page_codec.seq_raw_body(self._store.read_page(ref),
+                                       page_id=ref.page_id)
 
     def column_values(self, position: int) -> list:
         """Positional values of one column (tombstones included)."""
-        if self._group is None:
-            return [NULL if row is None else row[position]
-                    for row in self._tail_rows]
-        if self._columns is None:
-            self._columns = self._store.decode_group(self._group)
-        return self._columns[position]
+        values = self._columns.get(position)
+        if values is None:
+            if self._group is None:
+                values = [NULL if row is None else row[position]
+                          for row in self._tail_rows]
+            else:
+                ref = self._group.pages[position]
+                values = page_codec.decode_page(
+                    self._store.read_page(ref), self._store.runtime.codec,
+                    page_id=ref.page_id)
+            self._columns[position] = values
+        return values
 
-    def enumerate_rows(self) -> Iterator[tuple[int, list]]:
-        """Live ``(offset, row)`` pairs — offsets index positional
-        per-page result lists (kernel columns) alongside the rows."""
-        if self._group is None:
-            pairs = zip(self.row_ids, self._tail_rows)
-            for offset, (row_id, row) in enumerate(pairs):
-                if row_id is not None:
-                    yield offset, row
-            return
-        if self._columns is None:
-            self._columns = self._store.decode_group(self._group)
-        for offset, row_id in enumerate(self.row_ids):
+    def enumerate_rows(self, positions: "Sequence[int] | None" = None,
+                       ) -> Iterator[tuple[int, tuple]]:
+        """Live ``(offset, row)`` pairs in ordinal order, each row holding
+        the columns at *positions* (default: all of them).  Offsets index
+        ``row_ids`` and positional per-page lists (kernel columns)."""
+        if positions is None:
+            positions = range(len(self._store.schema.columns))
+        columns = [self.column_values(position) for position in positions]
+        rows = zip(*columns) if columns else repeat(())
+        for offset, (row_id, row) in enumerate(zip(self.row_ids, rows)):
             if row_id is not None:
-                yield offset, [column[offset] for column in self._columns]
-
-    def rows(self) -> Iterator[tuple[int, list]]:
-        """Live ``(row_id, row)`` pairs in ordinal order."""
-        if self._group is None:
-            for row_id, row in zip(self.row_ids, self._tail_rows):
-                if row_id is not None:
-                    yield row_id, row
-            return
-        if self._columns is None:
-            self._columns = self._store.decode_group(self._group)
-        for offset, row_id in enumerate(self.row_ids):
-            if row_id is not None:
-                yield row_id, [column[offset] for column in self._columns]
+                yield offset, row
 
 
 class ColumnStore:
@@ -181,6 +181,8 @@ class ColumnStore:
         return self.runtime.cache.get(ref.page_id)
 
     def decode_group(self, group: RowGroup) -> list:
+        """Every column of *group*, decoded: whole-row access (``get``,
+        ``replace``).  The last group touched stays memoised."""
         index = group.start // self.page_rows
         if self._memo is not None and self._memo[0] == index:
             return self._memo[1]
@@ -291,18 +293,24 @@ class ColumnStore:
 
     def items(self) -> Iterator[tuple[int, list]]:
         for view in self.scan():
-            yield from view.rows()
+            row_ids = view.row_ids
+            for offset, row in view.enumerate_rows():
+                yield row_ids[offset], list(row)
 
     # -- scanning -----------------------------------------------------------
 
-    def scan(self, bounds=None) -> Iterator[GroupView]:
+    def scan(self, bounds=None,
+             reading: "int | None" = None) -> Iterator[GroupView]:
         """Yield group views; *bounds* prunes groups via zone maps.
 
         ``bounds`` is a list of ``(position, low, include_low, high,
-        include_high)`` with already-evaluated bound values.  A pruned
-        group counts one ``pages_skipped`` per column page it avoided
-        reading.
+        include_high)`` with already-evaluated bound values.  *reading*
+        is how many column pages of each group the caller goes on to
+        read (default: all of them): a pruned group counts that many
+        ``pages_skipped``, the reads it actually saved.
         """
+        if reading is None:
+            reading = len(self.schema.columns)
         for group in self._groups:
             if all(row_id is None for row_id in group.row_ids):
                 continue
@@ -311,7 +319,7 @@ class ColumnStore:
                               high, inc_high)
                 for position, low, inc_low, high, inc_high in bounds
             ):
-                count("columnar", "pages_skipped", len(group.pages))
+                count("columnar", "pages_skipped", reading)
                 continue
             yield GroupView(self, group, group.row_ids)
         if self._tail:

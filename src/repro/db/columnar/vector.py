@@ -31,7 +31,6 @@ from repro.core.types.sequence import (
     _unpack4,
     sequence_class_for,
 )
-from repro.db.columnar import pages
 from repro.db.values import NULL
 
 
@@ -87,19 +86,10 @@ def _materialize(alphabet_name: str, length: int,
     return instance
 
 
-def _seq_rows(raw) -> list:
-    """Positional ``(name, length, packed) | NULL`` list of a SEQ page."""
-    body, nulls = raw
-    triples = pages.iter_seq_raw(body, len(nulls) - sum(nulls))
-    out = []
-    for null in nulls:
-        out.append(NULL if null else next(triples))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # kernels — each takes (raw, values_fn, fallback, args) and returns the
-# per-row result list.  ``raw`` is the (body, nulls) of a SEQ page or
+# per-row result list.  ``raw`` is the positional ``(alphabet, length,
+# packed) | NULL`` rows of a SEQ page (:func:`pages.seq_raw_body`) or
 # None; ``values_fn()`` lazily decodes the page for the fallback path.
 # ---------------------------------------------------------------------------
 
@@ -112,7 +102,7 @@ def _kernel_length(raw, values_fn, fallback, args) -> list:
     if raw is None or args:
         return _row_fallback(values_fn, fallback, args)
     out = []
-    for row in _seq_rows(raw):
+    for row in raw:
         if row is NULL:
             out.append(fallback(NULL))
         else:
@@ -124,7 +114,7 @@ def _kernel_gc_content(raw, values_fn, fallback, args) -> list:
     if raw is None or args:
         return _row_fallback(values_fn, fallback, args)
     out = []
-    for row in _seq_rows(raw):
+    for row in raw:
         if row is NULL:
             out.append(fallback(NULL))
             continue
@@ -142,7 +132,7 @@ def _kernel_reverse_complement(raw, values_fn, fallback, args) -> list:
     if raw is None or args:
         return _row_fallback(values_fn, fallback, args)
     out = []
-    for row in _seq_rows(raw):
+    for row in raw:
         if row is NULL:
             out.append(fallback(NULL))
             continue
@@ -168,7 +158,7 @@ def _kernel_contains(raw, values_fn, fallback, args) -> list:
     needle_cache: dict[str, "bytes | None"] = {}
     missing = object()
     out = []
-    for row in _seq_rows(raw):
+    for row in raw:
         if row is NULL:
             out.append(fallback(NULL, pattern))
             continue

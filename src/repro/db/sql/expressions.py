@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Frame:
     """Positional naming of a row: ``(binding, column)`` per slot."""
 
-    __slots__ = ("slots", "_lookup")
+    __slots__ = ("slots", "_lookup", "memo")
 
     def __init__(self, slots: Sequence[tuple[str | None, str]]) -> None:
         self.slots = tuple(slots)
@@ -36,6 +36,10 @@ class Frame:
         for position, (_, column) in enumerate(self.slots):
             lookup.setdefault(column, []).append(position)
         self._lookup = lookup
+        #: ``(table, column)`` -> the one slot that reference names, or -1
+        #: when no slot does; filled by :meth:`RowContext.resolve` so a
+        #: plan resolves each of its references once, not once per row.
+        self.memo: dict[tuple[str | None, str], int] = {}
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -91,14 +95,19 @@ class RowContext:
         return cls(_NO_COLUMNS, (), parameters, outer)
 
     def resolve(self, table: str | None, column: str) -> Any:
-        positions = self.frame.positions(table, column)
-        if len(positions) == 1:
-            return self.values[positions[0]]
-        if len(positions) > 1:
-            qualifier = f"{table}." if table else ""
-            raise SqlSyntaxError(
-                f"ambiguous column reference {qualifier}{column!r}"
-            )
+        memo = self.frame.memo
+        position = memo.get((table, column))
+        if position is None:
+            positions = self.frame.positions(table, column)
+            if len(positions) > 1:
+                qualifier = f"{table}." if table else ""
+                raise SqlSyntaxError(
+                    f"ambiguous column reference {qualifier}{column!r}"
+                )
+            position = memo[table, column] = (positions[0] if positions
+                                              else -1)
+        if position >= 0:
+            return self.values[position]
         if self.outer is not None:
             return self.outer.resolve(table, column)
         qualifier = f"{table}." if table else ""

@@ -539,13 +539,12 @@ class Planner:
         """Vectorize kernel calls in the projection and ORDER BY.
 
         Only applies when the plan is a Filter chain over a
-        :class:`ColumnarScan`.  New kernel slots widen the scan frame,
-        which every Filter of the chain aliases: they are re-pointed.
+        :class:`ColumnarScan`.  New kernel slots widen the scan frame
+        under Filters that hold a copy of it; :meth:`_narrow_scans`
+        re-derives every frame when the plan is finished.
         """
-        filters = []
         scan = plan
         while isinstance(scan, Filter):
-            filters.append(scan)
             scan = scan.child
         if not isinstance(scan, ColumnarScan):
             return items, order_items
@@ -555,9 +554,40 @@ class Planner:
         order_items = _map_order(
             lambda key: self._rewrite_kernel_calls(key, scan, schemas),
             order_items)
-        for stale in filters:
-            stale.frame = scan.frame
         return items, order_items
+
+    # ------------------------------------------------------------- the read set
+
+    def _narrow_scans(self, plan: PlanNode) -> None:
+        """Planning's last step: every :class:`ColumnarScan` of this
+        query level reads only the columns the finished plan names.
+
+        A reference reaches a scan by name — qualified with the scan's
+        binding, or unqualified and a column of its table; an
+        unqualified name stays in *every* scan that has it, so an
+        ambiguous one still fails as ambiguous.  Kernel rewriting has
+        already run: a column only kernels touch is read off its stored
+        page and not materialised at all.  A level with a sub-select in
+        it keeps whole rows, because a correlated sub-select resolves
+        outer names at run time, against the frame it finds there.
+        """
+        nodes = list(plan.walk())
+        scans = [node for node in nodes if isinstance(node, ColumnarScan)]
+        if not scans:
+            return
+        parts = [part for node in nodes for expression in node.expressions()
+                 for part in ast.walk_expression(expression)]
+        if not any(isinstance(part, (ast.InSelect, ast.Exists))
+                   for part in parts):
+            for scan in scans:
+                schema = scan.table.schema
+                scan.read_only({
+                    schema.position(part.column) for part in parts
+                    if isinstance(part, ast.ColumnRef)
+                    and part.table in (None, scan.binding)
+                    and schema.has_column(part.column)
+                })
+        plan.reframe()
 
     # ----------------------------------------------------------------- the plan
 
@@ -758,4 +788,5 @@ class Planner:
             plan = Distinct(plan)
         if select.limit is not None or select.offset is not None:
             plan = Limit(plan, select.limit, select.offset)
+        self._narrow_scans(plan)
         return plan

@@ -27,7 +27,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.db.columnar import pages as page_codec
 from repro.db.columnar.spill import IndexedRun, RowRun
 from repro.db.columnar.vector import KernelError, apply_kernel
 from repro.db.sql import ast
@@ -92,6 +91,9 @@ class PlanNode:
     estimated_rows: float = 0.0
     #: The input of a single-input operator.
     child: "PlanNode | None" = None
+    #: The operator hands its input's rows on as they are, so its frame
+    #: is its input's.
+    passes_rows = False
 
     def execute(self, parameters: Sequence[Any],
                 outer: "RowContext | None") -> Iterator[tuple]:
@@ -102,6 +104,26 @@ class PlanNode:
 
     def children(self) -> tuple["PlanNode", ...]:
         return () if self.child is None else (self.child,)
+
+    def walk(self) -> Iterator["PlanNode"]:
+        """Every operator of the subtree, this one first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
+    def expressions(self) -> Sequence[ast.Expression]:
+        """Every expression the operator evaluates against its input
+        rows — what the planner reads a scan's read set from."""
+        return ()
+
+    def reframe(self) -> None:
+        """Re-derive the frames of this subtree, inputs first.  The
+        planner calls it once, after narrowing a scan's frame under
+        operators that had already taken a copy of it."""
+        for child in self.children():
+            child.reframe()
+        if self.passes_rows:
+            self.frame = self.child.frame
 
     def explain(self, indent: int = 0) -> str:
         lines = [f"{'  ' * indent}{self.label()}  "
@@ -278,6 +300,8 @@ class OneRow(PlanNode):
 class Filter(PlanNode):
     """Keeps rows whose predicate evaluates to true."""
 
+    passes_rows = True
+
     def __init__(self, child: PlanNode, predicate: ast.Expression,
                  evaluator: Evaluator) -> None:
         self.child = child
@@ -288,6 +312,9 @@ class Filter(PlanNode):
     def label(self) -> str:
         return f"Filter({self.predicate})"
 
+    def expressions(self):
+        return (self.predicate,)
+
     def execute(self, parameters, outer) -> Iterator[tuple]:
         for values in self.child.execute(parameters, outer):
             context = RowContext(self.frame, values, parameters, outer)
@@ -295,28 +322,45 @@ class Filter(PlanNode):
                 yield values
 
 
-class NestedLoopJoin(PlanNode):
+class _Join(PlanNode):
+    """What the two joins share: two inputs, rows that are a left row
+    followed by a right row, inner or left-outer."""
+
+    def __init__(self, left: PlanNode, right: PlanNode, evaluator: Evaluator,
+                 kind: str, runtime: "ColumnarRuntime | None") -> None:
+        if kind not in ("inner", "left"):
+            raise DatabaseError(f"unsupported join kind {kind!r}")
+        self.left = left
+        self.right = right
+        self.evaluator = evaluator
+        self.kind = kind
+        self.runtime = runtime
+        self.frame = left.frame + right.frame
+
+    def children(self) -> tuple[PlanNode, ...]:
+        return (self.left, self.right)
+
+    def reframe(self) -> None:
+        self.left.reframe()
+        self.right.reframe()
+        self.frame = self.left.frame + self.right.frame
+
+
+class NestedLoopJoin(_Join):
     """General join: re-evaluates the condition per row pair."""
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  condition: ast.Expression, evaluator: Evaluator,
                  kind: str = "inner",
                  runtime: "ColumnarRuntime | None" = None) -> None:
-        if kind not in ("inner", "left"):
-            raise DatabaseError(f"unsupported join kind {kind!r}")
-        self.left = left
-        self.right = right
+        super().__init__(left, right, evaluator, kind, runtime)
         self.condition = condition
-        self.evaluator = evaluator
-        self.kind = kind
-        self.runtime = runtime
-        self.frame = left.frame + right.frame
 
     def label(self) -> str:
         return f"NestedLoopJoin[{self.kind}]({self.condition})"
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
+    def expressions(self):
+        return (self.condition,)
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         # Block-nested-loop: the inner relation lives in a spillable run,
@@ -343,7 +387,7 @@ class NestedLoopJoin(PlanNode):
             right_rows.close()
 
 
-class HashJoin(PlanNode):
+class HashJoin(_Join):
     """Equi-join: builds a hash table on the right input."""
 
     def __init__(
@@ -357,25 +401,19 @@ class HashJoin(PlanNode):
         residual: ast.Expression | None = None,
         runtime: "ColumnarRuntime | None" = None,
     ) -> None:
-        if kind not in ("inner", "left"):
-            raise DatabaseError(f"unsupported join kind {kind!r}")
-        self.left = left
-        self.right = right
+        super().__init__(left, right, evaluator, kind, runtime)
         self.left_key = left_key
         self.right_key = right_key
-        self.evaluator = evaluator
-        self.kind = kind
         self.residual = residual
-        self.runtime = runtime
-        self.frame = left.frame + right.frame
 
     def label(self) -> str:
         residual = f" AND {self.residual}" if self.residual else ""
         return (f"HashJoin[{self.kind}]({self.left_key} = "
                 f"{self.right_key}{residual})")
 
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.left, self.right)
+    def expressions(self):
+        keys = (self.left_key, self.right_key)
+        return keys if self.residual is None else keys + (self.residual,)
 
     @staticmethod
     def _bucket_key(value: Any) -> Any:
@@ -441,6 +479,9 @@ class Project(PlanNode):
     def label(self) -> str:
         inner = ", ".join(f"{expr} AS {name}" for expr, name in self.items)
         return f"Project({inner})"
+
+    def expressions(self):
+        return [expression for expression, _ in self.items]
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         for values in self.child.execute(parameters, outer):
@@ -598,6 +639,9 @@ class Aggregate(PlanNode):
         aggs = ", ".join(str(c) for c in self.aggregate_calls)
         return f"Aggregate(BY {groups}; {aggs})"
 
+    def expressions(self):
+        return self.group_expressions + self.aggregate_calls
+
     def _accumulators(self) -> list:
         accumulators = []
         for call in self.aggregate_calls:
@@ -667,6 +711,8 @@ class Aggregate(PlanNode):
 class Distinct(PlanNode):
     """Removes duplicate rows (by value identity)."""
 
+    passes_rows = True
+
     def __init__(self, child: PlanNode) -> None:
         self.child = child
         self.frame = child.frame
@@ -691,6 +737,8 @@ class Sort(PlanNode):
     chunks sort and flush as runs that ``heapq.merge`` recombines.
     """
 
+    passes_rows = True
+
     def __init__(self, child: PlanNode, items: Sequence[ast.OrderItem],
                  evaluator: Evaluator,
                  runtime: "ColumnarRuntime | None" = None) -> None:
@@ -706,6 +754,9 @@ class Sort(PlanNode):
             for item in self.items
         )
         return f"Sort({inner})"
+
+    def expressions(self):
+        return [item.expression for item in self.items]
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         def entry_key(entry: tuple):
@@ -757,6 +808,8 @@ def _run_entries(run: RowRun) -> Iterator[tuple]:
 
 class Limit(PlanNode):
     """LIMIT/OFFSET."""
+
+    passes_rows = True
 
     def __init__(self, child: PlanNode, limit: int | None,
                  offset: int | None) -> None:
@@ -829,11 +882,8 @@ class KernelSlot:
                                  for value in view.column_values(position)]
 
         def column(view) -> list:
-            data = view.raw_page(position)
-            raw = (page_codec.seq_raw_body(data)
-                   if data is not None else None)
             return apply_kernel(
-                self.kernel, raw,
+                self.kernel, view.seq_rows(position),
                 lambda: view.column_values(position), fallback, args,
             )
         return column
@@ -842,9 +892,15 @@ class KernelSlot:
 class ColumnarScan(PlanNode):
     """Scan of a column-layout table: zone-map skipping + page kernels.
 
-    Emits exactly the rows ``SeqScan`` would, in the same order.  Two
-    columnar-only abilities ride on top:
+    Emits the rows ``SeqScan`` would, in the same order, narrowed to its
+    **read set**.  Three columnar-only abilities:
 
+    - ``columns`` — the schema positions the scan materialises, schema
+      order.  A new scan reads them all; the planner's last step
+      (:meth:`read_only`) narrows it to the columns the finished plan
+      names, and only their pages are fetched and decoded.  The frame
+      narrows with it, so nothing above can name, carry or spill a
+      column that was not read.
     - ``bounds`` — already-split WHERE comparisons ``(position, low,
       include_low, high, include_high)``, evaluated at execute
       time and checked against each row group's zone maps; excluded
@@ -854,7 +910,8 @@ class ColumnarScan(PlanNode):
     - ``kernel_slots`` — tagged function calls computed page-at-a-time
       over the packed column data and appended to the frame as synthetic
       columns; failures are deferred per row (:class:`KernelError`) so
-      tombstoned ordinals never raise.
+      tombstoned ordinals never raise.  A kernel reads its column's
+      page as stored, whether or not the column is in the read set.
     """
 
     def __init__(self, table: Table, binding: str, evaluator: Evaluator,
@@ -863,16 +920,23 @@ class ColumnarScan(PlanNode):
         self.binding = binding
         self.evaluator = evaluator
         self.catalog = catalog
+        self.columns = list(range(len(table.schema.columns)))
         self.bounds: list = []
         self.kernel_slots: list[KernelSlot] = []
         self._rebuild_frame()
         self.estimated_rows = float(len(table))
 
     def _rebuild_frame(self) -> None:
-        slots = [(self.binding, column)
-                 for column in self.table.schema.column_names]
+        names = self.table.schema.column_names
+        slots = [(self.binding, names[position])
+                 for position in self.columns]
         slots.extend((None, slot.name) for slot in self.kernel_slots)
         self.frame = Frame(slots)
+
+    def read_only(self, positions) -> None:
+        """Narrow the scan (and its frame) to these schema positions."""
+        self.columns = sorted(positions)
+        self._rebuild_frame()
 
     def ensure_kernel_slot(self, slot: KernelSlot) -> str:
         """The frame column computing *slot*, appended unless an equal
@@ -888,6 +952,10 @@ class ColumnarScan(PlanNode):
 
     def label(self) -> str:
         parts = [f"{self.table.name} AS {self.binding}"]
+        names = self.table.schema.column_names
+        if len(self.columns) < len(names):
+            parts.append("columns " + (", ".join(
+                names[position] for position in self.columns) or "none"))
         if self.bounds:
             parts.append(f"zones on {len(self.bounds)} bound(s)")
         if self.kernel_slots:
@@ -911,19 +979,20 @@ class ColumnarScan(PlanNode):
         ]
         kernels = [slot.bind(self.evaluator, self.catalog, parameters, outer)
                    for slot in self.kernel_slots]
-        for view in store.scan(bounds or None):
+        reading = len({*self.columns,
+                       *(slot.position for slot in self.kernel_slots)})
+        for view in store.scan(bounds or None, reading):
+            rows = view.enumerate_rows(self.columns)
             if not kernels:
-                for _, row in view.rows():
-                    yield tuple(row)
+                for _, row in rows:
+                    yield row
                 continue
-            extras = [kernel(view) for kernel in kernels]
-            for offset, row in view.enumerate_rows():
-                # Kernel failures stay wrapped (KernelError) here: they
-                # raise only if an expression actually reads the slot,
-                # matching the row path's lazy evaluation order.
-                yield tuple(row) + tuple(
-                    column[offset] for column in extras
-                )
+            # Kernel failures stay wrapped (KernelError) here: they
+            # raise only if an expression actually reads the slot,
+            # matching the row path's lazy evaluation order.
+            extras = list(zip(*(kernel(view) for kernel in kernels)))
+            for offset, row in rows:
+                yield row + extras[offset]
 
 
 class VectorAggregate(PlanNode):
@@ -933,7 +1002,8 @@ class VectorAggregate(PlanNode):
     :class:`ColumnarScan` (no GROUP BY, no filters, no bounds) and every
     call is a native aggregate over ``*``, a scanned column, or a
     kernel-tagged function of one — ``count``/``sum``/``avg``/``min``/
-    ``max`` then fold whole column pages without materializing rows.
+    ``max`` then fold whole column pages without materializing rows,
+    fetching only the pages of the columns the calls name.
     The output frame matches :class:`Aggregate` exactly (one
     :func:`slot_names` column per call), so the planner's rewrite
     machinery is shared.
@@ -961,6 +1031,12 @@ class VectorAggregate(PlanNode):
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.scan,)
+
+    def expressions(self):
+        # A kernel argument is read off the stored page, not materialised.
+        return [call.args[0]
+                for call, spec in zip(self.aggregate_calls, self.specs)
+                if isinstance(spec, int)]
 
     def execute(self, parameters, outer) -> Iterator[tuple]:
         store = self.scan.table.column_store

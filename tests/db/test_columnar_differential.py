@@ -76,6 +76,45 @@ BATTERY = (
     "SELECT sample, count(*) FROM reads WHERE seq IS NOT NULL "
     "GROUP BY sample ORDER BY sample",
     "SELECT DISTINCT sample FROM reads",
+    # -- what a wrong read set breaks: a scan materialises only the
+    # columns its plan names, so every place a name can hide is here.
+    "SELECT 1 FROM reads",                               # no column at all
+    "SELECT count(*) FROM reads WHERE seq IS NOT NULL "
+    "AND contains(seq, 'AC')",                           # kernels only
+    "SELECT reads.id FROM reads JOIN samples "
+    "ON reads.sample = samples.name WHERE samples.site = 'lab'",
+    "SELECT samples.site, reads.id FROM samples LEFT JOIN reads "
+    "ON reads.sample = samples.name AND reads.id < 3",
+    "SELECT samples.name, reads.id, reads.seq FROM samples LEFT JOIN reads "
+    "ON reads.sample = samples.name AND reads.id > 100",  # all null-padded
+    "SELECT id FROM reads WHERE EXISTS (SELECT 1 FROM samples "
+    "WHERE samples.name = reads.sample AND samples.site = 'field')",
+    "SELECT id FROM reads WHERE NOT EXISTS (SELECT 1 FROM samples "
+    "WHERE name = sample AND site = 'lab')",             # unqualified outer
+    "SELECT id FROM reads WHERE 'lab' IN (SELECT site FROM samples "
+    "WHERE samples.name = reads.sample)",
+    "SELECT name FROM samples WHERE name IN "
+    "(SELECT sample FROM reads WHERE id < 2)",
+    "SELECT site FROM samples WHERE EXISTS (SELECT 1 FROM reads WHERE "
+    "reads.sample = samples.name AND EXISTS (SELECT 1 FROM samples AS s2 "
+    "WHERE s2.site = samples.site AND s2.name <> reads.sample))",
+    "SELECT count(*) FROM reads GROUP BY sample HAVING max(id) > 37",
+    "SELECT max(id) FROM reads WHERE seq IS NOT NULL "
+    "GROUP BY sample, length(seq) HAVING count(*) > 1 ORDER BY max(id)",
+    "SELECT DISTINCT length(seq) FROM reads WHERE seq IS NOT NULL",
+    "SELECT DISTINCT site FROM reads JOIN samples "
+    "ON reads.sample = samples.name",
+    "SELECT id FROM reads WHERE seq IS NOT NULL "
+    "ORDER BY gc_content(seq) DESC, id",                 # spills at 2048 B
+    "SELECT sample FROM reads ORDER BY id DESC",         # key not selected
+    "SELECT id FROM reads JOIN reads AS r2 ON reads.id = r2.id",  # ambiguous
+    "SELECT r2.id FROM reads JOIN reads AS r2 ON reads.id = r2.id "
+    "WHERE sample = 's1'",                               # ambiguous in WHERE
+    "SELECT samples.site FROM reads JOIN samples ON 1 = 1",  # zero-wide side
+    "SELECT 1 FROM reads ORDER BY 2 + 1",                # zero-wide spill
+    "SELECT count(*) FROM samples LEFT JOIN reads ON 1 = 0",
+    "SELECT nope FROM reads",                            # unknown column
+    "SELECT id FROM reads WHERE samples.site = 'lab'",   # unknown binding
 )
 
 
@@ -219,3 +258,104 @@ def test_updates_and_deletes_keep_differential_identity():
                             "GROUP BY sample").rows
         assert follow == databases[0].execute(
             "SELECT sample, count(*) FROM reads GROUP BY sample").rows
+
+
+# -- the read set ---------------------------------------------------------
+
+READ_SET_RESCANS = (
+    "SELECT 1 FROM reads",
+    "SELECT count(*) FROM reads WHERE contains(seq, 'AC')",
+    "SELECT count(*), min(id), max(id) FROM reads",
+    "SELECT sample FROM reads",
+    "SELECT id, length(seq) FROM reads WHERE sample = 's1'",
+    "SELECT sample, count(*) FROM reads GROUP BY sample",
+    "SELECT id FROM reads ORDER BY gc_content(seq) DESC, id",
+    "SELECT * FROM reads",
+)
+
+
+def test_narrow_scans_over_tombstoned_groups_and_an_unsealed_tail():
+    # A whole group dead, a group half dead, a tail with a dead row, then
+    # UPDATEs that rewrite single column pages: every narrow rescan must
+    # still agree with the row layout, row for row.
+    databases = [_make(**config) for config in CONFIGS]
+    statements = (
+        "DELETE FROM reads WHERE seq IS NULL",      # kernels meet no NULL
+        "DELETE FROM reads WHERE id BETWEEN 4 AND 7",    # one whole group
+        "DELETE FROM reads WHERE id IN (9, 10, 21)",
+        "INSERT INTO reads VALUES (40, 's9', dna('ACAC'))",
+        "INSERT INTO reads VALUES (41, 's9', dna('GGAC'))",
+        "INSERT INTO reads VALUES (42, 's1', dna('TT'))",
+        "DELETE FROM reads WHERE id = 41",               # dead row in tail
+    )
+    updates = (
+        "UPDATE reads SET sample = 'moved' WHERE id % 6 = 1",
+        "UPDATE reads SET seq = dna('ACACGT') WHERE id % 8 = 3",
+        "UPDATE reads SET id = id + 100 WHERE sample = 's2'",
+    )
+    for db in databases:
+        for sql in statements:
+            db.execute(sql)
+    for round_ in (None, *updates):
+        for db in databases:
+            if round_ is not None:
+                db.execute(round_)
+        for sql in READ_SET_RESCANS:
+            oracle = _outcome(databases[0], sql)
+            assert oracle[0] == "rows", sql
+            for db, config in zip(databases[1:], CONFIGS[1:]):
+                assert _outcome(db, sql) == oracle, (sql, round_, config)
+
+
+def _scans(db, sql):
+    from repro.db.sql.parser import parse
+    from repro.db.sql.plan import ColumnarScan
+    plan = db._planner.plan_select(parse(sql))
+    return [node for node in plan.walk() if isinstance(node, ColumnarScan)]
+
+
+def test_explain_shows_the_read_set_only_when_it_is_a_strict_subset():
+    db = _make(layout="column")
+    assert "ColumnarScan(reads AS reads; columns id, sample)" in db.explain(
+        "SELECT id FROM reads WHERE sample LIKE 's%'")
+    assert "ColumnarScan(reads AS reads; columns id;" in db.explain(
+        "SELECT count(id) FROM reads WHERE contains(seq, 'AC')")
+    assert "ColumnarScan(reads AS reads; columns none; kernels" in \
+        db.explain("SELECT count(*) FROM reads WHERE contains(seq, 'AC')")
+    assert "ColumnarScan(reads AS reads; columns id)" in db.explain(
+        "SELECT count(*), max(id), avg(gc_content(seq)) FROM reads")
+    for whole in ("SELECT * FROM reads",
+                  "SELECT seq, sample, id FROM reads",
+                  "SELECT id FROM reads WHERE EXISTS (SELECT 1 FROM samples "
+                  "WHERE samples.name = reads.sample)"):
+        assert "ColumnarScan(reads AS reads)" in db.explain(whole), whole
+    # Each side of a join reads what the whole statement names of it.
+    plan = db.explain("SELECT reads.id FROM reads JOIN samples "
+                      "ON reads.sample = samples.name")
+    assert "ColumnarScan(reads AS reads; columns id, sample)" in plan
+    assert "ColumnarScan(samples AS samples; columns name)" in plan
+
+
+def test_an_unqualified_name_stays_in_every_scan_that_has_it():
+    db = _make(layout="column")
+    left, right = _scans(db, "SELECT sample FROM reads JOIN reads AS r2 "
+                             "ON reads.id = r2.id")
+    assert left.frame.slots == (("reads", "id"), ("reads", "sample"))
+    assert right.frame.slots == (("r2", "id"), ("r2", "sample"))
+
+
+def test_a_column_outside_the_read_set_cannot_be_observed():
+    from repro.db.sql.expressions import RowContext
+    from repro.errors import SqlSyntaxError
+    db = _make(layout="column")
+    (scan,) = _scans(db, "SELECT id FROM reads WHERE sample = 's1'")
+    assert scan.frame.slots == (("reads", "id"), ("reads", "sample"))
+    row = next(iter(scan.execute((), None)))
+    assert row == (0, "s0")
+    context = RowContext(scan.frame, row)
+    assert context.resolve("reads", "sample") == "s0"
+    # Not a silent NULL, not a stale value: the name is simply not there.
+    with pytest.raises(SqlSyntaxError, match="unknown column seq"):
+        context.resolve(None, "seq")
+    with pytest.raises(SqlSyntaxError, match="unknown column reads.seq"):
+        context.resolve("reads", "seq")

@@ -9,6 +9,7 @@ the zone-map contract: ``zone_excludes`` may only prune a page when no
 value on it could satisfy the bounds.
 """
 
+import hashlib
 import zlib
 
 import pytest
@@ -116,11 +117,11 @@ def test_seq_raw_body_exposes_packed_payloads():
     data = pages.encode_page(values, "DNA", CODEC)
     raw = pages.seq_raw_body(data)
     assert raw is not None
-    body, nulls = raw
-    assert nulls == [False, True, False]
-    triples = list(pages.iter_seq_raw(body, 2))
-    assert [(name, length) for name, length, _ in triples] == \
+    assert raw[1] is NULL
+    assert [(name, length) for name, length, _ in (raw[0], raw[2])] == \
         [("dna", 8), ("dna", 2)]
+    assert [packed for _, _, packed in (raw[0], raw[2])] == \
+        [value._packed for value in (values[0], values[2])]
     # A non-SEQ page is signalled, not misread.
     assert pages.seq_raw_body(pages.encode_page([1], "INTEGER",
                                                 CODEC)) is None
@@ -181,6 +182,113 @@ def test_unknown_format_and_encoding_are_malformed():
         with pytest.raises(StorageError) as caught:
             pages.decode_page(_with_header_byte(data, index, 99), CODEC)
         assert caught.value.kind == "malformed"
+
+
+def _restamped(body: bytes) -> bytes:
+    """*body* (a page minus its footer) under a valid CRC."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+#: One value list per encoding (INT twice: packed and the JSON fallback).
+SHORT_PAGES = {
+    pages.INT: ("INTEGER", [7, NULL, -3] * 6),
+    "int-json": ("INTEGER", [1 << 100, NULL, 5] * 6),
+    pages.FLOAT: ("REAL", [0.5, NULL, -1.25] * 6),
+    pages.BOOL: ("BOOLEAN", [True, NULL, False] * 12),
+    pages.DICT: ("TEXT", ["human", NULL, "mouse"] * 6),
+    pages.BLOB: ("BLOB", [b"abcd", NULL, b"xy"] * 6),
+    pages.SEQ: ("DNA", [ops.decode("ACGTACGT"), NULL] * 6),
+    pages.OBJ: ("TEXT", ["abc", 42, NULL, 2.5] * 4),
+}
+
+
+@pytest.mark.parametrize("encoding", SHORT_PAGES, ids=str)
+def test_a_short_body_under_a_valid_crc_is_malformed(encoding):
+    # Three bytes cut from the body and the CRC restamped: the checksum
+    # passes, so only the declared counts and lengths can catch it.  It
+    # must be a StorageError naming the page and the encoding — never a
+    # bare struct.error, and never a silently shorter value list.
+    type_name, values = SHORT_PAGES[encoding]
+    data = pages.encode_page(values, type_name, CODEC)
+    tag = pages.page_encoding(data)
+    assert tag == (pages.INT if encoding == "int-json" else encoding)
+    assert pages.decode_page(data, CODEC) == values
+    short = _restamped(data[:-4][:-3])
+    readers = [lambda: pages.decode_page(short, CODEC, page_id=41)]
+    if tag == pages.SEQ:
+        readers.append(lambda: pages.seq_raw_body(short, page_id=41))
+    for read in readers:
+        with pytest.raises(StorageError) as caught:
+            read()
+        assert caught.value.kind == "malformed"
+        assert "41" in str(caught.value)
+        assert pages.ENCODING_NAMES[tag] in str(caught.value)
+
+
+@pytest.mark.parametrize("encoding", SHORT_PAGES, ids=str)
+def test_trailing_bytes_under_a_valid_crc_are_malformed(encoding):
+    type_name, values = SHORT_PAGES[encoding]
+    data = pages.encode_page(values, type_name, CODEC)
+    with pytest.raises(StorageError) as caught:
+        pages.decode_page(_restamped(data[:-4] + b"\x00\x00"), CODEC)
+    assert caught.value.kind == "malformed"
+
+
+def test_a_dictionary_code_past_the_dictionary_is_malformed():
+    data = pages.encode_page(["a", "b", "a"], "TEXT", CODEC)
+    body = bytearray(data[:-4])
+    body[-1] = 9  # the last row's code; the dictionary has two entries
+    with pytest.raises(StorageError) as caught:
+        pages.decode_page(_restamped(bytes(body)), CODEC, page_id=3)
+    assert caught.value.kind == "malformed"
+
+
+# -- the bytes on disk ------------------------------------------------------
+
+#: SHA-256 of ``encode_page`` output, computed with the per-value
+#: encoders this module replaced: ``PAGE_FORMAT`` is still 1, so every
+#: page written before must read back, byte for byte.
+PINNED_PAGES = {
+    "int": ("INTEGER", [3, NULL, -7, 1 << 40, 0, NULL, -(1 << 63),
+                        (1 << 63) - 1, 12, 5, NULL, 9, 1, 2, 3, 4, 5, 6, 7,
+                        8, 9],
+            "326d1adaa4e206a01f3c2249336348d4d02d39b5e581bbb7aaab3a326e4f147f"),
+    "int_json": ("INTEGER", [1, 1 << 100, NULL, -(1 << 90), 0] * 4,
+                 "2759d61b40e637be08847bec8239005eacc1f256daec23b3695e632472ebb3a7"),
+    "float": ("REAL", [0.5, NULL, -1.25, 1e300, 0.0, -0.0, NULL,
+                       3.141592653589793] * 3,
+              "7bf449a6806b394cc23f4c849c672178164fbc86818dac826cea16df8340322d"),
+    "bool": ("BOOLEAN", [True, False, NULL, True, True, NULL, False] * 5,
+             "4e2304df8cee930e382e13fef022bead96f63e42ecfab3e962ece380425b89d9"),
+    "dict": ("TEXT", ["human", "mouse", NULL, "human", "", "zebrafish",
+                      "mouse", "\u00e9"] * 3,
+             "fa2ad4fa696211861dc9c778db47819a33cf836d3ccee8a6283ea90ee29a6dbc"),
+    "dict_wide": ("TEXT", [f"v{index:03d}" for index in range(300)]
+                  + [NULL, "v007"],
+                  "1d1c13b0a7bb189a24df6032e596695b2c782f3870254213881033e5d1616b19"),
+    "blob": ("BLOB", [b"\x00\xff", b"", NULL, b"abc" * 5, b"z"] * 4,
+             "349f235ff0f7fe1c51f4454e39b30f03bda707be77b04788b82ea3fd081d4314"),
+    "seq": ("DNA", [ops.decode("ACGTACGTN"), NULL, ops.decode("GG"),
+                    ops.decode("ACG"), ops.decode("T" * 33)] * 4,
+            "460eccf92e1286a6e93c3be7c145dcf11d61498ba8e8c1b282a1da804b09920f"),
+    "obj": ("TEXT", ["abc", 42, NULL, 2.5, True, b"\x00\xff"] * 4,
+            "0f4a8da51003f9a3b1e89e324a15da24aa826931fce752d82367af230fac74bb"),
+    "dense": ("INTEGER", list(range(256)),
+              "dfdea63363274adc8b2bc3edd755c4dff1ba807ff641d534fa6a392ceb17facb"),
+    "empty": ("INTEGER", [],
+              "f20c40f189214841fe1b7d22bc222bfbffd064b19d3bffa542b088e7f45dd332"),
+    "all_null": ("REAL", [NULL] * 9,
+                 "142dd95583bf255b9db3e49a3759e509e2105803d4b8f833369d89dda027a107"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_PAGES)
+def test_encoded_page_bytes_are_pinned(name):
+    type_name, values, digest = PINNED_PAGES[name]
+    data = pages.encode_page(values, type_name, CODEC)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert pages.decode_page(data, CODEC) == values
+    assert pages.PAGE_FORMAT == 1
 
 
 # -- zone maps --------------------------------------------------------------

@@ -161,3 +161,54 @@ def test_genomic_and_null_columns_round_trip_through_pages():
              for db in (row, column)]
     assert nulls[0] == nulls[1] and len(nulls[0]) == 3
     assert NULL not in [value for row_ in results[0] for value in row_]
+
+
+def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
+    # (id, k, gc, org, seq): five pages per group.  A scan fetches one
+    # page per column it reads per group, a kernel fetches its column's
+    # stored page and decodes nothing, and a pruned group counts only
+    # the pages the scan would otherwise have fetched.
+    from repro.db.columnar import pages
+
+    groups, tail = 6, 3
+    db = Database(layout="column", page_rows=PAGE_ROWS)
+    install_genomics(db)
+    db.execute("CREATE TABLE reads (id INTEGER, k INTEGER, gc REAL, "
+               "org TEXT, seq DNA)")
+    for index in range(groups * PAGE_ROWS + tail):
+        db.execute("INSERT INTO reads VALUES (?, ?, ?, ?, dna(?))",
+                   (index, index // 4, index / 100, f"o{index % 3}",
+                    "ACGT" * (1 + index % 5)))
+    decoded = []
+    decode_page = pages.decode_page
+    monkeypatch.setattr(
+        pages, "decode_page",
+        lambda data, *args, **kwargs: (decoded.append(data),
+                                       decode_page(data, *args, **kwargs))[1])
+
+    def counters(sql, parameters=()):
+        registry = enable_metrics()
+        del decoded[:]
+        try:
+            db.execute(sql, parameters)
+            snapshot = registry.snapshot()
+        finally:
+            disable_metrics()
+        return (snapshot.get("columnar_pages_read", 0),
+                snapshot.get("columnar_pages_skipped", 0), len(decoded))
+
+    assert counters("SELECT count(*), avg(gc), min(k), max(k) FROM reads") \
+        == (groups * 2, 0, groups * 2)
+    assert counters("SELECT count(*) FROM reads WHERE contains(seq, ?)",
+                    ("GTAC",)) == (groups, 0, 0)
+    assert counters("SELECT count(*), avg(gc_content(seq)) FROM reads") \
+        == (groups, 0, 0)
+    assert counters("SELECT * FROM reads") == (groups * 5, 0, groups * 5)
+    assert counters("SELECT 1 FROM reads") == (0, 0, 0)
+    # k = id // 4 and a group holds 8 ids, so k BETWEEN 4 AND 5 is group 2:
+    # one group read for (id, k, gc), five pruned — and a pruned group
+    # saved three page reads, not five.
+    assert counters("SELECT id, gc FROM reads WHERE k BETWEEN 4 AND 5") \
+        == (3, (groups - 1) * 3, 3)
+    # Whole-row access (index fetch, UPDATE, Table.rows) reads whole rows.
+    assert counters("UPDATE reads SET gc = 0.5 WHERE id = 1")[0] >= 5

@@ -254,3 +254,59 @@ class TestResultSet:
     def test_pretty_truncates(self, db):
         text = db.query("SELECT id FROM genes").pretty(max_rows=2)
         assert "more rows" in text
+
+
+class TestFrameMemo:
+    """``RowContext.resolve`` memoises ``(table, column) -> slot`` on the
+    frame; ambiguous and unknown names answer exactly as before."""
+
+    @staticmethod
+    def _contexts():
+        from repro.db.sql.expressions import Frame, RowContext
+        outer = RowContext(Frame([("o", "x"), ("o", "only_outer")]),
+                           (10, 11))
+        frame = Frame([("a", "x"), ("a", "y"), ("b", "y"), (None, "k")])
+        return frame, [RowContext(frame, row, (), outer)
+                       for row in ((1, 2, 3, 4), (5, 6, 7, 8))]
+
+    def test_every_row_resolves_alike_once_memoised(self):
+        frame, (first, second) = self._contexts()
+        for context, row in ((first, (1, 2, 3, 4)), (second, (5, 6, 7, 8)),
+                             (first, (1, 2, 3, 4))):
+            assert context.resolve(None, "x") == row[0]
+            assert context.resolve("a", "x") == row[0]
+            assert context.resolve("a", "y") == row[1]
+            assert context.resolve("b", "y") == row[2]
+            assert context.resolve(None, "k") == row[3]
+        assert frame.memo[None, "x"] == 0 and frame.memo["b", "y"] == 2
+
+    def test_ambiguous_names_keep_their_error_every_time(self):
+        _, (first, second) = self._contexts()
+        for context in (first, second, first):
+            with pytest.raises(SqlSyntaxError,
+                               match="ambiguous column reference 'y'"):
+                context.resolve(None, "y")
+
+    def test_names_not_in_the_frame_fall_through_to_the_outer_row(self):
+        _, (first, second) = self._contexts()
+        for context in (first, second, first):
+            assert context.resolve(None, "only_outer") == 11
+            assert context.resolve("o", "x") == 10
+            with pytest.raises(SqlSyntaxError, match="unknown column nope"):
+                context.resolve(None, "nope")
+            with pytest.raises(SqlSyntaxError,
+                               match="unknown column a.nope"):
+                context.resolve("a", "nope")
+            # A slot without a binding never answers a qualified name.
+            with pytest.raises(SqlSyntaxError, match="unknown column a.k"):
+                context.resolve("a", "k")
+
+    def test_joined_query_errors_are_unchanged(self, db):
+        db.execute("CREATE TABLE other (id INTEGER, name TEXT)")
+        db.execute("INSERT INTO other VALUES (1, 'x')")
+        for _ in range(2):  # second run: cached plan, warm memo
+            with pytest.raises(SqlSyntaxError, match="ambiguous"):
+                db.execute("SELECT id FROM genes JOIN other "
+                           "ON genes.id = other.id")
+            with pytest.raises(SqlSyntaxError, match="unknown column"):
+                db.execute("SELECT missing FROM genes")
