@@ -7,6 +7,7 @@ or scalar out.
 
 from __future__ import annotations
 
+from repro.core.ops._tables import DECODE_DELETIONS, symbol_tables
 from repro.core.types.sequence import (
     DnaSequence,
     PackedSequence,
@@ -16,20 +17,23 @@ from repro.core.types.sequence import (
 from repro.errors import SequenceError
 
 
+def _complement_codes(sequence: PackedSequence) -> bytes:
+    table = symbol_tables(sequence.alphabet).complement
+    if table is None:
+        raise SequenceError(
+            f"cannot complement a {sequence.alphabet.name} sequence"
+        )
+    return sequence.codes().translate(table)
+
+
 def complement(sequence: PackedSequence) -> PackedSequence:
     """The base-wise complement (same orientation)."""
-    alphabet = sequence.alphabet
-    if not alphabet.has_complement:
-        raise SequenceError(
-            f"cannot complement a {alphabet.name} sequence"
-        )
-    complemented = "".join(alphabet.complement(s) for s in str(sequence))
-    return type(sequence)(complemented)
+    return type(sequence).from_codes(_complement_codes(sequence))
 
 
 def reverse_complement(sequence: PackedSequence) -> PackedSequence:
     """The reverse complement — the opposite strand read 5'→3'."""
-    return complement(sequence).reverse()
+    return type(sequence).from_codes(_complement_codes(sequence)[::-1])
 
 
 def gc_content(sequence: PackedSequence) -> float:
@@ -38,17 +42,20 @@ def gc_content(sequence: PackedSequence) -> float:
     S (which stands for G or C) counts as GC; other ambiguity codes and
     gaps are excluded from the denominator.
     """
-    text = str(sequence)
-    gc = sum(text.count(base) for base in "GCS")
-    at = sum(text.count(base) for base in "ATUW")
+    tables = symbol_tables(sequence.alphabet)
+    codes = sequence.codes()
+    gc = len(codes.translate(None, tables.not_strong))
+    at = len(codes.translate(None, tables.not_weak))
     total = gc + at
     return gc / total if total else 0.0
 
 
 def base_composition(sequence: PackedSequence) -> dict[str, int]:
     """Counts of every symbol that occurs in the sequence."""
-    text = str(sequence)
-    return {symbol: text.count(symbol) for symbol in sorted(set(text))}
+    alphabet, codes = sequence.alphabet, sequence.codes()
+    present = alphabet.decode(bytes(set(codes)))
+    return {symbol: codes.count(alphabet.code(symbol))
+            for symbol in sorted(present)}
 
 
 def decode(raw: str) -> DnaSequence:
@@ -60,36 +67,25 @@ def decode(raw: str) -> DnaSequence:
     the IUPAC DNA alphabet — this is the paper's ``decode`` operation: the
     step from low-level repository text to a high-level GDT value.
     """
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return DnaSequence(cleaned.upper())
+    return DnaSequence(raw.translate(DECODE_DELETIONS))
 
 
 def decode_rna(raw: str) -> RnaSequence:
     """Like :func:`decode` but for RNA text."""
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return RnaSequence(cleaned.upper())
+    return RnaSequence(raw.translate(DECODE_DELETIONS))
 
 
 def decode_protein(raw: str) -> ProteinSequence:
     """Like :func:`decode` but for amino-acid text."""
-    cleaned = "".join(
-        ch for ch in raw if not ch.isdigit() and not ch.isspace()
-        and ch not in "/\\.,;:"
-    )
-    return ProteinSequence(cleaned.upper())
+    return ProteinSequence(raw.translate(DECODE_DELETIONS))
 
 
 def dna_to_rna(dna: DnaSequence) -> RnaSequence:
     """Re-letter a DNA sequence as RNA (T → U), preserving ambiguity codes."""
-    return RnaSequence(str(dna).replace("T", "U"))
+    # T and U share a code, as does every other base (see ``_tables``).
+    return RnaSequence.from_codes(dna.codes())
 
 
 def rna_to_dna(rna: RnaSequence) -> DnaSequence:
     """Re-letter an RNA sequence as DNA (U → T), preserving ambiguity codes."""
-    return DnaSequence(str(rna).replace("U", "T"))
+    return DnaSequence.from_codes(rna.codes())

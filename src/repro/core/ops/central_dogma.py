@@ -21,8 +21,10 @@ real annotation pipeline sidesteps the same gap in knowledge.
 
 from __future__ import annotations
 
+from repro.core.ops._tables import START, START_AND_STOP, UNTRANSLATABLE
 from repro.core.ops.basic import dna_to_rna, rna_to_dna
 from repro.core.ops.codon import CodonTable, STANDARD
+from repro.core.types.alphabet import RNA
 from repro.core.types.annotation import Interval
 from repro.core.types.entities import Gene, MRna, PrimaryTranscript, Protein
 from repro.core.types.sequence import DnaSequence, ProteinSequence, RnaSequence
@@ -57,13 +59,14 @@ def splice(transcript: PrimaryTranscript) -> MRna:
 
 def _locate_cds(rna: RnaSequence, table: CodonTable) -> Interval:
     """Find the coding region: first start codon to end of RNA."""
-    text = str(rna)
-    for position in range(0, len(text) - 2):
-        if table.is_start(text[position:position + 3]):
-            return Interval(position, len(text))
-    raise TranslationError(
-        "mRNA has no start codon and no annotated CDS"
-    )
+    codes = rna.codes()
+    found = [at for at in map(codes.find, table.lookup.start_codes)
+             if at != -1]
+    if not found:
+        raise TranslationError(
+            "mRNA has no start codon and no annotated CDS"
+        )
+    return Interval(min(found), len(codes))
 
 
 def translate(
@@ -80,24 +83,26 @@ def translate(
     as ``*`` and translation continues to the last full codon.
     """
     cds = mrna.cds if mrna.cds is not None else _locate_cds(mrna.rna, table)
-    text = str(mrna.rna)[cds.start:cds.end]
-    if len(text) < 3:
+    codes = mrna.rna.codes()[cds.start:cds.end]
+    if len(codes) < 3:
         raise TranslationError("coding region shorter than one codon")
 
-    residues: list[str] = []
-    for offset in range(0, len(text) - 2, 3):
-        codon = text[offset:offset + 3]
-        if offset == 0 and table.is_start(codon):
-            # Alternative start codons are read as methionine in vivo.
-            residues.append("M")
-            continue
-        amino = table.amino_acid(codon)
-        if amino == "*" and to_stop:
-            break
-        residues.append(amino)
+    residues, classes = table.lookup.read(codes)
+    # Alternative start codons are read as methionine in vivo.
+    opening = classes[0] in (START, START_AND_STOP)
+    if opening:
+        residues = b"M" + residues[1:]
+    if to_stop:
+        stop = residues.find(b"*", opening)
+        if stop != -1:
+            residues = residues[:stop]
+    unread = residues.find(UNTRANSLATABLE)
+    if unread != -1:
+        codon = RNA.decode(codes[3 * unread:3 * unread + 3])
+        raise TranslationError(f"untranslatable codon {codon!r}")
 
     return Protein(
-        sequence=ProteinSequence("".join(residues)),
+        sequence=ProteinSequence(residues.decode("ascii")),
         gene_name=mrna.gene_name,
         name=f"{mrna.gene_name} protein" if mrna.gene_name else None,
     )

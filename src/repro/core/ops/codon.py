@@ -12,9 +12,11 @@ through.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterator
 
-from repro.errors import TranslationError
+from repro.core.ops._tables import CodonLookup
+from repro.errors import AlphabetError, TranslationError
 
 _BASES = "UCAG"
 
@@ -27,10 +29,7 @@ _STANDARD_AAS = (
 
 
 def _codons() -> Iterator[str]:
-    for first in _BASES:
-        for second in _BASES:
-            for third in _BASES:
-                yield first + second + third
+    return map("".join, product(_BASES, repeat=3))
 
 
 class CodonTable:
@@ -50,6 +49,8 @@ class CodonTable:
         self.stop_codons = frozenset(
             codon for codon, amino in self._forward.items() if amino == "*"
         )
+        #: The code as byte tables: what the operators read frames through.
+        self.lookup = CodonLookup(self._forward, self.start_codons)
 
     def __repr__(self) -> str:
         return f"CodonTable({self.table_id}, {self.name!r})"
@@ -64,36 +65,27 @@ class CodonTable:
         codon = codon.upper().replace("T", "U")
         if len(codon) != 3:
             raise TranslationError(f"codon must have 3 bases, got {codon!r}")
-        direct = self._forward.get(codon)
-        if direct is not None:
-            return direct
-        candidates = {
-            self._forward[expansion]
-            for expansion in self._expand(codon)
-            if expansion in self._forward
-        }
-        if not candidates:
-            raise TranslationError(f"untranslatable codon {codon!r}")
-        if len(candidates) == 1:
-            return candidates.pop()
-        return "X"
-
-    @staticmethod
-    def _expand(codon: str) -> Iterator[str]:
-        """All concrete codons an ambiguous codon may stand for."""
-        from repro.core.types.alphabet import RNA
-
-        pools = [RNA.expand(base) for base in codon]
-        for first in pools[0]:
-            for second in pools[1]:
-                for third in pools[2]:
-                    yield first + second + third
+        return self.lookup.amino_of(codon)
 
     def is_start(self, codon: str) -> bool:
+        """True for a codon spelt exactly as one of :attr:`start_codons`.
+
+        Set membership, not translation: an ambiguous codon is never a
+        start, even when every expansion of it is one.
+        """
         return codon.upper().replace("T", "U") in self.start_codons
 
     def is_stop(self, codon: str) -> bool:
-        return codon.upper().replace("T", "U") in self.stop_codons
+        """True when the codon translates to ``*``.
+
+        The same table translation reads, so ``UAR`` (UAA or UAG) is a
+        stop under the standard code; a codon with no translation at all
+        is not.
+        """
+        try:
+            return self.amino_acid(codon) == "*"
+        except (TranslationError, AlphabetError):
+            return False
 
     @classmethod
     def from_differences(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.ops.basic import dna_to_rna, reverse_complement
+from repro.core.ops._tables import OPEN_FRAME, UNTRANSLATABLE
+from repro.core.ops.basic import _complement_codes
 from repro.core.ops.codon import CodonTable, STANDARD
 from repro.core.types.annotation import FORWARD, REVERSE
 from repro.core.types.sequence import DnaSequence, ProteinSequence
@@ -29,49 +30,44 @@ class OpenReadingFrame:
         return self.end - self.start
 
 
+def _read_frame(codes: bytes, frame: int, table: CodonTable
+                ) -> "tuple[bytes, bytes]":
+    """One frame read end to end: a whole-sequence scan is total over its
+    alphabet, so a codon with no translation (one holding a gap) reads
+    ``X`` — and, being neither start nor stop, is read through."""
+    residues, classes = table.lookup.read(codes, frame)
+    return residues.replace(UNTRANSLATABLE, b"X"), classes
+
+
 def _scan_strand(
-    text: str,
+    codes: bytes,
     strand: int,
-    full_length: int,
     table: CodonTable,
     min_protein_length: int,
 ) -> list[OpenReadingFrame]:
     found: list[OpenReadingFrame] = []
-    rna = text.replace("T", "U")
     for frame in range(3):
-        position = frame
-        while position + 3 <= len(rna):
-            codon = rna[position:position + 3]
-            if not table.is_start(codon):
-                position += 3
+        residues, classes = _read_frame(codes, frame, table)
+        position = 0
+        while (match := OPEN_FRAME.search(classes, position)) is not None:
+            first, stop = match.span()
+            if stop - first < min_protein_length:
+                # Every start nested in this one is shorter still; the
+                # stop codon itself may be a start (a code can say so).
+                position = stop
                 continue
-            # Extend from this start to the first in-frame stop.
-            residues = ["M"]
-            stop_at = None
-            inner = position + 3
-            while inner + 3 <= len(rna):
-                inner_codon = rna[inner:inner + 3]
-                if table.is_stop(inner_codon):
-                    stop_at = inner + 3
-                    break
-                residues.append(table.amino_acid(inner_codon))
-                inner += 3
-            if stop_at is not None and len(residues) >= min_protein_length:
-                if strand == FORWARD:
-                    start, end = position, stop_at
-                else:
-                    start = full_length - stop_at
-                    end = full_length - position
-                found.append(OpenReadingFrame(
-                    start=start,
-                    end=end,
-                    strand=strand,
-                    frame=frame,
-                    protein=ProteinSequence("".join(residues)),
-                ))
-                position = stop_at  # resume after the stop codon
-            else:
-                position += 3
+            position = stop + 1  # resume after the stop codon
+            start, end = frame + 3 * first, frame + 3 * position
+            if strand == REVERSE:
+                start, end = len(codes) - end, len(codes) - start
+            found.append(OpenReadingFrame(
+                start=start,
+                end=end,
+                strand=strand,
+                frame=frame,
+                protein=ProteinSequence(
+                    "M" + residues[first + 1:stop].decode("ascii")),
+            ))
     return found
 
 
@@ -86,13 +82,16 @@ def find_orfs(
     Overlapping ORFs in different frames are all reported; within a frame,
     scanning resumes after each stop so nested starts inside a reported ORF
     are not re-reported.  Results are ordered by forward-strand start.
+
+    A stop is any codon that translates to ``*`` (``TAR`` as much as
+    ``TAA``); a start is a codon spelt exactly as one of the table's start
+    codons; a codon holding a gap is neither and reads ``X``.
     """
-    text = str(dna)
-    orfs = _scan_strand(text, FORWARD, len(text), table, min_protein_length)
+    orfs = _scan_strand(dna.codes(), FORWARD, table, min_protein_length)
     if both_strands:
-        reverse_text = str(reverse_complement(dna))
         orfs.extend(_scan_strand(
-            reverse_text, REVERSE, len(text), table, min_protein_length
+            _complement_codes(dna)[::-1], REVERSE, table,
+            min_protein_length,
         ))
     return sorted(orfs, key=lambda orf: (orf.start, orf.end, orf.strand))
 
@@ -103,18 +102,14 @@ def six_frame_translation(
     """Translate all six reading frames end to end (stops kept as ``*``).
 
     Returns a mapping ``(strand, frame) -> protein`` with strand +1/-1 and
-    frame 0/1/2.
+    frame 0/1/2.  Like :func:`find_orfs` it reads a gapped codon as ``X``.
     """
-    result: dict[tuple[int, int], ProteinSequence] = {}
-    for strand, source in (
-        (FORWARD, dna),
-        (REVERSE, reverse_complement(dna)),
-    ):
-        rna = str(dna_to_rna(source))
-        for frame in range(3):
-            residues = [
-                table.amino_acid(rna[i:i + 3])
-                for i in range(frame, len(rna) - 2, 3)
-            ]
-            result[(strand, frame)] = ProteinSequence("".join(residues))
-    return result
+    return {
+        (strand, frame): ProteinSequence(
+            _read_frame(codes, frame, table)[0].decode("ascii"))
+        for strand, codes in (
+            (FORWARD, dna.codes()),
+            (REVERSE, _complement_codes(dna)[::-1]),
+        )
+        for frame in range(3)
+    }

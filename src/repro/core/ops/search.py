@@ -18,6 +18,7 @@ import re
 from functools import lru_cache
 from typing import Iterator
 
+from repro.core.ops._tables import symbol_tables
 from repro.core.types.alphabet import Alphabet
 from repro.core.types.sequence import PackedSequence
 from repro.errors import SequenceError
@@ -36,8 +37,15 @@ def _pattern_sequence(
     return type(subject)(pattern)
 
 
-def _has_ambiguity(alphabet: Alphabet, text: str) -> bool:
-    return any(alphabet.is_ambiguous(symbol) for symbol in set(text))
+def concrete_codes(alphabet: Alphabet) -> bytes:
+    """Codes of the symbols that stand for themselves: deleting them from
+    a code buffer (``codes.translate(None, …)``) leaves its ambiguity."""
+    return symbol_tables(alphabet).concrete
+
+
+def has_ambiguity(alphabet: Alphabet, codes: bytes) -> bool:
+    """True when *codes* hold a symbol that stands for more than itself."""
+    return bool(codes.translate(None, concrete_codes(alphabet)))
 
 
 def find_exact(
@@ -94,17 +102,15 @@ def find_motif(
     """
     alphabet = subject.alphabet
     pattern_seq = _pattern_sequence(subject, pattern)
-    pattern_text = str(pattern_seq)
-    subject_text = str(subject)
-    if not pattern_text or len(pattern_text) > len(subject_text):
+    if not pattern_seq or len(pattern_seq) > len(subject):
         return
-    if not (_has_ambiguity(alphabet, pattern_text)
-            or _has_ambiguity(alphabet, subject_text)):
+    if not (has_ambiguity(alphabet, pattern_seq.codes())
+            or has_ambiguity(alphabet, subject.codes())):
         yield from find_exact(subject, pattern_seq)
         return
 
-    regex = _motif_regex(alphabet.name, pattern_text)
-    for match in regex.finditer(subject_text):
+    regex = _motif_regex(alphabet.name, str(pattern_seq))
+    for match in regex.finditer(str(subject)):
         yield match.start()
 
 

@@ -13,44 +13,77 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import repeat
+from operator import eq, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.ops.align import Alignment, ScoringScheme, simple_scoring
+from repro.core.ops.search import _pattern_sequence
 from repro.core.types.sequence import PackedSequence
 from repro.errors import SequenceError
 
 
-def kmer_profile(sequence: "PackedSequence | str", k: int) -> Counter:
-    """Multiset of the k-length words of a sequence."""
+def windows(buffer: "str | bytes", k: int) -> Iterator[tuple]:
+    """Every length-*k* window of a buffer, left to right, as a k-tuple.
+
+    One C-level ``zip`` over *k* shifted views: characters of a ``str``
+    (``"".join`` gives the word back), integer codes of a ``bytes``.
+    """
     if k < 1:
         raise SequenceError("k must be positive")
-    text = str(sequence)
-    return Counter(text[i:i + k] for i in range(len(text) - k + 1))
+    return zip(*(buffer[offset:] for offset in range(k)))
+
+
+def kmer_profile(sequence: "PackedSequence | str", k: int) -> Counter:
+    """Multiset of the k-length words of a sequence (text is upper-cased)."""
+    text = sequence.upper() if isinstance(sequence, str) else str(sequence)
+    return Counter(map("".join, windows(text, k)))
+
+
+def _profiles(
+    first: "PackedSequence | str", second: "PackedSequence | str", k: int
+) -> tuple[Counter, Counter]:
+    """The two k-mer multisets, counted over one common spelling.
+
+    Text is read as a value of the other operand's type — upper-cased and
+    alphabet-checked, exactly as ``contains`` reads a text pattern — and
+    two sequences are counted over their codes; two plain strings compare
+    upper-cased.
+    """
+    if isinstance(first, PackedSequence):
+        spelt = first.codes(), _pattern_sequence(first, second).codes()
+    elif isinstance(second, PackedSequence):
+        spelt = _pattern_sequence(second, first).codes(), second.codes()
+    else:
+        spelt = first.upper(), second.upper()
+    return Counter(windows(spelt[0], k)), Counter(windows(spelt[1], k))
 
 
 def jaccard_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Jaccard index of the k-mer *sets* of two sequences (in ``[0, 1]``)."""
-    words_a = set(kmer_profile(first, k))
-    words_b = set(kmer_profile(second, k))
+    profile_a, profile_b = _profiles(first, second, k)
+    words_a, words_b = profile_a.keys(), profile_b.keys()
     if not words_a and not words_b:
         return 1.0
-    union = words_a | words_b
-    return len(words_a & words_b) / len(union)
+    return len(words_a & words_b) / len(words_a | words_b)
 
 
 def cosine_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Cosine similarity of k-mer count vectors (in ``[0, 1]``)."""
-    profile_a = kmer_profile(first, k)
-    profile_b = kmer_profile(second, k)
+    profile_a, profile_b = _profiles(first, second, k)
     if not profile_a or not profile_b:
         return 1.0 if not profile_a and not profile_b else 0.0
-    dot = sum(count * profile_b[word] for word, count in profile_a.items())
-    norm_a = math.sqrt(sum(c * c for c in profile_a.values()))
-    norm_b = math.sqrt(sum(c * c for c in profile_b.values()))
+    # One probe per word of the poorer profile; a word the richer one
+    # lacks contributes 0 without troubling ``Counter.__missing__``.
+    few, many = sorted((profile_a, profile_b), key=len)
+    dot = sum(map(mul, few.values(), map(many.get, few, repeat(0))))
+    counts_a, counts_b = profile_a.values(), profile_b.values()
+    norm_a = math.sqrt(sum(map(mul, counts_a, counts_a)))
+    norm_b = math.sqrt(sum(map(mul, counts_b, counts_b)))
     return dot / (norm_a * norm_b)
 
 
@@ -100,9 +133,8 @@ class WordIndex:
             raise SequenceError(f"subject {subject_id!r} already indexed")
         text = str(sequence)
         self._subjects[subject_id] = text
-        w = self.word_size
-        for position in range(len(text) - w + 1):
-            word = text[position:position + w]
+        words = map("".join, windows(text, self.word_size))
+        for position, word in enumerate(words):
             self._postings.setdefault(word, []).append((subject_id, position))
 
     def __len__(self) -> int:
@@ -193,8 +225,7 @@ def blast_search(
     w = index.word_size
     best_hits: dict[tuple[str, int, int], Hit] = {}
 
-    for query_pos in range(len(text) - w + 1):
-        word = text[query_pos:query_pos + w]
+    for query_pos, word in enumerate(map("".join, windows(text, w))):
         for subject_id, subject_pos in index.seeds(word):
             subject = index.subject(subject_id)
             q_start, q_end, s_start, s_end, score = _extend(
@@ -202,10 +233,8 @@ def blast_search(
             )
             if score < min_score:
                 continue
-            matched = sum(
-                1 for a, b in zip(text[q_start:q_end], subject[s_start:s_end])
-                if a == b
-            )
+            matched = sum(map(
+                eq, text[q_start:q_end], subject[s_start:s_end]))
             length = q_end - q_start
             hit = Hit(
                 subject_id=subject_id,

@@ -10,7 +10,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, sub, truediv
 
+from repro.core.ops._tables import (
+    HYDROPATHY,
+    PKA_C_TERMINUS,
+    PKA_N_TERMINUS,
+    PKA_NEGATIVE,
+    PKA_POSITIVE,
+    UNSCORED,
+    mass_table,
+    symbol_tables,
+)
 from repro.core.ops.codon import CodonTable, STANDARD
 from repro.core.types.sequence import (
     DnaSequence,
@@ -18,36 +31,7 @@ from repro.core.types.sequence import (
     ProteinSequence,
     RnaSequence,
 )
-from repro.errors import SequenceError
-
-# Average monoisotopic-free residue masses (Da) of amino acids in a chain.
-_RESIDUE_MASS = {
-    "A": 71.0788, "R": 156.1875, "N": 114.1038, "D": 115.0886,
-    "C": 103.1388, "E": 129.1155, "Q": 128.1307, "G": 57.0519,
-    "H": 137.1411, "I": 113.1594, "L": 113.1594, "K": 128.1741,
-    "M": 131.1926, "F": 147.1766, "P": 97.1167, "S": 87.0782,
-    "T": 101.1051, "W": 186.2132, "Y": 163.1760, "V": 99.1326,
-    "U": 150.0388, "O": 237.3018,
-}
-_WATER_MASS = 18.01524
-
-# Average masses (Da) of nucleotide monophosphates within a chain.
-_DNA_BASE_MASS = {"A": 313.21, "C": 289.18, "G": 329.21, "T": 304.2}
-_RNA_BASE_MASS = {"A": 329.21, "C": 305.18, "G": 345.21, "U": 306.17}
-
-# pKa values for the isoelectric-point calculation (EMBOSS set).
-_PKA_POSITIVE = {"K": 10.8, "R": 12.5, "H": 6.5}
-_PKA_NEGATIVE = {"D": 3.9, "E": 4.1, "C": 8.5, "Y": 10.1}
-_PKA_N_TERMINUS = 8.6
-_PKA_C_TERMINUS = 3.6
-
-# Kyte–Doolittle hydropathy index.
-_KYTE_DOOLITTLE = {
-    "A": 1.8, "R": -4.5, "N": -3.5, "D": -3.5, "C": 2.5,
-    "Q": -3.5, "E": -3.5, "G": -0.4, "H": -3.2, "I": 4.5,
-    "L": 3.8, "K": -3.9, "M": 1.9, "F": 2.8, "P": -1.6,
-    "S": -0.8, "T": -0.7, "W": -0.9, "Y": -1.3, "V": 4.2,
-}
+from repro.errors import SequenceError, TranslationError
 
 
 def melting_temperature(dna: DnaSequence) -> float:
@@ -58,17 +42,18 @@ def melting_temperature(dna: DnaSequence) -> float:
     bases contribute their expected value by treating S as GC and W as AT;
     other ambiguity codes count half.
     """
-    text = str(dna)
-    if not text:
+    codes = dna.codes()
+    if not codes:
         raise SequenceError("cannot compute Tm of an empty sequence")
-    gc = sum(text.count(base) for base in "GCS")
-    at = sum(text.count(base) for base in "ATW")
-    other = len(text) - gc - at
+    tables = symbol_tables(dna.alphabet)
+    gc = len(codes.translate(None, tables.not_strong))
+    at = len(codes.translate(None, tables.not_weak_dna))
+    other = len(codes) - gc - at
     gc_effective = gc + other / 2
     at_effective = at + other / 2
-    if len(text) < 14:
+    if len(codes) < 14:
         return 2.0 * at_effective + 4.0 * gc_effective
-    return 64.9 + 41.0 * (gc_effective - 16.4) / len(text)
+    return 64.9 + 41.0 * (gc_effective - 16.4) / len(codes)
 
 
 def molecular_weight(sequence: PackedSequence) -> float:
@@ -77,63 +62,46 @@ def molecular_weight(sequence: PackedSequence) -> float:
     Ambiguous symbols contribute the mean mass of their expansions; gaps
     contribute nothing.
     """
-    alphabet = sequence.alphabet
-    if isinstance(sequence, ProteinSequence):
-        table = _RESIDUE_MASS
-        terminal = _WATER_MASS
-    elif isinstance(sequence, RnaSequence):
-        table = _RNA_BASE_MASS
-        terminal = _WATER_MASS + 61.96  # 5'-phosphate adjustment
-    elif isinstance(sequence, DnaSequence):
-        table = _DNA_BASE_MASS
-        terminal = _WATER_MASS + 61.96
-    else:
-        raise SequenceError(
-            f"no mass table for alphabet {alphabet.name!r}"
-        )
-
-    total = 0.0
-    counted = 0
-    for symbol in str(sequence):
-        if symbol in ("-", "*"):
-            continue
-        if symbol in table:
-            total += table[symbol]
-        else:
-            expansion = [table[s] for s in alphabet.expand(symbol)
-                         if s in table]
-            if not expansion:
-                continue
-            total += sum(expansion) / len(expansion)
-        counted += 1
-    return total + terminal if counted else 0.0
+    table = mass_table(sequence.alphabet)
+    weighed = sequence.codes().translate(None, table.massless)
+    if not weighed:
+        return 0.0
+    # A left fold in sequence order: the sum a reader adding residue by
+    # residue gets, to the last bit.
+    total = reduce(add, map(table.masses.__getitem__, weighed), 0.0)
+    return total + table.terminal
 
 
-def _net_charge(composition: Counter, ph: float) -> float:
-    positive = sum(
-        count / (1.0 + 10.0 ** (ph - pka))
-        for residue, pka in _PKA_POSITIVE.items()
-        for count in (composition.get(residue, 0),)
-    )
-    positive += 1.0 / (1.0 + 10.0 ** (ph - _PKA_N_TERMINUS))
-    negative = sum(
-        count / (1.0 + 10.0 ** (pka - ph))
-        for residue, pka in _PKA_NEGATIVE.items()
-        for count in (composition.get(residue, 0),)
-    )
-    negative += 1.0 / (1.0 + 10.0 ** (_PKA_C_TERMINUS - ph))
-    return positive - negative
+def _net_charge(
+    positive: "list[tuple[int, float]]",
+    negative: "list[tuple[int, float]]",
+    ph: float,
+) -> float:
+    """Net charge at *ph* given ``(count, pKa)`` of each charged residue."""
+    plus = minus = 0
+    for count, pka in positive:
+        plus += count / (1.0 + 10.0 ** (ph - pka))
+    plus += 1.0 / (1.0 + 10.0 ** (ph - PKA_N_TERMINUS))
+    for count, pka in negative:
+        minus += count / (1.0 + 10.0 ** (pka - ph))
+    minus += 1.0 / (1.0 + 10.0 ** (PKA_C_TERMINUS - ph))
+    return plus - minus
 
 
 def isoelectric_point(protein: ProteinSequence) -> float:
     """The pH at which the protein's net charge is zero (bisection)."""
     if not len(protein):
         raise SequenceError("cannot compute pI of an empty protein")
-    composition = Counter(str(protein))
+    codes = protein.codes()
+    # A residue the protein lacks adds exactly 0.0 to its sum: leave it out.
+    positive = [(count, pka) for code, pka in PKA_POSITIVE
+                if (count := codes.count(code))]
+    negative = [(count, pka) for code, pka in PKA_NEGATIVE
+                if (count := codes.count(code))]
     low, high = 0.0, 14.0
     for _ in range(60):
         mid = (low + high) / 2.0
-        if _net_charge(composition, mid) > 0:
+        if _net_charge(positive, negative, mid) > 0:
             low = mid
         else:
             high = mid
@@ -142,14 +110,10 @@ def isoelectric_point(protein: ProteinSequence) -> float:
 
 def hydropathy(protein: ProteinSequence) -> float:
     """Grand average of hydropathy (GRAVY) by Kyte–Doolittle."""
-    values = [
-        _KYTE_DOOLITTLE[residue]
-        for residue in str(protein)
-        if residue in _KYTE_DOOLITTLE
-    ]
-    if not values:
+    scored = protein.codes().translate(None, UNSCORED)
+    if not scored:
         raise SequenceError("protein has no scoreable residues")
-    return sum(values) / len(values)
+    return sum(map(HYDROPATHY.__getitem__, scored)) / len(scored)
 
 
 def hydropathy_profile(
@@ -158,17 +122,13 @@ def hydropathy_profile(
     """Sliding-window Kyte–Doolittle profile (membrane-span spotting)."""
     if window < 1:
         raise SequenceError("window must be positive")
-    text = str(protein)
-    scores = [_KYTE_DOOLITTLE.get(residue, 0.0) for residue in text]
+    scores = list(map(HYDROPATHY.__getitem__, protein.codes()))
     if len(scores) < window:
         return []
-    profile = []
-    running = sum(scores[:window])
-    profile.append(running / window)
-    for position in range(window, len(scores)):
-        running += scores[position] - scores[position - window]
-        profile.append(running / window)
-    return profile
+    # Each step adds the score entering the window less the one leaving.
+    steps = map(sub, scores[window:], scores)
+    sums = accumulate(steps, initial=sum(scores[:window]))
+    return list(map(truediv, sums, repeat(window)))
 
 
 def codon_usage(
@@ -182,14 +142,13 @@ def codon_usage(
     """
     text = str(rna)
     counts: Counter = Counter(
-        text[i:i + 3] for i in range(0, len(text) - 2, 3)
-    )
+        map("".join, zip(text[0::3], text[1::3], text[2::3])))
     by_amino: dict[str, int] = Counter()
     amino_of: dict[str, str] = {}
     for codon, count in counts.items():
         try:
             amino = table.amino_acid(codon)
-        except Exception:
+        except TranslationError:
             continue
         amino_of[codon] = amino
         by_amino[amino] += count
@@ -201,12 +160,13 @@ def codon_usage(
 
 def shannon_entropy(sequence: PackedSequence) -> float:
     """Per-symbol Shannon entropy in bits (complexity screen)."""
-    text = str(sequence)
-    if not text:
+    codes = sequence.codes()
+    if not codes:
         return 0.0
-    counts = Counter(text)
-    total = len(text)
+    total = len(codes)
+    # Summed in order of first occurrence, as a reader tallying symbols
+    # left to right would.
+    counts = map(codes.count, sorted(set(codes), key=codes.index))
     return -sum(
-        (count / total) * math.log2(count / total)
-        for count in counts.values()
+        (count / total) * math.log2(count / total) for count in counts
     )

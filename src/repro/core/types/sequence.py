@@ -64,8 +64,14 @@ class PackedSequence:
     """
 
     alphabet: ClassVar[Alphabet]
+    #: Two codes to the byte?  Decided once per class, by its alphabet.
+    _nibble: ClassVar[bool]
 
     __slots__ = ("_packed", "_length")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._nibble = cls.alphabet.bits_per_symbol <= 4
 
     def __init__(self, text: str = "") -> None:
         codes = self.alphabet.encode(text.upper())
@@ -75,16 +81,12 @@ class PackedSequence:
     # -- packing helpers ----------------------------------------------------
 
     @classmethod
-    def _is_nibble_packed(cls) -> bool:
-        return len(cls.alphabet) <= 16
-
-    @classmethod
     def _pack(cls, codes: bytes) -> bytes:
-        return _pack4(codes) if cls._is_nibble_packed() else bytes(codes)
+        return _pack4(codes) if cls._nibble else bytes(codes)
 
     def codes(self) -> bytes:
         """The sequence as one integer code per byte (unpacked form)."""
-        if self._is_nibble_packed():
+        if self._nibble:
             return _unpack4(self._packed, self._length)
         return self._packed
 
@@ -95,9 +97,20 @@ class PackedSequence:
             raise SequenceError(
                 f"code {max(codes)} out of range for {cls.alphabet.name}"
             )
+        return cls._from_packed(len(codes), cls._pack(codes))
+
+    @classmethod
+    def _from_packed(cls: Type[S], length: int, packed: bytes) -> S:
+        """Adopt an already packed, already validated buffer.
+
+        The only place a sequence comes to be without ``__init__``;
+        callers vouch that *packed* is ``_pack`` of *length* in-range
+        codes (a page or serialization this class wrote, or the output
+        of ``_pack`` itself).
+        """
         instance = cls.__new__(cls)
-        instance._length = len(codes)
-        instance._packed = cls._pack(codes)
+        instance._length = length
+        instance._packed = packed
         return instance
 
     # -- string-like protocol ------------------------------------------------
@@ -126,7 +139,7 @@ class PackedSequence:
             raise IndexError("sequence index out of range")
         if item < 0:
             item += self._length
-        if self._is_nibble_packed():
+        if self._nibble:
             byte = self._packed[item // 2]
             code = (byte >> 4) if item % 2 == 0 else (byte & 0xF)
         else:
@@ -219,17 +232,14 @@ class PackedSequence:
                 f"serialized alphabet {name!r} does not match {expected!r}"
             )
         packed = data[cls._HEADER.size:]
-        nibble = cls._is_nibble_packed()
+        nibble = cls._nibble
         expected_size = (length + 1) // 2 if nibble else length
         # An odd nibble-packed length ends in a pad nibble, which is zero:
         # equality and hashing read the packed bytes.
         if len(packed) != expected_size or (
                 nibble and length % 2 and packed[-1] & 0xF):
             raise SequenceError("corrupt sequence serialization payload")
-        instance = cls.__new__(cls)
-        instance._length = length
-        instance._packed = bytes(packed)
-        return instance
+        return cls._from_packed(length, bytes(packed))
 
     @property
     def nbytes(self) -> int:

@@ -198,14 +198,8 @@ def _seq_triples(body: bytes, count: int) -> list[tuple[str, int, bytes]]:
 
 
 def _decode_seq(body: bytes, count: int) -> list[PackedSequence]:
-    values = []
-    for name, length, packed in _seq_triples(body, count):
-        klass = sequence_class_for(name)
-        instance = klass.__new__(klass)
-        instance._length = length
-        instance._packed = packed
-        values.append(instance)
-    return values
+    return [sequence_class_for(name)._from_packed(length, packed)
+            for name, length, packed in _seq_triples(body, count)]
 
 
 def _encode_dict(values: list[str]) -> bytes:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.core.ops.similarity import windows
 from repro.db.index.base import Index
 from repro.errors import DatabaseError
 
@@ -69,8 +70,7 @@ class KmerIndex(Index):
         self._wildcard_rows.clear()
 
     def _words(self, text: str) -> set[str]:
-        k = self.k
-        return {text[i:i + k] for i in range(len(text) - k + 1)}
+        return set(map("".join, windows(text, self.k)))
 
     def _is_concrete(self, text: str) -> bool:
         return not (set(text) & self._ambiguous)

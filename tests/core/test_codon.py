@@ -78,6 +78,34 @@ class TestVariantCodes:
         assert "AUU" not in STANDARD.start_codons
 
 
+class TestStopIsWhatTranslatesToStop:
+    """``is_stop`` and ``amino_acid`` are one table: a codon is a stop
+    exactly when it translates to ``*``."""
+
+    def test_ambiguous_stop(self):
+        assert STANDARD.amino_acid("UAR") == "*"
+        assert STANDARD.is_stop("UAR") and STANDARD.is_stop("TAR")
+        assert not STANDARD.is_stop("UAN")  # UAU / UAC are tyrosine
+
+    def test_tra_is_a_stop_only_where_uga_is(self):
+        assert STANDARD.is_stop("TRA")  # UAA, UGA
+        assert not VERTEBRATE_MITOCHONDRIAL.is_stop("TRA")  # UGA reads W
+
+    def test_mitochondrial_agr(self):
+        assert VERTEBRATE_MITOCHONDRIAL.is_stop("AGR")
+        assert not STANDARD.is_stop("AGR")
+
+    def test_an_ambiguous_codon_is_never_a_start(self):
+        # AUG, GUG and UUG all start under the standard code; "DUG",
+        # which stands for exactly those three, still does not.
+        assert not STANDARD.is_start("DUG")
+
+    def test_a_codon_without_translation_is_neither(self):
+        for codon in ("A-A", "AU", "AUGA", ""):
+            assert not STANDARD.is_stop(codon)
+            assert not STANDARD.is_start(codon)
+
+
 class TestRegistry:
     def test_lookup_by_id(self):
         assert codon_table(1) is STANDARD

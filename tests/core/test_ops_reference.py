@@ -1,0 +1,746 @@
+"""Every old implementation is the oracle.
+
+PR 16 rewrote the operators of ``core.ops`` to run whole-buffer C calls
+over ``sequence.codes()``.  The bodies they replaced — Python loops over
+``str(sequence)``, one symbol or codon at a time — live on here, verbatim
+from the parent commit, as the references: each new operator must return
+a value ``==`` to its reference's (floats included, no ``approx``) or
+raise the same error, under a derandomised hypothesis property and an
+explicit grid of the cases a byte-table rewrite gets wrong.
+
+Two behaviours changed on purpose, and the references carry the same two
+fixes, each marked ``FIX``:
+
+1. a stop is a codon that *translates* to ``*`` (``UAR`` is one);
+2. a whole-sequence scan (``find_orfs``, ``six_frame_translation``)
+   reads a codon it cannot translate as ``X`` and reads through it.
+
+``test_the_fixes_change_what_the_parent_did`` shows the un-fixed
+references — the parent's actual behaviour — failing both.
+"""
+
+import math
+from collections import Counter
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import ops
+from repro.core.ops.codon import (
+    BACTERIAL,
+    MOLD_PROTOZOAN_MITOCHONDRIAL,
+    STANDARD,
+    VERTEBRATE_MITOCHONDRIAL,
+    YEAST_MITOCHONDRIAL,
+    CodonTable,
+    codon_table,
+    register_codon_table,
+)
+from repro.core.ops.orf import OpenReadingFrame
+from repro.core.ops.stats import _net_charge
+from repro.core.types import (
+    DnaSequence,
+    MRna,
+    ProteinSequence,
+    RnaSequence,
+)
+from repro.core.types.alphabet import DNA, PROTEIN, RNA
+from repro.core.types.annotation import FORWARD, REVERSE, Interval
+from repro.core.types.entities import Protein
+from repro.errors import ReproError, SequenceError, TranslationError
+
+# ===========================================================================
+# The references: the parent commit's bodies, verbatim but for (a) the
+# ``ref_`` names, (b) taking the codon table's parts as arguments where
+# they were methods of it, (c) the two marked fixes.
+# ===========================================================================
+
+#: Set false to get the parent's behaviour exactly (used by one test).
+_FIXED = True
+
+
+def ref_expand(codon):
+    """All concrete codons an ambiguous codon may stand for."""
+    pools = [RNA.expand(base) for base in codon]
+    for first in pools[0]:
+        for second in pools[1]:
+            for third in pools[2]:
+                yield first + second + third
+
+
+def ref_amino_acid(table, codon):
+    codon = codon.upper().replace("T", "U")
+    if len(codon) != 3:
+        raise TranslationError(f"codon must have 3 bases, got {codon!r}")
+    direct = table._forward.get(codon)
+    if direct is not None:
+        return direct
+    candidates = {
+        table._forward[expansion]
+        for expansion in ref_expand(codon)
+        if expansion in table._forward
+    }
+    if not candidates:
+        raise TranslationError(f"untranslatable codon {codon!r}")
+    if len(candidates) == 1:
+        return candidates.pop()
+    return "X"
+
+
+def ref_is_start(table, codon):
+    return codon.upper().replace("T", "U") in table.start_codons
+
+
+def ref_is_stop(table, codon):
+    if _FIXED:
+        # FIX 1: stop <=> translates to '*' (was: member of stop_codons).
+        try:
+            return ref_amino_acid(table, codon) == "*"
+        except TranslationError:
+            return False
+    return codon.upper().replace("T", "U") in table.stop_codons
+
+
+def ref_scan_amino_acid(table, codon):
+    if _FIXED:
+        # FIX 2: a scan reads an untranslatable codon as X (was: raise).
+        try:
+            return ref_amino_acid(table, codon)
+        except TranslationError:
+            return "X"
+    return ref_amino_acid(table, codon)
+
+
+def ref_scan_strand(text, strand, full_length, table, min_protein_length):
+    found = []
+    rna = text.replace("T", "U")
+    for frame in range(3):
+        position = frame
+        while position + 3 <= len(rna):
+            codon = rna[position:position + 3]
+            if not ref_is_start(table, codon):
+                position += 3
+                continue
+            # Extend from this start to the first in-frame stop.
+            residues = ["M"]
+            stop_at = None
+            inner = position + 3
+            while inner + 3 <= len(rna):
+                inner_codon = rna[inner:inner + 3]
+                if ref_is_stop(table, inner_codon):
+                    stop_at = inner + 3
+                    break
+                residues.append(ref_scan_amino_acid(table, inner_codon))
+                inner += 3
+            if stop_at is not None and len(residues) >= min_protein_length:
+                if strand == FORWARD:
+                    start, end = position, stop_at
+                else:
+                    start = full_length - stop_at
+                    end = full_length - position
+                found.append(OpenReadingFrame(
+                    start=start,
+                    end=end,
+                    strand=strand,
+                    frame=frame,
+                    protein=ProteinSequence("".join(residues)),
+                ))
+                position = stop_at  # resume after the stop codon
+            else:
+                position += 3
+    return found
+
+
+def ref_complement(sequence):
+    alphabet = sequence.alphabet
+    if not alphabet.has_complement:
+        raise SequenceError(
+            f"cannot complement a {alphabet.name} sequence"
+        )
+    complemented = "".join(alphabet.complement(s) for s in str(sequence))
+    return type(sequence)(complemented)
+
+
+def ref_reverse_complement(sequence):
+    return ref_complement(sequence).reverse()
+
+
+def ref_find_orfs(dna, min_protein_length=20, table=STANDARD,
+                  both_strands=True):
+    text = str(dna)
+    orfs = ref_scan_strand(text, FORWARD, len(text), table,
+                           min_protein_length)
+    if both_strands:
+        reverse_text = str(ref_reverse_complement(dna))
+        orfs.extend(ref_scan_strand(
+            reverse_text, REVERSE, len(text), table, min_protein_length
+        ))
+    return sorted(orfs, key=lambda orf: (orf.start, orf.end, orf.strand))
+
+
+def ref_dna_to_rna(dna):
+    return RnaSequence(str(dna).replace("T", "U"))
+
+
+def ref_rna_to_dna(rna):
+    return DnaSequence(str(rna).replace("U", "T"))
+
+
+def ref_six_frame_translation(dna, table=STANDARD):
+    result = {}
+    for strand, source in (
+        (FORWARD, dna),
+        (REVERSE, ref_reverse_complement(dna)),
+    ):
+        rna = str(ref_dna_to_rna(source))
+        for frame in range(3):
+            residues = [
+                ref_scan_amino_acid(table, rna[i:i + 3])
+                for i in range(frame, len(rna) - 2, 3)
+            ]
+            result[(strand, frame)] = ProteinSequence("".join(residues))
+    return result
+
+
+def ref_locate_cds(rna, table):
+    text = str(rna)
+    for position in range(0, len(text) - 2):
+        if ref_is_start(table, text[position:position + 3]):
+            return Interval(position, len(text))
+    raise TranslationError(
+        "mRNA has no start codon and no annotated CDS"
+    )
+
+
+def ref_translate(mrna, table=STANDARD, to_stop=True):
+    cds = mrna.cds if mrna.cds is not None else ref_locate_cds(mrna.rna,
+                                                               table)
+    text = str(mrna.rna)[cds.start:cds.end]
+    if len(text) < 3:
+        raise TranslationError("coding region shorter than one codon")
+
+    residues = []
+    for offset in range(0, len(text) - 2, 3):
+        codon = text[offset:offset + 3]
+        if offset == 0 and ref_is_start(table, codon):
+            # Alternative start codons are read as methionine in vivo.
+            residues.append("M")
+            continue
+        amino = ref_amino_acid(table, codon)
+        if amino == "*" and to_stop:
+            break
+        residues.append(amino)
+
+    return Protein(
+        sequence=ProteinSequence("".join(residues)),
+        gene_name=mrna.gene_name,
+        name=f"{mrna.gene_name} protein" if mrna.gene_name else None,
+    )
+
+
+def ref_gc_content(sequence):
+    text = str(sequence)
+    gc = sum(text.count(base) for base in "GCS")
+    at = sum(text.count(base) for base in "ATUW")
+    total = gc + at
+    return gc / total if total else 0.0
+
+
+def ref_base_composition(sequence):
+    text = str(sequence)
+    return {symbol: text.count(symbol) for symbol in sorted(set(text))}
+
+
+def _ref_clean(raw):
+    return "".join(
+        ch for ch in raw if not ch.isdigit() and not ch.isspace()
+        and ch not in "/\\.,;:"
+    )
+
+
+def ref_decode(raw):
+    return DnaSequence(_ref_clean(raw).upper())
+
+
+def ref_decode_rna(raw):
+    return RnaSequence(_ref_clean(raw).upper())
+
+
+def ref_decode_protein(raw):
+    return ProteinSequence(_ref_clean(raw).upper())
+
+
+def ref_kmer_profile(sequence, k):
+    if k < 1:
+        raise SequenceError("k must be positive")
+    text = str(sequence)
+    return Counter(text[i:i + k] for i in range(len(text) - k + 1))
+
+
+def ref_jaccard_similarity(first, second, k=4):
+    words_a = set(ref_kmer_profile(first, k))
+    words_b = set(ref_kmer_profile(second, k))
+    if not words_a and not words_b:
+        return 1.0
+    union = words_a | words_b
+    return len(words_a & words_b) / len(union)
+
+
+def ref_cosine_similarity(first, second, k=4):
+    profile_a = ref_kmer_profile(first, k)
+    profile_b = ref_kmer_profile(second, k)
+    if not profile_a or not profile_b:
+        return 1.0 if not profile_a and not profile_b else 0.0
+    dot = sum(count * profile_b[word] for word, count in profile_a.items())
+    norm_a = math.sqrt(sum(c * c for c in profile_a.values()))
+    norm_b = math.sqrt(sum(c * c for c in profile_b.values()))
+    return dot / (norm_a * norm_b)
+
+
+_RESIDUE_MASS = {
+    "A": 71.0788, "R": 156.1875, "N": 114.1038, "D": 115.0886,
+    "C": 103.1388, "E": 129.1155, "Q": 128.1307, "G": 57.0519,
+    "H": 137.1411, "I": 113.1594, "L": 113.1594, "K": 128.1741,
+    "M": 131.1926, "F": 147.1766, "P": 97.1167, "S": 87.0782,
+    "T": 101.1051, "W": 186.2132, "Y": 163.1760, "V": 99.1326,
+    "U": 150.0388, "O": 237.3018,
+}
+_WATER_MASS = 18.01524
+_DNA_BASE_MASS = {"A": 313.21, "C": 289.18, "G": 329.21, "T": 304.2}
+_RNA_BASE_MASS = {"A": 329.21, "C": 305.18, "G": 345.21, "U": 306.17}
+_PKA_POSITIVE = {"K": 10.8, "R": 12.5, "H": 6.5}
+_PKA_NEGATIVE = {"D": 3.9, "E": 4.1, "C": 8.5, "Y": 10.1}
+_PKA_N_TERMINUS = 8.6
+_PKA_C_TERMINUS = 3.6
+_KYTE_DOOLITTLE = {
+    "A": 1.8, "R": -4.5, "N": -3.5, "D": -3.5, "C": 2.5,
+    "Q": -3.5, "E": -3.5, "G": -0.4, "H": -3.2, "I": 4.5,
+    "L": 3.8, "K": -3.9, "M": 1.9, "F": 2.8, "P": -1.6,
+    "S": -0.8, "T": -0.7, "W": -0.9, "Y": -1.3, "V": 4.2,
+}
+
+
+def ref_melting_temperature(dna):
+    text = str(dna)
+    if not text:
+        raise SequenceError("cannot compute Tm of an empty sequence")
+    gc = sum(text.count(base) for base in "GCS")
+    at = sum(text.count(base) for base in "ATW")
+    other = len(text) - gc - at
+    gc_effective = gc + other / 2
+    at_effective = at + other / 2
+    if len(text) < 14:
+        return 2.0 * at_effective + 4.0 * gc_effective
+    return 64.9 + 41.0 * (gc_effective - 16.4) / len(text)
+
+
+def ref_molecular_weight(sequence):
+    alphabet = sequence.alphabet
+    if isinstance(sequence, ProteinSequence):
+        table = _RESIDUE_MASS
+        terminal = _WATER_MASS
+    elif isinstance(sequence, RnaSequence):
+        table = _RNA_BASE_MASS
+        terminal = _WATER_MASS + 61.96  # 5'-phosphate adjustment
+    elif isinstance(sequence, DnaSequence):
+        table = _DNA_BASE_MASS
+        terminal = _WATER_MASS + 61.96
+    else:
+        raise SequenceError(
+            f"no mass table for alphabet {alphabet.name!r}"
+        )
+
+    total = 0.0
+    counted = 0
+    for symbol in str(sequence):
+        if symbol in ("-", "*"):
+            continue
+        if symbol in table:
+            total += table[symbol]
+        else:
+            expansion = [table[s] for s in alphabet.expand(symbol)
+                         if s in table]
+            if not expansion:
+                continue
+            total += sum(expansion) / len(expansion)
+        counted += 1
+    return total + terminal if counted else 0.0
+
+
+def ref_net_charge(composition, ph):
+    positive = sum(
+        count / (1.0 + 10.0 ** (ph - pka))
+        for residue, pka in _PKA_POSITIVE.items()
+        for count in (composition.get(residue, 0),)
+    )
+    positive += 1.0 / (1.0 + 10.0 ** (ph - _PKA_N_TERMINUS))
+    negative = sum(
+        count / (1.0 + 10.0 ** (pka - ph))
+        for residue, pka in _PKA_NEGATIVE.items()
+        for count in (composition.get(residue, 0),)
+    )
+    negative += 1.0 / (1.0 + 10.0 ** (_PKA_C_TERMINUS - ph))
+    return positive - negative
+
+
+def ref_isoelectric_point(protein):
+    if not len(protein):
+        raise SequenceError("cannot compute pI of an empty protein")
+    composition = Counter(str(protein))
+    low, high = 0.0, 14.0
+    for _ in range(60):
+        mid = (low + high) / 2.0
+        if ref_net_charge(composition, mid) > 0:
+            low = mid
+        else:
+            high = mid
+    return round((low + high) / 2.0, 3)
+
+
+def ref_hydropathy(protein):
+    values = [
+        _KYTE_DOOLITTLE[residue]
+        for residue in str(protein)
+        if residue in _KYTE_DOOLITTLE
+    ]
+    if not values:
+        raise SequenceError("protein has no scoreable residues")
+    return sum(values) / len(values)
+
+
+def ref_hydropathy_profile(protein, window=9):
+    if window < 1:
+        raise SequenceError("window must be positive")
+    text = str(protein)
+    scores = [_KYTE_DOOLITTLE.get(residue, 0.0) for residue in text]
+    if len(scores) < window:
+        return []
+    profile = []
+    running = sum(scores[:window])
+    profile.append(running / window)
+    for position in range(window, len(scores)):
+        running += scores[position] - scores[position - window]
+        profile.append(running / window)
+    return profile
+
+
+def ref_codon_usage(rna, table=STANDARD):
+    text = str(rna)
+    counts = Counter(
+        text[i:i + 3] for i in range(0, len(text) - 2, 3)
+    )
+    by_amino = Counter()
+    amino_of = {}
+    for codon, count in counts.items():
+        try:
+            amino = ref_amino_acid(table, codon)
+        except Exception:
+            continue
+        amino_of[codon] = amino
+        by_amino[amino] += count
+    return {
+        codon: counts[codon] / by_amino[amino_of[codon]]
+        for codon in amino_of
+    }
+
+
+def ref_shannon_entropy(sequence):
+    text = str(sequence)
+    if not text:
+        return 0.0
+    counts = Counter(text)
+    total = len(text)
+    return -sum(
+        (count / total) * math.log2(count / total)
+        for count in counts.values()
+    )
+
+
+# ===========================================================================
+# Comparison machinery
+# ===========================================================================
+
+def outcome(function, *args, **kwargs):
+    """What a call does: its value, or the error it raises (type and
+    message) — so 'raises the same error' is also an ``==``."""
+    try:
+        return ("value", function(*args, **kwargs))
+    except ReproError as error:
+        return ("error", type(error), str(error))
+
+
+def same(new, reference, *args, **kwargs):
+    got = outcome(new, *args, **kwargs)
+    want = outcome(reference, *args, **kwargs)
+    assert got == want, (args, kwargs)
+    if got[0] == "value" and isinstance(got[1], float):
+        # == on floats lets -0.0 pass for 0.0 and fails nan: be literal.
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
+
+
+@pytest.fixture(scope="module")
+def runtime_table():
+    """A genetic code registered at run time over an existing id.
+
+    It is built to be awkward: ``UGA`` is both a start and a stop,
+    ``AUN`` (spelt so) is a start, ``GGN`` is spelt out in the mapping
+    (so it never reaches the ambiguity expansion), and ``CCC`` reads a
+    lower-case residue.
+    """
+    original = codon_table(4)
+    forward = dict(original._forward)
+    forward.update({"UGA": "*", "GGN": "G", "CCC": "p"})
+    table = CodonTable(4, "Awkward", forward,
+                       frozenset({"AUG", "UGA", "AUN", "CUG"}))
+    register_codon_table(table, replace=True)
+    assert codon_table(4) is table
+    yield table
+    register_codon_table(original, replace=True)
+
+
+SHIPPED = (STANDARD, VERTEBRATE_MITOCHONDRIAL, YEAST_MITOCHONDRIAL,
+           MOLD_PROTOZOAN_MITOCHONDRIAL, BACTERIAL)
+
+
+@pytest.fixture(scope="module")
+def tables(runtime_table):
+    return SHIPPED + (runtime_table,)
+
+
+# Mostly concrete bases, some IUPAC codes, the odd gap: 0 %, ~10 % and
+# heavy ambiguity all turn up.
+nucleotides = st.one_of(
+    st.text(alphabet="ACGT", max_size=120),
+    st.text(alphabet="ACGT" * 8 + "RYSWKMBDHVN-", max_size=120),
+    st.text(alphabet=DNA.symbols, max_size=60),
+)
+residues = st.text(alphabet=PROTEIN.symbols, max_size=80)
+derandomised = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+# ===========================================================================
+# Properties
+# ===========================================================================
+
+class TestProperties:
+    @derandomised
+    @given(text=nucleotides, minimum=st.sampled_from((1, 2, 5, 20)),
+           which=st.integers(0, 5), both=st.booleans())
+    def test_find_orfs(self, tables, text, minimum, which, both):
+        same(ops.find_orfs, ref_find_orfs, DnaSequence(text), minimum,
+             tables[which], both)
+
+    @derandomised
+    @given(text=nucleotides, which=st.integers(0, 5))
+    def test_six_frame_translation(self, tables, text, which):
+        same(ops.six_frame_translation, ref_six_frame_translation,
+             DnaSequence(text), tables[which])
+
+    @derandomised
+    @given(text=nucleotides, which=st.integers(0, 5), to_stop=st.booleans(),
+           cds=st.one_of(st.none(), st.tuples(st.integers(0, 30),
+                                              st.integers(0, 130))))
+    def test_translate(self, tables, text, which, to_stop, cds):
+        if cds is not None:
+            low, high = sorted(cds)
+            cds = Interval(min(low, len(text)), min(high, len(text)))
+        mrna = MRna(rna=ref_dna_to_rna(DnaSequence(text)), cds=cds,
+                    gene_name="g")
+        same(ops.translate, ref_translate, mrna, tables[which], to_stop)
+
+    @derandomised
+    @given(text=nucleotides)
+    def test_nucleotide_operators(self, text):
+        for sequence in (DnaSequence(text),
+                         RnaSequence(text.replace("T", "U"))):
+            same(ops.complement, ref_complement, sequence)
+            same(ops.reverse_complement, ref_reverse_complement, sequence)
+            same(ops.gc_content, ref_gc_content, sequence)
+            same(ops.base_composition, ref_base_composition, sequence)
+            same(ops.melting_temperature, ref_melting_temperature, sequence)
+            same(ops.molecular_weight, ref_molecular_weight, sequence)
+            same(ops.shannon_entropy, ref_shannon_entropy, sequence)
+        same(ops.dna_to_rna, ref_dna_to_rna, DnaSequence(text))
+        same(ops.rna_to_dna, ref_rna_to_dna,
+             RnaSequence(text.replace("T", "U")))
+        same(ops.codon_usage, ref_codon_usage,
+             RnaSequence(text.replace("T", "U")))
+
+    @derandomised
+    @given(text=residues, window=st.integers(1, 12))
+    def test_protein_operators(self, text, window):
+        protein = ProteinSequence(text)
+        same(ops.molecular_weight, ref_molecular_weight, protein)
+        same(ops.isoelectric_point, ref_isoelectric_point, protein)
+        same(ops.hydropathy, ref_hydropathy, protein)
+        same(ops.hydropathy_profile, ref_hydropathy_profile, protein, window)
+        same(ops.shannon_entropy, ref_shannon_entropy, protein)
+        same(ops.gc_content, ref_gc_content, protein)
+        same(ops.base_composition, ref_base_composition, protein)
+        same(ops.complement, ref_complement, protein)
+
+    @derandomised
+    @given(first=nucleotides, second=nucleotides, k=st.integers(0, 9))
+    def test_similarity(self, first, second, k):
+        a, b = DnaSequence(first), DnaSequence(second)
+        same(ops.kmer_profile, ref_kmer_profile, a, k)
+        same(ops.cosine_similarity, ref_cosine_similarity, a, b, k)
+        same(ops.jaccard_similarity, ref_jaccard_similarity, a, b, k)
+        # Text operands: upper-case text is what the references compared.
+        same(ops.kmer_profile, ref_kmer_profile, first, k)
+        same(ops.cosine_similarity, ref_cosine_similarity, first, second, k)
+        same(ops.cosine_similarity, ref_cosine_similarity, a, second, k)
+        same(ops.jaccard_similarity, ref_jaccard_similarity, first, b, k)
+
+    @derandomised
+    @given(raw=st.text(
+        alphabet=st.one_of(
+            st.sampled_from("acgtnACGTN-ryRY 0123456789\n\t/\\.,;:"),
+            st.sampled_from("²٣  　ßéx?"),
+        ), max_size=80))
+    def test_decode(self, raw):
+        same(ops.decode, ref_decode, raw)
+        same(ops.decode_rna, ref_decode_rna, raw.replace("t", "u"))
+        same(ops.decode_protein, ref_decode_protein, raw)
+
+    @derandomised
+    @given(counts=st.lists(st.integers(0, 40), min_size=7, max_size=7),
+           ph=st.floats(0.0, 14.0))
+    def test_net_charge(self, counts, ph):
+        composition = dict(zip("KRHDECY", counts))
+        positive = [(composition[r], pka)
+                    for r, pka in _PKA_POSITIVE.items()]
+        negative = [(composition[r], pka)
+                    for r, pka in _PKA_NEGATIVE.items()]
+        assert (_net_charge(positive, negative, ph)
+                == ref_net_charge(composition, ph))
+
+
+# ===========================================================================
+# The grid
+# ===========================================================================
+
+class TestCodonGrid:
+    def test_every_symbol_in_every_codon_position(self, tables):
+        # As the body of an ORF, a frame and a message: all 16³ codons
+        # under the standard and the run-time code, every symbol in
+        # every position of every concrete codon under the rest.
+        for table in tables:
+            everything = table in (tables[0], tables[-1])
+            for bases in product(DNA.symbols, repeat=3):
+                codon = "".join(bases)
+                if not everything and len(set(codon) - set("ACGT")) > 1:
+                    continue
+                dna = DnaSequence("ATG" + codon + "GCATAAC")
+                same(ops.find_orfs, ref_find_orfs, dna, 1, table)
+                same(ops.six_frame_translation, ref_six_frame_translation,
+                     dna, table)
+                mrna = MRna(rna=ref_dna_to_rna(dna))
+                for to_stop in (True, False):
+                    same(ops.translate, ref_translate, mrna, table, to_stop)
+
+    def test_single_codon_api_agrees_with_the_tables(self, tables):
+        for table in tables:
+            for bases in product(RNA.symbols, repeat=3):
+                codon = "".join(bases)
+                same(table.amino_acid, lambda c: ref_amino_acid(table, c),
+                     codon)
+                assert table.is_start(codon) == ref_is_start(table, codon)
+                assert table.is_stop(codon) == ref_is_stop(table, codon)
+                # stop <=> translates to '*', for every registered table
+                assert table.is_stop(codon) == (
+                    outcome(table.amino_acid, codon) == ("value", "*"))
+
+    def test_a_gapped_codon_still_raises_from_the_single_codon_api(self):
+        with pytest.raises(TranslationError, match="untranslatable"):
+            STANDARD.amino_acid("A-A")
+        assert not STANDARD.is_stop("A-A") and not STANDARD.is_start("A-A")
+
+
+ORF_SHAPES = [
+    "", "A", "AT", "ATG", "ATGT", "ATGTA", "ATGTAA", "ATGTAAC",   # 0–7
+    "ATGAAACCC",                      # start, no stop
+    "AAACCCTAA",                      # stop, no start
+    "TAATAATAA",                      # stops only
+    "ATGATGATG",                      # starts only
+    "ATGATGAAATAA",                   # nested start
+    "ATGAAATAAATGCCCTAG",             # two ORFs, one frame, last ends at end
+    "CATGAAATAGC", "CCATGAAATGAC",    # offset frames
+    "TTATTTCAT",                      # reverse strand only
+    "ATGAAATAATTATTTCAT",             # both strands
+    "ATGGCCAAATARCCCTAA",             # ambiguous stop
+    "ATGAAA-AACCCTAA", "A-AATGAAATAA", "ATG---TAA",   # gaps
+    "ATGNNNTAA", "NNNATGAAATAA", "ATGAAANNN", "ATGAARTAA", "RTGAAATAA",
+    "ATGAGAAGGTAA",                   # AGR: stops in the vertebrate code
+    "ATAAAATGA", "ATTAAATAA",         # alternative starts, UGA as sense
+    "TGAAAATGA", "TGATGATGA",         # UGA as start *and* stop (run-time)
+    "ATGTGAAAACCCTGA",                # … ending a too-short ORF, opening one
+    "ATNAAATAA", "CTGCCCGGNTAA",      # spelt-out ambiguous entries
+]
+
+
+class TestOrfGrid:
+    @pytest.mark.parametrize("minimum", [0, 1, 2, 3, 4, 20])
+    def test_shapes(self, tables, minimum):
+        for table in tables:
+            for text in ORF_SHAPES:
+                for both in (True, False):
+                    same(ops.find_orfs, ref_find_orfs, DnaSequence(text),
+                         minimum, table, both)
+
+    def test_six_frames_of_every_shape(self, tables):
+        for table in tables:
+            for text in ORF_SHAPES:
+                same(ops.six_frame_translation, ref_six_frame_translation,
+                     DnaSequence(text), table)
+
+    def test_translate_every_shape_and_every_cds(self, tables):
+        for table in tables:
+            for text in ORF_SHAPES:
+                rna = ref_dna_to_rna(DnaSequence(text))
+                spans = [None] + [Interval(start, end)
+                                  for start in range(len(text) + 1)
+                                  for end in range(start, len(text) + 1)]
+                for cds in spans[:60]:
+                    for to_stop in (True, False):
+                        same(ops.translate, ref_translate,
+                             MRna(rna=rna, cds=cds), table, to_stop)
+
+    def test_the_fixes_change_what_the_parent_did(self):
+        global _FIXED
+        stop, gap = DnaSequence("ATGGCCAAATARCCCTAA"), \
+            DnaSequence("ATGAAA-AACCC")
+        _FIXED = False
+        try:
+            parent_stop = outcome(ref_find_orfs, stop, 1, STANDARD, False)
+            parent_gap = outcome(ref_find_orfs, gap, 1)
+            parent_frames = outcome(ref_six_frame_translation, gap)
+        finally:
+            _FIXED = True
+        assert str(parent_stop[1][0].protein) == "MAK*P"
+        assert parent_gap[:2] == ("error", TranslationError)
+        assert parent_frames[:2] == ("error", TranslationError)
+        assert [str(orf.protein) for orf in
+                ops.find_orfs(stop, 1, both_strands=False)] == ["MAK"]
+        assert ops.find_orfs(gap, 1) == []
+        assert str(ops.six_frame_translation(gap)[(FORWARD, 0)]) == "MKXP"
+
+
+class TestDecodeGrid:
+    def test_every_separator_digit_and_space(self):
+        for noise in "/\\.,;: \t\n\r\x0b\x0c0123456789":
+            same(ops.decode, ref_decode, f"ac{noise}gt")
+        same(ops.decode, ref_decode, "        1 acgtacgtnn ryswkm\n"
+                                     "       61 bdhv--acgt //\n")
+
+    def test_non_ascii_digits_and_whitespace_go_too(self):
+        assert str(ops.decode("ac²gt t　a٣")) == "ACGTTA"
+        same(ops.decode, ref_decode, "ac²gt t　a٣")
+        same(ops.decode_protein, ref_decode_protein, "mk²v l")
+
+    def test_what_is_left_is_still_validated(self):
+        for raw in ("acgx", "ac?gt", "acgé", "ß"):
+            same(ops.decode, ref_decode, raw)
+            same(ops.decode_rna, ref_decode_rna, raw)
+        same(ops.decode_protein, ref_decode_protein, "mk1?")

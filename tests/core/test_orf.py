@@ -1,9 +1,12 @@
 """Tests for ORF finding and six-frame translation."""
 
+from repro.adapter import install_genomics
+from repro.core.ops import express
 from repro.core.ops.basic import reverse_complement
 from repro.core.ops.orf import find_orfs, six_frame_translation
-from repro.core.types import DnaSequence
+from repro.core.types import DnaSequence, Gene, Interval
 from repro.core.types.annotation import FORWARD, REVERSE
+from repro.db import Database
 
 # ATG AAA CCC TAA -> MKP stop
 SIMPLE_ORF = "ATGAAACCCTAA"
@@ -64,6 +67,53 @@ class TestFindOrfs:
         orfs = find_orfs(DnaSequence(text), min_protein_length=3)
         starts = [o.start for o in orfs]
         assert starts == sorted(starts)
+
+
+class TestScansAgreeWithTranslation:
+    GENE = "ATGGCCAAATARCCCTAA"  # ATG GCC AAA TAR(stop) CCC TAA
+
+    def test_an_ambiguous_stop_ends_the_orf(self):
+        # express() of the same gene stops at TAR; find_orfs used to read
+        # through it and report 'MAK*P', a protein with a stop inside.
+        orfs = find_orfs(DnaSequence(self.GENE), 1, both_strands=False)
+        assert [str(orf.protein) for orf in orfs] == ["MAK"]
+        assert (orfs[0].start, orfs[0].end) == (0, 12)
+
+    def test_and_agrees_with_express(self):
+        gene = Gene(name="g", sequence=DnaSequence(self.GENE),
+                    exons=(Interval(0, len(self.GENE)),))
+        assert str(express(gene).sequence) == "MAK"
+
+
+class TestScansAreTotal:
+    """A whole-sequence scan never fails over a symbol of its alphabet."""
+
+    def test_gap_after_the_start(self):
+        # Raised TranslationError("untranslatable codon '-AA'") though
+        # there is no ORF to report; a gap *before* the start was fine.
+        assert find_orfs(DnaSequence("ATGAAA-AACCC"), 1) == []
+        assert len(find_orfs(DnaSequence("A-AATGAAATAA"), 1)) == 1
+
+    def test_a_gapped_codon_reads_x_and_is_read_through(self):
+        orfs = find_orfs(DnaSequence("ATGAAA-AACCCTAA"), 1,
+                         both_strands=False)
+        assert [str(orf.protein) for orf in orfs] == ["MKXP"]
+
+    def test_six_frames_of_a_gapped_sequence(self):
+        frames = six_frame_translation(DnaSequence("ATGAAA-AACCC"))
+        assert str(frames[(FORWARD, 0)]) == "MKXP"
+        assert len(frames) == 6
+
+    def test_one_gapped_row_does_not_fail_a_sql_scan(self):
+        db = Database()
+        install_genomics(db)
+        db.execute("CREATE TABLE reads (id INTEGER, seq DNA)")
+        db.execute("INSERT INTO reads VALUES (1, dna('ATGAAACCCTAA'))")
+        db.execute("INSERT INTO reads VALUES (2, dna('ATGAAA-AACCC'))")
+        db.execute("INSERT INTO reads VALUES (3, dna('ATGAAA-AACCCTAA'))")
+        rows = db.query(
+            "SELECT id, orf_count(seq, 1) FROM reads ORDER BY id").rows
+        assert rows == [(1, 1), (2, 0), (3, 1)]
 
 
 class TestSixFrame:

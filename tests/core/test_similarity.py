@@ -13,8 +13,8 @@ from repro.core.ops.similarity import (
     naive_similarity_scan,
     resembles,
 )
-from repro.core.types import DnaSequence
-from repro.errors import SequenceError
+from repro.core.types import DnaSequence, ProteinSequence
+from repro.errors import AlphabetError, SequenceError
 
 dna_text = st.text(alphabet="ACGT", min_size=8, max_size=60)
 
@@ -47,6 +47,27 @@ class TestKmerProfiles:
         assert jaccard_similarity("", "") == 1.0
         assert cosine_similarity("", "") == 1.0
         assert cosine_similarity("ACGTACGT", "") == 0.0
+
+    def test_text_operands_are_read_like_a_contains_pattern(self):
+        # Was 0.0: the text was compared as spelt, against 'ACGT…'.
+        packed = DnaSequence("ACGTACGT")
+        itself = cosine_similarity(packed, packed)
+        assert itself == pytest.approx(1.0)
+        assert cosine_similarity("acgtacgt", packed) == itself
+        assert cosine_similarity(packed, "acgtacgt") == itself
+        assert cosine_similarity("acgtacgt", "ACGTACGT") == itself
+        assert jaccard_similarity("acgtacgt", packed) == 1.0
+        assert resembles(packed, "acgtacgt", threshold=0.99)
+        assert kmer_profile("atat", 2) == {"AT": 2, "TA": 1}
+
+    def test_text_is_checked_against_the_other_operand(self):
+        packed = DnaSequence("ACGTACGT")
+        with pytest.raises(AlphabetError):
+            cosine_similarity(packed, "ACGTXZ")
+        with pytest.raises(AlphabetError):
+            resembles("ACGTXZ", packed)
+        with pytest.raises(SequenceError, match="alphabet"):
+            cosine_similarity(packed, ProteinSequence("ACGT"))
 
     def test_resembles_threshold(self):
         assert resembles("ACGTACGTACGT", "ACGTACGTACGT", threshold=0.99)
