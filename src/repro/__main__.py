@@ -355,7 +355,9 @@ def _run_overload(arguments) -> int:
                           f"retry denials: "
                           f"{mediator.cost.retry_budget_denials}; "
                           f"brownout transitions: "
-                          f"{len(server.brownout.transitions)}")
+                          f"{len(server.brownout.transitions)}\n"
+                          f"  records: {mediator.cost.records_wrapped} "
+                          f"wrapped, {mediator.cost.records_parsed} parsed")
     header = (f"  {'':<12} {'good/s':>7} {'good':>5} {'p50':>6} "
               f"{'p99':>6}  shed")
     print(header)

@@ -158,6 +158,29 @@ class SourceError(ReproError):
         self.trace_id = trace_id
 
 
+class ClockTrackError(ReproError, RuntimeError):
+    """A virtual-clock track was closed out of order.
+
+    Tracks close strictly LIFO per thread; ``thread`` names the thread
+    that tried, ``track`` the track it handed in, and ``open_tracks``
+    how many tracks that thread still had open — on a pooled worker
+    thread anything but a balanced stack would leak into the next job.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        thread: "str | None" = None,
+        track: "object | None" = None,
+        open_tracks: "int | None" = None,
+    ) -> None:
+        super().__init__(message)
+        self.thread = thread
+        self.track = track
+        self.open_tracks = open_tracks
+
+
 class IntegrationError(ReproError):
     """The warehouse integrator could not reconcile or load data."""
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError, SourceError
+from repro.errors import SourceError
 from repro.etl.delta import DELETE, INSERT, UPDATE, Delta
 from repro.etl.diff.snapshot import (
     snapshot_differential,
@@ -55,7 +55,7 @@ from repro.etl.diff.snapshot import (
     split_flat_snapshot,
     split_relational_snapshot,
 )
-from repro.etl.wrappers import wrapper_for
+from repro.etl.wrappers import PARSE_FAILURES, wrapper_for
 from repro.obs.metrics import count as _metric
 from repro.obs.trace import span as _span
 from repro.sources.base import LogEntry, Repository
@@ -196,22 +196,14 @@ class SourceMonitor:
         return splitter(self._normalize(text))
 
     def _dump_looks_truncated(self, dump: str) -> bool:
-        """Heuristic for a transfer that died mid-payload.
+        """Whether the transfer died mid-payload (the wrapper's rule).
 
         A truncated dump loses its tail records *silently* (the splitter
         just finds fewer of them), which would read as deletions; this
         catches the torn tail so those deletions can be deferred.
         """
-        text = self._normalize(dump).rstrip()
-        if not text:
-            return False
-        representation = self.repository.representation
-        if representation == "flat":
-            return text.splitlines()[-1].strip() != "//"
-        if representation == "hierarchical":
-            blocks = [block for block in text.split("\n\n") if block.strip()]
-            return bool(blocks) and "Accession" not in blocks[-1]
-        return False  # relational: a torn row fails per-row validation
+        return (self._wrapper is not None
+                and bool(self._wrapper.torn_tail(self._normalize(dump))))
 
     def _ingest_dump(
         self, old: dict[str, str], dump: str
@@ -238,7 +230,7 @@ class SourceMonitor:
             return True
         try:
             parsed = self._wrapper.parse_record(text)
-        except (ReproError, ValueError, IndexError, KeyError) as error:
+        except PARSE_FAILURES as error:
             reason = f"{type(error).__name__}: {error}"
         else:
             if parsed.accession == accession:

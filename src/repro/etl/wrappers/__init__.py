@@ -1,6 +1,11 @@
 """Source wrappers: native formats → GDT-bearing parsed records."""
 
-from repro.etl.wrappers.base import ParsedRecord, Wrapper, parse_location
+from repro.etl.wrappers.base import (
+    PARSE_FAILURES,
+    ParsedRecord,
+    Wrapper,
+    parse_location,
+)
 from repro.etl.wrappers.flatfile import (
     EmblWrapper,
     FastaWrapper,
@@ -30,6 +35,7 @@ def wrapper_for(source_name: str) -> Wrapper:
 
 
 __all__ = [
+    "PARSE_FAILURES",
     "ParsedRecord",
     "Wrapper",
     "parse_location",

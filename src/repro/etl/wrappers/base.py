@@ -18,12 +18,20 @@ import re
 from dataclasses import dataclass, field
 
 from repro.core.types import DnaSequence, Gene, Interval, ProteinSequence
-from repro.errors import WrapperError
+from repro.errors import ReproError, WrapperError
+
+#: What ``parse_record`` may raise on garbled text: the garbage fails
+#: wherever it landed (a header check, an ``int()``, the alphabet).
+PARSE_FAILURES = (ReproError, ValueError, IndexError, KeyError)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParsedRecord:
-    """A source record after wrapping: identity + GDT values."""
+    """A source record after wrapping: identity + GDT values.
+
+    A value: the mediator hands the same record to every query that
+    meets the same source text, so nothing may change one in place.
+    """
 
     source_format: str
     accession: str
@@ -39,7 +47,7 @@ class ParsedRecord:
     def __post_init__(self) -> None:
         if not self.accession:
             raise WrapperError("a parsed record needs an accession")
-        self.exons = tuple(self.exons)
+        object.__setattr__(self, "exons", tuple(self.exons))
 
     def to_gene(self) -> Gene:
         """Build the GENE GDT value for a DNA-bearing record."""
@@ -87,7 +95,13 @@ def parse_location(text: str) -> tuple[Interval, ...]:
 
 
 class Wrapper:
-    """Base class of all source wrappers."""
+    """Base class of all source wrappers.
+
+    The snapshot law, which every wrapper obeys and the mediator's
+    record reuse relies on: ``parse_snapshot(dump)`` is
+    ``[parse_record(text) for text in split_snapshot(dump)]``, and each
+    record's ``raw`` is the very ``text`` it was parsed from.
+    """
 
     format_name: str = "abstract"
     record_terminator: str = "//"
@@ -95,8 +109,37 @@ class Wrapper:
     def parse_record(self, text: str) -> ParsedRecord:
         raise NotImplementedError
 
+    def torn_tail(self, text: str) -> str:
+        """What follows the last complete record of a dump (``""`` for
+        a whole one).
+
+        The one truncation rule.  A transfer that died mid-payload
+        loses its tail records *silently* to a splitter — it just finds
+        fewer of them — so the monitors defer deletions on a non-empty
+        tail and :meth:`split_snapshot` refuses the dump.  Flat files:
+        the non-blank text after the last terminator line.
+        """
+        text = text.rstrip()
+        if text.rpartition("\n")[2].strip() == self.record_terminator:
+            return ""  # the usual case, without splitting the dump
+        lines = text.splitlines()
+        for at in range(len(lines) - 1, -1, -1):
+            if lines[at].strip() == self.record_terminator:
+                return "\n".join(lines[at + 1:])
+        return "\n".join(lines)
+
+    def refuse_torn(self, text: str) -> None:
+        """Raise :class:`WrapperError` if *text* is a torn dump."""
+        tail = self.torn_tail(text)
+        if tail:
+            raise WrapperError(
+                f"torn {self.format_name} dump: {tail[-60:]!r} follows "
+                f"the last complete record"
+            )
+
     def split_snapshot(self, text: str) -> list[str]:
         """Split a full dump into individual record texts."""
+        self.refuse_torn(text)
         records: list[str] = []
         current: list[str] = []
         for line in text.splitlines():

@@ -192,6 +192,9 @@ class FastaWrapper(Wrapper):
             raise WrapperError(f"unknown molecule kind {molecule!r}")
         self.molecule = molecule
 
+    def torn_tail(self, text: str) -> str:
+        return ""  # no terminator: a prefix of a FASTA file is one too
+
     def split_snapshot(self, text: str) -> list[str]:
         records: list[str] = []
         current: list[str] = []
@@ -214,17 +217,15 @@ class FastaWrapper(Wrapper):
         accession = parts[0]
         description = parts[1] if len(parts) > 1 else None
         body = "".join(lines[1:])
-        record = ParsedRecord(
+        return ParsedRecord(
             source_format=self.format_name,
             accession=accession,
             description=description,
+            dna=decode(body) if self.molecule == "dna" else None,
+            protein=(decode_protein(body) if self.molecule == "protein"
+                     else None),
             raw=text,
         )
-        if self.molecule == "dna":
-            record.dna = decode(body)
-        else:
-            record.protein = decode_protein(body)
-        return record
 
 
 def write_fasta(records: "list[tuple[str, str, str]]") -> str:

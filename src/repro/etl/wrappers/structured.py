@@ -16,7 +16,15 @@ class AceWrapper(Wrapper):
 
     format_name = "acedb"
 
+    def torn_tail(self, text: str) -> str:
+        """Hierarchical: a final object without its identifying tag."""
+        blocks = [block for block in text.split("\n\n") if block.strip()]
+        if blocks and "Accession" not in blocks[-1]:
+            return blocks[-1]
+        return ""
+
     def split_snapshot(self, text: str) -> list[str]:
+        self.refuse_torn(text)
         return [block.strip() + "\n"
                 for block in text.split("\n\n") if block.strip()]
 
@@ -93,6 +101,9 @@ class RelationalWrapper(Wrapper):
             raw=raw,
         )
 
+    def torn_tail(self, text: str) -> str:
+        return ""  # a torn row fails per-row validation
+
     def split_snapshot(self, text: str) -> list[str]:
         lines = [line for line in text.splitlines() if line.strip()]
         if lines and lines[0].startswith("accession"):
@@ -105,19 +116,3 @@ class RelationalWrapper(Wrapper):
         if not rows:
             raise WrapperError("empty relational record")
         return self._record_from_row(rows[0], text)
-
-    def parse_snapshot(self, text: str) -> list[ParsedRecord]:
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
-        if not rows:
-            return []
-        if rows[0] and rows[0][0] == "accession":  # header row
-            rows = rows[1:]
-        buffer = io.StringIO()
-        records = []
-        for row in rows:
-            buffer.seek(0)
-            buffer.truncate()
-            csv.writer(buffer).writerow(row)
-            records.append(self._record_from_row(row, buffer.getvalue()))
-        return records

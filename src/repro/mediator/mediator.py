@@ -38,6 +38,7 @@ round-trips + backoff delay.
 from __future__ import annotations
 
 import random
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -45,7 +46,12 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 from repro.core.ops import contains as motif_contains
 from repro.errors import MediatorError, SourceError, WrapperError
-from repro.etl.wrappers import ParsedRecord, Wrapper, wrapper_for
+from repro.etl.wrappers import (
+    PARSE_FAILURES,
+    ParsedRecord,
+    Wrapper,
+    wrapper_for,
+)
 from repro.mediator.pool import (
     SequentialPool,
     ThreadedPool,
@@ -87,7 +93,10 @@ class MediationCost:
 
     source_requests: int = 0
     bytes_shipped: int = 0
+    #: Records handed to queries / parsed because their text was new:
+    #: wrapped over parsed is the wrappers' reuse ratio.
     records_wrapped: int = 0
+    records_parsed: int = 0
     queries_answered: int = 0
     retries: int = 0
     source_failures: int = 0
@@ -382,7 +391,7 @@ class MediatedBatch(dict):
         self.health = health or QueryHealth()
 
 
-@dataclass
+@dataclass(slots=True)
 class MediatedGene:
     """A gene answer in the mediator's global schema (one per source!).
 
@@ -411,6 +420,14 @@ class LiveSourceWrapper:
     that makes query-driven integration expensive over flat-file
     archives.  Every outward call runs through :meth:`resilient`, which
     owns the retry loop and the circuit breaker.
+
+    The source is asked on every extraction, but its text is wrapped
+    once per version: the :class:`ParsedRecord` last produced is handed
+    out again while the source ships byte-identical text (parsing is a
+    pure function of the text, so same text ⇒ same record).  Queryable
+    sources keep one record per accession, dropped on "no such record";
+    dump-only sources keep exactly the last dump's records, keyed by
+    text.  A changed or corrupt payload matches nothing and is parsed.
     """
 
     def __init__(
@@ -428,6 +445,7 @@ class LiveSourceWrapper:
         self.breaker = CircuitBreaker(breaker_policy or BreakerPolicy(),
                                       self.timeline)
         self._cost = cost
+        self._kept: dict[str, ParsedRecord] = {}
         self._memo: list[ParsedRecord] | None = None
         self._memo_active = False
         #: Overload controls, installed by
@@ -635,22 +653,43 @@ class LiveSourceWrapper:
             self._memo = records
         return records
 
+    def _wrap(self, key: str, text: str) -> ParsedRecord:
+        """The record *text* wraps to: the one kept under *key* while
+        the source ships the same text, a fresh parse otherwise."""
+        record = self._kept.get(key)
+        if record is None or record.raw != text:
+            try:
+                record = self.wrapper.parse_record(text)
+            except PARSE_FAILURES as error:
+                # To the retry loop it is one thing: a corrupt payload.
+                raise WrapperError(repr(error)) from error
+            self._cost.bump("records_parsed")
+        return record
+
     def _extract_all(self) -> list[ParsedRecord]:
+        records: list[ParsedRecord] = []
         if self.repository.capabilities.queryable:
-            records = []
-            for accession in self.repository.query_accessions():
-                self._cost.bump("source_requests")
-                text = self.repository.query(accession)
-                if text is None:
-                    continue
-                self._cost.bump("bytes_shipped", len(text))
-                records.append(self.wrapper.parse_record(text))
-            self._cost.bump("records_wrapped", len(records))
-            return records
-        self._cost.bump("source_requests")
-        dump = self.repository.snapshot()
-        self._cost.bump("bytes_shipped", len(dump))
-        records = self.wrapper.parse_snapshot(dump)
+            keys = []
+            requests = shipped = 0
+            try:
+                for accession in self.repository.query_accessions():
+                    requests += 1
+                    text = self.repository.query(accession)
+                    if text is not None:
+                        shipped += len(text)
+                        records.append(self._wrap(accession, text))
+                        keys.append(accession)
+            finally:
+                self._cost.bump("source_requests", requests)
+                self._cost.bump("bytes_shipped", shipped)
+        else:
+            self._cost.bump("source_requests")
+            dump = self.repository.snapshot()
+            self._cost.bump("bytes_shipped", len(dump))
+            records = [self._wrap(text, text)
+                       for text in self.wrapper.split_snapshot(dump)]
+            keys = [record.raw for record in records]
+        self._kept = dict(zip(keys, records))
         self._cost.bump("records_wrapped", len(records))
         return records
 
@@ -660,10 +699,12 @@ class LiveSourceWrapper:
             self._cost.bump("source_requests")
             text = self.repository.query(accession)
             if text is None:
+                self._kept.pop(accession, None)
                 return None
             self._cost.bump("bytes_shipped", len(text))
             self._cost.bump("records_wrapped")
-            return self.wrapper.parse_record(text)
+            record = self._kept[accession] = self._wrap(accession, text)
+            return record
         for record in self.fetch_all():
             if record.accession == accession:
                 return record
@@ -805,29 +846,38 @@ class Mediator:
         """
         with _span("mediator.fan_out", jobs=len(jobs),
                    width=self.pool.max_workers,
-                   parallel=self.pool.parallel):
+                   parallel=self.pool.parallel) as spn:
+            wrapped = self.cost.records_wrapped
+            parsed = self.cost.records_parsed
             if not self.pool.parallel or len(jobs) <= 1:
-                return [job() for job in jobs]
-            origin = self.timeline.now()
-            durations = [0.0] * len(jobs)
-            results: list = [None] * len(jobs)
-
-            def tracked(index: int,
-                        job: Callable[[], _T]) -> Callable[[], None]:
-                def run() -> None:
-                    track = self.timeline.open_track(origin)
-                    try:
-                        results[index] = job()
-                    finally:
-                        durations[index] = self.timeline.close_track(track)
-                return run
-
-            self.pool.run([tracked(index, job)
-                           for index, job in enumerate(jobs)])
-            makespan = bounded_makespan(durations, self.pool.max_workers)
-            if makespan:
-                self.timeline.advance(makespan)
+                results = [job() for job in jobs]
+            else:
+                results = self._fan_out_on_tracks(jobs)
+            parsed = self.cost.records_parsed - parsed
+            wrapped = self.cost.records_wrapped - wrapped
+            spn.annotate(parsed=parsed, reused=max(0, wrapped - parsed))
             return results
+
+    def _fan_out_on_tracks(self, jobs: Sequence[Callable[[], _T]]) -> list[_T]:
+        origin = self.timeline.now()
+        durations = [0.0] * len(jobs)
+        results: list = [None] * len(jobs)
+
+        def tracked(index: int, job: Callable[[], _T]) -> Callable[[], None]:
+            def run() -> None:
+                track = self.timeline.open_track(origin)
+                try:
+                    results[index] = job()
+                finally:
+                    durations[index] = self.timeline.close_track(track)
+            return run
+
+        self.pool.run([tracked(index, job)
+                       for index, job in enumerate(jobs)])
+        makespan = bounded_makespan(durations, self.pool.max_workers)
+        if makespan:
+            self.timeline.advance(makespan)
+        return results
 
     def _finish(self, health: QueryHealth, started: float,
                 strict: bool) -> None:
@@ -863,7 +913,9 @@ class Mediator:
             name=record.name,
             organism=record.organism,
             description=record.description,
-            sequence_text=str(record.dna),
+            # Views outlive the query in caches and callers' hands:
+            # all views of one sequence share one text.
+            sequence_text=sys.intern(str(record.dna)),
         )
 
     def find_genes(
@@ -926,11 +978,11 @@ class Mediator:
                     return []
                 rows = []
                 for record in records:
-                    if record.dna is None:
-                        continue  # protein databanks don't serve genes
+                    if not self._matches(record, organism, name_prefix,
+                                         contains_motif, min_length):
+                        continue
                     row = self._as_gene(record, wrapper.repository.name)
-                    if self._matches(row, organism, name_prefix,
-                                     contains_motif, min_length, predicate):
+                    if predicate is None or predicate(row):
                         rows.append(row)
                 return rows
             return job
@@ -946,28 +998,25 @@ class Mediator:
 
     @staticmethod
     def _matches(
-        row: MediatedGene,
+        record: ParsedRecord,
         organism: str | None,
         name_prefix: str | None,
         contains_motif: str | None,
         min_length: int | None,
-        predicate: Callable[[MediatedGene], bool] | None,
     ) -> bool:
-        if organism is not None and row.organism != organism:
+        """Tested on the wrapper's value, before any view is built."""
+        if record.dna is None:
+            return False  # protein databanks don't serve genes
+        if organism is not None and record.organism != organism:
             return False
         if name_prefix is not None and not (
-            row.name or ""
+            record.name or ""
         ).startswith(name_prefix):
             return False
-        if min_length is not None and row.length < min_length:
+        if min_length is not None and len(record.dna) < min_length:
             return False
-        if contains_motif is not None:
-            from repro.core.types import DnaSequence
-
-            if not motif_contains(DnaSequence(row.sequence_text),
-                                  contains_motif):
-                return False
-        if predicate is not None and not predicate(row):
+        if contains_motif is not None and not motif_contains(
+                record.dna, contains_motif):
             return False
         return True
 

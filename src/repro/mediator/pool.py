@@ -6,11 +6,12 @@ share the interface:
 - :class:`SequentialPool` — the legacy baseline: jobs run inline, in
   order, on the caller's thread, advancing the shared virtual clock
   directly (summed per-source time);
-- :class:`ThreadedPool` — a bounded ``ThreadPoolExecutor``; each job
-  runs on its own :class:`~repro.sources.faults.ClockTrack`, and the
-  mediator joins the tracks back into the shared clock with
-  :func:`bounded_makespan`, so modelled latency reflects wall-clock
-  under ``max_workers``-way parallelism;
+- :class:`ThreadedPool` — ``max_workers`` lanes on one long-lived,
+  process-wide executor; each job runs on its own
+  :class:`~repro.sources.faults.ClockTrack`, and the mediator joins the
+  tracks back into the shared clock with :func:`bounded_makespan`, so
+  modelled latency reflects wall-clock under ``max_workers``-way
+  parallelism;
 - ``DeterministicPool`` (in ``tests/concurrency``) — runs jobs serially
   in a *seeded permutation* of submission order while still reporting
   ``parallel = True``, which makes every interleaving-sensitive code
@@ -23,6 +24,9 @@ deterministic by construction.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
@@ -72,12 +76,37 @@ class SequentialPool(WorkerPool):
         return [task() for task in tasks]
 
 
-class ThreadedPool(WorkerPool):
-    """A bounded thread pool; one short-lived executor per batch.
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
 
-    The executor is created and torn down inside :meth:`run` so that
-    the many mediators a test suite builds never leak idle worker
-    threads past their last query.
+
+def _shared_executor() -> ThreadPoolExecutor:
+    """The executor every :class:`ThreadedPool` borrows threads from.
+
+    Created by the first fan-out, never at import.  One per process, not
+    one per pool: a live thread is a stack and a malloc arena (four
+    shard mediators × three workers measured +8 % peak RSS), so their
+    number must not follow the number of mediators built.  As wide as
+    the machine has cores — the sources are simulated in-process.
+    """
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1,
+                thread_name_prefix="mediator-fanout")
+        return _executor
+
+
+class ThreadedPool(WorkerPool):
+    """At most ``max_workers`` lanes, each taking the next task in
+    submission order — the schedule :func:`bounded_makespan` models.
+
+    The caller's thread is the first lane and the rest are borrowed
+    from :func:`_shared_executor`; one that has not started when the
+    batch is drained is cancelled, so a busy executor slows a batch
+    down but cannot stall it, and there is no ``close()`` to forget.
+    Tasks must not wait on one another: the width is a bound.
     """
 
     parallel = True
@@ -94,16 +123,32 @@ class ThreadedPool(WorkerPool):
         # inside a worker parent under the caller's current span instead
         # of starting orphan traces of their own.
         context = capture_context()
+        pending = deque(enumerate(tasks))
+        results: list = [None] * len(tasks)
+        errors: dict[int, BaseException] = {}
 
-        def contextual(task: Callable[[], _T]) -> Callable[[], _T]:
-            def run_with_context() -> _T:
-                with use_context(context):
-                    return task()
-            return run_with_context
+        def lane() -> None:
+            while True:
+                try:
+                    index, task = pending.popleft()
+                except IndexError:
+                    return
+                try:
+                    with use_context(context):
+                        results[index] = task()
+                except BaseException as error:  # re-raised by the caller
+                    errors[index] = error
 
-        with ThreadPoolExecutor(max_workers=self.max_workers) as executor:
-            futures = [executor.submit(contextual(task)) for task in tasks]
-            return [future.result() for future in futures]
+        executor = _shared_executor()
+        borrowed = [executor.submit(lane)
+                    for __ in range(min(self.max_workers, len(tasks)) - 1)]
+        lane()
+        for future in borrowed:
+            if not future.cancel():
+                future.result()
+        if errors:
+            raise errors[min(errors)]
+        return results
 
     def __repr__(self) -> str:
         return f"ThreadedPool(max_workers={self.max_workers})"

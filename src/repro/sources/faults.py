@@ -36,7 +36,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import SourceError
+from repro.errors import ClockTrackError, SourceError
 from repro.obs.metrics import count as _metric
 from repro.sources.base import LogEntry, Repository
 
@@ -64,6 +64,9 @@ class ClockTrack:
     @property
     def elapsed(self) -> float:
         return self.offset
+
+    def __repr__(self) -> str:
+        return f"ClockTrack(origin={self.origin}, offset={self.offset})"
 
 
 class VirtualClock:
@@ -136,7 +139,12 @@ class VirtualClock:
         """
         stack = self._track_stack()
         if not stack or stack[-1] is not track:
-            raise RuntimeError("closing a clock track that is not open here")
+            thread = threading.current_thread().name
+            raise ClockTrackError(
+                f"thread {thread!r} closed {track!r}, which is not its "
+                f"innermost open track ({len(stack)} open here)",
+                thread=thread, track=track, open_tracks=len(stack),
+            )
         stack.pop()
         return track.offset
 
