@@ -27,11 +27,13 @@ legacy row-list layout on identical data:
   the first gated number: columnar must win by
   :data:`A15_GATE_MIN_SPEEDUP` or the ``--check`` run fails;
 - **aggregate** — full-table ``count/avg/min/max``, with and without
-  a vectorized genomic kernel (``gc_content`` over packed pages).
-  Nothing can be skipped here, so this measures the read path itself
-  (only the pages of the columns the plan names, decoded a whole
-  array at a time); the plain aggregate is the second gated number
-  (:data:`A15_GATE_MIN_AGGREGATE_SPEEDUP`);
+  a genomic page kernel (``gc_content`` over packed pages).  Nothing
+  can be skipped here, so this measures the read path itself (only the
+  pages of the columns the plan names, decoded a whole array at a
+  time) plus the folds.  Both layouts run the same batch executor, so
+  the columnar ÷ row ratio is page decode alone and is *reported*; the
+  second gated number is the columnar aggregate's own cost, an
+  absolute budget per row (:data:`A15_GATE_MAX_AGGREGATE_US_PER_ROW`);
 - **sort** — a full-table ORDER BY at memory budgets of none, 1× and
   ¼× the table's encoded size; the ¼× run *must* spill to disk runs
   and still return bit-identical rows (reported with spill counters).
@@ -222,13 +224,17 @@ A15_SEQ_BP = 60
 #: row layout's full scan+filter by at least this factor.
 A15_GATE_MIN_SPEEDUP = 10.0
 
-#: Second floor of the same gate: the full-table aggregate, where no
-#: page can be skipped, so the win is the storage path alone — decode
-#: only the pages of the columns the calls name, a whole array at a
-#: time.  Ten ``--quick`` runs read 2.3–3.2x (the per-value decoder
-#: that read every column: 1.3–1.5x); what is left above the pages is
-#: per-value interpretation (ROADMAP item 2).
-A15_GATE_MIN_AGGREGATE_SPEEDUP = 2.0
+#: Second bound of the same gate: what the full-table columnar
+#: aggregate costs per row, in µs (min of the interleaved rounds).  No
+#: page can be skipped, so this is the whole read path — decode the
+#: pages of the columns the calls name, fold each column.  An absolute
+#: budget, as A13 / A16 are: it used to be a columnar ÷ row floor (2.0x),
+#: but since PR 18 both layouts run one batch executor, the ratio
+#: measures page decode alone and *falls* (2.5x -> 1.1x) while both
+#: sides get faster (columnar 1.77 -> 0.37 µs a row the same day; the
+#: row layout 4.4 -> 0.42).  Seven ``--quick`` runs read 0.26–0.42; the
+#: per-row interpreter this guards against read 1.1–1.8.
+A15_GATE_MAX_AGGREGATE_US_PER_ROW = 0.7
 
 A15_SCAN_SQL = "SELECT id FROM reads WHERE k BETWEEN ? AND ?"
 A15_AGG_SQL = "SELECT count(*), avg(gc), min(k), max(k) FROM reads"
@@ -337,7 +343,7 @@ class TestA15Shape:
         plan = column_db.explain(A15_SCAN_SQL)
         assert "zones on" in plan
         plan = column_db.explain(A15_KERNEL_AGG_SQL)
-        assert "VectorAggregate" in plan
+        assert "columns none; kernels gc_content(seq)" in plan
 
 
 def report_a15(row_count=A15_ROWS, repeats=A15_REPEATS) -> dict:
@@ -420,15 +426,19 @@ def report_a15(row_count=A15_ROWS, repeats=A15_REPEATS) -> dict:
 
     payload["gate_speedup"] = payload["scan"]["speedup"]
     payload["gate_min_speedup"] = A15_GATE_MIN_SPEEDUP
-    payload["gate_aggregate_speedup"] = payload["aggregate"]["speedup"]
-    payload["gate_min_aggregate_speedup"] = A15_GATE_MIN_AGGREGATE_SPEEDUP
+    payload["gate_aggregate_us_per_row"] = (
+        payload["aggregate"]["columnar_s"] * 1e6 / row_count)
+    payload["gate_max_aggregate_us_per_row"] = (
+        A15_GATE_MAX_AGGREGATE_US_PER_ROW)
     print(f"\nsmoke gate: selective scan speedup "
           f"{payload['gate_speedup']:.1f}x "
           f"(floor {A15_GATE_MIN_SPEEDUP:.0f}x); scan read "
           f"{skips['columnar_pages_read']} pages, skipped "
-          f"{skips['columnar_pages_skipped']}; aggregate speedup "
-          f"{payload['gate_aggregate_speedup']:.1f}x "
-          f"(floor {A15_GATE_MIN_AGGREGATE_SPEEDUP:.1f}x)")
+          f"{skips['columnar_pages_skipped']}; columnar aggregate "
+          f"{payload['gate_aggregate_us_per_row']:.2f} us/row "
+          f"(budget {A15_GATE_MAX_AGGREGATE_US_PER_ROW:.2f}; "
+          f"{payload['aggregate']['speedup']:.1f}x the row layout, "
+          f"not gated)")
     return payload
 
 
@@ -444,16 +454,18 @@ if __name__ == "__main__":
     }
     write_bench_json("ablation_storage", payload)
     if "--check" in sys.argv:
-        for what, got, floor in (
-            ("selective scan", payload["a15"]["gate_speedup"],
-             A15_GATE_MIN_SPEEDUP),
-            ("aggregate", payload["a15"]["gate_aggregate_speedup"],
-             A15_GATE_MIN_AGGREGATE_SPEEDUP),
-        ):
-            if got < floor:
-                print(f"FAIL: columnar {what} only {got:.1f}x the row "
-                      f"layout (floor {floor:.1f}x)")
-                sys.exit(1)
-        print("PASS: columnar scan and aggregate speedups above their "
-              "floors")
+        a15 = payload["a15"]
+        if a15["gate_speedup"] < A15_GATE_MIN_SPEEDUP:
+            print(f"FAIL: columnar selective scan only "
+                  f"{a15['gate_speedup']:.1f}x the row layout "
+                  f"(floor {A15_GATE_MIN_SPEEDUP:.1f}x)")
+            sys.exit(1)
+        if (a15["gate_aggregate_us_per_row"]
+                > A15_GATE_MAX_AGGREGATE_US_PER_ROW):
+            print(f"FAIL: columnar aggregate costs "
+                  f"{a15['gate_aggregate_us_per_row']:.2f} us/row "
+                  f"(budget {A15_GATE_MAX_AGGREGATE_US_PER_ROW:.2f})")
+            sys.exit(1)
+        print("PASS: columnar scan speedup above its floor, columnar "
+              "aggregate within its per-row budget")
     sys.exit(0)

@@ -4,8 +4,8 @@ This package is the storage half of ROADMAP item 2: GLU-style
 compressed column pages (generalizing the 2-bit ``PackedSequence``
 packing to every SQL type), a byte-budgeted LRU page cache that spills
 cold pages to disk, spillable row runs for the streaming executor, and
-vectorized genomic UDF kernels that evaluate whole pages without
-row-by-row decode.
+genomic UDF page kernels that evaluate whole pages without row-by-row
+decode.
 
 One :class:`ColumnarRuntime` per :class:`~repro.db.database.Database`
 owns the shared pieces — the page cache, the spill policy, and the
@@ -30,7 +30,7 @@ from repro.db.columnar.spill import (
     ValueCodec,
 )
 from repro.db.columnar.store import ColumnStore, GroupView, zone_excludes
-from repro.db.columnar.vector import KERNELS, apply_kernel
+from repro.db.columnar.vector import KERNELS
 
 __all__ = [
     "PAGE_ROWS",
@@ -44,7 +44,6 @@ __all__ = [
     "RowRun",
     "SpillManager",
     "ValueCodec",
-    "apply_kernel",
     "decode_page",
     "encode_page",
     "zone_excludes",

@@ -9,10 +9,11 @@ anonymous temporary file and further appends go straight to disk.
 
 Two shapes:
 
-- :class:`RowRun` — sequential, re-iterable (block-nested-loop join
-  right sides, external-sort runs, spilled aggregate partitions).
-- :class:`IndexedRun` — offset-addressed random access (hash-join
-  build rows, referenced by ordinal from the bucket table).
+- :class:`RowRun` — sequential, re-iterable (external-sort runs,
+  spilled aggregate partitions).
+- :class:`IndexedRun` — offset-addressed random access (a join's
+  build rows, referenced by ordinal from the hash buckets or walked in
+  order by the nested loop).
 
 Rows cross the memory/disk boundary as JSON lines through
 :class:`ValueCodec`, the same ``$bytes`` / ``$udt`` tagging the WAL
@@ -27,7 +28,6 @@ import json
 import tempfile
 from typing import Any, Iterable, Iterator
 
-from repro.db.columnar.vector import KernelError
 from repro.db.values import NULL
 from repro.errors import StorageError
 from repro.obs.metrics import count
@@ -51,11 +51,6 @@ class ValueCodec:
     def encode_value(self, value: Any) -> Any:
         if value is NULL or isinstance(value, (bool, int, float, str)):
             return value
-        if type(value) is KernelError:
-            # A deferred kernel failure crossed a spill boundary: the
-            # query was going to raise this error once the row was
-            # consumed; surface it now rather than serialize it.
-            raise value.error
         if isinstance(value, (bytes, bytearray)):
             return {"$bytes": bytes(value).hex()}
         opaque = self._catalog.opaque_type_for(value)
@@ -97,9 +92,6 @@ class SpillManager:
         if self.budget_bytes is None:
             return None
         return max(1, min(DEFAULT_RUN_ROWS, self.budget_bytes // 64))
-
-    def row_run(self) -> "RowRun":
-        return RowRun(self.codec, self.run_capacity())
 
     def indexed_run(self) -> "IndexedRun":
         return IndexedRun(self.codec, self.run_capacity())

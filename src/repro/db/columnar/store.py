@@ -19,8 +19,7 @@ cannot satisfy a comparison predicate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.db.columnar import pages as page_codec
 from repro.db.columnar.pages import ZONE_EMPTY
@@ -117,7 +116,7 @@ class GroupView:
         return self._group.pages[position].zone
 
     def seq_rows(self, position: int) -> "list | None":
-        """One column as the vector kernels read it
+        """One column as the page kernels read it
         (:func:`pages.seq_raw_body`): verified but not decoded.  ``None``
         for the tail and for a page that is not SEQ-encoded."""
         if self._group is None:
@@ -141,16 +140,14 @@ class GroupView:
             self._columns[position] = values
         return values
 
-    def enumerate_rows(self, positions: "Sequence[int] | None" = None,
-                       ) -> Iterator[tuple[int, tuple]]:
-        """Live ``(offset, row)`` pairs in ordinal order, each row holding
-        the columns at *positions* (default: all of them).  Offsets index
-        ``row_ids`` and positional per-page lists (kernel columns)."""
-        if positions is None:
-            positions = range(len(self._store.schema.columns))
-        columns = [self.column_values(position) for position in positions]
-        rows = zip(*columns) if columns else repeat(())
-        for offset, (row_id, row) in enumerate(zip(self.row_ids, rows)):
+    def enumerate_rows(self) -> Iterator[tuple[int, tuple]]:
+        """Live ``(offset, row)`` pairs in ordinal order, every column
+        decoded — whole-row access (``ColumnStore.items``); a query scans
+        through :meth:`column_values`.  Offsets index ``row_ids``."""
+        columns = [self.column_values(position)
+                   for position in range(len(self._store.schema.columns))]
+        for offset, (row_id, row) in enumerate(zip(self.row_ids,
+                                                   zip(*columns))):
             if row_id is not None:
                 yield offset, row
 

@@ -1,15 +1,15 @@
-"""Vectorized genomic UDF kernels over packed column pages.
+"""Genomic UDF kernels over packed column pages.
 
-The row-at-a-time path for ``SELECT gc_content(seq) FROM t`` runs the
-whole expression interpreter once per cell.  A kernel evaluates one
-tagged function over a whole SEQ-encoded page at once, from the packed
-code buffers exactly as stored.  The operators of ``core.ops`` read
-codes themselves, so most kernels are just that: the registered operator
-applied to each raw page row (``gc_content``, ``reverse_complement``).
-``contains`` adds what only a page-wise view can: it encodes the pattern
-once per page and answers the common exact case with ``needle in codes``.
-This module builds no table of its own — every alphabet-level lookup is
-``core.ops``' (``tests/test_core_ops_audit.py``).
+A kernel evaluates one tagged function over a whole SEQ-encoded page at
+once, from the packed code buffers exactly as stored, where the plain
+compiled call would first decode every cell.  The operators of
+``core.ops`` read codes themselves, so most kernels are just that: the
+registered operator applied to each raw page row (``gc_content``,
+``reverse_complement``).  ``contains`` adds what only a page-wise view
+can: it encodes the pattern once per page and answers the common exact
+case with ``needle in codes``.  This module builds no table of its own —
+every alphabet-level lookup is ``core.ops``' (``tests/test_core_ops_
+audit.py``).
 
 Bit-identity contract: every kernel either (a) computes a value provably
 equal to calling the registered SQL function on the decoded cell, or
@@ -19,13 +19,14 @@ foreign alphabets, non-SEQ pages).  The differential suite in
 
 A kernel is only ever attached to a call when the catalog entry for the
 function carries the matching ``kernel=`` tag (see
-:class:`repro.db.catalog.SqlFunction`) — a user function that merely
-shares a builtin's name is never vectorized.
+:class:`repro.db.catalog.SqlFunction` and ``Evaluator.kernel_position``)
+— a user function that merely shares a builtin's name is never
+vectorized.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.core.ops.search import concrete_codes, has_ambiguity
 from repro.core.types.sequence import PackedSequence, sequence_class_for
@@ -33,14 +34,14 @@ from repro.db.values import NULL
 
 
 class KernelError:
-    """A captured per-row kernel failure, deferred until consumption.
+    """A captured per-cell failure, deferred until consumption.
 
-    Vectorized kernels evaluate whole pages — including tombstoned
-    ordinals and rows a later filter would discard — which the
-    row-at-a-time path never touches.  Failures are captured as values
-    and re-raised only when an expression actually reads the cell
-    (``Evaluator._eval_columnref``) or an operator consumes it
-    directly, preserving the legacy error surface exactly.
+    A compiled expression evaluates whole batches, and a kernel whole
+    pages — including tombstoned ordinals, rows a filter goes on to
+    discard and rows past a ``LIMIT`` — which row-at-a-time evaluation
+    never touches.  A failure is captured as the cell's value and raised
+    by the operator that evaluated the column only when that row is
+    consumed (``repro.db.sql.expressions.settled``).
     """
 
     __slots__ = ("error",)
@@ -141,9 +142,3 @@ KERNELS: "dict[str, Callable]" = {
     "reverse_complement": _kernel_operator,
     "contains": _kernel_contains,
 }
-
-
-def apply_kernel(kernel_name: str, raw, values_fn: Callable[[], list],
-                 fallback: Callable, args: "tuple[Any, ...]") -> list:
-    """Evaluate one tagged function over one page; see module docstring."""
-    return KERNELS[kernel_name](raw, values_fn, fallback, args)

@@ -27,11 +27,19 @@ from repro.db.columnar import ColumnarRuntime
 from repro.db.index import INDEX_KINDS
 from repro.db.schema import Column, TableSchema
 from repro.db.sql import ast
-from repro.db.sql.expressions import Evaluator, Frame, RowContext
+from repro.db.sql.expressions import (
+    NO_COLUMNS,
+    Batch,
+    Evaluator,
+    Frame,
+    RowContext,
+    kept,
+    one,
+)
 from repro.db.sql.functions import register_builtin_functions
 from repro.db.sql.optimizer import Planner
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import PlanNode
+from repro.db.sql.plan import PlanNode, doubling_chunks
 from repro.db.table import Table
 from repro.db.values import NULL, OpaqueType
 from repro.errors import (
@@ -122,20 +130,23 @@ STATEMENT_CACHE_SIZE = 256
 class _Prepared:
     """One cached statement: its AST and, for a SELECT, its plan.
 
-    ``version`` is the catalog version ``plan`` and ``subplans`` were
-    built under (−1: not planned yet).  ``subplans`` memoises the plans
-    of the statement's subqueries, keyed on the identity of their
-    ``Select`` node — the AST is kept alive by this entry, so the ids
-    are stable for as long as the memo exists.
+    ``version`` is the catalog version ``plan``, ``subplans`` and
+    ``compiled`` were built under (−1: not planned yet).  ``subplans``
+    memoises the plans of the statement's subqueries, keyed on the
+    identity of their ``Select`` node — the AST is kept alive by this
+    entry, so the ids are stable for as long as the memo exists.
+    ``compiled`` holds (as a 1-tuple, once built) what a DML statement
+    evaluates: its VALUES, SET and WHERE expressions as column closures.
     """
 
-    __slots__ = ("statement", "plan", "version", "subplans")
+    __slots__ = ("statement", "plan", "version", "subplans", "compiled")
 
     def __init__(self, statement: ast.Statement) -> None:
         self.statement = statement
         self.plan: "PlanNode | None" = None
         self.version = -1
         self.subplans: dict[int, PlanNode] = {}
+        self.compiled: Any = None
 
 
 class Database:
@@ -286,6 +297,7 @@ class Database:
                     pass
             return entry
         entry.subplans.clear()
+        entry.compiled = None
         if isinstance(entry.statement, ast.Select):
             with _span("sql.plan", cache="miss"):
                 entry.plan = self._planner.plan_select(entry.statement)
@@ -334,12 +346,18 @@ class Database:
             raise DatabaseError("query() requires a SELECT statement")
         return result
 
-    def explain(self, sql: str) -> str:
-        """The plan :meth:`execute` runs for a SELECT, as an indented tree."""
-        plan = self._prepare(sql).plan
-        if plan is None:
+    def explain(self, sql: str, parameters: Sequence[Any] = (), *,
+                analyze: bool = False) -> str:
+        """The plan :meth:`execute` runs for a SELECT, as an indented tree
+        with the planner's row estimates.  With *analyze* the statement
+        is run (under *parameters*) and every operator also shows the
+        rows and batches it actually produced."""
+        entry = self._prepare(sql)
+        if entry.plan is None:
             raise DatabaseError("EXPLAIN supports only SELECT")
-        return plan.explain()
+        if analyze:
+            self.execute(sql, parameters)
+        return entry.plan.explain(analyze=analyze)
 
     def _log_mutation(self, sql: str, parameters: Sequence[Any]) -> None:
         if self.in_transaction:
@@ -500,14 +518,27 @@ class Database:
 
     # -- DML -------------------------------------------------------------------------------
 
+    def _compiled(self, statement: ast.Statement, build: Callable) -> Any:
+        """What *build* compiles for a DML statement — once per catalog
+        version when the statement runs from its prepared entry."""
+        entry = self._running
+        if entry is None or entry.statement is not statement:
+            return build()
+        if entry.compiled is None:
+            entry.compiled = (build(),)
+        return entry.compiled[0]
+
     def _insert(self, statement: ast.Insert,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
         context = RowContext.without_row(parameters)
+        compile_ = self._evaluator.compile
+        value_rows = self._compiled(statement, lambda: [
+            [compile_(expression, NO_COLUMNS) for expression in value_row]
+            for value_row in statement.rows])
         inserted = 0
-        for value_row in statement.rows:
-            values = [self._evaluator.evaluate(expression, context)
-                      for expression in value_row]
+        for value_row in value_rows:
+            values = [one(column, context) for column in value_row]
             if statement.columns is not None:
                 if len(values) != len(statement.columns):
                     raise SqlSyntaxError(
@@ -523,37 +554,38 @@ class Database:
             inserted += 1
         return inserted
 
-    def _matching_row_ids(self, table, where: ast.Expression | None,
+    def _matching_row_ids(self, table, where: "Callable | None",
                           parameters: Sequence[Any]) -> list[int]:
-        frame = Frame.for_table(table.name, table.schema.column_names)
+        """Row ids of the rows the compiled *where* keeps (all of them
+        without one), found before the caller changes any."""
+        if where is None:
+            return [row_id for row_id, _ in table.rows()]
+        context = RowContext.without_row(parameters)
         matches: list[int] = []
-        for row_id, row in list(table.rows()):
-            if where is None:
-                matches.append(row_id)
-                continue
-            context = RowContext(frame, tuple(row), parameters, None)
-            if self._evaluator.evaluate_predicate(where, context):
-                matches.append(row_id)
+        for chunk in doubling_chunks(table.rows()):
+            keep, error = kept(Batch.of_rows([row for _, row in chunk]),
+                               where, context)
+            if error is not None:
+                raise error
+            matches.extend(chunk[row][0] for row in keep)
         return matches
 
     def _update(self, statement: ast.Update,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
         frame = Frame.for_table(table.name, table.schema.column_names)
-        assignments = [
-            (table.schema.position(column), expression)
-            for column, expression in statement.assignments
-        ]
+        compile_ = self._evaluator.compile
+        where, assignments = self._compiled(statement, lambda: (
+            statement.where and compile_(statement.where, frame),
+            [(table.schema.position(column), compile_(expression, frame))
+             for column, expression in statement.assignments]))
+        context = RowContext.without_row(parameters)
         updated = 0
-        for row_id in self._matching_row_ids(table, statement.where,
-                                             parameters):
+        for row_id in self._matching_row_ids(table, where, parameters):
             old_row = table.row(row_id)
-            context = RowContext(frame, tuple(old_row), parameters, None)
             new_row = list(old_row)
-            for position, expression in assignments:
-                new_row[position] = self._evaluator.evaluate(
-                    expression, context
-                )
+            for position, column in assignments:
+                new_row[position] = one(column, context, old_row)
             table.update(row_id, new_row)
             updated += 1
         return updated
@@ -561,7 +593,10 @@ class Database:
     def _delete(self, statement: ast.Delete,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
-        row_ids = self._matching_row_ids(table, statement.where, parameters)
+        frame = Frame.for_table(table.name, table.schema.column_names)
+        where = self._compiled(statement, lambda: statement.where and
+                               self._evaluator.compile(statement.where, frame))
+        row_ids = self._matching_row_ids(table, where, parameters)
         for row_id in row_ids:
             table.delete(row_id)
         return len(row_ids)

@@ -312,6 +312,14 @@ def walk_expression(expression: Expression):
         yield from walk_expression(child)
 
 
+def fold_expression(fn, expression: Expression) -> Any:
+    """Compute a result for an expression tree bottom-up:
+    ``fn(node, results)`` sees a node and the results of its
+    :func:`children`, in their order."""
+    return fn(expression, [fold_expression(fn, child)
+                           for child in children(expression)])
+
+
 def map_expression(fn, expression: Expression) -> Expression:
     """Rewrite an expression tree bottom-up.
 

@@ -24,27 +24,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.db.columnar.vector import KERNELS
 from repro.db.sql import ast
-from repro.db.sql.expressions import NATIVE_AGGREGATES, Evaluator, Frame
+from repro.db.sql.expressions import Evaluator, Frame
 from repro.db.sql.plan import (
     Aggregate,
     ColumnarScan,
     Distinct,
     Filter,
-    HashJoin,
     IndexContainsScan,
     IndexEqualScan,
     IndexRangeScan,
-    KernelSlot,
     Limit,
-    NestedLoopJoin,
+    Join,
     OneRow,
     PlanNode,
     Project,
     SeqScan,
     Sort,
-    VectorAggregate,
 )
 from repro.db.table import Table
 from repro.errors import CatalogError, SqlSyntaxError
@@ -318,63 +314,6 @@ class Planner:
         _, plan, rest = candidates[0]
         return plan, rest
 
-    def _kernel_slot(
-        self,
-        call: ast.FunctionCall,
-        scan: ColumnarScan,
-        schemas: dict[str, Table],
-    ) -> "KernelSlot | None":
-        """The :class:`KernelSlot` computing *call*, when it vectorizes.
-
-        Eligible: a non-aggregate call to a catalog function whose
-        registration carries a ``kernel=`` tag, first argument a column
-        of the scanned table, remaining arguments independent of this
-        query level.  The slot carries the column's position, so ``seq``
-        and ``reads.seq`` name the same slot while ``?`` placeholders of
-        different index do not.
-        """
-        if call.star or not call.args:
-            return None
-        if self._evaluator.is_aggregate_call(call):
-            return None
-        try:
-            descriptor = self._database.catalog.function(call.name)
-        except CatalogError:
-            return None
-        if descriptor.kernel is None or descriptor.kernel not in KERNELS:
-            return None
-        column = self._column_of(call.args[0], scan.binding, scan.table)
-        if column is None:
-            return None
-        for extra in call.args[1:]:
-            if not self._independent(extra, schemas):
-                return None
-        return KernelSlot(str(call), descriptor.kernel, call.name.lower(),
-                          scan.table.schema.position(column),
-                          tuple(call.args[1:]))
-
-    def _rewrite_kernel_calls(
-        self,
-        expression: ast.Expression,
-        scan: ColumnarScan,
-        schemas: dict[str, Table],
-    ) -> ast.Expression:
-        """Replace kernel-taggable calls with scan kernel-slot columns.
-
-        Arguments rewrite first, so nested calls vectorize inside-out:
-        the innermost eligible call becomes a synthetic column and the
-        enclosing call (now over a non-schema column) stays row-at-a-time
-        against the slot value.
-        """
-        def to_slot_column(node, rebuilt):
-            if isinstance(rebuilt, ast.FunctionCall):
-                slot = self._kernel_slot(rebuilt, scan, schemas)
-                if slot is not None:
-                    return ast.ColumnRef(None, scan.ensure_kernel_slot(slot))
-            return rebuilt
-
-        return ast.map_expression(to_slot_column, expression)
-
     def _access_path(
         self,
         table: Table,
@@ -388,8 +327,7 @@ class Planner:
         if indexed is not None:
             plan, remaining = indexed
         elif self.optimize and table.column_store is not None:
-            scan = ColumnarScan(table, binding, self._evaluator,
-                                self._database.catalog)
+            scan = ColumnarScan(table, binding, self._evaluator)
             for conjunct in conjuncts:
                 # Zone maps only skip whole row groups, never decide a
                 # row: the conjunct itself stays in a Filter above.
@@ -398,11 +336,7 @@ class Planner:
                 if bounds is not None:
                     scan.bounds.append(
                         (table.schema.position(bounds[0]), *bounds[1:5]))
-            # Kernel slots must all exist before any Filter captures the
-            # scan frame, hence the two passes.
-            remaining = [self._rewrite_kernel_calls(conjunct, scan, schemas)
-                         for conjunct in conjuncts]
-            plan = scan
+            plan, remaining = scan, conjuncts
         else:
             plan = SeqScan(table, binding)
             remaining = conjuncts
@@ -489,105 +423,49 @@ class Planner:
                         keys.append(key)
         return calls, keys
 
-    def _vector_specs(
-        self,
-        calls: list[ast.FunctionCall],
-        scan: ColumnarScan,
-        schemas: dict[str, Table],
-    ) -> "list[KernelSlot | int | None] | None":
-        """The :class:`VectorAggregate` spec of every call — ``None`` for
-        ``count(*)``, a column position, or a kernel slot — or None when
-        one of them cannot fold page-at-a-time.
-
-        Supported: native aggregates over ``*``, a scanned column, or a
-        kernel-taggable function call of one.  Invalid shapes (``sum(*)``,
-        wrong arity) are unsupported, so the row-at-a-time Aggregate
-        raises its usual errors.
-        """
-        specs: "list[KernelSlot | int | None]" = []
-        for call in calls:
-            name = call.name.lower()
-            if name not in NATIVE_AGGREGATES:
-                return None
-            if call.star:
-                if name != "count":
-                    return None
-                specs.append(None)
-                continue
-            if len(call.args) != 1:
-                return None
-            argument = call.args[0]
-            spec: "KernelSlot | int | None" = None
-            if isinstance(argument, ast.ColumnRef):
-                column = self._column_of(argument, scan.binding, scan.table)
-                if column is not None:
-                    spec = scan.table.schema.position(column)
-            elif isinstance(argument, ast.FunctionCall):
-                spec = self._kernel_slot(argument, scan, schemas)
-            if spec is None:
-                return None
-            specs.append(spec)
-        return specs
-
-    def _vectorize_projection(
-        self,
-        plan: PlanNode,
-        items: list,
-        order_items: list,
-        schemas: dict[str, Table],
-    ) -> tuple:
-        """Vectorize kernel calls in the projection and ORDER BY.
-
-        Only applies when the plan is a Filter chain over a
-        :class:`ColumnarScan`.  New kernel slots widen the scan frame
-        under Filters that hold a copy of it; :meth:`_narrow_scans`
-        re-derives every frame when the plan is finished.
-        """
-        scan = plan
-        while isinstance(scan, Filter):
-            scan = scan.child
-        if not isinstance(scan, ColumnarScan):
-            return items, order_items
-        items = [(self._rewrite_kernel_calls(expression, scan, schemas),
-                  name)
-                 for expression, name in items]
-        order_items = _map_order(
-            lambda key: self._rewrite_kernel_calls(key, scan, schemas),
-            order_items)
-        return items, order_items
-
     # ------------------------------------------------------------- the read set
 
+    def _materialised(self, expression: ast.Expression,
+                      scan: "ColumnarScan | None"):
+        """The parts of *expression* an operator evaluates from decoded
+        columns: all of them, but for the column a page kernel over
+        *scan* reads off its stored page."""
+        yield expression
+        skip = self._evaluator.kernel_position(expression, scan) is not None
+        for child in ast.children(expression)[skip:]:
+            yield from self._materialised(child, scan)
+
     def _narrow_scans(self, plan: PlanNode) -> None:
-        """Planning's last step: every :class:`ColumnarScan` of this
-        query level reads only the columns the finished plan names.
+        """Every :class:`ColumnarScan` of this query level reads only the
+        columns the finished plan names.
 
         A reference reaches a scan by name — qualified with the scan's
         binding, or unqualified and a column of its table; an
         unqualified name stays in *every* scan that has it, so an
-        ambiguous one still fails as ambiguous.  Kernel rewriting has
-        already run: a column only kernels touch is read off its stored
-        page and not materialised at all.  A level with a sub-select in
-        it keeps whole rows, because a correlated sub-select resolves
-        outer names at run time, against the frame it finds there.
+        ambiguous one still fails as ambiguous.  A column only page
+        kernels touch is not materialised at all.  A level with a
+        sub-select in it keeps whole rows, because a correlated
+        sub-select resolves outer names at run time, against the frame
+        it finds there.
         """
         nodes = list(plan.walk())
         scans = [node for node in nodes if isinstance(node, ColumnarScan)]
         if not scans:
             return
         parts = [part for node in nodes for expression in node.expressions()
-                 for part in ast.walk_expression(expression)]
-        if not any(isinstance(part, (ast.InSelect, ast.Exists))
-                   for part in parts):
-            for scan in scans:
-                schema = scan.table.schema
-                scan.read_only({
-                    schema.position(part.column) for part in parts
-                    if isinstance(part, ast.ColumnRef)
-                    and part.table in (None, scan.binding)
-                    and schema.has_column(part.column)
-                })
-        plan.reframe()
+                 for part in self._materialised(expression,
+                                                node.page_scan())]
+        if any(isinstance(part, (ast.InSelect, ast.Exists))
+               for part in parts):
+            return
+        for scan in scans:
+            schema = scan.table.schema
+            scan.read_only({
+                schema.position(part.column) for part in parts
+                if isinstance(part, ast.ColumnRef)
+                and part.table in (None, scan.binding)
+                and schema.has_column(part.column)
+            })
 
     # ----------------------------------------------------------------- the plan
 
@@ -648,19 +526,10 @@ class Planner:
                         join.condition, plan.frame,
                         join.table.binding, schemas,
                     )
-                if equi is not None:
-                    left_key, right_key, residual = equi
-                    joined: PlanNode = HashJoin(
-                        plan, right_plan, left_key, right_key,
-                        self._evaluator, join.kind, residual,
-                        runtime=self._database.columnar,
-                    )
-                else:
-                    joined = NestedLoopJoin(
-                        plan, right_plan, join.condition,
-                        self._evaluator, join.kind,
-                        runtime=self._database.columnar,
-                    )
+                joined: PlanNode = Join(
+                    plan, right_plan, join.condition, self._evaluator,
+                    join.kind, equi, runtime=self._database.columnar,
+                )
                 joined.estimated_rows = max(
                     plan.estimated_rows, right_plan.estimated_rows
                 )
@@ -675,12 +544,8 @@ class Planner:
             if item.is_star:
                 if select.source is None:
                     raise SqlSyntaxError("SELECT * requires a FROM clause")
-                for binding, column in plan.frame.slots:
-                    if binding is None:
-                        continue  # synthetic kernel slots are not columns
-                    items.append(
-                        (ast.ColumnRef(binding, column), column)
-                    )
+                items.extend((ast.ColumnRef(binding, column), column)
+                             for binding, column in plan.frame.slots)
                 continue
             expression = item.expression
             assert expression is not None
@@ -726,26 +591,13 @@ class Planner:
         needs_aggregate = bool(select.group_by) or bool(aggregate_calls)
 
         if needs_aggregate:
-            aggregated: PlanNode | None = None
-            if (self.optimize and not select.group_by and aggregate_calls
-                    and isinstance(plan, ColumnarScan)
-                    and not plan.bounds and not plan.kernel_slots):
-                specs = self._vector_specs(aggregate_calls, plan, schemas)
-                if specs is not None:
-                    aggregated = VectorAggregate(
-                        plan, aggregate_calls, self._evaluator,
-                        self._database, specs,
-                    )
-            if aggregated is None:
-                aggregated = Aggregate(
-                    plan, select.group_by, aggregate_calls,
-                    self._evaluator, self._database,
-                    runtime=self._database.columnar,
-                )
-            plan = aggregated
-            plan.estimated_rows = max(
-                1.0, plan.children()[0].estimated_rows / 10.0
+            estimated = max(1.0, plan.estimated_rows / 10.0)
+            plan = Aggregate(
+                plan, select.group_by, aggregate_calls,
+                self._evaluator, self._database,
+                runtime=self._database.columnar,
             )
+            plan.estimated_rows = estimated
             # The aggregation frame is group columns, then one per call:
             # pair each with the resolved expression it stands for.
             group_keys = [self._resolved(expression, schemas)
@@ -771,10 +623,6 @@ class Planner:
             order_items = _map_order(above, order_items)
         elif having is not None:
             raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
-        elif self.optimize and select.source is not None and not select.joins:
-            items, order_items = self._vectorize_projection(
-                plan, items, order_items, schemas,
-            )
 
         if order_items:
             plan = Sort(plan, order_items, self._evaluator,
@@ -789,4 +637,5 @@ class Planner:
         if select.limit is not None or select.offset is not None:
             plan = Limit(plan, select.limit, select.offset)
         self._narrow_scans(plan)
+        plan.bind()
         return plan

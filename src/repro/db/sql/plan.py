@@ -1,43 +1,60 @@
 """Physical plan operators: the executor half of the query engine.
 
-Every node produces an iterator of value tuples described by its
-:class:`~repro.db.sql.expressions.Frame`.  Nodes carry the optimizer's
-row estimate so ``EXPLAIN`` output shows both the shape and the numbers
-the planner believed.
+Every operator consumes and produces :class:`~repro.db.sql.expressions.
+Batch` es — equal-length columns described by its :class:`~repro.db.sql.
+expressions.Frame` — and evaluates expressions only through the column
+closures :meth:`PlanNode.bind` compiled once for the plan.  A columnar
+scan emits one batch per live row group; a row source transposes rows in
+chunks that **start at one row and double** (:func:`doubling_chunks`),
+so a ``LIMIT 5`` or a point probe never pays for rows it does not
+return.  :meth:`PlanNode.execute` is the root's row iterator.
 
-Operator set: sequential scan, columnar scan (zone-map page skipping +
-vectorized kernels), three index scans (equality / range /
-contains-candidate), filter, nested-loop and hash joins (inner + left),
-grouping/aggregation (streaming + vectorized), projection, distinct,
-external-merge sort, limit.
+A cell that fails while a column is evaluated raises only when its row
+is consumed, in row order (:func:`~repro.db.sql.expressions.settled`): a
+pipelined operator first hands on the rows before it, a pipeline breaker
+raises on reaching it.  Nodes carry the optimizer's row estimate and
+count the rows and batches of their last execution, for ``EXPLAIN``.
 
 Every pipeline breaker runs in bounded memory when the database has a
 ``memory_budget``: ORDER BY spills sorted runs and merges them with
-``heapq.merge``, GROUP BY spills overflow groups to hash partitions,
-and both join build sides live in spillable runs
-(:mod:`repro.db.columnar.spill`).  All of them are bit-identical to the
-unbounded versions they replaced — same values, same order, same
-errors — which the differential suite enforces.
+``heapq.merge``, GROUP BY spills overflow groups to hash partitions, a
+join's build side lives in a spillable run
+(:mod:`repro.db.columnar.spill`) — bit-identical to the unbounded
+versions (same values, order and errors), which the differential suite
+enforces.
 """
 
 from __future__ import annotations
 
 import heapq
 import zlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from collections import namedtuple
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.columnar.spill import IndexedRun, RowRun
-from repro.db.columnar.vector import KernelError, apply_kernel
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     NATIVE_AGGREGATES,
+    NO_COLUMNS,
+    Batch,
+    Column,
     Evaluator,
     Frame,
     RowContext,
+    kept,
+    one,
+    settled,
 )
 from repro.db.table import Table
-from repro.db.values import NULL, comparable, compare, sort_key
+from repro.db.values import (
+    NULL,
+    comparable,
+    compare,
+    comparison_kind,
+    sort_key,
+    sort_keys,
+)
 from repro.errors import DatabaseError, SqlSyntaxError, TypeCheckError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,27 +63,34 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Hash partitions the aggregate spills overflow groups into.
 SPILL_PARTITIONS = 16
+#: Where the doubling of a row source's batches stops.
+MAX_BATCH_ROWS = 1024
 
 
-def _page_function(name: str, function) -> Any:
-    """Wrap a catalog function with the evaluator's error mapping,
-    capturing instead of raising (see :class:`KernelError`)."""
-    def call(*arguments):
-        try:
-            return function(*arguments)
-        except (DatabaseError, TypeCheckError) as exc:
-            return KernelError(exc)
-        except Exception as exc:
-            return KernelError(
-                DatabaseError(f"function {name!r} failed: {exc}")
-            )
-    return call
+def doubling_chunks(items: Iterable[Any], size: int = 1) -> Iterator[list]:
+    """*items* in lists of *size*, twice that, … :data:`MAX_BATCH_ROWS`."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
+        size = min(size * 2, MAX_BATCH_ROWS)
 
 
-def _unwrap(value: Any) -> Any:
-    if isinstance(value, KernelError):
-        raise value.error
-    return value
+def row_batches(rows: Iterable[Sequence[Any]]) -> Iterator[Batch]:
+    return map(Batch.of_rows, doubling_chunks(rows))
+
+
+def _run_batches(run: RowRun) -> Iterator[tuple[Batch, list]]:
+    """The ``(ordinal, *values)`` entries a Sort or Aggregate spilled,
+    as ``(batch of the values, their ordinals)``."""
+    for chunk in doubling_chunks(run):
+        yield (Batch.of_rows([entry[1:] for entry in chunk]),
+               [entry[0] for entry in chunk])
+
+
+def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
+    """Per row, the tuple of sort keys that tells groups (or DISTINCT
+    rows) apart."""
+    return zip(*[sort_keys(column) for column in columns])
 
 
 class _Desc:
@@ -89,14 +113,34 @@ class PlanNode:
 
     frame: Frame
     estimated_rows: float = 0.0
+    #: Rows and batches the last execution produced.
+    rows_out = 0
+    batches_out = 0
     #: The input of a single-input operator.
     child: "PlanNode | None" = None
     #: The operator hands its input's rows on as they are, so its frame
     #: is its input's.
     passes_rows = False
+    #: The columnar scan whose row-group views this operator's batches
+    #: still carry, if any.
+    view_scan: "ColumnarScan | None" = None
 
     def execute(self, parameters: Sequence[Any],
-                outer: "RowContext | None") -> Iterator[tuple]:
+                outer: "RowContext | None" = None) -> Iterator[tuple]:
+        """The rows of the plan rooted here, one tuple at a time."""
+        context = RowContext.without_row(parameters, outer)
+        for batch in self.run(context):
+            yield from batch.rows()
+
+    def run(self, context: RowContext) -> Iterator[Batch]:
+        """The operator's non-empty batches, counted."""
+        self.rows_out = self.batches_out = 0
+        for batch in self.batches(context):
+            self.rows_out += batch.size
+            self.batches_out += 1
+            yield batch
+
+    def batches(self, context: RowContext) -> Iterator[Batch]:
         raise NotImplementedError
 
     def label(self) -> str:
@@ -116,19 +160,39 @@ class PlanNode:
         rows — what the planner reads a scan's read set from."""
         return ()
 
-    def reframe(self) -> None:
-        """Re-derive the frames of this subtree, inputs first.  The
-        planner calls it once, after narrowing a scan's frame under
-        operators that had already taken a copy of it."""
+    def page_scan(self) -> "ColumnarScan | None":
+        """The columnar scan whose stored pages the operator's
+        expressions may read in place of decoded columns: its input
+        batches are that scan's row groups, filtered at most."""
+        return self.child.view_scan if self.child is not None else None
+
+    def bind(self) -> None:
+        """Planning's last step, inputs first: settle the frame (the
+        planner may have narrowed a scan under operators that had taken
+        a copy of its frame) and compile the operator's expressions
+        against the frames they will meet."""
         for child in self.children():
-            child.reframe()
+            child.bind()
         if self.passes_rows:
             self.frame = self.child.frame
+        self.compile()
 
-    def explain(self, indent: int = 0) -> str:
+    def compile(self) -> None:
+        pass
+
+    def _compiled(self, expression: "ast.Expression | None",
+                  frame: Frame) -> "Column | None":
+        if expression is None:
+            return None
+        return self.evaluator.compile(expression, frame, self.page_scan())
+
+    def explain(self, indent: int = 0, analyze: bool = False) -> str:
+        actual = (f"; actual {self.rows_out} rows in {self.batches_out} "
+                  f"batches" if analyze else "")
         lines = [f"{'  ' * indent}{self.label()}  "
-                 f"(~{self.estimated_rows:.0f} rows)"]
-        lines.extend(child.explain(indent + 1) for child in self.children())
+                 f"(~{self.estimated_rows:.0f} rows{actual})"]
+        lines.extend(child.explain(indent + 1, analyze)
+                     for child in self.children())
         return "\n".join(lines)
 
 
@@ -144,9 +208,8 @@ class SeqScan(PlanNode):
     def label(self) -> str:
         return f"SeqScan({self.table.name} AS {self.binding})"
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        for _, row in self.table.rows():
-            yield tuple(row)
+    def batches(self, context) -> Iterator[Batch]:
+        return row_batches(row for _, row in self.table.rows())
 
 
 class _IndexScan(PlanNode):
@@ -168,21 +231,15 @@ class _IndexScan(PlanNode):
         return (f"{type(self).__name__}({self.table.name} AS {self.binding} "
                 f"USING {self.index.name} {detail})")
 
-    def _probe(self, expression: "ast.Expression | None", parameters,
-               outer) -> Any:
-        """Evaluate one probe value, type-checked as the comparison it
-        replaces would be.
-
-        A scan compares the probe with every non-NULL stored value and so
-        rejects a mistyped one; a dict or tree lookup would silently find
-        nothing (or, for ``1.0 = TRUE``, the wrong thing).  An index
-        without entries has nothing to compare with, and neither has a
-        NULL probe.
-        """
-        if expression is None:
+    def _probe(self, column: "Column | None", context: RowContext) -> Any:
+        """One probe value, type-checked as the comparison it replaces
+        would be: a scan compares the probe with every non-NULL stored
+        value and so rejects a mistyped one, where a dict or tree lookup
+        silently finds nothing (or, for ``1.0 = TRUE``, the wrong thing).
+        An empty index and a NULL probe have nothing to compare."""
+        if column is None:
             return None
-        value = self.evaluator.evaluate(
-            expression, RowContext.without_row(parameters, outer))
+        value = one(column, context)
         if value is not NULL and len(self.index):
             schema = self.table.schema
             if not comparable(schema.column(self.index.column).sql_type,
@@ -196,10 +253,9 @@ class _IndexScan(PlanNode):
                                else (stored, value)))
         return value
 
-    def _fetch(self, row_ids) -> Iterator[tuple]:
-        for row_id in row_ids:
-            if self.table.has_row(row_id):
-                yield tuple(self.table.row(row_id))
+    def _fetch(self, row_ids) -> Iterator[Batch]:
+        return row_batches(self.table.row(row_id) for row_id in row_ids
+                           if self.table.has_row(row_id))
 
 
 class IndexEqualScan(_IndexScan):
@@ -209,36 +265,30 @@ class IndexEqualScan(_IndexScan):
                  key: ast.Expression, evaluator: Evaluator,
                  probe_first: bool = False) -> None:
         super().__init__(table, binding, index, evaluator)
-        self.key = key
+        self.key, self._key = key, self._compiled(key, NO_COLUMNS)
         self.probe_first = probe_first
 
     def label(self) -> str:
         return self._label(f"ON {self.index.column} = {self.key}")
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        key = self._probe(self.key, parameters, outer)
-        return self._fetch(self.index.search_equal(key))
+    def batches(self, context) -> Iterator[Batch]:
+        return self._fetch(self.index.search_equal(
+            self._probe(self._key, context)))
 
 
 class IndexRangeScan(_IndexScan):
     """Range scan through a B-tree index."""
 
-    def __init__(
-        self,
-        table: Table,
-        binding: str,
-        index: "Index",
-        evaluator: Evaluator,
-        low: ast.Expression | None = None,
-        high: ast.Expression | None = None,
-        include_low: bool = True,
-        include_high: bool = True,
-        probe_first: bool = False,
-    ) -> None:
+    def __init__(self, table: Table, binding: str, index: "Index",
+                 evaluator: Evaluator,
+                 low: ast.Expression | None = None,
+                 high: ast.Expression | None = None,
+                 include_low: bool = True, include_high: bool = True,
+                 probe_first: bool = False) -> None:
         super().__init__(table, binding, index, evaluator)
         self.probe_first = probe_first
-        self.low = low
-        self.high = high
+        self.low, self._low = low, self._compiled(low, NO_COLUMNS)
+        self.high, self._high = high, self._compiled(high, NO_COLUMNS)
         self.include_low = include_low
         self.include_high = include_high
 
@@ -250,9 +300,9 @@ class IndexRangeScan(_IndexScan):
             f"IN {'[' if self.include_low else '('}{low}, {high}"
             f"{']' if self.include_high else ')'}")
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        low = self._probe(self.low, parameters, outer)
-        high = self._probe(self.high, parameters, outer)
+    def batches(self, context) -> Iterator[Batch]:
+        low = self._probe(self._low, context)
+        high = self._probe(self._high, context)
         if ((self.low is not None and low is NULL)
                 or (self.high is not None and high is NULL)):
             return iter(())  # a comparison with NULL is never true
@@ -273,16 +323,16 @@ class IndexContainsScan(_IndexScan):
                  pattern: ast.Expression, evaluator: Evaluator) -> None:
         super().__init__(table, binding, index, evaluator)
         self.pattern = pattern
+        self._pattern = self._compiled(pattern, NO_COLUMNS)
 
     def label(self) -> str:
         return self._label(f"PATTERN {self.pattern}")
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        pattern = self.evaluator.evaluate(
-            self.pattern, RowContext.without_row(parameters, outer))
-        candidates = self.index.search_contains(str(pattern))
+    def batches(self, context) -> Iterator[Batch]:
+        candidates = self.index.search_contains(
+            str(one(self._pattern, context)))
         if candidates is None:
-            return (tuple(row) for _, row in self.table.rows())
+            return row_batches(row for _, row in self.table.rows())
         return self._fetch(sorted(candidates))
 
 
@@ -293,8 +343,8 @@ class OneRow(PlanNode):
         self.frame = Frame(())
         self.estimated_rows = 1.0
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        yield ()
+    def batches(self, context) -> Iterator[Batch]:
+        yield Batch((), 1)
 
 
 class Filter(PlanNode):
@@ -309,111 +359,84 @@ class Filter(PlanNode):
         self.evaluator = evaluator
         self.frame = child.frame
 
+    @property
+    def view_scan(self):
+        return self.child.view_scan
+
     def label(self) -> str:
         return f"Filter({self.predicate})"
 
     def expressions(self):
         return (self.predicate,)
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        for values in self.child.execute(parameters, outer):
-            context = RowContext(self.frame, values, parameters, outer)
-            if self.evaluator.evaluate_predicate(self.predicate, context):
-                yield values
+    def compile(self) -> None:
+        self._test = self._compiled(self.predicate, self.frame)
+
+    def batches(self, context) -> Iterator[Batch]:
+        for batch in self.child.run(context):
+            keep, error = kept(batch, self._test, context)
+            if len(keep) == batch.size:
+                yield batch
+            elif keep:
+                yield batch.take(keep)
+            if error is not None:
+                raise error
 
 
-class _Join(PlanNode):
-    """What the two joins share: two inputs, rows that are a left row
-    followed by a right row, inner or left-outer."""
+class Join(PlanNode):
+    """Inner or left-outer join: a left row followed by a right row (or
+    by NULLs).  The right input is kept in an ordinal-addressed run that
+    spills past the memory budget.
 
-    def __init__(self, left: PlanNode, right: PlanNode, evaluator: Evaluator,
-                 kind: str, runtime: "ColumnarRuntime | None") -> None:
+    For each left row the join tests one column of candidate pairs:
+    every right row against the whole ``ON`` condition — a **nested
+    loop** — or, given *equi* (the ``left key = right key`` conjunct the
+    planner split off, and the residual), only the rows of its key's
+    hash bucket against the residual — a **hash join**.  A bucket lookup
+    never compares, so a hash join remembers which :func:`~repro.db.
+    values.comparison_kind` s its build keys have: a left key of any
+    other kind is one ``=`` would refuse (or, ``TRUE`` hashing to ``1``,
+    wrongly match), and that row takes the nested loop — raising or
+    matching exactly what ``compare`` does.
+    """
+
+    def __init__(self, left: PlanNode, right: PlanNode,
+                 condition: ast.Expression, evaluator: Evaluator,
+                 kind: str = "inner", equi: "tuple | None" = None,
+                 runtime: "ColumnarRuntime | None" = None) -> None:
         if kind not in ("inner", "left"):
             raise DatabaseError(f"unsupported join kind {kind!r}")
         self.left = left
         self.right = right
+        self.condition = condition
         self.evaluator = evaluator
         self.kind = kind
+        self.equi = equi
         self.runtime = runtime
         self.frame = left.frame + right.frame
+
+    def label(self) -> str:
+        if self.equi is None:
+            return f"NestedLoopJoin[{self.kind}]({self.condition})"
+        left_key, right_key, residual = self.equi
+        residual = f" AND {residual}" if residual else ""
+        return f"HashJoin[{self.kind}]({left_key} = {right_key}{residual})"
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def reframe(self) -> None:
-        self.left.reframe()
-        self.right.reframe()
-        self.frame = self.left.frame + self.right.frame
-
-
-class NestedLoopJoin(_Join):
-    """General join: re-evaluates the condition per row pair."""
-
-    def __init__(self, left: PlanNode, right: PlanNode,
-                 condition: ast.Expression, evaluator: Evaluator,
-                 kind: str = "inner",
-                 runtime: "ColumnarRuntime | None" = None) -> None:
-        super().__init__(left, right, evaluator, kind, runtime)
-        self.condition = condition
-
-    def label(self) -> str:
-        return f"NestedLoopJoin[{self.kind}]({self.condition})"
-
     def expressions(self):
         return (self.condition,)
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        # Block-nested-loop: the inner relation lives in a spillable run,
-        # so a right side larger than the memory budget goes to disk
-        # instead of materializing as one unbounded list.
-        right_rows = (self.runtime.spill.row_run()
-                      if self.runtime is not None else RowRun(None, None))
-        right_rows.extend(self.right.execute(parameters, outer))
-        null_pad = (NULL,) * len(self.right.frame)
-        try:
-            for left_values in self.left.execute(parameters, outer):
-                matched = False
-                for right_values in right_rows:
-                    combined = left_values + right_values
-                    context = RowContext(self.frame, combined, parameters,
-                                         outer)
-                    if self.evaluator.evaluate_predicate(self.condition,
-                                                         context):
-                        matched = True
-                        yield combined
-                if not matched and self.kind == "left":
-                    yield left_values + null_pad
-        finally:
-            right_rows.close()
-
-
-class HashJoin(_Join):
-    """Equi-join: builds a hash table on the right input."""
-
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        left_key: ast.Expression,
-        right_key: ast.Expression,
-        evaluator: Evaluator,
-        kind: str = "inner",
-        residual: ast.Expression | None = None,
-        runtime: "ColumnarRuntime | None" = None,
-    ) -> None:
-        super().__init__(left, right, evaluator, kind, runtime)
-        self.left_key = left_key
-        self.right_key = right_key
-        self.residual = residual
-
-    def label(self) -> str:
-        residual = f" AND {self.residual}" if self.residual else ""
-        return (f"HashJoin[{self.kind}]({self.left_key} = "
-                f"{self.right_key}{residual})")
-
-    def expressions(self):
-        keys = (self.left_key, self.right_key)
-        return keys if self.residual is None else keys + (self.residual,)
+    def bind(self) -> None:
+        self.left.bind()
+        self.right.bind()
+        self.frame = self.left.frame + self.right.frame
+        left_key, right_key, residual = self.equi or (None, None, None)
+        self._condition = self._compiled(self.condition, self.frame)
+        self._left_key = self._compiled(left_key, self.left.frame)
+        self._right_key = self._compiled(right_key, self.right.frame)
+        self._residual = self._compiled(residual, self.frame)
 
     @staticmethod
     def _bucket_key(value: Any) -> Any:
@@ -423,44 +446,69 @@ class HashJoin(_Join):
         except TypeError:
             return repr(value)
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        # Build rows live in an offset-addressed spillable run; the hash
-        # table itself only holds ordinals, so a build side larger than
-        # the memory budget keeps the resident footprint bounded.
+    def _keys(self, batch: Batch, key: "Column | None",
+              context: RowContext) -> tuple:
+        """``(a hash join's keys up to the first failed one, it)``."""
+        if key is None:
+            return [NULL] * batch.size, None
+        _, (keys,), error = settled(batch.size, [key(batch, context)])
+        return keys, error
+
+    def batches(self, context) -> Iterator[Batch]:
         build = (self.runtime.spill.indexed_run()
                  if self.runtime is not None else IndexedRun(None, None))
         buckets: dict[Any, list[int]] = {}
-        for right_values in self.right.execute(parameters, outer):
-            context = RowContext(self.right.frame, right_values,
-                                 parameters, outer)
-            key = self.evaluator.evaluate(self.right_key, context)
-            if key is NULL:
-                continue  # NULL never equi-joins
-            ordinal = build.append(right_values)
-            buckets.setdefault(self._bucket_key(key), []).append(ordinal)
-
+        kinds: set[type] = set()
         null_pad = (NULL,) * len(self.right.frame)
         try:
-            for left_values in self.left.execute(parameters, outer):
-                context = RowContext(self.left.frame, left_values,
-                                     parameters, outer)
-                key = self.evaluator.evaluate(self.left_key, context)
-                matched = False
-                if key is not NULL:
-                    for ordinal in buckets.get(self._bucket_key(key), ()):
-                        combined = left_values + tuple(build[ordinal])
-                        if self.residual is not None:
-                            combined_context = RowContext(
-                                self.frame, combined, parameters, outer
-                            )
-                            if not self.evaluator.evaluate_predicate(
-                                self.residual, combined_context
-                            ):
-                                continue
-                        matched = True
-                        yield combined
-                if not matched and self.kind == "left":
-                    yield left_values + null_pad
+            for batch in self.right.run(context):
+                keys, error = self._keys(batch, self._right_key, context)
+                for key, row in zip(keys, batch.rows()):
+                    ordinal = build.append(row)
+                    if key is not NULL:  # NULL never equi-joins
+                        kinds.add(comparison_kind(key))
+                        buckets.setdefault(self._bucket_key(key),
+                                           []).append(ordinal)
+                if error is not None:
+                    raise error
+            everything = range(len(build))
+            for batch in self.left.run(context):
+                keys, error = self._keys(batch, self._left_key, context)
+                strangers = {kind for kind in set(map(comparison_kind, keys))
+                             if kinds - {kind}} - {type(NULL)}
+                joined: list = []
+                for key, left_row in zip(keys, batch.rows()):
+                    candidates, test = everything, self._condition
+                    if self.equi is not None and not (
+                            strangers and comparison_kind(key) in strangers):
+                        candidates = (() if key is NULL else buckets.get(
+                            self._bucket_key(key), ()))
+                        test = self._residual
+                    size, failed = len(joined), None
+                    if test is None:
+                        candidates = [candidates]  # one chunk, all kept
+                    else:
+                        candidates = doubling_chunks(candidates,
+                                                     MAX_BATCH_ROWS)
+                    for chunk in candidates:
+                        pairs = [left_row + build[ordinal]
+                                 for ordinal in chunk]
+                        if test is not None:
+                            keep, failed = kept(Batch.of_rows(pairs), test,
+                                                context)
+                            pairs = [pairs[row] for row in keep]
+                        joined.extend(pairs)
+                        if failed is not None:
+                            break
+                    if failed is not None:
+                        error = failed
+                        break
+                    if len(joined) == size and self.kind == "left":
+                        joined.append(left_row + null_pad)
+                if joined:
+                    yield Batch.of_rows(joined)
+                if error is not None:
+                    raise error
         finally:
             build.close()
 
@@ -483,145 +531,123 @@ class Project(PlanNode):
     def expressions(self):
         return [expression for expression, _ in self.items]
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        for values in self.child.execute(parameters, outer):
-            context = RowContext(self.child.frame, values, parameters, outer)
-            yield tuple(
-                self.evaluator.evaluate(expression, context)
-                for expression, _ in self.items
-            )
+    def compile(self) -> None:
+        self._columns = [self._compiled(expression, self.child.frame)
+                         for expression, _ in self.items]
+
+    def batches(self, context) -> Iterator[Batch]:
+        for batch in self.child.run(context):
+            size, columns, error = settled(
+                batch.size,
+                [column(batch, context) for column in self._columns])
+            if size:
+                yield Batch(columns, size)
+            if error is not None:
+                raise error
 
 
-class _NativeAccumulator:
-    """Streaming state of one native aggregate call within one group.
-
-    Value-for-value identical to the list-then-reduce computation it
-    replaced: ``sum`` starts from ``int`` 0 like ``sum()``, ``avg`` is
-    running-sum over non-NULL count, and ``min``/``max`` replace only on
-    strict comparison so the first of equal keys wins, exactly as
-    ``min(values, key=sort_key)`` does.
-    """
-
-    __slots__ = ("name", "star", "argument", "evaluator",
-                 "rows", "nonnull", "total", "best", "best_key")
-
-    def __init__(self, call: ast.FunctionCall, evaluator: Evaluator) -> None:
-        self.name = call.name.lower()
-        self.star = call.star
-        if call.star:
-            if self.name != "count":
-                raise SqlSyntaxError(f"{self.name}(*) is not defined")
-            self.argument = None
-        else:
-            if len(call.args) != 1:
-                raise SqlSyntaxError(
-                    f"aggregate {self.name!r} takes exactly one argument"
-                )
-            self.argument = call.args[0]
-        self.evaluator = evaluator
-        self.rows = 0
-        self.nonnull = 0
-        self.total: Any = 0
-        self.best: Any = None
-        self.best_key: Any = None
-
-    def step(self, context: RowContext) -> None:
-        if self.star:
-            self.rows += 1
-            return
-        self.add(self.evaluator.evaluate(self.argument, context))
-
-    def add(self, value: Any) -> None:
-        if value is NULL:
-            return
-        self.nonnull += 1
-        name = self.name
-        if name in ("sum", "avg"):
-            try:
-                self.total = self.total + value
-            except TypeError:
-                raise TypeCheckError(
-                    f"cannot apply aggregate {name!r} to {value!r}"
-                ) from None
-        elif name in ("min", "max"):
-            key = sort_key(value)
-            if self.nonnull == 1:
-                self.best, self.best_key = value, key
-            elif name == "min":
-                if key < self.best_key:
-                    self.best, self.best_key = value, key
-            elif key > self.best_key:
-                self.best, self.best_key = value, key
-
-    def final(self) -> Any:
-        if self.name == "count":
-            return self.rows if self.star else self.nonnull
-        if self.nonnull == 0:
-            return NULL
-        if self.name == "sum":
-            return self.total
-        if self.name == "avg":
-            return self.total / self.nonnull
-        return self.best
+#: How one aggregate call folds, chosen when the plan is compiled: the
+#: state a group starts from, ``absorb(state, columns, count)`` — a
+#: group's next *count* rows, one column of values per argument of the
+#: call — and the value a final state stands for.
+_Fold = namedtuple("_Fold", "initial absorb final")
 
 
-class _CustomAccumulator:
-    """Streaming state of one registered (initial/step/final) aggregate."""
-
-    __slots__ = ("call", "evaluator", "aggregate", "state")
-
-    def __init__(self, call: ast.FunctionCall, evaluator: Evaluator,
-                 aggregate) -> None:
-        self.call = call
-        self.evaluator = evaluator
-        self.aggregate = aggregate
-        self.state = aggregate.initial()
-
-    def step(self, context: RowContext) -> None:
-        arguments = [self.evaluator.evaluate(argument, context)
-                     for argument in self.call.args]
-        self.state = self.aggregate.step(self.state, *arguments)
-
-    def final(self) -> Any:
-        return self.aggregate.final(self.state)
+def _present(absorb: Callable) -> Callable:
+    """A native aggregate of one argument sees its non-NULL values."""
+    return lambda state, columns, count: absorb(
+        state, [value for value in columns[0] if value is not NULL])
 
 
-class _GroupState:
-    """One group's key values, first-seen ordinal and accumulators."""
+def _running_total(name: str) -> Callable:
+    """``(non-NULL count, total)``: ``sum`` starts from ``int`` 0 like
+    ``sum()`` and adds in row order, so floats round as they always did."""
+    def absorb(state: tuple, values: list) -> tuple:
+        count, total = state
+        try:
+            for value in values:
+                total = total + value
+        except TypeError:
+            raise TypeCheckError(
+                f"cannot apply aggregate {name!r} to {value!r}"
+            ) from None
+        return count + len(values), total
+    return absorb
 
-    __slots__ = ("keys", "ordinal", "accumulators")
 
-    def __init__(self, keys: list, ordinal: int, accumulators: list) -> None:
-        self.keys = keys
-        self.ordinal = ordinal
-        self.accumulators = accumulators
+def _best(pick: Callable) -> Callable:
+    """``(value, its sort key)`` of the least / greatest value so far;
+    the first of equal keys wins, as ``min(values, key=sort_key)``."""
+    def absorb(state: "tuple | None", values: list) -> "tuple | None":
+        if not values:
+            return state
+        keys = sort_keys(values, bare=True)
+        best = values[keys.index(pick(keys))]
+        key = sort_key(best)
+        if state is None or (key < state[1] if pick is min
+                             else key > state[1]):
+            return best, key
+        return state
+    return absorb
+
+
+_NATIVE_FOLDS = {
+    "count": _Fold(int, _present(lambda state, values: state + len(values)),
+                   lambda state: state),
+    "sum": _Fold(lambda: (0, 0), _present(_running_total("sum")),
+                 lambda state: state[1] if state[0] else NULL),
+    "avg": _Fold(lambda: (0, 0), _present(_running_total("avg")),
+                 lambda state: state[1] / state[0] if state[0] else NULL),
+    "min": _Fold(lambda: None, _present(_best(min)),
+                 lambda state: NULL if state is None else state[0]),
+    "max": _Fold(lambda: None, _present(_best(max)),
+                 lambda state: NULL if state is None else state[0]),
+}
+_COUNT_ROWS = _Fold(int, lambda state, columns, count: state + count,
+                    lambda state: state)
+
+
+def _malformed(message: str) -> _Fold:
+    """A call like ``sum(*)``: reported when the first group needs its
+    state (so never over an empty grouped input), as it always was."""
+    def initial():
+        raise SqlSyntaxError(message)
+    return _Fold(initial, None, None)
+
+
+def _custom_fold(aggregate) -> _Fold:
+    """A registered (initial/step/final) aggregate, stepped row by row."""
+    def absorb(state: Any, columns: list, count: int) -> Any:
+        for arguments in (zip(*columns) if columns else [()] * count):
+            state = aggregate.step(state, *arguments)
+        return state
+    return _Fold(aggregate.initial, absorb, aggregate.final)
+
+
+#: One group: its key values, first-seen input ordinal and the state of
+#: every fold (a list, updated in place).
+_GroupState = namedtuple("_GroupState", "keys ordinal states")
 
 
 class Aggregate(PlanNode):
     """Grouping + aggregate evaluation, streaming with group spill.
 
     Output columns: one slot per group expression (named ``__group_i``)
-    followed by one per distinct aggregate call (:func:`slot_names`).
-    The optimizer rewrites outer expressions (projection, HAVING, ORDER
-    BY) to reference these synthetic columns.
-
-    Rows fold into per-group accumulators as they stream past — no
-    per-group row lists.  Under a finite ``memory_budget`` the number
-    of in-memory groups is capped: rows of groups past the cap are
-    routed by a stable hash of their key into on-disk partitions and
-    aggregated in a second pass.  Output order stays first-seen
-    (groups merge on their first input ordinal).
+    followed by one per distinct aggregate call (:func:`slot_names`);
+    the optimizer rewrites projection, HAVING and ORDER BY to reference
+    them.  Each batch is split by group key and every call folds its
+    argument column, a group's share at a time — no per-group row
+    lists.  Under a finite ``memory_budget`` the in-memory groups are
+    capped: rows of groups past the cap are routed by a stable hash of
+    their key into on-disk partitions and folded in a second pass.
+    Output order stays first-seen (groups merge on their first ordinal).
     """
 
-    def __init__(
-        self,
-        child: PlanNode,
-        group_expressions: Sequence[ast.Expression],
-        aggregate_calls: Sequence[ast.FunctionCall],
-        evaluator: Evaluator,
-        database,
-        runtime: "ColumnarRuntime | None" = None,
-    ) -> None:
+    def __init__(self, child: PlanNode,
+                 group_expressions: Sequence[ast.Expression],
+                 aggregate_calls: Sequence[ast.FunctionCall],
+                 evaluator: Evaluator, database,
+                 runtime: "ColumnarRuntime | None" = None) -> None:
         self.child = child
         self.group_expressions = list(group_expressions)
         self.aggregate_calls = list(aggregate_calls)
@@ -642,53 +668,79 @@ class Aggregate(PlanNode):
     def expressions(self):
         return self.group_expressions + self.aggregate_calls
 
-    def _accumulators(self) -> list:
-        accumulators = []
-        for call in self.aggregate_calls:
-            if call.name.lower() in NATIVE_AGGREGATES:
-                accumulators.append(_NativeAccumulator(call, self.evaluator))
-            else:
-                accumulators.append(_CustomAccumulator(
-                    call, self.evaluator,
-                    self.database.catalog.aggregate(call.name),
-                ))
-        return accumulators
+    def page_scan(self):
+        # Spilled rows are re-read without their row group: only an
+        # aggregation that cannot spill (one group) reads pages.
+        return None if self.group_expressions else self.child.view_scan
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
+    def _fold(self, call: ast.FunctionCall) -> _Fold:
+        name = call.name.lower()
+        if name not in NATIVE_AGGREGATES:
+            return _custom_fold(self.database.catalog.aggregate(name))
+        if call.star:
+            return (_COUNT_ROWS if name == "count"
+                    else _malformed(f"{name}(*) is not defined"))
+        if len(call.args) != 1:
+            return _malformed(f"aggregate {name!r} takes exactly one argument")
+        return _NATIVE_FOLDS[name]
+
+    def compile(self) -> None:
+        frame = self.child.frame
+        self._keys = [self._compiled(expression, frame)
+                      for expression in self.group_expressions]
+        self._arguments = [[self._compiled(argument, frame)
+                            for argument in call.args]
+                           for call in self.aggregate_calls]
+        self._folds = [self._fold(call) for call in self.aggregate_calls]
+
+    def _new_states(self) -> list:
+        return [fold.initial() for fold in self._folds]
+
+    def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
         capacity = spill.run_capacity() if spill is not None else None
         partitions: "list | None" = None
         results: list[_GroupState] = []
-        # The child's rows fold first, capped at *capacity* live groups;
-        # rows of groups past the cap go to on-disk partitions, which
-        # join this list and fold, uncapped, through the same loop.
-        sources: list = [enumerate(self.child.execute(parameters, outer))]
+        # The child's batches fold first, capped at *capacity* live
+        # groups; rows of groups past the cap go to on-disk partitions,
+        # which join this list and fold, uncapped, through the same loop.
+        sources: list = [self._numbered(self.child.run(context))]
         for source in sources:
             groups: dict[tuple, _GroupState] = {}
-            for ordinal, values in source:
-                context = RowContext(self.child.frame, values, parameters,
-                                     outer)
-                keys = [self.evaluator.evaluate(expression, context)
-                        for expression in self.group_expressions]
-                bucket_key = tuple(sort_key(k) for k in keys)
-                state = groups.get(bucket_key)
-                if state is None:
-                    if capacity is not None and len(groups) >= capacity:
-                        # Too many live groups: route this row to an
-                        # on-disk partition by a stable hash of its key.
-                        if partitions is None:
-                            partitions = [spill.disk_run()
-                                          for _ in range(SPILL_PARTITIONS)]
-                            sources.extend(_run_entries(run)
-                                           for run in partitions)
-                        index = (zlib.crc32(repr(bucket_key).encode("utf-8"))
-                                 % SPILL_PARTITIONS)
-                        partitions[index].append((ordinal,) + tuple(values))
-                        continue
-                    state = _GroupState(keys, ordinal, self._accumulators())
-                    groups[bucket_key] = state
-                for accumulator in state.accumulators:
-                    accumulator.step(context)
+            for batch, ordinals in source:
+                size, columns, error = settled(batch.size, [
+                    column(batch, context)
+                    for column in chain(self._keys, *self._arguments)])
+                keys, values = columns[:len(self._keys)], None
+                # group key -> its rows in this batch (None: all of them)
+                members: dict = {(): None} if size and not keys else {}
+                for row, key in enumerate(_bucket_keys(keys) if keys else ()):
+                    members.setdefault(key, []).append(row)
+                for key, rows in members.items():
+                    state = groups.get(key)
+                    if state is None:
+                        if capacity is not None and len(groups) >= capacity:
+                            # Too many live groups: route these rows to an
+                            # on-disk partition by a stable hash of the key.
+                            if partitions is None:
+                                partitions = [spill.disk_run()
+                                              for _ in range(SPILL_PARTITIONS)]
+                                sources.extend(_run_batches(run)
+                                               for run in partitions)
+                            run = partitions[
+                                zlib.crc32(repr(key).encode("utf-8"))
+                                % SPILL_PARTITIONS]
+                            values = values or list(batch.rows())
+                            for row in rows:
+                                run.append((ordinals[row],) + values[row])
+                            continue
+                        first = rows[0] if rows else 0
+                        state = groups[key] = _GroupState(
+                            [column[first] for column in keys],
+                            ordinals[first], self._new_states())
+                    self._absorb(state, columns[len(keys):], rows, size)
+                if error is not None:
+                    raise error
             results.extend(groups.values())
             capacity = None  # a partition holds whole groups; none re-spill
 
@@ -700,12 +752,36 @@ class Aggregate(PlanNode):
 
         if not results and not self.group_expressions:
             # Global aggregate over an empty input still yields one row.
-            results = [_GroupState([], 0, self._accumulators())]
+            results = [_GroupState([], 0, self._new_states())]
 
-        for state in results:
-            yield tuple(state.keys) + tuple(
-                accumulator.final() for accumulator in state.accumulators
-            )
+        if results:
+            yield Batch.of_rows([
+                tuple(state.keys) + tuple(
+                    fold.final(value)
+                    for fold, value in zip(self._folds, state.states))
+                for state in results])
+
+    @staticmethod
+    def _numbered(batches: Iterable[Batch]) -> Iterator[tuple[Batch, range]]:
+        """Each input batch with the input ordinals of its rows."""
+        start = 0
+        for batch in batches:
+            yield batch, range(start, start + batch.size)
+            start += batch.size
+
+    def _absorb(self, state: _GroupState, columns: list,
+                rows: "list | None", size: int) -> None:
+        """Fold one batch's share of a group — its *rows*, or all *size*
+        of them — into *state*, call by call."""
+        position = 0
+        for index, arguments in enumerate(self._arguments):
+            share = columns[position:position + len(arguments)]
+            position += len(arguments)
+            if rows is not None:
+                share = [[column[row] for row in rows] for column in share]
+            state.states[index] = self._folds[index].absorb(
+                state.states[index], share,
+                size if rows is None else len(rows))
 
 
 class Distinct(PlanNode):
@@ -717,24 +793,27 @@ class Distinct(PlanNode):
         self.child = child
         self.frame = child.frame
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
+    def batches(self, context) -> Iterator[Batch]:
         seen: set = set()
-        for values in self.child.execute(parameters, outer):
-            key = tuple(sort_key(v) for v in values)
-            if key not in seen:
-                seen.add(key)
-                yield values
+        for batch in self.child.run(context):
+            keep = []
+            for row, key in enumerate(_bucket_keys(batch.columns)):
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(row)
+            if keep:
+                yield batch.take(keep)
 
 
 class Sort(PlanNode):
     """External-merge sort on arbitrary expressions, mixed ASC/DESC.
 
-    One composite key per row — per-item ``sort_key``, DESC items
-    wrapped in :class:`_Desc`, the input ordinal last — totally orders
-    the input identically to the stable last-key-first multi-pass sort
-    this replaced (the ordinal reproduces stability).  Without a memory
-    budget the input sorts as a single in-memory chunk; with one, full
-    chunks sort and flush as runs that ``heapq.merge`` recombines.
+    Key columns are built once per chunk, which is ordered by one stable
+    ``list.sort`` per key, last key first, ``reverse=True`` for DESC —
+    the order the composite key of the merge spells out (per-item
+    ``sort_key``, DESC items in :class:`_Desc`, the input ordinal last).
+    Without a memory budget the input is one chunk; with one, full
+    chunks flush as sorted runs that ``heapq.merge`` recombines.
     """
 
     passes_rows = True
@@ -758,56 +837,84 @@ class Sort(PlanNode):
     def expressions(self):
         return [item.expression for item in self.items]
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        def entry_key(entry: tuple):
-            ordinal, values = entry
-            context = RowContext(self.frame, values, parameters, outer)
-            key: list = []
-            for item in self.items:
-                part = sort_key(
-                    self.evaluator.evaluate(item.expression, context)
-                )
-                key.append(part if item.ascending else _Desc(part))
-            key.append(ordinal)
-            return tuple(key)
+    def page_scan(self):
+        return None  # keys are built over chunks (and re-read runs)
 
+    def compile(self) -> None:
+        self._keys = [self._compiled(item.expression, self.frame)
+                      for item in self.items]
+
+    def _key_columns(self, batch: Batch, context: RowContext) -> list:
+        _, columns, error = settled(
+            batch.size, [key(batch, context) for key in self._keys])
+        if error is not None:
+            raise error
+        return columns
+
+    def _ordered(self, batches: list[Batch], start: int,
+                 context: RowContext) -> tuple[Batch, list]:
+        """One chunk — input rows *start* onwards — in sort order, with
+        the input ordinal of each row."""
+        width = len(self.frame)
+        batch = batches[0] if len(batches) == 1 else Batch(
+            [list(chain.from_iterable(batch.columns[position]
+                                      for batch in batches))
+             for position in range(width)],
+            sum(batch.size for batch in batches))
+        order = list(range(batch.size))
+        for item, column in reversed(list(zip(
+                self.items, self._key_columns(batch, context)))):
+            order.sort(key=sort_keys(column, bare=True).__getitem__,
+                       reverse=not item.ascending)
+        return batch.take(order), [start + row for row in order]
+
+    def _entries(self, batches: Iterable[tuple[Batch, list]],
+                 context: RowContext) -> Iterator[tuple]:
+        """``(composite key, row)`` of sorted rows, for the merge."""
+        for batch, ordinals in batches:
+            parts = [keys if item.ascending else map(_Desc, keys)
+                     for item, keys in zip(self.items, map(
+                         sort_keys, self._key_columns(batch, context)))]
+            yield from zip(zip(*parts, ordinals), batch.rows())
+
+    def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
         capacity = spill.run_capacity() if spill is not None else None
-        chunk: list = []
+        pending: list[Batch] = []
+        held = start = 0
         runs: list = []
         try:
-            for ordinal, values in enumerate(
-                    self.child.execute(parameters, outer)):
-                chunk.append((ordinal, values))
-                if capacity is not None and len(chunk) >= capacity:
-                    chunk.sort(key=entry_key)
+            for batch in self.child.run(context):
+                pending.append(batch)
+                held += batch.size
+                if capacity is not None and held >= capacity:
+                    # A full chunk (the batch that filled it is not cut).
+                    chunk, ordinals = self._ordered(pending, start, context)
                     run = spill.disk_run()
-                    for entry_ordinal, entry_values in chunk:
-                        run.append((entry_ordinal,) + tuple(entry_values))
+                    for ordinal, row in zip(ordinals, chunk.rows()):
+                        run.append((ordinal,) + row)
                     runs.append(run)
-                    chunk = []
-            chunk.sort(key=entry_key)
-            if not runs:
-                for _, values in chunk:
-                    yield values
+                    pending, held, start = [], 0, start + held
+            if not pending and not runs:
                 return
-            streams = [_run_entries(run) for run in runs]
-            streams.append(iter(chunk))
-            for _, values in heapq.merge(*streams, key=entry_key):
-                yield values
+            streams = [self._entries(_run_batches(run), context)
+                       for run in runs]
+            if pending:
+                last = self._ordered(pending, start, context)
+                if not runs:
+                    yield last[0]
+                    return
+                streams.append(self._entries([last], context))
+            merged = (row for _, row in heapq.merge(*streams))
+            while rows := list(islice(merged, MAX_BATCH_ROWS)):
+                yield Batch.of_rows(rows)
         finally:
             for run in runs:
                 run.close()
 
 
-def _run_entries(run: RowRun) -> Iterator[tuple]:
-    """The ``(ordinal, values)`` entries a Sort or Aggregate spilled."""
-    for entry in run:
-        yield entry[0], tuple(entry[1:])
-
-
 class Limit(PlanNode):
-    """LIMIT/OFFSET."""
+    """LIMIT/OFFSET: stops pulling input at the last row it returns."""
 
     passes_rows = True
 
@@ -821,17 +928,24 @@ class Limit(PlanNode):
     def label(self) -> str:
         return f"Limit({self.limit} OFFSET {self.offset})"
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        produced = 0
-        skipped = 0
-        for values in self.child.execute(parameters, outer):
-            if skipped < self.offset:
-                skipped += 1
+    def batches(self, context) -> Iterator[Batch]:
+        skip, wanted = self.offset, self.limit
+        if wanted == 0:
+            return
+        for batch in self.child.run(context):
+            if skip >= batch.size:
+                skip -= batch.size
                 continue
-            if self.limit is not None and produced >= self.limit:
-                return
-            produced += 1
-            yield values
+            stop = (batch.size if wanted is None
+                    else min(batch.size, skip + wanted))
+            if skip or stop < batch.size:
+                batch = batch.take(range(skip, stop))
+            skip = 0
+            yield batch
+            if wanted is not None:
+                wanted -= batch.size
+                if wanted == 0:
+                    return
 
 
 def _unique_name(name: str, taken: Sequence[str]) -> str:
@@ -848,107 +962,52 @@ def slot_names(calls: Sequence[ast.FunctionCall]) -> list[str]:
     return names
 
 
-@dataclass
-class KernelSlot:
-    """One vectorized function column: ``function_name`` applied to the
-    scanned column at ``position`` with ``extra_args``, page-at-a-time.
-
-    A :class:`ColumnarScan` appends one frame column per distinct slot
-    and the optimizer rewrites matching calls in filters, projections
-    and ORDER BY into references to it; a :class:`VectorAggregate` folds
-    the same columns without materializing rows.  Two slots are the same
-    when everything but ``name`` (the frame label) is.
-    """
-
-    name: str = field(compare=False)
-    kernel: str
-    function_name: str
-    position: int
-    extra_args: tuple
-
-    def bind(self, evaluator: Evaluator, catalog, parameters, outer):
-        """Ready the slot for one execution: returns ``view -> values``,
-        the function applied to every ordinal of a row group."""
-        context = RowContext.without_row(parameters, outer)
-        args = tuple(evaluator.evaluate(argument, context)
-                     for argument in self.extra_args)
-        descriptor = catalog.function(self.function_name)
-        fallback = _page_function(self.function_name, descriptor.function)
-        position = self.position
-        if descriptor.kernel != self.kernel:
-            # The function was re-registered without the kernel tag since
-            # planning: evaluate it row-at-a-time, as the evaluator would.
-            return lambda view: [fallback(value, *args)
-                                 for value in view.column_values(position)]
-
-        def column(view) -> list:
-            return apply_kernel(
-                self.kernel, view.seq_rows(position),
-                lambda: view.column_values(position), fallback, args,
-            )
-        return column
-
-
 class ColumnarScan(PlanNode):
-    """Scan of a column-layout table: zone-map skipping + page kernels.
+    """Scan of a column-layout table: one batch per live row group — the
+    decoded column pages themselves where no row of the group is dead —
+    holding the rows ``SeqScan`` would emit, in the same order.
 
-    Emits the rows ``SeqScan`` would, in the same order, narrowed to its
-    **read set**.  Three columnar-only abilities:
-
-    - ``columns`` — the schema positions the scan materialises, schema
-      order.  A new scan reads them all; the planner's last step
-      (:meth:`read_only`) narrows it to the columns the finished plan
-      names, and only their pages are fetched and decoded.  The frame
+    - ``columns`` — the schema positions the scan materialises.  A new
+      scan reads them all; the planner's last step (:meth:`read_only`)
+      narrows it to the columns the finished plan names.  The frame
       narrows with it, so nothing above can name, carry or spill a
       column that was not read.
-    - ``bounds`` — already-split WHERE comparisons ``(position, low,
-      include_low, high, include_high)``, evaluated at execute
-      time and checked against each row group's zone maps; excluded
-      groups are skipped without reading (or decoding) their pages.
-      Every conjunct is still re-checked by the Filter above, so the
-      pruning only has to be conservative, never exact.
-    - ``kernel_slots`` — tagged function calls computed page-at-a-time
-      over the packed column data and appended to the frame as synthetic
-      columns; failures are deferred per row (:class:`KernelError`) so
-      tombstoned ordinals never raise.  A kernel reads its column's
-      page as stored, whether or not the column is in the read set.
+    - ``bounds`` — WHERE comparisons ``(position, low, include_low,
+      high, include_high)`` checked against each row group's zone maps;
+      excluded groups are skipped unread.  The Filter above re-checks
+      every conjunct, so pruning only has to be conservative.
+    - ``kernels`` — the calls that operators reading this scan's batches
+      compiled to read a column's page as stored (:meth:`Evaluator.
+      kernel_position`), whether or not the column is in the read set.
     """
 
-    def __init__(self, table: Table, binding: str, evaluator: Evaluator,
-                 catalog) -> None:
+    def __init__(self, table: Table, binding: str,
+                 evaluator: Evaluator) -> None:
         self.table = table
         self.binding = binding
         self.evaluator = evaluator
-        self.catalog = catalog
-        self.columns = list(range(len(table.schema.columns)))
         self.bounds: list = []
-        self.kernel_slots: list[KernelSlot] = []
-        self._rebuild_frame()
+        #: what identifies a page-kernel call -> its EXPLAIN label
+        self.kernels: dict[tuple, str] = {}
+        self.read_only(range(len(table.schema.columns)))
         self.estimated_rows = float(len(table))
 
-    def _rebuild_frame(self) -> None:
-        names = self.table.schema.column_names
-        slots = [(self.binding, names[position])
-                 for position in self.columns]
-        slots.extend((None, slot.name) for slot in self.kernel_slots)
-        self.frame = Frame(slots)
+    @property
+    def view_scan(self):
+        return self
 
     def read_only(self, positions) -> None:
         """Narrow the scan (and its frame) to these schema positions."""
         self.columns = sorted(positions)
-        self._rebuild_frame()
+        names = self.table.schema.column_names
+        self.frame = Frame([(self.binding, names[position])
+                            for position in self.columns])
 
-    def ensure_kernel_slot(self, slot: KernelSlot) -> str:
-        """The frame column computing *slot*, appended unless an equal
-        slot is already there."""
-        for existing in self.kernel_slots:
-            if existing == slot:
-                return existing.name
-        slot.name = _unique_name(slot.name,
-                                 [s.name for s in self.kernel_slots])
-        self.kernel_slots.append(slot)
-        self._rebuild_frame()
-        return slot.name
+    def note_kernel(self, key: tuple, label: str) -> None:
+        """An operator above compiled the call *key* as a page kernel."""
+        if key not in self.kernels:
+            self.kernels[key] = _unique_name(label,
+                                             list(self.kernels.values()))
 
     def label(self) -> str:
         parts = [f"{self.table.name} AS {self.binding}"]
@@ -958,115 +1017,37 @@ class ColumnarScan(PlanNode):
                 names[position] for position in self.columns) or "none"))
         if self.bounds:
             parts.append(f"zones on {len(self.bounds)} bound(s)")
-        if self.kernel_slots:
-            parts.append("kernels "
-                         + ", ".join(s.name for s in self.kernel_slots))
+        if self.kernels:
+            parts.append("kernels " + ", ".join(self.kernels.values()))
         return f"ColumnarScan({'; '.join(parts)})"
 
-    def execute(self, parameters, outer) -> Iterator[tuple]:
+    def compile(self) -> None:
+        self.kernels.clear()  # the operators above re-note theirs
+        self._bounds = [
+            (position, self._compiled(low, NO_COLUMNS), include_low,
+             self._compiled(high, NO_COLUMNS), include_high)
+            for position, low, include_low, high, include_high in self.bounds
+        ]
+
+    def batches(self, context) -> Iterator[Batch]:
         store = self.table.column_store
         if len(store) == 0:
             return
-        probe = RowContext.without_row(parameters, outer)
-
-        def bound(expression: "ast.Expression | None") -> Any:
-            return (None if expression is None
-                    else self.evaluator.evaluate(expression, probe))
-
         bounds = [
-            (position, bound(low), include_low, bound(high), include_high)
-            for position, low, include_low, high, include_high in self.bounds
+            (position, low and one(low, context), include_low,
+             high and one(high, context), include_high)
+            for position, low, include_low, high, include_high
+            in self._bounds
         ]
-        kernels = [slot.bind(self.evaluator, self.catalog, parameters, outer)
-                   for slot in self.kernel_slots]
         reading = len({*self.columns,
-                       *(slot.position for slot in self.kernel_slots)})
+                       *(position for _, position, _ in self.kernels)})
         for view in store.scan(bounds or None, reading):
-            rows = view.enumerate_rows(self.columns)
-            if not kernels:
-                for _, row in rows:
-                    yield row
+            columns = [view.column_values(position)
+                       for position in self.columns]
+            if None not in view.row_ids:
+                yield Batch(columns, len(view.row_ids), view)
                 continue
-            # Kernel failures stay wrapped (KernelError) here: they
-            # raise only if an expression actually reads the slot,
-            # matching the row path's lazy evaluation order.
-            extras = list(zip(*(kernel(view) for kernel in kernels)))
-            for offset, row in rows:
-                yield row + extras[offset]
-
-
-class VectorAggregate(PlanNode):
-    """Global native aggregation evaluated page-at-a-time.
-
-    Stands in for :class:`Aggregate` when the child is a bare
-    :class:`ColumnarScan` (no GROUP BY, no filters, no bounds) and every
-    call is a native aggregate over ``*``, a scanned column, or a
-    kernel-tagged function of one — ``count``/``sum``/``avg``/``min``/
-    ``max`` then fold whole column pages without materializing rows,
-    fetching only the pages of the columns the calls name.
-    The output frame matches :class:`Aggregate` exactly (one
-    :func:`slot_names` column per call), so the planner's rewrite
-    machinery is shared.
-
-    ``specs`` aligns with ``aggregate_calls``: ``None`` for ``count(*)``,
-    a column position, or the :class:`KernelSlot` computing the argument.
-    """
-
-    def __init__(self, scan: ColumnarScan,
-                 aggregate_calls: Sequence[ast.FunctionCall],
-                 evaluator: Evaluator, database,
-                 specs: "Sequence[KernelSlot | int | None]") -> None:
-        self.scan = scan
-        self.aggregate_calls = list(aggregate_calls)
-        self.evaluator = evaluator
-        self.database = database
-        self.specs = list(specs)
-        self.frame = Frame([(None, name)
-                            for name in slot_names(self.aggregate_calls)])
-        self.estimated_rows = 1.0
-
-    def label(self) -> str:
-        aggs = ", ".join(str(call) for call in self.aggregate_calls)
-        return f"VectorAggregate({aggs})"
-
-    def children(self) -> tuple[PlanNode, ...]:
-        return (self.scan,)
-
-    def expressions(self):
-        # A kernel argument is read off the stored page, not materialised.
-        return [call.args[0]
-                for call, spec in zip(self.aggregate_calls, self.specs)
-                if isinstance(spec, int)]
-
-    def execute(self, parameters, outer) -> Iterator[tuple]:
-        store = self.scan.table.column_store
-        accumulators = [_NativeAccumulator(call, self.evaluator)
-                        for call in self.aggregate_calls]
-        if len(store) == 0:
-            yield tuple(acc.final() for acc in accumulators)
-            return
-        sources = [
-            spec.bind(self.evaluator, self.database.catalog, parameters,
-                      outer) if isinstance(spec, KernelSlot) else spec
-            for spec in self.specs
-        ]
-        for view in store.scan():
-            live = view.row_ids
-            live_count = sum(1 for row_id in live if row_id is not None)
-            if live_count == 0:
-                continue
-            all_live = live_count == len(live)
-            for accumulator, source in zip(accumulators, sources):
-                if source is None:
-                    accumulator.rows += live_count
-                    continue
-                values = (view.column_values(source)
-                          if isinstance(source, int) else source(view))
-                if all_live:
-                    for value in values:
-                        accumulator.add(_unwrap(value))
-                else:
-                    for row_id, value in zip(live, values):
-                        if row_id is not None:
-                            accumulator.add(_unwrap(value))
-        yield tuple(acc.final() for acc in accumulators)
+            live = [offset for offset, row_id in enumerate(view.row_ids)
+                    if row_id is not None]
+            if live:
+                yield Batch(columns, len(view.row_ids), view).take(live)

@@ -15,7 +15,8 @@ through the three-valued-logic helpers here, never through Python's).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from itertools import repeat
+from typing import Any, Callable, Sequence
 
 from repro.errors import TypeCheckError
 
@@ -241,6 +242,19 @@ def compare(operator: str, left: Any, right: Any) -> "bool | None":
     raise TypeCheckError(f"unknown comparison operator {operator!r}")
 
 
+def comparison_kind(value: Any) -> type:
+    """The class of non-NULL values :func:`compare` accepts *value*
+    against: ``bool``, number (``float`` stands for both) or its exact
+    type.  Two values compare without a ``TypeCheckError`` exactly when
+    their kinds are the same — what a hash join asks before it trusts a
+    bucket lookup, which never compares."""
+    if isinstance(value, bool):
+        return bool
+    if isinstance(value, (int, float)):
+        return float
+    return type(value)
+
+
 def comparable(sql_type: SqlType, value: Any) -> bool:
     """Would :func:`compare` accept non-NULL *value* against the
     non-NULL values of a *sql_type* column?
@@ -267,3 +281,24 @@ def sort_key(value: Any) -> tuple:
     if isinstance(value, bytes):
         return (4, value)
     return (5, repr(value))
+
+
+#: ``sort_key``'s rank of a value by exact type, where the type alone
+#: decides it (a subclass, NULL or an opaque value goes through
+#: :func:`sort_key`).
+_RANK_OF_TYPE = {bool: 1, int: 2, float: 2, str: 3, bytes: 4}
+
+
+def sort_keys(column: Sequence[Any], bare: bool = False) -> Sequence[Any]:
+    """``sort_key`` of every value of *column*, at C speed when all of
+    them share one rank (no NULL among them).
+
+    With *bare*, such a column is returned as it is: within one rank
+    the values order exactly as their keys do, and a sort compares
+    floats faster than tuples.  Keys that must agree across columns or
+    batches (grouping, merging sorted runs) are never taken bare.
+    """
+    ranks = {_RANK_OF_TYPE.get(kind) for kind in set(map(type, column))}
+    if len(ranks) == 1 and None not in ranks:
+        return column if bare else list(zip(repeat(ranks.pop()), column))
+    return list(map(sort_key, column))

@@ -211,3 +211,108 @@ class TestExplain:
         import pytest as _pytest
         with _pytest.raises(Exception):
             db.explain("DELETE FROM t")
+
+
+class TestExplainAnalyze:
+    """``explain(sql, analyze=True)`` runs the statement and prints, per
+    operator, the rows and batches it actually produced beside the
+    planner's estimate (first slice of ROADMAP 6a)."""
+
+    @staticmethod
+    def _actuals(database, sql, parameters=()):
+        """operator name -> (rows, batches) of an analyzed plan."""
+        import re
+        found = {}
+        for line in database.explain(sql, parameters,
+                                     analyze=True).splitlines():
+            match = re.match(
+                r"\s*(\w+).*\(~\d+ rows; actual (\d+) rows in (\d+) "
+                r"batches\)$", line)
+            assert match, line
+            found[match[1]] = (int(match[2]), int(match[3]))
+        return found
+
+    @pytest.fixture
+    def joined(self, db):
+        db.execute("CREATE TABLE u (id INTEGER, t_id INTEGER)")
+        db.executemany("INSERT INTO u VALUES (?, ?)",
+                       [(i, i % 7) for i in range(20)])
+        return db
+
+    def test_plain_explain_is_unchanged(self, db):
+        plan = db.explain("SELECT * FROM t WHERE k = 3")
+        assert "actual" not in plan and "(~" in plan
+
+    def test_seq_scan_filter_project(self, db):
+        actual = self._actuals(db, "SELECT id FROM t WHERE k = ?", (3,))
+        # A row source's batches start at one row and double: 1+2+…+37.
+        assert actual["SeqScan"] == (100, 7)
+        assert actual["Filter"] == (10, 5)      # empty batches are not sent
+        assert actual["Project"] == (10, 5)
+
+    def test_limit_stops_its_inputs(self, db):
+        actual = self._actuals(db, "SELECT id FROM t LIMIT 5")
+        assert actual["Limit"] == (5, 3)
+        assert actual["SeqScan"] == (7, 3)      # 1 + 2 + 4 rows, no more
+
+    def test_index_equal_scan(self, db):
+        actual = self._actuals(db, "SELECT v FROM t WHERE id = 42")
+        assert actual["IndexEqualScan"] == (1, 1)
+
+    def test_index_range_scan(self, db):
+        db.execute("CREATE INDEX ik ON t (k) USING btree")
+        actual = self._actuals(db, "SELECT id FROM t WHERE k > 7")
+        assert actual["IndexRangeScan"][0] == 20
+
+    def test_index_contains_scan(self):
+        from repro.adapter import install_genomics
+        database = Database()
+        install_genomics(database)
+        database.execute("CREATE TABLE f (id INTEGER, fragment DNA)")
+        database.execute("CREATE INDEX if_frag ON f (fragment) "
+                         "USING kmer WITH (k = 4)")
+        for index, text in enumerate(("ACGTACGT", "GGGGCCCC", "TTACGTTT")):
+            database.execute("INSERT INTO f VALUES (?, dna(?))",
+                             (index, text))
+        actual = self._actuals(
+            database, "SELECT id FROM f WHERE contains(fragment, 'ACGT')")
+        assert actual["IndexContainsScan"][0] == 2
+        assert actual["Filter"][0] == 2
+
+    def test_aggregate_and_sort(self, db):
+        actual = self._actuals(
+            db, "SELECT k, count(*) FROM t GROUP BY k ORDER BY k DESC")
+        assert actual["Aggregate"] == (10, 1)
+        assert actual["Sort"] == (10, 1)
+
+    def test_distinct_and_one_row(self, db):
+        assert self._actuals(db, "SELECT DISTINCT k FROM t")[
+            "Distinct"][0] == 10
+        assert self._actuals(db, "SELECT 1 + 1")["OneRow"] == (1, 1)
+
+    def test_both_joins(self, joined):
+        hashed = self._actuals(
+            joined, "SELECT t.id FROM t JOIN u ON t.id = u.t_id")
+        assert hashed["HashJoin"][0] == 20
+        looped = self._actuals(
+            joined, "SELECT t.id FROM t JOIN u ON t.id < u.t_id "
+                    "WHERE t.id < 3")
+        assert looped["NestedLoopJoin"][0] == sum(
+            1 for i in range(3) for j in range(20) if i < j % 7)
+
+    def test_columnar_scan_counts_row_groups(self):
+        database = Database(layout="column", page_rows=8)
+        database.execute("CREATE TABLE t (id INTEGER, k INTEGER)")
+        database.executemany("INSERT INTO t VALUES (?, ?)",
+                             [(i, i // 8) for i in range(36)])
+        actual = self._actuals(database, "SELECT id FROM t")
+        assert actual["ColumnarScan"] == (36, 5)   # 4 sealed groups + tail
+        pruned = self._actuals(database, "SELECT id FROM t WHERE k = 1")
+        # Zone maps skip three sealed groups; the tail has no zone map.
+        assert pruned["ColumnarScan"] == (12, 2)
+        assert pruned["Filter"] == (8, 1)
+
+    def test_actuals_are_of_the_last_execution(self, db):
+        sql = "SELECT id FROM t WHERE k < ?"
+        assert self._actuals(db, sql, (3,))["Filter"][0] == 30
+        assert self._actuals(db, sql, (1,))["Filter"][0] == 10

@@ -230,3 +230,57 @@ class TestFlagActuallyChangesPlans:
         assert optimized_plan.index("Join") < optimized_plan.index("Filter")
         # Naive: the filter sits above the join.
         assert naive_plan.index("Filter") < naive_plan.index("Join")
+
+
+class TestHashJoinRefusesWhatCompareRefuses:
+    """A bucket lookup never compares: ``TRUE`` hashes to ``1`` and a
+    text key simply is not in a bucket of integers.  The hash join must
+    reject or match precisely what ``compare("=", left, right)`` — what
+    the nested loop evaluates — would, in both layouts."""
+
+    STATEMENTS = (
+        "SELECT a.id, b.id FROM a JOIN b ON a.f = b.n",   # BOOLEAN x INTEGER
+        "SELECT a.id, b.id FROM a JOIN b ON a.t = b.n",   # TEXT x INTEGER
+        "SELECT a.id, b.id FROM a JOIN b ON b.n = a.f",   # operands swapped
+        "SELECT a.id, b.id FROM a JOIN b ON a.id = b.n",  # comparable: rows
+        "SELECT a.id, b.id FROM a JOIN b ON a.r = b.n",   # REAL x INTEGER
+        "SELECT a.id, b.id FROM a JOIN b ON a.f = b.n AND a.id > 9",
+    )
+
+    @staticmethod
+    def _outcome(database, sql):
+        from repro.errors import DatabaseError
+        try:
+            return _multiset(database.query(sql).rows)
+        except DatabaseError as exc:
+            return (type(exc).__name__, str(exc))
+
+    @staticmethod
+    def _build(optimize, layout):
+        database = Database(optimize=optimize, layout=layout, page_rows=2)
+        database.execute("CREATE TABLE a (id INTEGER, f BOOLEAN, t TEXT, "
+                         "r REAL)")
+        database.execute("CREATE TABLE b (id INTEGER, n INTEGER)")
+        database.execute("INSERT INTO a VALUES (1, TRUE, '1', 1.0), "
+                         "(2, FALSE, '0', 0.5), (3, NULL, NULL, NULL)")
+        database.execute("INSERT INTO b VALUES (1, 1), (2, 0), (3, NULL)")
+        return database
+
+    def test_statements_agree_with_the_nested_loop(self):
+        for layout in ("row", "column"):
+            optimized = self._build(True, layout)
+            naive = self._build(False, layout)
+            for sql in self.STATEMENTS:
+                assert "HashJoin" in optimized.explain(sql), sql
+                assert "NestedLoopJoin" in naive.explain(sql), sql
+                assert (self._outcome(optimized, sql)
+                        == self._outcome(naive, sql)), (sql, layout)
+
+    def test_the_two_reported_statements(self):
+        optimized = self._build(True, "row")
+        assert self._outcome(optimized, self.STATEMENTS[0]) == (
+            "TypeCheckError", "cannot compare bool with int")
+        assert self._outcome(optimized, self.STATEMENTS[1]) == (
+            "TypeCheckError", "cannot compare str with int")
+        assert self._outcome(optimized, self.STATEMENTS[3]) == [(1, 1)]
+        assert self._outcome(optimized, self.STATEMENTS[4]) == [(1, 1)]

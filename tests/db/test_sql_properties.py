@@ -197,3 +197,171 @@ class TestDmlInvariants:
         database.rollback()
         after = ordered(database.query("SELECT k, v FROM t").rows)
         assert after == before
+
+
+# -- compiled columns ≡ the tree-walking interpreter -----------------------
+#
+# Both layouts run one executor, so columnar ≡ row no longer judges how an
+# expression is evaluated.  The interpreter the engine used to run
+# (``reference_evaluator.py``) does: every compiled column must agree
+# with it cell for cell — the value (and its type), or the error's
+# ``(type, message)`` in exactly the rows where the interpreter raises.
+
+from repro.db.sql import ast  # noqa: E402
+from repro.db.sql.expressions import (  # noqa: E402
+    Batch,
+    Evaluator,
+    Failing,
+    Frame,
+    RowContext,
+)
+from repro.db.columnar.vector import KernelError  # noqa: E402
+from repro.db.sql.parser import parse  # noqa: E402
+
+from tests.db.reference_evaluator import ReferenceEvaluator  # noqa: E402
+
+_FRAME = Frame([("t", "a"), ("t", "b"), ("t", "c"), ("u", "c")])
+
+_cell_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.0]),
+    st.sampled_from(["", "a", "ab", "a%", "b_"]),
+)
+_rows = st.lists(st.tuples(*[_cell_values] * len(_FRAME)), max_size=12)
+_leaves = st.one_of(
+    _cell_values.map(ast.Literal),
+    st.integers(0, 3).map(ast.Parameter),        # 3: never supplied
+    st.sampled_from([
+        ast.ColumnRef(None, "a"), ast.ColumnRef("t", "b"),
+        ast.ColumnRef("u", "c"),
+        ast.ColumnRef(None, "c"),                # ambiguous
+        ast.ColumnRef(None, "nope"),             # unknown
+    ]),
+)
+
+
+def _nodes(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(st.sampled_from(["-", "NOT"]), children).map(
+            lambda args: ast.Unary(*args)),
+        st.tuples(st.sampled_from(
+            ["AND", "OR", "AND", "OR", "LIKE", "=", "<>", "<", ">=",
+             "+", "-", "*", "/", "%"]), children, children).map(
+            lambda args: ast.Binary(*args)),
+        st.tuples(children, st.booleans()).map(
+            lambda args: ast.IsNull(*args)),
+        st.tuples(children, children, children, st.booleans()).map(
+            lambda args: ast.Between(*args)),
+        st.tuples(children, st.lists(children, min_size=1, max_size=3),
+                  st.booleans()).map(
+            lambda args: ast.InList(args[0], tuple(args[1]), args[2])),
+        # picky() raises on 2 and on text; no_such() is not registered;
+        # count() is an aggregate where none may stand.
+        st.tuples(st.sampled_from(
+            ["picky", "picky", "typeof", "abs", "no_such", "count"]),
+            children).map(lambda args: ast.FunctionCall(args[0],
+                                                        (args[1],))),
+        pairs.map(lambda args: ast.FunctionCall("coalesce", args)),
+    )
+
+
+_expressions = st.recursive(_leaves, _nodes, max_leaves=8)
+
+
+def _picky(value):
+    if value == 2:
+        raise ValueError("two is right out")
+    if isinstance(value, str):
+        raise TypeError("no text")
+    return value
+
+
+def _evaluators():
+    database = Database()
+    database.register_function("picky", _picky)
+    database.execute("CREATE TABLE s (k INTEGER)")
+    database.execute("INSERT INTO s VALUES (1), (2), (NULL)")
+    return database, Evaluator(database), ReferenceEvaluator(database)
+
+
+def _outcome(compute):
+    try:
+        value = compute()
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+    return ("value", type(value), value)
+
+
+def _cell_outcome(cell):
+    if type(cell) is KernelError:
+        return ("error", type(cell.error), str(cell.error))
+    return ("value", type(cell), cell)
+
+
+def _assert_column_matches_reference(expression, rows, parameters,
+                                     outer=None):
+    database, compiled, reference = _evaluators()
+    context = RowContext.without_row(parameters, outer)
+    column = compiled.compile(expression, _FRAME)(
+        Batch.of_rows(rows) if rows else Batch([()] * len(_FRAME), 0),
+        context)
+    assert len(column) == len(rows)
+    expected = [
+        _outcome(lambda: reference.evaluate(
+            expression, RowContext(_FRAME, row, parameters, outer)))
+        for row in rows
+    ]
+    assert [_cell_outcome(cell) for cell in column] == expected
+    # A failed cell marks its column: operators look no further for one.
+    if any(kind == "error" for kind, _, _ in expected):
+        assert type(column) is Failing
+    # The one-row wrapper is the same closure: same value or same raise.
+    for row, outcome in zip(rows, expected):
+        assert _outcome(lambda: compiled.evaluate(
+            expression, RowContext(_FRAME, row, parameters, outer))
+        ) == outcome
+
+
+class TestCompiledExpressionsMatchTheInterpreter:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_expressions, _rows, st.lists(_cell_values, min_size=3,
+                                         max_size=3))
+    def test_random_trees_over_random_rows(self, expression, rows,
+                                           parameters):
+        _assert_column_matches_reference(expression, rows, parameters)
+
+    @pytest.mark.parametrize("text", [
+        # the right side runs only where the left leaves the row open
+        "a = 1 OR picky(b) = 1",
+        "a = 1 AND picky(b) = 1",
+        "picky(a) = 1 AND picky(b) = 1",
+        "NOT (a IS NULL OR picky(a) > 0)",
+        "a AND b",                               # not booleans: TypeCheck
+        # an item is compared only if no earlier one matched
+        "a IN (1, picky(b), 3)",
+        "a NOT IN (picky(b), 1)",
+        # row-invariant subtrees: once per batch, failures included
+        "a + abs(? - 5) > 0", "picky(? + 1) = a", "picky(?) = a",
+        "b LIKE ?", "b LIKE 'a%'", "b LIKE a",
+        "a / b", "a % b", "a / 0", "a + b", "-a", "a BETWEEN b AND 2",
+        "coalesce(a, b) = t.c",
+        # subqueries, correlated and not, loop inside their closure
+        "a IN (SELECT k FROM s)", "a NOT IN (SELECT k FROM s)",
+        "a IN (SELECT k, k FROM s)",
+        "EXISTS (SELECT 1 FROM s WHERE s.k = t.a)",
+        "NOT EXISTS (SELECT 1 FROM s WHERE k = b AND picky(k) = 1)",
+        "picky(a) IN (SELECT k FROM s WHERE k > t.b)",
+        "a = outer_x", "a = o.nope",
+    ])
+    def test_the_cases_a_column_at_a_time_gets_wrong(self, text):
+        expression = parse(f"SELECT 1 FROM t WHERE {text}").where
+        rows = [(1, 2, None, 0), (2, 1, "x", 1), (None, "ab", 1, 2),
+                (0, 0, 2.0, None), (True, False, 1, 1), ("a", "a%", 3, 3),
+                (3, None, None, None), (1.0, 2, 5, 5)]
+        outer = RowContext(Frame([("o", "outer_x")]), (1,))
+        for parameters in ((2,), (1,), ("a%",), (None,), ()):
+            _assert_column_matches_reference(expression, rows, parameters,
+                                             outer)
+            _assert_column_matches_reference(expression, [], parameters,
+                                             outer)

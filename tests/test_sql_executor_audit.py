@@ -1,0 +1,121 @@
+"""Source audit: one execution style.
+
+Every plan operator consumes and produces column batches and evaluates
+expressions only through the closures ``Evaluator.compile`` built once
+for the plan.  A per-row ``RowContext``, a revived page-at-a-time twin
+of an operator, or a second module that walks expression nodes would
+each bring the second executor back quietly, so — in the style of
+``test_sql_ast_audit.py`` — this test checks for them.  The reference
+interpreter lives under ``tests/`` (``tests/db/reference_evaluator.py``)
+and nothing under ``src/`` imports it.
+"""
+
+import ast as python_ast
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.db import Database
+from repro.db.sql import ast
+from repro.errors import DatabaseError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+DB = SRC / "db"
+PLAN = DB / "sql" / "plan.py"
+
+_LOOPS = (python_ast.For, python_ast.While, python_ast.ListComp,
+          python_ast.SetComp, python_ast.DictComp, python_ast.GeneratorExp)
+
+
+def _names_in_loops(path, name):
+    """Lines of *path* where *name* is read inside a loop body or a
+    comprehension."""
+    found = []
+    for loop in python_ast.walk(python_ast.parse(path.read_text())):
+        if isinstance(loop, _LOOPS):
+            found.extend(node.lineno for node in python_ast.walk(loop)
+                         if isinstance(node, python_ast.Name)
+                         and node.id == name)
+    return sorted(set(found))
+
+
+def test_no_operator_builds_a_row_context_per_row():
+    assert _names_in_loops(PLAN, "RowContext") == []
+    # ...and the audit sees one when there is one to see.
+    assert _names_in_loops(DB / "sql" / "expressions.py", "RowContext")
+
+
+def test_the_second_execution_style_stays_deleted():
+    plan = PLAN.read_text()
+    for gone in ("VectorAggregate", "KernelSlot", "_NativeAccumulator",
+                 "evaluate_predicate", ".evaluate("):
+        assert gone not in plan, gone
+    optimizer = (DB / "sql" / "optimizer.py").read_text()
+    for gone in ("_rewrite_kernel_calls", "_vector_specs", "KernelSlot",
+                 "VectorAggregate"):
+        assert gone not in optimizer, gone
+    for path in SRC.rglob("*.py"):
+        assert "reference_evaluator" not in path.read_text(), path
+
+
+def test_only_expressions_py_dispatches_on_expression_node_type():
+    handler = re.compile(
+        r"def _(?:eval|compile)_(?:%s)\b" % "|".join(
+            node_type.__name__.lower() for node_type in ast.EXPRESSION_TYPES))
+    keyed_by_type = re.compile(
+        r"\[type\((?:node|expression|expr|call)\)\]")
+    # ``ast.py`` is the fold itself: its per-type table lists children,
+    # it gives no node a meaning.
+    dispatching = [
+        path.relative_to(DB).as_posix() for path in DB.rglob("*.py")
+        if path.name != "ast.py" and (
+            handler.search(path.read_text())
+            or keyed_by_type.search(path.read_text())
+            or "EXPRESSION_TYPES" in path.read_text())
+    ]
+    assert dispatching == ["sql/expressions.py"]
+
+
+def test_every_operator_runs_batches_and_none_overrides_execute():
+    from repro.db.sql import plan
+
+    operators = [value for value in vars(plan).values()
+                 if isinstance(value, type)
+                 and issubclass(value, plan.PlanNode)
+                 and value is not plan.PlanNode
+                 and not value.__name__.startswith("_")]
+    assert len(operators) >= 11
+    for operator in operators:
+        assert "execute" not in vars(operator), operator
+        assert "run" not in vars(operator), operator
+        assert operator.batches is not plan.PlanNode.batches, operator
+
+
+@pytest.mark.parametrize("layout", ["row", "column"])
+def test_limit_never_evaluates_past_the_rows_it_returns(layout):
+    database = Database(layout=layout)
+    calls = []
+
+    def fussy(value):
+        calls.append(value)
+        if value >= 2:
+            raise ValueError(f"no {value}")
+        return value * 10
+
+    database.register_function("fussy", fussy)
+    database.execute("CREATE TABLE t (x INTEGER)")
+    for x in (1, 2, 3):
+        database.execute("INSERT INTO t VALUES (?)", (x,))
+    assert database.execute("SELECT fussy(x) FROM t LIMIT 1").rows == [(10,)]
+    assert database.execute("SELECT fussy(x) FROM t LIMIT 0").rows == []
+    assert database.execute(
+        "SELECT x FROM t WHERE fussy(x) = 10 LIMIT 1").rows == [(1,)]
+    if layout == "row":
+        # The doubling rule: the first batch of a row source is one row.
+        assert calls == [1, 1]
+    # Asking for the failing row still fails, with the row's own error.
+    with pytest.raises(DatabaseError, match="function 'fussy' failed: no 2"):
+        database.execute("SELECT fussy(x) FROM t LIMIT 2")
+    with pytest.raises(DatabaseError, match="no 2"):
+        database.execute("SELECT x FROM t WHERE fussy(x) = 10")
