@@ -36,6 +36,7 @@ from repro.core.types import (
     RnaSequence,
 )
 from repro.db import Database, OpaqueType
+from repro.db.sql.functions import null_safe
 
 #: Selectivity estimates for the genomic predicates (section 6.5).  A
 #: short motif is found in most long sequences; these defaults are the
@@ -73,6 +74,15 @@ def _sequence_udts() -> list[OpaqueType]:
     ]
 
 
+def _registrar(database: Database):
+    """``register(name, function, **options)`` for one database: every
+    adapter function is NULL-in → NULL-out, like the engine's builtins —
+    a NULL predicate filters its row and an aggregate skips the cell."""
+    def register(name: str, function, **options) -> None:
+        database.register_function(name, null_safe(function), **options)
+    return register
+
+
 class GenomicsAdapter:
     """Registers the Genomics Algebra with a :class:`~repro.db.Database`."""
 
@@ -91,7 +101,7 @@ class GenomicsAdapter:
     # -- constructors -------------------------------------------------------------
 
     def _register_constructors(self, database: Database) -> None:
-        register = database.register_function
+        register = _registrar(database)
         register("dna", lambda text: ops.decode(text),
                  description="build a DNA value from text")
         register("rna", lambda text: ops.decode_rna(text),
@@ -111,7 +121,7 @@ class GenomicsAdapter:
     # -- predicates (section 6.3) ---------------------------------------------------
 
     def _register_predicates(self, database: Database) -> None:
-        register = database.register_function
+        register = _registrar(database)
         register(
             "contains",
             lambda sequence, pattern: ops.contains(sequence, pattern),
@@ -143,7 +153,7 @@ class GenomicsAdapter:
     # -- algebra operations ------------------------------------------------------------
 
     def _register_operations(self, database: Database) -> None:
-        register = database.register_function
+        register = _registrar(database)
         register("transcribe", ops.transcribe,
                  description="gene -> primary transcript")
         register("splice", ops.splice,
@@ -188,7 +198,7 @@ class GenomicsAdapter:
     # -- accessors ----------------------------------------------------------------------
 
     def _register_accessors(self, database: Database) -> None:
-        register = database.register_function
+        register = _registrar(database)
         register("seq_text", lambda value: str(value),
                  description="textual form of any sequence value")
         register("gene_name", lambda gene: gene.name,

@@ -45,13 +45,22 @@ class SymbolTables(NamedTuple):
     complement: "bytes | None"
     #: Codes of the symbols that stand for themselves (gap included).
     concrete: bytes
-    #: All but G, C, S (G-or-C): what is left is the GC numerator.
+    #: ``bytes.translate`` table code → :data:`STRONG` for G, C, S
+    #: (G-or-C: the GC numerator), :data:`WEAK` for A, T, U, W (A-or-T:
+    #: the rest of the denominator), :data:`NEITHER` for any other.  One
+    #: pass classifies a buffer of any number of sequences; ``count`` then
+    #: reads each one's share (``gc_content``, row by row or page by page).
+    gc_classes: bytes
+    #: All but G, C, S …
     not_strong: bytes
-    #: All but A, T, U, W (A-or-T): the rest of the GC denominator.
-    not_weak: bytes
-    #: All but A, T, W: melting temperature is a DNA formula, and a U
-    #: counts half like any other stranger.
+    #: … and all but A, T, W: melting temperature is a DNA formula, and a
+    #: U counts half like any other stranger.
     not_weak_dna: bytes
+
+
+#: The classes of :attr:`SymbolTables.gc_classes`, as ``bytes.count``
+#: takes them.
+STRONG, WEAK, NEITHER = b"SW."
 
 
 @lru_cache(maxsize=None)
@@ -65,8 +74,9 @@ def symbol_tables(alphabet: Alphabet) -> SymbolTables:
         complement,
         _codes(alphabet, "".join(
             s for s in alphabet if not alphabet.is_ambiguous(s))),
+        bytes(STRONG if symbol in "GCS" else WEAK if symbol in "ATUW"
+              else NEITHER for symbol in alphabet.symbols.ljust(256)),
         _all_but(alphabet, "GCS"),
-        _all_but(alphabet, "ATUW"),
         _all_but(alphabet, "ATW"),
     )
 

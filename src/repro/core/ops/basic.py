@@ -7,7 +7,12 @@ or scalar out.
 
 from __future__ import annotations
 
-from repro.core.ops._tables import DECODE_DELETIONS, symbol_tables
+from repro.core.ops._tables import (
+    DECODE_DELETIONS,
+    STRONG,
+    WEAK,
+    symbol_tables,
+)
 from repro.core.types.sequence import (
     DnaSequence,
     PackedSequence,
@@ -42,11 +47,10 @@ def gc_content(sequence: PackedSequence) -> float:
     S (which stands for G or C) counts as GC; other ambiguity codes and
     gaps are excluded from the denominator.
     """
-    tables = symbol_tables(sequence.alphabet)
-    codes = sequence.codes()
-    gc = len(codes.translate(None, tables.not_strong))
-    at = len(codes.translate(None, tables.not_weak))
-    total = gc + at
+    classes = sequence.codes().translate(
+        symbol_tables(sequence.alphabet).gc_classes)
+    gc = classes.count(STRONG)
+    total = gc + classes.count(WEAK)
     return gc / total if total else 0.0
 
 

@@ -60,6 +60,8 @@ class Alphabet:
         self._encode_table = bytes.maketrans(symbol_bytes, code_bytes)
         self._decode_table = bytes.maketrans(code_bytes, symbol_bytes)
         self._symbol_set = frozenset(symbols)
+        # Immutable, and a key of every ``core.ops`` table lookup.
+        self._hash = hash((name, symbols))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -81,7 +83,7 @@ class Alphabet:
         return self.name == other.name and self.symbols == other.symbols
 
     def __hash__(self) -> int:
-        return hash((self.name, self.symbols))
+        return self._hash
 
     # -- coding ------------------------------------------------------------
 

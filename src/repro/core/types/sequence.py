@@ -84,6 +84,13 @@ class PackedSequence:
     def _pack(cls, codes: bytes) -> bytes:
         return _pack4(codes) if cls._nibble else bytes(codes)
 
+    @classmethod
+    def _unpack(cls, packed: bytes) -> bytes:
+        """Every code of a packed buffer, a trailing pad code included:
+        the buffer of one sequence, or of a page of them end to end."""
+        return (_unpack4(packed, 2 * len(packed)) if cls._nibble
+                else packed)
+
     def codes(self) -> bytes:
         """The sequence as one integer code per byte (unpacked form)."""
         if self._nibble:

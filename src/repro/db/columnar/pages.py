@@ -19,9 +19,10 @@ Encodings (chosen per page from the column type and the actual values):
             order + one 1- or 2-byte code per non-null row (the width grows
             with the dictionary, so overflow is representable, never lossy)
 ``BLOB``    length-prefixed concatenated byte strings
-``SEQ``     packed genomic sequences (:class:`PackedSequence` payload bytes
-            stored verbatim — the 2/4-bit code buffers vector kernels read
-            without constructing sequence objects)
+``SEQ``     packed sequences, columnar inside: an alphabet table (plus a
+            one-byte index per row only if the page mixes alphabets), the
+            symbol counts as one ``<nI`` array, then every packed payload
+            verbatim — the one buffer :class:`SeqPage` hands the kernels
 ``OBJ``     fallback: any value the engine can serialize (UDTs via their
             :class:`~repro.db.values.OpaqueType`)
 ==========  =================================================================
@@ -49,13 +50,14 @@ from typing import Any, Sequence
 
 from repro.core.types.sequence import PackedSequence, sequence_class_for
 from repro.db.values import NULL
-from repro.errors import StorageError
+from repro.errors import SequenceError, StorageError
 
 #: Default number of rows per sealed page (one row group).
 PAGE_ROWS = 256
 
-#: On-page format version.
-PAGE_FORMAT = 1
+#: On-page format version.  2 made the SEQ body columnar inside; there is
+#: no reader for 1, because no page outlives the process that sealed it.
+PAGE_FORMAT = 2
 
 #: Encoding tags (one byte on the wire).
 INT, FLOAT, BOOL, DICT, BLOB, SEQ, OBJ = 1, 2, 3, 4, 5, 6, 7
@@ -67,7 +69,6 @@ ENCODING_NAMES = {INT: "INT", FLOAT: "FLOAT", BOOL: "BOOL", DICT: "DICT",
 _MAGIC = b"CP"
 _HEADER = struct.Struct("<2sBBI")  # magic, format, encoding, row count
 _U32 = struct.Struct("<I")
-_SEQ_SIZES = struct.Struct("<II")  # symbol count, packed byte count
 
 #: Zone-map sentinel for a page with no non-null values: any comparison
 #: predicate is provably false over it, so scans may skip it outright.
@@ -91,34 +92,17 @@ def _unpack_bitmap(data: bytes, count: int) -> list[bool]:
 
 
 def zone_map_of(values: Sequence[Any]) -> "tuple[Any, Any] | str | None":
-    """The (min, max) zone map over *values*, ignoring NULLs.
-
-    Returns :data:`ZONE_EMPTY` when every value is NULL (such a page can
-    never satisfy a comparison predicate) and ``None`` when the values
-    are not of a totally ordered scalar type (no pruning possible).
-    """
-    lowest = highest = None
-    category = None
-    for value in values:
-        if value is NULL:
-            continue
-        if isinstance(value, bool):
-            return None
-        kind = ("num" if isinstance(value, (int, float))
-                else "str" if isinstance(value, str) else None)
-        if kind is None or (category is not None and kind != category):
-            return None
-        category = kind
-        if lowest is None:
-            lowest = highest = value
-        else:
-            if value < lowest:
-                lowest = value
-            if value > highest:
-                highest = value
-    if lowest is None:
+    """The (min, max) zone map over *values*, ignoring NULLs:
+    :data:`ZONE_EMPTY` when every value is NULL (no comparison predicate
+    can hold over such a page), ``None`` when the values are not of one
+    totally ordered scalar type (no pruning possible)."""
+    present = [value for value in values if value is not NULL]
+    kinds = set(map(type, present))
+    if not present:
         return ZONE_EMPTY
-    return (lowest, highest)
+    if kinds <= {int, float} or kinds == {str}:
+        return min(present), max(present)
+    return None
 
 
 class _BodyMismatch(ValueError):
@@ -138,9 +122,7 @@ def _counted(values: list, count: int) -> list:
     return values
 
 
-# ---------------------------------------------------------------------------
-# body codecs (non-null values only; the null bitmap restores positions)
-# ---------------------------------------------------------------------------
+# -- body codecs (non-null values only; the null bitmap restores positions)
 
 def _encode_int(values: list[Any]) -> bytes:
     try:
@@ -167,39 +149,70 @@ def _decode_float(body: bytes, count: int) -> list[float]:
 
 
 def _encode_seq(values: list[PackedSequence]) -> bytes:
-    parts = []
-    for value in values:
-        name = value.alphabet.name.encode("ascii")
-        packed = value._packed
-        parts.append(bytes((len(name),)) + name
-                     + _SEQ_SIZES.pack(len(value), len(packed)) + packed)
+    names = [value.alphabet.name for value in values]
+    table = list(dict.fromkeys(names))
+    parts = [bytes((len(table),))]
+    for name in table:
+        parts.append(bytes((len(name),)) + name.encode("ascii"))
+    if len(table) > 1:
+        parts.append(bytes(map(table.index, names)))
+    parts.append(struct.pack(f"<{len(values)}I", *map(len, values)))
+    parts.extend(value._packed for value in values)
     return b"".join(parts)
 
 
-def _seq_triples(body: bytes, count: int) -> list[tuple[str, int, bytes]]:
-    """``(alphabet_name, symbol_count, packed_bytes)`` per value: the
-    packed code buffers exactly as stored, no :class:`PackedSequence`
-    construction — what the vector kernels read."""
-    triples = []
-    offset = 0
-    for _ in range(count):
-        sizes_at = offset + 1 + body[offset]
-        length, packed_size = _SEQ_SIZES.unpack_from(body, sizes_at)
-        end = sizes_at + 8 + packed_size
-        packed = body[sizes_at + 8:end]
-        if len(packed) != packed_size:
-            raise _BodyMismatch(
-                f"ends inside a sequence of {length} symbols")
-        triples.append((body[offset + 1:sizes_at].decode("ascii"), length,
-                        packed))
-        offset = end
-    _exactly(body, offset)
-    return triples
+class SeqPage:
+    """A SEQ body parsed, not decoded: what a kernel reads.  Non-null row
+    *i* is ``lengths[i]`` symbols of ``classes[index[i]]`` (``index`` is
+    None on a one-alphabet page: all are ``classes[0]``) packed at
+    ``packed[starts[i]:starts[i + 1]]``; ``nulls`` flags the page's NULL
+    positions and is None when it has none."""
 
+    __slots__ = ("classes", "index", "lengths", "starts", "packed", "nulls")
 
-def _decode_seq(body: bytes, count: int) -> list[PackedSequence]:
-    return [sequence_class_for(name)._from_packed(length, packed)
-            for name, length, packed in _seq_triples(body, count)]
+    def __init__(self, body: bytes, count: int,
+                 nulls: "list[bool] | None" = None) -> None:
+        self.nulls, at = nulls, 1
+        self.classes = classes = []
+        for _ in range(body[0]):
+            end = at + 1 + body[at]
+            classes.append(sequence_class_for(str(body[at + 1:end], "ascii")))
+            at = end
+        mixed = len(classes) > 1
+        self.index = index = body[at:at + count] if mixed else None
+        at += count * mixed
+        self.lengths = lengths = struct.unpack_from(f"<{count}I", body, at)
+        at += 4 * count
+        # Payload sizes follow from length and alphabet and are not
+        # stored: a length can disagree with the total, and nothing else.
+        if mixed:
+            sizes = [(n + 1) >> 1 if classes[k]._nibble else n
+                     for k, n in zip(index, lengths)]
+        else:
+            sizes = ([(n + 1) >> 1 for n in lengths] if classes[0]._nibble
+                     else lengths)
+        self.starts = list(accumulate(sizes, initial=0))
+        _exactly(body, at + self.starts[-1])
+        self.packed = body[at:]
+
+    def rows(self) -> list[PackedSequence]:
+        """The non-null rows, each adopting its slice of the buffer."""
+        classes, packed, starts = self.classes, self.packed, self.starts
+        return [classes[k]._from_packed(length, packed[start:end])
+                for k, length, start, end
+                in zip(self.index or bytes(len(self.lengths)), self.lengths,
+                       starts, starts[1:])]
+
+    def spans(self) -> "tuple[bytes, list[int], list[int]]":
+        """``(codes, starts, ends)`` of a one-alphabet page: the buffer as
+        one code per byte, un-nibbled in one go, row *i* at
+        ``codes[starts[i]:ends[i]]`` — an odd row's pad nibble lies
+        outside every row's bounds."""
+        klass, starts = self.classes[0], self.starts[:-1]
+        if klass._nibble:
+            starts = [start + start for start in starts]
+        return (klass._unpack(self.packed), starts,
+                list(map(int.__add__, starts, self.lengths)))
 
 
 def _encode_dict(values: list[str]) -> bytes:
@@ -247,6 +260,10 @@ def _decode_blob(body: bytes, count: int) -> list[bytes]:
     return [body[start:end] for start, end in zip(ends, ends[1:])]
 
 
+_ENCODERS = {INT: _encode_int, DICT: _encode_dict, BLOB: _encode_blob,
+             SEQ: _encode_seq}
+
+
 def choose_encoding(type_name: str, nonnull: list[Any]) -> int:
     """Pick the page encoding for one column's sealed values."""
     if type_name == "INTEGER" and all(
@@ -270,68 +287,51 @@ def encode_page(values: Sequence[Any], type_name: str, codec) -> bytes:
     nulls = [value is NULL for value in values]
     nonnull = [value for value in values if value is not NULL]
     encoding = choose_encoding(type_name, nonnull)
-    if encoding == INT:
-        body = _encode_int(nonnull)
+    if encoding == BOOL:
+        body = _pack_bitmap([value is True for value in values])
     elif encoding == FLOAT:
         body = struct.pack(f"<{len(nonnull)}d", *nonnull)
-    elif encoding == BOOL:
-        body = _pack_bitmap([value is True for value in values])
-    elif encoding == DICT:
-        body = _encode_dict(nonnull)
-    elif encoding == BLOB:
-        body = _encode_blob(nonnull)
-    elif encoding == SEQ:
-        body = _encode_seq(nonnull)
-    else:
+    elif encoding == OBJ:
         payload = json.dumps(
             [codec.encode_value(value) for value in nonnull]
         ).encode("utf-8")
         body = _U32.pack(len(payload)) + payload
-    head = (_HEADER.pack(_MAGIC, PAGE_FORMAT, encoding, len(values))
-            + _pack_bitmap(nulls))
-    page = head + body
+    else:
+        body = _ENCODERS[encoding](nonnull)
+    page = (_HEADER.pack(_MAGIC, PAGE_FORMAT, encoding, len(values))
+            + _pack_bitmap(nulls) + body)
     return page + _U32.pack(zlib.crc32(page))
 
 
 def page_encoding(data: bytes) -> int:
     """The encoding tag of an encoded page (no checksum verification)."""
-    _, _, encoding, _ = _HEADER.unpack_from(data)
-    return encoding
+    return _HEADER.unpack_from(data)[2]
 
 
 def _malformed(page_id: "int | None", encoding: int,
                why: str) -> StorageError:
-    return StorageError(
-        f"column page {page_id!r} "
-        f"({ENCODING_NAMES.get(encoding, encoding)}) {why}",
-        kind="malformed",
-    )
-
-
-def _verify(data: bytes, page_id: "int | None") -> None:
-    if len(data) < _HEADER.size + 4 or data[:2] != _MAGIC:
-        raise StorageError(
-            f"column page {page_id!r} is not a page (truncated or foreign "
-            f"bytes)", kind="malformed",
-        )
-    (stored,) = _U32.unpack_from(data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored:
-        raise StorageError(
-            f"column page {page_id!r} failed its CRC32 check",
-            kind="bit_rot",
-        )
+    name = ENCODING_NAMES.get(encoding, encoding)
+    return StorageError(f"column page {page_id!r} ({name}) {why}",
+                        kind="malformed")
 
 
 def _open(data: bytes, page_id: "int | None") -> tuple:
     """Verify a page and split it into ``(encoding, row count, null
     flags, body)`` — the flags are ``None`` when no row is NULL."""
-    _verify(data, page_id)
+    if len(data) < _HEADER.size + 4 or data[:2] != _MAGIC:
+        raise StorageError(
+            f"column page {page_id!r} is not a page (truncated or foreign "
+            f"bytes)", kind="malformed")
+    (stored,) = _U32.unpack_from(data, len(data) - 4)
+    if zlib.crc32(data[:-4]) != stored:
+        raise StorageError(
+            f"column page {page_id!r} failed its CRC32 check",
+            kind="bit_rot")
     _, fmt, encoding, count = _HEADER.unpack_from(data)
     if fmt != PAGE_FORMAT:
         raise StorageError(
             f"column page {page_id!r} has unknown format {fmt}",
-            kind="malformed",
-        )
+            kind="malformed")
     body_at = _HEADER.size + (count + 7) // 8
     if body_at > len(data) - 4:
         raise _malformed(page_id, encoding,
@@ -350,13 +350,14 @@ def _placed(nonnull: list, nulls: "list[bool] | None") -> list:
 
 
 _DECODERS = {INT: _decode_int, FLOAT: _decode_float, DICT: _decode_dict,
-             BLOB: _decode_blob, SEQ: _decode_seq}
+             BLOB: _decode_blob,
+             SEQ: lambda body, count: SeqPage(body, count).rows()}
 
 #: What a CRC-valid body that contradicts itself raises while it is read:
 #: a :class:`_BodyMismatch`, a payload that is not JSON or not UTF-8
-#: (``ValueError``), a count or length field lying past the end
-#: (``struct.error``, ``IndexError``), a code past its dictionary.
-_STRUCTURAL = (ValueError, struct.error, IndexError)
+#: (``ValueError``), a count or length lying past the end (``struct.error``,
+#: ``IndexError``), a code past its table, an alphabet nobody knows.
+_STRUCTURAL = (ValueError, struct.error, IndexError, SequenceError)
 
 
 def decode_page(data: bytes, codec, *,
@@ -368,9 +369,8 @@ def decode_page(data: bytes, codec, *,
         if encoding == BOOL:
             _exactly(body, (count + 7) // 8)
             flags = _unpack_bitmap(body, count)
-            return (flags if nulls is None else
-                    [NULL if null else flag
-                     for null, flag in zip(nulls, flags)])
+            return flags if nulls is None else [
+                NULL if null else flag for null, flag in zip(nulls, flags)]
         if encoding == OBJ:
             (size,) = _U32.unpack_from(body, 0)
             _exactly(body, 4 + size)
@@ -385,18 +385,14 @@ def decode_page(data: bytes, codec, *,
     return _placed(nonnull, nulls)
 
 
-def seq_raw_body(data: bytes, *, page_id: "int | None" = None):
-    """The rows of a verified SEQ page as the vector kernels read them:
-    positionally, ``(alphabet_name, symbol_count, packed_bytes)`` or NULL.
-
-    Returns ``None`` when the page is not SEQ-encoded (the caller falls
-    back to the decoded-value path).
-    """
+def seq_page(data: bytes, *,
+             page_id: "int | None" = None) -> "SeqPage | None":
+    """A verified SEQ page as its :class:`SeqPage`; ``None`` when the page
+    is not SEQ-encoded (the caller takes the decoded-value path)."""
     encoding, count, nulls, body = _open(data, page_id)
     if encoding != SEQ:
         return None
     try:
-        triples = _seq_triples(body, count - sum(nulls) if nulls else count)
+        return SeqPage(body, count - sum(nulls) if nulls else count, nulls)
     except _STRUCTURAL as exc:
         raise _malformed(page_id, encoding, str(exc)) from None
-    return _placed(triples, nulls)

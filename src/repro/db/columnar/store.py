@@ -115,15 +115,15 @@ class GroupView:
             return None
         return self._group.pages[position].zone
 
-    def seq_rows(self, position: int) -> "list | None":
-        """One column as the page kernels read it
-        (:func:`pages.seq_raw_body`): verified but not decoded.  ``None``
-        for the tail and for a page that is not SEQ-encoded."""
+    def seq_rows(self, position: int) -> "page_codec.SeqPage | None":
+        """One column as the page kernels read it (:class:`pages.SeqPage`):
+        verified and parsed, not decoded.  ``None`` for the tail and for
+        a page that is not SEQ-encoded."""
         if self._group is None:
             return None
         ref = self._group.pages[position]
-        return page_codec.seq_raw_body(self._store.read_page(ref),
-                                       page_id=ref.page_id)
+        return page_codec.seq_page(self._store.read_page(ref),
+                                   page_id=ref.page_id)
 
     def column_values(self, position: int) -> list:
         """Positional values of one column (tombstones included)."""

@@ -1,36 +1,36 @@
 """Genomic UDF kernels over packed column pages.
 
-A kernel evaluates one tagged function over a whole SEQ-encoded page at
-once, from the packed code buffers exactly as stored, where the plain
-compiled call would first decode every cell.  The operators of
-``core.ops`` read codes themselves, so most kernels are just that: the
-registered operator applied to each raw page row (``gc_content``,
-``reverse_complement``).  ``contains`` adds what only a page-wise view
-can: it encodes the pattern once per page and answers the common exact
-case with ``needle in codes``.  This module builds no table of its own —
-every alphabet-level lookup is ``core.ops``' (``tests/test_core_ops_
-audit.py``).
+A kernel evaluates one tagged function over a whole SEQ page at once, from
+the page as :class:`~repro.db.columnar.pages.SeqPage` parsed it — lengths,
+offsets, the one packed buffer, its codes un-nibbled in one go: ``length``
+is the lengths array, ``gc_content`` one ``translate`` of the page and a
+bounded ``count`` per row, ``contains`` one ``find`` per hit.  No
+:class:`PackedSequence` is built unless a row needs the registered
+function after all, and every table is ``core.ops``' own
+(``tests/test_core_ops_audit.py``).
 
-Bit-identity contract: every kernel either (a) computes a value provably
-equal to calling the registered SQL function on the decoded cell, or
-(b) calls that function for the individual row (NULLs, ambiguity codes,
-foreign alphabets, non-SEQ pages).  The differential suite in
-``tests/db/test_columnar_differential.py`` holds the engine to this.
+Bit-identity contract: every cell is either (a) computed from the same
+integers / the same ``find`` the registered SQL function would use on the
+decoded cell, or (b) that function's answer for the individual row (NULLs,
+ambiguity codes, foreign or mixed alphabets, odd arguments, non-SEQ
+pages).  ``tests/db/test_columnar_differential.py`` is the judge.
 
-A kernel is only ever attached to a call when the catalog entry for the
-function carries the matching ``kernel=`` tag (see
-:class:`repro.db.catalog.SqlFunction` and ``Evaluator.kernel_position``)
-— a user function that merely shares a builtin's name is never
-vectorized.
+A kernel is only attached to a call whose catalog entry carries the
+matching ``kernel=`` tag (``Evaluator.kernel_position``): a user function
+that merely shares a builtin's name is never vectorized.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import repeat
 from typing import Callable
 
+from repro.core.ops._tables import NEITHER, STRONG, WEAK, symbol_tables
 from repro.core.ops.search import concrete_codes, has_ambiguity
-from repro.core.types.sequence import PackedSequence, sequence_class_for
+from repro.core.types.sequence import PackedSequence
 from repro.db.values import NULL
+from repro.errors import SequenceError
 
 
 class KernelError:
@@ -50,95 +50,99 @@ class KernelError:
         self.error = error
 
 
-def _materialize(alphabet_name: str, length: int,
-                 packed: bytes) -> PackedSequence:
-    return sequence_class_for(alphabet_name)._from_packed(length, packed)
+# -- kernels: ``(page, fallback, args)`` over a one-alphabet page → a result
+# per non-null row, or None where the registered function must answer
+
+def _kernel_length(page, fallback, args) -> "list | None":
+    return None if args else list(page.lengths)
 
 
-# ---------------------------------------------------------------------------
-# kernels — each takes (raw, values_fn, fallback, args) and returns the
-# per-row result list.  ``raw`` is the positional ``(alphabet, length,
-# packed) | NULL`` rows of a SEQ page (:func:`pages.seq_raw_body`) or
-# None; ``values_fn()`` lazily decodes the page for the fallback path.
-# ---------------------------------------------------------------------------
-
-def _row_fallback(values_fn: Callable[[], list],
-                  fallback: Callable, args: tuple) -> list:
-    return [fallback(value, *args) for value in values_fn()]
-
-
-def _kernel_length(raw, values_fn, fallback, args) -> list:
-    if raw is None or args:
-        return _row_fallback(values_fn, fallback, args)
-    return [fallback(NULL) if row is NULL else row[1] for row in raw]
-
-
-def _kernel_operator(raw, values_fn, fallback, args) -> list:
-    """``gc_content`` / ``reverse_complement``: the registered operator
-    applied to each raw page row.  It reads codes, and a row's codes
-    are the page's own packed buffer — there is nothing to add."""
-    if raw is None or args:
-        return _row_fallback(values_fn, fallback, args)
-    return [fallback(NULL if row is NULL else _materialize(*row))
-            for row in raw]
-
-
-def _kernel_contains(raw, values_fn, fallback, args) -> list:
-    if (raw is None or len(args) != 1
-            or not isinstance(args[0], (str, PackedSequence))):
-        return _row_fallback(values_fn, fallback, args)
-    pattern = args[0]
-    # alphabet name -> (sequence class, needle, its concrete codes)
-    by_alphabet: dict[str, tuple] = {}
-    out = []
-    for row in raw:
-        if row is NULL:
-            out.append(fallback(NULL, pattern))
-            continue
-        name, length, packed = row
-        entry = by_alphabet.get(name)
-        if entry is None:
-            klass = sequence_class_for(name)
-            entry = by_alphabet[name] = (
-                klass, _exact_needle(name, pattern),
-                concrete_codes(klass.alphabet))
-        klass, needle, concrete = entry
-        subject = klass._from_packed(length, packed)
-        if needle is None or (
-                codes := subject.codes()).translate(None, concrete):
-            # ambiguity on either side, a foreign alphabet, an empty or
-            # an invalid pattern: motif semantics (or the function's
-            # error) apply
-            out.append(fallback(subject, pattern))
-        else:
-            out.append(needle in codes)
-    return out
-
-
-def _exact_needle(alphabet_name: str,
-                  pattern: "str | PackedSequence") -> "bytes | None":
-    """Pattern codes when the exact scan is valid for this alphabet.
-
-    ``None`` means the kernel must defer to the registered function:
-    the pattern is empty, has ambiguity codes, belongs to another
-    alphabet, or does not encode at all (so the function's error
-    surfaces verbatim).
-    """
-    try:
-        if isinstance(pattern, str):
-            pattern = sequence_class_for(alphabet_name)(pattern)
-    except Exception:
+def _kernel_gc_content(page, fallback, args) -> "list | None":
+    """One ``translate`` classifies the page's codes; each row is then a
+    bounded count or two — the integers ``ops.gc_content`` divides."""
+    if args:
         return None
-    if (pattern.alphabet.name != alphabet_name
+    codes, starts, ends = page.spans()
+    tables = symbol_tables(page.classes[0].alphabet)
+    classes = codes.translate(tables.gc_classes)
+    strong = list(map(classes.count, repeat(STRONG), starts, ends))
+    totals = page.lengths
+    if NEITHER in classes:  # a gap or an ambiguity code somewhere
+        totals = map(int.__add__, strong,
+                     map(classes.count, repeat(WEAK), starts, ends))
+    return [gc / total if total else 0.0 for gc, total in zip(strong, totals)]
+
+
+def _kernel_contains(page, fallback, args) -> "list | None":
+    klass = page.classes[0]
+    needle = _exact_needle(klass, args)
+    if needle is None:  # motif semantics, or the function's error
+        return None
+    codes, starts, ends = page.spans()
+    # One ``find`` per hit, not per row.  A hit belongs to the row it
+    # starts in, if it ends there too (`…AC` | `GT…` holds no ACGT); a row
+    # that has its answer is skipped.
+    found = [False] * len(starts)
+    at = codes.find(needle)
+    while at != -1:
+        row = bisect_right(starts, at) - 1
+        if at + len(needle) <= ends[row]:
+            found[row] = True
+            at = ends[row] - 1
+        at = codes.find(needle, at + 1)
+    concrete = concrete_codes(klass.alphabet)
+    if codes.translate(None, concrete):
+        # An ambiguity code may stand for a symbol of the needle: a row
+        # that holds one is the registered function's.
+        rows = page.rows()
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            if codes[start:end].translate(None, concrete):
+                found[i] = fallback(rows[i], *args)
+    return found
+
+
+def _exact_needle(klass, args: tuple) -> "bytes | None":
+    """Pattern codes when the exact scan is valid for sequences of *klass*;
+    ``None`` when the pattern is none at all, is empty, has ambiguity codes,
+    belongs to another alphabet, or does not encode (the function raises)."""
+    pattern = args[0] if len(args) == 1 else None
+    if isinstance(pattern, str):
+        try:
+            pattern = klass(pattern)
+        except SequenceError:  # AlphabetError included
+            return None
+    if (not isinstance(pattern, PackedSequence)
+            or pattern.alphabet != klass.alphabet
             or has_ambiguity(pattern.alphabet, pattern.codes())):
         return None
     return pattern.codes() or None
 
 
+def _paged(kernel: Callable) -> Callable:
+    """Lift *kernel* to ``(page, values_fn, fallback, args)`` → one cell per
+    position.  ``page`` is ``GroupView.seq_rows``: None for the tail and a
+    non-SEQ page, whose ``values_fn()`` the registered function
+    (``fallback``, failures captured) answers cell by cell — as it does the
+    rows *kernel* has no reading of, and every NULL cell."""
+    def column(page, values_fn, fallback, args) -> list:
+        if page is None:
+            return [fallback(value, *args) for value in values_fn()]
+        one = len(page.classes) == 1
+        present = kernel(page, fallback, args) if one else None
+        if present is None:
+            present = [fallback(row, *args) for row in page.rows()]
+        if page.nulls is None:
+            return present
+        cells = iter(present)
+        return [fallback(NULL, *args) if null else next(cells)
+                for null in page.nulls]
+    return column
+
+
 #: Kernel registry: ``SqlFunction.kernel`` tag → page-wise implementation.
 KERNELS: "dict[str, Callable]" = {
-    "length": _kernel_length,
-    "gc_content": _kernel_operator,
-    "reverse_complement": _kernel_operator,
-    "contains": _kernel_contains,
+    "length": _paged(_kernel_length),
+    "gc_content": _paged(_kernel_gc_content),
+    "reverse_complement": _paged(lambda page, fallback, args: None),
+    "contains": _paged(_kernel_contains),
 }

@@ -10,11 +10,13 @@ from repro.db.values import NULL
 from repro.errors import TypeCheckError
 
 
-def _null_safe(function):
-    """Wrap a function so any NULL argument yields NULL."""
+def null_safe(function):
+    """Wrap a function so any NULL argument yields NULL: what the engine
+    registers its builtins through, and the genomics adapter its UDFs."""
     def wrapper(*arguments: Any) -> Any:
-        if any(argument is NULL for argument in arguments):
-            return NULL
+        for argument in arguments:  # runs per cell: no generator
+            if argument is NULL:
+                return NULL
         return function(*arguments)
     return wrapper
 
@@ -55,27 +57,27 @@ def _round(value: float, digits: int = 0) -> float:
 def register_builtin_functions(catalog: Catalog) -> None:
     """Install the standard scalar library into *catalog*."""
     register = catalog.register_function
-    register("lower", _null_safe(lambda s: s.lower()),
+    register("lower", null_safe(lambda s: s.lower()),
              description="lower-case text")
-    register("upper", _null_safe(lambda s: s.upper()),
+    register("upper", null_safe(lambda s: s.upper()),
              description="upper-case text")
-    register("length", _null_safe(_sql_length),
+    register("length", null_safe(_sql_length),
              description="length of text/blob/sequence",
              kernel="length")
-    register("substr", _null_safe(_sql_substr),
+    register("substr", null_safe(_sql_substr),
              description="1-based substring")
-    register("trim", _null_safe(lambda s: s.strip()),
+    register("trim", null_safe(lambda s: s.strip()),
              description="strip surrounding whitespace")
-    register("replace", _null_safe(lambda s, old, new: s.replace(old, new)),
+    register("replace", null_safe(lambda s, old, new: s.replace(old, new)),
              description="replace substring")
-    register("abs", _null_safe(abs), description="absolute value")
-    register("round", _null_safe(_round), description="round to digits")
-    register("floor", _null_safe(lambda x: math.floor(x)),
+    register("abs", null_safe(abs), description="absolute value")
+    register("round", null_safe(_round), description="round to digits")
+    register("floor", null_safe(lambda x: math.floor(x)),
              description="round down")
-    register("ceil", _null_safe(lambda x: math.ceil(x)),
+    register("ceil", null_safe(lambda x: math.ceil(x)),
              description="round up")
-    register("sqrt", _null_safe(math.sqrt), description="square root")
-    register("mod", _null_safe(lambda a, b: a % b), description="modulo")
+    register("sqrt", null_safe(math.sqrt), description="square root")
+    register("mod", null_safe(lambda a, b: a % b), description="modulo")
     register("coalesce", _coalesce,
              description="first non-NULL argument")
     register("nullif", _nullif,

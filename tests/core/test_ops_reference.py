@@ -744,3 +744,26 @@ class TestDecodeGrid:
             same(ops.decode, ref_decode, raw)
             same(ops.decode_rna, ref_decode_rna, raw)
         same(ops.decode_protein, ref_decode_protein, "mk1?")
+
+
+class TestGcClassGrid:
+    # PR 19: ``gc_content`` classifies the codes with one ``translate``
+    # (``SymbolTables.gc_classes``) and counts twice, and the columnar
+    # page kernel reads the same table.  ``ref_gc_content`` — counting
+    # letters in ``str(sequence)`` — is still the oracle, symbol by
+    # symbol, so no code can sit in the wrong class.
+    @pytest.mark.parametrize("klass",
+                             (DnaSequence, RnaSequence, ProteinSequence))
+    def test_every_symbol_counts_as_its_letter_does(self, klass):
+        symbols = klass.alphabet.symbols
+        for text in ("", symbols, symbols[::-1] * 3):
+            same(ops.gc_content, ref_gc_content, klass(text))
+        for symbol in symbols:
+            for text in (symbol, symbol + "G", symbol + "A",
+                         "GA" + symbol * 3, "C" + symbol + "-"):
+                same(ops.gc_content, ref_gc_content, klass(text))
+
+    def test_a_sequence_of_neither_class_has_no_gc_content(self):
+        assert ops.gc_content(DnaSequence("NNRY--")) == 0.0
+        assert ops.gc_content(DnaSequence("SSWW")) == 0.5
+        assert ops.gc_content(RnaSequence("GUN")) == 0.5

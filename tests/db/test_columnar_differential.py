@@ -5,15 +5,28 @@ configurations; the row-list layout with the optimizer off is the
 oracle.  This is what licenses the vectorized kernels and zone-map
 skipping: NULLs, IUPAC ambiguity codes, foreign alphabets, error
 messages — all must come out exactly as the row-at-a-time path
-produces them.
+produces them.  ``test_every_kernel_cell_is_the_registered_function``
+draws the pages themselves (empty and odd-length rows, ambiguity codes,
+gaps, NULLs, tombstones, one alphabet or three) and holds every kernel
+to the registered function cell by cell, failures included.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.adapter import serializers
 from repro.adapter.adapter import install_genomics
-from repro.db import Database
+from repro.core.types import (
+    DnaSequence,
+    ProteinSequence,
+    RnaSequence,
+    sequence_from_bytes,
+)
+from repro.core.types.alphabet import DNA, PROTEIN, RNA
+from repro.db import Database, OpaqueType
+from repro.db.values import NULL
 from repro.errors import DatabaseError
 
 SEQS = [
@@ -56,12 +69,12 @@ BATTERY = (
     "SELECT id FROM reads WHERE contains(seq, 'ACGT')",
     "SELECT id FROM reads WHERE seq IS NOT NULL "
     "AND contains(seq, 'ACGT')",
-    "SELECT id FROM reads WHERE seq IS NOT NULL "
-    "AND contains(seq, 'ANT')",                          # ambiguous motif
+    "SELECT id FROM reads WHERE contains(seq, 'ANT')",   # ambiguous motif
     "SELECT id FROM reads WHERE seq IS NOT NULL "
     "AND contains(seq, 'acgt')",
-    "SELECT id, seq_text(reverse_complement(seq)) FROM reads "
-    "WHERE seq IS NOT NULL",
+    "SELECT id, seq_text(reverse_complement(seq)) FROM reads",
+    "SELECT id, melting_temperature(seq) FROM reads WHERE NOT "
+    "contains(seq, 'GG')",                               # NULL filters too
     "SELECT id, gc_content(seq) FROM reads WHERE seq IS NOT NULL",
     "SELECT count(*), avg(gc_content(seq)) FROM reads "
     "WHERE seq IS NOT NULL",
@@ -79,8 +92,7 @@ BATTERY = (
     # -- what a wrong read set breaks: a scan materialises only the
     # columns its plan names, so every place a name can hide is here.
     "SELECT 1 FROM reads",                               # no column at all
-    "SELECT count(*) FROM reads WHERE seq IS NOT NULL "
-    "AND contains(seq, 'AC')",                           # kernels only
+    "SELECT count(*) FROM reads WHERE contains(seq, 'AC')",  # kernels only
     "SELECT reads.id FROM reads JOIN samples "
     "ON reads.sample = samples.name WHERE samples.site = 'lab'",
     "SELECT samples.site, reads.id FROM samples LEFT JOIN reads "
@@ -131,8 +143,8 @@ PARAMETERISED = (
      "ON reads.sample = samples.name WHERE contains(seq, ?)", ("GC",)),
     ("SELECT id FROM reads WHERE seq IS NOT NULL AND contains(seq, ?) "
      "AND NOT contains(seq, ?)", ("ACGT", "GGGG")),
-    ("SELECT id, contains(seq, ?), contains(seq, ?) FROM reads "
-     "WHERE seq IS NOT NULL", ("ACGT", "GGGG")),
+    ("SELECT id, contains(seq, ?), contains(seq, ?) FROM reads",
+     ("ACGT", "GGGG")),
     ("SELECT id, contains(seq, ?), contains(reads.seq, ?) FROM reads "
      "WHERE seq IS NOT NULL AND contains(seq, ?) ORDER BY contains(seq, ?)",
      ("ACGT", "GGGG", "AC", "GGGG")),
@@ -145,9 +157,11 @@ PARAMETERISED = (
 
 def _outcome(db, sql, parameters=()):
     """Rows on success, (type, message) on error — both must match the
-    oracle exactly.  Genomic UDFs raise on NULL input, so queries that
-    reach a NULL ``seq`` legitimately error; the columnar path must
-    reproduce the identical error, not a different one and not rows."""
+    oracle exactly.  Genomic UDFs answer NULL to a NULL ``seq``, as the
+    builtins do, so most of the battery reaches one unguarded; where a
+    query does error (``sum(seq)``, an unknown column) the columnar path
+    must reproduce the identical error, not a different one and not
+    rows."""
     try:
         result = db.execute(sql, parameters)
         return ("rows", tuple(result.columns), tuple(result.rows))
@@ -165,6 +179,107 @@ def test_battery_is_bit_identical_across_configs(sql, parameters):
     for config in CONFIGS[1:]:
         assert _outcome(_make(**config), sql, parameters) == oracle, (
             sql, config)
+
+
+@pytest.mark.parametrize("layout", ("row", "column"))
+def test_a_null_sequence_is_null_to_every_genomic_function(layout):
+    # One NULL ``seq`` used to fail every genomic statement over the
+    # table with "'NoneType' object has no attribute 'alphabet'".
+    db = _make(layout=layout)
+    guard = " WHERE seq IS NOT NULL"
+    aggregate = "SELECT count(*), avg(gc_content(seq)) FROM reads"
+    (count, mean), = db.execute(aggregate).rows
+    (present, guarded), = db.execute(aggregate + guard).rows
+    assert (count, present) == (40, 36) and mean == guarded  # skipped
+    for predicate in ("contains(seq, 'ACGT')", "NOT contains(seq, 'ACGT')",
+                      "gc_content(seq) < 0.5"):              # filtered
+        assert db.execute(f"SELECT id FROM reads WHERE {predicate}").rows \
+            == db.execute(f"SELECT id FROM reads{guard} AND {predicate}").rows
+    rows = db.execute(
+        "SELECT id, gc_content(seq), contains(seq, 'AC'), "
+        "reverse_complement(seq), melting_temperature(seq), "
+        "motif_count(seq, 'AC'), seq_text(seq), dna(NULL), length(seq) "
+        "FROM reads WHERE seq IS NULL").rows
+    assert rows == [(index,) + (NULL,) * 8 for index in (8, 17, 26, 35)]
+
+
+# -- drawn pages ----------------------------------------------------------
+
+_sequences = st.one_of(
+    st.text(alphabet=DNA.symbols, max_size=11).map(DnaSequence),
+    st.text(alphabet="ACGT", max_size=11).map(DnaSequence),
+    st.text(alphabet=RNA.symbols, max_size=7).map(RnaSequence),
+    st.text(alphabet=PROTEIN.symbols, max_size=7).map(ProteinSequence))
+_patterns = st.one_of(
+    st.sampled_from(["", "A", "AC", "ACGT", "acg", "ANT", "GU", "MK", "-",
+                     "A!", 7, DnaSequence("CG"), RnaSequence("GU")]),
+    st.text(alphabet="ACGT", min_size=1, max_size=3))
+
+KERNEL_CALLS = ("length(seq)", "gc_content(seq)", "reverse_complement(seq)",
+                "contains(seq, ?)", "contains(seq)", "gc_content(seq, ?)")
+
+
+def _any_sequence_table(layout, values, dead):
+    db = Database(layout=layout, page_rows=4)
+    install_genomics(db)
+    db.register_type(OpaqueType(
+        "ANYSEQ", (DnaSequence, RnaSequence, ProteinSequence),
+        serializers.serialize_sequence, sequence_from_bytes))
+    db.execute("CREATE TABLE t (id INTEGER, seq ANYSEQ)")
+    db.executemany("INSERT INTO t VALUES (?, ?)", list(enumerate(values)))
+    for index in dead:
+        db.execute("DELETE FROM t WHERE id = ?", (index,))
+    return db
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(NULL), _sequences), min_size=1,
+                max_size=10),
+       st.booleans(), st.sets(st.integers(min_value=0, max_value=9)),
+       _patterns)
+def test_every_kernel_cell_is_the_registered_function(values, one_alphabet,
+                                                      dead, pattern):
+    if one_alphabet:
+        values = [value for value in values
+                  if value is NULL or isinstance(value, DnaSequence)] \
+            or [NULL]
+    row_db, column_db = (_any_sequence_table(layout, values, dead)
+                         for layout in ("row", "column"))
+    for call in KERNEL_CALLS:
+        parameters = (pattern,) * call.count("?")
+        assert "kernels " + call.split("(")[0] in column_db.explain(
+            f"SELECT {call} FROM t", parameters)
+        # The whole column: the same rows, or the same first failure.
+        whole = f"SELECT id, {call} FROM t"
+        assert _outcome(column_db, whole, parameters) == \
+            _outcome(row_db, whole, parameters), (call, pattern)
+        # Cell by cell: which cells fail, and what each of the rest holds
+        # (a dead row's cell is nobody's to see, whatever it holds).
+        for index in range(len(values)):
+            cell = f"SELECT {call} FROM t WHERE id = {index}"
+            outcome = _outcome(row_db, cell, parameters)
+            assert _outcome(column_db, cell, parameters) == outcome, (
+                call, pattern, index)
+            if index in dead:
+                assert outcome[2] == ()
+
+
+def test_a_match_across_two_rows_is_no_match():
+    # The page is one buffer: `…AC` ends a row and `GT…` begins the next
+    # (and `ACG` | pad nibble `A` | `CGT…` hides an `ACG·ACGT` run).
+    values = ["TTAC", "GTTT", "ACG", "CGTA", "ACGT", "AC", "", "GT"]
+    rows = [(index, DnaSequence(text)) for index, text in enumerate(values)]
+    for layout in ("row", "column"):
+        db = Database(layout=layout, page_rows=8)
+        install_genomics(db)
+        db.execute("CREATE TABLE t (id INTEGER, seq DNA)")
+        db.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        assert db.execute("SELECT id FROM t WHERE contains(seq, 'ACGT')"
+                          ).rows == [(4,)]
+        assert db.execute("SELECT id FROM t WHERE contains(seq, 'AA')"
+                          ).rows == []
+        assert db.execute("SELECT id FROM t WHERE contains(seq, 'GT')"
+                          ).rows == [(1,), (3,), (4,), (7,)]
 
 
 def test_distinct_literal_types_stay_distinct_aggregates():

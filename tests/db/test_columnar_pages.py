@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ops
+from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
+from repro.core.types.alphabet import DNA, PROTEIN, RNA
 from repro.db.catalog import Catalog
 from repro.db.columnar import pages
 from repro.db.columnar.spill import ValueCodec
@@ -40,7 +42,12 @@ ints = st.integers(min_value=-(10 ** 25), max_value=10 ** 25)
 floats = st.floats(allow_nan=False)
 texts = st.text(max_size=12)
 blobs = st.binary(max_size=16)
-dna_texts = st.text(alphabet="ACGT", min_size=1, max_size=32)
+#: Sequences of every class: empty, odd and even lengths, ambiguity
+#: codes, gaps.
+sequences = st.one_of(
+    st.text(alphabet=DNA.symbols, max_size=33).map(DnaSequence),
+    st.text(alphabet=RNA.symbols, max_size=9).map(RnaSequence),
+    st.text(alphabet=PROTEIN.symbols, max_size=9).map(ProteinSequence))
 
 
 # -- round trips ------------------------------------------------------------
@@ -103,28 +110,56 @@ def test_blob_pages_round_trip(values):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.just(NULL), dna_texts), max_size=20))
-def test_seq_pages_round_trip(raws):
-    values = [raw if raw is NULL else ops.decode(raw) for raw in raws]
+@given(nullable(sequences), st.booleans())
+def test_seq_pages_round_trip(values, one_alphabet):
+    if one_alphabet:
+        values = [value for value in values
+                  if value is NULL or isinstance(value, DnaSequence)]
     data, decoded = roundtrip(values, "DNA")
     assert decoded == values
     if any(value is not NULL for value in values):
         assert pages.page_encoding(data) == pages.SEQ
+        assert pages.seq_page(data).rows() == \
+            [value for value in values if value is not NULL]
 
 
-def test_seq_raw_body_exposes_packed_payloads():
-    values = [ops.decode("ACGTACGT"), NULL, ops.decode("GG")]
-    data = pages.encode_page(values, "DNA", CODEC)
-    raw = pages.seq_raw_body(data)
-    assert raw is not None
-    assert raw[1] is NULL
-    assert [(name, length) for name, length, _ in (raw[0], raw[2])] == \
-        [("dna", 8), ("dna", 2)]
-    assert [packed for _, _, packed in (raw[0], raw[2])] == \
-        [value._packed for value in (values[0], values[2])]
+def test_seq_page_exposes_the_packed_buffer():
+    values = [ops.decode("ACGTACGTN"), NULL, ops.decode("GG"),
+              ops.decode(""), ops.decode("T")]
+    present = [value for value in values if value is not NULL]
+    view = pages.seq_page(pages.encode_page(values, "DNA", CODEC))
+    assert view.nulls == [False, True, False, False, False]
+    assert view.classes == [type(present[0])] and view.index is None
+    assert view.lengths == (9, 2, 0, 1)
+    # One buffer: every payload verbatim, end to end.
+    assert view.packed == b"".join(value._packed for value in present)
+    assert view.starts == [0, 5, 6, 6, 7]
+    assert view.rows() == present
+    # ... un-nibbled once; an odd row's pad nibble lies outside its span.
+    codes, starts, ends = view.spans()
+    assert len(codes) == 2 * len(view.packed)
+    assert [codes[start:end] for start, end in zip(starts, ends)] == \
+        [value.codes() for value in present]
     # A non-SEQ page is signalled, not misread.
-    assert pages.seq_raw_body(pages.encode_page([1], "INTEGER",
-                                                CODEC)) is None
+    assert pages.seq_page(pages.encode_page([1], "INTEGER", CODEC)) is None
+
+
+def test_a_mixed_alphabet_page_keeps_every_row_its_class():
+    values = [ops.decode("ACG"), ops.decode_protein("MKV*"), NULL,
+              ops.decode_rna("ACGUN"), ops.decode_protein(""),
+              ops.decode("TT")]
+    data, decoded = roundtrip(values, "DNA")
+    assert decoded == values
+    assert [type(value) for value in decoded] == \
+        [type(value) for value in values]
+    view = pages.seq_page(data)
+    assert [klass.alphabet.name for klass in view.classes] == \
+        ["dna", "protein", "rna"]
+    assert view.index == bytes([0, 1, 2, 1, 0])
+    # One alphabet costs no index, and a row four bytes past its payload.
+    one = pages.encode_page(values[:1] * 3, "DNA", CODEC)
+    # header, bitmap, table, lengths, payloads, CRC
+    assert len(one) == 8 + 1 + (1 + 1 + 3) + 3 * 4 + 3 * 2 + 4
 
 
 def test_mixed_values_take_the_obj_fallback():
@@ -189,7 +224,8 @@ def _restamped(body: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "little")
 
 
-#: One value list per encoding (INT twice: packed and the JSON fallback).
+#: One value list per encoding (INT twice: packed and the JSON fallback;
+#: SEQ twice: one alphabet and three).
 SHORT_PAGES = {
     pages.INT: ("INTEGER", [7, NULL, -3] * 6),
     "int-json": ("INTEGER", [1 << 100, NULL, 5] * 6),
@@ -198,6 +234,8 @@ SHORT_PAGES = {
     pages.DICT: ("TEXT", ["human", NULL, "mouse"] * 6),
     pages.BLOB: ("BLOB", [b"abcd", NULL, b"xy"] * 6),
     pages.SEQ: ("DNA", [ops.decode("ACGTACGT"), NULL] * 6),
+    "seq-mixed": ("DNA", [ops.decode("ACGTACG"), NULL, ops.decode_rna("UU"),
+                          ops.decode_protein("MKV")] * 3),
     pages.OBJ: ("TEXT", ["abc", 42, NULL, 2.5] * 4),
 }
 
@@ -211,12 +249,13 @@ def test_a_short_body_under_a_valid_crc_is_malformed(encoding):
     type_name, values = SHORT_PAGES[encoding]
     data = pages.encode_page(values, type_name, CODEC)
     tag = pages.page_encoding(data)
-    assert tag == (pages.INT if encoding == "int-json" else encoding)
+    assert tag == {"int-json": pages.INT,
+                   "seq-mixed": pages.SEQ}.get(encoding, encoding)
     assert pages.decode_page(data, CODEC) == values
     short = _restamped(data[:-4][:-3])
     readers = [lambda: pages.decode_page(short, CODEC, page_id=41)]
     if tag == pages.SEQ:
-        readers.append(lambda: pages.seq_raw_body(short, page_id=41))
+        readers.append(lambda: pages.seq_page(short, page_id=41))
     for read in readers:
         with pytest.raises(StorageError) as caught:
             read()
@@ -234,6 +273,48 @@ def test_trailing_bytes_under_a_valid_crc_are_malformed(encoding):
     assert caught.value.kind == "malformed"
 
 
+@pytest.mark.parametrize("encoding", [pages.SEQ, "seq-mixed"], ids=str)
+def test_no_cut_and_no_lie_in_a_seq_body_escapes_as_a_bare_error(encoding):
+    # The SEQ body is read through counts and lengths it states itself:
+    # whatever is cut from it, and whichever of its bytes lies — a table
+    # size, a name, an alphabet index, a length — the readers either
+    # raise StorageError(malformed) or still return one row per row,
+    # never struct.error / IndexError / a shorter list.
+    type_name, values = SHORT_PAGES[encoding]
+    data = pages.encode_page(values, type_name, CODEC)
+    body_at = 8 + (len(values) + 7) // 8
+    body = data[body_at:-4]
+    present = sum(value is not NULL for value in values)
+    bodies = [body[:size] for size in range(len(body))]
+    for at in range(len(body) - len(pages.seq_page(data).packed)):
+        for value in (0, body[at] ^ 1, body[at] + 1, 0xFF):
+            bodies.append(body[:at] + bytes((value,)) + body[at + 1:])
+    refused = 0
+    for broken in bodies:
+        page = _restamped(data[:body_at] + broken)
+        for read in (lambda: pages.decode_page(page, CODEC, page_id=5),
+                     lambda: pages.seq_page(page, page_id=5).rows()):
+            try:
+                rows = read()
+            except StorageError as exc:
+                assert exc.kind == "malformed" and "5 (SEQ)" in str(exc)
+                refused += 1
+            else:
+                assert sum(row is not NULL for row in rows) == present
+    assert refused > len(body)  # every cut, and most lies
+
+
+def test_a_format_1_page_has_no_reader():
+    # Pages never outlive the process that sealed them, so format 2
+    # replaced format 1 outright.
+    data = pages.encode_page([ops.decode("ACGT")], "DNA", CODEC)
+    for read in (lambda page: pages.decode_page(page, CODEC),
+                 pages.seq_page):
+        with pytest.raises(StorageError, match="unknown format 1") as caught:
+            read(_with_header_byte(data, 2, 1))
+        assert caught.value.kind == "malformed"
+
+
 def test_a_dictionary_code_past_the_dictionary_is_malformed():
     data = pages.encode_page(["a", "b", "a"], "TEXT", CODEC)
     body = bytearray(data[:-4])
@@ -245,9 +326,10 @@ def test_a_dictionary_code_past_the_dictionary_is_malformed():
 
 # -- the bytes on disk ------------------------------------------------------
 
-#: SHA-256 of ``encode_page`` output, computed with the per-value
-#: encoders this module replaced: ``PAGE_FORMAT`` is still 1, so every
-#: page written before must read back, byte for byte.
+#: SHA-256 of ``encode_page`` output.  Format 2 changed the SEQ body and
+#: nothing else, so every other digest is still the one computed with the
+#: per-value encoders of format 1, and is checked with the format byte
+#: set back to 1; ``seq`` pins the format-2 page as written.
 PINNED_PAGES = {
     "int": ("INTEGER", [3, NULL, -7, 1 << 40, 0, NULL, -(1 << 63),
                         (1 << 63) - 1, 12, 5, NULL, 9, 1, 2, 3, 4, 5, 6, 7,
@@ -270,7 +352,7 @@ PINNED_PAGES = {
              "349f235ff0f7fe1c51f4454e39b30f03bda707be77b04788b82ea3fd081d4314"),
     "seq": ("DNA", [ops.decode("ACGTACGTN"), NULL, ops.decode("GG"),
                     ops.decode("ACG"), ops.decode("T" * 33)] * 4,
-            "460eccf92e1286a6e93c3be7c145dcf11d61498ba8e8c1b282a1da804b09920f"),
+            "2729915e2403da13fb5173ee4af7b10631415f309ece223fa486f01308ee8ac5"),
     "obj": ("TEXT", ["abc", 42, NULL, 2.5, True, b"\x00\xff"] * 4,
             "0f4a8da51003f9a3b1e89e324a15da24aa826931fce752d82367af230fac74bb"),
     "dense": ("INTEGER", list(range(256)),
@@ -286,9 +368,10 @@ PINNED_PAGES = {
 def test_encoded_page_bytes_are_pinned(name):
     type_name, values, digest = PINNED_PAGES[name]
     data = pages.encode_page(values, type_name, CODEC)
-    assert hashlib.sha256(data).hexdigest() == digest
+    pinned = data if name == "seq" else _with_header_byte(data, 2, 1)
+    assert hashlib.sha256(pinned).hexdigest() == digest
     assert pages.decode_page(data, CODEC) == values
-    assert pages.PAGE_FORMAT == 1
+    assert pages.PAGE_FORMAT == 2 == data[2]
 
 
 # -- zone maps --------------------------------------------------------------

@@ -223,9 +223,13 @@ def test_the_columnar_kernels_build_no_alphabet_table():
     for needle in ("maketrans", "lru_cache", "alphabet_by_name",
                    ".code(", ".complement(", "is_ambiguous", "_unpack4"):
         assert needle not in source, (
-            f"db/columnar/vector.py uses {needle!r}: a kernel is the "
-            "operator applied to a raw page row, and the operator's "
-            "tables live in core/ops/_tables.py")
+            f"db/columnar/vector.py uses {needle!r}: a kernel reads the "
+            "page's codes through the tables its operator reads, and "
+            "those live in core/ops/_tables.py (SymbolTables)")
+    assert "gc_classes" in source and "gc_classes" in (
+        OPS / "basic.py").read_text(), (
+        "ops.gc_content and the gc_content page kernel share one "
+        "counting rule: SymbolTables.gc_classes")
 
 
 def test_one_constructor_bypasses_init():
