@@ -3,9 +3,10 @@
 This package is the storage half of ROADMAP item 2: GLU-style
 compressed column pages (generalizing the 2-bit ``PackedSequence``
 packing to every SQL type), a byte-budgeted LRU page cache that spills
-cold pages to disk, spillable row runs for the streaming executor, and
-genomic UDF page kernels that evaluate whole pages without row-by-row
-decode.
+cold pages to disk, spillable runs for the streaming executor (column
+blocks in the page codec; row-framed only where a join reads by
+ordinal), and genomic UDF page kernels that evaluate whole pages
+without row-by-row decode.
 
 One :class:`ColumnarRuntime` per :class:`~repro.db.database.Database`
 owns the shared pieces — the page cache, the spill policy, and the
@@ -24,8 +25,8 @@ from repro.db.columnar.pages import (
     zone_map_of,
 )
 from repro.db.columnar.spill import (
+    BlockRun,
     IndexedRun,
-    RowRun,
     SpillManager,
     ValueCodec,
 )
@@ -35,13 +36,13 @@ from repro.db.columnar.vector import KERNELS
 __all__ = [
     "PAGE_ROWS",
     "ZONE_EMPTY",
+    "BlockRun",
     "ColumnStore",
     "ColumnarRuntime",
     "GroupView",
     "IndexedRun",
     "KERNELS",
     "PageCache",
-    "RowRun",
     "SpillManager",
     "ValueCodec",
     "decode_page",
@@ -67,7 +68,7 @@ class ColumnarRuntime:
         self.page_rows = page_rows
         self.codec = ValueCodec(catalog)
         self.cache = PageCache(memory_budget)
-        self.spill = SpillManager(self.codec, memory_budget)
+        self.spill = SpillManager(self.codec, memory_budget, page_rows)
 
     def column_store(self, schema) -> ColumnStore:
         return ColumnStore(schema, self)

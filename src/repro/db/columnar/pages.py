@@ -264,25 +264,30 @@ _ENCODERS = {INT: _encode_int, DICT: _encode_dict, BLOB: _encode_blob,
              SEQ: _encode_seq}
 
 
-def choose_encoding(type_name: str, nonnull: list[Any]) -> int:
-    """Pick the page encoding for one column's sealed values."""
-    if type_name == "INTEGER" and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in nonnull):
-        return INT
-    if type_name == "REAL" and all(isinstance(v, float) for v in nonnull):
-        return FLOAT
-    if type_name == "BOOLEAN" and all(isinstance(v, bool) for v in nonnull):
-        return BOOL
-    if type_name == "TEXT" and all(isinstance(v, str) for v in nonnull):
-        return DICT
-    if type_name == "BLOB" and all(isinstance(v, bytes) for v in nonnull):
-        return BLOB
-    if nonnull and all(isinstance(v, PackedSequence) for v in nonnull):
+#: Column type -> the encoding of its pages, given that every non-null
+#: value is of the Python type beside it.
+_TYPED = {"INTEGER": (INT, int), "REAL": (FLOAT, float),
+          "BOOLEAN": (BOOL, bool), "TEXT": (DICT, str), "BLOB": (BLOB, bytes)}
+
+
+def choose_encoding(type_name: "str | None", nonnull: list[Any]) -> int:
+    """Pick the page encoding for one column's sealed values, from the
+    set of their types.  Values without a declared type (*type_name*
+    None: a block of a spilled run) take the first encoding they fit."""
+    kinds = set(map(type, nonnull))
+    for name, (encoding, base) in _TYPED.items():
+        if type_name in (None, name) and all(
+                issubclass(kind, base)
+                and not (base is int and issubclass(kind, bool))
+                for kind in kinds):
+            return encoding
+    if kinds and all(issubclass(kind, PackedSequence) for kind in kinds):
         return SEQ
     return OBJ
 
 
-def encode_page(values: Sequence[Any], type_name: str, codec) -> bytes:
+def encode_page(values: Sequence[Any], type_name: "str | None",
+                codec) -> bytes:
     """Seal one column's *values* into a checksummed page byte string."""
     nulls = [value is NULL for value in values]
     nonnull = [value for value in values if value is not NULL]
@@ -361,7 +366,7 @@ _STRUCTURAL = (ValueError, struct.error, IndexError, SequenceError)
 
 
 def decode_page(data: bytes, codec, *,
-                page_id: "int | None" = None) -> list[Any]:
+                page_id: "int | str | None" = None) -> list[Any]:
     """Verify and decode one page back into its positional value list."""
     encoding, count, nulls, body = _open(data, page_id)
     present = count - sum(nulls) if nulls else count

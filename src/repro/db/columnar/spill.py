@@ -1,33 +1,39 @@
-"""Bounded-memory row runs for the streaming SQL executor.
+"""Bounded-memory runs for the streaming SQL executor.
 
 Every pipeline-breaking operator (ORDER BY, GROUP BY, the join build
 sides) used to call ``list(child.execute(...))`` — unbounded
-materialization.  The runs here are the budgeted replacement: rows
-accumulate in memory until the operator's share of the engine's
-``memory_budget`` is exhausted, then the whole run flushes to an
-anonymous temporary file and further appends go straight to disk.
+materialization.  The runs here are the budgeted replacement, sized by
+the operator's share of the engine's ``memory_budget``.
 
 Two shapes:
 
-- :class:`RowRun` — sequential, re-iterable (external-sort runs,
-  spilled aggregate partitions).
+- :class:`BlockRun` — sequential **column blocks** on disk (external-
+  sort runs, spilled aggregate partitions).  A block is at most
+  ``page_rows`` rows: per column, a ``<I`` length and one
+  :func:`~repro.db.columnar.pages.encode_page` page — the table's own
+  codec, encoding chosen from the values, CRC32 footer and all.  A
+  damaged, cut or short run raises :class:`~repro.errors.StorageError`
+  (``bit_rot`` / ``malformed``) naming run and block.
 - :class:`IndexedRun` — offset-addressed random access (a join's
   build rows, referenced by ordinal from the hash buckets or walked in
-  order by the nested loop).
+  order by the nested loop), in memory up to the budget share.  It
+  alone keeps **row framing** — one :class:`ValueCodec` line per row,
+  the ``$bytes`` / ``$udt`` tagging the WAL uses — because the join
+  fetches single rows, which a column block cannot serve without
+  decoding their neighbours.
 
-Rows cross the memory/disk boundary as JSON lines through
-:class:`ValueCodec`, the same ``$bytes`` / ``$udt`` tagging the WAL
-uses, so any value the engine can persist can also spill.  Spill
-volume is visible as ``executor_spill_rows`` / ``executor_spill_bytes``
-/ ``executor_spill_runs`` counters.
+Spill volume is visible as ``executor_spill_rows`` / ``_bytes`` /
+``_runs`` counters, bumped per block (per row by an :class:`IndexedRun`).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import tempfile
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator, Sequence
 
+from repro.db.columnar.pages import PAGE_ROWS, decode_page, encode_page
 from repro.db.values import NULL
 from repro.errors import StorageError
 from repro.obs.metrics import count
@@ -80,12 +86,14 @@ class ValueCodec:
 
 
 class SpillManager:
-    """Hands operators their spill policy: budget share and codec."""
+    """Hands operators their spill policy: budget, codec, block height."""
 
-    def __init__(self, codec: ValueCodec,
-                 budget_bytes: "int | None" = None) -> None:
+    def __init__(self, codec: ValueCodec, budget_bytes: "int | None" = None,
+                 block_rows: int = PAGE_ROWS) -> None:
         self.codec = codec
         self.budget_bytes = budget_bytes
+        self.block_rows = block_rows
+        self._names = itertools.count(1)
 
     def run_capacity(self) -> "int | None":
         """Rows an operator may buffer before spilling (None = no cap)."""
@@ -96,81 +104,103 @@ class SpillManager:
     def indexed_run(self) -> "IndexedRun":
         return IndexedRun(self.codec, self.run_capacity())
 
-    def disk_run(self) -> "RowRun":
+    def disk_run(self) -> "BlockRun":
         """A write-through run: rows destined for disk regardless of
         budget share (sorted external-merge runs, aggregate spill
         partitions — their contents were already counted against the
         operator's in-memory allowance)."""
-        return RowRun(self.codec, 0)
+        return BlockRun(self.codec, self.block_rows,
+                        f"spill run {next(self._names)}")
 
 
-class RowRun:
-    """A re-iterable sequence of rows that spills past *capacity* rows."""
+def cut(columns: Sequence[Sequence[Any]], rows: int,
+        stop: "int | None" = None) -> Iterator["list[list]"]:
+    """*columns* (up to row *stop*) as blocks of at most *rows* rows."""
+    return ([column[at:at + rows] for column in columns]
+            for at in range(0, len(columns[0]) if stop is None else stop,
+                            rows))
 
-    def __init__(self, codec: ValueCodec,
-                 capacity: "int | None" = None) -> None:
+
+class BlockRun:
+    """Columns appended in any number of pieces, on disk as blocks of
+    *block_rows* rows, read back block by block in the order written."""
+
+    def __init__(self, codec: ValueCodec, block_rows: int, name: str) -> None:
         self._codec = codec
-        self._capacity = capacity
-        self._rows: "list[tuple] | None" = []
+        self._block_rows = block_rows
+        self.name = name
+        self._held: "list[list]" = []  # rows not yet a full block
         self._file = None
+        self._blocks = 0
         self._count = 0
+        self.bytes = 0  # encoded, written so far
 
     def __len__(self) -> int:
         return self._count
 
-    @property
-    def spilled(self) -> bool:
-        return self._file is not None
+    def extend(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Append rows given as equal-length *columns* (at least one)."""
+        held = self._held = self._held or [[] for _ in columns]
+        for kept, column in zip(held, columns):
+            kept.extend(column)
+        self._count += len(columns[0])
+        full = len(held[0]) - len(held[0]) % self._block_rows
+        for block in cut(held, self._block_rows, full):
+            self._write(block)
+        if full:
+            self._held = [kept[full:] for kept in held]
 
-    def _flush_to_disk(self) -> None:
-        self._file = tempfile.TemporaryFile(
-            mode="w+", encoding="utf-8", prefix="repro-run-")
-        spilled_bytes = 0
-        for row in self._rows:
-            line = self._codec.encode_row(row)
-            self._file.write(line + "\n")
-            spilled_bytes += len(line) + 1
-        self._rows = None
-        count("executor", "spill_runs")
-        count("executor", "spill_rows", self._count)
-        count("executor", "spill_bytes", spilled_bytes)
+    def _write(self, columns: "list[list]") -> None:
+        if self._file is None:
+            self._file = tempfile.TemporaryFile(prefix="repro-run-")
+            count("executor", "spill_runs")
+        pages = [encode_page(column, None, self._codec) for column in columns]
+        size = self._file.write(b"".join(
+            part for page in pages
+            for part in (len(page).to_bytes(4, "little"), page)))
+        self._blocks += 1
+        self.bytes += size
+        count("executor", "spill_rows", len(columns[0]))
+        count("executor", "spill_bytes", size)
 
-    def append(self, row: tuple) -> None:
-        if self._rows is not None:
-            self._rows.append(row)
-            self._count += 1
-            if (self._capacity is not None
-                    and len(self._rows) > self._capacity):
-                self._flush_to_disk()
-            return
-        line = self._codec.encode_row(row)
-        self._file.write(line + "\n")
-        self._count += 1
-        count("executor", "spill_rows")
-        count("executor", "spill_bytes", len(line) + 1)
-
-    def extend(self, rows: Iterable[tuple]) -> None:
-        for row in rows:
-            self.append(row)
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self._rows is not None:
-            yield from self._rows
+    def blocks(self) -> Iterator["list[list]"]:
+        """Every block, as its list of decoded columns (the rows still
+        held are written out first, as a last, shorter block)."""
+        if self._held and self._held[0]:
+            self._write(self._held)
+            self._held = [[] for _ in self._held]
+        if self._file is None:
             return
         self._file.seek(0)
-        for line in self._file:
-            yield self._codec.decode_row(line)
+        rows = 0
+        for block in range(self._blocks):
+            columns = [self._page(f"{self.name} block {block} column {at}")
+                       for at in range(len(self._held))]
+            rows += len(columns[0])
+            yield columns
+        if rows != self._count:
+            raise StorageError(
+                f"{self.name} read back {rows} rows of the {self._count} "
+                f"appended", kind="malformed")
+
+    def _page(self, page_id: str) -> list:
+        size = int.from_bytes(self._file.read(4), "little")
+        data = self._file.read(size)
+        if len(data) < max(size, 1):  # no page is empty: nor is the file over
+            raise StorageError(f"{page_id}: the run ends before it does",
+                               kind="malformed")
+        return decode_page(data, self._codec, page_id=page_id)
 
     def close(self) -> None:
         if self._file is not None:
             self._file.close()
             self._file = None
-        self._rows = []
-        self._count = 0
+        self._held, self._blocks, self._count = [], 0, 0
 
 
 class IndexedRun:
-    """Rows addressable by ordinal; cold rows are read back by offset."""
+    """Rows addressable by ordinal, one codec line each (row framing:
+    the join fetches single rows); cold rows are read back by offset."""
 
     def __init__(self, codec: ValueCodec,
                  capacity: "int | None" = None) -> None:
@@ -189,39 +219,30 @@ class IndexedRun:
     def spilled(self) -> bool:
         return self._file is not None
 
-    def _flush_to_disk(self) -> None:
-        self._file = tempfile.TemporaryFile(
-            mode="w+b", prefix="repro-irun-")
-        spilled_bytes = 0
-        for row in self._rows:
+    def _write(self, rows: Sequence[tuple]) -> None:
+        start = self._tail
+        for row in rows:
             payload = self._codec.encode_row(row).encode("utf-8") + b"\n"
             self._offsets.append(self._tail)
             self._file.write(payload)
             self._tail += len(payload)
-            spilled_bytes += len(payload)
-        self._rows = None
-        count("executor", "spill_runs")
-        count("executor", "spill_rows", self._count)
-        count("executor", "spill_bytes", spilled_bytes)
+        count("executor", "spill_rows", len(rows))
+        count("executor", "spill_bytes", self._tail - start)
 
     def append(self, row: tuple) -> int:
         """Store *row*; returns its ordinal."""
-        ordinal = self._count
-        if self._rows is not None:
+        self._count += 1
+        if self._rows is None:
+            self._write([row])
+        else:
             self._rows.append(row)
-            self._count += 1
             if (self._capacity is not None
                     and len(self._rows) > self._capacity):
-                self._flush_to_disk()
-            return ordinal
-        payload = self._codec.encode_row(row).encode("utf-8") + b"\n"
-        self._offsets.append(self._tail)
-        self._file.write(payload)
-        self._tail += len(payload)
-        self._count += 1
-        count("executor", "spill_rows")
-        count("executor", "spill_bytes", len(payload))
-        return ordinal
+                self._file = tempfile.TemporaryFile(prefix="repro-irun-")
+                count("executor", "spill_runs")
+                self._write(self._rows)
+                self._rows = None
+        return self._count - 1
 
     def __getitem__(self, ordinal: int) -> tuple:
         if self._rows is not None:

@@ -16,9 +16,9 @@ raises on reaching it.  Nodes carry the optimizer's row estimate and
 count the rows and batches of their last execution, for ``EXPLAIN``.
 
 Every pipeline breaker runs in bounded memory when the database has a
-``memory_budget``: ORDER BY spills sorted runs and merges them with
-``heapq.merge``, GROUP BY spills overflow groups to hash partitions, a
-join's build side lives in a spillable run
+``memory_budget``: ORDER BY spills sorted runs of column blocks and
+merges them block-wise (:func:`merged`), GROUP BY spills overflow groups
+to hash partitions, a join's build side lives in a spillable run
 (:mod:`repro.db.columnar.spill`) — bit-identical to the unbounded
 versions (same values, order and errors), which the differential suite
 enforces.
@@ -26,13 +26,13 @@ enforces.
 
 from __future__ import annotations
 
-import heapq
 import zlib
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.db.columnar.spill import IndexedRun, RowRun
+from repro.db.columnar.spill import IndexedRun, cut
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     NATIVE_AGGREGATES,
@@ -79,33 +79,52 @@ def row_batches(rows: Iterable[Sequence[Any]]) -> Iterator[Batch]:
     return map(Batch.of_rows, doubling_chunks(rows))
 
 
-def _run_batches(run: RowRun) -> Iterator[tuple[Batch, list]]:
-    """The ``(ordinal, *values)`` entries a Sort or Aggregate spilled,
-    as ``(batch of the values, their ordinals)``."""
-    for chunk in doubling_chunks(run):
-        yield (Batch.of_rows([entry[1:] for entry in chunk]),
-               [entry[0] for entry in chunk])
-
-
 def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
     """Per row, the tuple of sort keys that tells groups (or DISTINCT
     rows) apart."""
     return zip(*[sort_keys(column) for column in columns])
 
 
-class _Desc:
-    """Inverts comparisons so one composite key handles mixed ASC/DESC."""
+def merged(sources: Sequence[Iterator[list]],
+           order: Callable[[list], list]) -> Iterator[list]:
+    """One stream of blocks (lists of equal-length columns) in the row
+    order ``order(columns)`` spells, out of *sources* that each yield
+    such blocks already in it.
 
-    __slots__ = ("key",)
+    A round orders afresh the rows not yet emitted of one block per
+    source, source after source — *order* is stable, so equal rows stay
+    in source order — and emits them up to the first row that ends its
+    block: past it, a block not yet read may hold something smaller.
+    Only a source whose block is used up is asked for the next one.
+    """
+    live = [[source, None] for source in sources]
+    while True:
+        for entry in live:
+            if not entry[1] or not entry[1][0]:
+                entry[1] = next(entry[0], None)
+        live = [entry for entry in live if entry[1] is not None]
+        if not live:
+            return
+        pool = [list(chain.from_iterable(columns))
+                for columns in zip(*(rest for _, rest in live))]
+        ranked = order(pool)
+        ends = list(accumulate(len(rest[0]) for _, rest in live))
+        last = {end - 1 for end in ends}
+        emitted = ranked[:1 + next(
+            at for at, row in enumerate(ranked) if row in last)]
+        yield [[column[row] for row in emitted] for column in pool]
+        emitted.sort()
+        for entry, start, end in zip(live, [0] + ends, ends):
+            taken = bisect_left(emitted, end) - bisect_left(emitted, start)
+            entry[1] = [column[taken:] for column in entry[1]]
 
-    def __init__(self, key: Any) -> None:
-        self.key = key
 
-    def __eq__(self, other: Any) -> bool:
-        return self.key == other.key
-
-    def __lt__(self, other: "_Desc") -> bool:
-        return other.key < self.key
+def _partition(key: tuple) -> int:
+    """The spill partition of a group key: the same in every process, and
+    for equal keys — numbers go by ``hash``: ``0.0 == -0.0`` print apart."""
+    return zlib.crc32(repr([hash(value) if rank == 2 else value
+                            for rank, value in key]).encode("utf-8")
+                      ) % SPILL_PARTITIONS
 
 
 class PlanNode:
@@ -113,9 +132,11 @@ class PlanNode:
 
     frame: Frame
     estimated_rows: float = 0.0
-    #: Rows and batches the last execution produced.
+    #: Rows and batches the last execution produced, and the ``(runs,
+    #: bytes)`` it spilled.
     rows_out = 0
     batches_out = 0
+    spilled = (0, 0)
     #: The input of a single-input operator.
     child: "PlanNode | None" = None
     #: The operator hands its input's rows on as they are, so its frame
@@ -134,7 +155,7 @@ class PlanNode:
 
     def run(self, context: RowContext) -> Iterator[Batch]:
         """The operator's non-empty batches, counted."""
-        self.rows_out = self.batches_out = 0
+        self.rows_out, self.batches_out, self.spilled = 0, 0, (0, 0)
         for batch in self.batches(context):
             self.rows_out += batch.size
             self.batches_out += 1
@@ -180,6 +201,13 @@ class PlanNode:
     def compile(self) -> None:
         pass
 
+    def _close(self, runs: Sequence) -> None:
+        """Note what the operator spilled, and give the runs back."""
+        self.spilled = (sum(run.bytes > 0 for run in runs),
+                        sum(run.bytes for run in runs))
+        for run in runs:
+            run.close()
+
     def _compiled(self, expression: "ast.Expression | None",
                   frame: Frame) -> "Column | None":
         if expression is None:
@@ -189,6 +217,8 @@ class PlanNode:
     def explain(self, indent: int = 0, analyze: bool = False) -> str:
         actual = (f"; actual {self.rows_out} rows in {self.batches_out} "
                   f"batches" if analyze else "")
+        if analyze and self.spilled[0]:
+            actual += "; spilled {} runs, {} bytes".format(*self.spilled)
         lines = [f"{'  ' * indent}{self.label()}  "
                  f"(~{self.estimated_rows:.0f} rows{actual})"]
         lines.extend(child.explain(indent + 1, analyze)
@@ -711,7 +741,8 @@ class Aggregate(PlanNode):
                 size, columns, error = settled(batch.size, [
                     column(batch, context)
                     for column in chain(self._keys, *self._arguments)])
-                keys, values = columns[:len(self._keys)], None
+                keys = columns[:len(self._keys)]
+                routed: dict[int, list] = {}  # partition -> its rows here
                 # group key -> its rows in this batch (None: all of them)
                 members: dict = {(): None} if size and not keys else {}
                 for row, key in enumerate(_bucket_keys(keys) if keys else ()):
@@ -725,28 +756,26 @@ class Aggregate(PlanNode):
                             if partitions is None:
                                 partitions = [spill.disk_run()
                                               for _ in range(SPILL_PARTITIONS)]
-                                sources.extend(_run_batches(run)
-                                               for run in partitions)
-                            run = partitions[
-                                zlib.crc32(repr(key).encode("utf-8"))
-                                % SPILL_PARTITIONS]
-                            values = values or list(batch.rows())
-                            for row in rows:
-                                run.append((ordinals[row],) + values[row])
+                                sources.extend(map(self._reread, partitions))
+                            routed.setdefault(_partition(key),
+                                              []).extend(rows)
                             continue
                         first = rows[0] if rows else 0
                         state = groups[key] = _GroupState(
                             [column[first] for column in keys],
                             ordinals[first], self._new_states())
                     self._absorb(state, columns[len(keys):], rows, size)
+                for partition, rows in routed.items():
+                    partitions[partition].extend(
+                        [[column[row] for row in rows]
+                         for column in (ordinals, *batch.columns)])
                 if error is not None:
                     raise error
             results.extend(groups.values())
             capacity = None  # a partition holds whole groups; none re-spill
 
         if partitions is not None:
-            for run in partitions:
-                run.close()
+            self._close(partitions)
             # First-seen group order across the memory/disk split.
             results.sort(key=lambda state: state.ordinal)
 
@@ -768,6 +797,12 @@ class Aggregate(PlanNode):
         for batch in batches:
             yield batch, range(start, start + batch.size)
             start += batch.size
+
+    @staticmethod
+    def _reread(run) -> Iterator[tuple[Batch, list]]:
+        """A spilled partition's blocks: input ordinals, then the rows."""
+        for ordinals, *columns in run.blocks():
+            yield Batch(columns, len(ordinals)), ordinals
 
     def _absorb(self, state: _GroupState, columns: list,
                 rows: "list | None", size: int) -> None:
@@ -808,12 +843,14 @@ class Distinct(PlanNode):
 class Sort(PlanNode):
     """External-merge sort on arbitrary expressions, mixed ASC/DESC.
 
-    Key columns are built once per chunk, which is ordered by one stable
-    ``list.sort`` per key, last key first, ``reverse=True`` for DESC —
-    the order the composite key of the merge spells out (per-item
-    ``sort_key``, DESC items in :class:`_Desc`, the input ordinal last).
-    Without a memory budget the input is one chunk; with one, full
-    chunks flush as sorted runs that ``heapq.merge`` recombines.
+    Key columns are built once, per input batch (a kernel call reads
+    the row group's page), and travel beside the rows.  A chunk is
+    ordered by one stable ``list.sort`` per key, last key first,
+    ``reverse=True`` for DESC (:meth:`_order`): every comparison is C's,
+    ties stay in input order.  Without a memory budget the input is one
+    chunk; with one, full chunks flush as sorted runs of column blocks
+    and :func:`merged` recombines them under the same order, holding a
+    block per run.
     """
 
     passes_rows = True
@@ -837,80 +874,60 @@ class Sort(PlanNode):
     def expressions(self):
         return [item.expression for item in self.items]
 
-    def page_scan(self):
-        return None  # keys are built over chunks (and re-read runs)
-
     def compile(self) -> None:
-        self._keys = [self._compiled(item.expression, self.frame)
-                      for item in self.items]
+        #: The computed key columns, and where each item's key sits among
+        #: the frame's columns and them: a frame column is not carried twice.
+        self._keys, self._at = [], []
+        for item in self.items:
+            key = item.expression
+            found = (self.frame.positions(key.table, key.column)
+                     if isinstance(key, ast.ColumnRef) else ())
+            if len(found) != 1:
+                found = [len(self.frame) + len(self._keys)]
+                self._keys.append(self._compiled(key, self.frame))
+            self._at.append(found[0])
 
-    def _key_columns(self, batch: Batch, context: RowContext) -> list:
-        _, columns, error = settled(
-            batch.size, [key(batch, context) for key in self._keys])
-        if error is not None:
-            raise error
-        return columns
-
-    def _ordered(self, batches: list[Batch], start: int,
-                 context: RowContext) -> tuple[Batch, list]:
-        """One chunk — input rows *start* onwards — in sort order, with
-        the input ordinal of each row."""
-        width = len(self.frame)
-        batch = batches[0] if len(batches) == 1 else Batch(
-            [list(chain.from_iterable(batch.columns[position]
-                                      for batch in batches))
-             for position in range(width)],
-            sum(batch.size for batch in batches))
-        order = list(range(batch.size))
-        for item, column in reversed(list(zip(
-                self.items, self._key_columns(batch, context)))):
-            order.sort(key=sort_keys(column, bare=True).__getitem__,
+    def _order(self, columns: list) -> list[int]:
+        """The row positions of *columns* — the frame's, then the
+        computed keys — in sort order."""
+        order = list(range(len(columns[-1])))
+        for item, at in zip(reversed(self.items), reversed(self._at)):
+            order.sort(key=sort_keys(columns[at], bare=True).__getitem__,
                        reverse=not item.ascending)
-        return batch.take(order), [start + row for row in order]
+        return order
 
-    def _entries(self, batches: Iterable[tuple[Batch, list]],
-                 context: RowContext) -> Iterator[tuple]:
-        """``(composite key, row)`` of sorted rows, for the merge."""
-        for batch, ordinals in batches:
-            parts = [keys if item.ascending else map(_Desc, keys)
-                     for item, keys in zip(self.items, map(
-                         sort_keys, self._key_columns(batch, context)))]
-            yield from zip(zip(*parts, ordinals), batch.rows())
+    def _sorted(self, columns: list) -> list:
+        order = self._order(columns)
+        return [[column[row] for row in order] for column in columns]
 
     def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
         capacity = spill.run_capacity() if spill is not None else None
-        pending: list[Batch] = []
-        held = start = 0
+        width = len(self.frame)
+        held: list = [[] for _ in range(width + len(self._keys))]
         runs: list = []
         try:
             for batch in self.child.run(context):
-                pending.append(batch)
-                held += batch.size
-                if capacity is not None and held >= capacity:
+                _, keys, error = settled(
+                    batch.size, [key(batch, context) for key in self._keys])
+                if error is not None:
+                    raise error
+                for column, more in zip(held, chain(batch.columns, keys)):
+                    column.extend(more)
+                if capacity is not None and len(held[-1]) >= capacity:
                     # A full chunk (the batch that filled it is not cut).
-                    chunk, ordinals = self._ordered(pending, start, context)
-                    run = spill.disk_run()
-                    for ordinal, row in zip(ordinals, chunk.rows()):
-                        run.append((ordinal,) + row)
-                    runs.append(run)
-                    pending, held, start = [], 0, start + held
-            if not pending and not runs:
-                return
-            streams = [self._entries(_run_batches(run), context)
-                       for run in runs]
-            if pending:
-                last = self._ordered(pending, start, context)
-                if not runs:
-                    yield last[0]
-                    return
-                streams.append(self._entries([last], context))
-            merged = (row for _, row in heapq.merge(*streams))
-            while rows := list(islice(merged, MAX_BATCH_ROWS)):
-                yield Batch.of_rows(rows)
+                    runs.append(spill.disk_run())
+                    runs[-1].extend(self._sorted(held))
+                    held = [[] for _ in held]
+            blocks = [self._sorted(held)] if held[-1] else []
+            if runs:  # the last, short chunk is merged from memory
+                blocks = merged([run.blocks() for run in runs] + [
+                    cut(chunk, spill.block_rows) for chunk in blocks],
+                    self._order)
+            for columns in blocks:
+                yield Batch(columns[:width], len(columns[-1]))
         finally:
-            for run in runs:
-                run.close()
+            self._close(runs)
 
 
 class Limit(PlanNode):

@@ -171,6 +171,60 @@ def test_mixed_values_take_the_obj_fallback():
     assert pages.page_encoding(data) == pages.OBJ
 
 
+class _Ordinal(int):
+    """An ``int`` subclass, as an ``IntEnum`` member is."""
+
+
+def test_the_encoding_is_chosen_from_the_set_of_value_types():
+    # Decided from set(map(type, values)), one issubclass per type: what
+    # the five per-value isinstance passes decided, on every input.
+    choose = pages.choose_encoding
+    assert choose("INTEGER", [1, 2, 3]) == pages.INT
+    assert choose("INTEGER", [1, True]) == pages.OBJ      # True is no INT
+    assert choose("INTEGER", [True]) == pages.OBJ
+    assert choose("INTEGER", [1, 2.0]) == pages.OBJ
+    assert choose("INTEGER", [_Ordinal(4), 1]) == pages.INT
+    assert choose("REAL", [1.5, 2.5]) == pages.FLOAT
+    assert choose("REAL", [1.5, 2]) == pages.OBJ
+    assert choose("BOOLEAN", [True, False]) == pages.BOOL
+    assert choose("BOOLEAN", [True, 1]) == pages.OBJ
+    assert choose("TEXT", ["a"]) == pages.DICT
+    assert choose("BLOB", [b"a"]) == pages.BLOB
+    assert choose("BLOB", [bytearray(b"a")]) == pages.OBJ
+    assert choose("DNA", [DnaSequence("ACGT")]) == pages.SEQ
+    assert choose("TEXT", [DnaSequence("ACGT")]) == pages.SEQ
+    assert choose("DNA", [DnaSequence("ACGT"), "ACGT"]) == pages.OBJ
+    for type_name in ("INTEGER", "REAL", "BOOLEAN", "TEXT", "BLOB"):
+        assert choose(type_name, []) != pages.OBJ
+    assert choose("DNA", []) == pages.OBJ
+    # An int subclass packs as the int it is and comes back that value.
+    values = [_Ordinal(4), NULL, _Ordinal(-9)]
+    data, decoded = roundtrip(values, "INTEGER")
+    assert decoded == [4, NULL, -9]
+    assert pages.page_encoding(data) == pages.INT
+    # True among integers survives as True, not as 1.
+    __, decoded = roundtrip([1, True, NULL], "INTEGER")
+    assert decoded == [1, True, NULL] and decoded[1] is True
+
+
+@pytest.mark.parametrize("values, encoding", [
+    ([1, NULL, -7], pages.INT), ([0.5, NULL, float("inf")], pages.FLOAT),
+    ([True, NULL, False], pages.BOOL), (["a", NULL, ""], pages.DICT),
+    ([b"\x00", NULL, b""], pages.BLOB),
+    ([DnaSequence("ACGTN"), NULL, RnaSequence("ACGU")], pages.SEQ),
+    ([1, 2.5, NULL], pages.OBJ), ([1, True], pages.OBJ),
+    ([NULL, NULL], pages.INT), ([], pages.INT),
+])
+def test_a_page_without_a_declared_type_takes_the_encoding_it_fits(
+        values, encoding):
+    # What a spilled block is: the values of an expression, no column.
+    data = pages.encode_page(values, None, CODEC)
+    decoded = pages.decode_page(data, CODEC)
+    assert pages.page_encoding(data) == encoding
+    assert decoded == values
+    assert list(map(type, decoded)) == list(map(type, values))
+
+
 def test_empty_and_all_null_pages():
     for values in ([], [NULL], [NULL] * 9):
         data, decoded = roundtrip(values, "INTEGER")

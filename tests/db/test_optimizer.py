@@ -285,6 +285,39 @@ class TestExplainAnalyze:
         assert actual["Aggregate"] == (10, 1)
         assert actual["Sort"] == (10, 1)
 
+    def test_what_spilled_is_printed_beside_the_actuals(self):
+        import re
+        from repro.obs.metrics import disable_metrics, enable_metrics
+        database = Database(layout="column", memory_budget=512, page_rows=4)
+        database.execute("CREATE TABLE t (id INTEGER, k INTEGER)")
+        database.executemany("INSERT INTO t VALUES (?, ?)",
+                             [(i, i * 7 % 40) for i in range(40)])
+        registry = enable_metrics()
+        try:
+            plan = database.explain(
+                "SELECT k, count(*) FROM t GROUP BY k ORDER BY k DESC",
+                analyze=True)
+            counters = registry.snapshot()
+        finally:
+            disable_metrics()
+        spilled = {}
+        for line in plan.splitlines():
+            match = re.match(r"\s*(\w+).*\(~\d+ rows; actual \d+ rows in \d+ "
+                             r"batches(?:; spilled (\d+) runs, (\d+) bytes)?\)$",
+                             line)
+            assert match, line
+            spilled[match[1]] = match[2] and (int(match[2]), int(match[3]))
+        # 8 live groups, 32 routed to partitions; the 40 groups arrive
+        # at the sort as one batch, which it does not cut: one run.
+        assert spilled["Sort"][0] == 1 and spilled["Aggregate"][0] > 1
+        assert spilled["ColumnarScan"] is spilled["Project"] is None
+        assert counters["executor_spill_runs"] == (
+            spilled["Sort"][0] + spilled["Aggregate"][0])
+        assert counters["executor_spill_bytes"] == (
+            spilled["Sort"][1] + spilled["Aggregate"][1])
+        # ...and it is of the last execution: nothing spills unbudgeted.
+        assert "spilled" not in Database().explain("SELECT 1", analyze=True)
+
     def test_distinct_and_one_row(self, db):
         assert self._actuals(db, "SELECT DISTINCT k FROM t")[
             "Distinct"][0] == 10

@@ -95,8 +95,8 @@ def test_audit_actually_fires():
 
 #: Unbounded materialization of a child's whole row stream inside a
 #: plan operator.  Pipeline breakers must route rows through the
-#: budgeted runs in ``repro.db.columnar.spill`` (``row_run`` /
-#: ``indexed_run`` / ``disk_run``) so queries larger than the
+#: budgeted runs in ``repro.db.columnar.spill`` (``indexed_run`` /
+#: ``disk_run``) so queries larger than the
 #: ``memory_budget`` still complete.
 _MATERIALIZE = re.compile(
     r"\b(?:list|sorted|tuple)\(\s*self\.(?:child|left|right|input|source)"

@@ -59,6 +59,25 @@ def test_the_second_execution_style_stays_deleted():
         assert "reference_evaluator" not in path.read_text(), path
 
 
+def test_there_is_one_run_format_and_the_merge_has_no_key_objects():
+    # Sort runs and Aggregate partitions are BlockRuns (column pages);
+    # the JSON-lines RowRun, its in-memory half, the composite ``_Desc``
+    # merge key and the row<->column transposes around them stay deleted.
+    plan = PLAN.read_text()
+    for gone in ("_Desc", "_run_batches", "heapq", "RowRun"):
+        assert gone not in plan, gone
+    assert plan.count("disk_run()") == 2      # Sort and Aggregate, alike
+    assert "def page_scan" not in plan.split("class Sort(")[1].split(
+        "\nclass ")[0]
+    spill = (DB / "columnar" / "spill.py").read_text()
+    assert "class RowRun" not in spill
+    block_run = spill.split("class BlockRun")[1].split("\nclass ")[0]
+    for row_framing in ("encode_row", "decode_row", "json"):
+        assert row_framing not in block_run, row_framing
+    for path in SRC.rglob("*.py"):
+        assert "RowRun" not in path.read_text(), path
+
+
 def test_only_expressions_py_dispatches_on_expression_node_type():
     handler = re.compile(
         r"def _(?:eval|compile)_(?:%s)\b" % "|".join(
