@@ -29,9 +29,9 @@ ROWS = 400
 MOTIF = "ATGGCCATTGTA"  # planted in ~5% of rows
 
 
-def _build(with_indexes=True):
+def _build(with_indexes=True, rows=ROWS, optimize=True):
     rng = random.Random(41)
-    database = Database()
+    database = Database(optimize=optimize)
     install_genomics(database)
     database.execute(
         "CREATE TABLE frags (id INTEGER PRIMARY KEY, organism TEXT, "
@@ -39,7 +39,7 @@ def _build(with_indexes=True):
     )
     organisms = ["E. coli", "yeast", "mouse", "human"]
     matches = 0
-    for row_id in range(ROWS):
+    for row_id in range(rows):
         body = "".join(rng.choice("ACGT") for __ in range(300))
         if rng.random() < 0.05:
             body = MOTIF + body[len(MOTIF):]
@@ -60,6 +60,27 @@ def _build(with_indexes=True):
 
 COMBINED = ("SELECT id FROM frags WHERE contains(seq, ?) "
             "AND organism = ?")
+
+#: The pair of statements every warehouse delta is: a keyed DELETE and
+#: the re-INSERT of the row it removed.
+KEYED_SIZES = (400, 1600)
+
+
+def _keyed_write_us(rows, optimize, pairs=200):
+    """Microseconds per statement of ``DELETE … WHERE id = ?`` followed
+    by the re-INSERT of that row, over *pairs* keys spread over a
+    *rows*-row table without secondary indexes."""
+    database, __ = _build(with_indexes=False, rows=rows, optimize=optimize)
+    table = database.catalog.table("frags")
+    kept = {row[0]: list(row) for __, row in table.rows()}
+    keys = random.Random(7).sample(sorted(kept), pairs)
+    start = time.perf_counter()
+    for key in keys:
+        assert database.execute("DELETE FROM frags WHERE id = ?", [key]) == 1
+        database.execute("INSERT INTO frags VALUES (?, ?, ?)", kept[key])
+    elapsed = time.perf_counter() - start
+    assert len(table) == rows
+    return elapsed / (2 * pairs) * 1e6
 
 
 @pytest.fixture(scope="module")
@@ -200,12 +221,24 @@ def report() -> dict:
         estimate = ROWS / stats[column]
         print(f"  {column + ' equality':<22} estimated ~{estimate:>5.0f}"
               f"   actual {actual:>4}")
+
+    print("\nkeyed DELETE + re-INSERT (us per statement; the optimizer "
+          "picks a write's access path too):")
+    keyed_writes = []
+    for rows in KEYED_SIZES:
+        on_us = _keyed_write_us(rows, optimize=True)
+        off_us = _keyed_write_us(rows, optimize=False)
+        keyed_writes.append({"rows": rows, "optimizer_on_us": on_us,
+                             "optimizer_off_us": off_us})
+        print(f"  {rows:>5} rows   optimizer on {on_us:>7.1f}"
+              f"   off {off_us:>8.1f}   ({off_us / on_us:.1f}x)")
     return {
         "rows": ROWS,
         "indexed_ms": fast_ms,
         "seq_scan_ms": slow_ms,
         "speedup": slow_ms / fast_ms,
         "matching_rows": count,
+        "keyed_writes": keyed_writes,
     }
 
 

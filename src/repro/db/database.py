@@ -29,17 +29,15 @@ from repro.db.schema import Column, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     NO_COLUMNS,
-    Batch,
     Evaluator,
     Frame,
     RowContext,
-    kept,
     one,
 )
 from repro.db.sql.functions import register_builtin_functions
 from repro.db.sql.optimizer import Planner
 from repro.db.sql.parser import parse
-from repro.db.sql.plan import PlanNode, doubling_chunks
+from repro.db.sql.plan import PlanNode
 from repro.db.table import Table
 from repro.db.values import NULL, OpaqueType
 from repro.errors import (
@@ -128,7 +126,9 @@ STATEMENT_CACHE_SIZE = 256
 
 
 class _Prepared:
-    """One cached statement: its AST and, for a SELECT, its plan.
+    """One cached statement: its AST and its plan — a SELECT's, or the
+    access path to the rows an UPDATE / DELETE changes (``None`` for
+    every other statement).
 
     ``version`` is the catalog version ``plan``, ``subplans`` and
     ``compiled`` were built under (−1: not planned yet).  ``subplans``
@@ -136,7 +136,7 @@ class _Prepared:
     identity of their ``Select`` node — the AST is kept alive by this
     entry, so the ids are stable for as long as the memo exists.
     ``compiled`` holds (as a 1-tuple, once built) what a DML statement
-    evaluates: its VALUES, SET and WHERE expressions as column closures.
+    evaluates per row: its VALUES or SET expressions as column closures.
     """
 
     __slots__ = ("statement", "plan", "version", "subplans", "compiled")
@@ -162,8 +162,8 @@ class Database:
     tables.
 
     Every statement runs from a prepared entry (:meth:`_prepare`): the
-    SQL text is parsed once and a SELECT planned once per catalog
-    version, however often it is executed.
+    SQL text is parsed once and a SELECT, UPDATE or DELETE planned once
+    per catalog version, however often it is executed.
     """
 
     def __init__(self, optimize: bool = True, layout: str = "row",
@@ -298,9 +298,13 @@ class Database:
             return entry
         entry.subplans.clear()
         entry.compiled = None
-        if isinstance(entry.statement, ast.Select):
+        statement = entry.statement
+        if isinstance(statement, ast.Select):
             with _span("sql.plan", cache="miss"):
-                entry.plan = self._planner.plan_select(entry.statement)
+                entry.plan = self._planner.plan_select(statement)
+        elif isinstance(statement, (ast.Update, ast.Delete)):
+            with _span("sql.plan", cache="miss"):
+                entry.plan = self._planner.plan_change(statement)
         entry.version = version
         return entry
 
@@ -322,7 +326,7 @@ class Database:
             check(entry.statement)
         suspended, self._running = self._running, entry
         try:
-            if entry.plan is not None:
+            if isinstance(entry.statement, ast.Select):
                 return self._run_select(entry.plan, parameters)
             result = self._dispatch(entry.statement, parameters)
         finally:
@@ -348,14 +352,17 @@ class Database:
 
     def explain(self, sql: str, parameters: Sequence[Any] = (), *,
                 analyze: bool = False) -> str:
-        """The plan :meth:`execute` runs for a SELECT, as an indented tree
-        with the planner's row estimates.  With *analyze* the statement
-        is run (under *parameters*) and every operator also shows the
-        rows and batches it actually produced."""
+        """The plan :meth:`execute` runs for a SELECT, UPDATE or DELETE,
+        as an indented tree with the planner's row estimates.  With
+        *analyze* a SELECT is run (under *parameters*) and every operator
+        also shows the rows and batches it actually produced."""
         entry = self._prepare(sql)
         if entry.plan is None:
-            raise DatabaseError("EXPLAIN supports only SELECT")
+            raise DatabaseError(
+                "EXPLAIN supports only SELECT, UPDATE or DELETE")
         if analyze:
+            if not isinstance(entry.statement, ast.Select):
+                raise DatabaseError("EXPLAIN analyze=True would run the write")
             self.execute(sql, parameters)
         return entry.plan.explain(analyze=analyze)
 
@@ -518,85 +525,72 @@ class Database:
 
     # -- DML -------------------------------------------------------------------------------
 
-    def _compiled(self, statement: ast.Statement, build: Callable) -> Any:
-        """What *build* compiles for a DML statement — once per catalog
-        version when the statement runs from its prepared entry."""
+    def _compiled(self, build: Callable) -> Any:
+        """What *build* compiles for the running DML statement — once per
+        catalog version, kept on its prepared entry beside its plan."""
         entry = self._running
-        if entry is None or entry.statement is not statement:
-            return build()
         if entry.compiled is None:
             entry.compiled = (build(),)
         return entry.compiled[0]
+
+    @staticmethod
+    @contextmanager
+    def _all_or_nothing() -> Iterator[list]:
+        """One DML statement changes every row it names or none: the
+        block lists an ``(undo, *arguments)`` per row it has changed, and
+        a failure calls them, last first, before it propagates."""
+        undo: list[tuple] = []
+        try:
+            yield undo
+        except BaseException:
+            for step, *arguments in reversed(undo):
+                step(*arguments)
+            raise
 
     def _insert(self, statement: ast.Insert,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
         context = RowContext.without_row(parameters)
         compile_ = self._evaluator.compile
-        value_rows = self._compiled(statement, lambda: [
+        value_rows = self._compiled(lambda: [
             [compile_(expression, NO_COLUMNS) for expression in value_row]
             for value_row in statement.rows])
-        inserted = 0
-        for value_row in value_rows:
-            values = [one(column, context) for column in value_row]
-            if statement.columns is not None:
-                if len(values) != len(statement.columns):
-                    raise SqlSyntaxError(
-                        "INSERT column list and VALUES row differ in length"
-                    )
-                named = dict(zip(
-                    (c.lower() for c in statement.columns), values
-                ))
-                row = table.schema.complete_row(named)
-            else:
-                row = values
-            table.insert(row)
-            inserted += 1
-        return inserted
-
-    def _matching_row_ids(self, table, where: "Callable | None",
-                          parameters: Sequence[Any]) -> list[int]:
-        """Row ids of the rows the compiled *where* keeps (all of them
-        without one), found before the caller changes any."""
-        if where is None:
-            return [row_id for row_id, _ in table.rows()]
-        context = RowContext.without_row(parameters)
-        matches: list[int] = []
-        for chunk in doubling_chunks(table.rows()):
-            keep, error = kept(Batch.of_rows([row for _, row in chunk]),
-                               where, context)
-            if error is not None:
-                raise error
-            matches.extend(chunk[row][0] for row in keep)
-        return matches
+        with self._all_or_nothing() as undo:
+            for value_row in value_rows:
+                row = [one(column, context) for column in value_row]
+                if statement.columns is not None:
+                    if len(row) != len(statement.columns):
+                        raise SqlSyntaxError("INSERT column list and VALUES "
+                                             "row differ in length")
+                    row = table.schema.complete_row(dict(zip(
+                        map(str.lower, statement.columns), row)))
+                undo.append((table.delete, table.insert(row)))
+        return len(undo)
 
     def _update(self, statement: ast.Update,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
         frame = Frame.for_table(table.name, table.schema.column_names)
         compile_ = self._evaluator.compile
-        where, assignments = self._compiled(statement, lambda: (
-            statement.where and compile_(statement.where, frame),
-            [(table.schema.position(column), compile_(expression, frame))
-             for column, expression in statement.assignments]))
+        assignments = self._compiled(lambda: [
+            (table.schema.position(column), compile_(expression, frame))
+            for column, expression in statement.assignments])
         context = RowContext.without_row(parameters)
-        updated = 0
-        for row_id in self._matching_row_ids(table, where, parameters):
-            old_row = table.row(row_id)
-            new_row = list(old_row)
-            for position, column in assignments:
-                new_row[position] = one(column, context, old_row)
-            table.update(row_id, new_row)
-            updated += 1
-        return updated
+        with self._all_or_nothing() as undo:
+            for row_id in self._running.plan.row_ids(parameters):
+                old_row = table.row(row_id)
+                new_row = list(old_row)
+                for position, column in assignments:
+                    new_row[position] = one(column, context, old_row)
+                table.update(row_id, new_row)
+                undo.append((table.update, row_id, old_row))
+        return len(undo)
 
     def _delete(self, statement: ast.Delete,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
-        frame = Frame.for_table(table.name, table.schema.column_names)
-        where = self._compiled(statement, lambda: statement.where and
-                               self._evaluator.compile(statement.where, frame))
-        row_ids = self._matching_row_ids(table, where, parameters)
+        # Removing a row that was found cannot fail: nothing to undo.
+        row_ids = self._running.plan.row_ids(parameters)
         for row_id in row_ids:
             table.delete(row_id)
         return len(row_ids)

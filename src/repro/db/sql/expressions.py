@@ -146,17 +146,22 @@ class Batch:
     A batch cut from a columnar row group also names that group
     (``view``) and where its rows sit in it (``offsets``; ``None`` when
     it holds every ordinal in order), which is how a kernel-tagged call
-    reads the stored page instead of the decoded column.
+    reads the stored page instead of the decoded column.  A batch of a
+    base table's rows — any scan's, or what a filter keeps of one — can
+    say which row each is (:meth:`row_ids`): a row source hands the ids
+    over (``ids``), a row group has them.
     """
 
-    __slots__ = ("columns", "size", "view", "offsets")
+    __slots__ = ("columns", "size", "view", "offsets", "ids")
 
     def __init__(self, columns: Sequence[Sequence[Any]], size: int,
-                 view=None, offsets: "Sequence[int] | None" = None) -> None:
+                 view=None, offsets: "Sequence[int] | None" = None,
+                 ids: "Sequence[int] | None" = None) -> None:
         self.columns = columns
         self.size = size
         self.view = view
         self.offsets = offsets
+        self.ids = ids
 
     @classmethod
     def of_rows(cls, rows: Sequence[Sequence[Any]]) -> "Batch":
@@ -164,6 +169,14 @@ class Batch:
 
     def rows(self) -> Iterator[tuple]:
         return zip(*self.columns) if self.columns else repeat((), self.size)
+
+    def row_ids(self) -> Sequence[int]:
+        """The table row id of each row of a base-table batch."""
+        if self.view is None:
+            return self.ids
+        ids = self.view.row_ids
+        return (ids if self.offsets is None
+                else [ids[offset] for offset in self.offsets])
 
     def take(self, keep: Sequence[int]) -> "Batch":
         """The rows at the ascending positions *keep*."""
@@ -173,7 +186,8 @@ class Batch:
                        else [self.offsets[row] for row in keep])
         return Batch([[column[row] for row in keep]
                       for column in self.columns],
-                     len(keep), self.view, offsets)
+                     len(keep), self.view, offsets,
+                     self.ids and [self.ids[row] for row in keep])
 
 
 _ONE_ROW = Batch((), 1)

@@ -28,6 +28,7 @@ from repro.db.sql import ast
 from repro.db.sql.expressions import Evaluator, Frame
 from repro.db.sql.plan import (
     Aggregate,
+    Change,
     ColumnarScan,
     Distinct,
     Filter,
@@ -469,73 +470,77 @@ class Planner:
 
     # ----------------------------------------------------------------- the plan
 
-    def plan_select(self, select: ast.Select) -> PlanNode:
+    def _from_where(self, select: ast.Select) -> tuple[PlanNode, dict]:
+        """FROM, JOIN and WHERE as a plan, and the table of each binding."""
         if select.source is None:
             if select.joins or select.group_by or select.having:
                 raise SqlSyntaxError("FROM clause required here")
-            schemas: dict[str, Table] = {}
-            plan = self._filtered(OneRow(), split_conjuncts(select.where))
-        else:
-            schemas = {}
-            source_table = self._database.catalog.table(select.source.name)
-            schemas[select.source.binding] = source_table
-            for join in select.joins:
-                if join.table.binding in schemas:
-                    raise SqlSyntaxError(
-                        f"duplicate table binding {join.table.binding!r}"
-                    )
-                schemas[join.table.binding] = (
-                    self._database.catalog.table(join.table.name)
-                )
+            return self._filtered(OneRow(),
+                                  split_conjuncts(select.where)), {}
+        source_table = self._database.catalog.table(select.source.name)
+        schemas: dict[str, Table] = {select.source.binding: source_table}
+        for join in select.joins:
+            if join.table.binding in schemas:
+                raise SqlSyntaxError(
+                    f"duplicate table binding {join.table.binding!r}")
+            schemas[join.table.binding] = self._database.catalog.table(
+                join.table.name)
 
-            conjuncts = split_conjuncts(select.where)
-            pushable: dict[str, list[ast.Expression]] = {
-                binding: [] for binding in schemas
-            }
-            leftover: list[ast.Expression] = []
-            has_left_join = any(j.kind == "left" for j in select.joins)
-            for conjunct in conjuncts:
-                bindings = self._bindings_of(conjunct, schemas)
-                if (self.optimize
-                        and bindings is not None and len(bindings) == 1
-                        and not self._evaluator.contains_aggregate(conjunct)):
-                    owner = next(iter(bindings))
-                    # Pushing below a LEFT JOIN changes semantics for the
-                    # right side; only the leftmost table is always safe.
-                    if has_left_join and owner != select.source.binding:
-                        leftover.append(conjunct)
-                    else:
-                        pushable[owner].append(conjunct)
-                else:
+        conjuncts = split_conjuncts(select.where)
+        pushable: dict[str, list[ast.Expression]] = {
+            binding: [] for binding in schemas}
+        leftover: list[ast.Expression] = []
+        has_left_join = any(j.kind == "left" for j in select.joins)
+        for conjunct in conjuncts:
+            bindings = self._bindings_of(conjunct, schemas)
+            if (self.optimize
+                    and bindings is not None and len(bindings) == 1
+                    and not self._evaluator.contains_aggregate(conjunct)):
+                owner = next(iter(bindings))
+                # Pushing below a LEFT JOIN changes semantics for the
+                # right side; only the leftmost table is always safe.
+                if has_left_join and owner != select.source.binding:
                     leftover.append(conjunct)
+                else:
+                    pushable[owner].append(conjunct)
+            else:
+                leftover.append(conjunct)
 
-            plan = self._access_path(
-                source_table, select.source.binding,
-                pushable[select.source.binding], schemas,
-            )
+        plan = self._access_path(source_table, select.source.binding,
+                                 pushable[select.source.binding], schemas)
 
-            for join in select.joins:
-                right_table = schemas[join.table.binding]
-                right_plan = self._access_path(
-                    right_table, join.table.binding,
-                    pushable[join.table.binding], schemas,
-                )
-                equi = None
-                if self.optimize and join.kind == "inner":
-                    equi = self._split_equi_condition(
-                        join.condition, plan.frame,
-                        join.table.binding, schemas,
-                    )
-                joined: PlanNode = Join(
-                    plan, right_plan, join.condition, self._evaluator,
-                    join.kind, equi, runtime=self._database.columnar,
-                )
-                joined.estimated_rows = max(
-                    plan.estimated_rows, right_plan.estimated_rows
-                )
-                plan = joined
+        for join in select.joins:
+            right_table = schemas[join.table.binding]
+            right_plan = self._access_path(right_table, join.table.binding,
+                                           pushable[join.table.binding],
+                                           schemas)
+            equi = None
+            if self.optimize and join.kind == "inner":
+                equi = self._split_equi_condition(
+                    join.condition, plan.frame, join.table.binding, schemas)
+            joined: PlanNode = Join(
+                plan, right_plan, join.condition, self._evaluator,
+                join.kind, equi, runtime=self._database.columnar)
+            joined.estimated_rows = max(plan.estimated_rows,
+                                        right_plan.estimated_rows)
+            plan = joined
 
-            plan = self._filtered(plan, leftover)
+        return self._filtered(plan, leftover), schemas
+
+    def plan_change(self, statement: "ast.Update | ast.Delete") -> PlanNode:
+        """An UPDATE's or DELETE's plan: its table read the way a SELECT
+        with the same WHERE reads it, under the :class:`Change` that
+        drains it to row ids."""
+        table = self._database.catalog.table(statement.table)
+        path, _ = self._from_where(ast.Select(
+            [], ast.TableRef(table.name), where=statement.where))
+        plan = Change(type(statement).__name__, table.name, path)
+        self._narrow_scans(plan)
+        plan.bind()
+        return plan
+
+    def plan_select(self, select: ast.Select) -> PlanNode:
+        plan, schemas = self._from_where(select)
 
         # -- projection bookkeeping ------------------------------------------
 

@@ -5,7 +5,7 @@ Batch` es — equal-length columns described by its :class:`~repro.db.sql.
 expressions.Frame` — and evaluates expressions only through the column
 closures :meth:`PlanNode.bind` compiled once for the plan.  A columnar
 scan emits one batch per live row group; a row source transposes rows in
-chunks that **start at one row and double** (:func:`doubling_chunks`),
+chunks that **start at one row and double** (:func:`table_batches`),
 so a ``LIMIT 5`` or a point probe never pays for rows it does not
 return.  :meth:`PlanNode.execute` is the root's row iterator.
 
@@ -67,16 +67,28 @@ SPILL_PARTITIONS = 16
 MAX_BATCH_ROWS = 1024
 
 
-def doubling_chunks(items: Iterable[Any], size: int = 1) -> Iterator[list]:
-    """*items* in lists of *size*, twice that, … :data:`MAX_BATCH_ROWS`."""
+def chunks(items: Iterable[Any], size: int) -> Iterator[list]:
+    """*items* in lists of *size* (the last one shorter)."""
     items = iter(items)
     while chunk := list(islice(items, size)):
         yield chunk
+
+
+def table_batches(pairs: Iterable[tuple]) -> Iterator[Batch]:
+    """A base table's ``(row id, row)`` *pairs* in doubling batches, each
+    of which knows its rows' ids (:meth:`Batch.row_ids`).  A pair is
+    split as it is read: keeping a chunk of them to transpose costs a
+    scan a third of its speed."""
+    pairs, size = iter(pairs), 1
+    while True:
+        ids, rows = [], []
+        for row_id, row in islice(pairs, size):
+            ids.append(row_id)
+            rows.append(row)
+        if not rows:
+            return
+        yield Batch(list(zip(*rows)), len(rows), ids=ids)
         size = min(size * 2, MAX_BATCH_ROWS)
-
-
-def row_batches(rows: Iterable[Sequence[Any]]) -> Iterator[Batch]:
-    return map(Batch.of_rows, doubling_chunks(rows))
 
 
 def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
@@ -239,7 +251,7 @@ class SeqScan(PlanNode):
         return f"SeqScan({self.table.name} AS {self.binding})"
 
     def batches(self, context) -> Iterator[Batch]:
-        return row_batches(row for _, row in self.table.rows())
+        return table_batches(self.table.rows())
 
 
 class _IndexScan(PlanNode):
@@ -284,8 +296,9 @@ class _IndexScan(PlanNode):
         return value
 
     def _fetch(self, row_ids) -> Iterator[Batch]:
-        return row_batches(self.table.row(row_id) for row_id in row_ids
-                           if self.table.has_row(row_id))
+        return table_batches((row_id, self.table.row(row_id))
+                             for row_id in row_ids
+                             if self.table.has_row(row_id))
 
 
 class IndexEqualScan(_IndexScan):
@@ -362,7 +375,7 @@ class IndexContainsScan(_IndexScan):
         candidates = self.index.search_contains(
             str(one(self._pattern, context)))
         if candidates is None:
-            return row_batches(row for _, row in self.table.rows())
+            return table_batches(self.table.rows())
         return self._fetch(sorted(candidates))
 
 
@@ -411,6 +424,31 @@ class Filter(PlanNode):
                 yield batch.take(keep)
             if error is not None:
                 raise error
+
+
+class Change(PlanNode):
+    """The root of an UPDATE's or DELETE's plan, over the access path to
+    the rows its WHERE keeps.  :meth:`row_ids` drains that path **before
+    the statement changes any row** — a sub-select over the same table,
+    or a key UPDATE moving a row across its own probe value, never meets
+    a half-changed table — and sorts, so every access path changes the
+    same rows in the same (row-id) order."""
+
+    passes_rows = True
+
+    def __init__(self, verb: str, table: str, child: PlanNode) -> None:
+        self.verb, self.table, self.child = verb, table, child
+        self.frame, self.estimated_rows = child.frame, child.estimated_rows
+
+    def label(self) -> str:
+        return f"{self.verb}({self.table})"
+
+    def batches(self, context) -> Iterator[Batch]:
+        return self.child.run(context)
+
+    def row_ids(self, parameters: Sequence[Any]) -> list[int]:
+        batches = self.run(RowContext.without_row(parameters))
+        return sorted(chain.from_iterable(map(Batch.row_ids, batches)))
 
 
 class Join(PlanNode):
@@ -518,8 +556,7 @@ class Join(PlanNode):
                     if test is None:
                         candidates = [candidates]  # one chunk, all kept
                     else:
-                        candidates = doubling_chunks(candidates,
-                                                     MAX_BATCH_ROWS)
+                        candidates = chunks(candidates, MAX_BATCH_ROWS)
                     for chunk in candidates:
                         pairs = [left_row + build[ordinal]
                                  for ordinal in chunk]

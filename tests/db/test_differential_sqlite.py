@@ -256,22 +256,141 @@ class TestStatementsDifferential:
                 == [[isinstance(v, float) for v in r] for r in other])
 
 
-class TestDmlDifferential:
-    @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, conditions())
-    def test_delete_matches_sqlite(self, rows, condition):
-        ours, theirs = build_engines(rows)
-        ours.execute(f"DELETE FROM t WHERE {condition}")
-        theirs.execute(f"DELETE FROM t WHERE {condition}")
-        mine, other = both(ours, theirs, "SELECT a, b, s FROM t")
-        assert as_multiset(mine) == as_multiset(other)
+# -- writes: every access path changes the rows SQLite changes ---------------
 
-    @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, conditions(), st.integers(-5, 5))
-    def test_update_matches_sqlite(self, rows, condition, value):
-        ours, theirs = build_engines(rows)
-        sql = f"UPDATE t SET b = {value} WHERE {condition}"
-        ours.execute(sql)
-        theirs.execute(sql)
-        mine, other = both(ours, theirs, "SELECT a, b, s FROM t")
-        assert as_multiset(mine) == as_multiset(other)
+KEYED_SCHEMA = ("CREATE TABLE t (id INTEGER PRIMARY KEY, u INTEGER UNIQUE, "
+                "a INTEGER, b INTEGER, s TEXT)")
+KEYED_INDEXES = ("CREATE INDEX t_a ON t (a)", "CREATE INDEX t_b ON t (b)")
+KEYED_COLUMNS = "id, u, a, b, s"
+
+
+def build_keyed_engines(rows, **config):
+    """*rows* of ``(a, b, s)`` under a PRIMARY KEY (1, 2, …), a UNIQUE
+    column (NULL wherever ``a`` is), a hash index on ``a`` and a btree
+    on ``b`` — every kind of index a write's WHERE can be answered by."""
+    ours = Database(page_rows=4, **config)
+    theirs = sqlite3.connect(":memory:")
+    ours.execute(KEYED_SCHEMA)
+    ours.execute(KEYED_INDEXES[0] + " USING hash")
+    ours.execute(KEYED_INDEXES[1] + " USING btree")
+    for statement in (KEYED_SCHEMA, *KEYED_INDEXES):
+        theirs.execute(statement)
+    for position, (a, b, s) in enumerate(rows, start=1):
+        row = [position, None if a is None else 3 * position, a, b, s]
+        ours.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", row)
+        theirs.execute("INSERT INTO t VALUES (?, ?, ?, ?, ?)", row)
+    return ours, theirs
+
+
+@st.composite
+def write_conditions(draw):
+    """A WHERE a production write sends — a key / index probe, alone or
+    beside a residual — or any condition of the read differential."""
+    probe = draw(st.sampled_from([
+        "id = {}", "{} = id", "u = {}", "id >= {}", "id < {}",
+        "id BETWEEN {} AND 9", "a = {}", "b = {}", "b >= {}", "b < {}",
+        "id IN ({}, 2, 30)", "id = NULL", None]))
+    residual = draw(st.one_of(st.none(), conditions()))
+    if probe is None:
+        return residual or draw(conditions())
+    probe = probe.format(draw(st.integers(-2, 12)))
+    return probe if residual is None else f"{probe} AND {residual}"
+
+
+def scans(plan_text):
+    """The index scans a plan names."""
+    return sorted(re.findall(r"Index\w+Scan", plan_text))
+
+
+def check_write(rows, sql, where, parameters=()):
+    """*sql* (ending in *where*), as written and with its literals
+    lifted, in every configuration: the rows left, and the count of rows
+    changed, are SQLite's — so optimizer on ≡ off, row ≡ column — and
+    the plan probes an index whenever the SELECT with that WHERE does."""
+    forms = ((sql, list(parameters)), lift_literals(sql, parameters))
+    select = f"SELECT {KEYED_COLUMNS} FROM t WHERE {where}"
+    for config in CONFIGS:
+        for text, values in forms:
+            ours, theirs = build_keyed_engines(rows, **config)
+            assert scans(ours.explain(text)) == scans(ours.explain(select))
+            if not config.get("optimize", True):
+                assert scans(ours.explain(text)) == []
+            changed = ours.execute(text, values)
+            assert changed == theirs.execute(text, values).rowcount, (
+                text, config)
+            everything = f"SELECT {KEYED_COLUMNS} FROM t"
+            assert (as_multiset(ours.query(everything).rows)
+                    == as_multiset(theirs.execute(everything))), (text,
+                                                                  config)
+
+
+KEYED_ROWS = [(0, 5, "alpha"), (1, 5, "alpha"), (2, None, "beta"),
+              (3, 7, "beta"), (4, 7, "alpha"), (None, 6, None),
+              (5, 1, "gamma"), (6, 8, "ab")]
+
+#: ``(statement, the WHERE it ends in, parameters)``.
+NAMED_WRITES = (
+    # Through the btree, every changed row moves up across the probe
+    # value (and past rows the range has yet to reach): each changes once.
+    ("UPDATE t SET b = b + 1 WHERE b >= ?", "b >= ?", [5]),
+    ("UPDATE t SET b = b + 3 WHERE b >= 5 AND b < 8", "b >= 5 AND b < 8", []),
+    ("UPDATE t SET a = a + 1 WHERE a = 3", "a = 3", []),
+    ("UPDATE t SET id = id + 100, u = u + 1 WHERE id >= 3", "id >= 3", []),
+    ("DELETE FROM t WHERE id = ? AND s LIKE 'a%'", "id = ? AND s LIKE 'a%'",
+     [2]),
+    ("DELETE FROM t WHERE id = ? AND s LIKE 'b%'", "id = ? AND s LIKE 'b%'",
+     [2]),
+    ("DELETE FROM t WHERE id = NULL", "id = NULL", []),
+    ("DELETE FROM t WHERE u = ?", "u = ?", [None]),
+    ("UPDATE t SET s = 'z' WHERE ? = id", "? = id", [4]),
+    ("DELETE FROM t WHERE id IN (1, 3, 99)", "id IN (1, 3, 99)", []),
+    # The sub-select reads the table the statement is changing: it must
+    # see it whole, for every row.
+    ("DELETE FROM t WHERE EXISTS (SELECT 1 FROM t AS o WHERE o.b = t.b "
+     "AND o.id <> t.id)",
+     "EXISTS (SELECT 1 FROM t AS o WHERE o.b = t.b AND o.id <> t.id)", []),
+    ("DELETE FROM t WHERE id >= 2 AND b IN (SELECT b FROM t WHERE id < 3)",
+     "id >= 2 AND b IN (SELECT b FROM t WHERE id < 3)", []),
+    ("UPDATE t SET b = 0 WHERE b IN (SELECT max(b) FROM t)",
+     "b IN (SELECT max(b) FROM t)", []),
+    ("DELETE FROM t", "1 = 1", []),
+)
+
+
+class TestDmlDifferential:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rows_strategy, write_conditions())
+    def test_delete_matches_sqlite(self, rows, condition):
+        check_write(rows, f"DELETE FROM t WHERE {condition}", condition)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rows_strategy, write_conditions(), st.integers(-5, 5),
+           st.sampled_from(["b = {}", "b = b + {}", "a = {}, s = 'z'"]))
+    def test_update_matches_sqlite(self, rows, condition, value, assignment):
+        # ``b`` and ``a`` are indexed: a changed row may now sit on the
+        # other side of the probe that found it.
+        check_write(rows, f"UPDATE t SET {assignment.format(value)} "
+                          f"WHERE {condition}", condition)
+
+    @pytest.mark.parametrize("sql, where, parameters", NAMED_WRITES)
+    def test_named_write_matches_sqlite(self, sql, where, parameters):
+        check_write(KEYED_ROWS, sql, where, parameters)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=repr)
+    def test_writes_on_a_deleted_and_reused_key(self, config):
+        ours, theirs = build_keyed_engines(KEYED_ROWS, **config)
+        for sql, parameters in (
+            ("DELETE FROM t WHERE id = ?", [3]),
+            ("DELETE FROM t WHERE id = ?", [3]),         # gone: no row
+            ("UPDATE t SET s = 'ghost' WHERE id = ?", [3]),
+            ("INSERT INTO t VALUES (?, ?, ?, ?, ?)", [3, 9, 3, 7, "again"]),
+            ("UPDATE t SET s = 'kept' WHERE id = ?", [3]),
+            ("UPDATE t SET id = 40 WHERE id = ?", [3]),
+            ("DELETE FROM t WHERE id = ?", [3]),         # moved away
+            ("DELETE FROM t WHERE u = ? AND id = 40", [9]),
+        ):
+            assert (ours.execute(sql, parameters)
+                    == theirs.execute(sql, parameters).rowcount), sql
+            everything = f"SELECT {KEYED_COLUMNS} FROM t"
+            assert (as_multiset(ours.query(everything).rows)
+                    == as_multiset(theirs.execute(everything))), sql

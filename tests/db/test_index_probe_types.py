@@ -108,3 +108,40 @@ def test_nothing_to_compare_with_means_no_error(rows):
         sql = f"SELECT id FROM t WHERE {column} = ?"
         assert (outcome(indexed, sql, [True])
                 == outcome(scanned, sql, [True]) == [])
+
+
+def write_outcome(optimize: bool, sql: str, parameters):
+    """What a write leaves behind — the rows, and how many it said it
+    changed — or the error's text, with the table as it was."""
+    database = build(optimize)
+    try:
+        changed = database.execute(sql, parameters)
+    except TypeCheckError as error:
+        changed = str(error)
+    return changed, sorted(database.query("SELECT id, name FROM t").rows)
+
+
+@pytest.mark.parametrize("probe", PROBES)
+@pytest.mark.parametrize("column", COLUMNS)
+def test_a_write_probes_like_the_scan_it_replaces(column, probe):
+    for sql in (f"DELETE FROM t WHERE {column} = ?",
+                f"UPDATE t SET name = 'hit' WHERE ? = {column}",
+                f"DELETE FROM t WHERE {column} >= ? AND name = 'alpha'"):
+        indexed = write_outcome(True, sql, [probe])
+        assert indexed == write_outcome(False, sql, [probe]), sql
+        if isinstance(indexed[0], str):     # refused: nothing changed
+            assert indexed[1] == sorted((row[0], row[2]) for row in ROWS)
+
+
+def test_a_mistyped_key_in_a_write_raises_what_the_scan_raised():
+    for optimize in (True, False):
+        database = build(optimize)
+        plan = database.explain("DELETE FROM t WHERE id = 'x'")
+        assert ("IndexEqualScan" in plan) is optimize
+        with pytest.raises(TypeCheckError,
+                           match="cannot compare int with str"):
+            database.execute("DELETE FROM t WHERE id = 'x'")
+        with pytest.raises(TypeCheckError,
+                           match="cannot compare str with int"):
+            database.execute("UPDATE t SET size = 0 WHERE code = ?", [7])
+        assert database.query("SELECT count(*) FROM t").scalar() == len(ROWS)

@@ -208,9 +208,77 @@ class TestExplain:
         assert "~100 rows" in plan
 
     def test_explain_rejects_dml(self, db):
+        # ...that has no rows to find: INSERT and DDL (UPDATE and DELETE
+        # are planned, see TestExplainWrites).
         import pytest as _pytest
-        with _pytest.raises(Exception):
-            db.explain("DELETE FROM t")
+        from repro.errors import DatabaseError
+        for sql in ("INSERT INTO t VALUES (1000, 1, 'x', 'ACGT')",
+                    "CREATE TABLE other (id INTEGER)", "ANALYZE t"):
+            with _pytest.raises(DatabaseError,
+                                match="EXPLAIN supports only SELECT"):
+                db.explain(sql)
+        assert not db.catalog.has_table("other")
+
+
+class TestExplainWrites:
+    """UPDATE and DELETE show the access path to the rows they change —
+    the one a SELECT with the same WHERE reads by."""
+
+    @staticmethod
+    def _keyed(**config):
+        database = Database(**config)
+        database.execute("CREATE TABLE staging (skey TEXT PRIMARY KEY, "
+                         "n INTEGER, note TEXT)")
+        database.execute("CREATE INDEX staging_n ON staging (n) USING btree")
+        for n in range(20):
+            database.execute("INSERT INTO staging VALUES (?, ?, ?)",
+                             [f"k{n:02d}", n, "x"])
+        return database
+
+    def test_keyed_delete_and_update_probe_the_key_index(self):
+        database = self._keyed()
+        plan = database.explain("DELETE FROM staging WHERE skey = ?")
+        lines = plan.splitlines()
+        assert lines[0].startswith("Delete(staging)  (~1 rows)")
+        assert lines[1].strip().startswith(
+            "IndexEqualScan(staging AS staging USING $staging_skey_key "
+            "ON skey = ?)")
+        plan = database.explain(
+            "UPDATE staging SET note = ? WHERE skey = ? AND n > 3")
+        assert [line.split("(")[0].strip() for line in plan.splitlines()] == [
+            "Update", "Filter", "IndexEqualScan"]
+        assert "IndexRangeScan" in database.explain(
+            "UPDATE staging SET n = n + 1 WHERE n >= ?")
+        # Explaining never ran anything.
+        assert database.query("SELECT count(*) FROM staging").scalar() == 20
+
+    def test_the_naive_planner_and_the_column_layout_show_their_scans(self):
+        assert [line.split("(")[0].strip() for line in self._keyed(
+            optimize=False).explain(
+                "DELETE FROM staging WHERE skey = ? AND n > 3").splitlines()
+                ] == ["Delete", "Filter", "Filter", "SeqScan"]
+        columnar = self._keyed(layout="column", page_rows=4)
+        assert "ColumnarScan(staging AS staging; columns note; zones on " \
+            "1 bound(s))" in columnar.explain(
+                "DELETE FROM staging WHERE note >= ?")
+        assert "columns none" in columnar.explain("DELETE FROM staging")
+
+    def test_analyze_refuses_to_run_a_write(self):
+        import pytest as _pytest
+        from repro.errors import DatabaseError
+        database = self._keyed()
+        for sql in ("DELETE FROM staging", "UPDATE staging SET n = 0"):
+            with _pytest.raises(DatabaseError, match="would run the write"):
+                database.explain(sql, analyze=True)
+        assert database.query("SELECT sum(n) FROM staging").scalar() == 190
+
+    def test_the_warehouse_facade_explains_its_own_deltas(self):
+        from repro.warehouse import UnifyingDatabase
+        plan = UnifyingDatabase().explain(
+            "DELETE FROM public_genes WHERE accession = ?")
+        assert plan.splitlines()[0].startswith("Delete(public_genes)")
+        assert "IndexEqualScan(public_genes AS public_genes USING " \
+            "$public_genes_accession_key ON accession = ?)" in plan
 
 
 class TestExplainAnalyze:

@@ -100,6 +100,50 @@ def test_cached_select_tracks_the_catalog(event):
     assert shape(cached.explain(SELECT)) == shape(fresh.explain(SELECT))
 
 
+WRITE = "UPDATE genes SET id = id + 10 WHERE name = ?"
+
+
+@pytest.mark.parametrize("event", EVENTS, ids=lambda event: event.__name__)
+def test_cached_write_tracks_the_catalog(event):
+    """An UPDATE's access path is cached and invalidated like a
+    SELECT's plan: after any catalog event the same text changes the
+    rows, by the path, a database that never cached anything does."""
+    cached = Database()
+    seed(cached)
+    assert cached.execute(WRITE, ["nope"]) == 0     # planned, and cached
+    event(cached)
+
+    fresh = Database()
+    seed(fresh)
+    event(fresh)
+    fresh._statements.clear()
+
+    assert shape(cached.explain(WRITE)) == shape(fresh.explain(WRITE))
+    for parameters in (["lacZ"], ["recA"], ["nope"]):
+        assert (cached.execute(WRITE, parameters)
+                == fresh.execute(WRITE, parameters))
+    everything = "SELECT * FROM genes ORDER BY id"
+    assert cached.query(everything).rows == fresh.query(everything).rows
+
+
+def test_a_write_is_planned_once_and_replanned_by_an_index():
+    database = Database()
+    seed(database)
+    database.execute(WRITE, ["lacZ"])
+    plan = database._prepare(WRITE).plan
+    assert shape(plan.explain()) == [
+        "Update(genes)", "  Filter((name = ?))", "    SeqScan(genes AS genes)"]
+    database.execute(WRITE, ["recA"])
+    assert database._prepare(WRITE).plan is plan
+    create_index(database)
+    assert shape(database.explain(WRITE)) == [
+        "Update(genes)",
+        "  IndexEqualScan(genes AS genes USING by_name ON name = ?)"]
+    assert database.execute(WRITE, ["lacZ"]) == 2
+    assert database.query("SELECT id FROM genes ORDER BY id").column(
+        "id") == [4, 12, 21, 23]
+
+
 def test_analyze_replans_with_the_new_statistics():
     database = Database()
     seed(database)
@@ -215,6 +259,10 @@ def test_spans_are_emitted_per_statement_and_say_hit_or_miss():
         database.query(SELECT, ["recA"])
         database.execute("INSERT INTO genes VALUES (8, 'x', 1)")
         database.execute("INSERT INTO genes VALUES (9, 'y', 1)")
+        # An UPDATE / DELETE is planned, and says so, like a SELECT.
+        database.execute("DELETE FROM genes WHERE id = ?", [8])
+        database.execute("DELETE FROM genes WHERE id = ?", [9])
+        database.execute(WRITE, ["lacZ"])
     finally:
         obs.disable()
     tagged = [(span["name"], span["attrs"]["cache"])
@@ -224,6 +272,9 @@ def test_spans_are_emitted_per_statement_and_say_hit_or_miss():
         ("sql.parse", "miss"), ("sql.plan", "miss"),
         ("sql.parse", "hit"), ("sql.plan", "hit"),
         ("sql.parse", "miss"), ("sql.parse", "miss"),
+        ("sql.parse", "miss"), ("sql.plan", "miss"),
+        ("sql.parse", "hit"), ("sql.plan", "hit"),
+        ("sql.parse", "miss"), ("sql.plan", "miss"),
     ]
 
 

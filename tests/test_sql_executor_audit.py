@@ -78,6 +78,60 @@ def test_there_is_one_run_format_and_the_merge_has_no_key_objects():
         assert "RowRun" not in path.read_text(), path
 
 
+SCANS = {"SeqScan", "ColumnarScan", "IndexEqualScan", "IndexRangeScan",
+         "IndexContainsScan"}
+
+
+def _callers(tree, names):
+    """``{enclosing function or class: names it calls}`` for the calls
+    under *tree* to anything in *names* (``Name(…)`` or ``module.Name(…)``).
+    """
+    found = {}
+    for owner in python_ast.walk(tree):
+        if isinstance(owner, (python_ast.FunctionDef, python_ast.ClassDef)):
+            for node in python_ast.walk(owner):
+                callee = getattr(node, "func", None)
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if isinstance(node, python_ast.Call) and name in names:
+                    found.setdefault(owner.name, set()).add(name)
+    return found
+
+
+def test_reads_and_writes_find_their_rows_through_one_access_path_chooser():
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    trees = {path: python_ast.parse(text) for path, text in sources.items()}
+    # A write asks the planner for the rows its WHERE keeps: the facade
+    # evaluates no predicate, transposes no rows and picks no scan.
+    facade = DB / "database.py"
+    imported = {alias.name for node in python_ast.walk(trees[facade])
+                if isinstance(node, python_ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & ({"chunks", "kept", "Batch", "truths", "settled",
+                            "table_batches", "Filter"} | SCANS)
+    for gone in ("Batch(", "of_rows", ".rows()", "self.optimize"):
+        assert gone not in sources[facade].split("# -- execution")[1], gone
+    for path, text in sources.items():
+        assert "_matching_row_ids" not in text, path
+    # Scan operators are constructed where access paths are chosen, and
+    # nowhere else under src/.
+    optimizer = DB / "sql" / "optimizer.py"
+    builders = _callers(trees[optimizer], SCANS)
+    del builders["Planner"]
+    assert set(builders) == {"_access_path", "_try_index_path"}
+    assert set.union(*builders.values()) == SCANS
+    for path, tree in trees.items():
+        if path != optimizer:
+            assert _callers(tree, SCANS) == {}, path
+    # A WHERE is tested in one place: only plan.py's operators (Filter,
+    # and the join's pair test) ask which rows a predicate keeps.
+    for path, tree in trees.items():
+        if path.name != "expressions.py":
+            asking = {name for name in _callers(tree, {"kept"})
+                      if name != "batches"}
+            assert asking == ({"Filter", "Join"} if path == PLAN
+                              else set()), path
+
+
 def test_only_expressions_py_dispatches_on_expression_node_type():
     handler = re.compile(
         r"def _(?:eval|compile)_(?:%s)\b" % "|".join(
