@@ -12,9 +12,10 @@ constants below.  ``tests/test_core_ops_audit.py`` keeps it that way.
 from __future__ import annotations
 
 import re
+from array import array
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.types.alphabet import DNA, PROTEIN, RNA, Alphabet
 from repro.errors import AlphabetError, SequenceError, TranslationError
@@ -56,11 +57,19 @@ class SymbolTables(NamedTuple):
     #: … and all but A, T, W: melting temperature is a DNA formula, and a
     #: U counts half like any other stranger.
     not_weak_dna: bytes
+    #: ``bytes.translate`` table: a concrete code stays, any other reads
+    #: :data:`AMBIGUOUS` — ``split`` there and the concrete runs are left.
+    ambiguity: bytes
+    #: By code, the ``bytes`` regex class of every code that may denote
+    #: the same symbol (``A`` meets ``N``, ``R`` does not meet ``Y``).
+    compatible: "tuple[bytes, ...]"
 
 
 #: The classes of :attr:`SymbolTables.gc_classes`, as ``bytes.count``
 #: takes them.
 STRONG, WEAK, NEITHER = b"SW."
+#: What :attr:`SymbolTables.ambiguity` reads an ambiguity code as: no code.
+AMBIGUOUS = b"\xff"
 
 
 @lru_cache(maxsize=None)
@@ -70,14 +79,21 @@ def symbol_tables(alphabet: Alphabet) -> SymbolTables:
         complement = bytes.maketrans(
             bytes(range(len(alphabet))),
             _codes(alphabet, "".join(map(alphabet.complement, alphabet))))
+    concrete = _codes(alphabet, "".join(
+        s for s in alphabet if not alphabet.is_ambiguous(s)))
     return SymbolTables(
         complement,
-        _codes(alphabet, "".join(
-            s for s in alphabet if not alphabet.is_ambiguous(s))),
+        concrete,
         bytes(STRONG if symbol in "GCS" else WEAK if symbol in "ATUW"
               else NEITHER for symbol in alphabet.symbols.ljust(256)),
         _all_but(alphabet, "GCS"),
         _all_but(alphabet, "ATW"),
+        bytes(code if code in concrete else AMBIGUOUS[0]
+              for code in range(256)),
+        tuple(
+            b"[" + re.escape(_codes(alphabet, "".join(
+                s for s in alphabet if alphabet.matches(s, symbol)))) + b"]"
+            for symbol in alphabet),
     )
 
 
@@ -236,6 +252,33 @@ def codon_indexes(codes: bytes, frame: int = 0) -> bytes:
         + int.from_bytes(codes[frame + 1:end:3].translate(second), "big")
         + int.from_bytes(codes[frame + 2:end:3].translate(third), "big"))
     return total.to_bytes(count, "big")
+
+
+#: By k, (bytes, ``array`` typecode) of the narrowest machine word that
+#: holds k codes.
+_WORDS = [min((array(code).itemsize, code) for code in "BHIQ"
+              if array(code).itemsize >= k) for k in range(9)]
+
+
+def kmer_keys(codes: bytes, k: int) -> "Sequence[int | tuple]":
+    """Every length-*k* window of a code buffer, left to right, as one
+    hashable key each: equal keys for equal windows, and no more.
+
+    Up to a machine word a window *is* an integer: byte *j* of every word
+    is one strided copy of ``codes[j:]``, so *k* C calls lay the windows
+    out, one ``array`` read takes them and none is visited in Python.
+    Past a word, a k-tuple of codes.
+    """
+    if k < 1:
+        raise SequenceError("k must be positive")
+    count = len(codes) - k + 1
+    if count <= 0 or k >= len(_WORDS):
+        return list(zip(*(codes[offset:] for offset in range(k))))
+    width, typecode = _WORDS[k]
+    words = bytearray(width * count)
+    for offset in range(k):
+        words[offset::width] = codes[offset:offset + count]
+    return array(typecode, words)
 
 
 class CodonLookup:

@@ -15,8 +15,8 @@ how uncertain repository data (C9) still participates in queries.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, Type
 
 from repro.core.ops._tables import symbol_tables
 from repro.core.types.alphabet import Alphabet
@@ -24,70 +24,80 @@ from repro.core.types.sequence import PackedSequence
 from repro.errors import SequenceError
 
 
-def _pattern_sequence(
-    subject: PackedSequence, pattern: "PackedSequence | str"
-) -> PackedSequence:
-    if isinstance(pattern, PackedSequence):
-        if pattern.alphabet != subject.alphabet:
+def has_ambiguity(alphabet: Alphabet, codes: bytes) -> bool:
+    """True when *codes* hold a symbol that stands for more than itself
+    (deleting the concrete codes leaves something)."""
+    return bool(codes.translate(None, symbol_tables(alphabet).concrete))
+
+
+class Pattern:
+    """A pattern operand read as a value of the subject's type: text is
+    upper-cased and alphabet-checked, a sequence must share the alphabet.
+
+    The one reading of a pattern under the predicates, both genomic
+    indexes and the page kernel, so none can find what another refuses.
+    """
+
+    def __init__(self, klass: Type[PackedSequence],
+                 pattern: "PackedSequence | str") -> None:
+        if isinstance(pattern, str):
+            pattern = klass(pattern)
+        elif pattern.alphabet != klass.alphabet:
             raise SequenceError(
                 f"pattern alphabet {pattern.alphabet.name!r} does not match "
-                f"subject alphabet {subject.alphabet.name!r}"
+                f"subject alphabet {klass.alphabet.name!r}"
             )
-        return pattern
-    return type(subject)(pattern)
+        self.sequence = pattern
+        self.codes = pattern.codes()
+        self.ambiguous = has_ambiguity(klass.alphabet, self.codes)
+
+    @cached_property
+    def regex(self) -> "re.Pattern[bytes]":
+        """The motif under two-way IUPAC semantics, over code buffers.
+
+        Each pattern code becomes the class of every subject code it could
+        denote (pattern ``A`` matches subject ``N`` because N may be an
+        A), so both pattern- and subject-side ambiguity are honoured by a
+        single C-speed scan.  The lookahead wrapper yields overlapping hits.
+        """
+        classes = symbol_tables(self.sequence.alphabet).compatible
+        return re.compile(
+            b"(?=" + b"".join(map(classes.__getitem__, self.codes)) + b")")
 
 
-def concrete_codes(alphabet: Alphabet) -> bytes:
-    """Codes of the symbols that stand for themselves: deleting them from
-    a code buffer (``codes.translate(None, …)``) leaves its ambiguity."""
-    return symbol_tables(alphabet).concrete
+#: A predicate's constant operand is read once per distinct value, not
+#: once per row.
+read_pattern = lru_cache(maxsize=512)(Pattern)
 
 
-def has_ambiguity(alphabet: Alphabet, codes: bytes) -> bool:
-    """True when *codes* hold a symbol that stands for more than itself."""
-    return bool(codes.translate(None, concrete_codes(alphabet)))
+def pattern_or_none(klass: Type[PackedSequence],
+                    pattern: object) -> "Pattern | None":
+    """:func:`read_pattern`, or ``None`` where there is no reading: an
+    access path (index, page kernel) then leaves the rows to the
+    predicate, which says why it refuses."""
+    if not isinstance(pattern, (str, PackedSequence)):
+        return None
+    try:
+        return read_pattern(klass, pattern)
+    except SequenceError:  # AlphabetError included
+        return None
 
 
 def find_exact(
     subject: PackedSequence, pattern: "PackedSequence | str"
 ) -> Iterator[int]:
     """Yield every (possibly overlapping) exact occurrence start."""
-    needle = _pattern_sequence(subject, pattern).codes()
-    haystack = subject.codes()
+    return _find_exact(subject.codes(),
+                       read_pattern(type(subject), pattern).codes)
+
+
+def _find_exact(haystack: bytes, needle: bytes) -> Iterator[int]:
     if not needle:
         return
     position = haystack.find(needle)
     while position != -1:
         yield position
         position = haystack.find(needle, position + 1)
-
-
-@lru_cache(maxsize=512)
-def _compatibility_class(alphabet_name: str, pattern_symbol: str) -> str:
-    """All alphabet symbols whose expansion intersects the pattern's."""
-    from repro.core.types.alphabet import alphabet_by_name
-
-    alphabet = alphabet_by_name(alphabet_name)
-    return "".join(
-        symbol for symbol in alphabet.symbols
-        if alphabet.matches(symbol, pattern_symbol)
-    )
-
-
-@lru_cache(maxsize=512)
-def _motif_regex(alphabet_name: str, pattern_text: str) -> "re.Pattern[str]":
-    """A compiled regex matching the motif under two-way IUPAC semantics.
-
-    Each pattern symbol becomes a character class of every subject symbol
-    it could denote (pattern ``A`` matches subject ``N`` because N may be
-    an A), so both pattern- and subject-side ambiguity are honoured by a
-    single C-speed scan.  The lookahead wrapper yields overlapping hits.
-    """
-    classes = "".join(
-        "[" + re.escape(_compatibility_class(alphabet_name, symbol)) + "]"
-        for symbol in pattern_text
-    )
-    return re.compile(f"(?={classes})")
 
 
 def find_motif(
@@ -97,21 +107,18 @@ def find_motif(
 
     A position matches when the symbol sets of pattern base and subject
     base intersect (``alphabet.matches``).  Uses the fast exact scanner
-    when neither side contains ambiguity codes, and a compiled
+    when neither side contains ambiguity codes, and the pattern's
     compatibility-class regex otherwise.
     """
-    alphabet = subject.alphabet
-    pattern_seq = _pattern_sequence(subject, pattern)
-    if not pattern_seq or len(pattern_seq) > len(subject):
+    read = read_pattern(type(subject), pattern)
+    haystack = subject.codes()
+    if not read.codes or len(read.codes) > len(haystack):
         return
-    if not (has_ambiguity(alphabet, pattern_seq.codes())
-            or has_ambiguity(alphabet, subject.codes())):
-        yield from find_exact(subject, pattern_seq)
-        return
-
-    regex = _motif_regex(alphabet.name, str(pattern_seq))
-    for match in regex.finditer(str(subject)):
-        yield match.start()
+    if read.ambiguous or has_ambiguity(subject.alphabet, haystack):
+        for match in read.regex.finditer(haystack):
+            yield match.start()
+    else:
+        yield from _find_exact(haystack, read.codes)
 
 
 def contains(

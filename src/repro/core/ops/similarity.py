@@ -13,37 +13,53 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import eq, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from repro.core.ops._tables import kmer_keys
 from repro.core.ops.align import Alignment, ScoringScheme, simple_scoring
-from repro.core.ops.search import _pattern_sequence
+from repro.core.ops.search import read_pattern
 from repro.core.types.sequence import PackedSequence
 from repro.errors import SequenceError
 
-
-def windows(buffer: "str | bytes", k: int) -> Iterator[tuple]:
-    """Every length-*k* window of a buffer, left to right, as a k-tuple.
-
-    One C-level ``zip`` over *k* shifted views: characters of a ``str``
-    (``"".join`` gives the word back), integer codes of a ``bytes``.
-    """
-    if k < 1:
-        raise SequenceError("k must be positive")
-    return zip(*(buffer[offset:] for offset in range(k)))
+def _text_codes(text: str) -> bytes:
+    """Text with no sequence to say its type: ASCII, a byte per symbol."""
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError:
+        raise SequenceError("a sequence spelt as text is ASCII") from None
 
 
 def kmer_profile(sequence: "PackedSequence | str", k: int) -> Counter:
     """Multiset of the k-length words of a sequence (text is upper-cased)."""
-    text = sequence.upper() if isinstance(sequence, str) else str(sequence)
-    return Counter(map("".join, windows(text, k)))
+    if isinstance(sequence, str):
+        codes, spell = _text_codes(sequence.upper()), bytes.decode
+    else:
+        codes, spell = sequence.codes(), sequence.alphabet.decode
+    keys = kmer_keys(codes, k)
+    found = dict(zip(keys, range(len(keys))))  # a place each key stands at
+    return Counter({spell(codes[found[key]:found[key] + k]): count
+                    for key, count in Counter(keys).items()})
 
 
-def _profiles(
+@lru_cache(maxsize=512)
+def _prepared(klass: "type[PackedSequence] | None",
+              operand: "PackedSequence | str", k: int) -> tuple[dict, float]:
+    """(k-mer key → count, Euclidean norm) of an operand read as a
+    *klass* value — once per distinct operand, not once per row."""
+    codes = (read_pattern(klass, operand).codes if klass
+             else _text_codes(operand.upper()))
+    counts = dict(Counter(kmer_keys(codes, k)))
+    return counts, math.sqrt(sum(map(mul, counts.values(), counts.values())))
+
+
+def _operands(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int
-) -> tuple[Counter, Counter]:
-    """The two k-mer multisets, counted over one common spelling.
+) -> tuple[Sequence, dict, float]:
+    """*first*'s k-mer keys and *second*'s prepared profile, over one
+    common spelling.
 
     Text is read as a value of the other operand's type — upper-cased and
     alphabet-checked, exactly as ``contains`` reads a text pattern — and
@@ -51,40 +67,53 @@ def _profiles(
     upper-cased.
     """
     if isinstance(first, PackedSequence):
-        spelt = first.codes(), _pattern_sequence(first, second).codes()
+        klass, codes = type(first), first.codes()
     elif isinstance(second, PackedSequence):
-        spelt = _pattern_sequence(second, first).codes(), second.codes()
+        klass = type(second)
+        codes = read_pattern(klass, first).codes
     else:
-        spelt = first.upper(), second.upper()
-    return Counter(windows(spelt[0], k)), Counter(windows(spelt[1], k))
+        klass, codes = None, _text_codes(first.upper())
+    return (kmer_keys(codes, k), *_prepared(klass, second, k))
 
 
 def jaccard_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Jaccard index of the k-mer *sets* of two sequences (in ``[0, 1]``)."""
-    profile_a, profile_b = _profiles(first, second, k)
-    words_a, words_b = profile_a.keys(), profile_b.keys()
+    keys, counts, __ = _operands(first, second, k)
+    words_a, words_b = set(keys), counts.keys()
     if not words_a and not words_b:
         return 1.0
     return len(words_a & words_b) / len(words_a | words_b)
+
+
+def _cosine(first: "PackedSequence | str", second: "PackedSequence | str",
+            k: int, floor: float) -> float:
+    """The cosine of the two k-mer count vectors a and b — or, when that
+    is under *floor*, an upper bound of it that is too.
+
+    ``a·b = Σᵢ b[keyᵢ]`` is one pass over a's keys, before a is counted;
+    and ``|a|² = Σ a_w² ≥ Σ a_w``, the number of windows, so
+    ``a·b / (√windows · |b|)`` bounds the cosine from above — in floats
+    as in reals: it is the cosine's own expression with a smaller integer
+    under the root, and ``sqrt``, ``*`` and ``/`` round monotonically.
+    """
+    keys, counts, norm = _operands(first, second, k)
+    if not keys or not counts:
+        return 1.0 if not keys and not counts else 0.0
+    dot = sum(map(counts.get, keys, repeat(0)))
+    ceiling = dot / (math.sqrt(len(keys)) * norm)
+    if ceiling < floor:
+        return ceiling
+    own = Counter(keys).values()
+    return dot / (math.sqrt(sum(map(mul, own, own))) * norm)
 
 
 def cosine_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Cosine similarity of k-mer count vectors (in ``[0, 1]``)."""
-    profile_a, profile_b = _profiles(first, second, k)
-    if not profile_a or not profile_b:
-        return 1.0 if not profile_a and not profile_b else 0.0
-    # One probe per word of the poorer profile; a word the richer one
-    # lacks contributes 0 without troubling ``Counter.__missing__``.
-    few, many = sorted((profile_a, profile_b), key=len)
-    dot = sum(map(mul, few.values(), map(many.get, few, repeat(0))))
-    counts_a, counts_b = profile_a.values(), profile_b.values()
-    norm_a = math.sqrt(sum(map(mul, counts_a, counts_a)))
-    norm_b = math.sqrt(sum(map(mul, counts_b, counts_b)))
-    return dot / (norm_a * norm_b)
+    return _cosine(first, second, k, -math.inf)
 
 
 def resembles(
@@ -94,7 +123,7 @@ def resembles(
     k: int = 4,
 ) -> bool:
     """The `resembles` predicate: k-mer cosine similarity above threshold."""
-    return cosine_similarity(first, second, k) >= threshold
+    return _cosine(first, second, k, threshold) >= threshold
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +147,17 @@ class Hit:
 
 
 class WordIndex:
-    """An inverted index word → (subject id, position) for seeding."""
+    """An inverted index word → (subject id, position) for seeding.
+
+    Text and sequences of any type mix here and a :class:`ScoringScheme`
+    scores symbols, so the spelling is text: a word is its k-mer key.
+    """
 
     def __init__(self, word_size: int = 8) -> None:
         if word_size < 2:
             raise SequenceError("word size must be at least 2")
         self.word_size = word_size
-        self._postings: dict[str, list[tuple[str, int]]] = {}
+        self._postings: dict["int | tuple", list[tuple[str, int]]] = {}
         self._subjects: dict[str, str] = {}
 
     def add(self, subject_id: str, sequence: "PackedSequence | str") -> None:
@@ -133,8 +166,7 @@ class WordIndex:
             raise SequenceError(f"subject {subject_id!r} already indexed")
         text = str(sequence)
         self._subjects[subject_id] = text
-        words = map("".join, windows(text, self.word_size))
-        for position, word in enumerate(words):
+        for position, word in enumerate(self.words(text)):
             self._postings.setdefault(word, []).append((subject_id, position))
 
     def __len__(self) -> int:
@@ -143,8 +175,13 @@ class WordIndex:
     def subject(self, subject_id: str) -> str:
         return self._subjects[subject_id]
 
+    def words(self, text: str) -> Sequence:
+        """The key of every word of *text*, by position."""
+        return kmer_keys(_text_codes(text), self.word_size)
+
     def seeds(self, word: str) -> Sequence[tuple[str, int]]:
-        return self._postings.get(word, ())
+        keys = self.words(word)
+        return self._postings.get(keys[0], ()) if len(keys) == 1 else ()
 
 
 def _extend(
@@ -225,8 +262,8 @@ def blast_search(
     w = index.word_size
     best_hits: dict[tuple[str, int, int], Hit] = {}
 
-    for query_pos, word in enumerate(map("".join, windows(text, w))):
-        for subject_id, subject_pos in index.seeds(word):
+    for query_pos, word in enumerate(index.words(text)):
+        for subject_id, subject_pos in index._postings.get(word, ()):
             subject = index.subject(subject_id)
             q_start, q_end, s_start, s_end, score = _extend(
                 text, subject, query_pos, subject_pos, w, scheme, x_drop

@@ -100,6 +100,8 @@ def isoelectric_point(protein: ProteinSequence) -> float:
                 if (count := codes.count(code))]
     low, high = 0.0, 14.0
     for _ in range(60):
+        if round(low, 3) == round(high, 3):
+            break  # decided: later midpoints lie between, round is monotone
         mid = (low + high) / 2.0
         if _net_charge(positive, negative, mid) > 0:
             low = mid

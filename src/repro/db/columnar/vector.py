@@ -27,10 +27,8 @@ from itertools import repeat
 from typing import Callable
 
 from repro.core.ops._tables import NEITHER, STRONG, WEAK, symbol_tables
-from repro.core.ops.search import concrete_codes, has_ambiguity
-from repro.core.types.sequence import PackedSequence
+from repro.core.ops.search import pattern_or_none
 from repro.db.values import NULL
-from repro.errors import SequenceError
 
 
 class KernelError:
@@ -90,7 +88,7 @@ def _kernel_contains(page, fallback, args) -> "list | None":
             found[row] = True
             at = ends[row] - 1
         at = codes.find(needle, at + 1)
-    concrete = concrete_codes(klass.alphabet)
+    concrete = symbol_tables(klass.alphabet).concrete
     if codes.translate(None, concrete):
         # An ambiguity code may stand for a symbol of the needle: a row
         # that holds one is the registered function's.
@@ -105,17 +103,8 @@ def _exact_needle(klass, args: tuple) -> "bytes | None":
     """Pattern codes when the exact scan is valid for sequences of *klass*;
     ``None`` when the pattern is none at all, is empty, has ambiguity codes,
     belongs to another alphabet, or does not encode (the function raises)."""
-    pattern = args[0] if len(args) == 1 else None
-    if isinstance(pattern, str):
-        try:
-            pattern = klass(pattern)
-        except SequenceError:  # AlphabetError included
-            return None
-    if (not isinstance(pattern, PackedSequence)
-            or pattern.alphabet != klass.alphabet
-            or has_ambiguity(pattern.alphabet, pattern.codes())):
-        return None
-    return pattern.codes() or None
+    read = pattern_or_none(klass, args[0]) if len(args) == 1 else None
+    return None if read is None or read.ambiguous else read.codes or None
 
 
 def _paged(kernel: Callable) -> Callable:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.core.ops.search import Pattern, pattern_or_none
+from repro.core.types.sequence import DnaSequence, PackedSequence
 from repro.errors import DatabaseError
 
 
@@ -81,3 +83,27 @@ class Index:
         match.  ``None`` means "cannot narrow; scan everything".
         """
         raise DatabaseError(f"{type(self).__name__} has no contains search")
+
+
+class SequenceIndex(Index):
+    """An index over a sequence-valued column, answering ``contains``.
+
+    Stored values and searched patterns are read as the predicate reads a
+    pattern (:class:`~repro.core.ops.search.Pattern`), so the index cannot
+    miss what the re-check would find.  Text is a value of the column's
+    sequence type — that of the sequences seen, DNA before any.
+    """
+
+    supports_contains = True
+    _klass: "type[PackedSequence]" = DnaSequence
+
+    def _value(self, key: Any) -> Pattern:
+        """A stored value (not cached: there is one per row)."""
+        if isinstance(key, PackedSequence):
+            self._klass = type(key)
+            return Pattern(self._klass, key)
+        return Pattern(self._klass, str(key))
+
+    def _pattern(self, pattern: Any) -> "Pattern | None":
+        """A searched pattern; ``None`` (scan) when it has no reading."""
+        return pattern_or_none(self._klass, pattern)

@@ -9,8 +9,9 @@ back to their owning rows.
 
 Exact for concrete patterns over concrete subjects; rows holding
 ambiguity codes are kept as wildcard candidates (the executor's residual
-filter re-verifies them), and ambiguous patterns fall back to a scan, so
-IUPAC matching stays sound.  The array is rebuilt lazily after
+filter re-verifies them), and ambiguous patterns — like any the
+predicate would refuse — fall back to a scan, so IUPAC matching stays
+sound.  The array is rebuilt lazily after
 mutations, matching warehouse usage (bulk load, then read-mostly).
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 import bisect
 from typing import Any
 
-from repro.db.index.base import Index
+from repro.db.index.base import SequenceIndex
 
 #: Separator between documents in the corpus; sorts below every symbol
 #: and never occurs in sequence data, so matches cannot cross documents.
@@ -55,15 +56,11 @@ def build_suffix_array(text: str) -> list[int]:
         step *= 2
 
 
-class SuffixArrayIndex(Index):
+class SuffixArrayIndex(SequenceIndex):
     """Global suffix array over a sequence-valued column."""
 
-    supports_contains = True
-
-    def __init__(self, name: str, table_name: str, column: str,
-                 ambiguous_symbols: str = "RYSWKMBDHVN") -> None:
+    def __init__(self, name: str, table_name: str, column: str) -> None:
         super().__init__(name, table_name, column)
-        self._ambiguous = frozenset(ambiguous_symbols)
         self._texts: dict[int, str] = {}        # row id -> text
         self._wildcard_rows: set[int] = set()
         self._corpus = ""
@@ -87,9 +84,9 @@ class SuffixArrayIndex(Index):
     def insert(self, key: Any, row_id: int) -> None:
         if key is None:
             return
-        text = str(key)
-        self._texts[row_id] = text
-        if set(text) & self._ambiguous:
+        read = self._value(key)
+        self._texts[row_id] = str(read.sequence)
+        if read.ambiguous:
             self._wildcard_rows.add(row_id)
         self._dirty = True
 
@@ -144,16 +141,17 @@ class SuffixArrayIndex(Index):
                 hi = mid
         return first, lo
 
-    def search_contains(self, pattern: str) -> "set[int] | None":
-        pattern = str(pattern)
-        if not pattern:
-            return set(self._texts)
-        if set(pattern) & self._ambiguous:
-            # Ambiguous patterns cannot be located literally: fall back.
+    def search_contains(self, pattern: Any) -> "set[int] | None":
+        read = self._pattern(pattern)
+        if read is None or read.ambiguous:
+            # Refused by the predicate, or not to be located literally:
+            # fall back.
             return None
+        if not read.codes:
+            return set(self._texts)
         if self._dirty:
             self._rebuild()
-        first, last = self._prefix_range(pattern)
+        first, last = self._prefix_range(str(read.sequence))
         # Matches cannot cross documents: the separator never appears in
         # a pattern, so any suffix starting with the pattern lies wholly
         # inside one document.

@@ -373,7 +373,7 @@ class IndexContainsScan(_IndexScan):
 
     def batches(self, context) -> Iterator[Batch]:
         candidates = self.index.search_contains(
-            str(one(self._pattern, context)))
+            one(self._pattern, context))
         if candidates is None:
             return table_batches(self.table.rows())
         return self._fetch(sorted(candidates))

@@ -144,6 +144,8 @@ _INDEX_DDL = [
     "USING kmer WITH (k = 8)",
     "CREATE INDEX idx_staging_accession ON staging (accession) USING hash",
     "CREATE INDEX idx_prov_accession ON provenance (accession) USING hash",
+    "CREATE INDEX idx_conflicts_accession ON conflicts (accession) "
+    "USING hash",
     "CREATE INDEX idx_annotations_accession ON annotations (accession) "
     "USING hash",
     "CREATE INDEX idx_archive_accession ON archive (accession) USING hash",

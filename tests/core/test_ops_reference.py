@@ -767,3 +767,194 @@ class TestGcClassGrid:
         assert ops.gc_content(DnaSequence("NNRY--")) == 0.0
         assert ops.gc_content(DnaSequence("SSWW")) == 0.5
         assert ops.gc_content(RnaSequence("GUN")) == 0.5
+
+
+# ===========================================================================
+# k-mers are integers; a predicate reads its constant operand once
+# ===========================================================================
+
+def ref_find_motif(subject, pattern):
+    """Two-way IUPAC matching, position by position, symbol by symbol."""
+    alphabet = subject.alphabet
+    text, motif = str(subject), str(pattern).upper()
+    if not motif:
+        return []
+    return [at for at in range(len(text) - len(motif) + 1)
+            if all(alphabet.matches(text[at + i], symbol)
+                   for i, symbol in enumerate(motif))]
+
+
+def ref_blast_search(query, subjects, word_size, min_score=20.0,
+                     x_drop=10.0):
+    """The parent's ``WordIndex.add`` + ``blast_search``, verbatim but
+    for being one function: words are text, looked up as text."""
+    from repro.core.ops.align import simple_scoring
+    from repro.core.ops.similarity import Hit, _extend
+
+    scheme = simple_scoring(match=2, mismatch=-3)
+    texts, postings = {}, {}
+    for subject_id, sequence in subjects.items():
+        text = texts[subject_id] = str(sequence)
+        for position in range(len(text) - word_size + 1):
+            postings.setdefault(text[position:position + word_size],
+                                []).append((subject_id, position))
+    text = str(query)
+    best_hits = {}
+    for query_pos in range(len(text) - word_size + 1):
+        word = text[query_pos:query_pos + word_size]
+        for subject_id, subject_pos in postings.get(word, ()):
+            subject = texts[subject_id]
+            q_start, q_end, s_start, s_end, score = _extend(
+                text, subject, query_pos, subject_pos, word_size, scheme,
+                x_drop)
+            if score < min_score:
+                continue
+            matched = sum(a == b for a, b in zip(text[q_start:q_end],
+                                                 subject[s_start:s_end]))
+            length = q_end - q_start
+            hit = Hit(subject_id, q_start, q_end, s_start, s_end, score,
+                      matched / length if length else 0.0)
+            key = (subject_id, q_start - s_start, q_end)
+            if key not in best_hits or hit.score > best_hits[key].score:
+                best_hits[key] = hit
+    return sorted(best_hits.values(), key=lambda h: -h.score)
+
+
+_KINDS = st.sampled_from((DnaSequence, RnaSequence, ProteinSequence))
+# Related pairs (a mutated copy, a fragment) as well as strangers: the
+# cosine has to land on both sides of a threshold.
+_related = st.builds(
+    lambda text, cut, swaps: (text, "".join(
+        "ACGT"[(i + len(text)) % 4] if i in swaps else base
+        for i, base in enumerate(text))[cut[0]:len(text) - cut[1]]),
+    st.text(alphabet="ACGT", min_size=0, max_size=150),
+    st.tuples(st.integers(0, 20), st.integers(0, 20)),
+    st.sets(st.integers(0, 150), max_size=12))
+_pairs = st.one_of(_related, st.tuples(nucleotides, nucleotides))
+
+
+class TestKmerKernel:
+    @derandomised
+    @given(klass=_KINDS, data=st.data(), k=st.integers(1, 9))
+    def test_equal_keys_for_equal_windows_and_no_more(self, klass, data, k):
+        """Position by position — so as a multiset too — and over odd
+        lengths (the nibble pad), length < k and the empty buffer."""
+        from repro.core.ops._tables import kmer_keys
+
+        text = data.draw(st.text(alphabet=klass.alphabet.symbols,
+                                 max_size=70))
+        codes = klass(text).codes()
+        keys = list(kmer_keys(codes, k))
+        windows = [codes[at:at + k] for at in range(len(codes) - k + 1)]
+        assert len(keys) == len(windows)
+        # A bijection between the keys and the windows they stand at …
+        assert (len(set(zip(keys, windows))) == len(set(keys))
+                == len(set(windows)))
+        # … so the multisets agree up to it.
+        pairing = dict(zip(keys, windows))
+        assert (Counter(pairing[key] for key in keys)
+                == Counter(map(bytes, zip(*(codes[o:] for o in range(k))))))
+
+    @derandomised
+    @given(klass=_KINDS, data=st.data(), k=st.integers(0, 9))
+    def test_every_alphabet_profiles_as_its_text_does(self, klass, data, k):
+        symbols = st.text(alphabet=klass.alphabet.symbols, max_size=60)
+        first, second = data.draw(symbols), data.draw(symbols)
+        a, b = klass(first), klass(second)
+        same(ops.kmer_profile, ref_kmer_profile, a, k)
+        same(ops.cosine_similarity, ref_cosine_similarity, a, b, k)
+        same(ops.jaccard_similarity, ref_jaccard_similarity, a, b, k)
+        same(ops.jaccard_similarity, ref_jaccard_similarity, a, second, k)
+        # Text is upper-cased, whichever side it stands on.
+        assert (outcome(ops.cosine_similarity, first.lower(), b, k)
+                == outcome(ref_cosine_similarity, first, b, k))
+
+    @derandomised
+    @given(pair=_pairs, k=st.sampled_from((1, 3, 4, 8, 9)),
+           threshold=st.one_of(
+               st.none(),  # the pair's own cosine: the boundary itself
+               st.sampled_from((-1.0, 0.0, 1e-12, 0.7, 1.0, 1.0 + 1e-12,
+                                2.0, math.inf, -math.inf, math.nan)),
+               st.floats(0.0, 1.0)),
+           nudge=st.sampled_from((0.0, 1e-16, -1e-16, 1e-9, -1e-9)))
+    def test_the_bound_never_changes_an_answer(self, pair, k, threshold,
+                                               nudge):
+        first, second = pair
+        exact = ref_cosine_similarity(first, second, k)
+        if threshold is None:
+            threshold = exact + nudge
+        a, b = DnaSequence(first), DnaSequence(second)
+        for one, other in ((a, b), (b, a), (first.lower(), b),
+                           (a, second.lower()), (first, second)):
+            assert (ops.resembles(one, other, threshold, k)
+                    is (exact >= threshold)), (one, other, threshold)
+            assert ops.cosine_similarity(one, other, k) == exact
+
+    def test_the_bound_rejects_without_counting(self, monkeypatch):
+        """A stranger is refused on the one pass over its keys."""
+        from repro.core.ops import similarity
+
+        counted = []
+        monkeypatch.setattr(
+            similarity, "Counter",
+            lambda keys: counted.append(keys) or Counter(keys))
+        probe = DnaSequence("ACGTTGCAAGGCTTAACCGG" * 3)
+        similarity._prepared(DnaSequence, probe, 4)  # counted once, here
+        counted.clear()
+        assert not ops.resembles(DnaSequence("TTTTTTTTTTTTTTTTTTTT"), probe)
+        assert counted == []
+        assert ops.resembles(probe[3:50], probe)
+        assert len(counted) == 1
+
+    @derandomised
+    @given(klass=_KINDS, data=st.data())
+    def test_a_prepared_pattern_matches_symbol_by_symbol(self, klass, data):
+        symbols = klass.alphabet.symbols
+        text = data.draw(st.one_of(
+            st.text(alphabet=symbols[:4], max_size=40),
+            st.text(alphabet=symbols[:4] * 6 + symbols, max_size=40)))
+        subject = klass(text)
+        pattern = data.draw(st.one_of(
+            st.builds(lambda at, n: text[at:at + n],
+                      st.integers(0, 40), st.integers(0, 8)),
+            st.text(alphabet=symbols[:4] * 3 + symbols, max_size=5)))
+        expected = ref_find_motif(subject, pattern)
+        for spelt in (pattern, pattern.lower(), klass(pattern)):
+            assert list(ops.find_motif(subject, spelt)) == expected
+            assert ops.contains(subject, spelt) is bool(expected)
+            assert ops.count_occurrences(subject, spelt) == len(expected)
+            assert ops.first_occurrence(subject, spelt) == (
+                expected[0] if expected else -1)
+
+    def test_a_pattern_the_subject_cannot_spell_is_refused(self):
+        subject = DnaSequence("ACGT")
+        for pattern in ("ACGU", "AC GT", RnaSequence("ACGU"),
+                        ProteinSequence("ACGT")):
+            for function in (ops.contains, ops.count_occurrences,
+                             ops.first_occurrence,
+                             lambda s, p: list(ops.find_motif(s, p))):
+                with pytest.raises(SequenceError):
+                    function(subject, pattern)
+
+    @pytest.mark.parametrize("word_size", (4, 8, 10))
+    def test_blast_hits_are_unchanged_on_the_a2_corpus(self, word_size):
+        import random
+
+        rng = random.Random(7)  # benchmarks/bench_ablation_genomic_index
+        subjects = {f"s{i}": "".join(rng.choice("ACGT") for __ in range(300))
+                    for i in range(40)}
+        query = "".join(rng.choice("ACGT") for __ in range(60))
+        subjects["s0"] = subjects["s0"][:100] + query + subjects["s0"][160:]
+        subjects["s1"] = DnaSequence(subjects["s1"])
+        index = ops.WordIndex(word_size=word_size)
+        for name, subject in subjects.items():
+            index.add(name, subject)
+        for probe, floor in ((query, 40.0), (query, 12.0),
+                             (DnaSequence(query[5:40]), 12.0),
+                             (str(subjects["s1"])[20:70], 20.0)):
+            hits = ops.blast_search(probe, index, min_score=floor)
+            assert hits == ref_blast_search(probe, subjects, word_size,
+                                            floor)
+            assert hits
+        assert ("s0", 100) in index.seeds(query[:word_size])
+        assert index.seeds(query[:word_size - 1]) == ()

@@ -15,7 +15,13 @@ from repro.db import Database
 from repro.db.columnar.store import ColumnStore
 from repro.db.table import Table
 from repro.federation import FollowerNode, PrimaryNode, ReplicationGroup
-from repro.sources import VirtualClock
+from repro.sources import (
+    EmblRepository,
+    GenBankRepository,
+    Universe,
+    VirtualClock,
+)
+from repro.warehouse import UnifyingDatabase
 
 DELETE = "DELETE FROM t WHERE pk = ?"
 UPDATE = "UPDATE t SET v = ? WHERE pk = ?"
@@ -112,3 +118,22 @@ def test_the_follower_replays_keyed_writes_without_a_scan(tmp_path, size):
     assert (follower.database.query(everything).rows
             == primary.database.query(everything).rows)
     assert len(follower.database.catalog.table("t")) == size - 1
+
+
+def test_recording_conflicts_probes_the_accession_index():
+    """Every reconciled record rewrites its rows of ``conflicts``
+    (``DELETE … WHERE accession = ?``, then the inserts): by index."""
+    universe = Universe(seed=3, size=30)
+    warehouse = UnifyingDatabase(
+        [GenBankRepository(universe), EmblRepository(universe)])
+    warehouse.initial_load()
+    accession = warehouse.query(
+        "SELECT accession FROM conflicts LIMIT 1").scalar()
+    consolidated = warehouse.integrator.consolidate(
+        warehouse._staged_records(accession))
+    assert consolidated.conflicts
+    with _Scans() as scans:
+        warehouse._record_conflicts(consolidated, detected_at=0)
+    assert scans.touched == 0
+    assert "IndexEqualScan" in warehouse.db.explain(
+        "DELETE FROM conflicts WHERE accession = ?", [accession])

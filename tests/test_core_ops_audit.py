@@ -8,6 +8,11 @@ Either is easy to erode — one handy ``{"A": …}`` literal, one
 ``algebra_scan`` several PRs later.  So, in the style of
 ``test_seed_audit.py`` and ``test_sql_ast_audit.py``, this test walks the
 source for them.
+
+The same goes for k-mers and patterns: a k-mer is one integer from one
+function (``_tables.kmer_keys``), never a joined text window, and a
+pattern has one reading (``search.read_pattern``) under the predicates,
+both genomic indexes and the page kernel.
 """
 
 import ast
@@ -16,6 +21,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 OPS = SRC / "core" / "ops"
 VECTOR = SRC / "db" / "columnar" / "vector.py"
+INDEX = SRC / "db" / "index"
+#: Where k-mers are counted, posted and probed, and patterns matched.
+KMER_MODULES = (OPS / "similarity.py", OPS / "search.py", INDEX / "kmer.py")
 
 #: Where a Python-level loop over a symbol buffer is the algorithm, not an
 #: oversight.  ``test_every_exemption_is_still_needed`` keeps it honest.
@@ -33,8 +41,6 @@ LOOPS_ALLOWED = {
         "searches candidate windows, nearest first",
     ("primers.py", "_max_self_complement_run"):
         "longest common substring of one 20-mer",
-    ("search.py", "_motif_regex"):
-        "compiles a pattern, once per pattern (cached)",
     ("_tables.py", "_codes"):
         "table building: walks a handful of symbols, once per alphabet",
     ("_tables.py", "CodonLookup.amino_of"):
@@ -44,10 +50,21 @@ LOOPS_ALLOWED = {
         "table could not read",
 }
 
-#: Calls that hand on one item per symbol of their argument.
+#: Where a sequence is spelt out as text inside :data:`KMER_MODULES`.
+TEXT_ALLOWED = {
+    ("similarity.py", "WordIndex.add"):
+        "a ScoringScheme scores symbols: one spelling per subject for "
+        "_extend, never one per word",
+    ("similarity.py", "blast_search"):
+        "the query's one spelling, for the same alignment loop",
+}
+
+#: Calls (functions, or methods of anything) that hand on one item per
+#: symbol of their argument.
 _PER_SYMBOL_CALLS = {
     "enumerate", "zip", "reversed", "iter", "sorted", "list", "tuple",
-    "map", "filter", "product", "accumulate", "windows",
+    "map", "filter", "product", "accumulate", "kmer_keys", "words",
+    "_text_codes",
 }
 #: Methods of a buffer that return a buffer.
 _BUFFER_METHODS = {"upper", "lower", "replace", "translate", "codes"}
@@ -124,6 +141,8 @@ class _Buffers:
             return (function.id in _PER_SYMBOL_CALLS
                     and any(map(self.is_buffer, self._spread(node.args))))
         if isinstance(function, ast.Attribute):
+            if function.attr in _PER_SYMBOL_CALLS:
+                return any(map(self.is_buffer, self._spread(node.args)))
             return function.attr in _BUFFER_METHODS and (
                 function.attr == "codes" or self.is_buffer(function.value))
         return False
@@ -248,3 +267,58 @@ def test_one_constructor_bypasses_init():
 def test_orf_scans_do_not_ask_the_table_codon_by_codon():
     source = (OPS / "orf.py").read_text()
     assert "is_start(" not in source and "is_stop(" not in source
+
+
+def _spellings(function):
+    """Lines of *function* that turn a value into text: ``str(…)``,
+    ``….__str__`` or a ``"".join(…)``."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "str"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "join"
+                and isinstance(node.func.value, ast.Constant)
+                and node.func.value.value == ""):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "__str__":
+            yield node.lineno
+
+
+def test_kmers_and_patterns_are_never_spelt_as_text():
+    found = {}
+    for path in KMER_MODULES:
+        for name, function in _functions(ast.parse(path.read_text())):
+            if any(True for __ in _spellings(function)):
+                found[(path.name, name)] = sorted(_spellings(function))
+    offences = {key: lines for key, lines in found.items()
+                if key not in TEXT_ALLOWED}
+    assert not offences, (
+        "k-mers are integer keys over codes (_tables.kmer_keys) and a "
+        "pattern is matched as codes (search.read_pattern); these spell "
+        f"a sequence as text: {offences}")
+    stale = sorted(set(TEXT_ALLOWED) - set(found))
+    assert not stale, f"no such spelling any more, drop the entry: {stale}"
+
+
+def test_one_kmer_key_function_and_one_reading_of_a_pattern():
+    sources = {path: path.read_text() for path in SRC.rglob("*.py")}
+    for needle in ('"".join, windows', "windows(", "_motif_regex",
+                   "_pattern_sequence", "_compatibility_class"):
+        hits = [str(path.relative_to(SRC))
+                for path, source in sources.items() if needle in source]
+        assert not hits, f"{needle!r} is back, in {hits}"
+    defined = [str(path.relative_to(SRC)) for path, source in sources.items()
+               if "def kmer_keys(" in source]
+    assert defined == ["core/ops/_tables.py"]
+    for path in (OPS / "similarity.py", INDEX / "kmer.py"):
+        assert "kmer_keys" in sources[path], (
+            f"{path.name} counts k-mers some other way")
+    # The predicates; both indexes (through their base) and the kernel.
+    assert "read_pattern(" in sources[OPS / "search.py"]
+    for path in (INDEX / "base.py", VECTOR):
+        assert "pattern_or_none(" in sources[path], (
+            f"{path.name} reads a pattern some other way")
+    for path in (INDEX / "kmer.py", INDEX / "suffix.py"):
+        assert "self._pattern(" in sources[path]
+        assert "PackedSequence(" not in sources[path]
+        assert ".upper()" not in sources[path]
