@@ -75,7 +75,7 @@ UNSHIPPED_STATEMENTS = 10
 
 def run_cell(shards, seed, requests=REQUESTS, load=LOAD):
     """Serve one (shard count, workload seed) cell; returns its row."""
-    server, __, shard_map, accessions, __t = sharded_federation(
+    server, shard_map, accessions, __ = sharded_federation(
         shards, capacity=CAPACITY_PER_SHARD, deadline=DEADLINE)
     workload = synthetic_workload(
         accessions, count=requests, load_factor=load,

@@ -53,7 +53,7 @@ import argparse
 import sys
 
 
-def _run_demo() -> int:
+def _run_demo(arguments) -> int:
     from repro import Database, genomics_algebra, install_genomics
     from repro.core.types import DnaSequence, Gene, Interval
 
@@ -85,7 +85,7 @@ def _run_demo() -> int:
     return 0
 
 
-def _run_matrix() -> int:
+def _run_matrix(arguments) -> int:
     from repro.evaluation import CapabilityMatrix
 
     matrix = CapabilityMatrix.build()
@@ -95,7 +95,7 @@ def _run_matrix() -> int:
     return 0 if ok else 1
 
 
-def _run_shell() -> int:
+def _run_shell(arguments) -> int:
     from repro.lang.biql.repl import BiqlRepl, demo_session
 
     print("building a demo warehouse (3 sources)...")
@@ -103,7 +103,7 @@ def _run_shell() -> int:
     return 0
 
 
-def _run_quality() -> int:
+def _run_quality(arguments) -> int:
     from repro.sources import (
         AceRepository,
         EmblRepository,
@@ -443,7 +443,7 @@ def _run_shard(arguments) -> int:
           f"{'p95':>6}  ranges")
     baseline = None
     for shards in (1, 2, 4, 8):
-        server, __, shard_map, accessions, __t = sharded_federation(shards)
+        server, shard_map, accessions, __ = sharded_federation(shards)
         requests = synthetic_workload(
             accessions, count=arguments.count, load_factor=arguments.load,
             capacity=4, mean_service=3.0, seed=arguments.seed,
@@ -605,14 +605,6 @@ def _run_partition(arguments) -> int:
         return 0 if verdict.ok and converged else 1
 
 
-_COMMANDS = {
-    "demo": _run_demo,
-    "matrix": _run_matrix,
-    "shell": _run_shell,
-    "quality": _run_quality,
-}
-
-
 def main(argv: "list[str] | None" = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -621,11 +613,13 @@ def main(argv: "list[str] | None" = None) -> int:
                     "(CIDR 2003 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(_COMMANDS):
-        subparsers.add_parser(name)
+    for name, run in (("demo", _run_demo), ("matrix", _run_matrix),
+                      ("quality", _run_quality), ("shell", _run_shell)):
+        subparsers.add_parser(name).set_defaults(run=run)
     recover_parser = subparsers.add_parser(
         "recover", help="rebuild a database from image + WAL",
     )
+    recover_parser.set_defaults(run=_run_recover)
     recover_parser.add_argument("--image", default=None,
                                 help="checkpoint image path")
     recover_parser.add_argument("--wal", default=None,
@@ -642,6 +636,7 @@ def main(argv: "list[str] | None" = None) -> int:
     chaos_parser = subparsers.add_parser(
         "chaos", help="federation fault-injection scenario matrix",
     )
+    chaos_parser.set_defaults(run=_run_chaos)
     chaos_parser.add_argument("--self-test", action="store_true",
                               help="run the fault/degradation scenario "
                                    "matrix and exit")
@@ -656,6 +651,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "scrub", help="verify on-disk image/WAL checksums without "
                       "replaying",
     )
+    scrub_parser.set_defaults(run=_run_scrub)
     scrub_parser.add_argument("--image", default=None,
                               help="checkpoint image path")
     scrub_parser.add_argument("--wal", default=None,
@@ -667,6 +663,7 @@ def main(argv: "list[str] | None" = None) -> int:
     trace_parser = subparsers.add_parser(
         "trace", help="trace one federated query end to end",
     )
+    trace_parser.set_defaults(run=_run_trace)
     trace_parser.add_argument("query", nargs="?",
                               default="FIND genes SHOW accession, name "
                                       "LIMIT 5",
@@ -682,6 +679,7 @@ def main(argv: "list[str] | None" = None) -> int:
     stats_parser = subparsers.add_parser(
         "stats", help="Prometheus-style metrics dump of a small workload",
     )
+    stats_parser.set_defaults(run=_run_stats)
     stats_parser.add_argument("--seed", type=int, default=11,
                               help="universe seed (default 11)")
     stats_parser.add_argument("--size", type=int, default=24,
@@ -690,6 +688,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "overload", help="protected vs unprotected serving under an "
                          "overload storm",
     )
+    overload_parser.set_defaults(run=_run_overload)
     overload_parser.add_argument("--load", type=float, default=4.0,
                                  help="offered load as a multiple of "
                                       "serving capacity (default 4.0)")
@@ -701,6 +700,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "shard", help="scatter-gather sharding scale-up plus replica "
                       "failover demo",
     )
+    shard_parser.set_defaults(run=_run_shard)
     shard_parser.add_argument("--load", type=float, default=24.0,
                               help="offered load as a multiple of one "
                                    "shard's capacity (default 24.0)")
@@ -712,6 +712,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "macro", help="day-in-the-life macro workload through the "
                       "full stack",
     )
+    macro_parser.set_defaults(run=_run_macro)
     macro_parser.add_argument("--quick", action="store_true",
                               help="the scaled-down CI day instead of "
                                    "the full one")
@@ -721,6 +722,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "partition", help="epoch-fenced failover demo: zombie primary, "
                           "lease expiry, fencing, divergence audit",
     )
+    partition_parser.set_defaults(run=_run_partition)
     partition_parser.add_argument("--lease", type=float, default=2.0,
                                   help="lease timeout in virtual "
                                        "seconds (default 2.0)")
@@ -731,25 +733,7 @@ def main(argv: "list[str] | None" = None) -> int:
     partition_parser.add_argument("--seed", type=int, default=0,
                                   help="channel fault seed (default 0)")
     arguments = parser.parse_args(argv)
-    if arguments.command == "recover":
-        return _run_recover(arguments)
-    if arguments.command == "chaos":
-        return _run_chaos(arguments)
-    if arguments.command == "scrub":
-        return _run_scrub(arguments)
-    if arguments.command == "trace":
-        return _run_trace(arguments)
-    if arguments.command == "stats":
-        return _run_stats(arguments)
-    if arguments.command == "overload":
-        return _run_overload(arguments)
-    if arguments.command == "shard":
-        return _run_shard(arguments)
-    if arguments.command == "macro":
-        return _run_macro(arguments)
-    if arguments.command == "partition":
-        return _run_partition(arguments)
-    return _COMMANDS[arguments.command]()
+    return arguments.run(arguments)
 
 
 if __name__ == "__main__":  # pragma: no cover

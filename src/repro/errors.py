@@ -158,6 +158,30 @@ class SourceError(ReproError):
         self.trace_id = trace_id
 
 
+class SettingError(ReproError, ValueError):
+    """A component was handed a setting it cannot honour.
+
+    ``what`` names the rejected setting (``window``, ``direction``,
+    ``advance``, ``lease_timeout``), ``where`` the component that
+    refused it (a fault schedule's key, a channel, a clock), and
+    ``value`` what was offered.  Also a :class:`ValueError`, which is
+    what these sites raised before they had a structured type.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        what: "str | None" = None,
+        where: "str | None" = None,
+        value: "object | None" = None,
+    ) -> None:
+        super().__init__(message)
+        self.what = what
+        self.where = where
+        self.value = value
+
+
 class ClockTrackError(ReproError, RuntimeError):
     """A virtual-clock track was closed out of order.
 
@@ -190,7 +214,27 @@ class MediatorError(ReproError):
 
 
 class FederationError(MediatorError):
-    """Invalid shard topology, routing, or replication state."""
+    """Invalid shard topology, routing, or replication state.
+
+    A refusal about one write names it: ``node`` is the node refused (a
+    promotion candidate) and ``epoch`` / ``generation`` / ``index`` the
+    position of the first replicated write it does not hold.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        node: "str | None" = None,
+        epoch: "int | None" = None,
+        generation: "int | None" = None,
+        index: "int | None" = None,
+    ) -> None:
+        super().__init__(message)
+        self.node = node
+        self.epoch = epoch
+        self.generation = generation
+        self.index = index
 
 
 class LeaseError(FederationError):

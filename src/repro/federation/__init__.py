@@ -5,11 +5,11 @@ The package splits into layers, bottom up:
 - :mod:`repro.federation.sharding` — the routing table
   (:class:`ShardMap`) and one shard's filtered view of a repository
   (:class:`ShardSlice`);
-- :mod:`repro.federation.router` — :class:`ShardedMediator`, the
-  single-mediator query API over per-shard mediators with deterministic
-  scatter-gather fusion;
 - :mod:`repro.federation.serving` — :class:`ShardedFederationServer`,
-  per-shard admission-controlled serving, plus the calibrated
+  the one scatter-gather: requests routed to per-shard
+  admission-controlled servers and fused bit-identically to the
+  unsharded answer (:func:`fuse_rows` / :func:`fuse_batches` /
+  :func:`merge_health`), plus the calibrated
   :func:`sharded_federation` fixture;
 - :mod:`repro.federation.membership` — epochs and write leases
   (:class:`MembershipService` / :class:`Lease`) on the shared virtual
@@ -37,7 +37,6 @@ from repro.federation.audit import (
 from repro.federation.channel import (
     ChannelStats,
     FaultyChannel,
-    PartitionWindow,
     ReplicationChannel,
 )
 from repro.federation.membership import Lease, MembershipService
@@ -53,14 +52,11 @@ from repro.federation.replication import (
     payload_digest,
     sealed_digests,
 )
-from repro.federation.router import (
-    ShardedMediator,
+from repro.federation.serving import (
+    ShardedFederationServer,
     fuse_batches,
     fuse_rows,
     merge_health,
-)
-from repro.federation.serving import (
-    ShardedFederationServer,
     sharded_federation,
 )
 from repro.federation.sharding import ShardMap, ShardSlice
@@ -76,14 +72,12 @@ __all__ = [
     "FollowerNode",
     "Lease",
     "MembershipService",
-    "PartitionWindow",
     "PrimaryNode",
     "ReplicationChannel",
     "ReplicationGroup",
     "ShardMap",
     "ShardSlice",
     "ShardedFederationServer",
-    "ShardedMediator",
     "Shipment",
     "WriteHistoryAuditor",
     "disk_shipments",

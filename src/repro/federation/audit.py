@@ -25,11 +25,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.db.storage import parse_wal_payload
-from repro.errors import StorageError
 from repro.federation.replication import (
     DivergenceReport,
-    disk_shipments,
+    disk_history,
     file_digest,
     sealed_digests,
 )
@@ -112,20 +110,6 @@ class WriteHistoryAuditor:
 
     # -- verdict -----------------------------------------------------------------
 
-    def _surviving_history(self, primary) -> dict[int, list[dict]]:
-        history: dict[int, list[dict]] = {}
-        for shipment in disk_shipments(primary.wal_path,
-                                       on_bit_rot="skip"):
-            try:
-                records, __ = parse_wal_payload(
-                    shipment.payload,
-                    path=f"<audit gen {shipment.generation}>",
-                    allow_torn_tail=not shipment.sealed)
-            except StorageError:
-                continue
-            history[shipment.generation] = records
-        return history
-
     def certify(self, primary, followers=()) -> AuditReport:
         """Judge the final state against the acknowledgment ledger.
 
@@ -155,7 +139,7 @@ class WriteHistoryAuditor:
                 report.violations.append(
                     f"epoch {epoch}: {len(nodes)} nodes acknowledged "
                     f"writes ({sorted(nodes)}) — split brain")
-        history = self._surviving_history(primary)
+        history = disk_history(primary.wal_path, "audit")
         replicated = {(epoch, generation, index)
                       for __, epoch, generation, index in self.applies}
         reported = {(entry.generation, entry.index)
@@ -163,7 +147,7 @@ class WriteHistoryAuditor:
                     for entry in divergence.statements
                     if entry.acknowledged}
         for ack in self.acks:
-            records = history.get(ack.generation, [])
+            records = history.get(ack.generation, ([], True))[0]
             survives = (ack.index < len(records)
                         and str(records[ack.index].get("sql", ""))
                         == ack.sql)

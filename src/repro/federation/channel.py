@@ -9,11 +9,12 @@ primary↔follower round-trips behind :class:`ReplicationChannel`:
 - :class:`ReplicationChannel` is the perfect network — every call goes
   straight through.  It is the default, so existing direct-call users
   keep their exact behaviour.
-- :class:`FaultyChannel` is the same seam with seeded faults on the
-  shared :class:`~repro.sources.faults.VirtualClock` (modeled on
-  :class:`~repro.sources.faults.FaultyRepository`): message **drops**,
-  injected **delay**, shipment **duplication** and **reordering**, and
-  scheduled **partition windows** — including one-way partitions, where
+- :class:`FaultyChannel` is the same seam with faults drawn from a
+  :class:`~repro.sim.schedule.FaultSchedule` on the shared virtual
+  clock (as :class:`~repro.sources.faults.FaultyRepository` does):
+  message **drops**, injected **delay**, shipment **duplication** and
+  **reordering**, and scheduled **partition windows** — including
+  one-way partitions, where
   ``direction="response"`` means the remote side *did the work* but the
   answer was lost, the asymmetry that turns a lease renewal into a
   zombie-manufacturing machine.
@@ -29,25 +30,21 @@ sequence the follower's ledger and catch-up ordering must absorb.
 
 from __future__ import annotations
 
-import random
-import threading
 from dataclasses import dataclass
 
-from repro.errors import ChannelError
-from repro.obs.metrics import count as _metric
+from repro.errors import ChannelError, SettingError
+from repro.obs.metrics import LockedCounters
+from repro.sim.schedule import FaultSchedule, FaultWindow
 
 #: Legal ``direction`` values for a partition window.
 PARTITION_DIRECTIONS = ("request", "response", "both")
 
 
 @dataclass
-class ChannelStats:
-    """What the channel actually did to the traffic (per lifetime).
+class ChannelStats(LockedCounters):
+    """What the channel actually did to the traffic (per lifetime)."""
 
-    Same locking discipline as :class:`~repro.sources.faults.FaultStats`:
-    counter updates go through :meth:`bump` under a lock so concurrent
-    scenarios sharing a stats object never lose an increment.
-    """
+    metric_group = "federation_channel"
 
     rounds: int = 0
     dropped: int = 0
@@ -55,29 +52,6 @@ class ChannelStats:
     duplicated: int = 0
     reordered: int = 0
     injected_delay: float = 0.0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: float = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-        _metric("federation", f"channel_{counter}", amount)
-
-
-@dataclass(frozen=True)
-class PartitionWindow:
-    """A half-open ``[start, end)`` interval during which traffic in
-    *direction* is lost: ``request`` (calls never reach the remote
-    side), ``response`` (the remote side executes but the answer is
-    lost), or ``both``."""
-
-    start: float
-    end: float
-    direction: str = "both"
-
-    def covers(self, instant: float) -> bool:
-        return self.start <= instant < self.end
 
 
 class ReplicationChannel:
@@ -96,27 +70,26 @@ class ReplicationChannel:
 
     # -- round-trips -------------------------------------------------------------
 
+    def _round_trip(self, operation: str, call, *arguments):
+        self._before(operation)
+        answer = call(*arguments)
+        self._after(operation)
+        return answer
+
     def ship(self, primary) -> list:
         """One full shipping round: everything *primary* can send."""
         self.stats.bump("rounds")
-        self._before("ship")
-        shipments = list(primary.ship())
-        self._after("ship")
-        return self._deliver(shipments)
+        return self._deliver(list(self._round_trip("ship", primary.ship)))
 
     def fetch_segment(self, primary, generation: int):
         """Re-fetch one sealed segment (the read-repair round-trip)."""
-        self._before("fetch_segment")
-        shipment = primary.fetch_segment(generation)
-        self._after("fetch_segment")
-        return shipment
+        return self._round_trip("fetch_segment", primary.fetch_segment,
+                                generation)
 
     def segment_digests(self, primary) -> dict:
         """The anti-entropy digest exchange."""
-        self._before("segment_digests")
-        digests = dict(primary.segment_digests())
-        self._after("segment_digests")
-        return digests
+        return dict(self._round_trip("segment_digests",
+                                     primary.segment_digests))
 
     def renew(self, membership, lease):
         """A lease-renewal round-trip to the membership service.
@@ -126,10 +99,7 @@ class ReplicationChannel:
         writes anyway, because a refusal is recoverable and a rogue
         acknowledgment is not.
         """
-        self._before("renew")
-        renewed = membership.renew(lease)
-        self._after("renew")
-        return renewed
+        return self._round_trip("renew", membership.renew, lease)
 
     # -- interposition hooks -----------------------------------------------------
 
@@ -150,9 +120,13 @@ class ReplicationChannel:
 class FaultyChannel(ReplicationChannel):
     """A :class:`ReplicationChannel` with seeded, schedulable faults.
 
-    All fault decisions come from one ``random.Random`` seeded from the
-    channel's name — never from wall-clock time — so partition
-    schedules replay bit for bit.
+    All fault decisions come from one
+    :class:`~repro.sim.schedule.FaultSchedule` keyed on the channel's
+    name and seed — never from wall-clock time — so partition schedules
+    replay bit for bit.  A partition is a window tagged with the
+    direction it loses: ``request`` (calls never reach the remote
+    side), ``response`` (the remote side executes but the answer is
+    lost), or ``both``.
     """
 
     def __init__(self, timeline, *, name: str = "channel", seed: int = 0,
@@ -161,51 +135,42 @@ class FaultyChannel(ReplicationChannel):
         super().__init__()
         self.timeline = timeline
         self.name = name
-        self._rng = random.Random(("channel", name, seed).__repr__())
+        self.faults = FaultSchedule(timeline, ("channel", name, seed),
+                                    self.stats)
         self.drop_rate = drop_rate
         self.delay = delay
         self.dup_rate = dup_rate
         self.reorder_rate = reorder_rate
-        self._partitions: list[PartitionWindow] = []
 
     # -- scheduling API ----------------------------------------------------------
 
     def partition(self, start: float, end: float,
-                  direction: str = "both") -> PartitionWindow:
+                  direction: str = "both") -> FaultWindow:
         """Lose all traffic in *direction* during ``[start, end)``."""
-        if end <= start:
-            raise ValueError(f"empty partition window [{start}, {end})")
         if direction not in PARTITION_DIRECTIONS:
-            raise ValueError(
+            raise SettingError(
                 f"direction must be one of {PARTITION_DIRECTIONS}, "
-                f"got {direction!r}")
-        window = PartitionWindow(start, end, direction)
-        self._partitions.append(window)
-        return window
+                f"got {direction!r}",
+                what="direction", where=self.name, value=direction)
+        return self.faults.window(start, end, direction)
 
     def partitioned_now(self, instant: float | None = None) -> bool:
-        when = self.timeline.now() if instant is None else instant
-        return any(window.covers(when) for window in self._partitions)
-
-    def _directions(self, instant: float) -> set[str]:
-        return {window.direction for window in self._partitions
-                if window.covers(instant)}
+        return bool(self.faults.open_tags(instant))
 
     # -- interposition -----------------------------------------------------------
 
     def _before(self, operation: str) -> None:
         if self.delay:
-            self.timeline.advance(self.delay)
-            self.stats.bump("injected_delay", self.delay)
+            self.faults.delay(self.delay, "injected_delay")
         now = self.timeline.now()
-        directions = self._directions(now)
+        directions = self.faults.open_tags(now)
         if "both" in directions or "request" in directions:
             self.stats.bump("partitioned")
             raise ChannelError(
                 f"channel partitioned at t={now:.2f}: {operation} request "
                 f"never reached the remote side",
                 kind="partitioned", direction="request")
-        if self.drop_rate and self._rng.random() < self.drop_rate:
+        if self.faults.chance(self.drop_rate):
             self.stats.bump("dropped")
             raise ChannelError(
                 f"channel dropped the {operation} request at t={now:.2f}",
@@ -213,7 +178,7 @@ class FaultyChannel(ReplicationChannel):
 
     def _after(self, operation: str) -> None:
         now = self.timeline.now()
-        if "response" in self._directions(now):
+        if "response" in self.faults.open_tags(now):
             self.stats.bump("partitioned")
             raise ChannelError(
                 f"channel partitioned at t={now:.2f}: the remote side "
@@ -222,14 +187,12 @@ class FaultyChannel(ReplicationChannel):
 
     def _deliver(self, shipments: list) -> list:
         delivered = list(shipments)
-        if (delivered and self.dup_rate
-                and self._rng.random() < self.dup_rate):
-            index = self._rng.randrange(len(delivered))
+        if delivered and self.faults.chance(self.dup_rate):
+            index = self.faults.rng.randrange(len(delivered))
             delivered.insert(index, delivered[index])
             self.stats.bump("duplicated")
-        if (len(delivered) > 1 and self.reorder_rate
-                and self._rng.random() < self.reorder_rate):
-            self._rng.shuffle(delivered)
+        if len(delivered) > 1 and self.faults.chance(self.reorder_rate):
+            self.faults.rng.shuffle(delivered)
             self.stats.bump("reordered")
         return delivered
 

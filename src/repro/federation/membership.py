@@ -3,7 +3,7 @@
 A replication group is only allowed one writer at a time, but "at a
 time" is meaningless without a clock both sides share — so the
 :class:`MembershipService` lives on the same
-:class:`~repro.sources.faults.VirtualClock` as the nodes it governs and
+:class:`~repro.sim.clock.VirtualClock` as the nodes it governs and
 hands out two things:
 
 - **epochs**: a monotonically-increasing integer bumped on every
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import LeaseError
+from repro.errors import LeaseError, SettingError
 from repro.obs.metrics import count as _metric
 
 
@@ -65,8 +65,10 @@ class MembershipService:
 
     def __init__(self, timeline, *, lease_timeout: float = 2.0) -> None:
         if lease_timeout <= 0:
-            raise ValueError(f"lease_timeout must be positive, "
-                             f"got {lease_timeout!r}")
+            raise SettingError(
+                f"lease_timeout must be positive, got {lease_timeout!r}",
+                what="lease_timeout", where="MembershipService",
+                value=lease_timeout)
         self.timeline = timeline
         self.lease_timeout = lease_timeout
         self.epoch = 0

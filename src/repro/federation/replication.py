@@ -70,21 +70,17 @@ trusted, epochs are:
   operator, because an acknowledged-and-lost write is a broken promise
   that must be owned, not buried.
 
-:class:`ReplicationGroup` adds failover: when the primary dies,
-:meth:`~ReplicationGroup.promote` picks the most-caught-up follower
-(deterministically — ledger total, then roster order) whose ledger
-verifies, drains whatever the dead primary left **on disk** via
-:func:`disk_shipments`, bumps the epoch through the membership service
-(zombie primaries are only promoted over once their lease has expired),
-and stands the follower up as a new :class:`PrimaryNode` whose WAL
-continues the generation sequence.
+:class:`ReplicationGroup` adds failover
+(:meth:`~ReplicationGroup.promote`): the most-caught-up follower whose
+ledger verifies *and* holds every write the group has seen replicated
+is stood up as a new :class:`PrimaryNode` under a bumped epoch.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.db.database import Database
@@ -293,6 +289,23 @@ def disk_shipments(wal_path: str, *,
     return shipments
 
 
+def disk_history(wal_path: str, label: str) -> dict[int, tuple[list, bool]]:
+    """generation → ``(records, sealed)`` for every file next to
+    *wal_path* that still parses (the active file may end in a torn
+    tail); a rotted or corrupt file is left out, not raised."""
+    history: dict[int, tuple[list, bool]] = {}
+    for shipment in disk_shipments(wal_path, on_bit_rot="skip"):
+        try:
+            records, __ = parse_wal_payload(
+                shipment.payload,
+                path=f"<{label} gen {shipment.generation}>",
+                allow_torn_tail=not shipment.sealed)
+        except StorageError:
+            continue
+        history[shipment.generation] = (records, shipment.sealed)
+    return history
+
+
 def sealed_digests(wal_path: str) -> dict[int, str]:
     """Per-generation SHA-256 digests of the sealed segments next to
     ``wal_path`` — the anti-entropy exchange currency.  Unreadable
@@ -366,19 +379,15 @@ class PrimaryNode:
             self._seed_record_counts()
 
     def _seed_record_counts(self) -> None:
-        for generation, path in list_sealed_segments(self.wal_path):
+        files = list_sealed_segments(self.wal_path)
+        if os.path.exists(self.wal_path):
+            files.append((self.wal.generation, self.wal_path))
+        for generation, path in files:
             try:
                 records, __ = read_wal_records(path, allow_torn_tail=True)
             except StorageError:
                 continue
             self._record_counts[generation] = len(records)
-        if os.path.exists(self.wal_path):
-            try:
-                records, __ = read_wal_records(
-                    self.wal_path, allow_torn_tail=True)
-            except StorageError:
-                return
-            self._record_counts[self.wal.generation] = len(records)
 
     # -- the write path ----------------------------------------------------------
 
@@ -453,9 +462,12 @@ class PrimaryNode:
 
     # -- segments and shipping ---------------------------------------------------
 
-    def rotate(self) -> str | None:
+    def _require_alive(self) -> None:
         if not self.alive:
             raise FederationError(f"primary {self.name!r} is down")
+
+    def rotate(self) -> str | None:
+        self._require_alive()
         return self.wal.rotate()
 
     def checkpoint(self, image_path: str) -> None:
@@ -466,28 +478,24 @@ class PrimaryNode:
     def ship(self) -> list[Shipment]:
         """Flush, then package every segment for followers (sealed
         first, active last), stamped with this primary's epoch claim."""
-        if not self.alive:
-            raise FederationError(f"primary {self.name!r} is down")
+        self._require_alive()
         self.wal.flush()
         _metric("federation", "wal_ship_rounds")
         shipments = disk_shipments(self.wal_path)
         if self.epoch is None:
             return shipments
-        return [Shipment(shipment.generation, shipment.payload,
-                         shipment.sealed, shipment.digest, self.epoch)
+        return [replace(shipment, epoch=self.epoch)
                 for shipment in shipments]
 
     def segment_digests(self) -> dict[int, str]:
         """Per-generation digests of the sealed segments — what a
         follower compares against during anti-entropy."""
-        if not self.alive:
-            raise FederationError(f"primary {self.name!r} is down")
+        self._require_alive()
         return sealed_digests(self.wal_path)
 
     def fetch_segment(self, generation: int) -> Shipment:
         """Re-ship one sealed segment for read-repair."""
-        if not self.alive:
-            raise FederationError(f"primary {self.name!r} is down")
+        self._require_alive()
         path = f"{self.wal_path}.{generation:06d}"
         try:
             payload = _read_wal_text(path)
@@ -530,29 +538,13 @@ class PrimaryNode:
         self.alive = False
         self.demoted = True
         self.observed_epoch = successor.epoch
-        theirs: dict[int, list[dict]] = {}
-        for shipment in disk_shipments(successor.wal_path,
-                                       on_bit_rot="skip"):
-            try:
-                records, __ = parse_wal_payload(
-                    shipment.payload,
-                    path=f"<successor gen {shipment.generation}>",
-                    allow_torn_tail=not shipment.sealed)
-            except StorageError:
-                continue
-            theirs[shipment.generation] = records
+        theirs = disk_history(successor.wal_path, "successor")
         report = DivergenceReport(
             node=self.name, epoch=self.epoch,
             successor=successor.name, successor_epoch=successor.epoch)
-        for shipment in disk_shipments(self.wal_path, on_bit_rot="skip"):
-            try:
-                records, __ = parse_wal_payload(
-                    shipment.payload,
-                    path=f"<local gen {shipment.generation}>",
-                    allow_torn_tail=not shipment.sealed)
-            except StorageError:
-                continue
-            survived = theirs.get(shipment.generation, [])
+        for generation, (records, sealed) in disk_history(
+                self.wal_path, "local").items():
+            survived = theirs.get(generation, ([], True))[0]
             diverged_here = False
             for index, record in enumerate(records):
                 if (index < len(survived)
@@ -561,13 +553,12 @@ class PrimaryNode:
                     continue
                 diverged_here = True
                 report.statements.append(DivergedStatement(
-                    generation=shipment.generation, index=index,
+                    generation=generation, index=index,
                     sql=str(record.get("sql", "")),
-                    acknowledged=(shipment.generation, index)
-                    in self.acked))
+                    acknowledged=(generation, index) in self.acked))
             if diverged_here:
-                path = (f"{self.wal_path}.{shipment.generation:06d}"
-                        if shipment.sealed else self.wal_path)
+                path = (f"{self.wal_path}.{generation:06d}"
+                        if sealed else self.wal_path)
                 quarantine = f"{path}.diverged"
                 os.replace(path, quarantine)
                 report.quarantined.append(quarantine)
@@ -838,13 +829,28 @@ class ReplicationGroup:
         self.membership = membership if membership is not None \
             else getattr(primary, "membership", None)
         self.last_promotion: float | None = None
-        #: Candidates refused at the last promotion (corrupt ledgers).
+        #: Candidates refused at the last promotion (corrupt ledgers,
+        #: or ledgers short of a replicated write).
         self.refused: list[str] = []
+        #: generation → ``(records, epoch)``: the most records of each
+        #: generation any follower ledger held when seen (at ``sync``,
+        #: at each promotion, winners included) and the epoch that
+        #: follower had observed — what a candidate must reach.
+        self.replicated: dict[int, tuple[int, "int | None"]] = {}
+
+    def _learn(self, followers: Sequence[FollowerNode]) -> None:
+        """Raise the replicated high-water to *followers*' ledgers."""
+        for follower in followers:
+            for generation, records in follower.applied.items():
+                if records > self.replicated.get(generation, (0, None))[0]:
+                    self.replicated[generation] = (records, follower.epoch)
 
     def sync(self) -> int:
         """Every follower catches up; returns total statements applied."""
-        return sum(follower.catch_up(self.primary)
-                   for follower in self.followers)
+        applied = sum(follower.catch_up(self.primary)
+                      for follower in self.followers)
+        self._learn(self.followers)
+        return applied
 
     def fail_primary(self) -> None:
         self.primary.crash()
@@ -853,13 +859,18 @@ class ReplicationGroup:
         """Fail over: stand up the most-caught-up follower as primary.
 
         Deterministic choice — highest ledger total, roster order on
-        ties — **among followers whose ledger verifies**: a candidate
-        whose local segments fail :meth:`FollowerNode.verify_ledger`
-        is refused (a bit-rotted replica must never become the source
-        of truth), and the next candidate is tried.
+        ties — **among followers fit to be the source of truth**: a
+        candidate whose segments fail :meth:`FollowerNode.verify_ledger`
+        is refused (a bit-rotted replica), and so is one whose ledger,
+        after the salvage below, is short of ``replicated`` (crowning it
+        would lose an acknowledged-and-replicated write).  The next
+        candidate is tried; when none is fit nobody is crowned, no
+        epoch is spent, and the :class:`FederationError` names the
+        first missing write (``epoch`` / ``generation`` / ``index``)
+        and the candidate (``node``).
 
         A *cleanly dead* primary (``crash()``) is drained from disk:
-        the winner salvages whatever the corpse's directory still holds
+        a candidate salvages whatever the corpse's directory still holds
         (its ledger skips everything it already applied; a shipment
         that fails its integrity checks — including bit-rotted bytes —
         is skipped, so a rotting dead disk cannot poison the new
@@ -894,33 +905,52 @@ class ReplicationGroup:
         with _span("replica.promote", dead=self.primary.name):
             candidate = None
             self.refused = []
+            behind: dict = {}
+            self._learn(self.followers)
             order = sorted(
                 range(len(self.followers)),
                 key=lambda i: (-self.followers[i].applied_total(), i))
             for index in order:
                 contender = self.followers[index]
                 defects = contender.verify_ledger()
-                if not defects:
+                if defects:
+                    self.refused.append(
+                        f"{contender.name}: {defects[0].kind or 'corrupt'} "
+                        f"in {defects[0].path}")
+                    _metric("federation", "promotions_refused_corrupt")
+                    continue
+                # Final drain straight from the dead primary's directory
+                # — unless it is a zombie, whose disk the partition hides.
+                salvaged = 0
+                if not zombie:
+                    for shipment in disk_shipments(self.primary.wal_path,
+                                                   on_bit_rot="skip"):
+                        try:
+                            salvaged += contender.apply_shipment(shipment)
+                        except FederationError:
+                            _metric("federation", "salvage_skipped")
+                missing = [
+                    (epoch, generation, contender.applied.get(generation, 0))
+                    for generation, (records, epoch)
+                    in sorted(self.replicated.items())
+                    if contender.applied.get(generation, 0) < records]
+                if not missing:
                     candidate = contender
                     break
+                epoch, generation, position = missing[0]
                 self.refused.append(
-                    f"{contender.name}: {defects[0].kind or 'corrupt'} "
-                    f"in {defects[0].path}")
-                _metric("federation", "promotions_refused_corrupt")
+                    f"{contender.name}: does not hold the replicated "
+                    f"write at epoch {epoch} gen {generation} index "
+                    f"{position}")
+                behind = behind or dict(node=contender.name, epoch=epoch,
+                                        generation=generation,
+                                        index=position)
+                _metric("federation", "promotions_refused_behind")
             if candidate is None:
                 raise FederationError(
                     "no follower passed ledger verification; refused: "
-                    + "; ".join(self.refused))
-            # Final drain straight from the dead primary's directory —
-            # unless it is a zombie, whose disk the partition hides.
-            salvaged = 0
-            if not zombie:
-                for shipment in disk_shipments(self.primary.wal_path,
-                                               on_bit_rot="skip"):
-                    try:
-                        salvaged += candidate.apply_shipment(shipment)
-                    except FederationError:
-                        _metric("federation", "salvage_skipped")
+                    + "; ".join(self.refused), **behind)
+            self._learn([candidate])
             candidate.last_catchup = candidate.timeline.now()
             if self.membership is not None:
                 self.membership.elect(candidate.name)

@@ -8,13 +8,21 @@ capacity**, because a point lookup occupies one shard's lane while the
 other shards' lanes serve other clients.
 
 One ``serve(requests)`` call routes every request to subrequests
-(point lookups to the owning shard, extent queries to all shards,
+(point lookups to the owning shard only, extent queries to all shards,
 batches to the owning subset), replays each shard's subrequest list
-through that shard's server on a private clock track branched at a
-common origin, advances the shared clock by the longest track, and
-fuses per-shard results back into one :class:`~repro.serving.
-ServedResult` per input request — in input order, answers fused in
-shard order, bit-reproducible under a fixed seed at any shard count.
+through that shard's server on a private clock track
+(:func:`~repro.mediator.pool.run_on_tracks`, one lane per shard: the
+shared clock advances by the slowest shard), and fuses per-shard
+results back into one :class:`~repro.serving.ServedResult` per input
+request, in input order.
+
+**Law (sharded ≡ unsharded).**  Shards hold disjoint accession ranges
+(:class:`~repro.federation.sharding.ShardSlice`), so fusing in
+ascending shard order (:func:`fuse_rows` / :func:`fuse_batches`) gives
+the exact answer one unsharded mediator gives — identical, never just
+similar, at any shard count.  :func:`merge_health` shard-prefixes
+outcome keys (``shard0:GenBank``), so a degraded answer still names
+which source on which shard let it down.
 
 :func:`sharded_federation` is the calibrated fixture behind the A12
 ablation, the ``python -m repro shard`` CLI demo, and the federation
@@ -24,16 +32,92 @@ ranges, one mediator + server per shard, all on one virtual clock.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.errors import FederationError
-from repro.federation.router import ShardedMediator, fuse_batches, \
-    fuse_rows, merge_health
 from repro.federation.sharding import ShardMap, ShardSlice
-from repro.mediator.mediator import MediatedAnswer
-from repro.obs.metrics import count as _metric, gauge as _gauge
+from repro.mediator.mediator import (
+    MediatedAnswer,
+    MediatedBatch,
+    QueryHealth,
+)
+from repro.mediator.pool import run_on_tracks
+from repro.obs.metrics import (
+    count as _metric,
+    gauge as _gauge,
+    get_registry,
+)
 from repro.obs.trace import span as _span
 from repro.serving.server import FederationServer, Request, ServedResult
+
+
+def merge_health(parts: Sequence[tuple[int, QueryHealth]]) -> QueryHealth:
+    """Fuse per-shard health reports into one, shard-prefixing outcomes.
+
+    ``complete`` stays honest: the merged report is complete iff every
+    shard's was.  ``elapsed`` and ``queue_wait`` are maxima (the parts
+    ran in parallel); shed status is sticky with the lowest shard's
+    reason winning, so reports are deterministic.
+    """
+    merged = QueryHealth()
+    for shard, health in parts:
+        for name, outcome in health.outcomes.items():
+            merged.outcomes[f"shard{shard}:{name}"] = outcome
+        merged.deadline_hit = merged.deadline_hit or health.deadline_hit
+        merged.elapsed = max(merged.elapsed, health.elapsed)
+        merged.queue_wait = max(merged.queue_wait, health.queue_wait)
+        if health.shed and not merged.shed:
+            merged.shed = True
+            merged.shed_reason = health.shed_reason
+        if merged.trace_id is None:
+            merged.trace_id = health.trace_id
+    return merged
+
+
+def _all_from_cache(parts: Sequence[tuple[int, object]]) -> bool:
+    return bool(parts) and all(
+        getattr(part, "from_cache", False) for __, part in parts)
+
+
+def fuse_batches(accessions: Sequence[str],
+                 parts: Sequence[tuple[int, MediatedBatch]],
+                 health: QueryHealth) -> MediatedBatch:
+    """Fuse disjoint per-shard batches, keys in the caller's order."""
+    fused = MediatedBatch(
+        {accession: [] for accession in accessions}, health=health)
+    for __, part in sorted(parts, key=lambda pair: pair[0]):
+        for accession, views in part.items():
+            fused[accession] = list(views)
+    fused.from_cache = _all_from_cache(parts)
+    return fused
+
+
+def fuse_rows(parts: Sequence[tuple[int, MediatedAnswer]],
+              health: QueryHealth,
+              source_order: Sequence[str] = ()) -> MediatedAnswer:
+    """Fuse per-shard extent answers back into the unsharded row order.
+
+    A single mediator emits rows source-major (all of source A, then
+    all of source B, …); each shard's partial answer is source-major
+    too, over its own contiguous accession range.  Fusing source-major
+    first and shard-ascending within each source therefore reproduces
+    the exact row order one unsharded mediator would have produced.
+    Sources absent from *source_order* fuse after it, in first-seen
+    order, so fusion never drops a row.
+    """
+    ordered = sorted(parts, key=lambda pair: pair[0])
+    ranking = {name: rank for rank, name in enumerate(source_order)}
+    buckets: dict[str, list] = {name: [] for name in source_order}
+    for __, part in ordered:
+        for row in part:
+            buckets.setdefault(row.source, []).append(row)
+    fused = MediatedAnswer(health=health)
+    for name in sorted(buckets,
+                       key=lambda name: ranking.get(name, len(ranking))):
+        fused.extend(buckets[name])
+    fused.from_cache = _all_from_cache(parts)
+    return fused
 
 
 class ShardedFederationServer:
@@ -101,30 +185,28 @@ class ShardedFederationServer:
                 ))
             placements.append(entry)
 
-        origin = self.timeline.now()
-        shard_results: list[list[ServedResult]] = []
-        longest = 0.0
-        for shard, server in enumerate(self.servers):
-            subrequests = per_shard[shard]
-            track = self.timeline.open_track(origin)
-            try:
-                with _span("shard.fanout", shard=shard,
-                           requests=len(subrequests)):
-                    shard_results.append(server.serve(subrequests))
-            finally:
-                longest = max(longest, self.timeline.close_track(track))
-            served = sum(1 for result in shard_results[shard]
-                         if not result.shed)
-            _gauge("federation", f"shard{shard}_served", served)
-            _gauge("federation", f"shard{shard}_shed",
-                   len(shard_results[shard]) - served)
-            _metric("federation", "subrequests", len(subrequests))
-        if longest:
-            self.timeline.advance(longest)
+        # One lane per shard: the join is the slowest shard's makespan.
+        shard_results = run_on_tracks(
+            self.timeline,
+            [partial(self._serve_shard, shard, subrequests)
+             for shard, subrequests in enumerate(per_shard)],
+            None, self.count)
+        if get_registry() is not None:  # nobody listening: skip the counting
+            for shard, results in enumerate(shard_results):
+                served = sum(1 for result in results if not result.shed)
+                _gauge("federation", f"shard{shard}_served", served)
+                _gauge("federation", f"shard{shard}_shed",
+                       len(results) - served)
+                _metric("federation", "subrequests", len(per_shard[shard]))
 
         return [self._fuse(request, [(shard, shard_results[shard][index])
                                      for shard, index in entry])
                 for request, entry in zip(requests, placements)]
+
+    def _serve_shard(self, shard: int,
+                     subrequests: list[Request]) -> list[ServedResult]:
+        with _span("shard.fanout", shard=shard, requests=len(subrequests)):
+            return self.servers[shard].serve(subrequests)
 
     def submit(self, request: Request) -> ServedResult:
         return self.serve([request])[0]
@@ -174,8 +256,6 @@ class ShardedFederationServer:
                 [(shard, sub.answer) for shard, sub in parts
                  if not sub.shed],
                 health, self.servers[0].source_names)
-            if not isinstance(answer, MediatedAnswer):  # pragma: no cover
-                answer = MediatedAnswer(answer, health=health)
         return ServedResult(
             request=request,
             answer=answer,
@@ -213,12 +293,10 @@ def sharded_federation(
     :class:`~repro.serving.FederationServer` with ``capacity`` lanes
     and clean-slice hedge replicas — all on one shared virtual clock.
 
-    Returns ``(server, router, shard_map, accessions, timeline)``
-    where ``server`` is the :class:`ShardedFederationServer`,
-    ``router`` the :class:`~repro.federation.router.ShardedMediator`
-    over the same per-shard mediators, and ``accessions`` a lookup
-    population spanning every shard.  Fully seeded: identical
-    arguments replay bit for bit.
+    Returns ``(server, shard_map, accessions, timeline)`` where
+    ``server`` is the :class:`ShardedFederationServer` and
+    ``accessions`` a lookup population spanning every shard.  Fully
+    seeded: identical arguments replay bit for bit.
     """
     from repro.mediator import Mediator, RetryPolicy
     from repro.serving.policy import ServingPolicy
@@ -243,7 +321,7 @@ def sharded_federation(
     shard_map = ShardMap.for_accessions(union, shards)
     retry_policy = RetryPolicy(max_attempts=3, base_delay=1.0,
                                multiplier=2.0, jitter=0.0, deadline=40.0)
-    servers, mediators = [], []
+    servers = []
     for shard in range(shard_map.count):
         proxies = []
         for index, repository in enumerate(repositories, start=1):
@@ -256,7 +334,6 @@ def sharded_federation(
             proxies.append(proxy)
         mediator = Mediator(proxies, retry_policy=retry_policy,
                             timeline=timeline)
-        mediators.append(mediator)
         shard_policy = (policy if policy is not None
                         else ServingPolicy(capacity=capacity,
                                            deadline=deadline))
@@ -265,7 +342,6 @@ def sharded_federation(
             replicas={proxy.name: proxy.inner for proxy in proxies},
         ))
     server = ShardedFederationServer(shard_map, servers)
-    router = ShardedMediator(shard_map, mediators)
     step = max(1, len(union) // lookup_population)
     accessions = union[::step][:lookup_population]
-    return server, router, shard_map, accessions, timeline
+    return server, shard_map, accessions, timeline

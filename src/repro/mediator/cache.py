@@ -44,7 +44,11 @@ from repro.mediator.mediator import (
     MediationCost,
     Mediator,
 )
-from repro.obs.metrics import count as _metric, gauge as _gauge
+from repro.obs.metrics import (
+    LockedCounters,
+    count as _metric,
+    gauge as _gauge,
+)
 from repro.obs.trace import annotate as _annotate, span as _span
 
 #: Provenance key kinds.
@@ -61,21 +65,15 @@ def record_key(source: str, accession: str) -> tuple:
 
 
 @dataclass
-class CacheStats:
+class CacheStats(LockedCounters):
     """Hit/miss/eviction/invalidation counters (lifetime of one cache)."""
+
+    metric_group = "cache"
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-        _metric("cache", counter, amount)
 
 
 class CacheEntry:
@@ -158,27 +156,24 @@ class QueryCache:
                 self._count("evictions")
         return entry
 
+    def _evict(self, stale: Callable[[CacheEntry, object], bool],
+               witness) -> int:
+        with self._lock:
+            keys = [key for key, entry in self._entries.items()
+                    if stale(entry, witness)]
+            for key in keys:
+                del self._entries[key]
+            if keys:
+                self._count("invalidations", len(keys))
+            return len(keys)
+
     def invalidate(self, delta: Delta) -> int:
         """Evict exactly the entries whose provenance *delta* touches."""
-        with self._lock:
-            stale = [key for key, entry in self._entries.items()
-                     if entry.touched_by(delta)]
-            for key in stale:
-                del self._entries[key]
-            if stale:
-                self._count("invalidations", len(stale))
-            return len(stale)
+        return self._evict(CacheEntry.touched_by, delta)
 
     def invalidate_source(self, source: str) -> int:
         """Evict every entry depending on *source* (monitor resync)."""
-        with self._lock:
-            stale = [key for key, entry in self._entries.items()
-                     if entry.depends_on(source)]
-            for key in stale:
-                del self._entries[key]
-            if stale:
-                self._count("invalidations", len(stale))
-            return len(stale)
+        return self._evict(CacheEntry.depends_on, source)
 
 
 def normalize_query(kind: str, **params) -> tuple:
@@ -327,6 +322,28 @@ class CachedMediator:
         entry = self._lookup(normalize_query(kind, **params))
         return self._materialize(entry) if entry is not None else None
 
+    def _cached(self, spn, key, accessions, live: Callable, *args, **options):
+        """The cache protocol, said once: serve *key* from a serviceable
+        entry, else ask ``live(*args, **options)`` and keep the answer —
+        but only a complete one (a degraded answer is a fact about
+        availability, not about the data) — under the provenance of
+        *accessions* at every source (``None``: the sources' extents)."""
+        entry = self._lookup(key)
+        if entry is not None:
+            spn.annotate(cache="hit")
+            return self._materialize(entry)
+        spn.annotate(cache="miss")
+        answer = live(*args, **options)
+        if answer.health.complete:
+            names = self.source_names
+            provenance = ({extent_key(name) for name in names}
+                          if accessions is None else
+                          {record_key(name, accession) for name in names
+                           for accession in accessions})
+            self.cache.put(key, answer, provenance, self.timeline.now())
+        answer.from_cache = False
+        return answer
+
     def find_genes(
         self,
         organism: str | None = None,
@@ -350,42 +367,19 @@ class CachedMediator:
                               contains_motif=contains_motif,
                               min_length=min_length)
         with _span("cache.find_genes") as spn:
-            entry = self._lookup(key)
-            if entry is not None:
-                spn.annotate(cache="hit")
-                return self._materialize(entry)
-            spn.annotate(cache="miss")
-            answer = self.mediator.find_genes(
+            return self._cached(
+                spn, key, None, self.mediator.find_genes,
                 organism, name_prefix, contains_motif, min_length,
                 None, strict, deadline_at=deadline_at, exclude=exclude)
-            if answer.health.complete:
-                provenance = {extent_key(name)
-                              for name in self.source_names}
-                self.cache.put(key, answer, provenance,
-                               self.timeline.now())
-            answer.from_cache = False
-            return answer
 
     def gene(self, accession: str, strict: bool = False, *,
              deadline_at: float | None = None,
              exclude: Sequence[str] = ()) -> MediatedAnswer:
         key = normalize_query("gene", accession=accession)
         with _span("cache.gene", accession=accession) as spn:
-            entry = self._lookup(key)
-            if entry is not None:
-                spn.annotate(cache="hit")
-                return self._materialize(entry)
-            spn.annotate(cache="miss")
-            answer = self.mediator.gene(accession, strict,
-                                        deadline_at=deadline_at,
-                                        exclude=exclude)
-            if answer.health.complete:
-                provenance = {record_key(name, accession)
-                              for name in self.source_names}
-                self.cache.put(key, answer, provenance,
-                               self.timeline.now())
-            answer.from_cache = False
-            return answer
+            return self._cached(
+                spn, key, (accession,), self.mediator.gene, accession,
+                strict, deadline_at=deadline_at, exclude=exclude)
 
     def genes(
         self, accessions: Sequence[str], strict: bool = False, *,
@@ -394,22 +388,6 @@ class CachedMediator:
     ) -> MediatedBatch:
         key = normalize_query("genes", accessions=tuple(accessions))
         with _span("cache.genes", accessions=len(accessions)) as spn:
-            entry = self._lookup(key)
-            if entry is not None:
-                spn.annotate(cache="hit")
-                return self._materialize(entry)
-            spn.annotate(cache="miss")
-            batch = self.mediator.genes(accessions, strict,
-                                        deadline_at=deadline_at,
-                                        exclude=exclude)
-            if batch.health.complete:
-                provenance = {record_key(name, accession)
-                              for name in self.source_names
-                              for accession in accessions}
-                self.cache.put(key, batch, provenance,
-                               self.timeline.now())
-            batch.from_cache = False
-            return batch
-
-    def count_genes(self, **filters) -> int:
-        return len(self.find_genes(**filters))
+            return self._cached(
+                spn, key, accessions, self.mediator.genes, accessions,
+                strict, deadline_at=deadline_at, exclude=exclude)

@@ -56,16 +56,16 @@ from repro.mediator.pool import (
     SequentialPool,
     ThreadedPool,
     WorkerPool,
-    bounded_makespan,
+    run_on_tracks,
 )
-from repro.obs.metrics import count as _metric
+from repro.obs.metrics import LockedCounters
 from repro.obs.trace import (
     annotate as _annotate,
     current_trace_id as _current_trace_id,
     span as _span,
 )
+from repro.sim.clock import VirtualClock
 from repro.sources.base import Repository
-from repro.sources.faults import VirtualClock
 
 _T = TypeVar("_T")
 
@@ -82,14 +82,10 @@ HALF_OPEN = "half-open"
 
 
 @dataclass
-class MediationCost:
-    """Work accounting across one mediator's lifetime.
+class MediationCost(LockedCounters):
+    """Work accounting across one mediator's lifetime."""
 
-    Updates go through :meth:`bump`, which holds a lock so concurrent
-    fan-out never loses an increment.  The lock is a plain attribute
-    rather than a dataclass field, keeping ``fields()``-based iteration
-    (and :meth:`reset`) exactly as cheap as before.
-    """
+    metric_group = "mediation"
 
     source_requests: int = 0
     bytes_shipped: int = 0
@@ -110,14 +106,6 @@ class MediationCost:
     hedges_won: int = 0
     retry_budget_denials: int = 0
     source_exclusions: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def bump(self, counter: str, amount: float = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + amount)
-        _metric("mediation", counter, amount)
 
     def reset(self) -> "MediationCost":
         with self._lock:
@@ -836,13 +824,12 @@ class Mediator:
     def _fan_out(self, jobs: Sequence[Callable[[], _T]]) -> list[_T]:
         """Run one job per source on the pool; results in job order.
 
-        Under a parallel pool every job gets a private clock track
-        branched off the query's start instant, so each source's
+        Under a parallel pool the jobs go through
+        :func:`~repro.mediator.pool.run_on_tracks`: each source's
         backoff and deadline arithmetic is independent of how its
-        siblings are scheduled.  At the join, the shared clock advances
-        by the greedy makespan of the per-job virtual durations over
-        ``pool.max_workers`` lanes — modelled latency is wall-clock
-        under bounded parallelism, not the per-source sum.
+        siblings are scheduled, and modelled latency is wall-clock
+        under ``pool.max_workers``-way parallelism, not the per-source
+        sum.
         """
         with _span("mediator.fan_out", jobs=len(jobs),
                    width=self.pool.max_workers,
@@ -852,32 +839,12 @@ class Mediator:
             if not self.pool.parallel or len(jobs) <= 1:
                 results = [job() for job in jobs]
             else:
-                results = self._fan_out_on_tracks(jobs)
+                results = run_on_tracks(self.timeline, jobs, self.pool.run,
+                                        self.pool.max_workers)
             parsed = self.cost.records_parsed - parsed
             wrapped = self.cost.records_wrapped - wrapped
             spn.annotate(parsed=parsed, reused=max(0, wrapped - parsed))
             return results
-
-    def _fan_out_on_tracks(self, jobs: Sequence[Callable[[], _T]]) -> list[_T]:
-        origin = self.timeline.now()
-        durations = [0.0] * len(jobs)
-        results: list = [None] * len(jobs)
-
-        def tracked(index: int, job: Callable[[], _T]) -> Callable[[], None]:
-            def run() -> None:
-                track = self.timeline.open_track(origin)
-                try:
-                    results[index] = job()
-                finally:
-                    durations[index] = self.timeline.close_track(track)
-            return run
-
-        self.pool.run([tracked(index, job)
-                       for index, job in enumerate(jobs)])
-        makespan = bounded_makespan(durations, self.pool.max_workers)
-        if makespan:
-            self.timeline.advance(makespan)
-        return results
 
     def _finish(self, health: QueryHealth, started: float,
                 strict: bool) -> None:

@@ -8,9 +8,9 @@ share the interface:
   directly (summed per-source time);
 - :class:`ThreadedPool` — ``max_workers`` lanes on one long-lived,
   process-wide executor; each job runs on its own
-  :class:`~repro.sources.faults.ClockTrack`, and the mediator joins the
-  tracks back into the shared clock with :func:`bounded_makespan`, so
-  modelled latency reflects wall-clock under ``max_workers``-way
+  :class:`~repro.sim.clock.ClockTrack`, and :func:`run_on_tracks` joins
+  the tracks back into the shared clock with :func:`bounded_makespan`,
+  so modelled latency reflects wall-clock under ``max_workers``-way
   parallelism;
 - ``DeterministicPool`` (in ``tests/concurrency``) — runs jobs serially
   in a *seeded permutation* of submission order while still reporting
@@ -28,6 +28,7 @@ import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import MediatorError
@@ -46,11 +47,50 @@ def bounded_makespan(durations: Sequence[float], workers: int) -> float:
     """
     if not durations:
         return 0.0
-    lanes = [0.0] * max(1, min(workers, len(durations)))
+    if workers >= len(durations):
+        return max(durations)
+    lanes = [0.0] * max(1, workers)
     for duration in durations:
         index = min(range(len(lanes)), key=lanes.__getitem__)
         lanes[index] += duration
     return max(lanes)
+
+
+def run_on_tracks(timeline, jobs: Sequence[Callable[[], _T]],
+                  run: Callable[[Sequence[Callable[[], None]]], object] | None,
+                  lanes: int) -> list[_T]:
+    """Run *jobs* "in parallel" on the virtual clock; results in order.
+
+    The one fork-join of virtual time: every job runs on a private
+    track branched at the instant of the call — through *run* (a
+    pool's ``run``), or with ``run=None`` inline, in order, on the
+    caller's thread — tracks close LIFO on the thread that opened
+    them, and the shared clock then advances by the
+    :func:`bounded_makespan` of the per-job durations over *lanes*:
+    their sum on one lane, their maximum on as many lanes as jobs.  A
+    job that raises still closes its track; the error propagates and
+    the shared clock is left where it was.
+    """
+    origin = timeline.now()
+    durations = [0.0] * len(jobs)
+    results: list = [None] * len(jobs)
+
+    def task(index: int) -> None:
+        track = timeline.open_track(origin)
+        try:
+            results[index] = jobs[index]()
+        finally:
+            durations[index] = timeline.close_track(track)
+
+    if run is None:
+        for index in range(len(jobs)):
+            task(index)
+    else:
+        run([partial(task, index) for index in range(len(jobs))])
+    makespan = bounded_makespan(durations, lanes)
+    if makespan:
+        timeline.advance(makespan)
+    return results
 
 
 class WorkerPool:

@@ -4,10 +4,10 @@ The reproduction already counts everything that matters — but each
 layer counts into its own dataclass (``MediationCost``, ``FaultStats``,
 ``CacheStats``, ``MonitorCost``, ``RecoveryReport``, …) and those
 structs live and die with the objects that own them.  The registry is
-the durable, queryable aggregate: the existing ``bump()`` helpers
-*also* publish here (see :func:`count`), without any change to their
-public APIs, so a process can answer "how many source requests, across
-every mediator that ever existed?" with one call.
+the durable, queryable aggregate: :meth:`LockedCounters.bump`, the one
+``bump()`` those structs share, *also* publishes here (see
+:func:`count`), so a process can answer "how many source requests,
+across every mediator that ever existed?" with one call.
 
 Three instrument kinds, all lock-protected and cheap:
 
@@ -32,6 +32,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LockedCounters",
     "MetricsRegistry",
     "count",
     "disable_metrics",
@@ -225,12 +226,7 @@ def disable_metrics() -> None:
 
 
 def count(group: str, name: str, amount: float = 1.0) -> None:
-    """Publish a counter increment — near-free when no registry is on.
-
-    This is the hook the existing ``bump()`` helpers call, so
-    ``MediationCost`` and friends keep their public shape while the
-    registry accumulates the process-wide totals.
-    """
+    """Publish a counter increment — near-free when no registry is on."""
     registry = _REGISTRY
     if registry is None:
         return
@@ -249,3 +245,25 @@ def observe(group: str, name: str, value: float) -> None:
     if registry is None:
         return
     registry.histogram(group, name).observe(value)
+
+
+class LockedCounters:
+    """Base of the per-object counter dataclasses.
+
+    A subclass declares its counters as dataclass fields and its
+    ``metric_group``; every update goes through :meth:`bump`, which
+    holds a lock (concurrent fan-out never loses an increment) and
+    publishes the same increment to the registry as
+    ``<metric_group>_<counter>``.  The lock is a plain attribute, not a
+    field, so ``fields()``-based iteration sees counters only.
+    """
+
+    metric_group = ""
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def bump(self, counter: str, amount: float = 1) -> None:
+        with self._lock:
+            setattr(self, counter, getattr(self, counter) + amount)
+        count(self.metric_group, counter, amount)

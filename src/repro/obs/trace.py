@@ -10,7 +10,7 @@ carrying one ``trace_id``, each recording
 
 - **wall-clock** time (``time.perf_counter`` deltas, plus one epoch
   stamp per span so JSONL sinks can be merged across processes), and
-- **virtual** time (the shared :class:`~repro.sources.faults.
+- **virtual** time (the shared :class:`~repro.sim.clock.
   VirtualClock`, when the tracer is given one) — so a span shows both
   what the Python process paid and what the *modelled* network paid.
 
@@ -202,7 +202,7 @@ class Tracer:
 
     ``sample_rate`` is the probability that a *root* span records; the
     decision is drawn from a ``random.Random`` seeded from ``seed`` so
-    runs replay.  ``clock`` (a :class:`~repro.sources.faults.
+    runs replay.  ``clock`` (a :class:`~repro.sim.clock.
     VirtualClock`) adds modelled-time stamps next to the wall-clock
     ones.  Finished traces are kept in :attr:`traces` (bounded to
     ``max_traces``, oldest evicted) and, when the root finishes, the

@@ -10,13 +10,12 @@ from repro.sources.base import (
     Repository,
     SourceRecord,
 )
+from repro.sim import FaultWindow, VirtualClock
 from repro.sources.embl import EmblRepository
 from repro.sources.faults import (
     GUARDED_OPERATIONS,
     FaultStats,
     FaultyRepository,
-    OutageWindow,
-    VirtualClock,
 )
 from repro.sources.genbank import GenBankRepository
 from repro.sources.relational import RelationalRepository
@@ -43,7 +42,7 @@ __all__ = [
     "RelationalRepository",
     "FaultyRepository",
     "FaultStats",
-    "OutageWindow",
+    "FaultWindow",
     "VirtualClock",
     "GUARDED_OPERATIONS",
 ]

@@ -20,6 +20,7 @@ from repro.mediator import (
     ThreadedPool,
     bounded_makespan,
 )
+from repro.mediator.pool import run_on_tracks
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -74,6 +75,81 @@ class TestBoundedMakespan:
 
     def test_empty_batch_costs_nothing(self):
         assert bounded_makespan([], 4) == 0.0
+
+
+#: ``run=None``: the jobs run inline, in order, on the caller's thread.
+_inline = None
+
+
+class TestRunOnTracks:
+    """The one fork-join of virtual time, under the mediator's fan-out
+    and the sharded server's scatter alike."""
+
+    @staticmethod
+    def _jobs(clock, durations):
+        def job_for(index, duration):
+            def job():
+                started = clock.now()
+                clock.advance(duration)
+                return index, started
+            return job
+        return [job_for(index, duration)
+                for index, duration in enumerate(durations)]
+
+    def test_one_lane_is_the_sum(self):
+        clock = VirtualClock(10.0)
+        durations = [3.0, 2.0, 5.0]
+        results = run_on_tracks(clock, self._jobs(clock, durations),
+                                _inline, 1)
+        # Every job started at the call's instant, whatever ran before.
+        assert results == [(0, 10.0), (1, 10.0), (2, 10.0)]
+        assert clock.now() == 10.0 + sum(durations)
+
+    @pytest.mark.parametrize("lanes", [3, 4, 64])
+    def test_enough_lanes_is_the_max(self, lanes):
+        clock = VirtualClock(10.0)
+        durations = [3.0, 0.0, 5.0]
+        run_on_tracks(clock, self._jobs(clock, durations), _inline, lanes)
+        assert clock.now() == 10.0 + max(durations)
+
+    def test_results_keep_job_order_under_any_completion_order(self, seed):
+        clock = VirtualClock()
+        pool = DeterministicPool(seed=seed, max_workers=2)
+        results = run_on_tracks(clock, self._jobs(clock, [4.0, 1.0, 3.0]),
+                                pool.run, pool.max_workers)
+        assert [index for index, __ in results] == [0, 1, 2]
+        assert clock.now() == bounded_makespan([4.0, 1.0, 3.0], 2) == 4.0
+
+    def test_a_raising_job_closes_its_track_and_spends_no_time(self):
+        clock = VirtualClock(2.0)
+
+        def doomed():
+            clock.advance(7.0)
+            raise LookupError("lost")
+
+        jobs = self._jobs(clock, [1.0]) + [doomed]
+        with pytest.raises(LookupError):
+            run_on_tracks(clock, jobs, _inline, 2)
+        assert clock.now() == 2.0
+        # Nothing was left open: a fresh track still closes cleanly.
+        assert clock.close_track(clock.open_track()) == 0.0
+
+    def test_nested_under_an_open_outer_track_stays_lifo(self):
+        # The serving loop's case: a whole request runs on a track
+        # branched at its arrival, and the mediator fans out inside it.
+        clock = VirtualClock(1.0)
+        outer = clock.open_track(5.0)
+        clock.advance(0.5)
+
+        def fan_out():
+            return run_on_tracks(clock, self._jobs(clock, [2.0, 3.0]),
+                                 _inline, 2)
+
+        inner = run_on_tracks(clock, [fan_out, fan_out], _inline, 1)
+        assert [started for __, started in inner[0]] == [5.5, 5.5]
+        assert clock.now() == 5.5 + 3.0 + 3.0     # joined into the outer
+        assert clock.close_track(outer) == 6.5    # strict LIFO held
+        assert clock.now() == 1.0                 # shared clock untouched
 
 
 class TestDeterministicFusion:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
-from repro.errors import ChannelError
+from repro.errors import ChannelError, ReproError
 from repro.federation import (
     FaultyChannel,
     FollowerNode,
@@ -125,8 +125,13 @@ class TestFaultyChannel:
 
     def test_window_validation(self, pair):
         __, timeline, ___ = pair
-        channel = FaultyChannel(timeline)
-        with pytest.raises(ValueError):
+        channel = FaultyChannel(timeline, name="wan")
+        with pytest.raises(ValueError) as caught:
             channel.partition(5.0, 5.0)
-        with pytest.raises(ValueError):
+        assert isinstance(caught.value, ReproError)
+        assert caught.value.what == "window" and "wan" in caught.value.where
+        with pytest.raises(ValueError) as caught:
             channel.partition(0.0, 1.0, direction="sideways")
+        assert isinstance(caught.value, ReproError)
+        assert (caught.value.what, caught.value.where, caught.value.value) \
+            == ("direction", "wan", "sideways")

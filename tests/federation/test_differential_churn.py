@@ -4,8 +4,10 @@
 same answer a single mediator gives.  This suite proves the stronger
 operational property the macro workload leans on: with per-shard
 **answer caches** in front and **ETL deltas in flight**, the sharded
-federation still answers bit-identically to its unsharded twin at
-every point of the churn cycle —
+federation — served, as production serves it, through
+``ShardedFederationServer`` over ``FederationServer(CachedMediator)``
+shards — still answers bit-identically to its unsharded twin (one
+``CachedMediator``) at every point of the churn cycle —
 
 - before any churn (cold caches),
 - *after* sources advanced but *before* ``sync()`` (both sides serve
@@ -19,8 +21,9 @@ so any divergence is a routing/fusion/invalidation bug, not noise.
 
 import random
 
-from repro.federation import ShardMap, ShardSlice, ShardedMediator
+from repro.federation import ShardMap, ShardSlice, ShardedFederationServer
 from repro.mediator.cache import CachedMediator
+from repro.serving import FederationServer, Request
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -52,15 +55,27 @@ def _twin(shards: int):
                                  timeline=timeline)
     else:
         shard_map = ShardMap.for_accessions(union, shards)
-        mediators = [
-            CachedMediator(
+        surface = ShardedFederationServer(shard_map, [
+            FederationServer(CachedMediator(
                 [ShardSlice(repository, shard_map, shard)
                  for repository in repositories],
-                max_entries=4096, timeline=timeline)
+                max_entries=4096, timeline=timeline))
             for shard in range(shard_map.count)
-        ]
-        surface = ShardedMediator(shard_map, mediators)
+        ])
     return surface, repositories, union
+
+
+def _caches(surface):
+    """Every answer cache behind *surface*, whichever shape we hold."""
+    if isinstance(surface, ShardedFederationServer):
+        return [server.mediator for server in surface.servers]
+    return [surface]
+
+
+def _ask(surface, kind, **params):
+    if isinstance(surface, ShardedFederationServer):
+        return surface.submit(Request(kind=kind, params=params)).answer
+    return getattr(surface, kind)(**params)
 
 
 def _mix(rng: random.Random, union, count: int):
@@ -87,14 +102,14 @@ def _keys(rows):
 def _answer(surface, query):
     """Execute one query; the result is fully order-sensitive."""
     if query[0] == "gene":
-        return ("gene", _keys(surface.gene(query[1])))
+        return ("gene", _keys(_ask(surface, "gene", accession=query[1])))
     if query[0] == "genes":
-        batch = surface.genes(list(query[1]))
+        batch = _ask(surface, "genes", accessions=list(query[1]))
         return ("genes", [(accession, _keys(rows))
                           for accession, rows in batch.items()])
     __, motif, floor = query
-    return ("find", _keys(surface.find_genes(contains_motif=motif,
-                                             min_length=floor)))
+    return ("find", _keys(_ask(surface, "find_genes",
+                               contains_motif=motif, min_length=floor)))
 
 
 def _run_mix(surface, queries):
@@ -103,8 +118,7 @@ def _run_mix(surface, queries):
 
 def _sync(surface) -> int:
     """Delta count, whichever surface shape we hold."""
-    drained = surface.sync()
-    return drained if isinstance(drained, int) else len(drained)
+    return sum(len(cache.sync()) for cache in _caches(surface))
 
 
 class TestDifferentialChurn:
@@ -159,7 +173,7 @@ class TestDifferentialChurn:
         _run_mix(sharded, queries)
         _run_mix(unsharded, queries)
         assert all(mediator.cache.stats.hits > 0
-                   for mediator in sharded.mediators)
+                   for mediator in _caches(sharded))
         assert unsharded.cache.stats.hits > 0
         if answer is not None:
             assert answer.from_cache
@@ -168,7 +182,7 @@ class TestDifferentialChurn:
         assert _sync(sharded) > 0
         assert _sync(unsharded) > 0
         assert sum(mediator.cache.stats.invalidations
-                   for mediator in sharded.mediators) > 0
+                   for mediator in _caches(sharded)) > 0
         assert unsharded.cache.stats.invalidations > 0
 
     def test_churned_rows_really_changed(self):

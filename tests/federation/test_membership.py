@@ -17,7 +17,12 @@ import pytest
 from repro.db import Database
 from repro.db.recovery import databases_equal
 from repro.db.storage import read_wal_records, segment_epoch
-from repro.errors import ChannelError, FederationError, LeaseError
+from repro.errors import (
+    ChannelError,
+    FederationError,
+    LeaseError,
+    ReproError,
+)
 from repro.federation import (
     FaultyChannel,
     FollowerNode,
@@ -92,8 +97,11 @@ class TestMembershipService:
         assert caught.value.current_epoch == 2
 
     def test_lease_timeout_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             MembershipService(VirtualClock(), lease_timeout=0.0)
+        assert isinstance(caught.value, ReproError)
+        assert (caught.value.what, caught.value.value) == \
+            ("lease_timeout", 0.0)
 
 
 @pytest.fixture

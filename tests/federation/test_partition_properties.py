@@ -11,10 +11,17 @@ invariants must hold for *every* schedule:
 - every acknowledged-but-lost write is named by a DivergenceReport;
 - all survivors converge byte-identically after the final heal.
 
+The suites are derandomised (a fixed example set per source revision)
+and a ``REPRO_TEST_SEED`` sweep walks fresh schedules per CI seed, so a
+failure is always a replayable ``(seed, events)`` pair.  One such pair
+is pinned: the double failover that used to crown a follower missing a
+replicated write.
+
 Plus focused interleaving tests for the narrowest race: a lease
 expiring while an ``execute`` is already in flight.
 """
 
+import random
 import tempfile
 
 import pytest
@@ -32,6 +39,7 @@ from repro.federation import (
     WriteHistoryAuditor,
 )
 from repro.sources import VirtualClock
+from tests.concurrency.scheduler import harness_seed
 
 LEASE_TIMEOUT = 2.0
 
@@ -127,8 +135,65 @@ def schedules(draw):
         min_size=6, max_size=40))
 
 
+def _certified(root, seed, events):
+    group, auditor = _run_schedule(root, seed, events)
+    return auditor.certify(group.primary, group.followers)
+
+
+class TestDoubleFailover:
+    """Two failovers in a row: the second winner must hold every write
+    the first winner held, or nobody is crowned."""
+
+    #: Found by the property suite at a 5 % drop rate: charlie's catch-up
+    #: round is dropped, bravo wins the first failover holding the
+    #: write, and the second failover has only charlie to offer.
+    LOST_WRITE = [("write",), ("sync",), ("advance", 2.0), ("failover",),
+                  ("advance", 2.0), ("failover",)]
+
+    def test_the_pinned_double_failover_loses_nothing(self):
+        with tempfile.TemporaryDirectory() as root:
+            verdict = _certified(root, 8, self.LOST_WRITE)
+            assert verdict.ok, verdict.violations
+
+    def test_a_follower_missing_a_replicated_write_is_refused(self):
+        with tempfile.TemporaryDirectory() as root:
+            group, membership, auditor, timeline, __ = _build(root, seed=0)
+            bravo, charlie = group.followers
+            group.primary.execute("INSERT INTO t VALUES (1, 'v1')", [])
+            bravo.catch_up(group.primary)  # charlie never hears of it
+            timeline.advance(LEASE_TIMEOUT)
+            assert group.promote().name == "bravo"
+            timeline.advance(LEASE_TIMEOUT)
+            with pytest.raises(FederationError) as caught:
+                group.promote()
+            refusal = caught.value
+            assert (refusal.node, refusal.epoch, refusal.generation,
+                    refusal.index) == ("charlie", 1, 0, 0)
+            assert "charlie" in str(refusal) and "index 0" in str(refusal)
+            assert group.primary.name == "bravo"  # nobody was crowned
+            assert membership.epoch == 2          # and no epoch was spent
+            # Once charlie holds the write it is a fit successor.
+            charlie.catch_up(group.primary)
+            assert group.promote().name == "charlie"
+            assert auditor.certify(group.primary).ok
+
+    def test_a_dead_primarys_disk_makes_a_lagging_follower_whole(self):
+        """The refusal is about what the candidate holds *after* the
+        salvage: a cleanly dead primary's directory is still readable."""
+        with tempfile.TemporaryDirectory() as root:
+            group, __, auditor, timeline, __ = _build(root, seed=0)
+            bravo, charlie = group.followers
+            group.primary.execute("INSERT INTO t VALUES (1, 'v1')", [])
+            bravo.catch_up(group.primary)
+            for successor in ("bravo", "charlie"):
+                group.fail_primary()
+                timeline.advance(LEASE_TIMEOUT)  # the corpse's lease
+                assert group.promote().name == successor
+            assert auditor.certify(group.primary).ok
+
+
 class TestPartitionSchedules:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(events=schedules(), seed=st.integers(0, 2**16))
     def test_auditor_invariants_hold_for_arbitrary_schedules(
             self, events, seed):
@@ -137,7 +202,23 @@ class TestPartitionSchedules:
             verdict = auditor.certify(group.primary, group.followers)
             assert verdict.ok, verdict.violations
 
-    @settings(max_examples=20, deadline=None)
+    def test_seeded_sweep_holds_the_invariants(self):
+        """Fresh schedules per ``REPRO_TEST_SEED``, from the same event
+        alphabet the strategy draws from."""
+        for sweep in range(12):
+            rng = random.Random(
+                ("partition-sweep", harness_seed(), sweep).__repr__())
+            events = [rng.choice((
+                ("write",), ("sync",), ("failover",),
+                ("advance", round(rng.uniform(0.1, 4.0), 3)),
+                ("partition", round(rng.uniform(1.0, 12.0), 3)),
+            )) for __ in range(rng.randint(6, 40))]
+            seed = rng.randrange(2**16)
+            with tempfile.TemporaryDirectory() as root:
+                verdict = _certified(root, seed, events)
+                assert verdict.ok, (seed, events, verdict.violations)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
     @given(events=schedules(), seed=st.integers(0, 2**16))
     def test_schedules_replay_deterministically(self, events, seed):
         verdicts = []
@@ -191,7 +272,7 @@ class TestLeaseExpiryRacingExecute:
             records, __ = read_wal_records(primary.wal_path)
             assert len(records) == 1
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(head_start=st.floats(0.0, 1.99, allow_nan=False),
            ack_cost=st.floats(0.0, 1.0, allow_nan=False))
     def test_every_interleaving_acks_or_refuses_never_both(

@@ -1,32 +1,37 @@
-"""ShardedMediator: routing, fusion, and bit-reproducible answers.
+"""Routing and fusion on the served path: bit-reproducible answers.
 
 The headline contract: with fault injection off, the fused answer of
 an N-shard federation is *identical* — same rows, same order, same
 payloads — to the single-mediator answer over the same universe.
 Sharding must be invisible to correctness, visible only to capacity.
+
+There is one scatter-gather (``ShardedFederationServer._route`` /
+``_fuse`` over ``fuse_rows`` / ``fuse_batches`` / ``merge_health``);
+every question here is asked of it through ``submit(Request(...))``,
+over plain ``FederationServer(Mediator)`` shards.
 """
 
-import pytest
-
-from repro.errors import FederationError
-from repro.federation import ShardMap, ShardSlice, ShardedMediator
-from repro.federation.router import merge_health
+from repro.federation import (
+    ShardMap,
+    ShardSlice,
+    ShardedFederationServer,
+    merge_health,
+)
 from repro.mediator import Mediator
 from repro.mediator.mediator import QueryHealth
+from repro.serving import FederationServer, Request
 from repro.sources import (
     AceRepository,
     EmblRepository,
+    FaultyRepository,
     GenBankRepository,
     Universe,
     VirtualClock,
 )
 
 
-def federation(shards, *, seed=11, size=24):
-    """A clean (fault-free) N-shard federation plus its 1-shard twin's
-    ingredients: (router, accessions, timeline)."""
+def _repositories(seed, size):
     universe = Universe(seed=seed, size=size)
-    timeline = VirtualClock()
     repositories = [
         GenBankRepository(universe),
         EmblRepository(universe),
@@ -34,13 +39,50 @@ def federation(shards, *, seed=11, size=24):
     ]
     union = sorted({accession for repository in repositories
                     for accession in repository.accessions()})
+    return repositories, union
+
+
+def federation(shards, *, seed=11, size=24, latency=0.0):
+    """A clean (fault-free) N-shard served federation: (server,
+    accessions, timeline).  With *latency* every source call costs that
+    much virtual time, so scatter parallelism is visible on the clock."""
+    repositories, union = _repositories(seed, size)
+    timeline = VirtualClock()
     shard_map = ShardMap.for_accessions(union, shards)
-    mediators = [
-        Mediator([ShardSlice(repository, shard_map, shard)
-                  for repository in repositories], timeline=timeline)
-        for shard in range(shard_map.count)
-    ]
-    return ShardedMediator(shard_map, mediators), union, timeline
+    servers = []
+    for shard in range(shard_map.count):
+        sources = [ShardSlice(repository, shard_map, shard)
+                   for repository in repositories]
+        if latency:
+            sources = [FaultyRepository(source, timeline,
+                                        seed=10 * shard + index)
+                       for index, source in enumerate(sources, start=1)]
+            for proxy in sources:
+                proxy.add_latency(latency, slow_rate=0.0)
+        servers.append(FederationServer(
+            Mediator(sources, timeline=timeline)))
+    return ShardedFederationServer(shard_map, servers), union, timeline
+
+
+def single(*, seed=11, size=24):
+    """The unsharded oracle: one mediator over the same universe."""
+    repositories, __ = _repositories(seed, size)
+    return Mediator(repositories)
+
+
+def ask(server, kind, **params):
+    return server.submit(Request(kind=kind, params=params)).answer
+
+
+def spy_on_serve(server):
+    """Record the subrequest list every shard's ``serve`` is handed."""
+    seen = [[] for __ in server.servers]
+    for shard, shard_server in enumerate(server.servers):
+        def serve(requests, shard=shard, inner=shard_server.serve):
+            seen[shard].append(list(requests))
+            return inner(requests)
+        shard_server.serve = serve
+    return seen
 
 
 def _keys(rows):
@@ -48,119 +90,103 @@ def _keys(rows):
             for row in rows]
 
 
-class TestConstruction:
-    def test_mediator_count_must_match(self):
-        router, __, __ = federation(2)
-        with pytest.raises(FederationError):
-            ShardedMediator(ShardMap(("M", "Q")), router.mediators)
-
-    def test_mediators_must_share_a_clock(self):
-        first, __, __ = federation(2, seed=11)
-        second, __, __ = federation(2, seed=11)
-        with pytest.raises(FederationError):
-            ShardedMediator(first.shard_map,
-                            [first.mediators[0], second.mediators[1]])
-
-
 class TestPointLookups:
     def test_gene_routes_to_the_owner_only(self):
-        router, accessions, __ = federation(3)
+        server, accessions, __ = federation(3)
         accession = accessions[0]
-        owner = router.shard_map.shard_of(accession)
-        before = [mediator.cost.source_requests
-                  for mediator in router.mediators]
-        router.gene(accession)
-        after = [mediator.cost.source_requests
-                 for mediator in router.mediators]
+        owner = server.shard_map.shard_of(accession)
+        seen = spy_on_serve(server)
+        before = [shard.inner.cost.source_requests
+                  for shard in server.servers]
+        ask(server, "gene", accession=accession)
+        after = [shard.inner.cost.source_requests
+                 for shard in server.servers]
         assert after[owner] > before[owner]
         for shard, (was, now) in enumerate(zip(before, after)):
-            if shard != owner:
+            if shard == owner:
+                assert [len(batch) for batch in seen[shard]] == [1]
+            else:
                 assert now == was  # untouched shards did zero work
+                assert seen[shard] == [[]]  # their serve saw nothing
 
     def test_gene_matches_the_unsharded_answer(self):
         sharded, accessions, __ = federation(4)
-        single, __, __ = federation(1)
+        oracle = single()
         for accession in accessions[:6]:
-            assert _keys(sharded.gene(accession)) == \
-                _keys(single.gene(accession))
+            assert _keys(ask(sharded, "gene", accession=accession)) == \
+                _keys(oracle.gene(accession))
 
 
 class TestScatterGather:
     def test_genes_fuses_in_caller_key_order(self):
-        router, accessions, __ = federation(3)
+        server, accessions, __ = federation(3)
         wanted = list(reversed(accessions[:7]))
-        batch = router.genes(wanted)
+        batch = ask(server, "genes", accessions=wanted)
         assert list(batch) == wanted
         assert batch.health.complete
 
     def test_genes_matches_the_unsharded_answer(self):
         sharded, accessions, __ = federation(4)
-        single, __, __ = federation(1)
         wanted = accessions[:9]
-        fused = sharded.genes(wanted)
-        flat = single.genes(wanted)
+        fused = ask(sharded, "genes", accessions=wanted)
+        flat = single().genes(wanted)
         assert list(fused) == list(flat)
         for accession in wanted:
             assert _keys(fused[accession]) == _keys(flat[accession])
 
+    def test_genes_reaches_the_owning_shards_only(self):
+        server, accessions, __ = federation(4)
+        wanted = accessions[:3]  # one contiguous range: not every shard
+        owners = set(server.shard_map.split(wanted))
+        assert len(owners) < server.count
+        seen = spy_on_serve(server)
+        ask(server, "genes", accessions=wanted)
+        for shard in range(server.count):
+            assert bool(seen[shard][0]) == (shard in owners)
+
     def test_find_genes_matches_the_unsharded_answer(self):
         sharded, __, __ = federation(4)
-        single, __, __ = federation(1)
-        assert _keys(sharded.find_genes(min_length=1)) == \
-            _keys(single.find_genes(min_length=1))
+        assert _keys(ask(sharded, "find_genes", min_length=1)) == \
+            _keys(single().find_genes(min_length=1))
 
-    @staticmethod
-    def _latency_federation(shards, *, seed=11, size=24):
-        """Like ``federation`` but every source call costs 1.0 virtual
-        time — so scatter parallelism is visible on the clock."""
-        from repro.sources import FaultyRepository
-
-        universe = Universe(seed=seed, size=size)
-        timeline = VirtualClock()
-        repositories = [
-            GenBankRepository(universe),
-            EmblRepository(universe),
-            AceRepository(universe),
-        ]
-        union = sorted({accession for repository in repositories
-                        for accession in repository.accessions()})
-        shard_map = ShardMap.for_accessions(union, shards)
-        mediators = []
-        for shard in range(shard_map.count):
-            proxies = []
-            for index, repository in enumerate(repositories, start=1):
-                proxy = FaultyRepository(
-                    ShardSlice(repository, shard_map, shard),
-                    timeline, seed=10 * shard + index)
-                proxy.add_latency(1.0, slow_rate=0.0)
-                proxies.append(proxy)
-            mediators.append(Mediator(proxies, timeline=timeline))
-        return ShardedMediator(shard_map, mediators), union, timeline
+    def test_find_genes_is_source_major_then_shard_ascending(self):
+        server, __, __ = federation(3)
+        rows = ask(server, "find_genes", min_length=1)
+        names = server.servers[0].source_names
+        position = [(names.index(row.source),
+                     server.shard_map.shard_of(row.accession))
+                    for row in rows]
+        assert position == sorted(position)
+        assert {shard for __, shard in position} == {0, 1, 2}
 
     def test_scatter_advances_the_clock_by_the_max_shard(self):
-        router, accessions, timeline = self._latency_federation(3)
+        server, accessions, timeline = federation(3, latency=1.0)
+        spent = [0.0] * server.count
+        for shard, shard_server in enumerate(server.servers):
+            def serve(requests, shard=shard, inner=shard_server.serve):
+                began = timeline.now()
+                try:
+                    return inner(requests)
+                finally:
+                    spent[shard] = timeline.now() - began
+            shard_server.serve = serve
         start = timeline.now()
-        router.genes(accessions)
+        ask(server, "genes", accessions=accessions)
         elapsed = timeline.now() - start
-        # Parallel in virtual time: the scatter costs one shard's
-        # worth of fan-out, not the sum over shards.
-        single, __, single_timeline = self._latency_federation(1)
-        single_start = single_timeline.now()
-        single.genes(accessions)
-        single_elapsed = single_timeline.now() - single_start
-        assert 0 < elapsed < single_elapsed
-
-    def test_count_genes_delegates_to_find_genes(self):
-        sharded, __, __ = federation(2)
-        single, __, __ = federation(1)
-        assert sharded.count_genes(min_length=1) == \
-            single.count_genes(min_length=1)
+        # Parallel in virtual time: one serve costs the slowest shard,
+        # not the sum over shards.
+        assert min(spent) > 0
+        assert elapsed == max(spent) < sum(spent)
+        alone, __, alone_timeline = federation(1, latency=1.0)
+        alone_start = alone_timeline.now()
+        ask(alone, "genes", accessions=accessions)
+        assert 0 < elapsed < alone_timeline.now() - alone_start
 
 
 class TestHealthMerging:
     def test_outcomes_are_shard_prefixed(self):
-        router, accessions, __ = federation(2)
-        batch = router.genes(accessions)
+        server, accessions, __ = federation(2)
+        batch = ask(server, "genes", accessions=accessions)
         assert batch.health.outcomes
         assert all(key.startswith("shard") and ":" in key
                    for key in batch.health.outcomes)
@@ -178,3 +204,11 @@ class TestHealthMerging:
         assert merged.queue_wait == 2.0
         assert merged.shed and merged.shed_reason == "queue_full"
         assert merged.deadline_hit
+
+    def test_shed_is_sticky_with_the_lowest_shards_reason(self):
+        first, second = QueryHealth(), QueryHealth()
+        first.shed, first.shed_reason = True, "deadline"
+        second.shed, second.shed_reason = True, "brownout"
+        merged = merge_health([(1, first), (2, second)])
+        assert merged.shed_reason == "deadline"
+        assert not merged.complete

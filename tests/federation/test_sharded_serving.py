@@ -44,14 +44,14 @@ class TestConstruction:
 
 class TestRouting:
     def test_gene_request_reaches_one_shard(self):
-        server, __, shard_map, accessions, __ = sharded_federation(4)
+        server, shard_map, accessions, __ = sharded_federation(4)
         accession = accessions[0]
         owner = shard_map.shard_of(accession)
         routed = server._route(_request("gene", accession=accession))
         assert [shard for shard, __ in routed] == [owner]
 
     def test_genes_request_reaches_owning_shards_only(self):
-        server, __, shard_map, accessions, __ = sharded_federation(4)
+        server, shard_map, accessions, __ = sharded_federation(4)
         wanted = accessions[:6]
         routed = server._route(_request("genes", accessions=wanted))
         shards = [shard for shard, __ in routed]
@@ -68,7 +68,7 @@ class TestRouting:
 
 class TestServing:
     def test_results_come_back_in_input_order(self):
-        server, __, __, accessions, __ = sharded_federation(3)
+        server, __, accessions, __ = sharded_federation(3)
         requests = [
             _request("gene", arrival=1.0, accession=accessions[3]),
             _request("find_genes", arrival=0.0, min_length=1),
@@ -79,13 +79,13 @@ class TestServing:
             ["gene", "find_genes", "genes"]
 
     def test_fused_batch_has_caller_key_order(self):
-        server, __, __, accessions, __ = sharded_federation(3)
+        server, __, accessions, __ = sharded_federation(3)
         wanted = list(reversed(accessions[:6]))
         result = server.submit(_request("genes", accessions=wanted))
         assert list(result.answer) == wanted
 
     def test_fused_timing_is_the_gather_barrier(self):
-        server, __, __, accessions, __ = sharded_federation(3)
+        server, __, accessions, __ = sharded_federation(3)
         result = server.submit(_request("find_genes", min_length=1))
         # The client waited for the slowest shard: fused completion is
         # the max over parts, and latency is non-negative.
@@ -95,14 +95,14 @@ class TestServing:
                    for key in result.health.outcomes)
 
     def test_single_shard_fusion_is_passthrough(self):
-        server, __, __, accessions, __ = sharded_federation(4)
+        server, __, accessions, __ = sharded_federation(4)
         result = server.submit(_request("gene", accession=accessions[0]))
         assert result.request.params["accession"] == accessions[0]
         assert not any(key.startswith("shard")
                        for key in result.health.outcomes)
 
     def test_serve_advances_the_shared_clock_once(self):
-        server, __, __, accessions, timeline = sharded_federation(2)
+        server, __, accessions, timeline = sharded_federation(2)
         start = timeline.now()
         requests = synthetic_workload(accessions, count=20, load_factor=2.0,
                                       capacity=4, mean_service=3.0, seed=5)
@@ -119,13 +119,12 @@ def _keys(rows):
 class TestShardedEqualsUnsharded:
     """The bit-identity oracle on the path production runs.
 
-    ``tests/federation/test_router.py`` proves sharded ≡ unsharded for
-    ``ShardedMediator``, which only tests construct; the macro simulator
-    and the wall-clock benchmark serve through
-    ``ShardedFederationServer``, whose ``_route``/``_fuse`` is a second
-    implementation of the same routing and fusion.  Same contract, asked
-    of that one: with faults off, every served answer equals the answer
-    of one unsharded mediator over the same universe."""
+    The macro simulator and the wall-clock benchmark serve through
+    ``ShardedFederationServer``; its ``_route`` / ``_fuse`` is the one
+    routing and fusion in the tree.  The contract, on the calibrated
+    fixture with hedge replicas and default protections in place: with
+    faults off, every served answer equals the answer of one unsharded
+    mediator over the same universe."""
 
     @pytest.mark.parametrize("shards", [2, 3, 4])
     def test_served_answers_match_one_unsharded_mediator(self, shards):
@@ -159,7 +158,7 @@ class TestDeterminismAndScaling:
     def test_identical_seeds_replay_bit_for_bit(self):
         outcomes = []
         for __ in range(2):
-            server, __r, __m, accessions, __t = sharded_federation(4)
+            server, __m, accessions, __t = sharded_federation(4)
             requests = synthetic_workload(
                 accessions, count=40, load_factor=8.0, capacity=4,
                 mean_service=3.0, seed=13, batch_size=1)
@@ -175,7 +174,7 @@ class TestDeterminismAndScaling:
     def test_adding_shards_adds_goodput_under_saturation(self):
         goods = {}
         for shards in (1, 4):
-            server, __, __, accessions, __t = sharded_federation(shards)
+            server, __, accessions, __t = sharded_federation(shards)
             requests = synthetic_workload(
                 accessions, count=120, load_factor=16.0, capacity=4,
                 mean_service=3.0, seed=9, batch_size=1)

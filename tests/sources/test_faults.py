@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SourceError
+from repro.errors import ReproError, SourceError
 from repro.sources import (
     EmblRepository,
     FaultyRepository,
@@ -29,8 +29,10 @@ class TestVirtualClock:
         assert clock.now() == 4.0
 
     def test_refuses_to_run_backwards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             VirtualClock().advance(-1.0)
+        assert isinstance(caught.value, ReproError)
+        assert (caught.value.what, caught.value.value) == ("advance", -1.0)
 
 
 class TestDeterminism:
@@ -83,8 +85,12 @@ class TestOutageWindows:
 
     def test_empty_window_rejected(self, universe):
         proxy = FaultyRepository(GenBankRepository(universe))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             proxy.schedule_outage(3.0, 3.0)
+        assert isinstance(caught.value, ReproError)
+        assert caught.value.what == "window"
+        assert "GenBank" in caught.value.where  # the schedule's key
+        assert caught.value.value == (3.0, 3.0)
 
 
 class TestLatencyAndCorruption:
