@@ -83,6 +83,34 @@ def _keyed_write_us(rows, optimize, pairs=200):
     return elapsed / (2 * pairs) * 1e6
 
 
+JOIN = ("SELECT frags.organism, notes.note FROM frags "
+        "JOIN notes ON frags.id = notes.frag_id")
+
+
+def _keyed_join_us(rows, strategy):
+    """Microseconds per joined row of ``frags JOIN notes`` (every second
+    fragment has a note) over *rows* left rows: as a nested loop
+    (optimizer off), a hash join (``notes.frag_id`` not indexed) or an
+    index join (it is)."""
+    database, __ = _build(with_indexes=False, rows=rows,
+                          optimize=strategy != "nested_loop")
+    database.execute("CREATE TABLE notes (frag_id INTEGER, note TEXT)")
+    if strategy == "index":
+        database.execute("CREATE INDEX inote ON notes (frag_id) USING hash")
+    database.executemany("INSERT INTO notes VALUES (?, ?)",
+                         [(key, f"note {key}") for key in range(0, rows, 2)])
+    label = {"nested_loop": "NestedLoopJoin", "hash": "HashJoin",
+             "index": "IndexJoin"}[strategy]
+    assert label in database.explain(JOIN)
+    repeats = 1 if strategy == "nested_loop" else 5
+    start = time.perf_counter()
+    for __ in range(repeats):
+        joined = len(database.query(JOIN))
+    elapsed = time.perf_counter() - start
+    assert joined == rows // 2
+    return elapsed / (repeats * joined) * 1e6
+
+
 @pytest.fixture(scope="module")
 def optimized():
     return _build(with_indexes=True)
@@ -232,8 +260,20 @@ def report() -> dict:
                              "optimizer_off_us": off_us})
         print(f"  {rows:>5} rows   optimizer on {on_us:>7.1f}"
               f"   off {off_us:>8.1f}   ({off_us / on_us:.1f}x)")
+    print("\nkeyed join, every second row matched (us per joined row; "
+          "the strategy follows the right key's access path):")
+    keyed_joins = []
+    for rows in KEYED_SIZES:
+        entry = {"rows": rows}
+        for strategy in ("nested_loop", "hash", "index"):
+            entry[f"{strategy}_us"] = _keyed_join_us(rows, strategy)
+        keyed_joins.append(entry)
+        print(f"  {rows:>5} rows   nested loop {entry['nested_loop_us']:>8.1f}"
+              f"   hash {entry['hash_us']:>5.2f}"
+              f"   index {entry['index_us']:>5.2f}")
     return {
         "rows": ROWS,
+        "keyed_joins": keyed_joins,
         "indexed_ms": fast_ms,
         "seq_scan_ms": slow_ms,
         "speedup": slow_ms / fast_ms,

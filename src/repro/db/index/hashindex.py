@@ -61,9 +61,10 @@ class HashIndex(Index):
             del self._buckets[hashable(key)]
 
     def search_equal(self, key: Any) -> Iterable[int]:
-        if key is None:
-            return ()
-        return tuple(self._buckets.get(hashable(key), ()))
+        try:  # NULL is never a key: it finds nothing
+            return tuple(self._buckets.get(key, ()))
+        except TypeError:
+            return tuple(self._buckets.get(hashable(key), ()))
 
 
 class UniqueHashIndex(HashIndex):

@@ -219,11 +219,12 @@ def settled(size: int, columns: Sequence[Sequence[Any]]) -> tuple:
 
 def kept(batch: Batch, test: Column, context: "RowContext") -> tuple:
     """``(positions of the rows of batch a WHERE-style test keeps, up to
-    its first failure; that failure or None)``."""
-    _, (verdicts,), error = settled(
+    its first failure; how many rows come before it; that failure or
+    None)``."""
+    size, (verdicts,), error = settled(
         batch.size, [truths(test(batch, context))])
     return [row for row, verdict in enumerate(verdicts)
-            if verdict is True], error
+            if verdict is True], size, error
 
 
 def one(column: Column, context: RowContext,

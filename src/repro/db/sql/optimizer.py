@@ -16,8 +16,11 @@ implements the rules that matter for the paper's workloads:
   selectivity estimate (see :class:`~repro.db.catalog.SqlFunction`);
   together with fixed estimates for comparison shapes it prices
   candidate access paths and the cheapest wins;
-- **hash vs. nested-loop joins** — inner equi-joins become hash joins,
-  everything else nested loops.
+- **join strategy by access path** — an equi-join (inner or left)
+  probes an equality index on the right key column of a bare table
+  scan, else builds a hash table; everything else is a nested loop;
+- **read sets, bounded sorts** — a table scan reads only the columns the
+  finished plan names; ``ORDER BY … LIMIT n`` keeps *n* rows.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from repro.db.sql.plan import (
     Project,
     SeqScan,
     Sort,
+    TableScan,
 )
 from repro.db.table import Table
 from repro.errors import CatalogError, SqlSyntaxError
@@ -437,8 +441,8 @@ class Planner:
             yield from self._materialised(child, scan)
 
     def _narrow_scans(self, plan: PlanNode) -> None:
-        """Every :class:`ColumnarScan` of this query level reads only the
-        columns the finished plan names.
+        """Every table scan of this query level reads only the columns
+        the finished plan names (the naive plan keeps whole rows).
 
         A reference reaches a scan by name — qualified with the scan's
         binding, or unqualified and a column of its table; an
@@ -450,8 +454,8 @@ class Planner:
         it finds there.
         """
         nodes = list(plan.walk())
-        scans = [node for node in nodes if isinstance(node, ColumnarScan)]
-        if not scans:
+        scans = [node for node in nodes if isinstance(node, TableScan)]
+        if not (scans and self.optimize):
             return
         parts = [part for node in nodes for expression in node.expressions()
                  for part in self._materialised(expression,
@@ -514,16 +518,20 @@ class Planner:
             right_plan = self._access_path(right_table, join.table.binding,
                                            pushable[join.table.binding],
                                            schemas)
-            equi = None
-            if self.optimize and join.kind == "inner":
+            equi = index = None
+            if self.optimize:
                 equi = self._split_equi_condition(
                     join.condition, plan.frame, join.table.binding, schemas)
-            joined: PlanNode = Join(
-                plan, right_plan, join.condition, self._evaluator,
-                join.kind, equi, runtime=self._database.columnar)
-            joined.estimated_rows = max(plan.estimated_rows,
-                                        right_plan.estimated_rows)
-            plan = joined
+            column = equi and self._column_of(equi[1], join.table.binding,
+                                              right_table)
+            if column and not pushable[join.table.binding]:
+                # A bare scan of the right table: probe the index its
+                # key column has instead of running it into a hash table.
+                index = next((index for index
+                              in right_table.indexes_on(column)
+                              if index.supports_equality), None)
+            plan = Join(plan, right_plan, join.condition, self._evaluator,
+                        join.kind, equi, self._database.columnar, index)
 
         return self._filtered(plan, leftover), schemas
 
@@ -630,8 +638,12 @@ class Planner:
             raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
 
         if order_items:
+            # A LIMIT straight above (a Project in between keeps every
+            # row; DISTINCT does not) bounds the rows the sort keeps.
+            top = (None if select.limit is None or select.distinct
+                   else select.limit + (select.offset or 0))
             plan = Sort(plan, order_items, self._evaluator,
-                        runtime=self._database.columnar)
+                        self._database.columnar, top)
 
         project = Project(plan, items, self._evaluator)
         project.estimated_rows = plan.estimated_rows

@@ -76,6 +76,12 @@ class Parser:
     def _expect_identifier(self) -> str:
         return self._expect(IDENTIFIER).text
 
+    def _expect_count(self, what: str) -> int:
+        """A whole number: ``LIMIT 2.5`` is a syntax error like any other."""
+        if not (self._peek().matches(NUMBER) and self._peek().text.isdigit()):
+            raise self._error(f"{what} needs a whole number")
+        return int(self._advance().text)
+
     # -- entry point ----------------------------------------------------------------
 
     def parse_statement(self) -> ast.Statement:
@@ -141,8 +147,8 @@ class Parser:
                 while True:
                     key = self._expect_identifier()
                     self._expect(OPERATOR, "=")
-                    value = self._expect(NUMBER)
-                    parameters[key] = int(value.text)
+                    parameters[key] = self._expect_count(
+                        f"index parameter {key!r}")
                     if not self._accept(OPERATOR, ","):
                         break
                 self._expect(OPERATOR, ")")
@@ -295,9 +301,9 @@ class Parser:
 
         limit = offset = None
         if self._accept(KEYWORD, "LIMIT"):
-            limit = int(self._expect(NUMBER).text)
+            limit = self._expect_count("LIMIT")
             if self._accept(KEYWORD, "OFFSET"):
-                offset = int(self._expect(NUMBER).text)
+                offset = self._expect_count("OFFSET")
 
         return ast.Select(
             items=items, source=source, joins=joins, where=where,

@@ -29,10 +29,12 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.columnar.spill import IndexedRun, cut
+from repro.db.index.hashindex import hashable
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
     NATIVE_AGGREGATES,
@@ -74,11 +76,12 @@ def chunks(items: Iterable[Any], size: int) -> Iterator[list]:
         yield chunk
 
 
-def table_batches(pairs: Iterable[tuple]) -> Iterator[Batch]:
-    """A base table's ``(row id, row)`` *pairs* in doubling batches, each
-    of which knows its rows' ids (:meth:`Batch.row_ids`).  A pair is
-    split as it is read: keeping a chunk of them to transpose costs a
-    scan a third of its speed."""
+def table_batches(pairs: Iterable[tuple],
+                  columns: Sequence[int]) -> Iterator[Batch]:
+    """A base table's ``(row id, row)`` *pairs* in doubling batches of
+    the schema positions *columns*, each of which knows its rows' ids
+    (:meth:`Batch.row_ids`).  A pair is split as it is read: keeping a
+    chunk of them to transpose costs a scan a third of its speed."""
     pairs, size = iter(pairs), 1
     while True:
         ids, rows = [], []
@@ -87,7 +90,14 @@ def table_batches(pairs: Iterable[tuple]) -> Iterator[Batch]:
             rows.append(row)
         if not rows:
             return
-        yield Batch(list(zip(*rows)), len(rows), ids=ids)
+        if 3 * len(columns) < len(rows[0]):
+            # Under a third of the row, picking cells beats transposing.
+            data = [[row[position] for row in rows] for position in columns]
+        else:
+            data = list(zip(*rows))
+            if len(columns) < len(data):
+                data = [data[position] for position in columns]
+        yield Batch(data, len(rows), ids=ids)
         size = min(size * 2, MAX_BATCH_ROWS)
 
 
@@ -238,40 +248,58 @@ class PlanNode:
         return "\n".join(lines)
 
 
-class SeqScan(PlanNode):
-    """Full scan of a base table."""
+class TableScan(PlanNode):
+    """A scan of a base table and its **read set**: ``columns``, the
+    schema positions it materialises — all of them, until the planner's
+    last step (:meth:`read_only`) narrows it, and its frame, to those the
+    finished plan names: nothing above carries a column not read."""
 
     def __init__(self, table: Table, binding: str) -> None:
         self.table = table
         self.binding = binding
-        self.frame = Frame.for_table(binding, table.schema.column_names)
+        self.read_only(range(len(table.schema.columns)))
         self.estimated_rows = float(len(table))
 
+    def read_only(self, positions) -> None:
+        """Narrow the scan (and its frame) to these schema positions."""
+        self.columns = sorted(positions)
+        names = self.table.schema.column_names
+        self.frame = Frame([(self.binding, names[position])
+                            for position in self.columns])
+
+    def _label(self, how: str = "", *details: str) -> str:
+        """``Scan(table AS binding how; columns …; details…)``: the read
+        set is named when it is not the whole row."""
+        names = self.table.schema.column_names
+        parts = [f"{self.table.name} AS {self.binding}{how}"]
+        if len(self.columns) < len(names):
+            parts.append("columns " + (", ".join(
+                names[position] for position in self.columns) or "none"))
+        return f"{type(self).__name__}({'; '.join((*parts, *details))})"
+
+
+class SeqScan(TableScan):
+    """Full scan of a row-layout table."""
+
     def label(self) -> str:
-        return f"SeqScan({self.table.name} AS {self.binding})"
+        return self._label()
 
     def batches(self, context) -> Iterator[Batch]:
-        return table_batches(self.table.rows())
+        return table_batches(self.table.rows(), self.columns)
 
 
-class _IndexScan(PlanNode):
-    """What the three index scans share: the table frame, probe
-    evaluation and fetching the live rows behind a list of row ids."""
+class _IndexScan(TableScan):
+    """What the three index scans share: probe evaluation and fetching
+    the live rows behind a list of row ids."""
 
     #: The statement wrote ``value = column``, not ``column = value``.
     probe_first = False
 
     def __init__(self, table: Table, binding: str, index: "Index",
                  evaluator: Evaluator) -> None:
-        self.table = table
-        self.binding = binding
+        super().__init__(table, binding)
         self.index = index
         self.evaluator = evaluator
-        self.frame = Frame.for_table(binding, table.schema.column_names)
-
-    def _label(self, detail: str) -> str:
-        return (f"{type(self).__name__}({self.table.name} AS {self.binding} "
-                f"USING {self.index.name} {detail})")
 
     def _probe(self, column: "Column | None", context: RowContext) -> Any:
         """One probe value, type-checked as the comparison it replaces
@@ -296,9 +324,9 @@ class _IndexScan(PlanNode):
         return value
 
     def _fetch(self, row_ids) -> Iterator[Batch]:
-        return table_batches((row_id, self.table.row(row_id))
-                             for row_id in row_ids
-                             if self.table.has_row(row_id))
+        return table_batches(((row_id, self.table.row(row_id))
+                              for row_id in row_ids
+                              if self.table.has_row(row_id)), self.columns)
 
 
 class IndexEqualScan(_IndexScan):
@@ -312,7 +340,8 @@ class IndexEqualScan(_IndexScan):
         self.probe_first = probe_first
 
     def label(self) -> str:
-        return self._label(f"ON {self.index.column} = {self.key}")
+        return self._label(f" USING {self.index.name} "
+                           f"ON {self.index.column} = {self.key}")
 
     def batches(self, context) -> Iterator[Batch]:
         return self._fetch(self.index.search_equal(
@@ -339,7 +368,7 @@ class IndexRangeScan(_IndexScan):
         low = str(self.low) if self.low is not None else "-inf"
         high = str(self.high) if self.high is not None else "+inf"
         return self._label(
-            f"ON {self.index.column} "
+            f" USING {self.index.name} ON {self.index.column} "
             f"IN {'[' if self.include_low else '('}{low}, {high}"
             f"{']' if self.include_high else ')'}")
 
@@ -369,13 +398,13 @@ class IndexContainsScan(_IndexScan):
         self._pattern = self._compiled(pattern, NO_COLUMNS)
 
     def label(self) -> str:
-        return self._label(f"PATTERN {self.pattern}")
+        return self._label(f" USING {self.index.name} PATTERN {self.pattern}")
 
     def batches(self, context) -> Iterator[Batch]:
         candidates = self.index.search_contains(
             one(self._pattern, context))
         if candidates is None:
-            return table_batches(self.table.rows())
+            return table_batches(self.table.rows(), self.columns)
         return self._fetch(sorted(candidates))
 
 
@@ -417,7 +446,7 @@ class Filter(PlanNode):
 
     def batches(self, context) -> Iterator[Batch]:
         for batch in self.child.run(context):
-            keep, error = kept(batch, self._test, context)
+            keep, _, error = kept(batch, self._test, context)
             if len(keep) == batch.size:
                 yield batch
             elif keep:
@@ -451,27 +480,40 @@ class Change(PlanNode):
         return sorted(chain.from_iterable(map(Batch.row_ids, batches)))
 
 
+#: How a join reaches its right rows: ``rows(handles)`` behind handles,
+#: ``matches(keys)`` — per key, the handles of the rows whose key equals
+#: it, ``everything()`` — every handle in scan order, ``refuses(key)`` —
+#: would ``=`` refuse a key of this kind against some right key?
+_Side = namedtuple("_Side", "rows matches everything refuses")
+
+
 class Join(PlanNode):
     """Inner or left-outer join: a left row followed by a right row (or
-    by NULLs).  The right input is kept in an ordinal-addressed run that
-    spills past the memory budget.
+    by NULLs), a left row's matches in the right table's row order.
 
-    For each left row the join tests one column of candidate pairs:
-    every right row against the whole ``ON`` condition — a **nested
-    loop** — or, given *equi* (the ``left key = right key`` conjunct the
-    planner split off, and the residual), only the rows of its key's
-    hash bucket against the residual — a **hash join**.  A bucket lookup
-    never compares, so a hash join remembers which :func:`~repro.db.
-    values.comparison_kind` s its build keys have: a left key of any
-    other kind is one ``=`` would refuse (or, ``TRUE`` hashing to ``1``,
-    wrongly match), and that row takes the nested loop — raising or
-    matching exactly what ``compare`` does.
+    One body tests a left batch's **candidate pairs**; there are three
+    ways to find them.  A **nested loop** pairs every left row with
+    every right row and tests the whole ``ON`` condition.  Given *equi*
+    — the ``left key = right key`` conjunct the planner split off, and
+    the residual — a **hash join** looks a left key up in buckets built
+    from the right input (kept, as the nested loop's is, in a run that
+    spills past the memory budget) and an **index join** in the equality
+    *index* of the right key column: its right input, a bare table
+    scan, is never run and nothing is built.  Both test the residual.
+
+    A lookup never compares, so a left key of a kind (:func:`~repro.db.
+    values.comparison_kind`) other than the right keys' is one ``=``
+    would refuse (or, ``TRUE`` hashing to ``1``, wrongly match): its row
+    takes the nested loop, raising or matching exactly what ``compare``
+    does.  Kinds are read per batch, off one key of each type.  NULL
+    never joins.
     """
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  condition: ast.Expression, evaluator: Evaluator,
                  kind: str = "inner", equi: "tuple | None" = None,
-                 runtime: "ColumnarRuntime | None" = None) -> None:
+                 runtime: "ColumnarRuntime | None" = None,
+                 index: "Index | None" = None) -> None:
         if kind not in ("inner", "left"):
             raise DatabaseError(f"unsupported join kind {kind!r}")
         self.left = left
@@ -481,14 +523,18 @@ class Join(PlanNode):
         self.kind = kind
         self.equi = equi
         self.runtime = runtime
+        self.index = index
         self.frame = left.frame + right.frame
+        self.estimated_rows = max(left.estimated_rows, right.estimated_rows)
 
     def label(self) -> str:
         if self.equi is None:
             return f"NestedLoopJoin[{self.kind}]({self.condition})"
         left_key, right_key, residual = self.equi
         residual = f" AND {residual}" if residual else ""
-        return f"HashJoin[{self.kind}]({left_key} = {right_key}{residual})"
+        how, using = (("HashJoin", "") if self.index is None
+                      else ("IndexJoin", f" USING {self.index.name}"))
+        return f"{how}[{self.kind}]({left_key} = {right_key}{residual}{using})"
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -506,74 +552,119 @@ class Join(PlanNode):
         self._right_key = self._compiled(right_key, self.right.frame)
         self._residual = self._compiled(residual, self.frame)
 
-    @staticmethod
-    def _bucket_key(value: Any) -> Any:
-        try:
-            hash(value)
-            return value
-        except TypeError:
-            return repr(value)
-
     def _keys(self, batch: Batch, key: "Column | None",
               context: RowContext) -> tuple:
-        """``(a hash join's keys up to the first failed one, it)``."""
+        """``(an equi-join's keys up to the first failed one, it)``."""
         if key is None:
             return [NULL] * batch.size, None
         _, (keys,), error = settled(batch.size, [key(batch, context)])
         return keys, error
 
+    @staticmethod
+    def _samples(keys: Sequence[Any]) -> dict:
+        """One non-NULL key of each exact type among *keys*."""
+        samples = dict(zip(map(type, keys), keys))
+        samples.pop(type(NULL), None)
+        return samples
+
+    @staticmethod
+    def _hashable(keys: Sequence[Any]) -> Sequence[Any]:
+        try:
+            hash(tuple(keys))
+            return keys
+        except TypeError:
+            return list(map(hashable, keys))
+
+    def _built(self, build: IndexedRun, context: RowContext) -> _Side:
+        """The right input, run into *build*: handles are ordinals."""
+        buckets: dict[Any, list[int]] = {}
+        kinds: set[type] = set()
+        for batch in self.right.run(context):
+            keys, error = self._keys(batch, self._right_key, context)
+            ordinals = [build.append(row)
+                        for row in islice(batch.rows(), len(keys))]
+            kinds.update(map(comparison_kind, self._samples(keys).values()))
+            for key, ordinal in zip(self._hashable(keys), ordinals):
+                if key is not NULL:  # NULL never equi-joins
+                    buckets.setdefault(key, []).append(ordinal)
+            if error is not None:
+                raise error
+        return _Side(
+            lambda ordinals: map(build.__getitem__, ordinals),
+            lambda keys: map(buckets.get, self._hashable(keys), repeat(())),
+            lambda: range(len(build)),
+            lambda key: bool(kinds - {comparison_kind(key)}))
+
+    def _probed(self) -> _Side:
+        """The right table itself, through the index: handles are row
+        ids, a row is cut to the right scan's read set."""
+        table, index = self.right.table, self.index
+        columns = self.right.columns
+        sql_type = table.schema.column(index.column).sql_type
+        pick = (itemgetter(*columns) if len(columns) > 1 else
+                lambda row: tuple(row[position] for position in columns))
+        # A bucket is in update order, a scan in row-id order.
+        order = tuple if index.unique else sorted
+        return _Side(
+            lambda row_ids: map(pick, map(table.row, row_ids)),
+            lambda keys: map(order, map(index.search_equal, keys)),
+            lambda: [row_id for row_id, _ in table.rows()],
+            lambda key: len(index) > 0 and not comparable(sql_type, key))
+
     def batches(self, context) -> Iterator[Batch]:
         build = (self.runtime.spill.indexed_run()
                  if self.runtime is not None else IndexedRun(None, None))
-        buckets: dict[Any, list[int]] = {}
-        kinds: set[type] = set()
         null_pad = (NULL,) * len(self.right.frame)
         try:
-            for batch in self.right.run(context):
-                keys, error = self._keys(batch, self._right_key, context)
-                for key, row in zip(keys, batch.rows()):
-                    ordinal = build.append(row)
-                    if key is not NULL:  # NULL never equi-joins
-                        kinds.add(comparison_kind(key))
-                        buckets.setdefault(self._bucket_key(key),
-                                           []).append(ordinal)
-                if error is not None:
-                    raise error
-            everything = range(len(build))
+            right = (self._built(build, context) if self.index is None
+                     else self._probed())
             for batch in self.left.run(context):
                 keys, error = self._keys(batch, self._left_key, context)
-                strangers = {kind for kind in set(map(comparison_kind, keys))
-                             if kinds - {kind}} - {type(NULL)}
-                joined: list = []
-                for key, left_row in zip(keys, batch.rows()):
-                    candidates, test = everything, self._condition
-                    if self.equi is not None and not (
-                            strangers and comparison_kind(key) in strangers):
-                        candidates = (() if key is NULL else buckets.get(
-                            self._bucket_key(key), ()))
-                        test = self._residual
-                    size, failed = len(joined), None
-                    if test is None:
-                        candidates = [candidates]  # one chunk, all kept
-                    else:
-                        candidates = chunks(candidates, MAX_BATCH_ROWS)
-                    for chunk in candidates:
-                        pairs = [left_row + build[ordinal]
-                                 for ordinal in chunk]
-                        if test is not None:
-                            keep, failed = kept(Batch.of_rows(pairs), test,
-                                                context)
-                            pairs = [pairs[row] for row in keep]
-                        joined.extend(pairs)
+                strangers = {exact for exact, key
+                             in self._samples(keys).items()
+                             if right.refuses(key)}
+                # One sequence of handles per left row; its pairs, left
+                # row then right row, at most MAX_BATCH_ROWS at a time.
+                if self.equi is None or strangers:
+                    test, everything = self._condition, right.everything()
+                    found = [everything if self.equi is None
+                             or type(key) in strangers else matches
+                             for key, matches
+                             in zip(keys, right.matches(keys))]
+                else:
+                    test, found = self._residual, list(right.matches(keys))
+                at = (position for position, matches in enumerate(found)
+                      for _ in matches)
+                # The kept pairs — left position, right row — and the left
+                # rows every pair of which was tested.
+                lefts, rights, tested, failed = [], [], len(keys), None
+                for handles in chunks(chain.from_iterable(found),
+                                      MAX_BATCH_ROWS):
+                    here = list(islice(at, len(handles)))
+                    rows = list(right.rows(handles))
+                    if test is not None:
+                        keep, size, failed = kept(Batch(
+                            [[column[position] for position in here]
+                             for column in batch.columns]
+                            + list(zip(*rows)), len(here)), test, context)
                         if failed is not None:
-                            break
+                            error, tested = failed, here[size]
+                        here = [here[pair] for pair in keep]
+                        rows = [rows[pair] for pair in keep]
+                    lefts.extend(here)
+                    rights.extend(rows)
                     if failed is not None:
-                        error = failed
-                        break
-                    if len(joined) == size and self.kind == "left":
-                        joined.append(left_row + null_pad)
-                if joined:
-                    yield Batch.of_rows(joined)
+                        break  # at the pair one-row-at-a-time would fail on
+                lone = (sorted(set(range(tested)).difference(lefts))
+                        if self.kind == "left" else ())
+                if lone:  # pad the left rows no kept pair names, in place
+                    lefts, rights = zip(*sorted(
+                        chain(zip(lefts, rights), zip(lone, repeat(null_pad))),
+                        key=itemgetter(0)))
+                if lefts:
+                    yield Batch([[column[position] for position in lefts]
+                                 for column in batch.columns]
+                                + list(zip(*rights)), len(lefts))
                 if error is not None:
                     raise error
         finally:
@@ -864,6 +955,7 @@ class Distinct(PlanNode):
     def __init__(self, child: PlanNode) -> None:
         self.child = child
         self.frame = child.frame
+        self.estimated_rows = child.estimated_rows
 
     def batches(self, context) -> Iterator[Batch]:
         seen: set = set()
@@ -888,25 +980,34 @@ class Sort(PlanNode):
     chunk; with one, full chunks flush as sorted runs of column blocks
     and :func:`merged` recombines them under the same order, holding a
     block per run.
+
+    Under a ``LIMIT`` only *top* rows are wanted: an order is cut to them
+    before a column is gathered; a chunk that fills is pruned to them (in
+    input order: ties fall as they would have), flushed if half full still.
     """
 
     passes_rows = True
 
     def __init__(self, child: PlanNode, items: Sequence[ast.OrderItem],
                  evaluator: Evaluator,
-                 runtime: "ColumnarRuntime | None" = None) -> None:
+                 runtime: "ColumnarRuntime | None" = None,
+                 top: "int | None" = None) -> None:
         self.child = child
         self.items = list(items)
         self.evaluator = evaluator
         self.runtime = runtime
+        self.top = top
         self.frame = child.frame
+        self.estimated_rows = (child.estimated_rows if top is None
+                               else min(top, child.estimated_rows))
 
     def label(self) -> str:
         inner = ", ".join(
             f"{item.expression} {'ASC' if item.ascending else 'DESC'}"
             for item in self.items
         )
-        return f"Sort({inner})"
+        top = "" if self.top is None else f"; top {self.top}"
+        return f"Sort({inner}{top})"
 
     def expressions(self):
         return [item.expression for item in self.items]
@@ -924,23 +1025,21 @@ class Sort(PlanNode):
                 self._keys.append(self._compiled(key, self.frame))
             self._at.append(found[0])
 
-    def _order(self, columns: list) -> list[int]:
+    def _order(self, columns: list, top: "int | None" = None) -> list[int]:
         """The row positions of *columns* — the frame's, then the
-        computed keys — in sort order."""
+        computed keys — in sort order, the first *top* of them."""
         order = list(range(len(columns[-1])))
         for item, at in zip(reversed(self.items), reversed(self._at)):
             order.sort(key=sort_keys(columns[at], bare=True).__getitem__,
                        reverse=not item.ascending)
-        return order
-
-    def _sorted(self, columns: list) -> list:
-        order = self._order(columns)
-        return [[column[row] for row in order] for column in columns]
+        return order[:top]
 
     def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
-        capacity = spill.run_capacity() if spill is not None else None
-        width = len(self.frame)
+        full = spill.run_capacity() if spill is not None else None
+        left, width = self.top, len(self.frame)
+        if full is None and left is not None:
+            full = max(2 * left, MAX_BATCH_ROWS)  # prunes, never flushes
         held: list = [[] for _ in range(width + len(self._keys))]
         runs: list = []
         try:
@@ -951,18 +1050,36 @@ class Sort(PlanNode):
                     raise error
                 for column, more in zip(held, chain(batch.columns, keys)):
                     column.extend(more)
-                if capacity is not None and len(held[-1]) >= capacity:
-                    # A full chunk (the batch that filled it is not cut).
-                    runs.append(spill.disk_run())
-                    runs[-1].extend(self._sorted(held))
-                    held = [[] for _ in held]
-            blocks = [self._sorted(held)] if held[-1] else []
+                if full is not None and len(held[-1]) >= full:
+                    # A full chunk (the batch that filled it is not cut):
+                    # flushed, unless pruning it frees half (else a chunk
+                    # is re-sorted for every few rows that arrive).
+                    order = self._order(held, left)
+                    if 2 * len(order) > full:
+                        runs.append(spill.disk_run())
+                        runs[-1].extend([[column[row] for row in order]
+                                         for column in held])
+                        order = []
+                    order.sort()  # what is held on is in input order
+                    held = [[column[row] for row in order]
+                            for column in held]
+            order = self._order(held, left)
+            blocks = [[[column[row] for row in order] for column in held]
+                      ] if order else []
             if runs:  # the last, short chunk is merged from memory
                 blocks = merged([run.blocks() for run in runs] + [
                     cut(chunk, spill.block_rows) for chunk in blocks],
                     self._order)
             for columns in blocks:
-                yield Batch(columns[:width], len(columns[-1]))
+                size = len(columns[-1])
+                if left is not None:
+                    if left < size:
+                        size = left
+                        columns = [column[:size] for column in columns]
+                    left -= size
+                yield Batch(columns[:width], size)
+                if left == 0:
+                    return
         finally:
             self._close(runs)
 
@@ -978,6 +1095,8 @@ class Limit(PlanNode):
         self.limit = limit
         self.offset = offset or 0
         self.frame = child.frame
+        rows = max(0.0, child.estimated_rows - self.offset)
+        self.estimated_rows = rows if limit is None else min(limit, rows)
 
     def label(self) -> str:
         return f"Limit({self.limit} OFFSET {self.offset})"
@@ -1016,16 +1135,11 @@ def slot_names(calls: Sequence[ast.FunctionCall]) -> list[str]:
     return names
 
 
-class ColumnarScan(PlanNode):
+class ColumnarScan(TableScan):
     """Scan of a column-layout table: one batch per live row group — the
     decoded column pages themselves where no row of the group is dead —
     holding the rows ``SeqScan`` would emit, in the same order.
 
-    - ``columns`` — the schema positions the scan materialises.  A new
-      scan reads them all; the planner's last step (:meth:`read_only`)
-      narrows it to the columns the finished plan names.  The frame
-      narrows with it, so nothing above can name, carry or spill a
-      column that was not read.
     - ``bounds`` — WHERE comparisons ``(position, low, include_low,
       high, include_high)`` checked against each row group's zone maps;
       excluded groups are skipped unread.  The Filter above re-checks
@@ -1037,25 +1151,15 @@ class ColumnarScan(PlanNode):
 
     def __init__(self, table: Table, binding: str,
                  evaluator: Evaluator) -> None:
-        self.table = table
-        self.binding = binding
+        super().__init__(table, binding)
         self.evaluator = evaluator
         self.bounds: list = []
         #: what identifies a page-kernel call -> its EXPLAIN label
         self.kernels: dict[tuple, str] = {}
-        self.read_only(range(len(table.schema.columns)))
-        self.estimated_rows = float(len(table))
 
     @property
     def view_scan(self):
         return self
-
-    def read_only(self, positions) -> None:
-        """Narrow the scan (and its frame) to these schema positions."""
-        self.columns = sorted(positions)
-        names = self.table.schema.column_names
-        self.frame = Frame([(self.binding, names[position])
-                            for position in self.columns])
 
     def note_kernel(self, key: tuple, label: str) -> None:
         """An operator above compiled the call *key* as a page kernel."""
@@ -1064,16 +1168,12 @@ class ColumnarScan(PlanNode):
                                              list(self.kernels.values()))
 
     def label(self) -> str:
-        parts = [f"{self.table.name} AS {self.binding}"]
-        names = self.table.schema.column_names
-        if len(self.columns) < len(names):
-            parts.append("columns " + (", ".join(
-                names[position] for position in self.columns) or "none"))
+        details = []
         if self.bounds:
-            parts.append(f"zones on {len(self.bounds)} bound(s)")
+            details.append(f"zones on {len(self.bounds)} bound(s)")
         if self.kernels:
-            parts.append("kernels " + ", ".join(self.kernels.values()))
-        return f"ColumnarScan({'; '.join(parts)})"
+            details.append("kernels " + ", ".join(self.kernels.values()))
+        return self._label("", *details)
 
     def compile(self) -> None:
         self.kernels.clear()  # the operators above re-note theirs

@@ -241,8 +241,8 @@ def parse_biql(text: str) -> BiqlQuery:
 
     if tokens.accept_keyword("LIMIT"):
         kind, number = tokens.take()
-        if kind != "number":
-            raise BiqlError(f"LIMIT needs a number, got {number!r}")
+        if kind != "number" or "." in number:
+            raise BiqlError(f"LIMIT needs a whole number, got {number!r}")
         query.limit = int(number)
 
     if tokens.accept_keyword("AS"):

@@ -74,6 +74,14 @@ class BiqlSession:
             sql, parameters = translate(query)
         return sql, parameters
 
+    def explain(self, text: str, *, analyze: bool = False) -> str:
+        """The SQL a BiQL query translates to, its parameters and the
+        plan the warehouse runs for it (with *analyze*: run, and what
+        each operator actually produced)."""
+        sql, parameters = self.compile(text)
+        plan = self.warehouse.explain(sql, parameters, analyze=analyze)
+        return f"{sql}\n{parameters!r}\n{plan}"
+
     def run(self, text: str) -> ResultSet:
         """Execute a BiQL query; returns the raw result set."""
         self._admit()

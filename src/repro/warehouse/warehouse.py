@@ -418,8 +418,9 @@ class UnifyingDatabase:
         """Read anything — public and user space alike."""
         return self.db.query(sql, parameters)
 
-    def explain(self, sql: str) -> str:
-        return self.db.explain(sql)
+    def explain(self, sql: str, parameters: Sequence[Any] = (), *,
+                analyze: bool = False) -> str:
+        return self.db.explain(sql, parameters, analyze=analyze)
 
     def execute_user(self, sql: str,
                      parameters: Sequence[Any] = ()) -> Any:

@@ -69,7 +69,16 @@ def conditions(draw, depth=2, prefix=""):
     return f"({left}) {connective} ({right})"
 
 
-def build_engines(rows, second_rows=None, **config):
+#: How ``u.a``, the right key of the join tests, is indexed — which is
+#: what picks between a hash join and an index join — and the ``ON``
+#: conditions they run: bare, with a residual, without an equality.
+right_index = st.sampled_from([None, "hash", "btree"])
+join_conditions = st.sampled_from([
+    "t.a = u.a", "u.a = t.a AND t.b < u.c", "t.a = u.a AND t.b IS NOT NULL",
+    "t.a < u.a"])
+
+
+def build_engines(rows, second_rows=None, index=None, **config):
     ours = Database(**config)
     ours.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT)")
     theirs = sqlite3.connect(":memory:")
@@ -80,6 +89,8 @@ def build_engines(rows, second_rows=None, **config):
     if second_rows is not None:
         ours.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
         theirs.execute("CREATE TABLE u (a INTEGER, c INTEGER)")
+        if index is not None:
+            ours.execute(f"CREATE INDEX u_a ON u (a) USING {index}")
         for a, c in second_rows:
             ours.execute("INSERT INTO u VALUES (?, ?)", [a, c])
             theirs.execute("INSERT INTO u VALUES (?, ?)", (a, c))
@@ -186,21 +197,39 @@ class TestSelectDifferential:
     @settings(max_examples=50, deadline=None)
     @given(rows_strategy,
            st.lists(st.tuples(cell, cell), max_size=12),
-           conditions(prefix="t."))
-    def test_inner_join_matches_sqlite(self, rows, second, condition):
-        ours, theirs = build_engines(rows, second)
-        sql = (f"SELECT t.s, u.c FROM t JOIN u ON t.a = u.a "
-               f"WHERE {condition}")
+           conditions(prefix="t."), right_index, join_conditions)
+    def test_inner_join_matches_sqlite(self, rows, second, condition,
+                                       index, on):
+        ours, theirs = build_engines(rows, second, index)
+        sql = f"SELECT t.s, u.c FROM t JOIN u ON {on} WHERE {condition}"
         mine, other = both(ours, theirs, sql)
         assert as_multiset(mine) == as_multiset(other)
 
     @settings(max_examples=40, deadline=None)
-    @given(rows_strategy, st.lists(st.tuples(cell, cell), max_size=12))
-    def test_left_join_matches_sqlite(self, rows, second):
-        ours, theirs = build_engines(rows, second)
-        sql = "SELECT t.a, t.b, u.c FROM t LEFT JOIN u ON t.a = u.a"
+    @given(rows_strategy, st.lists(st.tuples(cell, cell), max_size=12),
+           right_index, join_conditions)
+    def test_left_join_matches_sqlite(self, rows, second, index, on):
+        ours, theirs = build_engines(rows, second, index)
+        sql = f"SELECT t.a, t.b, u.c FROM t LEFT JOIN u ON {on}"
         mine, other = both(ours, theirs, sql)
         assert as_multiset(mine) == as_multiset(other)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_strategy, st.lists(st.tuples(cell, cell), max_size=12),
+           right_index, join_conditions,
+           st.sampled_from(["JOIN", "LEFT JOIN"]),
+           st.integers(0, 8), st.integers(0, 8))
+    def test_join_under_a_bounded_sort_matches_sqlite(
+            self, rows, second, index, on, join, limit, offset):
+        ours, theirs = build_engines(rows, second, index)
+        # NULLs sort first in both engines; the order is total but for
+        # duplicate rows, which are interchangeable.
+        sql = (f"SELECT t.a, t.b, t.s, u.c FROM t {join} u ON {on} "
+               f"ORDER BY t.a DESC, u.c, t.b, t.s DESC "
+               f"LIMIT {limit} OFFSET {offset}")
+        assert f"; top {limit + offset})" in ours.explain(sql)
+        mine, other = both(ours, theirs, sql)
+        assert mine == other
 
     @settings(max_examples=40, deadline=None)
     @given(rows_strategy, conditions())

@@ -291,5 +291,12 @@ def test_limit_one_under_a_budget_reads_one_block_per_run(monkeypatch):
     everything = db.execute(sql).rows
     assert len(reads) == 2 * (100 // (2 * PAGE_ROWS))  # every block
     reads.clear()
-    assert db.execute(sql + " LIMIT 1").rows == everything[:1]
+    # DISTINCT keeps the limit from bounding the sort: every run is
+    # written, and the merge reads one block of each.
+    distinct = sql.replace("SELECT", "SELECT DISTINCT")
+    assert db.execute(distinct + " LIMIT 1").rows == everything[:1]
     assert len(reads) == len(set(reads)) == 100 // (2 * PAGE_ROWS)
+    reads.clear()
+    # A bounded sort prunes each full chunk to one row: no run at all.
+    assert db.execute(sql + " LIMIT 1").rows == everything[:1]
+    assert reads == []

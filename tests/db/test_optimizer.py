@@ -166,10 +166,12 @@ class TestJoinStrategy:
         plan = db.explain("SELECT * FROM t JOIN u ON t.id < u.t_id")
         assert "NestedLoopJoin" in plan
 
-    def test_left_join_uses_nested_loop(self, db):
+    def test_left_equi_join_uses_hash(self, db):
         db.execute("CREATE TABLE u (id INTEGER, t_id INTEGER)")
         plan = db.explain("SELECT * FROM t LEFT JOIN u ON t.id = u.t_id")
-        assert "NestedLoopJoin" in plan
+        assert "HashJoin[left](t.id = u.t_id)" in plan
+        assert "NestedLoopJoin[left]" in db.explain(
+            "SELECT * FROM t LEFT JOIN u ON t.id < u.t_id")
 
     def test_pushdown_below_join(self, db):
         db.execute("CREATE TABLE u (id INTEGER, t_id INTEGER)")
@@ -207,6 +209,32 @@ class TestExplain:
         plan = db.explain("SELECT * FROM t")
         assert "~100 rows" in plan
 
+    def test_estimates_survive_a_sort_a_project_and_a_limit(self, db):
+        # They used to vanish above a Sort: ``(~0 rows)`` three times.
+        db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY, w INTEGER)")
+        db.executemany("INSERT INTO u VALUES (?, ?)",
+                       [(i, i) for i in range(40)])
+        def shape(sql):
+            return [line.split("(")[0].strip() + " "
+                    + line.rsplit("  ", 1)[1]
+                    for line in db.explain(sql).splitlines()]
+
+        assert shape("SELECT t.v, u.w FROM t JOIN u ON t.k = u.id "
+                     "ORDER BY t.v LIMIT 7 OFFSET 2") == [
+            "Limit (~7 rows)", "Project (~9 rows)", "Sort (~9 rows)",
+            "IndexJoin[inner] (~100 rows)", "SeqScan (~100 rows)",
+            "SeqScan (~40 rows)"]
+        assert shape("SELECT v FROM t ORDER BY k") == [
+            "Project (~100 rows)", "Sort (~100 rows)", "SeqScan (~100 rows)"]
+        # An unbounded sort passes its input's estimate on; a LIMIT past
+        # it, or an OFFSET past everything, cannot promise more.
+        assert shape("SELECT DISTINCT v FROM t ORDER BY k LIMIT 500 "
+                     "OFFSET 30")[:4] == [
+            "Limit (~70 rows)", "Distinct (~100 rows)",
+            "Project (~100 rows)", "Sort (~100 rows)"]
+        assert shape("SELECT v FROM t LIMIT 5 OFFSET 300")[0] == \
+            "Limit (~0 rows)"
+
     def test_explain_rejects_dml(self, db):
         # ...that has no rows to find: INSERT and DDL (UPDATE and DELETE
         # are planned, see TestExplainWrites).
@@ -242,7 +270,7 @@ class TestExplainWrites:
         assert lines[0].startswith("Delete(staging)  (~1 rows)")
         assert lines[1].strip().startswith(
             "IndexEqualScan(staging AS staging USING $staging_skey_key "
-            "ON skey = ?)")
+            "ON skey = ?; columns none)")
         plan = database.explain(
             "UPDATE staging SET note = ? WHERE skey = ? AND n > 3")
         assert [line.split("(")[0].strip() for line in plan.splitlines()] == [
@@ -278,7 +306,8 @@ class TestExplainWrites:
             "DELETE FROM public_genes WHERE accession = ?")
         assert plan.splitlines()[0].startswith("Delete(public_genes)")
         assert "IndexEqualScan(public_genes AS public_genes USING " \
-            "$public_genes_accession_key ON accession = ?)" in plan
+            "$public_genes_accession_key ON accession = ?; columns none)" \
+            in plan
 
 
 class TestExplainAnalyze:

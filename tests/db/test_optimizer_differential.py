@@ -89,14 +89,25 @@ def _select_query(rng):
             f"GROUP BY a HAVING count(*) > {rng.randint(0, 3)}")
 
 
+#: ``ON`` conditions, each planned another way when optimizing (always
+#: a nested loop when not): ``u.a`` is indexed — an index join, with and
+#: without a residual; ``u.c`` is not — a hash join; no equality — a
+#: nested loop.
+_JOIN_CONDITIONS = ("t.a = u.a", "t.a = u.a", "u.a = t.b AND t.b <= u.c",
+                    "t.b = u.c", "t.b = u.c AND t.a <> u.a", "t.a < u.a")
+
+
 def _join_query(rng):
     condition = _condition(rng, prefix="t.")
-    if rng.random() < 0.7:
-        # Inner equi-join: hash join when optimizing, else nested loop.
-        return (f"SELECT t.s, u.c FROM t JOIN u ON t.a = u.a "
-                f"WHERE {condition}")
-    return (f"SELECT t.a, u.c FROM t JOIN u ON t.a < u.a "
-            f"WHERE {condition}")
+    join = rng.choice(["JOIN", "JOIN", "LEFT JOIN"])
+    sql = (f"SELECT t.a, t.s, u.c FROM t {join} u "
+           f"ON {rng.choice(_JOIN_CONDITIONS)} WHERE {condition}")
+    if rng.random() < 0.3:
+        # A bounded sort over the join: the order is total but for
+        # duplicate rows, which are interchangeable.
+        sql += (f" ORDER BY t.a DESC, u.c, t.s "
+                f"LIMIT {rng.randint(0, 12)} OFFSET {rng.randint(0, 4)}")
+    return sql
 
 
 _INDEX_DDL = (
@@ -214,9 +225,14 @@ class TestFlagActuallyChangesPlans:
 
     def test_hash_join_is_disabled(self):
         optimized, naive = self._pair()
-        sql = "SELECT t.a, u.c FROM t JOIN u ON t.a = u.a"
-        assert "HashJoin" in optimized.explain(sql)
-        assert "NestedLoopJoin" in naive.explain(sql)
+        for on, strategy in (("t.a = u.a", "IndexJoin[inner]"),
+                             ("t.b = u.c", "HashJoin[inner]")):
+            sql = f"SELECT t.a, u.c FROM t JOIN u ON {on}"
+            assert strategy in optimized.explain(sql)
+            assert "NestedLoopJoin" in naive.explain(sql)
+            left = sql.replace("JOIN", "LEFT JOIN")
+            assert strategy.replace("inner", "left") in optimized.explain(left)
+            assert "NestedLoopJoin[left]" in naive.explain(left)
 
     def test_pushdown_is_disabled(self):
         optimized, naive = self._pair()

@@ -224,3 +224,18 @@ class TestDdlDmlParsing:
     def test_garbage_statement(self):
         with pytest.raises(SqlSyntaxError):
             parse("FROBNICATE THE database")
+
+
+@pytest.mark.parametrize("sql, what, token, position", [
+    ("SELECT x FROM t LIMIT 2.5", "LIMIT", "2.5", 22),
+    ("SELECT x FROM t LIMIT 1 OFFSET 1.5", "OFFSET", "1.5", 31),
+    ("CREATE INDEX i ON t (x) USING kmer WITH (k = 2.5)",
+     "index parameter 'k'", "2.5", 45),
+])
+def test_a_fractional_count_is_a_syntax_error(sql, what, token, position):
+    # Each used to escape as ``ValueError: invalid literal for int()``.
+    with pytest.raises(SqlSyntaxError) as caught:
+        parse(sql)
+    assert str(caught.value) == (f"{what} needs a whole number "
+                                 f"(near {token!r} at position {position})")
+    assert parse(sql.replace(token, "3")) is not None

@@ -132,13 +132,15 @@ def test_a_write_is_planned_once_and_replanned_by_an_index():
     database.execute(WRITE, ["lacZ"])
     plan = database._prepare(WRITE).plan
     assert shape(plan.explain()) == [
-        "Update(genes)", "  Filter((name = ?))", "    SeqScan(genes AS genes)"]
+        "Update(genes)", "  Filter((name = ?))",
+        "    SeqScan(genes AS genes; columns name)"]
     database.execute(WRITE, ["recA"])
     assert database._prepare(WRITE).plan is plan
     create_index(database)
     assert shape(database.explain(WRITE)) == [
         "Update(genes)",
-        "  IndexEqualScan(genes AS genes USING by_name ON name = ?)"]
+        "  IndexEqualScan(genes AS genes USING by_name ON name = ?; "
+        "columns none)"]
     assert database.execute(WRITE, ["lacZ"]) == 2
     assert database.query("SELECT id FROM genes ORDER BY id").column(
         "id") == [4, 12, 21, 23]

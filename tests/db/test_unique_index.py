@@ -139,7 +139,7 @@ class TestPlannerSeesTheKey:
             plan = database.explain(
                 f"SELECT name FROM genes WHERE {column} = ?")
             assert (f"IndexEqualScan(genes AS genes USING $genes_{column}_key "
-                    f"ON {column} = ?)  (~1 rows)") in plan
+                    f"ON {column} = ?; columns name)  (~1 rows)") in plan
             assert "SeqScan" not in plan and "ColumnarScan" not in plan
 
     def test_key_lookup_wins_over_a_secondary_index(self, database):

@@ -99,6 +99,16 @@ class TestParsing:
                 parse_biql(bad)
 
 
+    @pytest.mark.parametrize("text", ["FIND genes LIMIT 2.5",
+                                      "FIND genes SHOW name LIMIT 0.0"])
+    def test_a_fractional_limit_is_a_biql_error(self, text):
+        # Used to escape as ``ValueError: invalid literal for int()``.
+        with pytest.raises(BiqlError, match="LIMIT needs a whole number, "
+                                            "got '[0-9.]+'"):
+            parse_biql(text)
+        assert parse_biql("FIND genes LIMIT 25").limit == 25
+
+
 class TestTranslation:
     def test_computed_field(self):
         sql, params = translate(parse_biql(
@@ -192,6 +202,58 @@ class TestExecution:
             f"SHOW accession"
         )
         assert (accession,) in hits.rows
+
+
+class TestExplain:
+    """``BiqlSession.explain``: the translation and the plan, through the
+    one ``compile`` — here for the three dearest statements of the
+    ``biql_interactive`` benchmark workload."""
+
+    def test_the_join_probes_the_key_index_it_already_has(self, session):
+        sql, parameters, *plan = session.explain(
+            "FIND gene_products SORT BY accession DESC LIMIT 20"
+        ).splitlines()
+        assert sql.startswith("SELECT g.accession AS accession")
+        assert parameters == "[]"
+        assert [line.split("(")[0].strip() for line in plan] == [
+            "Limit", "Project", "Sort", "IndexJoin[inner]", "SeqScan",
+            "SeqScan"]
+        assert "Sort(g.accession DESC; top 20)" in plan[2]
+        assert ("IndexJoin[inner](g.accession = p.accession "
+                "USING $public_proteins_accession_key)") in plan[3]
+        assert "(public_genes AS g; columns accession, name, length)" \
+            in plan[4]
+        assert "(public_proteins AS p; columns accession, length)" in plan[5]
+
+    def test_the_extent_statement_keeps_eight_rows(self, session):
+        text = ("FIND genes WHERE length > 30 SHOW accession, gc "
+                "SORT BY gc DESC LIMIT 8")
+        sql, parameters, *plan = session.explain(text).splitlines()
+        assert "WHERE length > ?" in sql and parameters == "[30]"
+        assert "Sort(gc DESC; top 8)" in plan[2]
+        assert plan[3].strip().startswith(
+            "IndexRangeScan(public_genes AS public_genes USING "
+            "idx_genes_length ON length IN (?, +inf]; columns accession, gc)")
+        analyzed = session.explain(text, analyze=True).splitlines()
+        assert "actual 8 rows in 1 batches" in analyzed[4]      # the sort
+        assert session.run(text).rows == session.warehouse.query(
+            sql, [30]).rows
+
+    def test_the_motif_statement_rechecks_the_index_candidates(self, session):
+        sql, parameters, *plan = session.explain(
+            "FIND genes WHERE sequence CONTAINS 'ACGTACGTAC' SHOW accession"
+        ).splitlines()
+        assert parameters == "['ACGTACGTAC']"
+        assert plan[1].strip().startswith("Filter(contains(sequence, ?))")
+        assert plan[2].strip().startswith(
+            "IndexContainsScan(public_genes AS public_genes USING "
+            "idx_genes_seq PATTERN ?; columns accession, sequence)")
+
+    def test_the_warehouse_explains_with_parameters(self, session):
+        plan = session.warehouse.explain(
+            "SELECT name FROM public_genes WHERE accession = ?", ["X"],
+            analyze=True)
+        assert "actual 0 rows in 0 batches" in plan
 
 
 class TestCrossEntityViews:

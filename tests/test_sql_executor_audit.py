@@ -132,6 +132,71 @@ def test_reads_and_writes_find_their_rows_through_one_access_path_chooser():
                               else set()), path
 
 
+def _class_source(name):
+    return f"class {name}(" + PLAN.read_text().split(
+        f"\nclass {name}(")[1].split("\nclass ")[0]
+
+
+def test_every_table_scan_has_a_read_set_and_one_rule_narrows_them_all():
+    import inspect
+
+    from repro.db.sql import optimizer, plan
+    from repro.db.table import Table
+
+    readers = [value for value in vars(plan).values()
+               if isinstance(value, type)
+               and issubclass(value, plan.PlanNode)
+               and any(parameter.annotation in (Table, "Table")
+                       for parameter in inspect.signature(
+                           value.__init__).parameters.values())]
+    assert {reader.__name__ for reader in readers} >= SCANS
+    for reader in readers:
+        assert issubclass(reader, plan.TableScan), reader
+        # One ``read_only``, one transposing ``table_batches`` behind it.
+        assert "read_only" not in vars(reader) or reader is plan.TableScan
+    assert PLAN.read_text().count("def table_batches(") == 1
+    assert PLAN.read_text().count("table_batches(") == 4   # ...three scans
+    narrow = inspect.getsource(optimizer.Planner._narrow_scans)
+    for scan in SCANS | {"_IndexScan"}:
+        assert scan not in narrow, scan
+    assert "TableScan" in narrow
+
+
+def test_there_is_one_join_and_its_body_asks_kind_questions_per_batch():
+    plan = PLAN.read_text()
+    assert plan.count("\nclass Join(") == 1
+    for second_operator in ("class IndexJoin", "class HashJoin",
+                            "class NestedLoopJoin"):
+        assert second_operator not in plan
+    join = _class_source("Join")
+    # The strategies are labels; the pair test, the padding and the
+    # transposing of joined rows each happen once, in the one body.
+    assert join.count('"IndexJoin"') == join.count('"HashJoin"') == 1
+    assert join.split("def label")[1].split("def ")[0].count("Join") >= 3
+    assert join.count("kept(") == 1
+    assert join.count("repeat(null_pad)") == 1
+    assert join.count("Batch.of_rows(") <= 1
+    assert "_bucket_key(" not in plan
+    # A loop or comprehension that walks a key column calls nothing per
+    # cell to learn its kind or its bucket.
+    tree = python_ast.parse(join)
+    walking = [loop for loop in python_ast.walk(tree)
+               if isinstance(loop, _LOOPS) and any(
+                   isinstance(node, python_ast.Name) and node.id == "keys"
+                   for source in (
+                       [loop.iter] if hasattr(loop, "iter")
+                       else [generator.iter for generator
+                             in getattr(loop, "generators", [])])
+                   for node in python_ast.walk(source))]
+    assert len(walking) >= 3
+    for loop in walking:
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in python_ast.walk(loop)
+                  if isinstance(node, python_ast.Call)}
+        assert not called & {"comparison_kind", "hashable", "comparable",
+                             "hash", "_bucket_key"}, python_ast.unparse(loop)
+
+
 def test_only_expressions_py_dispatches_on_expression_node_type():
     handler = re.compile(
         r"def _(?:eval|compile)_(?:%s)\b" % "|".join(
@@ -156,7 +221,7 @@ def test_every_operator_runs_batches_and_none_overrides_execute():
     operators = [value for value in vars(plan).values()
                  if isinstance(value, type)
                  and issubclass(value, plan.PlanNode)
-                 and value is not plan.PlanNode
+                 and value not in (plan.PlanNode, plan.TableScan)
                  and not value.__name__.startswith("_")]
     assert len(operators) >= 11
     for operator in operators:
@@ -187,6 +252,14 @@ def test_limit_never_evaluates_past_the_rows_it_returns(layout):
     if layout == "row":
         # The doubling rule: the first batch of a row source is one row.
         assert calls == [1, 1]
+    # A bounded sort hands on offset + limit rows: the projection above
+    # it is evaluated for those, not for the sort's input.
+    calls.clear()
+    assert database.execute(
+        "SELECT fussy(x) FROM t ORDER BY x LIMIT 1").rows == [(10,)]
+    assert calls == [1]
+    with pytest.raises(DatabaseError, match="function 'fussy' failed: no 3"):
+        database.execute("SELECT fussy(x) FROM t ORDER BY x DESC LIMIT 1")
     # Asking for the failing row still fails, with the row's own error.
     with pytest.raises(DatabaseError, match="function 'fussy' failed: no 2"):
         database.execute("SELECT fussy(x) FROM t LIMIT 2")
