@@ -19,12 +19,19 @@ never changed.
 - **context (reported)** — raw append, execute+append and recover in
   µs per statement, so the reader sees what share the gated costs are;
 - **scrub throughput** — records per second for a full offline
-  verification pass (:mod:`repro.db.scrub`).
+  verification pass (:mod:`repro.db.scrub`);
+- **re-shipped active segment (gated)** — WAL lines a follower
+  classifies per record it newly applies while one active segment grows
+  by M records per ship up to N: a follower verifies only bytes it has
+  not verified (≈ 1), beside the same follower made to forget its
+  verified prefix before every apply — a whole parse per ship
+  (≈ N / 2M).  A count, not a timing.
 
 Timings are real ``time.perf_counter`` seconds, min across repeats, the
 two sides of each difference interleaved.  The CI smoke gate
 (``--check``) fails when either gated cost exceeds its budget; the
 budgets are ≥ 2× the worst of ten calibration runs (EXPERIMENTS.md A13).
+The re-ship count is deterministic and gated at ``MAX_RESHIP_LINES``.
 
 Standalone report:  python benchmarks/bench_ablation_integrity.py [--quick]
 CI gate:            python benchmarks/bench_ablation_integrity.py --quick --check
@@ -36,7 +43,7 @@ import sys
 import tempfile
 import time
 
-from repro.db import Database
+from repro.db import Database, storage
 from repro.db.recovery import recover
 from repro.db.scrub import scrub
 from repro.db.storage import (
@@ -47,15 +54,22 @@ from repro.db.storage import (
     read_wal_records,
     save_database,
 )
+from repro.federation import FollowerNode, disk_shipments
+from repro.sources import VirtualClock
 
 STATEMENTS = 4_000
 REPEATS = 5
+#: Records per ship in the re-shipped segment row.
+RESHIP_STEP = 40
 
 #: The CI smoke gates, in microseconds per record.  Calibrated from ten
 #: consecutive ``--quick`` runs on the reference box (write 0.41–0.49,
 #: replay 0.91–1.21) with at least 2× headroom over the worst of them.
 MAX_WRITE_US = 1.5
 MAX_REPLAY_US = 3.0
+#: Lines classified per newly applied record when a grown segment is
+#: re-shipped: each line once, plus the header.
+MAX_RESHIP_LINES = 1.1
 
 SQL = "INSERT INTO genes VALUES (?, ?, ?)"
 
@@ -211,6 +225,58 @@ def measure_scrub(rows):
             "records_per_second": records / (best / 1000.0)}
 
 
+def _count_classified(function):
+    """``function()`` and how many lines ``storage.classify_wal``
+    classified while it ran."""
+    counted = 0
+    original = storage.classify_wal
+
+    def counting(*args):
+        nonlocal counted
+        for item in original(*args):
+            counted += 1
+            yield item
+
+    storage.classify_wal = counting
+    try:
+        return function(), counted
+    finally:
+        storage.classify_wal = original
+
+
+def measure_reship(rows, step=RESHIP_STEP):
+    """Lines the follower classifies per newly applied record while one
+    active segment grows by *step* records per ship: as it is
+    (``resume``) and made to forget its verified prefix before every
+    apply (``whole``)."""
+    lines_per_record = {}
+    for label in ("resume", "whole"):
+        applied = lines = 0
+        with tempfile.TemporaryDirectory() as workdir:
+            database = _fresh_db()
+            log = WriteAheadLog(os.path.join(workdir, "wal.jsonl"),
+                                database, flush_every_n=step)
+            log.attach()
+            follower = FollowerNode(
+                "replica", os.path.join(workdir, "replica"), _fresh_db(),
+                timeline=VirtualClock())
+            for start in range(0, len(rows), step):
+                database.executemany(SQL, rows[start:start + step])
+                log.flush()
+                for shipment in disk_shipments(log.path):
+                    if label == "whole":
+                        follower._verified.clear()
+                    new, classified = _count_classified(
+                        lambda: follower.apply_shipment(shipment))
+                    applied += new
+                    lines += classified
+            log.close()
+        assert applied == len(rows)
+        lines_per_record[label] = lines / applied
+    return {"records": len(rows), "step": step,
+            "lines_per_record": lines_per_record}
+
+
 class TestA13Shape:
     """Cheap structural checks (the timings themselves are reported)."""
 
@@ -255,6 +321,7 @@ def report(statements=STATEMENTS, repeats=REPEATS) -> dict:
     replay = measure_replay_side(rows, repeats)
     context = measure_context(rows, repeats)
     scrub_stats = measure_scrub(rows)
+    reship = measure_reship(rows)
 
     print(f"{'gated cost':<34} {'us/record':>10} {'budget':>8}")
     print("-" * 54)
@@ -274,6 +341,13 @@ def report(statements=STATEMENTS, repeats=REPEATS) -> dict:
     print(f"\nscrub: {scrub_stats['records']} records verified in "
           f"{scrub_stats['ms']:.1f} ms "
           f"({scrub_stats['records_per_second']:,.0f} records/s)")
+    per_record = reship["lines_per_record"]
+    print(f"\nre-shipped active segment ({statements:,} records, "
+          f"{reship['step']} per ship), lines classified per applied "
+          f"record:")
+    print(f"  {'follower (verified prefix)':<32} {per_record['resume']:>8.3f}"
+          f"  (budget {MAX_RESHIP_LINES:.2f})")
+    print(f"  {'whole parse per ship':<32} {per_record['whole']:>8.3f}")
     return {
         "statements": statements,
         "repeats": repeats,
@@ -281,7 +355,9 @@ def report(statements=STATEMENTS, repeats=REPEATS) -> dict:
         "replay": replay,
         "context": context,
         "scrub": scrub_stats,
+        "reship": reship,
         "budget_us": {"write": MAX_WRITE_US, "replay": MAX_REPLAY_US},
+        "budget_reship_lines": MAX_RESHIP_LINES,
     }
 
 
@@ -304,10 +380,16 @@ if __name__ == "__main__":
                 f"classification beyond parsing costs "
                 f"{payload['replay']['verify_us']:.2f} us/record "
                 f"(budget {MAX_REPLAY_US:.2f})")
+        reshipped = payload["reship"]["lines_per_record"]["resume"]
+        if reshipped > MAX_RESHIP_LINES:
+            failures.append(
+                f"a re-shipped segment classifies {reshipped:.3f} lines "
+                f"per applied record (budget {MAX_RESHIP_LINES:.2f})")
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}")
             sys.exit(1)
         print("PASS: checksum cost per record within budget on the "
-              "write and replay sides")
+              "write and replay sides; re-shipped segments verify each "
+              "line once")
     sys.exit(0)

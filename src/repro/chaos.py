@@ -777,7 +777,8 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
         primary.rotate()
         charlie.catch_up(primary)          # charlie alone pulls ahead
         rotted_charlie = charlie.wal_path + ".000002"
-        _flip_byte(rotted_charlie, fraction=0.5)
+        # In a record's SQL text (a flipped key reads as malformed).
+        _flip_byte(rotted_charlie, fraction=0.4)
         injected += 1
         group.fail_primary()
         promoted = group.promote()

@@ -1,24 +1,32 @@
 """A k-mer inverted index for genomic ``contains`` queries (section 6.5).
 
-For every indexed sequence, all length-*k* words are recorded in an
-inverted index ``word → {row ids}``.  A ``contains(column, pattern)``
-query intersects the posting sets of the pattern's k-mers: any row truly
-containing the pattern must contain every one of its k-mers, so the
-intersection is a sound candidate set.  The executor re-verifies each
-candidate against the real predicate, so over-approximation is fine —
-what must never happen is a missed true match.
+For every distinct indexed sequence, all length-*k* words are recorded
+in an inverted index ``word → {value ids}``; a value id names one stored
+value and the rows holding it.  A ``contains(column, pattern)`` query
+intersects the posting sets of the pattern's k-mers and answers the rows
+of the surviving values: any row truly containing the pattern must
+contain every one of its k-mers, so the intersection is a sound
+candidate set.  The executor re-verifies each candidate against the real
+predicate, so over-approximation is fine — what must never happen is a
+missed true match.
 
-Ambiguity codes (the uncertain data of C9) threaten exactly that, in two
+Values, not rows, are posted because an upsert is a DELETE and an INSERT
+of (usually) the same sequence.  A DELETE only detaches its row; a value
+whose last row left stays posted as the one *vacant* value, which the
+next insert of an equal value adopts without touching a posting.  Any
+other insert (or ``clear``) purges it first.
+
+Ambiguity codes (the uncertain data of C9) threaten soundness, in two
 directions, and both are handled:
 
 - **ambiguous subjects**: a stored ``ATN`` matches the pattern ``ATG``
   under IUPAC semantics, but its k-mers differ.  Rows holding any
   ambiguity code of their alphabet are kept in a *wildcard set* that is
-  always added to the candidates.
+  always added to the candidates — so their words are never posted.
 - **ambiguous patterns**: a pattern k-mer like ``ATW`` never occurs
   literally in concrete subjects, so only fully concrete k-mers are
-  posted or probed; a pattern with no concrete k-mer cannot be narrowed
-  (``None`` → scan).
+  probed; a pattern with no concrete k-mer cannot be narrowed (``None``
+  → scan).
 
 Patterns shorter than *k* cannot be narrowed either, nor can one the
 predicate would refuse.  A word is ``kmer_keys``' integer, never text.
@@ -43,17 +51,23 @@ class KmerIndex(SequenceIndex):
         if k < 2:
             raise DatabaseError("k-mer length must be at least 2")
         self.k = k
-        self._postings: dict["int | tuple", set[int]] = {}
-        self._rows: set[int] = set()
-        self._wildcard_rows: set[int] = set()
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._value_of) + len(self._wildcard_rows)
 
     def clear(self) -> None:
-        self._postings.clear()
-        self._rows.clear()
-        self._wildcard_rows.clear()
+        self._postings: dict["int | tuple", set[int]] = {}
+        #: concrete stored value (the row's own object) → value id
+        self._ids: dict[Any, int] = {}
+        #: value id → rows holding it (empty only for the vacant value)
+        self._holders: dict[int, set[int]] = {}
+        #: row id → value id, for rows of concrete values
+        self._value_of: dict[int, int] = {}
+        self._wildcard_rows: set[int] = set()
+        #: ``(value id, value)`` posted with no row left, or ``None``
+        self._vacant: "tuple[int, Any] | None" = None
+        self._next_id = 0
 
     def _words(self, read: Pattern) -> "set[int | tuple]":
         """The concrete k-mers of a value: those of its concrete runs."""
@@ -65,27 +79,54 @@ class KmerIndex(SequenceIndex):
             words.update(kmer_keys(run, self.k))
         return words
 
+    def _purge(self) -> None:
+        """Unpost the vacant value, if there is one."""
+        if self._vacant is None:
+            return
+        vid, key = self._vacant
+        self._vacant = None
+        del self._ids[key], self._holders[vid]
+        for word in self._words(self._value(key)):
+            bucket = self._postings[word]
+            bucket.discard(vid)
+            if not bucket:
+                del self._postings[word]
+
     def insert(self, key: Any, row_id: int) -> None:
         if key is None:
             return
-        read = self._value(key)
-        self._rows.add(row_id)
-        if read.ambiguous:
-            self._wildcard_rows.add(row_id)
-        for word in self._words(read):
-            self._postings.setdefault(word, set()).add(row_id)
+        vid = self._ids.get(key)
+        if self._vacant is not None and self._vacant[0] == vid:
+            self._vacant = None             # adopted: nothing to post
+        else:
+            self._purge()
+        if vid is None:
+            read = self._value(key)
+            if read.ambiguous:
+                self._wildcard_rows.add(row_id)
+                return
+            vid = self._next_id
+            self._next_id += 1
+            self._ids[key] = vid
+            self._holders[vid] = set()
+            postings = self._postings
+            for word in self._words(read):
+                postings.setdefault(word, set()).add(vid)
+        self._holders[vid].add(row_id)
+        self._value_of[row_id] = vid
 
     def delete(self, key: Any, row_id: int) -> None:
         if key is None:
             return
-        self._rows.discard(row_id)
-        self._wildcard_rows.discard(row_id)
-        for word in self._words(self._value(key)):
-            bucket = self._postings.get(word)
-            if bucket is not None:
-                bucket.discard(row_id)
-                if not bucket:
-                    del self._postings[word]
+        vid = self._value_of.pop(row_id, None)
+        if vid is None:
+            self._wildcard_rows.discard(row_id)
+            return
+        rows = self._holders[vid]
+        rows.discard(row_id)
+        if not rows:
+            self._purge()
+            self._vacant = (vid, key)
 
     def search_contains(self, pattern: Any) -> "set[int] | None":
         read = self._pattern(pattern)
@@ -98,4 +139,5 @@ class KmerIndex(SequenceIndex):
         postings = sorted(
             (self._postings.get(word, set()) for word in words), key=len)
         # Ambiguous subjects can match without sharing literal k-mers.
-        return set.intersection(*postings) | self._wildcard_rows
+        return self._wildcard_rows.union(
+            *map(self._holders.__getitem__, set.intersection(*postings)))

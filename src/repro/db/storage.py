@@ -26,7 +26,9 @@ The on-disk formats — one of each, and no reader for any other:
 
 ==========  ==========================================================
 WAL header  ``{"$wal": 3, "generation": N, "epoch": E-or-null,
-            "crc": C}`` — the first line of every segment
+            "crc": C}`` — the first line of every segment (plus
+            :data:`PREDECESSOR` where :meth:`~WriteAheadLog.rotate`
+            began the segment)
 WAL record  ``{"sql": ..., "params": [...], "crc": C}`` — every other
             line
 image       ``{"format": 2, "tables": [...], "indexes": [...],
@@ -105,6 +107,10 @@ MALFORMED = "malformed"
 BIT_ROT = "bit_rot"
 
 _CRC_MARK = b', "crc": '
+
+#: The optional header field naming how many records generation N - 1
+#: sealed with (stamped by :meth:`WriteAheadLog.rotate`).
+PREDECESSOR = "predecessor_records"
 
 
 def checksum_line(body: str) -> str:
@@ -254,7 +260,7 @@ def save_database(database: Database, path: str,
     image["digest"] = image_digest(image)
     temporary = path + ".tmp"
     with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(image, handle)
+        handle.write(json.dumps(image))  # C encoder; json.dump is Python
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temporary, path)
@@ -377,13 +383,15 @@ def list_sealed_segments(wal_path: str) -> list[tuple[int, str]]:
     return segments
 
 
-def _header_record(generation: int, epoch: int | None) -> str:
-    return checksum_line(json.dumps(
-        {"$wal": WAL_FORMAT, "generation": generation, "epoch": epoch}
-    )) + "\n"
+def _header_record(generation: int, epoch: int | None,
+                   predecessor: int | None = None) -> str:
+    header = {"$wal": WAL_FORMAT, "generation": generation, "epoch": epoch}
+    if predecessor is not None:
+        header[PREDECESSOR] = predecessor
+    return checksum_line(json.dumps(header)) + "\n"
 
 
-def classify_wal(data: bytes):
+def classify_wal(data: bytes, start: int = 0, first_index: int = 1):
     """Walk one WAL file's bytes once and classify every non-blank line.
 
     Yields ``(record_index, offset, kind, record, why)`` per line: the
@@ -394,16 +402,22 @@ def classify_wal(data: bytes):
     lines, so replay, scrub and the header readers agree by
     construction.  An undamaged line costs one JSON parse and one
     CRC32 over the bytes as written; nothing else is computed for it.
+
+    *start* resumes the walk at the byte offset of line *first_index*
+    (a line boundary the caller has already verified): offsets and line
+    numbers stay those of the whole file, and only the file's last line
+    can be a torn tail.
     """
     loads = json.loads
     crc32 = zlib.crc32
     crc_at = len(_CRC_MARK)
-    lines = data.split(b"\n")
+    lines = data[start:].split(b"\n")
     last = len(lines)
     while last and not lines[last - 1].strip():
         last -= 1
-    offset = 0
-    for index, raw in enumerate(lines, 1):
+    last += first_index - 1
+    offset = start
+    for index, raw in enumerate(lines, first_index):
         start = offset
         offset += len(raw) + 1
         raw = raw.strip()
@@ -481,12 +495,14 @@ def segment_epoch(path: str) -> int | None:
     return None if header is None else header["epoch"]
 
 
-def _replay(data: bytes, path: str,
-            allow_torn_tail: bool) -> tuple[list[dict], bool]:
+def _replay(data: bytes, path: str, allow_torn_tail: bool,
+            start: int = 0, first_index: int = 1,
+            ) -> tuple[list[dict], bool]:
     """The fail-fast consumer of :func:`classify_wal`: the statement
     records up to the first damaged line, which is raised."""
     records: list[dict] = []
-    for index, offset, kind, record, why in classify_wal(data):
+    for index, offset, kind, record, why in classify_wal(
+            data, start, first_index):
         if kind == OK:
             records.append(record)
         elif kind == TORN_TAIL and allow_torn_tail:
@@ -514,14 +530,18 @@ def read_wal_records(path: str, *,
         return _replay(handle.read(), path, allow_torn_tail)
 
 
-def parse_wal_payload(payload: str, *, path: str = "<payload>",
-                      allow_torn_tail: bool = True,
-                      ) -> tuple[list[dict], bool]:
+def parse_wal_payload(payload: "str | bytes", *, path: str = "<payload>",
+                      allow_torn_tail: bool = True, start: int = 0,
+                      first_index: int = 1) -> tuple[list[dict], bool]:
     """:func:`read_wal_records` over an in-memory payload.
 
     Replication verifies shipments through this before a byte touches
-    the follower's disk; *path* only labels the errors."""
-    return _replay(payload.encode("utf-8"), path, allow_torn_tail)
+    the follower's disk; *path* only labels the errors.  *start* /
+    *first_index* skip a prefix already verified (:func:`classify_wal`):
+    only the records after it are returned."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    return _replay(payload, path, allow_torn_tail, start, first_index)
 
 
 def apply_wal_records(records: Sequence[dict], target: Database) -> int:
@@ -648,19 +668,24 @@ class WriteAheadLog:
         Returns the sealed segment's path, or ``None`` when the active
         log holds no records (nothing to seal).  Statements appended
         after rotation land in the new segment, so a checkpoint image
-        written *after* :meth:`rotate` can never swallow them.
+        written *after* :meth:`rotate` can never swallow them.  The new
+        header names the sealed record count (:data:`PREDECESSOR`): a
+        follower that never sees a purged segment can tell it is short.
         """
         self.close()
         if self._file_is_blank():
             open(self.path, "a", encoding="utf-8").close()
             return None
-        if not read_wal_records(self.path)[0]:
+        sealed_records = len(read_wal_records(self.path)[0])
+        if not sealed_records:
             # Header-only (or blank-line) file: nothing to seal — but
             # truncating must restamp the header, or a reopened log
             # would fall back to generation 0 and recovery would
             # skew-skip everything appended since the last checkpoint.
+            header = _read_header(self.path) or {}
             with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(_header_record(self._generation, self.epoch))
+                handle.write(_header_record(self._generation, self.epoch,
+                                            header.get(PREDECESSOR)))
             return None
         sealed_path = f"{self.path}.{self._generation:06d}"
         os.replace(self.path, sealed_path)
@@ -670,7 +695,8 @@ class WriteAheadLog:
             fsync_directory(sealed_path)
         self._generation += 1
         with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(_header_record(self._generation, self.epoch))
+            handle.write(_header_record(self._generation, self.epoch,
+                                        sealed_records))
         _metric("storage", "wal_rotations")
         return sealed_path
 
@@ -681,8 +707,8 @@ class WriteAheadLog:
         headers carry *epoch*, and the active file's existing header is
         rewritten in place so the segment a new primary is already
         appending to names the epoch it was written under.  Only a
-        verified header is replaced; damaged lines stay where they are
-        for recovery to refuse.
+        verified header is replaced (its :data:`PREDECESSOR` count is
+        kept); damaged lines stay where they are for recovery to refuse.
         """
         self.epoch = epoch
         if self._file_is_blank():
@@ -690,13 +716,14 @@ class WriteAheadLog:
         self.close()
         with open(self.path, "rb") as handle:
             data = handle.read()
-        headers = {index for index, __, kind, __, __ in classify_wal(data)
-                   if kind == HEADER}
+        headers = {index: record for index, __, kind, record, __
+                   in classify_wal(data) if kind == HEADER}
         body = [line for index, line in enumerate(data.split(b"\n"), 1)
                 if index not in headers]
+        predecessor = next(iter(headers.values()), {}).get(PREDECESSOR)
         with open(self.path, "wb") as handle:
-            handle.write(
-                _header_record(self._generation, epoch).encode("utf-8"))
+            handle.write(_header_record(self._generation, epoch,
+                                        predecessor).encode("utf-8"))
             handle.write(b"\n".join(body))
         if self.fsync:
             fsync_directory(self.path)

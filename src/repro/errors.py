@@ -217,8 +217,10 @@ class FederationError(MediatorError):
     """Invalid shard topology, routing, or replication state.
 
     A refusal about one write names it: ``node`` is the node refused (a
-    promotion candidate) and ``epoch`` / ``generation`` / ``index`` the
-    position of the first replicated write it does not hold.
+    promotion candidate, or a follower asked to apply over a hole) and
+    ``epoch`` / ``generation`` / ``index`` the position of the first
+    replicated write it does not hold; ``records`` is how many records
+    that generation holds, when known.
     """
 
     def __init__(
@@ -229,12 +231,14 @@ class FederationError(MediatorError):
         epoch: "int | None" = None,
         generation: "int | None" = None,
         index: "int | None" = None,
+        records: "int | None" = None,
     ) -> None:
         super().__init__(message)
         self.node = node
         self.epoch = epoch
         self.generation = generation
         self.index = index
+        self.records = records
 
 
 class LeaseError(FederationError):

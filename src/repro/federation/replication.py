@@ -12,7 +12,9 @@ WriteAheadLog`; replication is nothing more than **shipping that log**:
   / :func:`~repro.db.storage.apply_wal_records` path crash recovery
   uses, keeping a per-generation ledger of how many records it has
   applied so re-shipping a grown segment applies only the suffix —
-  **at-most-once** per statement, by construction;
+  **at-most-once** per statement, by construction — and parsing only
+  bytes it has not verified before; a generation whose header says its
+  predecessor sealed more records than the ledger holds is refused;
 - a torn tail in the active shipment (the primary crashed mid-append)
   is dropped exactly as recovery drops it; when the completed record is
   shipped later it has never been counted, so it applies once;
@@ -85,8 +87,11 @@ from typing import Sequence
 
 from repro.db.database import Database
 from repro.db.storage import (
+    HEADER,
+    PREDECESSOR,
     WriteAheadLog,
     apply_wal_records,
+    classify_wal,
     list_sealed_segments,
     parse_wal_payload,
     read_wal_records,
@@ -611,6 +616,9 @@ class FollowerNode:
         self.auditor = auditor
         self.wal_path = os.path.join(directory, _ACTIVE_NAME)
         self.applied: dict[int, int] = {}
+        #: generation → the prefix of its payload already verified:
+        #: ``(length, newlines, digest, records)``, complete lines only.
+        self._verified: dict[int, tuple[int, int, str, int]] = {}
         self.last_catchup = timeline.now()
         self.rejected_shipments = 0
         self.last_rejection: str | None = None
@@ -638,7 +646,13 @@ class FollowerNode:
         replay cleanly through :func:`read_wal_records` (per-record
         CRCs included) — a corrupt shipment is rejected whole, counted
         in ``rejected_shipments``, and the previous local copy of that
-        generation survives untouched."""
+        generation survives untouched.  A payload opening with exactly
+        the prefix this generation last verified (same SHA-256, ledger
+        still at its record count) is parsed from there on, any other
+        whole.  A generation new to a follower that has applied
+        something is refused when its header says the one before sealed
+        more records than this follower applied (a purged segment)."""
+        generation = shipment.generation
         if (shipment.epoch is not None and self.epoch is not None
                 and shipment.epoch < self.epoch):
             self.shipments_fenced += 1
@@ -650,28 +664,46 @@ class FollowerNode:
                 f"follower {self.name!r} fenced stale-epoch shipment: "
                 f"{self.last_fence}")
         self.observe_epoch(shipment.epoch)
-        if payload_digest(shipment.payload) != shipment.digest:
+        data = shipment.payload.encode("utf-8")
+        done = self.applied.get(generation, 0)
+        length, lines, digest, base = self._verified.get(
+            generation, (0, 0, None, 0))
+        view = memoryview(data)
+        hasher = hashlib.sha256(view[:length])
+        resume = base == done and hasher.hexdigest() == digest
+        hasher.update(view[length:])
+        if not resume:
+            length, lines, base = 0, 0, 0
+        if hasher.hexdigest() != shipment.digest:
             self._reject(shipment, "digest mismatch in flight")
-        path = (f"{self.wal_path}.{shipment.generation:06d}"
-                if shipment.sealed else self.wal_path)
         try:
-            records, __ = parse_wal_payload(
-                shipment.payload,
-                path=f"<shipment gen {shipment.generation}>",
-                allow_torn_tail=not shipment.sealed)
+            records, torn = parse_wal_payload(
+                data, path=f"<shipment gen {generation}>",
+                allow_torn_tail=not shipment.sealed,
+                start=length, first_index=lines + 1)
         except StorageError as exc:
             self._reject(shipment, f"{exc.kind or 'corrupt'} payload: {exc}")
-        done = self.applied.get(shipment.generation, 0)
-        if done > len(records):
+        if self.applied and generation not in self.applied:
+            self._refuse_hole(shipment, data)
+        total = base + len(records)
+        if done > total:
             self._reject(
                 shipment,
                 f"diverged: ledger says {done} records applied but the "
-                f"shipment carries only {len(records)}")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(shipment.payload)
-        fresh = records[done:]
+                f"shipment carries only {total}")
+        path = (f"{self.wal_path}.{generation:06d}"
+                if shipment.sealed else self.wal_path)
+        with open(path, "wb") as handle:
+            handle.write(data)
+        fresh = records[done - base:]
         applied = apply_wal_records(fresh, self.database)
-        self.applied[shipment.generation] = done + applied
+        self.applied[generation] = done + applied
+        if torn or not data.endswith(b"\n"):
+            self._verified.pop(generation, None)
+        else:
+            self._verified[generation] = (
+                len(data), lines + data.count(b"\n", length),
+                shipment.digest, total)
         if applied and self.apply_cost:
             self.timeline.advance(self.apply_cost * applied)
         _metric("federation", "replica_statements", applied)
@@ -682,14 +714,28 @@ class FollowerNode:
                     done + offset)
         return applied
 
-    def _reject(self, shipment: Shipment, reason: str) -> None:
+    def _refuse_hole(self, shipment: Shipment, data: bytes) -> None:
+        """Reject *shipment* if its header says the generation before it
+        sealed more records than this follower's ledger holds."""
+        __, __, kind, header, __ = next(classify_wal(data), (0, 0, "", {}, ""))
+        held = header.get(PREDECESSOR) if kind == HEADER else None
+        previous = shipment.generation - 1
+        applied = self.applied.get(previous, 0)
+        if isinstance(held, int) and applied < held:
+            self._reject(
+                shipment,
+                f"generation {previous} sealed {held} records but this "
+                f"follower applied {applied}; refusing to apply over the "
+                f"hole", generation=previous, index=applied, records=held)
+
+    def _reject(self, shipment: Shipment, reason: str, **where) -> None:
         self.rejected_shipments += 1
         self.last_rejection = (
             f"generation {shipment.generation}: {reason}")
         _metric("federation", "shipments_rejected")
         raise FederationError(
             f"follower {self.name!r} rejected shipment "
-            f"{self.last_rejection}")
+            f"{self.last_rejection}", node=self.name, **where)
 
     def catch_up(self, primary: PrimaryNode) -> int:
         """Pull and apply everything the primary can ship.

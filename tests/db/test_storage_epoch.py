@@ -14,6 +14,7 @@ import pytest
 from repro.db import Database
 from repro.db.recovery import databases_equal
 from repro.db.storage import (
+    PREDECESSOR,
     WAL_FORMAT,
     StorageError,
     WriteAheadLog,
@@ -104,6 +105,26 @@ class TestEpochHeaders:
         wal.close()
         records, __ = read_wal_records(wal.path)
         assert len(records) == 3
+
+    def test_rotation_stamps_the_sealed_record_count(self, tmp_path):
+        database = _database()
+        wal = _wal(tmp_path / "wal.jsonl", database)
+        database.execute("INSERT INTO t VALUES (1, 'a')", [])
+        database.execute("INSERT INTO t VALUES (2, 'b')", [])
+        sealed = wal.rotate()
+        assert PREDECESSOR not in _header(sealed)
+        assert _header(wal.path)[PREDECESSOR] == 2
+        # An optional field: every header reader still trusts the line.
+        assert segment_generation(wal.path) == wal.generation == 1
+        # A restamp keeps it, and so does a rotation with nothing to seal.
+        wal.set_epoch(6)
+        assert _header(wal.path)[PREDECESSOR] == 2
+        assert wal.rotate() is None
+        assert _header(wal.path)[PREDECESSOR] == 2
+        assert segment_epoch(wal.path) == 6
+        database.execute("INSERT INTO t VALUES (3, 'c')", [])
+        wal.close()
+        assert len(read_wal_records(wal.path)[0]) == 1
 
     def test_set_epoch_on_blank_file_stamps_first_append(self, tmp_path):
         database = _database()

@@ -18,7 +18,12 @@ import pytest
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
-from repro.db.storage import checksum_line, parse_wal_payload
+from repro.db.storage import (
+    WriteAheadLog,
+    checkpoint,
+    checksum_line,
+    parse_wal_payload,
+)
 from repro.errors import FederationError, StorageError
 from repro.federation.replication import file_digest
 from repro.federation import (
@@ -252,6 +257,60 @@ class TestReplicationEdgeCases:
         assert databases_equal(follower.database,
                                _reference([(1, "a"), (2, "b")]))
         assert follower.catch_up(group.primary) == 0
+
+
+class TestPurgedPredecessorRegression:
+    """A checkpoint purges the segment it sealed.  A follower that had
+    applied only part of that generation never sees the rest; the next
+    generation must be refused — with the hole named — rather than
+    applied over it (which lost the purged writes without a word)."""
+
+    @pytest.fixture
+    def feed(self, tmp_path):
+        os.makedirs(tmp_path / "primary")
+        database = _database()
+        wal = WriteAheadLog(str(tmp_path / "primary" / "wal.jsonl"),
+                            database)
+        wal.attach()
+        follower = FollowerNode("bravo", str(tmp_path / "bravo"),
+                                _database(), timeline=VirtualClock())
+
+        def ship():
+            wal.flush()
+            return sum(follower.apply_shipment(shipment)
+                       for shipment in disk_shipments(wal.path))
+
+        yield database, wal, follower, ship, str(tmp_path / "image.json")
+        wal.close()
+
+    def test_purged_predecessor_is_refused_not_skipped(self, feed):
+        database, wal, follower, ship, image = feed
+        database.execute("INSERT INTO t VALUES (1, 'a')", [])
+        assert ship() == 1
+        database.execute("INSERT INTO t VALUES (2, 'b')", [])
+        checkpoint(database, image, wal)      # rotate → image → purge
+        database.execute("INSERT INTO t VALUES (3, 'c')", [])
+        with pytest.raises(FederationError) as excinfo:
+            ship()
+        error = excinfo.value
+        assert (error.node, error.generation, error.records,
+                error.index) == ("bravo", 0, 2, 1)
+        assert "generation 0 sealed 2 records" in str(error)
+        assert follower.rejected_shipments == 1
+        assert follower.applied == {0: 1}
+        assert databases_equal(follower.database, _reference([(1, "a")]))
+
+    def test_shipping_before_the_checkpoint_never_refuses(self, feed):
+        database, wal, follower, ship, image = feed
+        for cycle in range(3):
+            database.execute("INSERT INTO t VALUES (?, ?)",
+                             [cycle, f"v{cycle}"])
+            ship()
+            checkpoint(database, image, wal)
+        database.execute("INSERT INTO t VALUES (9, 'z')", [])
+        assert ship() == 1
+        assert follower.rejected_shipments == 0
+        assert databases_equal(follower.database, database)
 
 
 class TestShipmentIntegrity:

@@ -1,4 +1,5 @@
-"""Source audit: one WAL parser, one format, no ablation switches.
+"""Source audit: one WAL parser, one format, one image encoder, no
+ablation switches.
 
 The durability stack (``repro.db.storage`` / ``scrub`` / ``recovery``
 and ``repro.federation``) reads WAL lines through exactly one
@@ -25,6 +26,16 @@ def test_wal_lines_have_exactly_one_parser():
     assert parsers == {"storage.py": 1}, (
         "WAL lines must be parsed by storage.classify_wal alone; "
         f"json.loads now appears in {parsers}")
+
+
+def test_images_are_serialized_by_the_c_encoder():
+    """``json.dump`` streams through CPython's pure-Python encoder;
+    ``json.dumps`` writes the same bytes in one C call."""
+    offences = [str(path.relative_to(SRC))
+                for path in (SRC / "repro").rglob("*.py")
+                if "json.dump(" in path.read_text()]
+    assert not offences, (
+        f"serialize with one json.dumps, not json.dump: {offences}")
 
 
 def test_the_ablation_switches_stay_deleted():
