@@ -9,7 +9,8 @@ row-dict heap: stable, never reused, iteration in insertion order,
 updates in place — so the two layouts are observably identical to the
 executor above, row for row.
 
-Deletes tombstone the ordinal (pages are immutable); updates rewrite
+Deletes tombstone the ordinal and leave the row where it is (pages are
+immutable), so a rolled-back delete revives it in place; updates rewrite
 the affected column pages in place under fresh page ids, preserving the
 row's scan position.  Each sealed page carries its zone map, which
 :meth:`ColumnStore.scan` uses to skip whole groups that provably
@@ -130,8 +131,7 @@ class GroupView:
         values = self._columns.get(position)
         if values is None:
             if self._group is None:
-                values = [NULL if row is None else row[position]
-                          for row in self._tail_rows]
+                values = [row[position] for row in self._tail_rows]
             else:
                 ref = self._group.pages[position]
                 values = page_codec.decode_page(
@@ -162,7 +162,7 @@ class ColumnStore:
         self._groups: list[RowGroup] = []
         self._starts: list[int] = []  # group start ordinals, for bisect
         self._tail_start = 0
-        self._tail: list["list | None"] = []
+        self._tail: list[list] = []
         self._tail_ids: list["int | None"] = []
         self._ordinal_of: dict[int, int] = {}
         self._live = 0
@@ -195,8 +195,7 @@ class ColumnStore:
         codec = self.runtime.codec
         refs = []
         for position, column in enumerate(self.schema.columns):
-            values = [NULL if row is None else row[position]
-                      for row in self._tail]
+            values = [row[position] for row in self._tail]
             data = page_codec.encode_page(values, column.sql_type.name,
                                           codec)
             page_id = self.runtime.cache.put(data)
@@ -264,16 +263,25 @@ class ColumnStore:
             )
         self._memo = (group.start // self.page_rows, columns)
 
-    def remove(self, row_id: int) -> None:
+    def remove(self, row_id: int) -> int:
+        """Tombstone *row_id*; returns its ordinal for :meth:`put_back`."""
         ordinal = self._ordinal_of.pop(row_id)
         self._live -= 1
+        self._set_id(ordinal, None)
+        return ordinal
+
+    def put_back(self, row_id: int, row: list, ordinal: int) -> None:
+        """Revive the tombstone :meth:`remove` left at *ordinal*."""
+        self._ordinal_of[row_id] = ordinal
+        self._live += 1
+        self._set_id(ordinal, row_id)
+
+    def _set_id(self, ordinal: int, row_id: "int | None") -> None:
         if ordinal >= self._tail_start:
-            offset = ordinal - self._tail_start
-            self._tail[offset] = None
-            self._tail_ids[offset] = None
-            return
-        group = self._group_at(ordinal)
-        group.row_ids[ordinal - group.start] = None
+            self._tail_ids[ordinal - self._tail_start] = row_id
+        else:
+            group = self._group_at(ordinal)
+            group.row_ids[ordinal - group.start] = row_id
 
     def clear(self) -> None:
         for group in self._groups:

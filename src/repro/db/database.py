@@ -48,6 +48,9 @@ from repro.errors import (
 )
 from repro.obs.trace import span as _span
 
+#: Refused inside a transaction: its undo log holds rows, not schemas.
+_DDL = (ast.CreateTable, ast.CreateIndex, ast.DropTable, ast.DropIndex)
+
 
 class ResultSet:
     """The rows of a SELECT, with their output column names."""
@@ -180,9 +183,11 @@ class Database:
         self._evaluator = Evaluator(self)
         self._index_owner: dict[str, str] = {}  # index name -> table name
         self._index_definitions: dict[str, ast.CreateIndex] = {}
-        self._snapshot: dict | None = None
-        self._wal: "Callable[[str, Sequence[Any]], None] | None" = None
-        self._transaction_log: list[tuple[str, Sequence[Any]]] = []
+        self._wal: "Callable[[Any, Sequence[Any]], None] | None" = None
+        self._undo: list[tuple] = []  # (undo, *arguments) per row change
+        #: ``(sql, parameters, ? count)`` per statement of the open
+        #: transaction; ``None`` outside one.
+        self._transaction: "list[tuple[str, tuple, int]] | None" = None
         self._statements: "OrderedDict[str, _Prepared]" = OrderedDict()
         #: The entry whose statement is executing (subplans memoise there).
         self._running: "_Prepared | None" = None
@@ -212,18 +217,10 @@ class Database:
                            replace: bool = False) -> None:
         self.catalog.register_aggregate(aggregate, replace)
 
-    def attach_wal(self, writer: Callable[[str, Sequence[Any]], None]) -> None:
-        """Attach a write-ahead log sink (called per mutating statement)."""
+    def attach_wal(self, writer: Callable[[Any, Sequence[Any]], None]) -> None:
+        """Attach a write-ahead log sink, called once per mutating
+        statement outside a transaction and once per commit."""
         self._wal = writer
-
-    def detach_wal(self) -> None:
-        """Remove the write-ahead log sink, if any."""
-        self._wal = None
-
-    @property
-    def wal_sink(self) -> "Callable[[str, Sequence[Any]], None] | None":
-        """The currently attached WAL sink (``None`` when detached)."""
-        return self._wal
 
     @contextmanager
     def suppress_wal(self) -> Iterator[None]:
@@ -240,35 +237,59 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._snapshot is not None
+        return self._transaction is not None
 
     def begin(self) -> None:
         if self.in_transaction:
             raise TransactionError("a transaction is already active")
-        self._snapshot = {
-            name: self.catalog.table(name).snapshot()
-            for name in self.catalog.table_names
-        }
-        self._transaction_log = []
+        self._transaction = []
 
     def commit(self) -> None:
+        """Log the transaction as one WAL line: one statement as itself,
+        several as their texts and their parameters end to end, each
+        statement's cut to its ``?`` count."""
         if not self.in_transaction:
             raise TransactionError("no active transaction")
-        if self._wal is not None:
-            for sql, parameters in self._transaction_log:
-                self._wal(sql, parameters)
-        self._snapshot = None
-        self._transaction_log = []
+        log, self._transaction = self._transaction, None
+        self._undo.clear()
+        if self._wal is not None and len(log) == 1:
+            self._wal(*log[0][:2])
+        elif self._wal is not None and log:
+            self._wal([sql for sql, __, __ in log],
+                      [value for __, parameters, count in log
+                       for value in parameters[:count]])
 
     def rollback(self) -> None:
+        """Undo every row change since :meth:`begin`, last first."""
         if not self.in_transaction:
             raise TransactionError("no active transaction")
-        assert self._snapshot is not None
-        for name, snapshot in self._snapshot.items():
-            if self.catalog.has_table(name):
-                self.catalog.table(name).restore(snapshot)
-        self._snapshot = None
-        self._transaction_log = []
+        self._transaction = None
+        self._unwind(0)
+
+    def redo(self, sql: "str | list[str]", parameters: list[Any]) -> int:
+        """Run what the WAL sink was handed; returns the statements run.
+        A committed transaction's line runs as one transaction: whole,
+        or it raises and changes nothing."""
+        if isinstance(sql, str):
+            self.execute(sql, parameters)
+            return 1
+        self.begin()
+        try:
+            for text in sql:
+                entry = self._prepare(text)
+                count = entry.statement.parameter_count
+                self._run(entry, text, parameters[:count])
+                del parameters[:count]
+        except BaseException:
+            self.rollback()
+            raise
+        self.commit()
+        return len(sql)
+
+    def _unwind(self, mark: int) -> None:
+        while len(self._undo) > mark:
+            step, *arguments = self._undo.pop()
+            step(*arguments)
 
     # -- execution -------------------------------------------------------------------
 
@@ -324,14 +345,22 @@ class Database:
         entry = self._prepare(sql)
         if check is not None:
             check(entry.statement)
+        return self._run(entry, sql, parameters)
+
+    def _run(self, entry: _Prepared, sql: str,
+             parameters: Sequence[Any]) -> Any:
         suspended, self._running = self._running, entry
+        mark = len(self._undo)
         try:
             if isinstance(entry.statement, ast.Select):
                 return self._run_select(entry.plan, parameters)
             result = self._dispatch(entry.statement, parameters)
+        except BaseException:
+            self._unwind(mark)  # one statement changes all its rows or none
+            raise
         finally:
             self._running = suspended
-        self._log_mutation(sql, parameters)
+        self._log_mutation(sql, tuple(parameters), entry.statement)
         return result
 
     def executemany(self, sql: str,
@@ -366,14 +395,21 @@ class Database:
             self.execute(sql, parameters)
         return entry.plan.explain(analyze=analyze)
 
-    def _log_mutation(self, sql: str, parameters: Sequence[Any]) -> None:
+    def _log_mutation(self, sql: str, parameters: tuple,
+                      statement: ast.Statement) -> None:
         if self.in_transaction:
-            self._transaction_log.append((sql, tuple(parameters)))
-        elif self._wal is not None:
-            self._wal(sql, tuple(parameters))
+            self._transaction.append(
+                (sql, parameters, statement.parameter_count))
+            return
+        self._undo.clear()
+        if self._wal is not None:
+            self._wal(sql, parameters)
 
     def _dispatch(self, statement: ast.Statement,
                   parameters: Sequence[Any]) -> Any:
+        if self.in_transaction and isinstance(statement, _DDL):
+            raise TransactionError(
+                f"{type(statement).__name__} inside a transaction")
         if isinstance(statement, ast.CreateTable):
             return self._create_table(statement)
         if isinstance(statement, ast.CreateIndex):
@@ -533,20 +569,6 @@ class Database:
             entry.compiled = (build(),)
         return entry.compiled[0]
 
-    @staticmethod
-    @contextmanager
-    def _all_or_nothing() -> Iterator[list]:
-        """One DML statement changes every row it names or none: the
-        block lists an ``(undo, *arguments)`` per row it has changed, and
-        a failure calls them, last first, before it propagates."""
-        undo: list[tuple] = []
-        try:
-            yield undo
-        except BaseException:
-            for step, *arguments in reversed(undo):
-                step(*arguments)
-            raise
-
     def _insert(self, statement: ast.Insert,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
@@ -555,17 +577,16 @@ class Database:
         value_rows = self._compiled(lambda: [
             [compile_(expression, NO_COLUMNS) for expression in value_row]
             for value_row in statement.rows])
-        with self._all_or_nothing() as undo:
-            for value_row in value_rows:
-                row = [one(column, context) for column in value_row]
-                if statement.columns is not None:
-                    if len(row) != len(statement.columns):
-                        raise SqlSyntaxError("INSERT column list and VALUES "
-                                             "row differ in length")
-                    row = table.schema.complete_row(dict(zip(
-                        map(str.lower, statement.columns), row)))
-                undo.append((table.delete, table.insert(row)))
-        return len(undo)
+        for value_row in value_rows:
+            row = [one(column, context) for column in value_row]
+            if statement.columns is not None:
+                if len(row) != len(statement.columns):
+                    raise SqlSyntaxError("INSERT column list and VALUES "
+                                         "row differ in length")
+                row = table.schema.complete_row(dict(zip(
+                    map(str.lower, statement.columns), row)))
+            self._undo.append((table.delete, table.insert(row)))
+        return len(value_rows)
 
     def _update(self, statement: ast.Update,
                 parameters: Sequence[Any]) -> int:
@@ -576,21 +597,20 @@ class Database:
             (table.schema.position(column), compile_(expression, frame))
             for column, expression in statement.assignments])
         context = RowContext.without_row(parameters)
-        with self._all_or_nothing() as undo:
-            for row_id in self._running.plan.row_ids(parameters):
-                old_row = table.row(row_id)
-                new_row = list(old_row)
-                for position, column in assignments:
-                    new_row[position] = one(column, context, old_row)
-                table.update(row_id, new_row)
-                undo.append((table.update, row_id, old_row))
-        return len(undo)
+        row_ids = self._running.plan.row_ids(parameters)
+        for row_id in row_ids:
+            old_row = table.row(row_id)
+            new_row = list(old_row)
+            for position, column in assignments:
+                new_row[position] = one(column, context, old_row)
+            table.update(row_id, new_row)
+            self._undo.append((table.update, row_id, old_row))
+        return len(row_ids)
 
     def _delete(self, statement: ast.Delete,
                 parameters: Sequence[Any]) -> int:
         table = self.catalog.table(statement.table)
-        # Removing a row that was found cannot fail: nothing to undo.
         row_ids = self._running.plan.row_ids(parameters)
         for row_id in row_ids:
-            table.delete(row_id)
+            self._undo.append((table.put_back, row_id, *table.delete(row_id)))
         return len(row_ids)

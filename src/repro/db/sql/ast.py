@@ -159,6 +159,8 @@ class FunctionCall(Expression):
 class Statement:
     """Base class of all statement nodes."""
 
+    parameter_count = 0  # the ``?`` placeholders its text holds
+
 
 @dataclass
 class ColumnDef:

@@ -89,6 +89,7 @@ class Parser:
         self._accept(OPERATOR, ";")
         if not self._peek().matches(END):
             raise self._error("trailing input after statement")
+        statement.parameter_count = self._parameter_count
         return statement
 
     def _statement(self) -> ast.Statement:

@@ -30,7 +30,8 @@ WAL header  ``{"$wal": 3, "generation": N, "epoch": E-or-null,
             :data:`PREDECESSOR` where :meth:`~WriteAheadLog.rotate`
             began the segment)
 WAL record  ``{"sql": ..., "params": [...], "crc": C}`` — every other
-            line
+            line; a committed transaction of several statements is
+            one record: their texts, then their parameters end to end
 image       ``{"format": 2, "tables": [...], "indexes": [...],
             "digest": D}`` (plus ``wal_generation`` after a
             checkpoint); every table spec names its ``layout``
@@ -79,7 +80,7 @@ from repro.db.database import Database
 from repro.db.schema import Column, TableSchema
 from repro.db.sql import ast
 from repro.db.values import NULL, OpaqueType
-from repro.errors import StorageError
+from repro.errors import StorageError, TransactionError
 from repro.obs.metrics import count as _metric
 
 #: The keys every image table/column/index spec must carry; a truncated
@@ -254,8 +255,10 @@ def save_database(database: Database, path: str,
     The image header carries a whole-file SHA-256 digest
     (:func:`image_digest`) verified on every load.  ``wal_generation``
     records which WAL generation this image covers; recovery skips
-    older sealed segments.
+    older sealed segments.  It is refused inside a transaction.
     """
+    if database.in_transaction:
+        raise TransactionError("cannot save an image inside a transaction")
     image = build_image(database, wal_generation)
     image["digest"] = image_digest(image)
     temporary = path + ".tmp"
@@ -545,14 +548,13 @@ def parse_wal_payload(payload: "str | bytes", *, path: str = "<payload>",
 
 
 def apply_wal_records(records: Sequence[dict], target: Database) -> int:
-    """Re-execute parsed WAL records with the target's WAL sink muted."""
+    """Re-execute parsed WAL records (:meth:`Database.redo`) with the
+    target's WAL sink muted; returns how many statements ran."""
     applied = 0
     with target.suppress_wal():
         for record in records:
-            parameters = [_decode_value(value, target)
-                          for value in record["params"]]
-            target.execute(record["sql"], parameters)
-            applied += 1
+            applied += target.redo(record["sql"], [
+                _decode_value(value, target) for value in record["params"]])
     return applied
 
 
@@ -560,8 +562,8 @@ class WriteAheadLog:
     """A JSON-lines statement log with group commit and rotation.
 
     Attach with :meth:`attach`; every mutating statement outside a
-    transaction (and every committed transaction's statements) is
-    appended with its parameters.  Appends go through one persistent
+    transaction, and every committed transaction, is appended as one
+    record with its parameters.  Appends go through one persistent
     handle; ``flush_every_n`` batches them into group commits (an
     explicit :meth:`flush` or :meth:`close` always drains, ``fsync=True``
     additionally forces the records to stable storage on each flush).
@@ -635,8 +637,23 @@ class WriteAheadLog:
         return (not os.path.exists(self.path)
                 or os.path.getsize(self.path) == 0)
 
-    def append(self, sql: str, parameters: Sequence[Any]) -> None:
-        """Log one mutating statement (the attached sink entry point)."""
+    def _end_last_line(self) -> None:
+        """Cut a torn final line (an append a crash cut short) or end a
+        whole one, so the next record is not glued onto it."""
+        if self._file_is_blank():
+            return
+        with open(self.path, "rb+") as handle:
+            data = handle.read()
+            start = data.rfind(b"\n") + 1
+            tail = next(classify_wal(data[start:]), (0, 0, TORN_TAIL))
+            if tail[2] == TORN_TAIL:
+                handle.truncate(start)  # no-op after a whole last line
+            else:
+                handle.write(b"\n")
+
+    def append(self, sql: "str | list", parameters: Sequence[Any]) -> None:
+        """Log one mutating statement or committed transaction (the
+        attached sink entry point)."""
         record = {
             "sql": sql,
             "params": [_encode_value(value, self._database)
@@ -645,6 +662,7 @@ class WriteAheadLog:
         line = checksum_line(json.dumps(record)) + "\n"
         _metric("storage", "wal_appends")
         if self._handle is None:
+            self._end_last_line()
             blank = self._file_is_blank()
             self._handle = open(self.path, "a", encoding="utf-8")
             if blank:
@@ -673,6 +691,7 @@ class WriteAheadLog:
         follower that never sees a purged segment can tell it is short.
         """
         self.close()
+        self._end_last_line()
         if self._file_is_blank():
             open(self.path, "a", encoding="utf-8").close()
             return None

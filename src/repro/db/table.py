@@ -12,10 +12,11 @@ from repro.errors import DatabaseError
 
 
 class RowHeap:
-    """The legacy heap: a dict of row id → row list, insertion-ordered."""
+    """The legacy heap: a dict of row id → row list in row-id order."""
 
     def __init__(self) -> None:
         self._rows: dict[int, list[Any]] = {}
+        self._put_back = False  # a row went back in: re-sort on next scan
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -35,10 +36,17 @@ class RowHeap:
     def remove(self, row_id: int) -> None:
         del self._rows[row_id]
 
+    def put_back(self, row_id: int, row: list[Any], _place: None) -> None:
+        self._rows[row_id] = row
+        self._put_back = True
+
     def clear(self) -> None:
         self._rows.clear()
 
     def items(self) -> Iterator[tuple[int, list[Any]]]:
+        if self._put_back:
+            self._rows = dict(sorted(self._rows.items()))
+            self._put_back = False
         yield from self._rows.items()
 
 
@@ -146,13 +154,21 @@ class Table:
         """Insert from column-name keywords, applying schema defaults."""
         return self.insert(self.schema.complete_row(named_values))
 
-    def delete(self, row_id: int) -> list[Any]:
-        """Remove one row; returns the removed row."""
+    def delete(self, row_id: int) -> tuple[list[Any], Any]:
+        """Remove one row; returns it and its place in the heap — what
+        :meth:`put_back` takes to undo the delete."""
         row = self.row(row_id)
-        self._heap.remove(row_id)
+        place = self._heap.remove(row_id)
         for index in self._indexes.values():
             index.delete(row[self.schema.position(index.column)], row_id)
-        return row
+        return row, place
+
+    def put_back(self, row_id: int, row: list[Any], place: Any) -> None:
+        """Undo :meth:`delete`: the row returns under its own row id, in
+        its scan position (row ids are never reused, so it is free)."""
+        self._heap.put_back(row_id, row, place)
+        for index in self._indexes.values():
+            index.insert(row[self.schema.position(index.column)], row_id)
 
     def update(self, row_id: int, new_row: Iterable[Any]) -> None:
         """Replace one row in place (same row id)."""
@@ -235,23 +251,3 @@ class Table:
         self._statistics = counts
         self.on_plan_change()
         return counts
-
-    # -- snapshots (transaction support) ---------------------------------------------
-
-    def snapshot(self) -> dict:
-        """A restorable copy of the row data (indexes are rebuilt on restore)."""
-        return {
-            "rows": {row_id: list(row) for row_id, row in self._heap.items()},
-            "next_row_id": self._next_row_id,
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        self._heap.clear()
-        for row_id, row in snapshot["rows"].items():
-            self._heap.append(row_id, list(row))
-        self._next_row_id = snapshot["next_row_id"]
-        for index in self._indexes.values():
-            index.clear()
-            position = self.schema.position(index.column)
-            for row_id, row in self._heap.items():
-                index.insert(row[position], row_id)

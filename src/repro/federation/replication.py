@@ -591,7 +591,8 @@ class FollowerNode:
 
     ``applied`` is the per-generation ledger: how many *complete*
     records of each shipped generation have been replayed into the
-    local database.  A re-shipped (grown) segment applies only
+    local database (a record is one statement or one committed
+    transaction, applied whole).  A re-shipped (grown) segment applies only
     ``records[applied[gen]:]``; a torn tail is never counted, so its
     completed form later applies exactly once.
 
@@ -616,6 +617,7 @@ class FollowerNode:
         self.auditor = auditor
         self.wal_path = os.path.join(directory, _ACTIVE_NAME)
         self.applied: dict[int, int] = {}
+        self.statements_applied = 0  # the ledger counts records
         #: generation → the prefix of its payload already verified:
         #: ``(length, newlines, digest, records)``, complete lines only.
         self._verified: dict[int, tuple[int, int, str, int]] = {}
@@ -697,7 +699,8 @@ class FollowerNode:
             handle.write(data)
         fresh = records[done - base:]
         applied = apply_wal_records(fresh, self.database)
-        self.applied[generation] = done + applied
+        self.applied[generation] = done + len(fresh)
+        self.statements_applied += applied
         if torn or not data.endswith(b"\n"):
             self._verified.pop(generation, None)
         else:
@@ -708,7 +711,7 @@ class FollowerNode:
             self.timeline.advance(self.apply_cost * applied)
         _metric("federation", "replica_statements", applied)
         if self.auditor is not None:
-            for offset in range(applied):
+            for offset in range(len(fresh)):
                 self.auditor.record_apply(
                     self.name, shipment.epoch, shipment.generation,
                     done + offset)
@@ -857,7 +860,7 @@ class FollowerNode:
 
     def __repr__(self) -> str:
         return (f"FollowerNode({self.name!r}, "
-                f"{self.applied_total()} stmts applied)")
+                f"{self.statements_applied} stmts applied)")
 
 
 class ReplicationGroup:

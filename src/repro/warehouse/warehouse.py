@@ -117,6 +117,7 @@ class UnifyingDatabase:
         self.refresh_policy = refresh_policy
         self._clock = 0
         self.wal = None
+        self._polled: dict[str, list[Delta]] = {}
         self.sources: dict[str, Repository] = {}
         self.monitors: dict[str, SourceMonitor] = {}
         self.wrappers: dict[str, Wrapper] = {}
@@ -311,25 +312,40 @@ class UnifyingDatabase:
         consulted — no source re-read — which is the self-maintainability
         property of section 5.2.  With ``refresh_policy='manual'`` the
         biologist calls this explicitly to advance or defer updates.
+
+        A refresh is one transaction, so one WAL record.  A failure rolls
+        it back and re-raises, keeping the deltas it polled and restoring
+        the load clock: the next refresh applies those deltas first.
         """
         with _span("warehouse.refresh") as spn:
             report = RefreshReport(mode="incremental",
                                    sources=tuple(sorted(
                                        only_sources or self.sources)))
             affected: set[str] = set()
+            clock = self._clock
+            self.db.begin()
+            try:
+                for name in report.sources:
+                    monitor = self.monitors[name]
+                    before_cost = monitor.cost.total_units()
+                    deltas = self._polled[name] = (
+                        self._polled.get(name, []) + monitor.poll())
+                    report.monitor_cost_units += (monitor.cost.total_units()
+                                                  - before_cost)
+                    wrapper = self.wrappers[name]
+                    for delta in deltas:
+                        self._apply_delta(name, wrapper, delta, report)
+                        affected.add(delta.accession)
+                for accession in sorted(affected):
+                    self._reconcile(accession, report)
+                self._mark_annotations_stale(sorted(affected), report)
+            except BaseException:
+                self.db.rollback()
+                self._clock = clock
+                raise
+            self.db.commit()
             for name in report.sources:
-                monitor = self.monitors[name]
-                before_cost = monitor.cost.total_units()
-                deltas = monitor.poll()
-                report.monitor_cost_units += (monitor.cost.total_units()
-                                              - before_cost)
-                wrapper = self.wrappers[name]
-                for delta in deltas:
-                    self._apply_delta(name, wrapper, delta, report)
-                    affected.add(delta.accession)
-            for accession in sorted(affected):
-                self._reconcile(accession, report)
-            self._mark_annotations_stale(sorted(affected), report)
+                self._polled.pop(name, None)
             spn.annotate(deltas=report.deltas_processed,
                          quarantined=report.records_quarantined)
             return report.publish()
@@ -383,7 +399,8 @@ class UnifyingDatabase:
                       "conflicts"):
             self.db.execute(f"DELETE FROM {table}")
         # Monitors must also re-baseline, or the next incremental poll
-        # would re-report everything.
+        # would re-report everything (and held deltas are superseded).
+        self._polled.clear()
         for name, repository in self.sources.items():
             self.monitors[name] = choose_monitor(repository)
         report = self.initial_load()
@@ -570,6 +587,7 @@ class UnifyingDatabase:
         warehouse.integrator = Integrator(reliability)
         warehouse.refresh_policy = refresh_policy
         warehouse.wal = None
+        warehouse._polled = {}
         warehouse.sources = {}
         warehouse.monitors = {}
         warehouse.wrappers = {}

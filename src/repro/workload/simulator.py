@@ -650,7 +650,7 @@ def _report(spec: MacroSpec, federation: MacroFederation,
     replica = {
         "lag_max": max(lag_samples, default=0.0),
         "lag_final": federation.follower.staleness_bound(),
-        "applied_statements": federation.follower.applied_total(),
+        "applied_statements": federation.follower.statements_applied,
         "rejected_shipments": federation.follower.rejected_shipments,
         "shipments_fenced": federation.follower.shipments_fenced,
         "partition_drops": federation.replica_channel.stats.partitioned,

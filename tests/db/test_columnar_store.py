@@ -2,7 +2,7 @@
 
 The column layout must be observably identical to the row layout from
 the executor's side: stable never-reused row ids, insertion-order
-iteration, in-place updates, tombstoned deletes, snapshot/restore.
+iteration, in-place updates, tombstoned deletes, rollback in place.
 These tests mirror random workloads through both layouts and also poke
 the store directly (group views, zone pruning, the tail/sealed split).
 """
@@ -92,18 +92,23 @@ def test_row_ids_stable_and_updates_keep_scan_position():
 
 
 def test_transaction_rollback_restores_column_store():
-    _, db = _pair()
-    for index in range(PAGE_ROWS + 2):
-        db.execute("INSERT INTO t VALUES (?, ?, 'x', 0.0)",
-                   (index, index))
-    before = db.execute("SELECT * FROM t").rows
-    db.begin()
-    db.execute("DELETE FROM t WHERE id < 5")
-    db.execute("UPDATE t SET name = 'mut' WHERE id = 8")
-    db.execute("INSERT INTO t VALUES (50, 50, 'new', 9.0)")
-    assert db.execute("SELECT * FROM t").rows != before
-    db.rollback()
-    assert db.execute("SELECT * FROM t").rows == before
+    # Scan order included, on both layouts: the column store revives
+    # its tombstones in place, the row heap re-sorts by row id.
+    for db in _pair():
+        for index in range(PAGE_ROWS + 2):
+            db.execute("INSERT INTO t VALUES (?, ?, 'x', 0.0)",
+                       (index, index))
+        db.execute("DELETE FROM t WHERE id = 9")  # a tombstone to keep
+        before = db.execute("SELECT * FROM t").rows
+        db.begin()
+        db.execute("DELETE FROM t WHERE id < 5 OR id = 8")  # sealed, tail
+        db.execute("UPDATE t SET name = 'mut' WHERE id = 7")
+        db.execute("INSERT INTO t VALUES (50, 50, 'new', 9.0)")
+        assert db.execute("SELECT * FROM t").rows != before
+        db.rollback()
+        assert db.execute("SELECT * FROM t").rows == before
+        db.execute("INSERT INTO t VALUES (9, 9, 'again', 1.0)")
+        assert db.execute("SELECT id FROM t").rows[-1] == (9,)
 
 
 def test_zone_pruning_skips_pages_and_loses_no_rows():

@@ -221,7 +221,30 @@ class TestExecutemanyLogging:
         db.commit()
         wal.close()
         records, _ = read_wal_records(wal_path)
-        assert len(records) == 2
+        # One committed transaction is one record: every statement's
+        # text, then all their parameters end to end.
+        assert [(record["sql"], record["params"]) for record in records] \
+            == [(["INSERT INTO t VALUES (?, ?)"] * 2, [10, "x", 11, "y"])]
+        target = Database()
+        target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        assert WriteAheadLog(wal_path, target).replay(target) == 2
+        assert target.query("SELECT id, v FROM t").rows == [(10, "x"),
+                                                           (11, "y")]
+
+    def test_one_statement_transaction_writes_the_autocommit_line(
+            self, db, tmp_path):
+        lines = []
+        for name, transaction in (("auto", False), ("one", True)):
+            wal = WriteAheadLog(str(tmp_path / name), db)
+            wal.attach()
+            if transaction:
+                db.begin()
+            db.execute("UPDATE t SET v = ? WHERE id = ?", ["w", 1, "extra"])
+            if transaction:
+                db.commit()
+            wal.close()
+            lines.append((tmp_path / name).read_bytes())
+        assert lines[0] == lines[1]
 
     def test_executemany_inside_rolled_back_transaction(self, db,
                                                         tmp_path):

@@ -170,21 +170,22 @@ class TestTableIndexes:
         assert table.indexes_on("organism") == ()
 
 
-class TestSnapshots:
-    def test_snapshot_restore(self):
+class TestPutBack:
+    def test_put_back_undoes_delete(self):
         table = Table(make_schema(primary_key="id"))
         index = HashIndex("i", "genes", "name")
         table.attach_index(index)
-        table.insert([1, "a", "x"])
-        snapshot = table.snapshot()
-        table.insert([2, "b", "y"])
-        table.delete(1)
-        table.restore(snapshot)
-        assert len(table) == 1
-        assert table.row(1) == [1, "a", "x"]
-        assert list(index.search_equal("a")) == [1]
+        for key, name in ((1, "a"), (2, "b"), (3, "c")):
+            table.insert([key, name, "x"])
+        undo = table.delete(2)
         assert list(index.search_equal("b")) == []
-        # Unique bookkeeping restored: id 2 is free again, id 1 is not.
+        table.insert([2, "b2", "y"])            # the key is free meanwhile
+        table.delete(4)
+        table.put_back(2, *undo)
+        # Back under its own row id, in its scan position, in every index.
+        assert [row_id for row_id, __ in table.rows()] == [1, 2, 3]
+        assert table.row(2) == [2, "b", "x"]
+        assert list(index.search_equal("b")) == [2]
         with pytest.raises(ConstraintError):
-            table.insert([1, "zz", "x"])
-        table.insert([2, "b", "y"])
+            table.insert([2, "zz", "x"])
+        assert table.insert([5, "e", "x"]) == 5  # row ids never reused

@@ -7,6 +7,7 @@ import pytest
 from repro.adapter import install_genomics
 from repro.core.types import DnaSequence
 from repro.db import Database
+from repro.db.recovery import databases_equal, recover
 from repro.db.storage import (
     WriteAheadLog,
     checkpoint,
@@ -69,6 +70,105 @@ class TestTransactions:
         assert db.in_transaction
         db.commit()
         assert not db.in_transaction
+
+
+@pytest.fixture
+def logged(db, tmp_path):
+    """*db* with a WAL behind a checkpoint image: ``recover`` must
+    always rebuild exactly what the primary holds."""
+    image, wal_path = str(tmp_path / "image.json"), str(tmp_path / "wal")
+    wal = WriteAheadLog(wal_path, db)
+    wal.attach()
+    checkpoint(db, image, wal)
+    yield db, image, wal
+    wal.close()
+
+
+def _ids(database):
+    return database.query("SELECT id FROM t").column("id")
+
+
+class TestNothingSplitsThePrimaryFromItsLog:
+    """Regressions: each of these left the primary holding a state its
+    own log (and so recovery and every follower) did not."""
+
+    def test_ddl_inside_a_transaction_is_refused(self, logged):
+        db, image, wal = logged
+        db.begin()
+        for ddl in ("CREATE TABLE x (id INTEGER)",
+                    "CREATE INDEX tv ON t (v)", "DROP INDEX IF EXISTS tv ON t",
+                    "DROP TABLE t"):
+            with pytest.raises(TransactionError):
+                db.execute(ddl)
+        db.execute("INSERT INTO t VALUES (3, 'c')")
+        db.rollback()
+        assert not db.catalog.has_table("x") and db.index_definitions == ()
+        assert _ids(db) == [1, 2]
+        assert databases_equal(db, recover(image, wal.path)[0])
+
+    def test_a_checkpoint_inside_a_transaction_is_refused(self, logged):
+        db, image, wal = logged
+        db.execute("INSERT INTO t VALUES (3, 'c')")
+        db.begin()
+        db.execute("INSERT INTO t VALUES (4, 'd')")
+        with pytest.raises(TransactionError):
+            checkpoint(db, image, wal)
+        with pytest.raises(TransactionError):
+            save_database(db, image + ".other")
+        # Comparing states still works mid-transaction.
+        assert not databases_equal(db, recover(image, wal.path)[0])
+        db.rollback()
+        assert _ids(db) == [1, 2, 3]
+        assert databases_equal(db, recover(image, wal.path)[0])
+
+
+class TestReopenedLog:
+    """A log reopened after a crash starts its next record on a line of
+    its own: a torn final line is cut, a whole one is ended."""
+
+    def _crashed(self, tmp_path, tail):
+        path = str(tmp_path / "wal.jsonl")
+        database = Database()
+        wal = WriteAheadLog(path, database)
+        wal.attach()
+        database.execute("CREATE TABLE t (id INTEGER)")
+        wal.close()
+        with open(path, "a") as handle:
+            handle.write(tail)
+        reopened = WriteAheadLog(path, database)
+        reopened.attach()
+        return path, database, reopened
+
+    @pytest.mark.parametrize("writes", [1, 2])
+    def test_a_torn_tail_is_cut_before_the_next_write(self, tmp_path,
+                                                      writes):
+        path, database, wal = self._crashed(
+            tmp_path, '{"sql": "INSERT INTO t VAL')
+        created = [f"CREATE TABLE {name} (id INTEGER)"
+                   for name in ("u", "w")[:writes]]
+        for sql in created:
+            database.execute(sql)
+        wal.close()
+        records, torn = read_wal_records(path)
+        assert [record["sql"] for record in records][1:] == created
+        assert not torn
+        assert databases_equal(
+            database, recover(str(tmp_path / "none.json"), path)[0])
+
+    def test_a_whole_unended_line_is_kept(self, tmp_path):
+        probe = str(tmp_path / "probe.jsonl")
+        with WriteAheadLog(probe, Database()) as log:
+            log.append("INSERT INTO t VALUES (?)", [7])
+        with open(probe) as handle:
+            whole = handle.read().splitlines()[1]
+        path, database, wal = self._crashed(tmp_path, whole)
+        no_image = str(tmp_path / "none.json")
+        expected = recover(no_image, path)[0]  # replays the unended line
+        for target in (expected, database):
+            target.execute("INSERT INTO t VALUES (8)")
+        wal.close()
+        assert len(read_wal_records(path)[0]) == 3
+        assert databases_equal(expected, recover(no_image, path)[0])
 
 
 class TestImages:

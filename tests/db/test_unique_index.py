@@ -125,9 +125,9 @@ class TestIndexFollowsHeap:
         assert database.query(
             "SELECT code FROM genes WHERE id = 1").scalar() == "c1"
         assert database.query("SELECT id FROM genes WHERE id = 8").rows == []
-        snapshot = table.snapshot()
+        database.begin()
         database.execute("UPDATE genes SET id = id + 10")
-        table.restore(snapshot)
+        database.rollback()
         assert_indexes_mirror_heap(table)
         assert sorted(database.query("SELECT id FROM genes").column("id")) \
             == [1, 2, 3]

@@ -1,5 +1,5 @@
-"""Source audit: one WAL parser, one format, one image encoder, no
-ablation switches.
+"""Source audit: one WAL parser, one format, one image encoder, one
+rollback mechanism, no ablation switches.
 
 The durability stack (``repro.db.storage`` / ``scrub`` / ``recovery``
 and ``repro.federation``) reads WAL lines through exactly one
@@ -20,12 +20,29 @@ _GONE = ("reopen_each", "checksums=", "records_legacy", "WAL_EPOCH_FORMAT")
 
 def test_wal_lines_have_exactly_one_parser():
     durability = [*(SRC / "repro" / "db").glob("*.py"),
-                  *(SRC / "repro" / "federation").glob("*.py")]
+                  *(SRC / "repro" / "federation").glob("*.py"),
+                  *(SRC / "repro" / "warehouse").glob("*.py")]
     parsers = {path.name: path.read_text().count("json.loads")
                for path in durability if "json.loads" in path.read_text()}
     assert parsers == {"storage.py": 1}, (
         "WAL lines must be parsed by storage.classify_wal alone; "
         f"json.loads now appears in {parsers}")
+    definitions = [str(path.relative_to(SRC))
+                   for path in (SRC / "repro").rglob("*.py")
+                   if "def classify_wal" in path.read_text()]
+    assert definitions == ["repro/db/storage.py"], definitions
+
+
+def test_rollback_is_the_undo_log_alone():
+    """A transaction is the statement undo log held open: no table copy
+    to restore from, and no index rebuilt wholesale on rollback."""
+    db = SRC / "repro" / "db"
+    offences = [f"{name}: {word}"
+                for name, words in (
+                    ("table.py", ("def snapshot", "def restore")),
+                    ("database.py", ("_snapshot", "_all_or_nothing")))
+                for word in words if word in (db / name).read_text()]
+    assert not offences, f"a second rollback mechanism: {offences}"
 
 
 def test_images_are_serialized_by_the_c_encoder():
