@@ -63,6 +63,9 @@ class SymbolTables(NamedTuple):
     #: By code, the ``bytes`` regex class of every code that may denote
     #: the same symbol (``A`` meets ``N``, ``R`` does not meet ``Y``).
     compatible: "tuple[bytes, ...]"
+    #: By code, the concrete codes of that class: what a concrete pattern
+    #: symbol may be to match it (``N`` → ``ACGT``, ``A`` → ``A``).
+    denotes: "tuple[bytes, ...]"
 
 
 #: The classes of :attr:`SymbolTables.gc_classes`, as ``bytes.count``
@@ -79,8 +82,13 @@ def symbol_tables(alphabet: Alphabet) -> SymbolTables:
         complement = bytes.maketrans(
             bytes(range(len(alphabet))),
             _codes(alphabet, "".join(map(alphabet.complement, alphabet))))
-    concrete = _codes(alphabet, "".join(
-        s for s in alphabet if not alphabet.is_ambiguous(s)))
+    concrete_symbols = "".join(
+        s for s in alphabet if not alphabet.is_ambiguous(s))
+    concrete = _codes(alphabet, concrete_symbols)
+    meets = tuple(
+        _codes(alphabet, "".join(
+            s for s in alphabet if alphabet.matches(s, symbol)))
+        for symbol in alphabet)
     return SymbolTables(
         complement,
         concrete,
@@ -90,10 +98,9 @@ def symbol_tables(alphabet: Alphabet) -> SymbolTables:
         _all_but(alphabet, "ATW"),
         bytes(code if code in concrete else AMBIGUOUS[0]
               for code in range(256)),
-        tuple(
-            b"[" + re.escape(_codes(alphabet, "".join(
-                s for s in alphabet if alphabet.matches(s, symbol)))) + b"]"
-            for symbol in alphabet),
+        tuple(b"[" + re.escape(codes) + b"]" for codes in meets),
+        tuple(codes.translate(None, _all_but(alphabet, concrete_symbols))
+              for codes in meets),
     )
 
 
