@@ -22,14 +22,18 @@ After installation the paper's example runs verbatim::
 
 from __future__ import annotations
 
+import math
+
 from repro.adapter import serializers
 from repro.core import ops
 from repro.core.algebra import Algebra, genomics_algebra
+from repro.core.ops.similarity import kmer_cosine, kmer_vector
 from repro.core.types import (
     Alternatives,
     DnaSequence,
     Gene,
     MRna,
+    PackedSequence,
     PrimaryTranscript,
     Protein,
     ProteinSequence,
@@ -37,6 +41,7 @@ from repro.core.types import (
 )
 from repro.db import Database, OpaqueType
 from repro.db.sql.functions import null_safe
+from repro.errors import TypeCheckError
 
 #: Selectivity estimates for the genomic predicates (section 6.5).  A
 #: short motif is found in most long sequences; these defaults are the
@@ -72,6 +77,53 @@ def _sequence_udts() -> list[OpaqueType]:
                    serializers.serialize_alternatives,
                    serializers.deserialize_alternatives),
     ]
+
+
+# A stored value never changes and the engine calls the algebra once per
+# cell, so what a function derives from its stored operand alone is kept
+# on that value (``PackedSequence.derive``), keyed by the core operation.
+# A minimum or k other than the default computes afresh and keeps nothing.
+ORF_MINIMUM, KMER_K = 20, 4
+
+
+def _memoized(operation):
+    return lambda value: (value.derive(operation, operation)
+                          if isinstance(value, PackedSequence)
+                          else operation(value))
+
+
+def _checked(function: str, argument: str, value, kind=(int, float)):
+    if not isinstance(value, kind):
+        raise TypeCheckError(
+            f"{function}(): argument {argument!r} must be "
+            f"{'an integer' if kind is int else 'a number'}, not {value!r}")
+
+
+def _orf_count(dna, minimum=ORF_MINIMUM):
+    _checked("orf_count", "minimum", minimum)
+    if minimum != ORF_MINIMUM or not isinstance(dna, PackedSequence):
+        return len(ops.find_orfs(dna, minimum))
+    return dna.derive(ops.find_orfs,
+                      lambda value: len(ops.find_orfs(value, ORF_MINIMUM)))
+
+
+def _cosine(first, second, k: int, floor: float) -> float:
+    if k == KMER_K and isinstance(first, PackedSequence):
+        vector = first.derive(kmer_cosine,
+                              lambda value: kmer_vector(value, None, k))
+    else:
+        vector = kmer_vector(first, second, k)
+    return kmer_cosine(vector, second, floor)
+
+
+def _resembles(first, second, threshold=0.7):
+    _checked("resembles", "threshold", threshold)  # not part of the fact
+    return _cosine(first, second, KMER_K, threshold) >= threshold
+
+
+def _similarity(first, second, k=KMER_K):
+    _checked("similarity", "k", k, int)
+    return _cosine(first, second, k, -math.inf)
 
 
 def _registrar(database: Database):
@@ -132,8 +184,7 @@ class GenomicsAdapter:
         )
         register(
             "resembles",
-            lambda first, second, threshold=0.7:
-                ops.resembles(first, second, threshold),
+            _resembles,
             selectivity=RESEMBLES_SELECTIVITY,
             description="k-mer cosine similarity above threshold",
         )
@@ -169,21 +220,23 @@ class GenomicsAdapter:
         register("reverse_complement", ops.reverse_complement,
                  description="opposite strand, 5'->3'",
                  kernel="reverse_complement")
+        # Not memoized: one C translate, cheaper than the memo it would
+        # keep on every value of a row-table scan; pages have its kernel.
         register("gc_content", ops.gc_content,
                  description="GC fraction",
                  kernel="gc_content")
-        register("melting_temperature", ops.melting_temperature,
+        register("melting_temperature",
+                 _memoized(ops.melting_temperature),
                  description="estimated Tm in Celsius")
-        register("molecular_weight", ops.molecular_weight,
+        register("molecular_weight", _memoized(ops.molecular_weight),
                  description="average molecular weight (Da)")
-        register("isoelectric_point", ops.isoelectric_point,
+        register("isoelectric_point", _memoized(ops.isoelectric_point),
                  description="pI of a protein sequence")
-        register("hydropathy", ops.hydropathy,
+        register("hydropathy", _memoized(ops.hydropathy),
                  description="Kyte-Doolittle GRAVY score")
-        register("entropy", ops.shannon_entropy,
+        register("entropy", _memoized(ops.shannon_entropy),
                  description="per-symbol Shannon entropy (bits)")
-        register("orf_count",
-                 lambda dna, minimum=20: len(ops.find_orfs(dna, minimum)),
+        register("orf_count", _orf_count,
                  description="number of complete ORFs (both strands)")
         register("alignment_score",
                  lambda a, b: ops.global_align(a, b).score,
@@ -191,8 +244,7 @@ class GenomicsAdapter:
         register("local_alignment_score",
                  lambda a, b: ops.local_align(a, b).score,
                  description="Smith-Waterman local alignment score")
-        register("similarity",
-                 lambda a, b, k=4: ops.cosine_similarity(a, b, k),
+        register("similarity", _similarity,
                  description="k-mer cosine similarity in [0, 1]")
 
     # -- accessors ----------------------------------------------------------------------

@@ -55,11 +55,28 @@ def _prepared(klass: "type[PackedSequence] | None",
     return counts, math.sqrt(sum(map(mul, counts.values(), counts.values())))
 
 
-def _operands(
+class KmerVector:
+    """The k-mer keys, by position, of codes read as a *klass* value (or
+    as text), and — counted on first ask — their square-sum ``|a|²``."""
+
+    __slots__ = ("klass", "k", "keys", "_squares")
+
+    def __init__(self, klass: "type[PackedSequence] | None", codes: bytes,
+                 k: int) -> None:
+        self.klass, self.k, self.keys = klass, k, kmer_keys(codes, k)
+        self._squares: "int | None" = None
+
+    def squares(self) -> int:
+        if self._squares is None:
+            own = Counter(self.keys).values()
+            self._squares = sum(map(mul, own, own))
+        return self._squares
+
+
+def kmer_vector(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int
-) -> tuple[Sequence, dict, float]:
-    """*first*'s k-mer keys and *second*'s prepared profile, over one
-    common spelling.
+) -> KmerVector:
+    """*first*'s k-mer vector, read as the type both operands are read as.
 
     Text is read as a value of the other operand's type — upper-cased and
     alphabet-checked, exactly as ``contains`` reads a text pattern — and
@@ -73,24 +90,26 @@ def _operands(
         codes = read_pattern(klass, first).codes
     else:
         klass, codes = None, _text_codes(first.upper())
-    return (kmer_keys(codes, k), *_prepared(klass, second, k))
+    return KmerVector(klass, codes, k)
 
 
 def jaccard_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Jaccard index of the k-mer *sets* of two sequences (in ``[0, 1]``)."""
-    keys, counts, __ = _operands(first, second, k)
-    words_a, words_b = set(keys), counts.keys()
+    vector = kmer_vector(first, second, k)
+    words_a = set(vector.keys)
+    words_b = _prepared(vector.klass, second, k)[0].keys()
     if not words_a and not words_b:
         return 1.0
     return len(words_a & words_b) / len(words_a | words_b)
 
 
-def _cosine(first: "PackedSequence | str", second: "PackedSequence | str",
-            k: int, floor: float) -> float:
-    """The cosine of the two k-mer count vectors a and b — or, when that
-    is under *floor*, an upper bound of it that is too.
+def kmer_cosine(vector: KmerVector, second: "PackedSequence | str",
+                floor: float) -> float:
+    """The cosine of the k-mer count vectors a (*vector*) and b
+    (*second*'s, read as *vector*'s type) — or, when that is under
+    *floor*, an upper bound of it that is too.
 
     ``a·b = Σᵢ b[keyᵢ]`` is one pass over a's keys, before a is counted;
     and ``|a|² = Σ a_w² ≥ Σ a_w``, the number of windows, so
@@ -98,22 +117,22 @@ def _cosine(first: "PackedSequence | str", second: "PackedSequence | str",
     as in reals: it is the cosine's own expression with a smaller integer
     under the root, and ``sqrt``, ``*`` and ``/`` round monotonically.
     """
-    keys, counts, norm = _operands(first, second, k)
+    keys = vector.keys
+    counts, norm = _prepared(vector.klass, second, vector.k)
     if not keys or not counts:
         return 1.0 if not keys and not counts else 0.0
     dot = sum(map(counts.get, keys, repeat(0)))
     ceiling = dot / (math.sqrt(len(keys)) * norm)
     if ceiling < floor:
         return ceiling
-    own = Counter(keys).values()
-    return dot / (math.sqrt(sum(map(mul, own, own))) * norm)
+    return dot / (math.sqrt(vector.squares()) * norm)
 
 
 def cosine_similarity(
     first: "PackedSequence | str", second: "PackedSequence | str", k: int = 4
 ) -> float:
     """Cosine similarity of k-mer count vectors (in ``[0, 1]``)."""
-    return _cosine(first, second, k, -math.inf)
+    return kmer_cosine(kmer_vector(first, second, k), second, -math.inf)
 
 
 def resembles(
@@ -123,7 +142,8 @@ def resembles(
     k: int = 4,
 ) -> bool:
     """The `resembles` predicate: k-mer cosine similarity above threshold."""
-    return _cosine(first, second, k, threshold) >= threshold
+    return kmer_cosine(kmer_vector(first, second, k), second,
+                       threshold) >= threshold
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,8 @@ class PackedSequence:
     #: Two codes to the byte?  Decided once per class, by its alphabet.
     _nibble: ClassVar[bool]
 
-    __slots__ = ("_packed", "_length")
+    #: ``_derived`` stays unset until :meth:`derive` first stores a fact.
+    __slots__ = ("_packed", "_length", "_derived")
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -252,6 +253,19 @@ class PackedSequence:
     def nbytes(self) -> int:
         """Size in bytes of the packed in-memory payload."""
         return len(self._packed)
+
+    def derive(self, key: object, compute):
+        """``compute(self)``, kept under *key* for the value's life: a
+        value never changes.  A *compute* that raises keeps nothing, and
+        equality, hashing and serialization never read what is kept."""
+        try:
+            return self._derived[key]
+        except AttributeError:
+            self._derived = {}
+        except KeyError:
+            pass
+        fact = self._derived[key] = compute(self)
+        return fact
 
 
 class DnaSequence(PackedSequence):

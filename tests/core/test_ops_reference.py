@@ -48,7 +48,12 @@ from repro.core.types import (
 from repro.core.types.alphabet import DNA, PROTEIN, RNA
 from repro.core.types.annotation import FORWARD, REVERSE, Interval
 from repro.core.types.entities import Protein
-from repro.errors import ReproError, SequenceError, TranslationError
+from repro.errors import (
+    ReproError,
+    SequenceError,
+    SortMismatchError,
+    TranslationError,
+)
 
 # ===========================================================================
 # The references: the parent commit's bodies, verbatim but for (a) the
@@ -558,9 +563,13 @@ class TestProperties:
             same(ops.reverse_complement, ref_reverse_complement, sequence)
             same(ops.gc_content, ref_gc_content, sequence)
             same(ops.base_composition, ref_base_composition, sequence)
-            same(ops.melting_temperature, ref_melting_temperature, sequence)
             same(ops.molecular_weight, ref_molecular_weight, sequence)
             same(ops.shannon_entropy, ref_shannon_entropy, sequence)
+        # Tm is declared over dna alone: RNA is refused, not mis-read.
+        same(ops.melting_temperature, ref_melting_temperature,
+             DnaSequence(text))
+        with pytest.raises(SortMismatchError):
+            ops.melting_temperature(RnaSequence(text.replace("T", "U")))
         same(ops.dna_to_rna, ref_dna_to_rna, DnaSequence(text))
         same(ops.rna_to_dna, ref_rna_to_dna,
              RnaSequence(text.replace("T", "U")))

@@ -1,0 +1,261 @@
+"""A stored value derives each algebra fact once, and nobody can tell.
+
+The adapter keeps what a function derives from its stored operand alone
+on that value (``PackedSequence.derive``): the unary statistics, the ORF
+count at the default minimum and the k-mer vector at the default k.  The
+law is that a memoized answer is the core operation's answer on a fresh
+equal value, bit for bit — errors included — on every layout, and that
+no byte anywhere (``==``, ``hash``, ``to_bytes``, column pages, images,
+WAL) changes because a value has been asked something.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.adapter import install_genomics
+from repro.core import ops
+from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
+from repro.core.types.alphabet import DNA, PROTEIN, RNA
+from repro.db import Database
+from repro.db.columnar.pages import encode_page
+from repro.db.columnar.spill import ValueCodec
+from repro.db.storage import WriteAheadLog, save_database
+from repro.errors import DatabaseError, SortMismatchError, TypeCheckError
+
+CONFIGS = (
+    {"layout": "row"},
+    {"layout": "column"},
+    {"layout": "column", "page_rows": 2},
+)
+IDS = ("row", "column", "column-page_rows=2")
+
+#: SQL name → core operation, per column; every one but ``gc_content``
+#: (one C translate, cheaper than what the memo keeps) is memoized.
+UNARY = {
+    "gc_content": ops.gc_content,
+    "melting_temperature": ops.melting_temperature,
+    "molecular_weight": ops.molecular_weight,
+    "isoelectric_point": ops.isoelectric_point,
+    "hydropathy": ops.hydropathy,
+    "entropy": ops.shannon_entropy,
+    "orf_count": lambda dna: len(ops.find_orfs(dna, 20)),
+}
+#: The unary statistics less ``gc_content``, plus the k-mer vector.
+MEMOIZED = len(UNARY)
+PROBE = DnaSequence("ACGTTGCAACGTAGGCTTAC")
+
+nucleotides = st.one_of(
+    st.text(alphabet="ACGT", max_size=90),
+    st.text(alphabet="ACGT" * 8 + "RYSWKMBDHVN-", max_size=90),
+    st.text(alphabet=DNA.symbols, max_size=45),
+)
+rows = st.lists(
+    st.tuples(nucleotides, st.text(alphabet=PROTEIN.symbols, max_size=60)),
+    min_size=1, max_size=5)
+
+
+def loaded(config, pairs) -> Database:
+    database = Database(**config)
+    install_genomics(database)
+    database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, d DNA, "
+                     "r RNA, p PROTEIN_SEQ)")
+    for row_id, (dna, protein) in enumerate(pairs):
+        database.execute("INSERT INTO t VALUES (?, dna(?), rna(?), "
+                         "protein_seq(?))",
+                         [row_id, dna, dna.replace("T", "U"), protein])
+    return database
+
+
+def outcome(call):
+    """``("value", bits)`` or ``("error", type, text)`` of *call*; a
+    failure inside a SQL function is compared by what it wraps."""
+    try:
+        value = call()
+    except Exception as error:  # noqa: BLE001 — the outcome is the point
+        cause = error.__cause__ or error
+        return ("error", type(cause), str(cause))
+    if isinstance(value, float):
+        return ("value", struct.pack("<d", value))
+    return ("value", value)
+
+
+def cell(database, sql, row_id, parameters=()):
+    return database.execute(f"{sql} FROM t WHERE id = ?",
+                            [*parameters, row_id]).rows[0][0]
+
+
+def stored(database, row_id):
+    """The row's DNA value as a row-layout heap holds it."""
+    table = database.catalog.table("t")
+    return next(row[1] for __, row in table.rows() if row[0] == row_id)
+
+
+every_layout = pytest.mark.parametrize("config", CONFIGS, ids=IDS)
+
+
+class TestMemoizedEqualsTheCoreOperation:
+    @every_layout
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(pairs=rows)
+    def test_twice_through_sql_is_the_core_op_on_a_fresh_value(
+            self, config, pairs):
+        database = loaded(config, pairs)
+        for row_id, (dna, protein) in enumerate(pairs):
+            fresh = {"d": DnaSequence(dna),
+                     "r": RnaSequence(dna.replace("T", "U")),
+                     "p": ProteinSequence(protein)}
+            for column, value in fresh.items():
+                for name, operation in UNARY.items():
+                    want = outcome(lambda: operation(value))
+                    for __ in range(2):
+                        got = outcome(lambda: cell(
+                            database, f"SELECT {name}({column})", row_id))
+                        assert got == want, (name, column, value)
+            for sql, operation in (
+                    ("SELECT resembles(d, dna(?))",
+                     lambda value: ops.resembles(value, PROBE)),
+                    ("SELECT similarity(d, dna(?))",
+                     lambda value: ops.cosine_similarity(value, PROBE))):
+                want = outcome(lambda: operation(fresh["d"]))
+                for __ in range(2):
+                    got = outcome(lambda: cell(database, sql, row_id,
+                                               [str(PROBE)]))
+                    assert got == want, (sql, fresh["d"])
+
+
+class TestTheMemoIsBounded:
+    def test_explicit_arguments_compute_afresh_and_store_nothing(self):
+        database = loaded(CONFIGS[0], [("ATGAAACCCGGGTTTTAA" * 5, "MKV")])
+        statements = [f"SELECT {name}(d)" for name in UNARY] + [
+            "SELECT resembles(d, dna(?))", "SELECT similarity(d, dna(?))"]
+        for sql in statements:
+            parameters = [str(PROBE)] if "?" in sql else []
+            outcome(lambda: cell(database, sql, 0, parameters))
+        value = stored(database, 0)
+        derived = dict(value._derived)
+        assert len(derived) <= MEMOIZED
+        assert ops.gc_content not in derived
+        for minimum in range(1, 30):
+            assert cell(database, "SELECT orf_count(d, ?)", 0,
+                        [minimum]) == len(ops.find_orfs(value, minimum))
+        for k in range(1, 12):
+            assert cell(database, "SELECT similarity(d, dna(?), ?)", 0,
+                        [str(PROBE), k]) == ops.cosine_similarity(
+                            value, PROBE, k)
+        assert value._derived == derived
+
+    def test_a_refused_call_stores_nothing(self):
+        database = loaded(CONFIGS[0], [("ACGTACGT", "MKV")])
+        for name in ("isoelectric_point", "hydropathy"):
+            with pytest.raises(DatabaseError) as raised:
+                cell(database, f"SELECT {name}(d)", 0)
+            assert isinstance(raised.value.__cause__, SortMismatchError)
+        assert not getattr(stored(database, 0), "_derived", {})
+
+
+class TestTheMemoIsInvisible:
+    def test_value_equality_hash_bytes_and_pages(self):
+        texts = ["ATGAAACCCGGGTTTTAA", "ACGTN", ""]
+        asked = [DnaSequence(text) for text in texts]
+        for value in asked[:2]:
+            value.derive(ops.gc_content, ops.gc_content)
+            value.derive("other", lambda value: [len(value)])
+        for fresh, value in zip(map(DnaSequence, texts), asked):
+            assert value == fresh and hash(value) == hash(fresh)
+            assert value.to_bytes() == fresh.to_bytes()
+        database = Database()
+        install_genomics(database)
+        codec = ValueCodec(database.catalog)
+        assert encode_page(asked, "DNA", codec) == encode_page(
+            [DnaSequence(text) for text in texts], "DNA", codec)
+
+    @every_layout
+    def test_image_and_wal_bytes(self, tmp_path, config):
+        pairs = [("ATGAAACCCGGGTTTTAA" * 3, "MKWVTF"), ("ACGTN", "MA")]
+        outputs = []
+        for asked in (False, True):
+            directory = tmp_path / str(asked)
+            directory.mkdir()
+            database = loaded(config, pairs)
+            wal = WriteAheadLog(str(directory / "wal.jsonl"), database)
+            wal.attach()
+            if asked:
+                database.execute(
+                    "SELECT gc_content(d), melting_temperature(d), "
+                    "entropy(d), orf_count(d), similarity(d, d), "
+                    "hydropathy(p), isoelectric_point(p) FROM t")
+            database.execute("UPDATE t SET d = dna('GGGCCC') WHERE id = 1")
+            wal.close()
+            save_database(database, str(directory / "image.json"))
+            outputs.append([(directory / name).read_bytes()
+                            for name in ("wal.jsonl", "image.json")])
+        assert outputs[0] == outputs[1]
+
+
+class TestErrors:
+    @every_layout
+    @pytest.mark.parametrize("sql, parameter", [
+        ("SELECT orf_count(d, ?)", "abc"),
+        ("SELECT resembles(d, dna('ACGT'), ?)", "x"),
+        ("SELECT similarity(d, dna('ACGT'), ?)", "x"),
+        ("SELECT similarity(d, dna('ACGT'), ?)", 2.0),
+    ])
+    def test_a_non_numeric_argument_is_a_type_check_error(
+            self, config, sql, parameter):
+        database = loaded(config, [("ATGAAACCCGGGTTTTAA", "MKV")])
+        function = sql.split()[1].split("(")[0]
+        for fill in (False, True):   # the memo empty, then filled
+            if fill:
+                database.execute("SELECT orf_count(d), resembles(d, d), "
+                                 "similarity(d, d) FROM t")
+            with pytest.raises(TypeCheckError) as raised:
+                cell(database, sql, 0, [parameter])
+            assert function in str(raised.value)
+            assert "argument" in str(raised.value)
+            assert "not supported" not in str(raised.value)
+
+    @pytest.mark.parametrize("name, value, declared, given", [
+        ("isoelectric_point", DnaSequence("ATGAAACCCGGGTTTTAA"),
+         "protein_seq", "dna"),
+        ("hydropathy", DnaSequence("ATGAAACCCGGGTTTTAA"),
+         "protein_seq", "dna"),
+        ("hydropathy", RnaSequence("AUGAAA"), "protein_seq", "rna"),
+        ("melting_temperature", ProteinSequence("ACGT"), "dna",
+         "protein_seq"),
+        ("melting_temperature", RnaSequence("ACGU"), "dna", "rna"),
+    ])
+    def test_a_declared_sort_is_enforced(self, name, value, declared,
+                                         given):
+        with pytest.raises(SortMismatchError) as raised:
+            getattr(ops, name)(value)
+        for word in (name, declared, given):
+            assert word in str(raised.value)
+        database = Database()
+        install_genomics(database)
+        constructor = {DNA: "dna", RNA: "rna", PROTEIN: "protein_seq"}[
+            value.alphabet]
+        for __ in range(2):
+            with pytest.raises(DatabaseError) as through_sql:
+                database.execute(f"SELECT {name}({constructor}(?))",
+                                 [str(value)])
+            assert type(through_sql.value.__cause__) is SortMismatchError
+            assert str(through_sql.value.__cause__) == str(raised.value)
+
+
+class TestUpdate:
+    @every_layout
+    def test_an_update_yields_the_new_values_facts(self, config):
+        database = loaded(config, [("ATGAAACCCGGGTTTTAA" * 4, "MKV")])
+        sql = ("SELECT melting_temperature(d), orf_count(d, 1), "
+               "orf_count(d), similarity(d, dna(?))")
+        before = database.execute(sql + " FROM t", [str(PROBE)]).rows[0]
+        new = DnaSequence("GGGGCCCCATGTTTAAA" * 3)
+        database.execute("UPDATE t SET d = dna(?) WHERE id = 0", [str(new)])
+        after = database.execute(sql + " FROM t", [str(PROBE)]).rows[0]
+        assert after == (ops.melting_temperature(new),
+                         len(ops.find_orfs(new, 1)),
+                         len(ops.find_orfs(new, 20)),
+                         ops.cosine_similarity(new, PROBE))
+        assert after != before

@@ -264,6 +264,19 @@ def test_one_constructor_bypasses_init():
         f"made without __init__; __new__ appears at {hits}")
 
 
+def test_the_value_memo_lives_in_one_layer():
+    # ``core.ops`` stays memo-free, so the oracles that call it (the e2e
+    # replay, test_ops_reference.py) recompute what the adapter recalls.
+    allowed = ("core/types/sequence.py", "adapter/adapter.py")
+    users = sorted(
+        str(path.relative_to(SRC)) for path in SRC.rglob("*.py")
+        if any(needle in path.read_text()
+               for needle in ("derive(", "_derived")))
+    assert tuple(sorted(allowed)) == tuple(users), (
+        "PackedSequence.derive is defined in core/types/sequence.py and "
+        f"read by the adapter's registrations alone; found in {users}")
+
+
 def test_orf_scans_do_not_ask_the_table_codon_by_codon():
     source = (OPS / "orf.py").read_text()
     assert "is_start(" not in source and "is_stop(" not in source
