@@ -28,6 +28,7 @@ from repro.adapter import serializers
 from repro.core import ops
 from repro.core.algebra import Algebra, genomics_algebra
 from repro.core.ops.similarity import kmer_cosine, kmer_vector
+from repro.core.ops.stats import declared
 from repro.core.types import (
     Alternatives,
     DnaSequence,
@@ -253,20 +254,27 @@ class GenomicsAdapter:
         register = _registrar(database)
         register("seq_text", lambda value: str(value),
                  description="textual form of any sequence value")
-        register("gene_name", lambda gene: gene.name,
+        register("gene_name",
+                 lambda gene: declared("gene_name", gene, Gene).name,
                  description="name of a GENE value")
-        register("gene_sequence", lambda gene: gene.sequence,
+        register("gene_sequence",
+                 lambda gene: declared("gene_sequence", gene, Gene).sequence,
                  description="genomic DNA of a GENE value")
-        register("gene_organism", lambda gene: gene.organism,
+        register("gene_organism",
+                 lambda gene: declared("gene_organism", gene, Gene).organism,
                  description="organism of a GENE value")
-        register("exon_count", lambda gene: len(gene.exons),
+        register("exon_count",
+                 lambda gene: len(declared("exon_count", gene, Gene).exons),
                  description="number of exons")
-        register("exonic_length", lambda gene: gene.exonic_length,
+        register("exonic_length", lambda gene: declared(
+                     "exonic_length", gene, Gene).exonic_length,
                  description="summed exon length")
-        register("protein_sequence", lambda protein: protein.sequence,
+        register("protein_sequence", lambda protein: declared(
+                     "protein_sequence", protein, Protein).sequence,
                  description="amino-acid chain of a PROTEIN value")
         register("protein_name",
-                 lambda protein: protein.name,
+                 lambda protein: declared("protein_name", protein,
+                                          Protein).name,
                  description="name of a PROTEIN value")
 
 

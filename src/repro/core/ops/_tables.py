@@ -288,6 +288,25 @@ def kmer_keys(codes: bytes, k: int) -> "Sequence[int | tuple]":
     return array(typecode, words)
 
 
+#: By offset j in a window, ``translate`` table code → ``code << 2j`` …
+_SHIFTS = [bytes(code << 2 * j & 0xFF for code in range(256))
+           for j in range(4)]
+#: … for the codes A, C, G, T/U: runs of them, and what deletes them.
+BELOW_4_RUNS, _BELOW_4 = re.compile(rb"[\x00-\x03]+"), bytes(range(4))
+
+
+def kmer_bytes(codes: bytes, k: int) -> "bytes | None":
+    """Every length-*k* window of a code buffer as one byte, ``Σ code_j <<
+    2j``, if *k* ≤ 4 and every code is below 4 (DNA or RNA without
+    ambiguity codes or gaps); else ``None``.  One ``translate`` per offset
+    lays its code's bits out, and the lanes OR as one integer sum."""
+    count = max(len(codes) - k + 1, 0)
+    if not 1 <= k <= 4 or codes.translate(None, _BELOW_4):
+        return None
+    return sum(int.from_bytes(codes[j:j + count].translate(_SHIFTS[j]), "big")
+               for j in range(k)).to_bytes(count, "big")
+
+
 class CodonLookup:
     """The byte tables of one genetic code: what a
     :class:`~repro.core.ops.codon.CodonTable` reads frames through."""

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import eq, mul
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.ops._tables import kmer_keys
+from repro.core.ops._tables import BELOW_4_RUNS, kmer_bytes, kmer_keys
 from repro.core.ops.align import Alignment, ScoringScheme, simple_scoring
 from repro.core.ops.search import read_pattern
 from repro.core.types.sequence import PackedSequence
@@ -46,24 +46,42 @@ def kmer_profile(sequence: "PackedSequence | str", k: int) -> Counter:
 
 @lru_cache(maxsize=512)
 def _prepared(klass: "type[PackedSequence] | None",
-              operand: "PackedSequence | str", k: int) -> tuple[dict, float]:
-    """(k-mer key → count, Euclidean norm) of an operand read as a
-    *klass* value — once per distinct operand, not once per row."""
+              operand: "PackedSequence | str",
+              k: int) -> "tuple[dict, int, bytes | dict]":
+    """(key → count, ``|b|²``, window byte → count: a ``translate`` table
+    while no count passes 255) of an operand b read as a *klass* value —
+    once per distinct operand, not once per row."""
     codes = (read_pattern(klass, operand).codes if klass
              else _text_codes(operand.upper()))
     counts = dict(Counter(kmer_keys(codes, k)))
-    return counts, math.sqrt(sum(map(mul, counts.values(), counts.values())))
+    dense = Counter(b"".join(kmer_bytes(run, k) or b""
+                             for run in BELOW_4_RUNS.findall(codes)))
+    try:
+        dense = bytes(map(dense.get, range(256), repeat(0)))
+    except ValueError:  # a count past 255
+        dense = dict(dense)
+    return counts, sum(map(mul, counts.values(), counts.values())), dense
+
+
+def _looked_up(counts: "bytes | dict", windows: "Sequence") -> Iterable[int]:
+    """The count of each of *windows*: a byte each through a table."""
+    if type(counts) is bytes:
+        return windows.translate(counts)
+    return map(counts.get, windows, repeat(0))
 
 
 class KmerVector:
-    """The k-mer keys, by position, of codes read as a *klass* value (or
-    as text), and — counted on first ask — their square-sum ``|a|²``."""
+    """The k-mer windows, by position, of codes read as a *klass* value
+    (or as text) — ``kmer_bytes`` if it reads them (``dense``), else
+    ``kmer_keys`` — and, counted on first ask, their square-sum ``|a|²``."""
 
-    __slots__ = ("klass", "k", "keys", "_squares")
+    __slots__ = ("klass", "k", "keys", "dense", "_squares")
 
     def __init__(self, klass: "type[PackedSequence] | None", codes: bytes,
                  k: int) -> None:
-        self.klass, self.k, self.keys = klass, k, kmer_keys(codes, k)
+        keys = kmer_bytes(codes, k)
+        self.klass, self.k, self.dense = klass, k, keys is not None
+        self.keys = keys if self.dense else kmer_keys(codes, k)
         self._squares: "int | None" = None
 
     def squares(self) -> int:
@@ -98,11 +116,12 @@ def jaccard_similarity(
 ) -> float:
     """Jaccard index of the k-mer *sets* of two sequences (in ``[0, 1]``)."""
     vector = kmer_vector(first, second, k)
+    counts, __, dense = _prepared(vector.klass, second, k)
     words_a = set(vector.keys)
-    words_b = _prepared(vector.klass, second, k)[0].keys()
-    if not words_a and not words_b:
-        return 1.0
-    return len(words_a & words_b) / len(words_a | words_b)
+    shared = sum(map(bool, _looked_up(dense, bytes(words_a)) if vector.dense
+                     else _looked_up(counts, words_a)))
+    union = len(words_a) + len(counts) - shared
+    return shared / union if union else 1.0
 
 
 def kmer_cosine(vector: KmerVector, second: "PackedSequence | str",
@@ -111,21 +130,21 @@ def kmer_cosine(vector: KmerVector, second: "PackedSequence | str",
     (*second*'s, read as *vector*'s type) — or, when that is under
     *floor*, an upper bound of it that is too.
 
-    ``a·b = Σᵢ b[keyᵢ]`` is one pass over a's keys, before a is counted;
-    and ``|a|² = Σ a_w² ≥ Σ a_w``, the number of windows, so
-    ``a·b / (√windows · |b|)`` bounds the cosine from above — in floats
-    as in reals: it is the cosine's own expression with a smaller integer
-    under the root, and ``sqrt``, ``*`` and ``/`` round monotonically.
+    ``a·b = Σᵢ b[windowᵢ]`` is one pass over a's windows, before a is
+    counted.  The cosine ``√(a·b² / (|a|²·|b|²))`` rounds once on exact
+    integers, then roots: equal vectors give 1.0.  And ``|a|² ≥`` the
+    number of windows, so that in place of ``|a|²`` bounds it from above
+    — in floats too: ``/`` and ``sqrt`` round monotonically.
     """
     keys = vector.keys
-    counts, norm = _prepared(vector.klass, second, vector.k)
-    if not keys or not counts:
-        return 1.0 if not keys and not counts else 0.0
-    dot = sum(map(counts.get, keys, repeat(0)))
-    ceiling = dot / (math.sqrt(len(keys)) * norm)
+    counts, squares, dense = _prepared(vector.klass, second, vector.k)
+    if not keys or not squares:
+        return 1.0 if not keys and not squares else 0.0
+    dot = sum(_looked_up(dense if vector.dense else counts, keys))
+    ceiling = math.sqrt(dot * dot / (len(keys) * squares))
     if ceiling < floor:
         return ceiling
-    return dot / (math.sqrt(vector.squares()) * norm)
+    return math.sqrt(dot * dot / (vector.squares() * squares))
 
 
 def cosine_similarity(

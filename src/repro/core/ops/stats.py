@@ -25,6 +25,7 @@ from repro.core.ops._tables import (
     symbol_tables,
 )
 from repro.core.ops.codon import CodonTable, STANDARD
+from repro.core.types.entities import Gene, MRna, PrimaryTranscript, Protein
 from repro.core.types.sequence import (
     DnaSequence,
     PackedSequence,
@@ -33,17 +34,19 @@ from repro.core.types.sequence import (
 )
 from repro.errors import SequenceError, SortMismatchError, TranslationError
 
-#: Each sequence class's sort in the algebra's signature.
-_SORTS = {DnaSequence: "dna", RnaSequence: "rna",
-          ProteinSequence: "protein_seq"}
+#: Each carrier class's sort in the algebra's signature.
+_SORTS = {DnaSequence: "dna", RnaSequence: "rna", str: "string",
+          ProteinSequence: "protein_seq", Gene: "gene", MRna: "mrna",
+          PrimaryTranscript: "primarytranscript", Protein: "protein"}
 
 
-def _declared(operation: str, value: object, klass: type) -> None:
-    """Refuse *value* unless it is of *klass*, *operation*'s declared sort."""
+def declared(operation: str, value: object, klass: type):
+    """*value*, if of *klass*, *operation*'s declared sort; else refused."""
     if not isinstance(value, klass):
         given = _SORTS.get(type(value), type(value).__name__)
         raise SortMismatchError(
             f"{operation} is declared over {_SORTS[klass]}, not {given}")
+    return value
 
 
 def melting_temperature(dna: DnaSequence) -> float:
@@ -54,7 +57,7 @@ def melting_temperature(dna: DnaSequence) -> float:
     bases contribute their expected value by treating S as GC and W as AT;
     other ambiguity codes count half.
     """
-    _declared("melting_temperature", dna, DnaSequence)
+    declared("melting_temperature", dna, DnaSequence)
     codes = dna.codes()
     if not codes:
         raise SequenceError("cannot compute Tm of an empty sequence")
@@ -103,7 +106,7 @@ def _net_charge(
 
 def isoelectric_point(protein: ProteinSequence) -> float:
     """The pH at which the protein's net charge is zero (bisection)."""
-    _declared("isoelectric_point", protein, ProteinSequence)
+    declared("isoelectric_point", protein, ProteinSequence)
     if not len(protein):
         raise SequenceError("cannot compute pI of an empty protein")
     codes = protein.codes()
@@ -126,7 +129,7 @@ def isoelectric_point(protein: ProteinSequence) -> float:
 
 def hydropathy(protein: ProteinSequence) -> float:
     """Grand average of hydropathy (GRAVY) by Kyte–Doolittle."""
-    _declared("hydropathy", protein, ProteinSequence)
+    declared("hydropathy", protein, ProteinSequence)
     scored = protein.codes().translate(None, UNSCORED)
     if not scored:
         raise SequenceError("protein has no scoreable residues")

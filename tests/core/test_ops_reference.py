@@ -8,15 +8,17 @@ a value ``==`` to its reference's (floats included, no ``approx``) or
 raise the same error, under a derandomised hypothesis property and an
 explicit grid of the cases a byte-table rewrite gets wrong.
 
-Two behaviours changed on purpose, and the references carry the same two
-fixes, each marked ``FIX``:
+Three behaviours changed on purpose, and the references carry the same
+three fixes, each marked ``FIX``:
 
 1. a stop is a codon that *translates* to ``*`` (``UAR`` is one);
 2. a whole-sequence scan (``find_orfs``, ``six_frame_translation``)
-   reads a codon it cannot translate as ``X`` and reads through it.
+   reads a codon it cannot translate as ``X`` and reads through it;
+3. a k-mer cosine takes one square root, so a value is exactly as
+   similar to itself as it can be (1.0).
 
 ``test_the_fixes_change_what_the_parent_did`` shows the un-fixed
-references — the parent's actual behaviour — failing both.
+references — the parent's actual behaviour — failing the first two.
 """
 
 import math
@@ -41,6 +43,7 @@ from repro.core.ops.orf import OpenReadingFrame
 from repro.core.ops.stats import _net_charge
 from repro.core.types import (
     DnaSequence,
+    Gene,
     MRna,
     ProteinSequence,
     RnaSequence,
@@ -58,7 +61,7 @@ from repro.errors import (
 # ===========================================================================
 # The references: the parent commit's bodies, verbatim but for (a) the
 # ``ref_`` names, (b) taking the codon table's parts as arguments where
-# they were methods of it, (c) the two marked fixes.
+# they were methods of it, (c) the marked fixes.
 # ===========================================================================
 
 #: Set false to get the parent's behaviour exactly (used by one test).
@@ -298,9 +301,11 @@ def ref_cosine_similarity(first, second, k=4):
     if not profile_a or not profile_b:
         return 1.0 if not profile_a and not profile_b else 0.0
     dot = sum(count * profile_b[word] for word, count in profile_a.items())
-    norm_a = math.sqrt(sum(c * c for c in profile_a.values()))
-    norm_b = math.sqrt(sum(c * c for c in profile_b.values()))
-    return dot / (norm_a * norm_b)
+    squares_a = sum(c * c for c in profile_a.values())
+    squares_b = sum(c * c for c in profile_b.values())
+    # FIX 3: one rounded division of exact integers and one root; two
+    # roots made a value 0.9999999999999998 like itself.
+    return math.sqrt(dot * dot / (squares_a * squares_b))
 
 
 _RESIDUE_MASS = {
@@ -967,3 +972,183 @@ class TestKmerKernel:
             assert hits
         assert ("s0", 100) in index.seeds(query[:word_size])
         assert index.seeds(query[:word_size - 1]) == ()
+
+
+# ===========================================================================
+# A k-mer window is a byte where it fits; express reads the gene's codes
+# ===========================================================================
+
+def _codes_of(first, second):
+    """The codes *first* is read as beside *second* (as ``kmer_vector``)."""
+    if isinstance(first, (DnaSequence, RnaSequence, ProteinSequence)):
+        return first.codes()
+    if isinstance(second, (DnaSequence, RnaSequence, ProteinSequence)):
+        return type(second)(first.upper()).codes()
+    return first.upper().encode("ascii")
+
+
+def dots(first, second, k):
+    """(dense?, a·b as the vector reads it, a·b over ``kmer_keys`` alone,
+    a·b over the spelt windows)."""
+    from repro.core.ops import similarity
+    from repro.core.ops._tables import kmer_keys
+
+    vector = similarity.kmer_vector(first, second, k)
+    counts, __, dense = similarity._prepared(vector.klass, second, k)
+    read = sum(similarity._looked_up(dense if vector.dense else counts,
+                                     vector.keys))
+    keyed = sum(similarity._looked_up(
+        counts, kmer_keys(_codes_of(first, second), k)))
+    profile_a, profile_b = (ref_kmer_profile(str(operand).upper(), k)
+                            for operand in (first, second))
+    spelt = sum(count * profile_b[word] for word, count in profile_a.items())
+    return vector.dense, read, keyed, spelt
+
+
+_CONCRETE = set("ACGTU")
+
+
+class TestKmerBytes:
+    @derandomised
+    @given(first=nucleotides, second=nucleotides, k=st.integers(1, 6),
+           rna=st.booleans())
+    def test_the_dense_dot_is_the_keyed_dot(self, first, second, k, rna):
+        klass = RnaSequence if rna else DnaSequence
+        if rna:
+            first, second = first.replace("T", "U"), second.replace("T", "U")
+        for one, other in ((klass(first), klass(second)),
+                           (first.lower(), klass(second)),
+                           (klass(first), second), (first, second)):
+            dense, read, keyed, spelt = dots(one, other, k)
+            assert read == keyed == spelt, (one, other, k)
+        assert dots(klass(first), second, k)[0] is (
+            k <= 4 and set(first) <= _CONCRETE)
+
+    @derandomised
+    @given(first=residues, second=residues, k=st.integers(1, 6))
+    def test_protein_and_text_operands(self, first, second, k):
+        for one, other in ((ProteinSequence(first), ProteinSequence(second)),
+                           (first, ProteinSequence(second)),
+                           (first, second)):
+            dense, read, keyed, spelt = dots(one, other, k)
+            assert read == keyed == spelt, (one, other, k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_a_window_repeated_past_255_and_the_empty_edges(self, k):
+        """A count past a byte falls back to a dict of window bytes; empty
+        operands and ones shorter than k have no windows."""
+        from repro.core.ops import similarity
+
+        texts = ("A" * 300, "ACGT" * 80, "AC" * 200 + "N", "", "A",
+                 "ACG"[:k - 1], "ACGTACGT"[:k], "AAAAAAAAAAAAAAAAAAAAC")
+        for first, second in product(texts, repeat=2):
+            for klass in (DnaSequence, RnaSequence):
+                a, b = (klass(text.replace("T", "U") if klass is RnaSequence
+                              else text) for text in (first, second))
+                dense, read, keyed, spelt = dots(a, b, k)
+                assert read == keyed == spelt, (first, second, k)
+                same(ops.cosine_similarity, ref_cosine_similarity, a, b, k)
+                same(ops.jaccard_similarity, ref_jaccard_similarity, a, b, k)
+        table = similarity._prepared(DnaSequence, DnaSequence("A" * 300),
+                                     k)[2]
+        assert type(table) is (bytes if k > 4 else dict)
+
+    def test_a_value_is_exactly_like_itself(self):
+        """Failing-first: two rounded roots made dna('ACGTACGT')
+        0.9999999999999998 like itself, so resembles(x, x, 1.0) was
+        False."""
+        value = DnaSequence("ACGTACGT")
+        squares = sum(c * c for c in ref_kmer_profile(value, 4).values())
+        assert squares / (math.sqrt(squares) * math.sqrt(squares)) < 1.0
+        assert ops.cosine_similarity(value, value) == 1.0
+        assert ops.resembles(value, value, 1.0)
+        # Proportional count vectors are as alike as equal ones.
+        assert ops.cosine_similarity(DnaSequence("ACGT"),
+                                     DnaSequence("AACCGGTT"), 1) == 1.0
+
+    @derandomised
+    @given(text=nucleotides, k=st.integers(1, 9))
+    def test_every_value_is_exactly_like_itself(self, text, k):
+        for one in (DnaSequence(text), RnaSequence(text.replace("T", "U")),
+                    text):
+            assert ops.cosine_similarity(one, one, k) == 1.0
+            assert ops.resembles(one, one, 1.0, k)
+
+    @pytest.mark.parametrize("length", (4, 100, 5000, 20000))
+    def test_up_to_a_20_kb_poly_a(self, length):
+        value = DnaSequence("A" * length)
+        for k in (1, 4, 8):
+            assert ops.cosine_similarity(value, value, k) == 1.0
+            assert ops.resembles(value, value, 1.0, k)
+            assert ops.cosine_similarity(value, "a" * length, k) == 1.0
+        windows = length - 3
+        if length == 20000:  # |a|²·|b|² is past a float's 2⁵³
+            assert (windows * windows) ** 2 > 2 ** 53
+
+
+def _gene(text, cuts, name="g"):
+    """A gene over *text* whose exons lie between pairs of *cuts*."""
+    bounds = sorted({min(cut, len(text)) for cut in cuts})
+    exons = tuple(Interval(start, end)
+                  for start, end in zip(bounds[::2], bounds[1::2]))
+    return Gene(name, DnaSequence(text), exons)
+
+
+EXPRESS_GRID = [
+    ("ATGAAATTTGGGCCCTAA", ()),                  # one exon, the whole gene
+    ("ATGAAAGTAAGTTTTTAA", (0, 6, 12, 18)),      # the intron holds a stop
+    ("ATGCCCTAAGGGATGTTT", (0, 3, 9, 18)),       # two starts, spliced
+    ("CCCATGAAATAGGGGTTTAAA", (2, 8, 12, 21)),   # starts mid-exon
+    ("CCCAAATTTGGG", ()),                        # no start codon
+    ("ATGAAATTT", (3, 9)),                       # the start is spliced out
+    ("ATGAA-CCCTAA", ()),                        # an untranslatable codon
+    ("ATGNNNCCCTAA", ()),                        # an ambiguous one: X
+    ("ATGAAAAGACCCTGATAA", (0, 3, 6, 18)),       # AGA / UGA: code-dependent
+    ("ATGA", ()), ("AT", ()), ("", ()),          # shorter than a codon
+]
+
+
+class TestExpress:
+    def test_the_grid_under_every_code(self, tables):
+        for table in tables:
+            for text, cuts in EXPRESS_GRID:
+                gene = _gene(text, cuts)
+                composed = outcome(lambda: ops.translate(
+                    ops.splice(ops.transcribe(gene)), table))
+                assert outcome(ops.express, gene, table) == composed
+                spliced = "".join(text[e.start:e.end] for e in gene.exons)
+                assert composed == outcome(ref_translate, MRna(
+                    rna=ref_dna_to_rna(DnaSequence(spliced)),
+                    gene_name="g"), table)
+        spliced = _gene("ATGAAAAGACCCTGATAA", (0, 3, 6, 18))
+        assert str(ops.express(spliced).sequence) == "MRP"
+        assert str(ops.express(spliced, VERTEBRATE_MITOCHONDRIAL)
+                   .sequence) == "M"
+        assert str(ops.express(_gene("ATGAAAGTAAGTTTTTAA",
+                                     (0, 6, 12, 18))).sequence) == "MKF"
+
+    @derandomised
+    @given(text=nucleotides, cuts=st.lists(st.integers(0, 130), max_size=8),
+           which=st.integers(0, 5))
+    def test_express_is_the_composition(self, tables, text, cuts, which):
+        gene, table = _gene(text, cuts), tables[which]
+        assert outcome(ops.express, gene, table) == outcome(
+            lambda: ops.translate(ops.splice(ops.transcribe(gene)), table))
+
+
+class TestDeclaredSorts:
+    @pytest.mark.parametrize("operation, declared", [
+        ("transcribe", "gene"), ("splice", "primarytranscript"),
+        ("translate", "mrna"), ("express", "gene"),
+        ("reverse_transcribe", "mrna")])
+    @pytest.mark.parametrize("value, given", [
+        (DnaSequence("ATG"), "dna"), ("ATG", "string"),
+        (ProteinSequence("M"), "protein_seq")])
+    def test_a_wrong_sort_is_refused_by_name(self, operation, declared,
+                                             value, given):
+        """Failing-first: these read attributes of whatever they were
+        given ("'DnaSequence' object has no attribute 'sequence'")."""
+        with pytest.raises(SortMismatchError) as raised:
+            getattr(ops, operation)(value)
+        assert str(raised.value) == (
+            f"{operation} is declared over {declared}, not {given}")

@@ -10,12 +10,14 @@ WAL) changes because a value has been asked something.
 """
 
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adapter import install_genomics
 from repro.core import ops
+from repro.core.ops.similarity import kmer_cosine
 from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
 from repro.core.types.alphabet import DNA, PROTEIN, RNA
 from repro.db import Database
@@ -23,6 +25,7 @@ from repro.db.columnar.pages import encode_page
 from repro.db.columnar.spill import ValueCodec
 from repro.db.storage import WriteAheadLog, save_database
 from repro.errors import DatabaseError, SortMismatchError, TypeCheckError
+from tests.core.test_ops_reference import ref_cosine_similarity
 
 CONFIGS = (
     {"layout": "row"},
@@ -216,6 +219,27 @@ class TestErrors:
             assert "argument" in str(raised.value)
             assert "not supported" not in str(raised.value)
 
+    @pytest.mark.parametrize("name, declared", [
+        ("transcribe", "gene"), ("splice", "primarytranscript"),
+        ("translate", "mrna"), ("express", "gene"),
+        ("reverse_transcribe", "mrna"), ("gene_name", "gene"),
+        ("gene_sequence", "gene"), ("gene_organism", "gene"),
+        ("exon_count", "gene"), ("exonic_length", "gene"),
+        ("protein_sequence", "protein"), ("protein_name", "protein")])
+    @pytest.mark.parametrize("argument, given", [
+        ("dna('ATG')", "dna"), ("'ATG'", "string")])
+    def test_a_wrong_sort_is_refused_through_sql(self, name, declared,
+                                                 argument, given):
+        """Failing-first: these surfaced Python's own text ("'DnaSequence'
+        object has no attribute 'sequence'")."""
+        database = Database()
+        install_genomics(database)
+        with pytest.raises(DatabaseError) as raised:
+            database.execute(f"SELECT {name}({argument})")
+        assert type(raised.value.__cause__) is SortMismatchError
+        assert str(raised.value.__cause__) == (
+            f"{name} is declared over {declared}, not {given}")
+
     @pytest.mark.parametrize("name, value, declared, given", [
         ("isoelectric_point", DnaSequence("ATGAAACCCGGGTTTTAA"),
          "protein_seq", "dna"),
@@ -259,3 +283,48 @@ class TestUpdate:
                          len(ops.find_orfs(new, 20)),
                          ops.cosine_similarity(new, PROBE))
         assert after != before
+
+
+class TestDenseWindows:
+    """``resembles`` / ``similarity`` dot one byte per window where a value
+    is concrete DNA or RNA, one key per window elsewhere; the answer is
+    the spelt windows' cosine either way, memo empty or filled."""
+
+    @every_layout
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(pairs=rows, probe=st.one_of(
+        nucleotides, st.just("A" * 300), st.just(""), st.just("ACG")))
+    def test_the_dense_dot_is_the_keyed_dot_through_sql(
+            self, config, pairs, probe):
+        database = loaded(config, pairs)
+        for fill in (False, True):  # the memo empty, then filled
+            if fill:
+                database.execute("SELECT resembles(d, d), similarity(d, d), "
+                                 "similarity(r, r) FROM t")
+            for row_id, (dna, protein) in enumerate(pairs):
+                for column, text, spelt in (
+                        ("d", dna, probe),
+                        ("r", dna.replace("T", "U"), probe.replace("T", "U")),
+                        ("p", protein, probe.replace("U", "T"))):
+                    constructor = {"d": "dna", "r": "rna",
+                                   "p": "protein_seq"}[column]
+                    for k in (4, 2, 6):
+                        want = ref_cosine_similarity(text, spelt, k)
+                        got = cell(database, f"SELECT similarity({column}, "
+                                   f"{constructor}(?), ?)", row_id,
+                                   [spelt, k])
+                        assert got == want, (column, text, spelt, k)
+                    at_default = ref_cosine_similarity(text, spelt, 4)
+                    assert cell(database, f"SELECT resembles({column}, "
+                                f"{constructor}(?), ?)", row_id,
+                                [spelt, at_default]) is True
+
+    def test_a_memoized_vector_of_a_concrete_value_is_a_byte_a_window(self):
+        concrete = "ATGAAACCCGGGTTTTAA" * 10
+        database = loaded(CONFIGS[0], [(concrete, "MKV"), ("ACGTNACGT", "M")])
+        database.execute("SELECT resembles(d, dna(?)) FROM t", [str(PROBE)])
+        vector = stored(database, 0)._derived[kmer_cosine]
+        windows = len(concrete) - 3
+        assert vector.dense and len(vector.keys) == windows
+        assert sys.getsizeof(vector.keys) - sys.getsizeof(b"") <= windows
+        assert not stored(database, 1)._derived[kmer_cosine].dense

@@ -10,9 +10,10 @@ Either is easy to erode — one handy ``{"A": …}`` literal, one
 source for them.
 
 The same goes for k-mers and patterns: a k-mer is one integer from one
-function (``_tables.kmer_keys``), never a joined text window, and a
-pattern has one reading (``search.read_pattern``) under the predicates,
-both genomic indexes and the page kernel.
+function (``_tables.kmer_keys``) — one byte from ``_tables.kmer_bytes``
+where it fits in one — never a joined text window, and a pattern has one
+reading (``search.read_pattern``) under the predicates, both genomic
+indexes and the page kernel.  ``express`` reads a gene's codes once.
 """
 
 import ast
@@ -277,6 +278,23 @@ def test_the_value_memo_lives_in_one_layer():
         f"read by the adapter's registrations alone; found in {users}")
 
 
+def _calls(function):
+    return {node.func.id for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_express_reads_the_genes_codes_once():
+    functions = dict(_functions(ast.parse(
+        (OPS / "central_dogma.py").read_text())))
+    called = _calls(functions["express"])
+    assert not called & {"transcribe", "splice", "translate"}, (
+        "express builds no transcript, mRNA or RNA value on its way to "
+        f"the protein; it calls {sorted(called)}")
+    # One reading of a CDS, shared with translate.
+    assert "_protein" in called and "_protein" in _calls(
+        functions["translate"])
+
+
 def test_orf_scans_do_not_ask_the_table_codon_by_codon():
     source = (OPS / "orf.py").read_text()
     assert "is_start(" not in source and "is_stop(" not in source
@@ -320,12 +338,16 @@ def test_one_kmer_key_function_and_one_reading_of_a_pattern():
         hits = [str(path.relative_to(SRC))
                 for path, source in sources.items() if needle in source]
         assert not hits, f"{needle!r} is back, in {hits}"
-    defined = [str(path.relative_to(SRC)) for path, source in sources.items()
-               if "def kmer_keys(" in source]
-    assert defined == ["core/ops/_tables.py"]
+    for function in ("kmer_keys", "kmer_bytes"):
+        defined = [str(path.relative_to(SRC))
+                   for path, source in sources.items()
+                   if f"def {function}(" in source]
+        assert defined == ["core/ops/_tables.py"], (function, defined)
     for path in (OPS / "similarity.py", INDEX / "kmer.py"):
         assert "kmer_keys" in sources[path], (
             f"{path.name} counts k-mers some other way")
+    # A window is a byte wherever it fits in one, read the one way.
+    assert "kmer_bytes(" in sources[OPS / "similarity.py"]
     # The predicates; both indexes (through their base) and the kernel.
     assert "read_pattern(" in sources[OPS / "search.py"]
     for path in (INDEX / "base.py", VECTOR):
