@@ -168,11 +168,13 @@ class SeqPage:
     ``packed[starts[i]:starts[i + 1]]``; ``nulls`` flags the page's NULL
     positions and is None when it has none."""
 
-    __slots__ = ("classes", "index", "lengths", "starts", "packed", "nulls")
+    __slots__ = ("classes", "index", "lengths", "starts", "packed", "nulls",
+                 "_spans")
 
     def __init__(self, body: bytes, count: int,
                  nulls: "list[bool] | None" = None) -> None:
         self.nulls, at = nulls, 1
+        self._spans = None
         self.classes = classes = []
         for _ in range(body[0]):
             end = at + 1 + body[at]
@@ -207,12 +209,14 @@ class SeqPage:
         """``(codes, starts, ends)`` of a one-alphabet page: the buffer as
         one code per byte, un-nibbled in one go, row *i* at
         ``codes[starts[i]:ends[i]]`` — an odd row's pad nibble lies
-        outside every row's bounds."""
-        klass, starts = self.classes[0], self.starts[:-1]
-        if klass._nibble:
-            starts = [start + start for start in starts]
-        return (klass._unpack(self.packed), starts,
-                list(map(int.__add__, starts, self.lengths)))
+        outside every row's bounds.  Computed once per page."""
+        if self._spans is None:
+            klass, starts = self.classes[0], self.starts[:-1]
+            if klass._nibble:
+                starts = [start + start for start in starts]
+            self._spans = (klass._unpack(self.packed), starts,
+                           list(map(int.__add__, starts, self.lengths)))
+        return self._spans
 
 
 def _encode_dict(values: list[str]) -> bytes:
@@ -320,18 +324,23 @@ def _malformed(page_id: "int | None", encoding: int,
                         kind="malformed")
 
 
-def _open(data: bytes, page_id: "int | None") -> tuple:
-    """Verify a page and split it into ``(encoding, row count, null
-    flags, body)`` — the flags are ``None`` when no row is NULL."""
+def verify(data: bytes, page_id: "int | str | None" = None) -> None:
+    """Raise StorageError unless *data* is a page whose CRC32 holds."""
     if len(data) < _HEADER.size + 4 or data[:2] != _MAGIC:
         raise StorageError(
             f"column page {page_id!r} is not a page (truncated or foreign "
             f"bytes)", kind="malformed")
     (stored,) = _U32.unpack_from(data, len(data) - 4)
-    if zlib.crc32(data[:-4]) != stored:
+    if zlib.crc32(memoryview(data)[:-4]) != stored:
         raise StorageError(
             f"column page {page_id!r} failed its CRC32 check",
             kind="bit_rot")
+
+
+def _open(data: bytes, page_id: "int | None") -> tuple:
+    """Verify a page and split it into ``(encoding, row count, null
+    flags, body)`` — the flags are ``None`` when no row is NULL."""
+    verify(data, page_id)
     _, fmt, encoding, count = _HEADER.unpack_from(data)
     if fmt != PAGE_FORMAT:
         raise StorageError(

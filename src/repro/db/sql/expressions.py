@@ -648,15 +648,24 @@ class Evaluator:
             except Exception as exc:
                 return _failure(exc, name)
 
+        # Cells of a call on the column alone are kept beside the page
+        # (one set per argument value would grow without bound).
+        key = (descriptor.kernel, function)
+
         def page(batch: Batch, context: RowContext) -> list:
             view = batch.view
             try:
                 arguments = tuple(one(extra, context) for extra in extras)
             except Exception as exc:
                 return _failed(exc, batch)
-            values = kernel(view.seq_rows(position),
-                            lambda: view.column_values(position),
-                            fallback, arguments)
+            if arguments:
+                values = kernel(view.seq_rows(position),
+                                lambda: view.column_values(position),
+                                fallback, arguments)
+            else:
+                values = view.kernel_cells(
+                    position, key, lambda page, values_fn: kernel(
+                        page, values_fn, fallback, ()))
             if batch.offsets is not None:
                 values = [values[offset] for offset in batch.offsets]
             return (Failing(values)

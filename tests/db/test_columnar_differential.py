@@ -203,6 +203,66 @@ def test_a_null_sequence_is_null_to_every_genomic_function(layout):
     assert rows == [(index,) + (NULL,) * 8 for index in (8, 17, 26, 35)]
 
 
+# -- kept forms -----------------------------------------------------------
+
+def _typed(values) -> list:
+    return [(type(value), value) for value in values]
+
+
+def _parsed(page) -> "tuple | None":
+    return page and (page.classes, page.index, page.lengths, page.starts,
+                     page.packed, page.nulls, page.spans())
+
+
+def stale_forms(db) -> list:
+    """``(page id, key)`` of every form *db*'s page cache keeps that is not
+    what its page's bytes decode to now, or whose page is not resident."""
+    from repro.db.columnar import pages
+    from repro.db.columnar.store import SEQ, VALUES
+    from repro.db.columnar.vector import KERNELS
+
+    cache = db.columnar.cache
+    stale = []
+    for page_id, forms in cache._forms.items():
+        data = cache._resident.get(page_id)
+        if data is None:
+            stale.extend((page_id, key) for key in forms)
+            continue
+        values = pages.decode_page(data, db.columnar.codec)
+        seq = pages.seq_page(data)
+        for key, form in forms.items():
+            if key == VALUES:
+                same = _typed(form) == _typed(values)
+            elif key == SEQ:
+                same = _parsed(form) == _parsed(seq)
+            else:  # a kernel's cells: (tag, registered function)
+                tag, function = key
+                same = _typed(form) == _typed(
+                    KERNELS[tag](seq, lambda: values, function, ()))
+            if not same:
+                stale.append((page_id, key))
+    return stale
+
+
+def test_twice_over_one_store_no_operator_writes_what_a_page_keeps():
+    # Forms are shared by every scan of a resident page: an operator that
+    # wrote into a batch column it was handed would change the next
+    # scan's answer.  The whole corpus, twice over one store per budget,
+    # must answer as the oracle and leave every form its page's decode.
+    oracles = [_outcome(_make(**CONFIGS[0]), sql, parameters)
+               for sql, parameters in _CASES]
+    unbudgeted = _make(layout="column")
+    quarter = unbudgeted.columnar.cache.resident_bytes // 4
+    for budget in (None, quarter, 64):
+        db = _make(layout="column", memory_budget=budget)
+        for round_ in range(2):
+            for (sql, parameters), oracle in zip(_CASES, oracles):
+                assert _outcome(db, sql, parameters) == oracle, (
+                    sql, budget, round_)
+        assert db.columnar.cache._forms, budget   # something was kept
+        assert stale_forms(db) == [], budget
+
+
 # -- drawn pages ----------------------------------------------------------
 
 _sequences = st.one_of(

@@ -172,7 +172,10 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
     # (id, k, gc, org, seq): five pages per group.  A scan fetches one
     # page per column it reads per group, a kernel fetches its column's
     # stored page and decodes nothing, and a pruned group counts only
-    # the pages the scan would otherwise have fetched.
+    # the pages the scan would otherwise have fetched.  A page is decoded
+    # once while it stays resident: the first scan that needs a form
+    # builds it (``columnar_pages_decoded``), every later scan reads the
+    # same pages and decodes none.
     from repro.db.columnar import pages
 
     groups, tail = 6, 3
@@ -192,28 +195,185 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
                                        decode_page(data, *args, **kwargs))[1])
 
     def counters(sql, parameters=()):
-        registry = enable_metrics()
-        del decoded[:]
-        try:
-            db.execute(sql, parameters)
-            snapshot = registry.snapshot()
-        finally:
-            disable_metrics()
-        return (snapshot.get("columnar_pages_read", 0),
-                snapshot.get("columnar_pages_skipped", 0), len(decoded))
+        """``(pages read, pages skipped, decode_page calls, forms built)``
+        of the first scan, then ``(… 0, 0)`` of the second."""
+        scans = []
+        for __ in range(2):
+            registry = enable_metrics()
+            del decoded[:]
+            try:
+                db.execute(sql, parameters)
+                snapshot = registry.snapshot()
+            finally:
+                disable_metrics()
+            scans.append((snapshot.get("columnar_pages_read", 0),
+                          snapshot.get("columnar_pages_skipped", 0),
+                          len(decoded),
+                          snapshot.get("columnar_pages_decoded", 0)))
+        first, second = scans
+        assert second == first[:2] + (0, 0), (sql, second)
+        return first
 
     assert counters("SELECT count(*), avg(gc), min(k), max(k) FROM reads") \
-        == (groups * 2, 0, groups * 2)
+        == (groups * 2, 0, groups * 2, groups * 2)
+    # The kernels parse SEQ pages (one form each) and decode no value.
     assert counters("SELECT count(*) FROM reads WHERE contains(seq, ?)",
-                    ("GTAC",)) == (groups, 0, 0)
+                    ("GTAC",)) == (groups, 0, 0, groups)
     assert counters("SELECT count(*), avg(gc_content(seq)) FROM reads") \
-        == (groups, 0, 0)
-    assert counters("SELECT * FROM reads") == (groups * 5, 0, groups * 5)
-    assert counters("SELECT 1 FROM reads") == (0, 0, 0)
+        == (groups, 0, 0, groups)
+    # gc and k were decoded by the first statement and are still resident.
+    assert counters("SELECT * FROM reads") \
+        == (groups * 5, 0, groups * 3, groups * 3)
+    assert counters("SELECT 1 FROM reads") == (0, 0, 0, 0)
     # k = id // 4 and a group holds 8 ids, so k BETWEEN 4 AND 5 is group 2:
     # one group read for (id, k, gc), five pruned — and a pruned group
     # saved three page reads, not five.
     assert counters("SELECT id, gc FROM reads WHERE k BETWEEN 4 AND 5") \
-        == (3, (groups - 1) * 3, 3)
+        == (3, (groups - 1) * 3, 0, 0)
     # Whole-row access (index fetch, UPDATE, Table.rows) reads whole rows.
-    assert counters("UPDATE reads SET gc = 0.5 WHERE id = 1")[0] >= 5
+    registry = enable_metrics()
+    try:
+        db.execute("UPDATE reads SET gc = 0.5 WHERE id = 1")
+        assert registry.snapshot()["columnar_pages_read"] >= 5
+    finally:
+        disable_metrics()
+
+
+# -- what a resident page keeps beside its bytes --------------------------
+
+def _genomic_pair(memory_budget=None):
+    from tests.db.test_columnar_differential import _make
+    return (_make(layout="row"),
+            _make(layout="column", memory_budget=memory_budget))
+
+
+KEEPING = ("SELECT * FROM reads",
+           "SELECT count(*), avg(gc_content(seq)), max(length(seq)) "
+           "FROM reads",
+           "SELECT id FROM reads WHERE contains(seq, 'ACGT')")
+
+
+def _scan_all(databases):
+    for sql in KEEPING:
+        _both(databases, sql)
+
+
+def _forms_live(db, *tables):
+    """Every kept form belongs to a resident page some table still
+    holds, and is what that page's bytes decode to."""
+    from tests.db.test_columnar_differential import stale_forms
+    cache = db.columnar.cache
+    held = {ref.page_id for name in tables
+            for group in db.catalog.table(name).column_store._groups
+            for ref in group.pages}
+    assert set(cache._forms) <= set(cache._resident) & held
+    assert stale_forms(db) == []
+
+
+def test_a_kept_form_never_skips_the_crc_check():
+    import pytest
+    from repro.errors import StorageError
+
+    from repro.db.columnar.store import SEQ, VALUES
+
+    _, db = _genomic_pair()
+    _scan_all((db,))
+    cache = db.columnar.cache
+    # Each statement meets one page whose form it reads with a bit of
+    # its body flipped: values, a kernel's cells, a parsed SEQ body.
+    for sql, kept in zip(KEEPING, (VALUES, tuple, SEQ)):
+        page_id = next(page_id for page_id, forms in cache._forms.items()
+                       if any(key == kept or type(key) is kept
+                              for key in forms))
+        data = cache._resident[page_id]
+        middle = len(data) // 2
+        cache._resident[page_id] = (data[:middle]
+                                    + bytes([data[middle] ^ 0x10])
+                                    + data[middle + 1:])
+        with pytest.raises(StorageError) as raised:
+            db.execute(sql)
+        assert raised.value.kind == "bit_rot"
+        cache._resident[page_id] = data
+    _scan_all((db,))
+
+
+def test_under_a_budget_only_resident_pages_keep_forms():
+    from tests.db.test_columnar_differential import _make
+    encoded = _make(layout="column").columnar.cache.resident_bytes
+    for budget in (encoded // 4, encoded // 2, 64):
+        databases = _genomic_pair(budget)
+        cache = databases[1].columnar.cache
+        for sql in KEEPING * 3:
+            _both(databases, sql)
+            assert set(cache._forms) <= set(cache._resident), (budget, sql)
+        assert cache.pages_evicted > 0
+        _forms_live(databases[1], "reads", "samples")
+
+
+def test_no_write_leaves_a_stale_form():
+    databases = _genomic_pair()
+    db = databases[1]
+    _scan_all(databases)
+    # UPDATE of a sealed row: its rewritten pages come under fresh ids.
+    _both(databases, "UPDATE reads SET seq = dna('GGGCCCAT'), sample = 'u' "
+                     "WHERE id IN (1, 6, 13)")
+    _forms_live(db, "reads", "samples")
+    _scan_all(databases)
+    # DELETE, then rolled back: the tombstones revive in place.
+    for each in databases:
+        each.begin()
+        each.execute("DELETE FROM reads WHERE id % 3 = 0")
+    _scan_all(databases)
+    for each in databases:
+        each.rollback()
+    _forms_live(db, "reads", "samples")
+    _scan_all(databases)
+    # TRUNCATE (Table.truncate → ColumnStore.clear) forgets every page.
+    for each in databases:
+        each.catalog.table("reads").truncate()
+    assert db.catalog.table("reads").column_store._groups == []
+    _forms_live(db, "reads", "samples")
+    _scan_all(databases)
+    db.columnar.close()
+    assert db.columnar.cache._forms == {}
+
+
+def test_a_user_function_named_like_a_kernel_never_reads_its_cells():
+    _, db = _genomic_pair()
+    for name in ("gc_content", "reverse_complement"):
+        sql = f"SELECT {name}(seq) FROM reads WHERE seq IS NOT NULL"
+        assert len(set(db.execute(sql).rows)) > 1      # cells now kept
+        # No kernel tag: evaluated value by value.
+        db.register_function(name, lambda seq: "untagged", replace=True)
+        assert set(db.execute(sql).rows) == {("untagged",)}
+    # The tag on another function: kept under that function, so the
+    # builtin's cells are never its answer (the reverse_complement
+    # kernel leaves every cell to the registered function).
+    db.register_function("reverse_complement", lambda seq: "tagged",
+                         replace=True, kernel="reverse_complement")
+    sql = "SELECT reverse_complement(seq) FROM reads WHERE seq IS NOT NULL"
+    assert "kernels reverse_complement(seq)" in db.explain(sql)
+    assert set(db.execute(sql).rows) == {("tagged",)}
+
+
+def test_a_failed_kernel_cell_is_never_kept():
+    # Each scan captures its own failure: one exception object raised by
+    # two statements would carry (and grow) one traceback.
+    import pytest
+    from repro.errors import DatabaseError
+
+    db = Database(layout="column", page_rows=2)
+    install_genomics(db)
+    db.execute("CREATE TABLE prot (p PROTEIN_SEQ)")
+    for text in ("MKV", "ACDE", "W", "GG"):
+        db.execute("INSERT INTO prot VALUES (protein_seq(?))", (text,))
+    raised = []
+    for __ in range(2):
+        with pytest.raises(DatabaseError) as caught:
+            db.execute("SELECT reverse_complement(p) FROM prot")
+        raised.append(caught.value)
+    assert raised[0] is not raised[1]
+    assert str(raised[0]) == str(raised[1])
+    assert not any(type(key) is tuple
+                   for forms in db.columnar.cache._forms.values()
+                   for key in forms)

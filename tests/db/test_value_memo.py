@@ -328,3 +328,55 @@ class TestDenseWindows:
         assert vector.dense and len(vector.keys) == windows
         assert sys.getsizeof(vector.keys) - sys.getsizeof(b"") <= windows
         assert not stored(database, 1)._derived[kmer_cosine].dense
+
+
+class TestASealedPageKeepsItsValues:
+    """A sealed column page is decoded once while it stays resident, so
+    the values a scan hands the algebra are the ones the previous scan
+    asked: their facts are derived on the first scan only."""
+
+    ROWS, PAGE_ROWS = 64, 16
+
+    def sealed(self) -> Database:
+        database = Database(layout="column", page_rows=self.PAGE_ROWS)
+        install_genomics(database)
+        database.execute("CREATE TABLE t (id INTEGER, seq DNA)")
+        database.executemany(
+            "INSERT INTO t VALUES (?, dna(?))",
+            [(index, "ATGAAACCCGGGTTTTAAATGCCC" * (1 + index % 4)
+              + "ACGT"[index % 4] * index) for index in range(self.ROWS)])
+        assert len(database.catalog.table("t").column_store._tail) == 0
+        return database
+
+    def calls_per_scan(self, database, sql, parameters=()):
+        answers, calls = set(), []
+        for __ in range(3):
+            del self.calls[:]
+            answers.add(database.execute(sql, parameters).rows[0])
+            calls.append(len(self.calls))
+        assert len(answers) == 1
+        return calls
+
+    def counting(self, monkeypatch, owner, name):
+        self.calls = []
+        original = getattr(owner, name)
+
+        def counted(*arguments, **options):
+            self.calls.append(arguments)
+            return original(*arguments, **options)
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_orf_count_finds_orfs_on_the_first_scan_only(self, monkeypatch):
+        database = self.sealed()
+        self.counting(monkeypatch, ops, "find_orfs")
+        assert self.calls_per_scan(
+            database, "SELECT sum(orf_count(seq)) FROM t") == [self.ROWS, 0, 0]
+
+    def test_resembles_builds_each_kmer_vector_on_the_first_scan_only(
+            self, monkeypatch):
+        from repro.adapter import adapter
+        database = self.sealed()
+        self.counting(monkeypatch, adapter, "kmer_vector")
+        assert self.calls_per_scan(
+            database, "SELECT count(*) FROM t WHERE resembles(seq, dna(?))",
+            [str(PROBE)]) == [self.ROWS, 0, 0]
