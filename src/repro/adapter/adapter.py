@@ -10,10 +10,12 @@ using the user-defined data type (UDT) mechanism of the DBMS."
 
 - every GDT becomes an **opaque UDT** with its compact serializer, so
   columns can be declared ``fragment DNA`` or ``g GENE``;
-- every algebra operation becomes a **UDF** usable anywhere an expression
-  may occur (section 6.3), with selectivity estimates for the predicates
-  so the optimizer can price genomic access paths (section 6.5);
-- constructor functions (``dna('ATTG…')``) let SQL text create GDT values.
+- every operator of the algebra's signature becomes **one UDF** of its
+  name, usable anywhere an expression may occur (section 6.3): the SQL
+  catalog is the image of the signature.  The UDF is NULL-in → NULL-out,
+  picks the overload whose carriers hold its arguments and refuses any
+  other with the signature's own :class:`~repro.errors.SortMismatchError`;
+  the predicates carry selectivity estimates for the optimizer (6.5).
 
 After installation the paper's example runs verbatim::
 
@@ -24,92 +26,49 @@ from __future__ import annotations
 
 import math
 
-from repro.adapter import serializers
-from repro.core import ops
+from repro.adapter import serializers as codec
 from repro.core.algebra import Algebra, genomics_algebra
+from repro.core.algebra.signature import Operator
 from repro.core.ops.similarity import kmer_cosine, kmer_vector
-from repro.core.ops.stats import declared
-from repro.core.types import (
-    Alternatives,
-    DnaSequence,
-    Gene,
-    MRna,
-    PackedSequence,
-    PrimaryTranscript,
-    Protein,
-    ProteinSequence,
-    RnaSequence,
-)
+from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
 from repro.db import Database, OpaqueType
-from repro.db.sql.functions import null_safe
+from repro.db.values import NULL
 from repro.errors import TypeCheckError
 
-#: Selectivity estimates for the genomic predicates (section 6.5).  A
-#: short motif is found in most long sequences; these defaults are the
-#: calibration the ablation benchmark (A4) sweeps.
-CONTAINS_SELECTIVITY = 0.05
-RESEMBLES_SELECTIVITY = 0.10
+#: Each GDT sort's UDT: its SQL type name and compact serializer.
+UDTS = {
+    "dna": ("DNA", codec.serialize_sequence, DnaSequence.from_bytes),
+    "rna": ("RNA", codec.serialize_sequence, RnaSequence.from_bytes),
+    "protein_seq": ("PROTEIN_SEQ", codec.serialize_sequence,
+                    ProteinSequence.from_bytes),
+    "gene": ("GENE", codec.serialize_gene, codec.deserialize_gene),
+    "primarytranscript": ("TRANSCRIPT", codec.serialize_transcript,
+                          codec.deserialize_transcript),
+    "mrna": ("MRNA", codec.serialize_mrna, codec.deserialize_mrna),
+    "protein": ("PROTEIN", codec.serialize_protein, codec.deserialize_protein),
+    "alternatives": ("ALTERNATIVES", codec.serialize_alternatives,
+                     codec.deserialize_alternatives),
+}
 
-
-def _sequence_udts() -> list[OpaqueType]:
-    return [
-        OpaqueType("DNA", DnaSequence,
-                   serializers.serialize_sequence,
-                   serializers.deserialize_dna),
-        OpaqueType("RNA", RnaSequence,
-                   serializers.serialize_sequence,
-                   serializers.deserialize_rna),
-        OpaqueType("PROTEIN_SEQ", ProteinSequence,
-                   serializers.serialize_sequence,
-                   serializers.deserialize_protein_sequence),
-        OpaqueType("GENE", Gene,
-                   serializers.serialize_gene,
-                   serializers.deserialize_gene),
-        OpaqueType("TRANSCRIPT", PrimaryTranscript,
-                   serializers.serialize_transcript,
-                   serializers.deserialize_transcript),
-        OpaqueType("MRNA", MRna,
-                   serializers.serialize_mrna,
-                   serializers.deserialize_mrna),
-        OpaqueType("PROTEIN", Protein,
-                   serializers.serialize_protein,
-                   serializers.deserialize_protein),
-        OpaqueType("ALTERNATIVES", Alternatives,
-                   serializers.serialize_alternatives,
-                   serializers.deserialize_alternatives),
-    ]
+#: Operators the engine answers itself: its ``length`` takes text and
+#: every sequence sort.
+ANSWERED_BY_THE_ENGINE = ("length",)
 
 
 # A stored value never changes and the engine calls the algebra once per
 # cell, so what a function derives from its stored operand alone is kept
 # on that value (``PackedSequence.derive``), keyed by the core operation.
 # A minimum or k other than the default computes afresh and keeps nothing.
-ORF_MINIMUM, KMER_K = 20, 4
+KMER_K = 4
 
-
-def _memoized(operation):
-    return lambda value: (value.derive(operation, operation)
-                          if isinstance(value, PackedSequence)
-                          else operation(value))
-
-
-def _checked(function: str, argument: str, value, kind=(int, float)):
-    if not isinstance(value, kind):
-        raise TypeCheckError(
-            f"{function}(): argument {argument!r} must be "
-            f"{'an integer' if kind is int else 'a number'}, not {value!r}")
-
-
-def _orf_count(dna, minimum=ORF_MINIMUM):
-    _checked("orf_count", "minimum", minimum)
-    if minimum != ORF_MINIMUM or not isinstance(dna, PackedSequence):
-        return len(ops.find_orfs(dna, minimum))
-    return dna.derive(ops.find_orfs,
-                      lambda value: len(ops.find_orfs(value, ORF_MINIMUM)))
+#: Unary operators whose answer is kept on their operand; not ``gc_content``
+#: (one C translate, cheaper than a memo on every value of a row scan).
+FACTS = ("melting_temperature", "molecular_weight", "isoelectric_point",
+         "hydropathy", "entropy", "orf_count")
 
 
 def _cosine(first, second, k: int, floor: float) -> float:
-    if k == KMER_K and isinstance(first, PackedSequence):
+    if k == KMER_K:
         vector = first.derive(kmer_cosine,
                               lambda value: kmer_vector(value, None, k))
     else:
@@ -118,22 +77,60 @@ def _cosine(first, second, k: int, floor: float) -> float:
 
 
 def _resembles(first, second, threshold=0.7):
-    _checked("resembles", "threshold", threshold)  # not part of the fact
     return _cosine(first, second, KMER_K, threshold) >= threshold
 
 
 def _similarity(first, second, k=KMER_K):
-    _checked("similarity", "k", k, int)
     return _cosine(first, second, k, -math.inf)
 
 
-def _registrar(database: Database):
-    """``register(name, function, **options)`` for one database: every
-    adapter function is NULL-in → NULL-out, like the engine's builtins —
-    a NULL predicate filters its row and an aggregate skips the cell."""
-    def register(name: str, function, **options) -> None:
-        database.register_function(name, null_safe(function), **options)
-    return register
+def _memoized(operator: Operator, function):
+    """What SQL calls for *operator*'s bound *function*: the function
+    itself, unless the operator keeps a fact on its stored operand."""
+    if operator.name in FACTS and operator.arity == 1:
+        return lambda value: value.derive(function, function)
+    return {"resembles": _resembles,
+            "similarity": _similarity}.get(operator.name, function)
+
+
+_ABSENT = object()  # an argument the call did not pass
+
+
+def _arity(arity: int, rows: list, refuse, wider):
+    """The SQL function over one arity's ``(*carriers, function)`` rows:
+    the first row whose carriers hold every argument answers, else NULL
+    for a NULL argument, else a refusal; another number of arguments goes
+    to *wider*.  It runs per cell: a first row of arity 1 or 2 is inline."""
+    (*carriers, function) = rows[0]
+    others = rows[1:] if arity in (1, 2) else rows  # past the inline row
+
+    def slow(*arguments):
+        if len(arguments) != arity:
+            return wider(*arguments)
+        for *classes, answer in others:
+            if all(map(isinstance, arguments, classes)):
+                return answer(*arguments)
+        if any(argument is NULL for argument in arguments):
+            return NULL
+        return refuse(*arguments)
+
+    if arity == 1:
+        (first,) = carriers
+
+        def call(a=_ABSENT, *rest):
+            if isinstance(a, first) and not rest:
+                return function(a)
+            return slow(a, *rest)
+        return call
+    if arity == 2:
+        first, second = carriers
+
+        def call(a=_ABSENT, b=_ABSENT, *rest):
+            if isinstance(a, first) and isinstance(b, second) and not rest:
+                return function(a, b)
+            return slow(a, b, *rest)
+        return call
+    return slow
 
 
 class GenomicsAdapter:
@@ -143,139 +140,58 @@ class GenomicsAdapter:
         self.algebra = algebra or genomics_algebra()
 
     def install(self, database: Database) -> None:
-        """Plug every GDT and genomic operation into *database*."""
-        for opaque in _sequence_udts():
-            database.register_type(opaque)
-        self._register_constructors(database)
-        self._register_predicates(database)
-        self._register_operations(database)
-        self._register_accessors(database)
+        """Plug every GDT and every operator of the algebra into
+        *database*: one UDF per operator name, described by its
+        signature and annotated as its overloads are."""
+        for sort, (name, serialize, deserialize) in UDTS.items():
+            database.register_type(OpaqueType(
+                name, self.algebra.carrier(sort), serialize, deserialize))
+        signature = self.algebra.signature
+        for name in dict.fromkeys(op.name for op in signature.operators()):
+            if name in ANSWERED_BY_THE_ENGINE:
+                continue
+            overloads = signature.overloads(name)
+            annotations = {key: value for operator in overloads
+                           for key, value in operator.annotations.items()}
+            database.register_function(
+                name, self._function(name, overloads),
+                description="; ".join(map(str, overloads)), **annotations)
 
-    # -- constructors -------------------------------------------------------------
+    def _function(self, name: str, overloads: tuple[Operator, ...]):
+        """The one SQL function for *name*: it dispatches on the carriers
+        of its arguments, and refuses what no overload holds."""
+        algebra = self.algebra
+        rows: dict[int, dict] = {}
+        for operator in overloads:
+            function = algebra.function_for(operator)
+            carriers = list(map(algebra.carrier, operator.arg_sorts))
+            key, table = operator, rows.setdefault(operator.arity, {})
+            if operator.arity == 1:  # one row per implementation, over
+                key = function        # the union of its overloads' carriers
+                carriers = [table.get(key, ((),))[0] + carriers[0]]
+            table[key] = (*carriers, _memoized(operator, function))
 
-    def _register_constructors(self, database: Database) -> None:
-        register = _registrar(database)
-        register("dna", lambda text: ops.decode(text),
-                 description="build a DNA value from text")
-        register("rna", lambda text: ops.decode_rna(text),
-                 description="build an RNA value from text")
-        register("protein_seq", lambda text: ops.decode_protein(text),
-                 description="build a protein sequence from text")
-        register("uncertain_best",
-                 lambda alternatives: alternatives.best().value,
-                 description="highest-confidence reading of ALTERNATIVES")
-        register("uncertain_count",
-                 lambda alternatives: len(alternatives),
-                 description="number of conflicting readings")
-        register("uncertain_confidence",
-                 lambda alternatives: alternatives.best().confidence,
-                 description="confidence of the best reading")
+        def refuse(*arguments):
+            arguments = [value for value in arguments if value is not _ABSENT]
+            for operator in overloads:  # a scalar where a number belongs
+                wrong = [(place, sort, value) for place, (sort, value)
+                         in enumerate(zip(operator.arg_sorts, arguments), 1)
+                         if not algebra.in_carrier(value, sort)]
+                if operator.arity == len(arguments) and wrong and all(
+                        sort in ("int", "float")
+                        and isinstance(value, (str, int, float))
+                        for __, sort, value in wrong):
+                    place, sort, value = wrong[0]
+                    raise TypeCheckError(f"{name}(): argument {place} must "
+                                         f"be {sort}, not {value!r}")
+            raise algebra.signature.refusal(
+                name, map(algebra.sort_of, arguments))
 
-    # -- predicates (section 6.3) ---------------------------------------------------
-
-    def _register_predicates(self, database: Database) -> None:
-        register = _registrar(database)
-        register(
-            "contains",
-            lambda sequence, pattern: ops.contains(sequence, pattern),
-            selectivity=CONTAINS_SELECTIVITY,
-            description="true when the sequence contains the motif "
-                        "(IUPAC-ambiguity aware)",
-            kernel="contains",
-        )
-        register(
-            "resembles",
-            _resembles,
-            selectivity=RESEMBLES_SELECTIVITY,
-            description="k-mer cosine similarity above threshold",
-        )
-        register(
-            "motif_count",
-            lambda sequence, pattern:
-                ops.count_occurrences(sequence, pattern),
-            description="number of motif occurrences",
-        )
-        register(
-            "motif_position",
-            lambda sequence, pattern:
-                ops.first_occurrence(sequence, pattern),
-            description="first motif position or -1",
-        )
-
-    # -- algebra operations ------------------------------------------------------------
-
-    def _register_operations(self, database: Database) -> None:
-        register = _registrar(database)
-        register("transcribe", ops.transcribe,
-                 description="gene -> primary transcript")
-        register("splice", ops.splice,
-                 description="primary transcript -> mRNA")
-        register("translate", ops.translate,
-                 description="mRNA -> protein")
-        register("express", ops.express,
-                 description="gene -> protein (the composed pipeline)")
-        register("reverse_transcribe", ops.reverse_transcribe,
-                 description="mRNA -> cDNA")
-        register("complement", ops.complement,
-                 description="base-wise complement")
-        register("reverse_complement", ops.reverse_complement,
-                 description="opposite strand, 5'->3'",
-                 kernel="reverse_complement")
-        # Not memoized: one C translate, cheaper than the memo it would
-        # keep on every value of a row-table scan; pages have its kernel.
-        register("gc_content", ops.gc_content,
-                 description="GC fraction",
-                 kernel="gc_content")
-        register("melting_temperature",
-                 _memoized(ops.melting_temperature),
-                 description="estimated Tm in Celsius")
-        register("molecular_weight", _memoized(ops.molecular_weight),
-                 description="average molecular weight (Da)")
-        register("isoelectric_point", _memoized(ops.isoelectric_point),
-                 description="pI of a protein sequence")
-        register("hydropathy", _memoized(ops.hydropathy),
-                 description="Kyte-Doolittle GRAVY score")
-        register("entropy", _memoized(ops.shannon_entropy),
-                 description="per-symbol Shannon entropy (bits)")
-        register("orf_count", _orf_count,
-                 description="number of complete ORFs (both strands)")
-        register("alignment_score",
-                 lambda a, b: ops.global_align(a, b).score,
-                 description="Needleman-Wunsch global alignment score")
-        register("local_alignment_score",
-                 lambda a, b: ops.local_align(a, b).score,
-                 description="Smith-Waterman local alignment score")
-        register("similarity", _similarity,
-                 description="k-mer cosine similarity in [0, 1]")
-
-    # -- accessors ----------------------------------------------------------------------
-
-    def _register_accessors(self, database: Database) -> None:
-        register = _registrar(database)
-        register("seq_text", lambda value: str(value),
-                 description="textual form of any sequence value")
-        register("gene_name",
-                 lambda gene: declared("gene_name", gene, Gene).name,
-                 description="name of a GENE value")
-        register("gene_sequence",
-                 lambda gene: declared("gene_sequence", gene, Gene).sequence,
-                 description="genomic DNA of a GENE value")
-        register("gene_organism",
-                 lambda gene: declared("gene_organism", gene, Gene).organism,
-                 description="organism of a GENE value")
-        register("exon_count",
-                 lambda gene: len(declared("exon_count", gene, Gene).exons),
-                 description="number of exons")
-        register("exonic_length", lambda gene: declared(
-                     "exonic_length", gene, Gene).exonic_length,
-                 description="summed exon length")
-        register("protein_sequence", lambda protein: declared(
-                     "protein_sequence", protein, Protein).sequence,
-                 description="amino-acid chain of a PROTEIN value")
-        register("protein_name",
-                 lambda protein: declared("protein_name", protein,
-                                          Protein).name,
-                 description="name of a PROTEIN value")
+        def wider(*arguments):
+            return calls.get(len(arguments), refuse)(*arguments)
+        calls = {arity: _arity(arity, list(table.values()), refuse, wider)
+                 for arity, table in rows.items()}
+        return calls[min(calls)]
 
 
 def install_genomics(database: Database) -> GenomicsAdapter:

@@ -42,19 +42,8 @@ class SerializationError(ReproError):
 # -- sequences ---------------------------------------------------------------
 
 def serialize_sequence(sequence: PackedSequence) -> bytes:
+    """A sequence's packed buffer; its class's ``from_bytes`` reads it."""
     return sequence.to_bytes()
-
-
-def deserialize_dna(data: bytes) -> DnaSequence:
-    return DnaSequence.from_bytes(data)
-
-
-def deserialize_rna(data: bytes) -> RnaSequence:
-    return RnaSequence.from_bytes(data)
-
-
-def deserialize_protein_sequence(data: bytes) -> ProteinSequence:
-    return ProteinSequence.from_bytes(data)
 
 
 # -- shared fragments -----------------------------------------------------------

@@ -2,12 +2,12 @@
 
 "To assign semantics to a signature, one must assign a (carrier) set to
 each sort and a function to each operator" (section 4.2).  An
-:class:`Algebra` does exactly that: each sort is given a **carrier
-check** (a Python type or predicate deciding membership) and each operator
-a **carrier function** implementing it.  Evaluation of a term walks it
-bottom-up, checking every intermediate value against the carrier of its
-sort — so an implementation bug that returns a value of the wrong sort is
-caught at the algebra boundary, not three operators later.
+:class:`Algebra` does exactly that: each sort is given a **carrier**
+(the Python types deciding membership) and each operator a **carrier
+function** implementing it.  Evaluation of a term walks it bottom-up,
+checking every intermediate value against the carrier of its sort — so
+an implementation bug that returns a value of the wrong sort is caught
+at the algebra boundary, not three operators later.
 
 The algebra is extensible at run time (new sorts, operators and
 implementations; C13/C14), and is deliberately independent of any DBMS —
@@ -29,7 +29,7 @@ from repro.core.algebra.term import (
 )
 from repro.errors import EvaluationError, SortMismatchError
 
-CarrierCheck = Callable[[Any], bool]
+Carrier = "type | tuple[type, ...]"
 
 
 class Algebra:
@@ -37,7 +37,7 @@ class Algebra:
 
     def __init__(self, signature: Signature) -> None:
         self.signature = signature
-        self._carriers: dict[str, CarrierCheck] = {}
+        self._carriers: dict[str, tuple[type, ...]] = {}
         self._functions: dict[tuple[str, tuple[str, ...]], Callable] = {}
 
     def __repr__(self) -> str:
@@ -46,26 +46,27 @@ class Algebra:
 
     # -- defining the semantics ----------------------------------------------
 
-    def set_carrier(
-        self, sort: str, check: "type | tuple[type, ...] | CarrierCheck"
-    ) -> None:
-        """Define the carrier set of *sort*.
-
-        *check* is a type (or tuple of types) for an ``isinstance`` test,
-        or an arbitrary membership predicate.
-        """
+    def set_carrier(self, sort: str, carrier: Carrier) -> None:
+        """Define the carrier set of *sort*: the instances of a type (or
+        of any type in a tuple)."""
         self.signature.require_sort(sort)
-        if isinstance(check, (type, tuple)):
-            types = check
-            self._carriers[sort] = lambda value: isinstance(value, types)
-        else:
-            self._carriers[sort] = check
+        self._carriers[sort] = (carrier if isinstance(carrier, tuple)
+                                else (carrier,))
+
+    def carrier(self, sort: str) -> tuple[type, ...]:
+        """The types of *sort*'s carrier; a sort without one accepts all."""
+        self.signature.require_sort(sort)
+        return self._carriers.get(sort, (object,))
 
     def in_carrier(self, value: Any, sort: str) -> bool:
         """Membership test; sorts without a registered carrier accept all."""
-        self.signature.require_sort(sort)
-        check = self._carriers.get(sort)
-        return True if check is None else bool(check(value))
+        return isinstance(value, self.carrier(sort))
+
+    def sort_of(self, value: Any) -> str:
+        """The first declared sort whose carrier holds *value*, else the
+        name of its Python type."""
+        return next((sort for sort, carrier in self._carriers.items()
+                     if isinstance(value, carrier)), type(value).__name__)
 
     def bind(
         self,
@@ -90,28 +91,20 @@ class Algebra:
 
     # -- extensibility (C13/C14): declare + bind in one step ------------------
 
-    def extend_sort(
-        self,
-        name: str,
-        check: "type | tuple[type, ...] | CarrierCheck | None" = None,
-        description: str = "",
-    ) -> None:
+    def extend_sort(self, name: str, carrier: Carrier | None = None,
+                    description: str = "") -> None:
         """Declare a new sort and (optionally) its carrier."""
         self.signature.declare_sort(name, description)
-        if check is not None:
-            self.set_carrier(name, check)
+        if carrier is not None:
+            self.set_carrier(name, carrier)
 
-    def extend_operator(
-        self,
-        name: str,
-        arg_sorts: Iterable[str],
-        result_sort: str,
-        function: Callable,
-    ) -> Operator:
-        """Declare a new operator and bind its implementation."""
+    def extend_operator(self, name: str, arg_sorts: Iterable[str],
+                        result_sort: str, function: Callable,
+                        **annotations: Any) -> Operator:
+        """Declare a new operator (with *annotations* for a DBMS that
+        hosts it) and bind its implementation."""
         operator = self.signature.declare_operator(
-            name, tuple(arg_sorts), result_sort
-        )
+            name, tuple(arg_sorts), result_sort, **annotations)
         self._functions[operator.key] = function
         return operator
 

@@ -14,19 +14,23 @@ footing for requirements C13/C14.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import SortMismatchError, UnknownOperatorError, UnknownSortError
 
 
 @dataclass(frozen=True)
 class Operator:
-    """An operator declaration: name, argument sorts, result sort."""
+    """An operator declaration: name, argument sorts, result sort, and
+    annotations a DBMS hosting it reads (a predicate's ``selectivity``,
+    a page ``kernel``), which are no part of its identity."""
 
     name: str
     arg_sorts: tuple[str, ...]
     result_sort: str
+    annotations: Mapping[str, Any] = field(default_factory=dict,
+                                           compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arg_sorts", tuple(self.arg_sorts))
@@ -78,10 +82,6 @@ class Signature:
     def sorts(self) -> tuple[str, ...]:
         return tuple(self._sorts)
 
-    def sort_description(self, name: str) -> str:
-        self.require_sort(name)
-        return self._sorts[name]
-
     # -- operators -----------------------------------------------------------
 
     def declare_operator(
@@ -89,6 +89,7 @@ class Signature:
         name: str,
         arg_sorts: Iterable[str],
         result_sort: str,
+        **annotations: Any,
     ) -> Operator:
         """Add an operator; every referenced sort must exist.
 
@@ -96,7 +97,7 @@ class Signature:
         declaring the same name with *different* argument sorts creates an
         overload.
         """
-        operator = Operator(name, tuple(arg_sorts), result_sort)
+        operator = Operator(name, tuple(arg_sorts), result_sort, annotations)
         for sort in (*operator.arg_sorts, operator.result_sort):
             self.require_sort(sort)
         overloads = self._operators.setdefault(name, [])
@@ -126,11 +127,15 @@ class Signature:
         for operator in self.overloads(name):
             if operator.arg_sorts == wanted:
                 return operator
-        declared = ", ".join(str(op) for op in self.overloads(name))
-        raise SortMismatchError(
-            f"no overload of {name!r} accepts ({', '.join(wanted)}); "
-            f"declared: {declared}"
-        )
+        raise self.refusal(name, wanted)
+
+    def refusal(self, name: str, given: Iterable[str]) -> SortMismatchError:
+        """The error for *name* applied to arguments of the sorts *given*:
+        it names every declared domain and the one given."""
+        domains = " or ".join(" × ".join(operator.arg_sorts) or "()"
+                              for operator in self.overloads(name))
+        return SortMismatchError(f"{name} is declared over {domains}, "
+                                 f"not {' × '.join(given) or '()'}")
 
     def operators(self) -> Iterator[Operator]:
         """Iterate over every declared operator."""

@@ -191,16 +191,13 @@ def parse_term(
     text: str,
     signature: Signature,
     variables: Mapping[str, str] | None = None,
-    string_sort: str = "string",
-    int_sort: str = "int",
-    float_sort: str = "float",
 ) -> Term:
     """Parse ``f(g(x), 'ATTG', 10)`` syntax into a sort-checked term.
 
     *variables* maps free-variable names to their sorts; bare identifiers
     are looked up there (or treated as zero-argument operators when the
-    signature declares one).  String literals get *string_sort*, integer
-    literals *int_sort*, decimal literals *float_sort*.
+    signature declares one).  String literals are ``string``, integer
+    literals ``int``, decimal literals ``float``.
     """
     variables = dict(variables or {})
     scanner = _TermScanner(text)
@@ -208,11 +205,11 @@ def parse_term(
     def parse_expression() -> Term:
         head = scanner.peek()
         if head in ("'", '"'):
-            return Constant(scanner.string_literal(), string_sort)
+            return Constant(scanner.string_literal(), "string")
         if head.isdigit() or head == "-":
             value = scanner.number_literal()
-            sort = float_sort if isinstance(value, float) else int_sort
-            return Constant(value, sort)
+            return Constant(value, "float" if isinstance(value, float)
+                            else "int")
         name = scanner.identifier()
         if scanner.peek() == "(":
             scanner.take("(")

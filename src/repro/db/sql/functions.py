@@ -12,7 +12,7 @@ from repro.errors import TypeCheckError
 
 def null_safe(function):
     """Wrap a function so any NULL argument yields NULL: what the engine
-    registers its builtins through, and the genomics adapter its UDFs."""
+    registers its builtins through."""
     def wrapper(*arguments: Any) -> Any:
         for argument in arguments:  # runs per cell: no generator
             if argument is NULL:

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.adapter import GenomicsAdapter
 from repro.core.algebra import genomics_algebra
 from repro.core.types import DnaSequence
-from repro.db import ResultSet
+from repro.db import Database, ResultSet
 from repro.errors import IntegrationError
 from repro.evaluation.requirements import (
     GENALG_CLAIM,
@@ -233,7 +234,12 @@ def _probe_c14(env: ProbeEnvironment) -> ProbeResult:
         "SELECT accession FROM public_genes LIMIT 1"
     ).scalar())
     value = algebra.call("purine_fraction", (gene.sequence, "dna"))
-    return (YES if 0.0 <= value <= 1.0 else NO,
+    # Installed as is, the extended algebra is SQL's catalog too (C6).
+    database = Database()
+    GenomicsAdapter(algebra).install(database)
+    through_sql = database.execute(
+        "SELECT purine_fraction(dna('ATGGCC'))").rows[0][0]
+    return (YES if 0.0 <= value <= 1.0 and through_sql == 0.5 else NO,
             "user-defined evaluation function extended into the algebra")
 
 

@@ -240,7 +240,7 @@ class TestGenomicsAlgebra:
 
     def test_decode_then_gc(self):
         algebra = genomics_algebra()
-        term = algebra.parse("gc_content(decode('GGCC'))")
+        term = algebra.parse("gc_content(dna('GGCC'))")
         assert algebra.evaluate(term) == 1.0
 
     def test_instances_are_independent(self):

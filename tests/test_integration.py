@@ -157,7 +157,7 @@ class TestCrossLayerConsistency:
         ).scalar()
         gene = warehouse.gene(accession)
         via_term = algebra.evaluate(
-            algebra.parse("gc_content(sequence_of(g))",
+            algebra.parse("gc_content(gene_sequence(g))",
                           variables={"g": "gene"}),
             {"g": gene},
         )
