@@ -55,9 +55,9 @@ mediator and the ETL monitors promise:
 13. **bit-rot-repair** — seeded byte-flips land in a follower's sealed
     segment, in the primary's checkpoint image, and in an in-flight
     shipment: every flip is detected (CRC / digest), none is applied,
-    clean runs raise zero false positives; anti-entropy quarantines
-    and re-fetches the rotted segment (byte-identical convergence),
-    and promotion refuses the follower whose ledger fails
+    clean runs raise zero false positives; the next catch-up round
+    quarantines and replaces the rotted segment (byte-identical
+    convergence), and promotion refuses the follower whose ledger fails
     verification.
 14. **split-brain** — a leased primary is cut off by a one-sided
     partition and keeps acknowledging writes until its lease dies; a
@@ -656,9 +656,9 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
     payload — and every one must be *detected* (per-record CRC32,
     whole-file digest, shipment digest) and *contained* (nothing
     corrupt applied, the rotted follower refused promotion).  Clean
-    state must scrub clean first (zero false positives), and after
-    anti-entropy read-repair the replicas must converge byte-identical
-    to the primary.
+    state must scrub clean first (zero false positives), and after the
+    catch-up round repairs them the replicas must converge
+    byte-identical to the primary.
     """
     del concurrency                    # single-writer scenario, no fan-out
     import os
@@ -712,9 +712,8 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
         # -- phase 0: clean state, zero false positives --------------------
         _expect(bravo.verify_ledger() == [] and charlie.verify_ledger() == [],
                 "clean follower ledgers must verify with zero defects")
-        _expect(bravo.anti_entropy(primary).clean
-                and charlie.anti_entropy(primary).clean,
-                "clean anti-entropy round must report no divergence")
+        _expect(bravo.last_round.clean and charlie.last_round.clean,
+                "a clean catch-up round must report no divergence")
         read_image(image_path)             # digest must verify
         _expect(bravo.rejected_shipments == 0
                 and charlie.rejected_shipments == 0,
@@ -731,11 +730,11 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
                 f"sealed-segment rot must verify as localized bit_rot, "
                 f"got {[(d.kind, d.path) for d in defects]}")
         detected += 1
-        repair = bravo.anti_entropy(primary)
-        _expect(repair.mismatched == [0] and repair.repaired == [0]
-                and len(repair.quarantined) == 1
+        bravo.catch_up(primary)
+        repair = bravo.last_round
+        _expect(repair.repaired == [0] and len(repair.quarantined) == 1
                 and os.path.exists(repair.quarantined[0]),
-                f"anti-entropy must quarantine and re-fetch generation 0, "
+                f"catch-up must quarantine and re-fetch generation 0, "
                 f"got {repair.summary()}")
         _expect(bravo.verify_ledger() == [],
                 "repaired ledger must verify clean again")
@@ -799,11 +798,12 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
                 "promoted database lost or duplicated statements")
 
         # -- phase 5: the rotted survivor repairs and converges ------------
-        repair = charlie.anti_entropy(promoted)
-        _expect(repair.mismatched == [2] and repair.repaired == [2],
+        charlie.verify_ledger()
+        charlie.catch_up(promoted)
+        repair = charlie.last_round
+        _expect(repair.repaired == [2] and len(repair.quarantined) == 1,
                 f"charlie must repair generation 2 from the new primary, "
                 f"got {repair.summary()}")
-        charlie.catch_up(promoted)
         _expect(charlie.verify_ledger() == [],
                 "repaired survivor must verify clean")
         _expect(databases_equal(charlie.database, reference),

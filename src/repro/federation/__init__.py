@@ -19,9 +19,10 @@ The package splits into layers, bottom up:
   (:class:`FaultyChannel`): drops, delay, duplication, reordering, and
   one-way partitions;
 - :mod:`repro.federation.replication` — WAL shipping
-  (:class:`PrimaryNode` / :class:`FollowerNode`), digest-verified
-  shipments with anti-entropy read-repair
-  (:class:`AntiEntropyReport`), epoch-fenced apply, zombie demotion
+  (:class:`PrimaryNode` / :class:`FollowerNode`) in one exchange: a
+  follower is shipped only what it has not verified, digest-checked,
+  with divergence repaired in the same round (:class:`RoundReport`),
+  epoch-fenced apply, zombie demotion
   with honest divergence (:class:`DivergenceReport`), and
   deterministic failover (:class:`ReplicationGroup`);
 - :mod:`repro.federation.audit` — the outside judge
@@ -41,12 +42,12 @@ from repro.federation.channel import (
 )
 from repro.federation.membership import Lease, MembershipService
 from repro.federation.replication import (
-    AntiEntropyReport,
     DivergedStatement,
     DivergenceReport,
     FollowerNode,
     PrimaryNode,
     ReplicationGroup,
+    RoundReport,
     Shipment,
     disk_shipments,
     payload_digest,
@@ -63,7 +64,6 @@ from repro.federation.sharding import ShardMap, ShardSlice
 
 __all__ = [
     "Acknowledgment",
-    "AntiEntropyReport",
     "AuditReport",
     "ChannelStats",
     "DivergedStatement",
@@ -75,6 +75,7 @@ __all__ = [
     "PrimaryNode",
     "ReplicationChannel",
     "ReplicationGroup",
+    "RoundReport",
     "ShardMap",
     "ShardSlice",
     "ShardedFederationServer",

@@ -76,20 +76,12 @@ class ReplicationChannel:
         self._after(operation)
         return answer
 
-    def ship(self, primary) -> list:
-        """One full shipping round: everything *primary* can send."""
+    def ship(self, primary, request: "dict | None" = None) -> list:
+        """One replication round: *request* (a follower's verified-prefix
+        table) out, everything *primary* answers back."""
         self.stats.bump("rounds")
-        return self._deliver(list(self._round_trip("ship", primary.ship)))
-
-    def fetch_segment(self, primary, generation: int):
-        """Re-fetch one sealed segment (the read-repair round-trip)."""
-        return self._round_trip("fetch_segment", primary.fetch_segment,
-                                generation)
-
-    def segment_digests(self, primary) -> dict:
-        """The anti-entropy digest exchange."""
-        return dict(self._round_trip("segment_digests",
-                                     primary.segment_digests))
+        return self._deliver(list(self._round_trip("ship", primary.ship,
+                                                   request)))
 
     def renew(self, membership, lease):
         """A lease-renewal round-trip to the membership service.

@@ -1,47 +1,29 @@
 """WAL-shipped read replicas with deterministic, fenced failover.
 
 A shard's primary runs an ordinary :class:`~repro.db.storage.
-WriteAheadLog`; replication is nothing more than **shipping that log**:
+WriteAheadLog`; replication is **shipping that log**, in one exchange:
 
-- the primary's :meth:`PrimaryNode.ship` packages every sealed segment
-  plus the active segment as :class:`Shipment` payloads (whole files,
-  stamped with their generation — the ``$wal`` header the storage layer
-  maintains is the replication protocol's sequence number);
-- a :class:`FollowerNode` writes each shipment to its own directory and
-  replays it through the same :func:`~repro.db.storage.read_wal_records`
-  / :func:`~repro.db.storage.apply_wal_records` path crash recovery
-  uses, keeping a per-generation ledger of how many records it has
-  applied so re-shipping a grown segment applies only the suffix —
-  **at-most-once** per statement, by construction — and parsing only
-  bytes it has not verified before; a generation whose header says its
-  predecessor sealed more records than the ledger holds is refused;
-- a torn tail in the active shipment (the primary crashed mid-append)
-  is dropped exactly as recovery drops it; when the completed record is
-  shipped later it has never been counted, so it applies once;
-- the follower's :meth:`FollowerNode.staleness_bound` mirrors the
-  cache's semantics: virtual time since the last complete catch-up, an
-  explicit honesty label for every read it serves.
-
-Replication is only as trustworthy as the bytes it ships, so the
-protocol is **end-to-end verified**:
-
-- every :class:`Shipment` carries a SHA-256 digest of its payload;
-  :meth:`FollowerNode.apply_shipment` recomputes it before writing a
-  byte — corruption in flight is rejected, counted, and never applied;
-- the per-record WAL CRCs (:mod:`repro.db.storage`) are verified again
-  at apply time, so a record that rotted on the *primary's* disk stops
-  at the first follower instead of spreading;
-- **anti-entropy** (:meth:`FollowerNode.anti_entropy`) exchanges
-  per-generation digests of the sealed segments with the primary; a
-  diverged or bit-rotted local copy is quarantined
-  (``*.quarantined``) and re-fetched from the primary (read-repair),
-  with the apply ledger deduplicating so nothing applies twice; sealed
-  generations only this follower holds (a demoted zombie's tail) are
-  reported as ``local_only`` divergence, never silently ignored;
-- :meth:`FollowerNode.verify_ledger` scrubs the local segment files,
-  and :meth:`ReplicationGroup.promote` refuses to elect a follower
-  whose ledger fails it — a corrupt replica can lag, but it can never
-  become the source of truth.
+- a :class:`FollowerNode` sends its verified-prefix table (generation
+  → length and SHA-256 of the complete lines it has verified) and
+  :func:`disk_shipments` answers one :class:`Shipment` per WAL file:
+  from the end of that prefix when the file opens with exactly those
+  bytes, whole otherwise, always with the whole file's digest — a
+  follower is shipped only what it has not verified;
+- before a byte touches its disk the follower checks the epoch fence,
+  the digest (damage in flight), the per-record CRCs (rot on the
+  primary's disk stops at the first follower) and, for a generation
+  new to its ledger, the header's predecessor count (a purged segment
+  is a hole); a per-generation ledger of applied records makes every
+  statement apply **at most once**, and a torn active tail is dropped
+  exactly as recovery drops it;
+- repair rides the same round: a sealed local copy that diverged from
+  the primary's, or that :meth:`FollowerNode.verify_ledger` found
+  damaged, ships whole and is quarantined (``*.quarantined``) before
+  the fresh copy lands; sealed generations only the follower holds are
+  reported (:class:`RoundReport` on ``follower.last_round``);
+- :meth:`FollowerNode.staleness_bound` is virtual time since the last
+  complete round, and :meth:`ReplicationGroup.promote` refuses a
+  follower whose ledger fails verification.
 
 And the protocol is **split-brain safe** — liveness flags are not
 trusted, epochs are:
@@ -59,12 +41,11 @@ trusted, epochs are:
   shipment claiming an older epoch than the follower has observed
   (``shipments_fenced``) — a partitioned zombie's suffix stops at the
   first follower instead of forking history;
-- all round-trips run through a :class:`~repro.federation.channel.
+- the round runs through a :class:`~repro.federation.channel.
   ReplicationChannel`, so a seeded :class:`~repro.federation.channel.
   FaultyChannel` can drop, delay, duplicate, reorder, and partition
-  them; :meth:`FollowerNode.catch_up` sorts shipments by generation and
-  refuses to apply over a gap, which makes reordering and duplication
-  harmless;
+  it; :meth:`FollowerNode.catch_up` sorts shipments by generation and
+  refuses to apply over a gap, and a duplicated suffix applies nothing;
 - when the partition heals, :meth:`PrimaryNode.demote` compares the
   zombie's history with the successor's, quarantines the diverged
   files (``*.diverged``), and emits a :class:`DivergenceReport` naming
@@ -82,7 +63,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+import shutil
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.db.database import Database
@@ -129,31 +111,12 @@ def file_digest(path: str) -> "str | None":
         return None
 
 
-def _read_wal_text(path: str, *, on_bit_rot: str = "raise") -> "str | None":
-    """Read one WAL file as text, classifying invalid UTF-8 as bit rot.
-
-    ``on_bit_rot="raise"`` raises a structured :class:`StorageError`
-    (``kind="bit_rot"``); ``"skip"`` returns ``None`` so salvage loops
-    can step over a rotting file instead of dying on it."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        if on_bit_rot == "skip":
-            _metric("federation", "shipments_skipped_bit_rot")
-            return None
-        raise StorageError(
-            f"WAL file {path!r} is not valid UTF-8 at byte {exc.start} "
-            f"(bit rot)", path=path, offset=exc.start,
-            kind="bit_rot") from exc
-
-
 @dataclass(frozen=True)
 class Shipment:
-    """One WAL file in flight: its generation, full payload, whether it
-    is sealed (immutable) or the still-growing active log, the SHA-256
-    digest of the payload as the sender read it (always verified on
+    """One WAL file in flight: its generation, its payload from byte
+    ``start`` on (``0``: the whole file), whether it is sealed
+    (immutable) or the still-growing active log, the SHA-256 digest of
+    the **whole** file as the sender read it (always verified on
     arrival), and the sender's **epoch claim** (``None`` means no
     leadership claim — disk salvage — and is never fenced)."""
 
@@ -162,48 +125,45 @@ class Shipment:
     sealed: bool
     digest: str
     epoch: "int | None" = None
+    start: int = 0
 
     def __repr__(self) -> str:
         kind = "sealed" if self.sealed else "active"
         claim = "" if self.epoch is None else f", epoch={self.epoch}"
+        where = f"@{self.start}" if self.start else ""
         return (f"Shipment(gen={self.generation}, {kind}, "
-                f"{len(self.payload)}B{claim})")
+                f"{len(self.payload)}B{where}{claim})")
 
 
 @dataclass
-class AntiEntropyReport:
-    """What one anti-entropy round against the primary found and fixed.
+class RoundReport:
+    """What one catch-up round repaired, and what it could not.
 
-    ``checked`` counts the generations compared; ``mismatched`` the
-    generations whose local digest disagreed with the primary's;
-    ``quarantined`` the local files set aside as ``*.quarantined``;
-    ``repaired`` the generations re-fetched clean from the primary;
-    ``local_only`` the sealed generations **only this follower** holds
-    — a demoted zombie's diverged tail, reported as divergence."""
+    ``repaired`` the sealed generations whose local copy diverged from
+    the primary's (or failed :meth:`FollowerNode.verify_ledger`) and
+    was replaced by the primary's file; ``quarantined`` the local files
+    set aside as ``*.quarantined``; ``local_only`` the sealed
+    generations **only this follower** holds — a demoted zombie's tail,
+    or segments the primary purged — reported, never deleted."""
 
     follower: str
-    checked: int = 0
-    mismatched: list[int] = field(default_factory=list)
-    quarantined: list[str] = field(default_factory=list)
     repaired: list[int] = field(default_factory=list)
+    quarantined: list[str] = field(default_factory=list)
     local_only: list[int] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        return not self.mismatched and not self.local_only
+        return not self.repaired and not self.local_only
 
     def summary(self) -> str:
-        if self.clean:
-            return (f"{self.follower}: {self.checked} sealed "
-                    f"generation(s) verified, no divergence")
-        parts = [f"{self.follower}: {self.checked} checked"]
-        if self.mismatched:
-            parts.append(f"generations {self.mismatched} diverged, "
-                         f"{len(self.repaired)} repaired from primary")
+        parts = []
+        if self.repaired:
+            parts.append(f"generations {self.repaired} diverged, "
+                         f"repaired from the primary")
         if self.local_only:
             parts.append(f"local-only generations {self.local_only} "
                          f"(not on the primary)")
-        return ", ".join(parts)
+        return f"{self.follower}: " + (", ".join(parts) or "no divergence")
 
 
 @dataclass(frozen=True)
@@ -261,36 +221,50 @@ class DivergenceReport:
                 f"{len(self.quarantined)} file(s) quarantined")
 
 
-def disk_shipments(wal_path: str, *,
+def disk_shipments(wal_path: str, request: "dict | None" = None, *,
+                   epoch: "int | None" = None,
                    on_bit_rot: str = "raise") -> list[Shipment]:
-    """Everything a (possibly dead) node's WAL directory can still ship.
+    """The answer a WAL directory gives a follower's *request*.
 
-    Reads sealed ``wal.jsonl.NNNNNN`` files in generation order, then
-    the active file — whose generation comes from its ``$wal`` header
-    (``None`` falls back to one past the newest sealed segment, the
-    same inference :class:`WriteAheadLog` makes on reopen).  Files are
-    read as bytes; invalid UTF-8 is classified as ``bit_rot`` (raised
-    structured, or skipped with ``on_bit_rot="skip"`` — a rotting dead
-    disk must not abort the salvage of its healthy segments).  Salvage
-    shipments carry **no epoch claim**: the disk is history, not a
-    leadership assertion, so followers never fence it."""
-    shipments: list[Shipment] = []
-    sealed = list_sealed_segments(wal_path)
-    for generation, path in sealed:
-        payload = _read_wal_text(path, on_bit_rot=on_bit_rot)
-        if payload is None:
-            continue
-        shipments.append(
-            Shipment(generation, payload, True, payload_digest(payload)))
+    One :class:`Shipment` per file: sealed ``wal.jsonl.NNNNNN`` in
+    generation order, then the active file (generation from its
+    ``$wal`` header, else one past the newest sealed segment, as
+    :class:`WriteAheadLog` infers on reopen).  *request* maps
+    generation → ``(length, sha256)``: a file opening with exactly
+    those bytes ships from ``start=length`` on, any other whole; the
+    digest is the whole file's.  Invalid UTF-8 is ``bit_rot``, raised
+    structured or skipped (``on_bit_rot="skip"``: a rotting dead disk
+    must not abort the salvage of its healthy segments).  Salvage
+    passes no *epoch*: the disk is history, not a leadership claim, so
+    followers never fence it."""
+    request = request or {}
+    files = [(generation, path, True)
+             for generation, path in list_sealed_segments(wal_path)]
     if os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:
         generation = segment_generation(wal_path)
         if generation is None:
-            generation = sealed and max(pair[0] for pair in sealed) + 1 or 0
-        payload = _read_wal_text(wal_path, on_bit_rot=on_bit_rot)
-        if payload is not None:
-            shipments.append(
-                Shipment(generation, payload, False,
-                         payload_digest(payload)))
+            generation = files and files[-1][0] + 1 or 0
+        files.append((generation, wal_path, False))
+    shipments: list[Shipment] = []
+    for generation, path, sealed in files:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        length, digest = request.get(generation, (0, None))
+        hasher = hashlib.sha256(memoryview(raw)[:length])
+        start = length if hasher.hexdigest() == digest else 0
+        hasher.update(memoryview(raw)[length:])
+        try:
+            payload = raw[start:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if on_bit_rot == "skip":
+                _metric("federation", "shipments_skipped_bit_rot")
+                continue
+            raise StorageError(
+                f"WAL file {path!r} is not valid UTF-8 at byte "
+                f"{start + exc.start} (bit rot)", path=path,
+                offset=start + exc.start, kind="bit_rot") from exc
+        shipments.append(Shipment(generation, payload, sealed,
+                                  hasher.hexdigest(), epoch, start))
     return shipments
 
 
@@ -313,8 +287,8 @@ def disk_history(wal_path: str, label: str) -> dict[int, tuple[list, bool]]:
 
 def sealed_digests(wal_path: str) -> dict[int, str]:
     """Per-generation SHA-256 digests of the sealed segments next to
-    ``wal_path`` — the anti-entropy exchange currency.  Unreadable
-    files are omitted (they will show up as a mismatch instead)."""
+    ``wal_path`` (what byte-identical convergence is checked by).
+    Unreadable files are omitted (they show up as a mismatch)."""
     digests: dict[int, str] = {}
     for generation, path in list_sealed_segments(wal_path):
         digest = file_digest(path)
@@ -480,36 +454,13 @@ class PrimaryNode:
         save_database(self.database, image_path,
                       wal_generation=self.wal.generation)
 
-    def ship(self) -> list[Shipment]:
-        """Flush, then package every segment for followers (sealed
-        first, active last), stamped with this primary's epoch claim."""
+    def ship(self, request: "dict | None" = None) -> list[Shipment]:
+        """Flush, then answer a follower's verified-prefix *request*
+        (:func:`disk_shipments`), stamped with this primary's epoch."""
         self._require_alive()
         self.wal.flush()
         _metric("federation", "wal_ship_rounds")
-        shipments = disk_shipments(self.wal_path)
-        if self.epoch is None:
-            return shipments
-        return [replace(shipment, epoch=self.epoch)
-                for shipment in shipments]
-
-    def segment_digests(self) -> dict[int, str]:
-        """Per-generation digests of the sealed segments — what a
-        follower compares against during anti-entropy."""
-        self._require_alive()
-        return sealed_digests(self.wal_path)
-
-    def fetch_segment(self, generation: int) -> Shipment:
-        """Re-ship one sealed segment for read-repair."""
-        self._require_alive()
-        path = f"{self.wal_path}.{generation:06d}"
-        try:
-            payload = _read_wal_text(path)
-        except OSError as exc:
-            raise FederationError(
-                f"primary {self.name!r} has no sealed generation "
-                f"{generation}: {exc}") from exc
-        return Shipment(generation, payload, True,
-                        payload_digest(payload), self.epoch)
+        return disk_shipments(self.wal_path, request, epoch=self.epoch)
 
     def crash(self) -> None:
         """Die.  Files survive; the handle and the object do not."""
@@ -600,7 +551,8 @@ class FollowerNode:
     observed; a shipment claiming an older epoch is **fenced**
     (``shipments_fenced``) — the one-way door that stops a partitioned
     zombie's history from reaching replicas that already follow its
-    successor."""
+    successor.  ``last_round`` is the :class:`RoundReport` of the last
+    round that got an answer."""
 
     def __init__(self, name: str, directory: str, database: Database, *,
                  timeline, apply_cost: float = 0.02,
@@ -618,9 +570,13 @@ class FollowerNode:
         self.wal_path = os.path.join(directory, _ACTIVE_NAME)
         self.applied: dict[int, int] = {}
         self.statements_applied = 0  # the ledger counts records
-        #: generation → the prefix of its payload already verified:
-        #: ``(length, newlines, digest, records)``, complete lines only.
-        self._verified: dict[int, tuple[int, int, str, int]] = {}
+        #: generation → the prefix of it already verified, complete
+        #: lines only: ``(length, newlines, sha256 state, records,
+        #: path)``, *path* being the local file that holds those bytes.
+        self._verified: dict[int, tuple] = {}
+        #: sealed generations :meth:`verify_ledger` found damaged.
+        self._suspect: set[int] = set()
+        self.last_round = RoundReport(name)
         self.last_catchup = timeline.now()
         self.rejected_shipments = 0
         self.last_rejection: str | None = None
@@ -633,6 +589,14 @@ class FollowerNode:
         if epoch is not None and (self.epoch is None or epoch > self.epoch):
             self.epoch = epoch
 
+    def _request(self) -> dict[int, tuple[int, str]]:
+        """The verified-prefix table a round sends: generation →
+        ``(length, sha256)`` of each prefix still whole on disk."""
+        return {generation: (length, hasher.hexdigest())
+                for generation, (length, __, hasher, ___, path)
+                in self._verified.items()
+                if os.path.isfile(path) and os.path.getsize(path) == length}
+
     def apply_shipment(self, shipment: Shipment) -> int:
         """Verify, persist, and replay one shipment; returns statements
         applied.
@@ -644,17 +608,19 @@ class FollowerNode:
         ``epoch=None``, are disk salvage and pass.)
 
         Integrity is then checked **before** a byte touches disk: the
-        shipment digest must match its payload, and the payload must
-        replay cleanly through :func:`read_wal_records` (per-record
-        CRCs included) — a corrupt shipment is rejected whole, counted
-        in ``rejected_shipments``, and the previous local copy of that
-        generation survives untouched.  A payload opening with exactly
-        the prefix this generation last verified (same SHA-256, ledger
-        still at its record count) is parsed from there on, any other
-        whole.  A generation new to a follower that has applied
-        something is refused when its header says the one before sealed
-        more records than this follower applied (a purged segment)."""
-        generation = shipment.generation
+        digest (of the verified prefix plus the payload) and every
+        record's CRC — a corrupt shipment is rejected whole, counted in
+        ``rejected_shipments``, and the local copy survives untouched.
+        A whole payload (``start == 0``) opening with exactly the prefix
+        this generation last verified is parsed from there on, any other
+        whole; a payload from ``start > 0`` must begin where that prefix
+        ends (one ending inside it is a duplicate: nothing happens) and
+        is written at that offset.  A generation new to the ledger is
+        refused when its header says the one before sealed more records
+        than this follower applied (a purged segment).  A sealed local
+        copy that diverged from a whole payload, or that
+        :meth:`verify_ledger` found damaged, is quarantined first."""
+        generation, start = shipment.generation, shipment.start
         if (shipment.epoch is not None and self.epoch is not None
                 and shipment.epoch < self.epoch):
             self.shipments_fenced += 1
@@ -666,26 +632,41 @@ class FollowerNode:
                 f"follower {self.name!r} fenced stale-epoch shipment: "
                 f"{self.last_fence}")
         self.observe_epoch(shipment.epoch)
+        path = (f"{self.wal_path}.{generation:06d}"
+                if shipment.sealed else self.wal_path)
         data = shipment.payload.encode("utf-8")
         done = self.applied.get(generation, 0)
-        length, lines, digest, base = self._verified.get(
-            generation, (0, 0, None, 0))
+        length, lines, prefix, base, held = self._verified.get(
+            generation, (0, 0, None, 0, None))
         view = memoryview(data)
-        hasher = hashlib.sha256(view[:length])
-        resume = base == done and hasher.hexdigest() == digest
-        hasher.update(view[length:])
-        if not resume:
-            length, lines, base = 0, 0, 0
+        diverged = generation in self._suspect
+        if start:
+            if held == path and start + len(data) <= length:
+                return 0                   # nothing past the verified prefix
+            if start != length:
+                self._reject(shipment, f"starts at byte {start} but "
+                             f"{length} bytes of it are verified here")
+            hasher = prefix.copy()
+            hasher.update(view)
+        else:
+            hasher = hashlib.sha256(view[:length])
+            resume = (base == done and prefix is not None
+                      and hasher.digest() == prefix.digest())
+            hasher.update(view[length:])
+            if not resume:
+                diverged = diverged or prefix is not None
+                length, lines, base = 0, 0, 0
         if hasher.hexdigest() != shipment.digest:
             self._reject(shipment, "digest mismatch in flight")
+        skip = 0 if start else length
         try:
             records, torn = parse_wal_payload(
                 data, path=f"<shipment gen {generation}>",
                 allow_torn_tail=not shipment.sealed,
-                start=length, first_index=lines + 1)
+                start=skip, first_index=lines + 1)
         except StorageError as exc:
             self._reject(shipment, f"{exc.kind or 'corrupt'} payload: {exc}")
-        if self.applied and generation not in self.applied:
+        if generation not in self.applied:
             self._refuse_hole(shipment, data)
         total = base + len(records)
         if done > total:
@@ -693,20 +674,32 @@ class FollowerNode:
                 shipment,
                 f"diverged: ledger says {done} records applied but the "
                 f"shipment carries only {total}")
-        path = (f"{self.wal_path}.{generation:06d}"
-                if shipment.sealed else self.wal_path)
-        with open(path, "wb") as handle:
+        if diverged and shipment.sealed and os.path.exists(path):
+            os.replace(path, f"{path}.quarantined")
+            self.last_round.quarantined.append(f"{path}.quarantined")
+            self.last_round.repaired.append(generation)
+            _metric("federation", "segments_quarantined")
+        self._suspect.discard(generation)
+        if start and held != path:
+            shutil.copyfile(held, path)  # the prefix, verified as active
+        with open(path, "r+b" if start else "wb") as handle:
+            handle.seek(start)
             handle.write(data)
+            handle.truncate()
+        if not shipment.sealed:        # other prefixes here are overwritten
+            self._verified = {other: entry for other, entry
+                              in self._verified.items()
+                              if entry[4] != path or other == generation}
         fresh = records[done - base:]
         applied = apply_wal_records(fresh, self.database)
         self.applied[generation] = done + len(fresh)
         self.statements_applied += applied
-        if torn or not data.endswith(b"\n"):
+        if torn or data and not data.endswith(b"\n"):
             self._verified.pop(generation, None)
         else:
             self._verified[generation] = (
-                len(data), lines + data.count(b"\n", length),
-                shipment.digest, total)
+                start + len(data), lines + data.count(b"\n", skip),
+                hasher, total, path)
         if applied and self.apply_cost:
             self.timeline.advance(self.apply_cost * applied)
         _metric("federation", "replica_statements", applied)
@@ -741,15 +734,17 @@ class FollowerNode:
             f"{self.last_rejection}", node=self.name, **where)
 
     def catch_up(self, primary: PrimaryNode) -> int:
-        """Pull and apply everything the primary can ship.
+        """One round: send the verified-prefix table, apply the answer.
 
         The round runs through this follower's channel, so it can be
         dropped, delayed, or partitioned (:class:`ChannelError` — the
-        round is simply lost and staleness keeps growing) and the batch
-        can arrive duplicated or reordered: shipments are sorted by
-        generation before applying, and a batch with a missing
+        round is simply lost and staleness keeps growing) and the
+        answer can arrive duplicated or reordered: shipments are sorted
+        by generation before applying, and an answer with a missing
         predecessor stops at the gap (later generations must not apply
-        over a hole the network ate).
+        over a hole the network ate).  What the round repaired, and the
+        sealed generations the primary did not answer for, go on a
+        fresh ``last_round``.
 
         The staleness clock resets only on a **complete** round-trip: a
         rejected or fenced shipment stops the round and leaves
@@ -760,9 +755,15 @@ class FollowerNode:
         with _span("replica.catch_up", follower=self.name,
                    primary=primary.name):
             try:
-                shipments = self.channel.ship(primary)
+                shipments = self.channel.ship(primary, self._request())
             except ChannelError:
                 return applied
+            self.last_round = RoundReport(self.name)
+            answered = {shipment.generation for shipment in shipments}
+            for generation, __ in list_sealed_segments(self.wal_path):
+                if generation not in answered:
+                    self.last_round.local_only.append(generation)
+                    _metric("federation", "segments_local_only")
             for shipment in sorted(shipments,
                                    key=lambda item: item.generation):
                 if (self.applied
@@ -773,61 +774,7 @@ class FollowerNode:
                 except FederationError:
                     return applied
         self.last_catchup = self.timeline.now()
-        _gauge("federation", f"replica_{self.name}_staleness", 0.0)
         return applied
-
-    def segment_digests(self) -> dict[int, str]:
-        """Digests of the *local* sealed segments (anti-entropy)."""
-        return sealed_digests(self.wal_path)
-
-    def anti_entropy(self, primary: PrimaryNode) -> "AntiEntropyReport":
-        """Compare sealed-segment digests with the primary and repair.
-
-        For every generation the primary has sealed: a missing local
-        copy is left for :meth:`catch_up`; a digest mismatch (bit rot
-        or divergence) quarantines the local file as
-        ``<name>.quarantined`` and re-fetches the segment from the
-        primary (a repair fetch that fails — partition, bit rot on the
-        primary — leaves the generation quarantined-but-unrepaired
-        rather than aborting the round).  Sealed generations that exist
-        **only locally** are reported in ``local_only``: the primary
-        cannot repair what it never had, but a silent extra history is
-        divergence and must be surfaced.  The apply ledger deduplicates
-        the replay, so repair never double-applies a statement."""
-        report = AntiEntropyReport(follower=self.name)
-        with _span("replica.anti_entropy", follower=self.name,
-                   primary=primary.name):
-            local = self.segment_digests()
-            local_generations = {generation for generation, __
-                                 in list_sealed_segments(self.wal_path)}
-            remote = self.channel.segment_digests(primary)
-            for generation, digest in sorted(remote.items()):
-                report.checked += 1
-                mine = local.get(generation)
-                if mine is None:
-                    path = f"{self.wal_path}.{generation:06d}"
-                    if not os.path.exists(path):
-                        continue  # never shipped; catch_up's job
-                if mine == digest:
-                    continue
-                report.mismatched.append(generation)
-                path = f"{self.wal_path}.{generation:06d}"
-                quarantine = f"{path}.quarantined"
-                os.replace(path, quarantine)
-                report.quarantined.append(quarantine)
-                _metric("federation", "segments_quarantined")
-                try:
-                    self.apply_shipment(
-                        self.channel.fetch_segment(primary, generation))
-                except (FederationError, StorageError):
-                    continue
-                report.repaired.append(generation)
-                _metric("federation", "segments_repaired")
-            for generation in sorted(local_generations - set(remote)):
-                report.checked += 1
-                report.local_only.append(generation)
-                _metric("federation", "segments_local_only")
-        return report
 
     def verify_ledger(self) -> list[StorageError]:
         """Scrub the local segment files; returns every defect found.
@@ -835,18 +782,25 @@ class FollowerNode:
         Sealed segments must parse completely with valid CRCs; the
         active file may end in a torn tail (a crashed shipment) but
         must otherwise verify.  An empty list means this follower is
-        fit for promotion."""
+        fit for promotion.  A damaged file loses its verified prefix,
+        so the next round asks for it whole; a damaged sealed
+        generation is also marked suspect, so that round quarantines
+        it before the primary's copy replaces it.  No file moves
+        here."""
         defects: list[StorageError] = []
-        for __, path in list_sealed_segments(self.wal_path):
-            try:
-                read_wal_records(path, allow_torn_tail=False)
-            except StorageError as exc:
-                defects.append(exc)
+        files = list_sealed_segments(self.wal_path)
         if os.path.exists(self.wal_path):
+            files.append((None, self.wal_path))
+        for generation, path in files:
             try:
-                read_wal_records(self.wal_path, allow_torn_tail=True)
+                read_wal_records(path, allow_torn_tail=generation is None)
             except StorageError as exc:
                 defects.append(exc)
+                if generation is not None:
+                    self._suspect.add(generation)
+                for held in [held for held, entry in self._verified.items()
+                             if entry[4] == path or held == generation]:
+                    del self._verified[held]
         return defects
 
     def staleness_bound(self) -> float:
@@ -919,11 +873,10 @@ class ReplicationGroup:
         and the candidate (``node``).
 
         A *cleanly dead* primary (``crash()``) is drained from disk:
-        a candidate salvages whatever the corpse's directory still holds
-        (its ledger skips everything it already applied; a shipment
-        that fails its integrity checks — including bit-rotted bytes —
-        is skipped, so a rotting dead disk cannot poison the new
-        primary).  A **zombie** — still alive behind a partition — is
+        a candidate salvages whatever the corpse's directory holds past
+        what it has verified (it sends its own request; a shipment that
+        fails its integrity checks — including bit-rotted bytes — is
+        skipped, so a rotting dead disk cannot poison the new primary).  A **zombie** — still alive behind a partition — is
         promoted over only once the membership service says its lease
         has expired, and its disk is *not* touched: the partition that
         made the failover necessary also makes the disk unreachable,
@@ -972,8 +925,9 @@ class ReplicationGroup:
                 # — unless it is a zombie, whose disk the partition hides.
                 salvaged = 0
                 if not zombie:
-                    for shipment in disk_shipments(self.primary.wal_path,
-                                                   on_bit_rot="skip"):
+                    for shipment in disk_shipments(
+                            self.primary.wal_path, contender._request(),
+                            on_bit_rot="skip"):
                         try:
                             salvaged += contender.apply_shipment(shipment)
                         except FederationError:

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.adapter import install_genomics
@@ -234,22 +234,19 @@ class MacroFederation:
 class _WarehouseDock:
     """Duck-typed shipping dock: lets a :class:`FollowerNode` catch up
     on the *warehouse's* WAL as if the warehouse were a shard primary
-    (``catch_up`` only needs ``.name`` and ``.ship()``).  When *epoch*
-    is set the dock stamps its leadership claim on every shipment, so
-    a partition-scheduled day exercises the fence end to end."""
+    (``catch_up`` only needs ``.name`` and ``.ship(request)``).  When
+    *epoch* is set the dock stamps its leadership claim on every
+    shipment, so a partition-scheduled day exercises the fence end to
+    end."""
 
     def __init__(self, name: str, wal, *, epoch: "int | None" = None) -> None:
         self.name = name
         self.wal = wal
         self.epoch = epoch
 
-    def ship(self):
+    def ship(self, request=None):
         self.wal.flush()
-        shipments = disk_shipments(self.wal.path)
-        if self.epoch is None:
-            return shipments
-        return [replace(shipment, epoch=self.epoch)
-                for shipment in shipments]
+        return disk_shipments(self.wal.path, request, epoch=self.epoch)
 
 
 def build_macro_federation(spec: MacroSpec,
@@ -599,8 +596,8 @@ def _drive(spec: MacroSpec, federation: MacroFederation,
     federation.follower.catch_up(federation.dock)
     if failover_drills:
         federation.dock.wal.flush()
-        straggler = replace(disk_shipments(federation.dock.wal.path)[0],
-                            epoch=deposed)
+        straggler = disk_shipments(federation.dock.wal.path,
+                                   epoch=deposed)[0]
         try:
             federation.follower.apply_shipment(straggler)
         except FederationError:

@@ -1,5 +1,6 @@
-"""A follower verifies only WAL bytes it has not verified — and that is
-indistinguishable from verifying every shipment whole.
+"""A follower verifies only WAL bytes it has not verified, and is
+shipped only those — and both are indistinguishable from verifying
+every shipment whole.
 
 ``FollowerNode.apply_shipment`` remembers, per generation, the prefix it
 has verified (length, SHA-256, record count) and resumes parsing after
@@ -10,10 +11,15 @@ appends, flushes, torn tails, ships, epoch restamps, rotations, purges
 and single-byte flips anywhere in a payload — the verified prefix
 included — both must answer alike: ledger, applied counts, local file
 bytes, rejections and their text (record index and offset included).
+A third follower is fed the same history as the answers to its own
+verified-prefix requests (suffixes past what it verified): it must end
+with the same ledger, database and files, byte for byte.
 """
 
+import hashlib
 import os
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,6 +52,21 @@ def _forget_before_every_apply(patch, node):
         return apply(shipment)
 
     patch.setattr(node, "apply_shipment", apply_whole)
+
+
+def _answer(shipments, request):
+    """*shipments* as the answer to *request*: a payload opening with
+    the requested prefix ships from its end, any other whole (damaged
+    payloads included, so the three followers see the same bytes)."""
+    answer = []
+    for shipment in shipments:
+        data = shipment.payload.encode("utf-8")
+        length, digest = request.get(shipment.generation, (0, None))
+        if hashlib.sha256(data[:length]).hexdigest() == digest:
+            shipment = replace(shipment, start=length,
+                               payload=data[length:].decode("utf-8"))
+        answer.append(shipment)
+    return answer
 
 
 def _files(directory):
@@ -90,10 +111,11 @@ class TestIncrementalEqualsWholeParse:
             wal = WriteAheadLog(os.path.join(root, "primary", "wal.jsonl"),
                                 primary, flush_every_n=1000)
             wal.attach()
-            # One name, two directories: rejection texts name the node.
+            # One name, three directories: rejection texts name the node.
             nodes = [FollowerNode("bravo", os.path.join(root, directory),
                                   _database(), timeline=VirtualClock())
-                     for directory in ("incremental", "reference")]
+                     for directory in ("incremental", "reference",
+                                       "suffixes")]
             _forget_before_every_apply(patch, nodes[1])
             rows = 0
             for event in script:
@@ -133,10 +155,21 @@ class TestIncrementalEqualsWholeParse:
                         chosen.generation, payload, chosen.sealed,
                         payload_digest(payload) if at_source
                         else chosen.digest)
-                for shipment in shipments:
-                    outcomes = [_deliver(node, shipment) for node in nodes]
+                request = nodes[2]._request()
+                answer = _answer(shipments, request)
+                if kind == "ship":
+                    assert disk_shipments(wal.path, request) == answer
+                for shipment, cut in zip(shipments, answer):
+                    outcomes = [_deliver(node, shipment)
+                                for node in nodes[:2]]
                     assert outcomes[0] == outcomes[1], shipment
-                incremental, reference = nodes
+                    _deliver(nodes[2], cut)
+                incremental, reference, suffixes = nodes
+                assert suffixes.applied == incremental.applied
+                assert (_files(suffixes.directory)
+                        == _files(incremental.directory))
+                assert databases_equal(suffixes.database,
+                                       incremental.database)
                 assert incremental.applied == reference.applied
                 assert (incremental.rejected_shipments
                         == reference.rejected_shipments)

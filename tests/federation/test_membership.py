@@ -183,7 +183,10 @@ class TestLeasedPrimary:
         primary.rotate()
         shipments = primary.ship()
         assert shipments and all(s.epoch == 1 for s in shipments)
-        assert primary.fetch_segment(0).epoch == 1
+        sealed = shipments[0]
+        (suffix, __) = primary.ship(
+            {0: (len(sealed.payload.encode("utf-8")), sealed.digest)})
+        assert suffix.start > 0 and suffix.epoch == 1
 
     def test_stale_epoch_renewal_marks_the_observed_epoch(self, tmp_path):
         timeline = VirtualClock()

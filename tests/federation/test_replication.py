@@ -6,15 +6,19 @@ prevent: no statement is ever applied twice (re-shipping a grown
 segment applies only the suffix), a torn tail dedups (dropped now,
 applied exactly once when complete), staleness bounds are honest,
 promotion picks the most-caught-up follower and continues the dead
-primary's generation numbering — and corruption never crosses a node
-boundary: tampered shipments are rejected before a byte lands,
-anti-entropy quarantines and re-fetches rotted segments, and a
-follower whose ledger fails verification is refused promotion.
+primary's generation numbering — a follower is shipped only what it
+has not verified — and corruption never crosses a node boundary:
+tampered shipments are rejected before a byte lands, a catch-up round
+quarantines and replaces rotted or diverged segments, and a follower
+whose ledger fails verification is refused promotion.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
+
+from repro.federation import replication
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
@@ -29,6 +33,7 @@ from repro.federation.replication import file_digest
 from repro.federation import (
     FollowerNode,
     PrimaryNode,
+    ReplicationChannel,
     ReplicationGroup,
     Shipment,
     disk_shipments,
@@ -86,6 +91,26 @@ class TestShipping:
         # skip the prefix — replaying it would hit the primary key.
         assert follower.catch_up(group.primary) == 1
         assert follower.catch_up(group.primary) == 0
+
+    def test_a_suffix_applies_once_and_only_where_the_prefix_ends(
+            self, cluster):
+        group, __ = cluster
+        follower = group.followers[0]
+        group.primary.execute("INSERT INTO t VALUES (1, 'a')", [])
+        follower.catch_up(group.primary)
+        group.primary.execute("INSERT INTO t VALUES (2, 'b')", [])
+        (suffix,) = group.primary.ship(follower._request())
+        assert suffix.start == os.path.getsize(follower.wal_path)
+        assert suffix.payload.count("\n") == 1
+        assert follower.apply_shipment(suffix) == 1
+        assert follower.apply_shipment(suffix) == 0      # a duplicate
+        early = replace(suffix, start=suffix.start - 1,
+                        payload="\n" + suffix.payload + "x")
+        with pytest.raises(FederationError, match="starts at byte"):
+            follower.apply_shipment(early)
+        assert follower.rejected_shipments == 1
+        assert databases_equal(follower.database,
+                               _reference([(1, "a"), (2, "b")]))
 
     def test_replication_across_a_rotation_boundary(self, cluster):
         group, __ = cluster
@@ -258,6 +283,25 @@ class TestReplicationEdgeCases:
                                _reference([(1, "a"), (2, "b")]))
         assert follower.catch_up(group.primary) == 0
 
+    def test_a_prefix_overwritten_by_the_next_generation_ships_whole(
+            self, cluster):
+        group, __ = cluster
+        follower = group.followers[0]
+        group.primary.execute("INSERT INTO t VALUES (1, 'a')", [])
+        follower.catch_up(group.primary)    # generation 0, as the active file
+        verified = os.path.getsize(follower.wal_path)
+        group.primary.rotate()
+        group.primary.execute("INSERT INTO t VALUES (2, 'b')", [])
+        # Generation 1 alone lands on the active file; even when it is
+        # exactly as long as generation 0's prefix was, that prefix is
+        # gone and must not be extended from those bytes.
+        follower.apply_shipment(group.primary.ship()[-1])
+        os.truncate(follower.wal_path, verified)
+        follower.catch_up(group.primary)
+        assert follower.verify_ledger() == []
+        assert sealed_digests(follower.wal_path) == \
+            sealed_digests(group.primary.wal_path)
+
 
 class TestPurgedPredecessorRegression:
     """A checkpoint purges the segment it sealed.  A follower that had
@@ -300,6 +344,28 @@ class TestPurgedPredecessorRegression:
         assert follower.applied == {0: 1}
         assert databases_equal(follower.database, _reference([(1, "a")]))
 
+    def test_a_fresh_follower_refuses_purged_generations(self, feed,
+                                                         tmp_path):
+        """The first generation a follower sees is new to its ledger
+        too: its header's predecessor count must hold."""
+        database, wal, __, ___, image = feed
+        for row in range(5):
+            database.execute("INSERT INTO t VALUES (?, ?)", [row, "v"])
+        checkpoint(database, image, wal)      # purges generation 0
+        for row in range(5, 8):
+            database.execute("INSERT INTO t VALUES (?, ?)", [row, "v"])
+        wal.flush()
+        fresh = FollowerNode("charlie", str(tmp_path / "charlie"),
+                             _database(), timeline=VirtualClock())
+        (shipment,) = disk_shipments(wal.path)
+        with pytest.raises(FederationError) as excinfo:
+            fresh.apply_shipment(shipment)
+        assert (excinfo.value.generation, excinfo.value.records,
+                excinfo.value.index) == (0, 5, 0)
+        assert fresh.applied == {}
+        assert fresh.database.execute("SELECT count(*) FROM t").rows \
+            == [(0,)]
+
     def test_shipping_before_the_checkpoint_never_refuses(self, feed):
         database, wal, follower, ship, image = feed
         for cycle in range(3):
@@ -311,6 +377,62 @@ class TestPurgedPredecessorRegression:
         assert ship() == 1
         assert follower.rejected_shipments == 0
         assert databases_equal(follower.database, database)
+
+
+class _CountingChannel(ReplicationChannel):
+    """The perfect network, counting the payload bytes it delivers."""
+
+    def __init__(self):
+        super().__init__()
+        self.delivered = 0
+
+    def _deliver(self, shipments):
+        self.delivered += sum(len(shipment.payload.encode("utf-8"))
+                              for shipment in shipments)
+        return shipments
+
+
+class TestShippingCostsOnlyWhatIsNew:
+    """A round ships each byte a follower has not verified, once.  The
+    whole-file exchange sent 50x the WAL's bytes over this history, and
+    rewrote every follower file every round."""
+
+    def test_shipped_bytes_stay_near_the_wal_size(self, tmp_path,
+                                                  monkeypatch):
+        timeline = VirtualClock()
+        primary = PrimaryNode("alpha", str(tmp_path / "alpha"),
+                              _database(), timeline=timeline)
+        channel = _CountingChannel()
+        follower = FollowerNode("bravo", str(tmp_path / "bravo"),
+                                _database(), timeline=timeline,
+                                channel=channel)
+        writes = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "w" in mode or "+" in mode:
+                writes.append(os.path.basename(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(replication, "open", recording_open,
+                            raising=False)
+        for row in range(1, 2001):
+            primary.execute("INSERT INTO t VALUES (?, ?)", [row, "v"])
+            if row % 500 == 0:
+                primary.rotate()
+            if row % 20 == 0:
+                follower.catch_up(primary)
+        wal_bytes = sum(
+            os.path.getsize(os.path.join(primary.directory, name))
+            for name in os.listdir(primary.directory))
+        assert follower.applied_total() == 2000
+        assert databases_equal(follower.database, primary.database)
+        assert channel.delivered <= 1.1 * wal_bytes
+        # Once verified, a sealed local file is never written again.
+        sealed = [name for name in writes if name != "wal.jsonl"]
+        assert sorted(sealed) == [f"wal.jsonl.{generation:06d}"
+                                  for generation in range(4)]
+        assert sealed_digests(follower.wal_path) == \
+            sealed_digests(primary.wal_path)
 
 
 class TestShipmentIntegrity:
@@ -405,6 +527,9 @@ class TestShipmentIntegrity:
 
 
 class TestAntiEntropy:
+    """Anti-entropy is the catch-up round itself: a rotted or diverged
+    sealed copy is shipped whole, quarantined and replaced there."""
+
     def _rot(self, path):
         with open(path) as handle:
             payload = handle.read()
@@ -422,8 +547,10 @@ class TestAntiEntropy:
 
     def test_clean_round_reports_no_divergence(self, cluster):
         group = self._shipped_cluster(cluster)
-        report = group.followers[0].anti_entropy(group.primary)
-        assert report.clean and report.checked == 1
+        follower = group.followers[0]
+        follower.catch_up(group.primary)
+        report = follower.last_round
+        assert report.clean and "no divergence" in report.summary()
         assert report.quarantined == [] and report.repaired == []
 
     def test_rotted_segment_quarantined_and_refetched(self, cluster):
@@ -432,8 +559,10 @@ class TestAntiEntropy:
         sealed = follower.wal_path + ".000000"
         self._rot(sealed)
         assert follower.verify_ledger()[0].kind == "bit_rot"
-        report = follower.anti_entropy(group.primary)
-        assert report.mismatched == [0] and report.repaired == [0]
+        follower.catch_up(group.primary)
+        report = follower.last_round
+        assert report.repaired == [0]
+        assert report.quarantined == [sealed + ".quarantined"]
         assert os.path.exists(sealed + ".quarantined")
         assert follower.verify_ledger() == []
         # Byte-identical convergence, and the ledger deduped the
@@ -442,13 +571,35 @@ class TestAntiEntropy:
             sealed_digests(group.primary.wal_path)
         assert follower.applied_total() == 6
 
+    def test_diverged_segment_is_quarantined_and_replaced(
+            self, cluster, tmp_path):
+        group = self._shipped_cluster(cluster)
+        follower = group.followers[0]
+        # Another history of generation 0 takes the primary's place.
+        other = PrimaryNode("delta", str(tmp_path / "delta"), _database(),
+                            timeline=VirtualClock())
+        for index in range(6):
+            other.execute("INSERT INTO t VALUES (?, ?)", [index, "w"])
+        sealed = other.rotate()
+        os.replace(sealed, group.primary.wal_path + ".000000")
+        follower.catch_up(group.primary)
+        report = follower.last_round
+        assert report.repaired == [0] and not report.clean
+        assert os.path.exists(follower.wal_path + ".000000.quarantined")
+        assert sealed_digests(follower.wal_path) == \
+            sealed_digests(group.primary.wal_path)
+        assert follower.applied_total() == 6       # the ledger dedupes
+
     def test_missing_segment_left_for_catch_up(self, cluster):
         group = self._shipped_cluster(cluster)
         follower = group.followers[0]
         os.remove(follower.wal_path + ".000000")
-        report = follower.anti_entropy(group.primary)
-        assert report.clean                # absence is lag, not rot
-        assert not os.path.exists(follower.wal_path + ".000000")
+        follower.catch_up(group.primary)
+        assert follower.last_round.clean   # absence is lag, not rot
+        # The round ships what is missing whole; the ledger dedupes.
+        assert sealed_digests(follower.wal_path) == \
+            sealed_digests(group.primary.wal_path)
+        assert follower.applied_total() == 6
 
     def test_promote_refuses_corrupt_ledger(self, cluster):
         group = self._shipped_cluster(cluster)
@@ -533,13 +684,13 @@ class TestInvalidUtf8Regression:
         # The healthy active segment still ships.
         assert [s.sealed for s in shipments] == [False]
 
-    def test_fetch_segment_classifies_bit_rot(self, rotted):
+    def test_ship_classifies_bit_rot(self, rotted):
         group, __ = rotted
         with pytest.raises(StorageError) as caught:
-            group.primary.fetch_segment(0)
+            group.primary.ship()
         assert caught.value.kind == "bit_rot"
 
-    def test_anti_entropy_survives_a_rotted_local_segment(self, cluster):
+    def test_catch_up_repairs_a_rotted_local_segment(self, cluster):
         group, __ = cluster
         for index in range(4):
             group.primary.execute("INSERT INTO t VALUES (?, ?)",
@@ -548,8 +699,9 @@ class TestInvalidUtf8Regression:
         group.sync()
         follower = group.followers[0]
         self._rot_bytes(follower.wal_path + ".000000")
-        report = follower.anti_entropy(group.primary)
-        assert report.mismatched == [0] and report.repaired == [0]
+        assert follower.verify_ledger()[0].kind == "bit_rot"
+        follower.catch_up(group.primary)
+        assert follower.last_round.repaired == [0]
         assert follower.verify_ledger() == []
 
     def test_promotion_salvage_steps_over_rotted_dead_disk(self, cluster):
@@ -610,7 +762,8 @@ class TestLocalOnlySegmentsRegression:
             payload = src.read()
         with open(stray, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        report = follower.anti_entropy(group.primary)
+        follower.catch_up(group.primary)
+        report = follower.last_round
         assert report.local_only == [7]
         assert not report.clean
         assert "local-only" in report.summary()

@@ -92,7 +92,7 @@ def repository_decisions(seed):
 
 
 class _Primary:
-    def ship(self):
+    def ship(self, request=None):
         return [0, 1, 2, 3, 4]
 
 
