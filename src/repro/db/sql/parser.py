@@ -287,9 +287,9 @@ class Parser:
         having: ast.Expression | None = None
         if self._accept(KEYWORD, "GROUP"):
             self._expect(KEYWORD, "BY")
-            group_by.append(self._expression())
+            group_by.append(self._term())
             while self._accept(OPERATOR, ","):
-                group_by.append(self._expression())
+                group_by.append(self._term())
             if self._accept(KEYWORD, "HAVING"):
                 having = self._expression()
 
@@ -332,8 +332,17 @@ class Parser:
             alias = self._advance().text
         return ast.TableRef(name, alias)
 
+    def _term(self) -> ast.Expression:
+        """A GROUP BY or ORDER BY item: ``-n`` is an ordinal, as in SQLite."""
+        term = self._expression()
+        if (isinstance(term, ast.Unary) and term.operator == "-"
+                and isinstance(term.operand, ast.Literal)
+                and type(term.operand.value) is int):
+            return ast.Literal(-term.operand.value)
+        return term
+
     def _order_item(self) -> ast.OrderItem:
-        expression = self._expression()
+        expression = self._term()
         ascending = True
         if self._accept(KEYWORD, "DESC"):
             ascending = False

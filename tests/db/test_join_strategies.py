@@ -16,10 +16,15 @@ each held to its law.
   nested loop does, whichever way the pairs are found.
 - **Top-n ≡ sort + limit.**  ``ORDER BY … LIMIT n`` keeps *n* rows; the
   rows and their tie order are those of the full sort, cut.
+- **A sorted LIMIT over a join ≡ the sort above it.**  Ordered by columns
+  of the FROM table alone, over equi-joins that cannot raise, the sort
+  moves under the joins; the rows, their tie order and the errors stay
+  those of the sort above them.
 - **Narrowing.**  A plan answers alike whether its scans read the
   columns it names or whole rows.
 """
 
+import itertools
 import random
 import sqlite3
 
@@ -62,6 +67,24 @@ STATEMENTS = (
     "WHERE a.v IS NOT NULL",
     "SELECT a.id, b.id, c.id FROM a {join} b ON a.k = b.{key} "
     "{join} b AS c ON b.w = c.{key}",
+)
+
+#: ORDER BY … LIMIT over them, and whether the sort moves under the joins:
+#: duplicate and NULL keys (``a.v``, ``a.k``), ASC and DESC, a WHERE on the
+#: FROM table, the chain, an alias key — and, kept above, a residual, a
+#: right-side key and a WHERE conjunct left above the join.
+SORTED_STATEMENTS = (
+    (STATEMENTS[0] + " ORDER BY a.v LIMIT 5", True),
+    (STATEMENTS[0] + " ORDER BY a.v DESC, s LIMIT 7 OFFSET 3", True),
+    (STATEMENTS[3] + " ORDER BY a.k DESC LIMIT 4 OFFSET 20", True),
+    (STATEMENTS[4] + " ORDER BY a.s, a.v DESC LIMIT 9", True),
+    ("SELECT a.v AS x, b.id FROM a {join} b ON a.k = b.{key} "
+     "ORDER BY x DESC LIMIT 6", True),
+    (STATEMENTS[1] + " ORDER BY a.v LIMIT 5", False),
+    (STATEMENTS[0] + " ORDER BY b.w LIMIT 5", False),
+    (STATEMENTS[0] + " ORDER BY a.v, b.id DESC LIMIT 5 OFFSET 2", False),
+    ("SELECT a.id, b.id FROM a {join} b ON a.k = b.{key} "
+     "WHERE a.v < b.w OR b.w IS NULL ORDER BY a.v LIMIT 5", False),
 )
 
 
@@ -124,6 +147,25 @@ def _label_matches(expected, plan):
     return any(head in line and tail in line for line in plan.splitlines())
 
 
+def _sort_moved(plan):
+    """Does the plan sort under its first join?  (``None``: no Sort.)"""
+    lines = [line.strip() for line in plan.splitlines()]
+    sort = next((at for at, line in enumerate(lines)
+                 if line.startswith("Sort(")), None)
+    join = next(at for at, line in enumerate(lines) if "Join[" in line)
+    return None if sort is None else sort > join
+
+
+def _tie_broken(sql):
+    """*sql* for SQLite, ties broken in the order every strategy keeps:
+    left row order, then a left row's matches in right row order."""
+    if "ORDER BY" not in sql:
+        return sql
+    head, _, tail = sql.partition(" LIMIT")
+    ids = ", a.id, b.id" + (", c.id" if " c ON" in sql else "")
+    return head + ids + " LIMIT" + tail
+
+
 @pytest.mark.parametrize("emptied", [False, True], ids=["filled", "empty b"])
 @pytest.mark.parametrize("name", RIGHT_KEYS)
 def test_every_strategy_answers_like_the_nested_loop_and_sqlite(name,
@@ -140,13 +182,21 @@ def test_every_strategy_answers_like_the_nested_loop_and_sqlite(name,
                        "memory_budget": _quarter_budget(writes)}]
     for config in configurations:
         database = _engine(writes, index, **config)
-        for template in STATEMENTS:
+        for template, moves in ([(template, None) for template in STATEMENTS]
+                                + list(SORTED_STATEMENTS)):
             for join in ("JOIN", "LEFT JOIN"):
                 sql = template.format(join=join, key=key)
                 kind = "left" if "LEFT" in join else "inner"
                 assert "NestedLoopJoin" in naive.explain(sql)
+                assert _sort_moved(naive.explain(sql)) is (
+                    None if moves is None else False)
+                plan = database.explain(sql)
                 assert _label_matches(label.format(kind=kind),
-                                      database.explain(sql)), (sql, config)
+                                      plan), (sql, config)
+                assert _sort_moved(plan) is moves, (sql, config)
+                if moves:
+                    # Only a LEFT join promises a row per left row.
+                    assert ("; top " in plan) is (kind == "left"), plan
                 registry = enable_metrics()
                 try:
                     rows = database.query(sql).rows
@@ -154,11 +204,13 @@ def test_every_strategy_answers_like_the_nested_loop_and_sqlite(name,
                 finally:
                     disable_metrics()
                 assert rows == naive.query(sql).rows, (sql, config)
-                assert _multiset(rows) == _multiset(
-                    oracle.execute(sql).fetchall()), (sql, config)
-                if "memory_budget" in config and not emptied:
+                assert _multiset(rows) == _multiset(oracle.execute(
+                    _tie_broken(sql)).fetchall()), (sql, config)
+                if "memory_budget" in config and not (emptied or moves
+                                                      is not None):
                     # 19 right rows are past both budgets' share: a hash
-                    # build spills them, an index join has nothing to.
+                    # build spills them, an index join has nothing to (a
+                    # sort of its own may).
                     assert (runs > 0) is (name == "unindexed"), (sql, config)
 
 
@@ -209,11 +261,16 @@ def test_a_stranger_key_raises_or_matches_what_the_nested_loop_does(
     optimized = _strangers(True, index, layout)
     naive = _strangers(False, index, layout)
     for condition in STRANGER_CONDITIONS:
-        for join in ("JOIN", "LEFT JOIN"):
+        for join, order in itertools.product(
+                ("JOIN", "LEFT JOIN"), ("", " ORDER BY a.id DESC LIMIT 2")):
             sql = (f"SELECT a.id, b.id FROM a {join} b "
-                   f"ON {condition.format(key=key)}")
+                   f"ON {condition.format(key=key)}{order}")
             assert strategy in optimized.explain(sql), sql
             assert "NestedLoopJoin" in naive.explain(sql), sql
+            # Only keys declared with one type let the sort move: a
+            # stranger (``TRUE = 1``) is refused where the loop refuses it.
+            assert _sort_moved(optimized.explain(sql)) is (
+                (condition == "a.id = b.{key}") if order else None), sql
             assert _outcome(optimized, sql) == _outcome(naive, sql), sql
 
 
@@ -285,6 +342,30 @@ def test_a_failing_pair_is_met_where_one_row_at_a_time_meets_it(join):
             with pytest.raises(DatabaseError,
                                match="function 'fussy' failed: unlucky"):
                 engine.query(f"{sql} LIMIT 11")
+
+
+@pytest.mark.parametrize("join", ["JOIN", "LEFT JOIN"])
+def test_a_sorted_limit_raises_where_the_sort_above_the_join_does(join):
+    # Sorted first, a-row 19 (k = 4) would deliver two rows before any
+    # pair meets b.w = 13; the sort above the join meets it first, so a
+    # failing residual keeps the sort there.
+    sql = (f"SELECT a.id, b.id FROM a {join} b "
+           f"ON a.k = b.k AND fussy(b.w) < 12 ORDER BY a.id DESC LIMIT 2")
+    # A failing projection is evaluated per row consumed, either way.
+    projected = (f"SELECT a.id, fussy(b.w) FROM a {join} b ON a.k = b.k "
+                 f"ORDER BY a.k DESC, a.id LIMIT {{}}")
+    naive = _fussy_pair(False, None)
+    for index in (None, "hash", "btree"):
+        database = _fussy_pair(True, index)
+        assert _sort_moved(database.explain(sql)) is False
+        for engine in (database, naive):
+            with pytest.raises(DatabaseError,
+                               match="function 'fussy' failed: unlucky"):
+                engine.query(sql)
+        assert _sort_moved(database.explain(projected.format(1)))
+        for limit in range(1, 16):
+            assert _outcome(database, projected.format(limit)) == _outcome(
+                naive, projected.format(limit)), limit
 
 
 # -- top-n ≡ sort + limit -----------------------------------------------------

@@ -219,11 +219,13 @@ class TestExplain:
                     + line.rsplit("  ", 1)[1]
                     for line in db.explain(sql).splitlines()]
 
+        # The sort of the FROM table's rows moves under the join, whose
+        # estimate the LIMIT caps.
         assert shape("SELECT t.v, u.w FROM t JOIN u ON t.k = u.id "
                      "ORDER BY t.v LIMIT 7 OFFSET 2") == [
-            "Limit (~7 rows)", "Project (~9 rows)", "Sort (~9 rows)",
-            "IndexJoin[inner] (~100 rows)", "SeqScan (~100 rows)",
-            "SeqScan (~40 rows)"]
+            "Limit (~7 rows)", "Project (~100 rows)",
+            "IndexJoin[inner] (~100 rows)", "Sort (~100 rows)",
+            "SeqScan (~100 rows)", "SeqScan (~40 rows)"]
         assert shape("SELECT v FROM t ORDER BY k") == [
             "Project (~100 rows)", "Sort (~100 rows)", "SeqScan (~100 rows)"]
         # An unbounded sort passes its input's estimate on; a LIMIT past
@@ -342,15 +344,34 @@ class TestExplainAnalyze:
 
     def test_seq_scan_filter_project(self, db):
         actual = self._actuals(db, "SELECT id FROM t WHERE k = ?", (3,))
-        # A row source's batches start at one row and double: 1+2+…+37.
-        assert actual["SeqScan"] == (100, 7)
-        assert actual["Filter"] == (10, 5)      # empty batches are not sent
-        assert actual["Project"] == (10, 5)
+        # Nothing above can stop the scan early: it reads MAX_BATCH_ROWS
+        # rows from its first batch.
+        assert actual["SeqScan"] == (100, 1)
+        assert actual["Filter"] == (10, 1)
+        assert actual["Project"] == (10, 1)
 
     def test_limit_stops_its_inputs(self, db):
         actual = self._actuals(db, "SELECT id FROM t LIMIT 5")
         assert actual["Limit"] == (5, 3)
         assert actual["SeqScan"] == (7, 3)      # 1 + 2 + 4 rows, no more
+
+    def test_a_scan_nothing_can_stop_reads_one_batch(self, db):
+        # Under a Sort (bounded or not), under an Aggregate and at the
+        # root, the scan is drained: no batch starts at one row.
+        for sql in ("SELECT v FROM t ORDER BY k",
+                    "SELECT v FROM t ORDER BY k LIMIT 3",
+                    "SELECT k, count(*) FROM t GROUP BY k",
+                    "SELECT count(*) FROM t WHERE k > 2 LIMIT 1",
+                    "SELECT v FROM t"):
+            assert self._actuals(db, sql)["SeqScan"] == (100, 1), sql
+
+    def test_an_exists_sub_select_still_stops_after_one_row(self, joined):
+        sql = "SELECT id FROM t WHERE id = 5 AND EXISTS (SELECT id FROM u)"
+        assert joined.query(sql).rows == [(5,)]
+        (subplan,) = joined._prepare(sql).subplans.values()
+        (scan,) = [node for node in subplan.walk()
+                   if type(node).__name__ == "SeqScan"]
+        assert (scan.rows_out, scan.batches_out) == (1, 1)
 
     def test_index_equal_scan(self, db):
         actual = self._actuals(db, "SELECT v FROM t WHERE id = 42")

@@ -215,12 +215,14 @@ class TestExplain:
         ).splitlines()
         assert sql.startswith("SELECT g.accession AS accession")
         assert parameters == "[]"
+        # The genes are sorted, not the join: it probes only the genes
+        # the LIMIT consumes.
         assert [line.split("(")[0].strip() for line in plan] == [
-            "Limit", "Project", "Sort", "IndexJoin[inner]", "SeqScan",
+            "Limit", "Project", "IndexJoin[inner]", "Sort", "SeqScan",
             "SeqScan"]
-        assert "Sort(g.accession DESC; top 20)" in plan[2]
         assert ("IndexJoin[inner](g.accession = p.accession "
-                "USING $public_proteins_accession_key)") in plan[3]
+                "USING $public_proteins_accession_key)") in plan[2]
+        assert "Sort(g.accession DESC)" in plan[3]
         assert "(public_genes AS g; columns accession, name, length)" \
             in plan[4]
         assert "(public_proteins AS p; columns accession, length)" in plan[5]
