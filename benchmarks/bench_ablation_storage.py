@@ -45,10 +45,14 @@ legacy row-list layout on identical data:
   aggregate (resident)** beside it reports what a repeated scan pays;
 - **sort** — a full-table ORDER BY at memory budgets of none, 1× and
   ¼× the table's encoded size; the ¼× run *must* spill to disk runs
-  and still return bit-identical rows (reported with spill counters).
+  and still return bit-identical rows (reported with spill counters),
+  its pages plus the rows it holds within the budget.
   Gated since PR 20, when a run became column blocks in the page codec
   merged block-wise: the ¼× sort has a per-row budget
-  (:data:`A15_GATE_MAX_SORT_US_PER_ROW`).
+  (:data:`A15_GATE_MAX_SORT_US_PER_ROW`).  Beside each budget, reported
+  and not gated, the Python heap's peak over one pass (``tracemalloc``):
+  the budget counts encoded pages and held rows, not the decoded forms
+  a resident page keeps, and this row shows what those cost.
 
 Timings are ``time.perf_counter`` min-of-repeats, modes interleaved
 within each repeat (the A13 discipline) so slow phases of the box hit
@@ -62,6 +66,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -264,6 +269,9 @@ A15_GATE_MAX_KERNEL_US_PER_ROW = 2.2
 #: ``--quick``); column blocks merged block-wise read 3.2 and 2.3.  The
 #: merge re-orders one block per run each round, so its share grows with
 #: the number of runs: the budget is set on the full run's figure.
+#: Since the sort charges its rows to the page cache beside the pages
+#: (no 1024-row cap), the same sort writes one run in both modes (20 and
+#: 8 before) and reads 2.05 (full) and 1.80 (``--quick``).
 A15_GATE_MAX_SORT_US_PER_ROW = 6.0
 
 A15_SCAN_SQL = "SELECT id FROM reads WHERE k BETWEEN ? AND ?"
@@ -358,7 +366,10 @@ class TestA15Shape:
             assert column_db.execute(sql).rows == row_db.execute(sql).rows
 
     def test_quarter_budget_sort_spills_and_matches(self):
-        row_db, column_db, rows = self._pair()
+        # Four row groups, so that a quarter of the data holds the largest
+        # page (a page alone larger than the budget is the one exception).
+        rows = _a15_rows(4 * A15_PAGE_ROWS)
+        row_db, column_db = _a15_db("row", rows), _a15_db("column", rows)
         budget = max(1, _a15_data_bytes(column_db) // 4)
         budgeted = _a15_db("column", rows, memory_budget=budget)
         expected = row_db.execute(A15_SORT_SQL).rows
@@ -370,6 +381,8 @@ class TestA15Shape:
             disable_metrics()
         assert got == expected
         assert spilled > 0
+        # One bound: resident pages plus the rows the sort held.
+        assert budgeted.columnar.cache.peak_resident_bytes <= budget
 
     def test_zone_maps_actually_engage(self):
         __, column_db, ___ = self._pair()
@@ -438,8 +451,9 @@ def report_a15(row_count=A15_ROWS, repeats=A15_REPEATS) -> dict:
     payload["scan"].update({"matches": matches, "gated": True, **skips})
 
     print(f"\nsort under budget ({A15_SORT_SQL!r}):")
-    print(f"{'budget':<22} {'s':>9} {'spill runs':>11} {'spill bytes':>12}")
-    print("-" * 58)
+    print(f"{'budget':<22} {'budget B':>10} {'s':>9} {'spill runs':>11} "
+          f"{'spill bytes':>12} {'heap peak B':>12}")
+    print("-" * 81)
     budgets = (("row (unbounded)", row_db, None),
                ("columnar unbudgeted", column_db, None),
                ("columnar 1x data", None, data_bytes),
@@ -458,11 +472,18 @@ def report_a15(row_count=A15_ROWS, repeats=A15_REPEATS) -> dict:
                                "executor_spill_bytes")
         finally:
             disable_metrics()
+        tracemalloc.start()  # one more pass, reported, not gated
+        try:
+            db.execute(A15_SORT_SQL)
+            heap_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         payload["sort"][label.replace(" ", "_").replace("/", "")] = {
-            "seconds": best, "memory_budget": budget, **spills}
-        print(f"{label:<22} {best:>9.4f} "
+            "seconds": best, "memory_budget": budget,
+            "heap_peak_bytes": heap_peak, **spills}
+        print(f"{label:<22} {budget or '-':>10} {best:>9.4f} "
               f"{spills['executor_spill_runs']:>11} "
-              f"{spills['executor_spill_bytes']:>12,}")
+              f"{spills['executor_spill_bytes']:>12,} {heap_peak:>12,}")
 
     payload["gate_speedup"] = payload["scan"]["speedup"]
     payload["gate_min_speedup"] = A15_GATE_MIN_SPEEDUP

@@ -2,16 +2,16 @@
 
 This package is the storage half of ROADMAP item 2: GLU-style
 compressed column pages (generalizing the 2-bit ``PackedSequence``
-packing to every SQL type), a byte-budgeted LRU page cache that spills
-cold pages to disk, spillable runs for the streaming executor (column
-blocks in the page codec; row-framed only where a join reads by
-ordinal), and genomic UDF page kernels that evaluate whole pages
-without row-by-row decode.
+packing to every SQL type), a byte-budgeted, scan-resistant page
+cache that spills cold pages to disk, spillable runs for the streaming
+executor (column blocks in the page codec; row-framed only where a join
+reads by ordinal), and genomic UDF page kernels that evaluate whole
+pages without row-by-row decode.
 
 One :class:`ColumnarRuntime` per :class:`~repro.db.database.Database`
 owns the shared pieces — the page cache, the spill policy, and the
-value codec — so a single ``memory_budget`` governs both resident pages
-and operator spill thresholds.
+value codec — and one ``memory_budget``, read by the cache alone, bounds
+resident pages plus what operators hold, as one count.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ColumnarRuntime:
     """Per-database hub: page cache + spill policy + value codec.
 
     ``memory_budget`` (bytes) bounds the encoded pages held in memory
-    *and* sets the spill threshold of the streaming operators;
+    plus the bytes the streaming operators charge for what they hold;
     ``None`` means unbounded (nothing ever spills).  ``page_rows`` is
     the row-group height — the number of rows sealed into each set of
     column pages.
@@ -64,11 +64,10 @@ class ColumnarRuntime:
 
     def __init__(self, catalog, memory_budget: "int | None" = None,
                  page_rows: int = PAGE_ROWS) -> None:
-        self.memory_budget = memory_budget
         self.page_rows = page_rows
         self.codec = ValueCodec(catalog)
         self.cache = PageCache(memory_budget)
-        self.spill = SpillManager(self.codec, memory_budget, page_rows)
+        self.spill = SpillManager(self.codec, self.cache, page_rows)
 
     def column_store(self, schema) -> ColumnStore:
         return ColumnStore(schema, self)

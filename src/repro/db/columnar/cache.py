@@ -1,20 +1,21 @@
-"""LRU page cache with an explicit memory budget and disk spill.
+"""Page cache: the one reader of ``memory_budget``, with disk spill.
 
-The cache is the single arbiter of "what is resident": every sealed
-column page is admitted here, and once the configured ``memory_budget``
-(bytes of encoded page payloads) is exceeded, the least-recently-used
-pages are written to a spill file on disk and dropped from memory.  A
-later access faults the page back in (re-admitting it may evict other
-pages in turn).  With ``budget_bytes=None`` nothing ever spills — the
-cache degrades to a plain dict, which is the row-layout-compatible
-default.
+Every sealed column page is admitted here.  The budget bounds resident
+encoded pages plus what the streaming operators hold, which they
+:meth:`~PageCache.charge` (refused if it leaves no room for the largest
+page: the two stay within the budget unless one page alone exceeds it)
+and :meth:`~PageCache.release`.  Room is made at the cold end: a page
+is written to a spill file and dropped until an access faults it back
+in — cold for a scan, so a table larger than the budget cannot flush
+the rest; hot otherwise (LRU).  With ``budget_bytes=None`` nothing ever
+spills — the cache is a plain dict, the row-layout-compatible default.
 
 Spill files are plain per-page temporary files that outlive eviction:
 once a page has been written, re-evicting it after a fault is free
 (the bytes on disk are immutable — page updates allocate a fresh page
 id).  Beside a resident page's bytes the cache keeps its decoded
 **forms** (:meth:`PageCache.get`), which die with its residency; the
-budget counts encoded bytes only.  Observable via the metrics registry:
+budget does not count them.  Observable via the metrics registry:
 
 - ``columnar_pages_evicted`` / ``columnar_page_faults`` /
   ``columnar_spill_bytes`` counters,
@@ -23,6 +24,7 @@ budget counts encoded bytes only.  Observable via the metrics registry:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -33,62 +35,54 @@ from repro.obs.metrics import count, gauge
 
 
 class PageCache:
-    """Byte-budgeted LRU over encoded column pages."""
+    """Byte-budgeted, scan-resistant LRU over encoded column pages."""
 
     def __init__(self, budget_bytes: "int | None" = None) -> None:
         self.budget_bytes = budget_bytes
         self._resident: "OrderedDict[int, bytes]" = OrderedDict()
         self._spilled: dict[int, str] = {}
         self._forms: dict[int, dict] = {}  # resident page id -> its forms
-        self._resident_bytes = 0
-        self._peak_bytes = 0
+        self.resident_bytes = self.peak_resident_bytes = 0  # with charges
+        self._charged = self._largest = 0  # operators' bytes; largest page
         self._spill_dir: "tempfile.TemporaryDirectory | None" = None
         self._next_id = 0
         self._lock = threading.RLock()
         # lifetime totals, mirrored into the metrics registry
         self.pages_evicted = 0
         self.page_faults = 0
-        self.spilled_bytes = 0
 
     # -- bookkeeping --------------------------------------------------------
 
     def _publish(self) -> None:
-        if self._resident_bytes > self._peak_bytes:
-            self._peak_bytes = self._resident_bytes
-        gauge("columnar", "resident_bytes", self._resident_bytes)
-        gauge("columnar", "resident_peak", self._peak_bytes)
+        self.peak_resident_bytes = max(self.peak_resident_bytes,
+                                       self.resident_bytes)
+        gauge("columnar", "resident_bytes", self.resident_bytes)
+        gauge("columnar", "resident_peak", self.peak_resident_bytes)
 
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident_bytes
-
-    @property
-    def peak_resident_bytes(self) -> int:
-        return self._peak_bytes
-
-    def _spill_path(self, page_id: int) -> str:
-        if self._spill_dir is None:
-            self._spill_dir = tempfile.TemporaryDirectory(
-                prefix="repro-pages-")
-        return os.path.join(self._spill_dir.name, f"{page_id}.page")
-
-    def _evict_to_budget(self) -> None:
-        if self.budget_bytes is None:
-            return
-        while (self._resident_bytes > self.budget_bytes
-               and len(self._resident) > 1):
+    def _make_room(self, size: int) -> None:
+        while (self.budget_bytes is not None and self._resident
+               and self.resident_bytes + size > self.budget_bytes):
             page_id, data = self._resident.popitem(last=False)
-            self._resident_bytes -= len(data)
+            self.resident_bytes -= len(data)
             self._forms.pop(page_id, None)
             if page_id not in self._spilled:
-                path = self._spill_path(page_id)
+                if self._spill_dir is None:
+                    self._spill_dir = tempfile.TemporaryDirectory(
+                        prefix="repro-pages-")
+                path = os.path.join(self._spill_dir.name, f"{page_id}.page")
                 with open(path, "wb") as handle:
                     handle.write(data)
                 self._spilled[page_id] = path
-                self.spilled_bytes += len(data)
                 count("columnar", "spill_bytes", len(data))
             self.pages_evicted += 1
             count("columnar", "pages_evicted")
+
+    def _admit(self, page_id: int, data: bytes, cold: bool = False) -> None:
+        self._make_room(len(data))
+        self._resident[page_id] = data
+        self._resident.move_to_end(page_id, last=not cold)
+        self.resident_bytes += len(data)
+        self._publish()
 
     # -- public API ---------------------------------------------------------
 
@@ -97,35 +91,43 @@ class PageCache:
         with self._lock:
             page_id = self._next_id
             self._next_id += 1
-            self._resident[page_id] = data
-            self._resident_bytes += len(data)
-            self._evict_to_budget()
-            self._publish()
+            self._largest = max(self._largest, len(data))
+            self._admit(page_id, data)
             return page_id
 
-    def get(self, page_id: int) -> "tuple[bytes, dict]":
-        """The encoded bytes of *page_id*, faulting from disk if cold, and
-        the forms kept beside them, for the caller to read and fill."""
+    def get(self, page_id: int, scan=False) -> "tuple[bytes, dict]":
+        """The encoded bytes of *page_id*, faulting from disk if cold (cold
+        for a *scan*), and its forms, for the caller to read and fill."""
         with self._lock:
             data = self._resident.get(page_id)
             if data is not None:
                 self._resident.move_to_end(page_id)
-                return data, self._forms.setdefault(page_id, {})
-            path = self._spilled.get(page_id)
-            if path is None:
-                raise StorageError(
-                    f"column page {page_id} is unknown to the cache",
-                    kind="malformed",
-                )
-            with open(path, "rb") as handle:
-                data = handle.read()
-            self.page_faults += 1
-            count("columnar", "page_faults")
-            self._resident[page_id] = data
-            self._resident_bytes += len(data)
-            self._evict_to_budget()  # never the page just faulted in
-            self._publish()
+            elif page_id in self._spilled:
+                with open(self._spilled[page_id], "rb") as handle:
+                    data = handle.read()
+                self.page_faults += 1
+                count("columnar", "page_faults")
+                self._admit(page_id, data, cold=scan)
+            else:
+                raise StorageError(f"column page {page_id} is unknown to "
+                                   f"the cache", kind="malformed")
             return data, self._forms.setdefault(page_id, {})
+
+    def charge(self, size: int) -> bool:
+        """Count *size* bytes an operator holds, evicting pages for them,
+        unless that would leave no room for the largest page."""
+        with self._lock:
+            if self._charged + size + self._largest > self.budget_bytes:
+                return False
+            self._make_room(size)
+            self.release(-size)
+            return True
+
+    def release(self, size: int) -> None:
+        with self._lock:
+            self._charged -= size
+            self.resident_bytes -= size
+            self._publish()
 
     def drop(self, page_id: int) -> None:
         """Forget a page (its slot was rewritten under a new id)."""
@@ -133,13 +135,10 @@ class PageCache:
             self._forms.pop(page_id, None)
             data = self._resident.pop(page_id, None)
             if data is not None:
-                self._resident_bytes -= len(data)
-            path = self._spilled.pop(page_id, None)
-            if path is not None:
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+                self.resident_bytes -= len(data)
+            if page_id in self._spilled:
+                with contextlib.suppress(OSError):
+                    os.unlink(self._spilled.pop(page_id))
             self._publish()
 
     def close(self) -> None:
@@ -147,7 +146,7 @@ class PageCache:
             self._resident.clear()
             self._forms.clear()
             self._spilled.clear()
-            self._resident_bytes = 0
+            self.resident_bytes = self._charged = 0
             if self._spill_dir is not None:
                 self._spill_dir.cleanup()
                 self._spill_dir = None

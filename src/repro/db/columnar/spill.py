@@ -2,8 +2,8 @@
 
 Every pipeline-breaking operator (ORDER BY, GROUP BY, the join build
 sides) used to call ``list(child.execute(...))`` — unbounded
-materialization.  The runs here are the budgeted replacement, sized by
-the operator's share of the engine's ``memory_budget``.
+materialization.  The runs here are the budgeted replacement: an
+operator spills when the page cache refuses to charge (:func:`footprint`).
 
 Two shapes:
 
@@ -16,7 +16,7 @@ Two shapes:
   (``bit_rot`` / ``malformed``) naming run and block.
 - :class:`IndexedRun` — offset-addressed random access (a join's
   build rows, referenced by ordinal from the hash buckets or walked in
-  order by the nested loop), in memory up to the budget share.  It
+  order by the nested loop), in memory while the cache grants it.  It
   alone keeps **row framing** — one :class:`ValueCodec` line per row,
   the ``$bytes`` / ``$udt`` tagging the WAL uses — because the join
   fetches single rows, which a column block cannot serve without
@@ -33,14 +33,22 @@ import json
 import tempfile
 from typing import Any, Iterator, Sequence
 
+from repro.core.types.sequence import PackedSequence
 from repro.db.columnar.pages import PAGE_ROWS, decode_page, encode_page
 from repro.db.values import NULL
 from repro.errors import StorageError
 from repro.obs.metrics import count
 
-#: In-memory rows an operator may hold before spilling when the engine
-#: has a finite budget but the estimated per-row size is still unknown.
-DEFAULT_RUN_ROWS = 1024
+_SIZED = (str, bytes, bytearray, PackedSequence)
+
+
+def footprint(columns: Sequence[Sequence[Any]]) -> int:
+    """Bytes held as *columns*: 8 a cell (the page codec's fixed width),
+    plus the ``len()`` of each str, bytes or sequence cell."""
+    return sum(8 * len(column) + (
+        sum(len(cell) for cell in column if isinstance(cell, _SIZED))
+        if any(issubclass(kind, _SIZED) for kind in set(map(type, column)))
+        else 0) for column in columns)
 
 
 class ValueCodec:
@@ -86,29 +94,23 @@ class ValueCodec:
 
 
 class SpillManager:
-    """Hands operators their spill policy: budget, codec, block height."""
+    """Spill policy: cache to charge (None: unbounded), codec, block height."""
 
-    def __init__(self, codec: ValueCodec, budget_bytes: "int | None" = None,
+    def __init__(self, codec: ValueCodec, cache=None,
                  block_rows: int = PAGE_ROWS) -> None:
         self.codec = codec
-        self.budget_bytes = budget_bytes
+        self.cache = (cache if cache and cache.budget_bytes is not None
+                      else None)
         self.block_rows = block_rows
         self._names = itertools.count(1)
 
-    def run_capacity(self) -> "int | None":
-        """Rows an operator may buffer before spilling (None = no cap)."""
-        if self.budget_bytes is None:
-            return None
-        return max(1, min(DEFAULT_RUN_ROWS, self.budget_bytes // 64))
-
     def indexed_run(self) -> "IndexedRun":
-        return IndexedRun(self.codec, self.run_capacity())
+        return IndexedRun(self.codec, self.cache)
 
     def disk_run(self) -> "BlockRun":
-        """A write-through run: rows destined for disk regardless of
-        budget share (sorted external-merge runs, aggregate spill
-        partitions — their contents were already counted against the
-        operator's in-memory allowance)."""
+        """A write-through run: rows destined for disk (sorted external-
+        merge runs, aggregate spill partitions — what the operator could
+        not hold)."""
         return BlockRun(self.codec, self.block_rows,
                         f"spill run {next(self._names)}")
 
@@ -200,24 +202,19 @@ class BlockRun:
 
 class IndexedRun:
     """Rows addressable by ordinal, one codec line each (row framing:
-    the join fetches single rows); cold rows are read back by offset."""
+    the join fetches single rows); cold rows are read back by offset.
+    Held while *cache* (None: no bound) grants them, then all on disk."""
 
-    def __init__(self, codec: ValueCodec,
-                 capacity: "int | None" = None) -> None:
+    def __init__(self, codec: ValueCodec, cache=None) -> None:
         self._codec = codec
-        self._capacity = capacity
+        self._cache = cache
         self._rows: "list[tuple] | None" = []
         self._file = None
         self._offsets: "list[int]" = []
-        self._tail = 0
-        self._count = 0
+        self._tail = self._count = self._charged = 0
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def spilled(self) -> bool:
-        return self._file is not None
 
     def _write(self, rows: Sequence[tuple]) -> None:
         start = self._tail
@@ -229,20 +226,28 @@ class IndexedRun:
         count("executor", "spill_rows", len(rows))
         count("executor", "spill_bytes", self._tail - start)
 
-    def append(self, row: tuple) -> int:
-        """Store *row*; returns its ordinal."""
-        self._count += 1
-        if self._rows is None:
-            self._write([row])
+    def extend(self, rows: Sequence[tuple], columns: Sequence) -> range:
+        """Store *rows*, the cells of *columns* (what is charged); returns
+        their ordinals."""
+        start, self._count = self._count, self._count + len(rows)
+        held = self._rows is not None
+        size = footprint(columns) if held and self._cache else 0
+        if held and (not size or self._cache.charge(size)):
+            self._charged += size
+            self._rows.extend(rows)
         else:
-            self._rows.append(row)
-            if (self._capacity is not None
-                    and len(self._rows) > self._capacity):
+            if held:  # refused: what is held goes to disk, and the rest
                 self._file = tempfile.TemporaryFile(prefix="repro-irun-")
                 count("executor", "spill_runs")
-                self._write(self._rows)
-                self._rows = None
-        return self._count - 1
+                rows, self._rows = [*self._rows, *rows], None
+                self._release()
+            self._write(rows)
+        return range(start, self._count)
+
+    def _release(self) -> None:
+        if self._charged:
+            self._cache.release(self._charged)
+        self._charged = 0
 
     def __getitem__(self, ordinal: int) -> tuple:
         if self._rows is not None:
@@ -252,6 +257,7 @@ class IndexedRun:
             self._file.readline().decode("utf-8"))
 
     def close(self) -> None:
+        self._release()
         if self._file is not None:
             self._file.close()
             self._file = None

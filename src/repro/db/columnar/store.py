@@ -112,11 +112,6 @@ class GroupView:
     def sealed(self) -> bool:
         return self._group is not None
 
-    def zone(self, position: int):
-        if self._group is None:
-            return None
-        return self._group.pages[position].zone
-
     def seq_rows(self, position: int) -> "page_codec.SeqPage | None":
         """One column as the page kernels read it (:class:`pages.SeqPage`):
         verified and parsed, not decoded.  ``None`` for the tail and for
@@ -182,12 +177,12 @@ class ColumnStore:
 
     # -- page plumbing ------------------------------------------------------
 
-    def form(self, ref: PageRef, key, build, keep=None):
+    def form(self, ref: PageRef, key, build, keep=None, scan=True):
         """Form *key* of one sealed page, built once per residency (and
         kept if ``keep(form)``).  Every call is one ``pages_read`` and one
         CRC32 check: a kept form skips decoding, never verification."""
         count("columnar", "pages_read")
-        data, forms = self.runtime.cache.get(ref.page_id)
+        data, forms = self.runtime.cache.get(ref.page_id, scan)
         if key in forms:
             page_codec.verify(data, ref.page_id)
             return forms[key]
@@ -197,11 +192,11 @@ class ColumnStore:
             forms[key] = form
         return form
 
-    def values(self, ref: PageRef) -> list:
+    def values(self, ref: PageRef, scan=True) -> list:
         """The positional values of one sealed page (its kept form)."""
         return self.form(ref, VALUES, lambda data, page_id: (
             page_codec.decode_page(data, self.runtime.codec,
-                                   page_id=page_id)))
+                                   page_id=page_id)), scan=scan)
 
     def _seal_tail(self) -> None:
         codec = self.runtime.codec
@@ -246,7 +241,7 @@ class ColumnStore:
             return list(self._tail[ordinal - self._tail_start])
         group = self._group_at(ordinal)
         offset = ordinal - group.start
-        return [self.values(ref)[offset] for ref in group.pages]
+        return [self.values(ref, scan=False)[offset] for ref in group.pages]
 
     def replace(self, row_id: int, row: list) -> None:
         ordinal = self._ordinal_of[row_id]
@@ -258,7 +253,7 @@ class ColumnStore:
         cache = self.runtime.cache
         for position, (column, new) in enumerate(zip(self.schema.columns,
                                                      row)):
-            values = list(self.values(group.pages[position]))
+            values = list(self.values(group.pages[position], scan=False))
             if values[offset] is new or (values[offset] == new and
                                          type(values[offset]) is type(new)):
                 continue

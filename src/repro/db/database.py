@@ -157,10 +157,10 @@ class Database:
 
     ``layout`` picks the heap of newly created tables: ``"row"`` (the
     classic row-list, the differential oracle) or ``"column"`` (sealed
-    column pages with zone maps and an LRU page cache).  A finite
-    ``memory_budget`` (bytes) bounds resident column pages *and* sets
-    the spill thresholds of the streaming operators, so queries over
-    data larger than the budget still complete; ``None`` disables
+    column pages with zone maps and a page cache).  A finite
+    ``memory_budget`` (bytes) bounds resident column pages *plus* what
+    the streaming operators hold (they spill what it cannot), so queries
+    over data larger than the budget still complete; ``None`` disables
     spilling.  ``page_rows`` is the row-group height of columnar
     tables.
 

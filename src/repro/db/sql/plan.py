@@ -16,12 +16,12 @@ raises on reaching it.  Nodes carry the optimizer's row estimate and
 count the rows and batches of their last execution, for ``EXPLAIN``.
 
 Every pipeline breaker runs in bounded memory when the database has a
-``memory_budget``: ORDER BY spills sorted runs of column blocks and
-merges them block-wise (:func:`merged`), GROUP BY spills overflow groups
-to hash partitions, a join's build side lives in a spillable run
-(:mod:`repro.db.columnar.spill`) — bit-identical to the unbounded
-versions (same values, order and errors), which the differential suite
-enforces.
+``memory_budget``: it charges the page cache for what it holds and, once
+refused, ORDER BY spills sorted runs of column blocks merged block-wise
+(:func:`merged`), GROUP BY overflow groups to hash partitions, a join's
+build side its run (:mod:`repro.db.columnar.spill`) — bit-identical to
+the unbounded versions (same values, order and errors), which the
+differential suite enforces.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.db.columnar.spill import IndexedRun, cut
+from repro.db.columnar.spill import IndexedRun, cut, footprint
 from repro.db.index.hashindex import hashable
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
@@ -586,8 +586,8 @@ class Join(PlanNode):
         kinds: set[type] = set()
         for batch in self.right.run(context):
             keys, error = self._keys(batch, self._right_key, context)
-            ordinals = [build.append(row)
-                        for row in islice(batch.rows(), len(keys))]
+            ordinals = build.extend(list(islice(batch.rows(), len(keys))),
+                                    [*batch.columns, keys])  # and buckets
             kinds.update(map(comparison_kind, self._samples(keys).values()))
             for key, ordinal in zip(self._hashable(keys), ordinals):
                 if key is not NULL:  # NULL never equi-joins
@@ -618,7 +618,7 @@ class Join(PlanNode):
 
     def batches(self, context) -> Iterator[Batch]:
         build = (self.runtime.spill.indexed_run()
-                 if self.runtime is not None else IndexedRun(None, None))
+                 if self.runtime is not None else IndexedRun(None))
         null_pad = (NULL,) * len(self.right.frame)
         try:
             right = (self._built(build, context) if self.index is None
@@ -800,9 +800,10 @@ class Aggregate(PlanNode):
     the optimizer rewrites projection, HAVING and ORDER BY to reference
     them.  Each batch is split by group key and every call folds its
     argument column, a group's share at a time — no per-group row
-    lists.  Under a finite ``memory_budget`` the in-memory groups are
-    capped: rows of groups past the cap are routed by a stable hash of
-    their key into on-disk partitions and folded in a second pass.
+    lists.  Under a finite ``memory_budget`` each batch's new groups are
+    charged to the page cache; from the first refusal on, rows of new
+    groups go by a stable hash of their key to on-disk partitions,
+    folded in a second pass.
     Output order stays first-seen (groups merge on their first ordinal).
     """
 
@@ -861,67 +862,77 @@ class Aggregate(PlanNode):
 
     def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
-        capacity = spill.run_capacity() if spill is not None else None
+        # (A global aggregation's one group is never charged or spilled.)
+        cache = spill.cache if spill is not None and self._keys else None
         partitions: "list | None" = None
         results: list[_GroupState] = []
-        # The child's batches fold first, capped at *capacity* live
-        # groups; rows of groups past the cap go to on-disk partitions,
-        # which join this list and fold, uncapped, through the same loop.
+        # The child's batches fold first, charging for new groups; rows of
+        # groups refused go to on-disk partitions, which join this list and
+        # fold, uncharged, through the same loop.
+        charged = 0
         sources: list = [self._numbered(self.child.run(context))]
-        for source in sources:
-            groups: dict[tuple, _GroupState] = {}
-            for batch, ordinals in source:
-                size, columns, error = settled(batch.size, [
-                    column(batch, context)
-                    for column in chain(self._keys, *self._arguments)])
-                keys = columns[:len(self._keys)]
-                routed: dict[int, list] = {}  # partition -> its rows here
-                # group key -> its rows in this batch (None: all of them)
-                members: dict = {(): None} if size and not keys else {}
-                for row, key in enumerate(_bucket_keys(keys) if keys else ()):
-                    members.setdefault(key, []).append(row)
-                for key, rows in members.items():
-                    state = groups.get(key)
-                    if state is None:
-                        if capacity is not None and len(groups) >= capacity:
-                            # Too many live groups: route these rows to an
-                            # on-disk partition by a stable hash of the key.
-                            if partitions is None:
-                                partitions = [spill.disk_run()
-                                              for _ in range(SPILL_PARTITIONS)]
-                                sources.extend(map(self._reread, partitions))
-                            routed.setdefault(_partition(key),
-                                              []).extend(rows)
-                            continue
-                        first = rows[0] if rows else 0
-                        state = groups[key] = _GroupState(
-                            [column[first] for column in keys],
-                            ordinals[first], self._new_states())
-                    self._absorb(state, columns[len(keys):], rows, size)
-                for partition, rows in routed.items():
-                    partitions[partition].extend(
-                        [[column[row] for row in rows]
-                         for column in (ordinals, *batch.columns)])
-                if error is not None:
-                    raise error
-            results.extend(groups.values())
-            capacity = None  # a partition holds whole groups; none re-spill
+        try:
+            for source in sources:
+                groups: dict[tuple, _GroupState] = {}
+                for batch, ordinals in source:
+                    size, columns, error = settled(batch.size, [
+                        column(batch, context)
+                        for column in chain(self._keys, *self._arguments)])
+                    keys = columns[:len(self._keys)]
+                    routed: dict[int, list] = {}  # partition -> its rows
+                    # group key -> its rows in this batch (None: all)
+                    members: dict = {(): None} if size and not keys else {}
+                    for row, key in enumerate(_bucket_keys(keys)
+                                              if keys else ()):
+                        members.setdefault(key, []).append(row)
+                    if cache and not partitions:  # key cells, a cell a fold
+                        new = [key for key in members if key not in groups]
+                        need = footprint(new) + 8 * len(new) * len(self._folds)
+                        if not new or cache.charge(need):
+                            charged += need
+                        else:
+                            partitions = [spill.disk_run()
+                                          for _ in range(SPILL_PARTITIONS)]
+                            sources.extend(map(self._reread, partitions))
+                    for key, rows in members.items():
+                        state = groups.get(key)
+                        if state is None:
+                            if cache and partitions:
+                                routed.setdefault(_partition(key),
+                                                  []).extend(rows)
+                                continue
+                            first = rows[0] if rows else 0
+                            state = groups[key] = _GroupState(
+                                [column[first] for column in keys],
+                                ordinals[first], self._new_states())
+                        self._absorb(state, columns[len(keys):], rows, size)
+                    for partition, rows in routed.items():
+                        partitions[partition].extend(
+                            [[column[row] for row in rows]
+                             for column in (ordinals, *batch.columns)])
+                    if error is not None:
+                        raise error
+                results.extend(groups.values())
+                cache = None  # a partition holds whole groups: no re-spill
 
-        if partitions is not None:
-            self._close(partitions)
-            # First-seen group order across the memory/disk split.
-            results.sort(key=lambda state: state.ordinal)
+            if partitions is not None:
+                self._close(partitions)
+                # First-seen group order across the memory/disk split.
+                results.sort(key=lambda state: state.ordinal)
 
-        if not results and not self.group_expressions:
-            # Global aggregate over an empty input still yields one row.
-            results = [_GroupState([], 0, self._new_states())]
+            if not results and not self.group_expressions:
+                # Global aggregate over an empty input still yields one row.
+                results = [_GroupState([], 0, self._new_states())]
 
-        if results:
-            yield Batch.of_rows([
-                tuple(state.keys) + tuple(
-                    fold.final(value)
-                    for fold, value in zip(self._folds, state.states))
-                for state in results])
+            if results:
+                yield Batch.of_rows([
+                    tuple(state.keys) + tuple(
+                        fold.final(value)
+                        for fold, value in zip(self._folds, state.states))
+                    for state in results])
+        finally:
+            if charged:
+                spill.cache.release(charged)
 
     @staticmethod
     def _numbered(batches: Iterable[Batch]) -> Iterator[tuple[Batch, range]]:
@@ -982,13 +993,16 @@ class Sort(PlanNode):
     ordered by one stable ``list.sort`` per key, last key first,
     ``reverse=True`` for DESC (:meth:`_order`): every comparison is C's,
     ties stay in input order.  Without a memory budget the input is one
-    chunk; with one, full chunks flush as sorted runs of column blocks
-    and :func:`merged` recombines them under the same order, holding a
-    block per run.
+    chunk; with one, each batch is charged to the page cache, and when a
+    charge is refused the chunk held flushes, before that batch, as a
+    sorted run of column blocks (a batch refused with nothing held is a
+    run alone); :func:`merged` recombines the runs under the same order,
+    holding a block per run.
 
     Under a ``LIMIT`` only *top* rows are wanted: an order is cut to them
-    before a column is gathered; a chunk that fills is pruned to them (in
-    input order: ties fall as they would have), flushed if half full still.
+    before a column is gathered; a chunk that fills (unbudgeted: at
+    ``max(2 * top, MAX_BATCH_ROWS)`` rows) is pruned to them (in input
+    order: ties fall as they would have), flushed if half full still.
     """
 
     passes_rows = True
@@ -1039,35 +1053,53 @@ class Sort(PlanNode):
                        reverse=not item.ascending)
         return order[:top]
 
+    def _chunk(self, held: list, left: "int | None", runs: list, spill,
+               limit: int) -> list:
+        """Cut the chunk *held* to its first *left* rows (in input order)
+        if that frees half of *limit* rows, else flush it as a sorted run
+        (or a chunk is re-sorted for every few rows that arrive); returns
+        what is held on."""
+        order = self._order(held, left)
+        if 2 * len(order) > limit:
+            runs.append(spill.disk_run())
+            runs[-1].extend([[column[row] for row in order]
+                             for column in held])
+            order = []
+        order.sort()  # what is held on is in input order
+        return [[column[row] for row in order] for column in held]
+
     def batches(self, context) -> Iterator[Batch]:
         spill = self.runtime.spill if self.runtime is not None else None
-        full = spill.run_capacity() if spill is not None else None
+        cache = spill.cache if spill is not None else None
         left, width = self.top, len(self.frame)
-        if full is None and left is not None:
-            full = max(2 * left, MAX_BATCH_ROWS)  # prunes, never flushes
+        full = (max(2 * left, MAX_BATCH_ROWS)  # prunes, never flushes
+                if cache is None and left is not None else None)
         held: list = [[] for _ in range(width + len(self._keys))]
         runs: list = []
+        charged = 0
         try:
             for batch in self.child.run(context):
                 _, keys, error = settled(
                     batch.size, [key(batch, context) for key in self._keys])
                 if error is not None:
                     raise error
-                for column, more in zip(held, chain(batch.columns, keys)):
-                    column.extend(more)
-                if full is not None and len(held[-1]) >= full:
-                    # A full chunk (the batch that filled it is not cut):
-                    # flushed, unless pruning it frees half (else a chunk
-                    # is re-sorted for every few rows that arrive).
-                    order = self._order(held, left)
-                    if 2 * len(order) > full:
-                        runs.append(spill.disk_run())
-                        runs[-1].extend([[column[row] for row in order]
-                                         for column in held])
-                        order = []
-                    order.sort()  # what is held on is in input order
-                    held = [[column[row] for row in order]
-                            for column in held]
+                more = [*batch.columns, *keys]
+                need = footprint(more) if cache else 0
+                while cache and not cache.charge(need):
+                    if not held[-1]:  # refused, nothing held: a run alone
+                        self._chunk(more, left, runs, spill, 0)
+                        break
+                    # refused: the chunk is cut before this batch
+                    held = self._chunk(held, left, runs, spill, len(held[-1]))
+                    kept = footprint(held)
+                    cache.release(charged - kept)
+                    charged = kept
+                else:
+                    charged += need
+                    for column, cells in zip(held, more):
+                        column.extend(cells)
+                    if full is not None and len(held[-1]) >= full:
+                        held = self._chunk(held, left, runs, spill, full)
             order = self._order(held, left)
             if runs:  # the last, short chunk is merged from memory
                 blocks = merged([run.blocks() for run in runs] + [
@@ -1088,6 +1120,8 @@ class Sort(PlanNode):
                     return
         finally:
             self._close(runs)
+            if charged:
+                cache.release(charged)
 
 
 class Limit(PlanNode):

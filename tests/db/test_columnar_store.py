@@ -377,3 +377,97 @@ def test_a_failed_kernel_cell_is_never_kept():
     assert not any(type(key) is tuple
                    for forms in db.columnar.cache._forms.values()
                    for key in forms)
+
+
+# -- one memory bound, and a scan that cannot flush it ----------------------
+
+#: The six statement shapes of the analytics workload.
+ANALYTICS = (
+    ("SELECT id, gc FROM reads WHERE k BETWEEN ? AND ?", (10, 13)),
+    ("SELECT count(*), avg(gc), min(k), max(k) FROM reads", ()),
+    ("SELECT count(*), avg(gc_content(seq)) FROM reads", ()),
+    ("SELECT org, count(*), avg(gc) FROM reads GROUP BY org", ()),
+    ("SELECT count(*) FROM reads WHERE contains(seq, ?)", ("ACGTA",)),
+    ("SELECT id, k FROM reads ORDER BY gc DESC, id", ()),
+)
+
+
+def _reads(layout="column", memory_budget=None, count=1024):
+    """Sequencing reads ``(id, k, gc, org, seq)``, ``k`` ascending, in
+    row groups of 64."""
+    rng = random.Random("analytics-reads")
+    db = Database(layout=layout, memory_budget=memory_budget, page_rows=64)
+    install_genomics(db)
+    db.execute("CREATE TABLE reads (id INTEGER, k INTEGER, gc REAL, "
+               "org TEXT, seq DNA)")
+    rows = []
+    for index in range(count):
+        seq = "".join(rng.choice("ACGT") for _ in range(60))
+        rows.append((index, index // 8, (seq.count("G") + seq.count("C"))
+                     / 60, rng.choice(("ecoli", "yeast", "human")), seq))
+    db.executemany("INSERT INTO reads VALUES (?, ?, ?, ?, dna(?))", rows)
+    return db
+
+
+def _encoded_reads(**kwargs):
+    return _reads(**kwargs).columnar.cache.resident_bytes
+
+
+def test_pages_and_held_rows_stay_within_the_budget():
+    budget = _encoded_reads() // 4
+    budgeted, twin = _reads(memory_budget=budget), _reads(layout="row")
+    cache = budgeted.columnar.cache
+    registry = enable_metrics()
+    try:
+        for sql, parameters in ANALYTICS * 2:
+            assert (budgeted.execute(sql, parameters).rows
+                    == twin.execute(sql, parameters).rows), sql
+            assert cache.peak_resident_bytes <= budget, sql
+            assert cache._charged == 0, sql  # every charge released
+        snapshot = registry.snapshot()
+    finally:
+        disable_metrics()
+    # ...with the sort's rows charged, not beside the bound: it spilled.
+    assert snapshot["executor_spill_runs"] > 0
+    assert snapshot["columnar_resident_peak"] == cache.peak_resident_bytes
+
+
+def _scan_faults(db, sql="SELECT * FROM reads"):
+    """``(pages read, pages faulted)`` by one run of *sql*."""
+    registry = enable_metrics()
+    try:
+        db.execute(sql)
+        snapshot = registry.snapshot()
+    finally:
+        disable_metrics()
+    return (snapshot["columnar_pages_read"],
+            snapshot.get("columnar_page_faults", 0))
+
+
+def test_a_scan_larger_than_the_budget_does_not_flush_the_cache():
+    db = _reads(memory_budget=_encoded_reads() // 4)
+    first, *again = [_scan_faults(db) for _ in range(3)]
+    assert first[1] > 0
+    for read, faulted in again:
+        assert faulted < read  # under LRU, every page faulted every time
+
+
+def test_point_reads_keep_their_pages_through_scans():
+    db = _reads(memory_budget=_encoded_reads() // 4)
+    table, cache = db.catalog.table("reads"), db.columnar.cache
+    row_ids = [row_id for row_id, _ in table.rows()]
+    # Rows of two row groups (ten pages: well inside the budget).
+    points = row_ids[64:128:5] + row_ids[640:704:5]
+    for scans in (False, True):
+        faults = []
+        for _ in range(4):
+            before = cache.page_faults
+            for row_id in points:
+                table.row(row_id)
+            faults.append(cache.page_faults - before)
+            if scans:
+                _scan_faults(db)
+        # Point reads enter hot: their two groups fault in once at most
+        # (what LRU does for a set that fits), and a scan between two
+        # passes faults its pages in cold, never flushing them.
+        assert faults[0] <= 10 and faults[1:] == [0, 0, 0], (scans, faults)

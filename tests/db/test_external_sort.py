@@ -5,7 +5,8 @@ One derandomised differential: a table of every storable kind of value
 values so ties abound) under ORDER BY of one to three items, columns and
 expressions, ASC and DESC mixed.  The same statement must answer alike —
 rows, or ``(type, message)`` — unbudgeted, in the row layout, under three
-budgets that cut the input into many runs of several blocks, and as
+budgets that cut the input into many runs, under one that makes every
+run two blocks (as many as the charge rule says), and as
 ``tests/db/reference_evaluator.py`` orders the rows one at a time: per
 item ``sort_key``, DESC inverted, ties in input order.  The same again
 for GROUP BY past the group cap, where the partitions carry a SEQ column.
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adapter import install_genomics
 from repro.db import Database
-from repro.db.columnar.spill import BlockRun
+from repro.db.columnar.spill import BlockRun, footprint
 from repro.db.sql.expressions import Frame, RowContext
 from repro.db.sql.parser import parse
 from repro.db.sql.plan import merged
@@ -57,8 +58,8 @@ def _picky(value):
     return value
 
 
-def _database(cells, **kwargs):
-    db = Database(page_rows=PAGE_ROWS, **kwargs)
+def _database(cells, page_rows=PAGE_ROWS, **kwargs):
+    db = Database(page_rows=page_rows, **kwargs)
     install_genomics(db)
     db.register_function("picky", _picky)
     db.execute("CREATE TABLE t (id INTEGER, k INTEGER, r REAL, s TEXT, "
@@ -124,6 +125,31 @@ def _sorted_by_reference(db, items):
                                       key=cmp_to_key(compare))]
 
 
+def _batch_footprints(db, texts, rows):
+    """What a sort of ``SELECT *`` charges for each input batch of *rows*
+    rows: the seven columns, and a key column per item that is not one
+    (its values as the interpreter computes them)."""
+    stored, keys = _keys_by_reference(db, texts)
+    computed = [at for at, text in enumerate(texts) if text not in COLUMNS]
+    cells = [(*row, *(key[at] for at in computed))
+             for row, key in zip(stored, keys)]
+    return [footprint(list(zip(*cells[at:at + rows])))
+            for at in range(0, len(cells), rows)]
+
+
+def _runs_cut(footprints, room):
+    """The batches in each run the charge rule flushes: a chunk flushes
+    before the batch it has no *room* for (the budget less the largest
+    page); the last chunk stays in memory."""
+    runs, held = [], []
+    for need in footprints:
+        if held and sum(held) + need > room:
+            runs.append(len(held))
+            held = []
+        held.append(need)
+    return runs
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_tables, _items)
 def test_external_sort_differential(cells, items):
@@ -135,17 +161,28 @@ def test_external_sort_differential(cells, items):
         if not outcomes:
             outcomes["reference"] = _outcome(
                 lambda: _sorted_by_reference(db, items))
+            if outcomes["reference"][0] == "rows":
+                footprints = _batch_footprints(
+                    db, [text for text, _ in items], 2)
+        outcomes[name] = _outcome(lambda: db.execute(sql).rows)
+    if outcomes["reference"][0] == "rows":
+        # the shape the battery is about: >= 3 runs of 2 blocks each (the
+        # last chunk stays in memory).  Row groups of 2 rows, and room for
+        # two of the largest batches: a batch charges 2 x 56..67 B and
+        # 2 x 8 B a computed key, so three never fit.
+        largest = _database(cells, 2, layout="column").columnar.cache._largest
+        budget = largest + 2 * max(footprints)
+        db = _database(cells, 2, layout="column", memory_budget=budget)
         registry = enable_metrics()
         try:
-            outcomes[name] = _outcome(lambda: db.execute(sql).rows)
+            outcomes["column in runs of two blocks"] = _outcome(
+                lambda: db.execute(sql).rows)
             runs = registry.snapshot().get("executor_spill_runs", 0)
         finally:
             disable_metrics()
-        if name == "column under 512 B" and outcomes[name][0] == "rows":
-            # the shape the battery is about: >= 3 runs of 2 blocks each
-            # (the last chunk stays in memory)
-            assert runs == len(cells) // (2 * PAGE_ROWS) >= 3
-            assert f"spilled {runs:.0f} runs" in db.explain(sql, analyze=True)
+        cut = _runs_cut(footprints, budget - largest)
+        assert runs == len(cut) >= 3 and set(cut) == {2}
+        assert f"spilled {runs:.0f} runs" in db.explain(sql, analyze=True)
     for name, outcome in outcomes.items():
         assert outcome == outcomes["reference"], (name, sql)
 
@@ -196,7 +233,9 @@ def test_group_partitions_carry_the_seq_column_and_are_reported():
     sql = ("SELECT s, count(*), max(gc_content(seq)), count(seq) FROM t "
            "GROUP BY s")
     budgeted = _database(cells, layout="column", memory_budget=128)
-    assert budgeted.columnar.spill.run_capacity() == 2 < 16
+    # 16 groups, each charged its key and three fold states: more than
+    # the whole budget holds.
+    assert footprint([list("abcdefghijklmnop")]) + 16 * 3 * 8 > 128
     registry = enable_metrics()
     try:
         got = budgeted.execute(sql).rows
@@ -286,7 +325,11 @@ def test_limit_one_under_a_budget_reads_one_block_per_run(monkeypatch):
     rng = random.Random("limit-one")
     cells = [(rng.randrange(10), 0.5, "a", None, None, "ACGT")
              for _ in range(100)]
-    db = _database(cells, layout="column", memory_budget=512)
+    # Room for two batches of PAGE_ROWS rows of (id, k), 8 B a cell,
+    # beside the largest page: every run is two blocks.
+    largest = _database(cells, layout="column").columnar.cache._largest
+    db = _database(cells, layout="column",
+                   memory_budget=largest + 2 * PAGE_ROWS * 2 * 8)
     sql = "SELECT id FROM t ORDER BY k DESC, id"
     everything = db.execute(sql).rows
     assert len(reads) == 2 * (100 // (2 * PAGE_ROWS))  # every block
@@ -300,3 +343,32 @@ def test_limit_one_under_a_budget_reads_one_block_per_run(monkeypatch):
     # A bounded sort prunes each full chunk to one row: no run at all.
     assert db.execute(sql + " LIMIT 1").rows == everything[:1]
     assert reads == []
+
+
+def test_a_generous_budget_spills_nothing():
+    # Each operator used to be capped at min(1024, budget // 64) rows
+    # whatever the budget: under 1 GiB this sort wrote 4 runs, the
+    # GROUP BY 16 partitions and the join's build side 1 run.  An
+    # operator spills only when the page cache refuses its charge.
+    rng = random.Random("generous-budget")
+    rows = [(index, rng.randrange(5000), rng.choice(("a", "bb", None)))
+            for index in range(5000)]
+    databases = []
+    for kwargs in ({}, {"memory_budget": 1 << 30}):
+        db = Database(layout="column", **kwargs)
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER, name TEXT)")
+        db.executemany("INSERT INTO t VALUES (?, ?, ?)", rows)
+        databases.append(db)
+    unbudgeted, generous = databases
+    for sql in ("SELECT id, v FROM t ORDER BY v DESC, id",
+                "SELECT id, count(*), max(v) FROM t GROUP BY id",
+                "SELECT a.id, b.name FROM t AS a JOIN t AS b ON a.id = b.v"):
+        registry = enable_metrics()
+        try:
+            got = generous.execute(sql).rows
+            runs = registry.snapshot().get("executor_spill_runs", 0)
+        finally:
+            disable_metrics()
+        assert runs == 0, sql
+        assert got == unbudgeted.execute(sql).rows, sql
+    assert generous.columnar.cache._charged == 0  # every charge released

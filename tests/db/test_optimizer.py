@@ -425,8 +425,10 @@ class TestExplainAnalyze:
                              line)
             assert match, line
             spilled[match[1]] = match[2] and (int(match[2]), int(match[3]))
-        # 8 live groups, 32 routed to partitions; the 40 groups arrive
-        # at the sort as one batch, which it does not cut: one run.
+        # 28 live groups (7 batches of 4 new groups, 16 B each, fit
+        # beside the largest page), 12 routed to partitions; the 40
+        # groups arrive at the sort as one batch, refused with nothing
+        # held: a run by itself.
         assert spilled["Sort"][0] == 1 and spilled["Aggregate"][0] > 1
         assert spilled["ColumnarScan"] is spilled["Project"] is None
         assert counters["executor_spill_runs"] == (

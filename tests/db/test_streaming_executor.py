@@ -233,7 +233,16 @@ def _frames(data):
     return starts + [at]
 
 
-def _sort_with_first_run(monkeypatch, damage):
+def _two_block_budget():
+    """Room for two batches of the damaged-run sort beside the largest
+    page: (id, v, name) of 4 rows charges 96 B plus the names (0..3 B
+    each), 96..108 B, so every run is two blocks."""
+    db = Database(layout="column", page_rows=4)
+    _load(db, _rows("damaged-run", 64))
+    return db.columnar.cache._largest + 2 * 108
+
+
+def _sort_with_first_run(monkeypatch, damage, budget=TINY_BUDGET):
     """The outcome of a spilling ORDER BY whose first run is damaged
     between write and read-back: ``(rows, None)`` or ``(None, error)``."""
     pending = [damage]
@@ -244,7 +253,7 @@ def _sort_with_first_run(monkeypatch, damage):
 
     monkeypatch.setattr(spill, "tempfile",
                         SimpleNamespace(TemporaryFile=temporary_file))
-    db = Database(layout="column", memory_budget=TINY_BUDGET, page_rows=4)
+    db = Database(layout="column", memory_budget=budget, page_rows=4)
     _load(db, _rows("damaged-run", 64))
     try:
         return db.execute("SELECT id, v, name FROM t ORDER BY v, id").rows, None
@@ -277,7 +286,8 @@ def test_overwritten_bytes_in_a_run_are_bit_rot(monkeypatch):
 
 def test_a_run_cut_inside_a_block_is_malformed(monkeypatch):
     rows, error = _sort_with_first_run(
-        monkeypatch, lambda file: file.truncate(len(_bytes_of(file)) - 7))
+        monkeypatch, lambda file: file.truncate(len(_bytes_of(file)) - 7),
+        _two_block_budget())
     assert rows is None and isinstance(error, StorageError)
     assert error.kind == "malformed"
     assert "spill run" in str(error) and "block 1" in str(error)
@@ -289,7 +299,7 @@ def test_a_run_cut_at_a_block_boundary_does_not_answer_short(monkeypatch):
         assert len(frames) - 1 == 2 * 3      # two blocks of three columns
         file.truncate(frames[3])             # exactly the first block
 
-    rows, error = _sort_with_first_run(monkeypatch, cut)
+    rows, error = _sort_with_first_run(monkeypatch, cut, _two_block_budget())
     assert rows is None and isinstance(error, StorageError)
     assert error.kind == "malformed"
     assert "spill run" in str(error) and "block 1" in str(error)
