@@ -421,19 +421,10 @@ def _run_macro(arguments) -> int:
 
 
 def _run_shard(arguments) -> int:
-    import os
-    import tempfile
-
-    from repro.db import Database
-    from repro.db.recovery import databases_equal
-    from repro.federation import (
-        FollowerNode,
-        PrimaryNode,
-        ReplicationGroup,
-        sharded_federation,
-    )
+    from repro.chaos import REPLICA_FAILOVER
+    from repro.federation import sharded_federation
     from repro.serving import summarize, synthetic_workload
-    from repro.sources import VirtualClock
+    from repro.sim import group as sim
 
     deadline = 25.0
     print(f"scatter-gather federation: {arguments.count} requests at "
@@ -460,67 +451,22 @@ def _run_shard(arguments) -> int:
     print(f"\n  in-deadline QPS scales {qps / baseline:.1f}x from 1 to 8 "
           f"shards under the same offered load")
 
-    print("\nWAL-shipped replica failover:")
-    with tempfile.TemporaryDirectory() as workdir:
-        timeline = VirtualClock()
-
-        def fresh() -> Database:
-            database = Database()
-            database.execute("CREATE TABLE events "
-                             "(id INTEGER PRIMARY KEY, note TEXT)")
-            return database
-
-        primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                              fresh(), timeline=timeline)
-        followers = [
-            FollowerNode(name, os.path.join(workdir, name), fresh(),
-                         timeline=timeline)
-            for name in ("bravo", "charlie")
-        ]
-        group = ReplicationGroup(primary, followers)
-        for index in range(12):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        group.sync()
-        primary.rotate()
-        for index in range(12, 20):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        followers[0].catch_up(primary)
-        print(f"  shipped 20 statements across a rotation; staleness "
-              f"bravo={followers[0].staleness_bound():.1f} "
-              f"charlie={followers[1].staleness_bound():.1f}")
-        group.fail_primary()
-        promoted = group.promote()
-        reference = fresh()
-        for index in range(20):
-            reference.execute("INSERT INTO events VALUES (?, ?)",
-                              [index, f"n{index}"])
-        intact = databases_equal(promoted.database, reference)
-        print(f"  primary alpha died; promoted {promoted.name} in "
-              f"{group.last_promotion:.2f} virtual s "
-              f"(window {group.promotion_window:.1f})")
-        print(f"  promoted state intact: {intact}; WAL continues at "
-              f"generation {promoted.wal.generation}")
-        return 0 if intact else 1
+    print("\nWAL-shipped replica failover (chaos scenario 12):")
+    record = sim.run(REPLICA_FAILOVER)
+    print(f"  {record.verdict.acknowledgments} statements acknowledged "
+          f"across a rotation; alpha died mid-append")
+    for name, epoch, elapsed in record.promotions:
+        print(f"  promoted {name} under epoch {epoch} in {elapsed:.2f} "
+              f"virtual s (window {record.group.promotion_window:.1f})")
+    print(f"  promoted state intact: {record.verdict.ok}; WAL continues "
+          f"at generation {record.group.primary.wal.generation}")
+    return 0 if record.verdict.ok else 1
 
 
 def _run_partition(arguments) -> int:
-    import os
-    import tempfile
-
-    from repro.db import Database
-    from repro.db.recovery import databases_equal
+    from repro.chaos import split_brain
     from repro.errors import LeaseError
-    from repro.federation import (
-        FaultyChannel,
-        FollowerNode,
-        MembershipService,
-        PrimaryNode,
-        ReplicationGroup,
-        WriteHistoryAuditor,
-    )
-    from repro.sources import VirtualClock
+    from repro.sim import group as sim
 
     lease_timeout = arguments.lease
     duration = arguments.duration
@@ -531,78 +477,33 @@ def _run_partition(arguments) -> int:
     print(f"epoch-fenced failover under a one-way partition "
           f"(lease {lease_timeout:.1f}s, partition {duration:.1f}s, "
           f"seed {arguments.seed}, virtual time)\n")
-    with tempfile.TemporaryDirectory() as workdir:
-        timeline = VirtualClock()
-        membership = MembershipService(timeline,
-                                       lease_timeout=lease_timeout)
-        auditor = WriteHistoryAuditor()
-        channel = FaultyChannel(timeline, name="alpha-net",
-                                seed=arguments.seed)
-
-        def fresh() -> Database:
-            database = Database()
-            database.execute("CREATE TABLE events "
-                             "(id INTEGER PRIMARY KEY, note TEXT)")
-            return database
-
-        primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                              fresh(), timeline=timeline,
-                              membership=membership, channel=channel,
-                              auditor=auditor)
-        followers = [
-            FollowerNode(name, os.path.join(workdir, name), fresh(),
-                         timeline=timeline, auditor=auditor)
-            for name in ("bravo", "charlie")
-        ]
-        group = ReplicationGroup(primary, followers,
-                                 membership=membership)
-        for index in range(6):
-            primary.execute(
-                f"INSERT INTO events VALUES ({index}, 'n{index}')", [])
-        group.sync()
-        print(f"  alpha elected under epoch {primary.epoch}; 6 "
-              f"statements acknowledged and replicated")
-
-        channel.partition(timeline.now(), timeline.now() + duration)
-        for index in range(6, 9):
-            primary.execute(
-                f"INSERT INTO events VALUES ({index}, 'z{index}')", [])
-        print(f"  partition opens: alpha acknowledges 3 more writes "
-              f"its followers will never see")
-        timeline.advance(lease_timeout + 1.0)
-        try:
-            primary.execute("INSERT INTO events VALUES (99, 'x')", [])
-        except LeaseError as error:
-            print(f"  lease dies at t={timeline.now():.1f}: write "
-                  f"refused ({error.kind}, {primary.writes_refused} "
-                  f"refusal counted)")
-
-        promoted = group.promote()
-        promoted.execute("INSERT INTO events VALUES (20, 'e2')", [])
-        group.sync()
-        print(f"  {promoted.name} promoted under epoch "
-              f"{promoted.epoch} in {group.last_promotion:.2f} virtual "
-              f"s; the new line of history ships cleanly")
-
-        survivor = group.followers[0]
-        survivor.catch_up(primary)
-        print(f"  heal: {survivor.name} fences the zombie's epoch-"
-              f"{primary.epoch} shipment ({survivor.shipments_fenced} "
-              f"fenced)")
-        rejoined, divergence = primary.demote(promoted, database=fresh())
+    record = sim.run(split_brain(lease_timeout, duration),
+                     seed=arguments.seed, lease_timeout=lease_timeout)
+    print("  alpha elected under epoch 1; its first writes are "
+          "acknowledged and replicated")
+    print("  partition opens: alpha keeps acknowledging writes its "
+          "followers will never see")
+    for __, error in record.steps:
+        if isinstance(error, LeaseError):
+            print(f"  lease dies at t={error.now:.1f}: write refused "
+                  f"({error.kind})")
+    for name, epoch, elapsed in record.promotions:
+        print(f"  {name} promoted under epoch {epoch} in {elapsed:.2f} "
+              f"virtual s; the new line of history ships cleanly")
+    for follower, __, epoch, fenced in record.fences:
+        print(f"  heal: {follower} fences the zombie's epoch-{epoch} "
+              f"shipment ({fenced} fenced)")
+    for divergence in record.divergences:
         lost = divergence.acknowledged_lost
-        print(f"  alpha demotes: {len(lost)} acknowledged-but-lost "
-              f"statement(s) quarantined and named:")
+        print(f"  {divergence.node} demotes: {len(lost)} "
+              f"acknowledged-but-lost statement(s) quarantined and named:")
         for statement in lost:
             print(f"    gen {statement.generation} index "
                   f"{statement.index}: {statement.sql}")
-        rejoined.catch_up(promoted)
-        verdict = auditor.certify(promoted, [survivor, rejoined])
-        converged = databases_equal(rejoined.database, promoted.database)
-        print(f"\n  audit: {verdict.summary()}")
-        print(f"  rejoined replica converged with {promoted.name}: "
-              f"{converged}")
-        return 0 if verdict.ok and converged else 1
+    print(f"\n  audit: {record.verdict.summary()}")
+    print(f"  rejoined replica converged with {record.group.primary.name}: "
+          f"{record.verdict.ok}")
+    return 0 if record.verdict.ok else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:

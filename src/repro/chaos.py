@@ -76,7 +76,7 @@ worker per source); ``--only NAME`` runs a single scenario.
 
 from __future__ import annotations
 
-from repro.errors import MediatorError
+from repro.errors import LeaseError, MediatorError
 from repro.etl.delta import DELETE
 from repro.etl.monitors import LogMonitor, SnapshotMonitor, TriggerMonitor
 from repro.mediator import (
@@ -87,6 +87,7 @@ from repro.mediator import (
 )
 from repro.mediator.cache import normalize_query
 from repro.selftest import ScenarioFailure, ScenarioMatrix, expect as _expect
+from repro.sim import group as sim
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -563,89 +564,33 @@ def scenario_overload_storm(concurrency: int | None = None) -> str:
             f"calm tail clean")
 
 
+#: Scenario 12: the primary dies mid-append after a rotation, with five
+#: statements nobody shipped; bravo alone holds the newer segment.
+REPLICA_FAILOVER = (
+    [("write",)] * 12 + [("sync",), ("rotate",)] + [("write",)] * 8
+    + [("catch_up", "bravo"), ("advance", 2.0)] + [("write",)] * 5
+    + [("crash", 30), ("advance", 3.0), ("failover",), ("write",),
+       ("sync",)])
+
+
 def scenario_replica_failover(concurrency: int | None = None) -> str:
-    """Scenario 12: the primary dies mid-stream; a follower takes over.
-
-    A replication group ships WAL segments across a rotation boundary,
-    loses its primary with unshipped statements still on disk, and must
-    promote the most-caught-up follower inside the promotion window —
-    with zero statements lost or applied twice, proven by comparing
-    the promoted database against a reference that replayed everything.
-    """
+    """Scenario 12: the primary dies mid-stream; a follower takes over
+    inside the promotion window, and the audit certifies the group."""
     del concurrency                    # single-writer scenario, no fan-out
-    import os
-    import tempfile
-
-    from repro.db import Database
-    from repro.db.recovery import databases_equal
-    from repro.federation import FollowerNode, PrimaryNode, ReplicationGroup
-
-    def fresh() -> Database:
-        database = Database()
-        database.execute(
-            "CREATE TABLE events (id INTEGER PRIMARY KEY, note TEXT)")
-        return database
-
-    with tempfile.TemporaryDirectory() as workdir:
-        timeline = VirtualClock()
-        primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                              fresh(), timeline=timeline)
-        bravo = FollowerNode("bravo", os.path.join(workdir, "bravo"),
-                             fresh(), timeline=timeline)
-        charlie = FollowerNode("charlie", os.path.join(workdir, "charlie"),
-                               fresh(), timeline=timeline)
-        group = ReplicationGroup(primary, [bravo, charlie],
-                                 promotion_window=5.0)
-
-        total = 20
-        for index in range(12):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        group.sync()
-        primary.rotate()
-        for index in range(12, total):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        bravo.catch_up(primary)        # bravo alone sees the new segment
-        timeline.advance(2.0)
-        _expect(charlie.staleness_bound() > bravo.staleness_bound(),
-                "catch-up should reset bravo's staleness below charlie's")
-        for index in range(total, total + 5):
-            # Nobody ships these: promotion must salvage them from the
-            # dead primary's disk.
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        total += 5
-
-        group.fail_primary()
-        promoted = group.promote()
-        _expect(promoted.name == "bravo",
-                f"most-caught-up follower is bravo, promoted "
-                f"{promoted.name!r}")
-        _expect(group.last_promotion is not None
-                and group.last_promotion <= group.promotion_window,
-                f"promotion took {group.last_promotion!r} virtual s, "
-                f"window is {group.promotion_window}")
-
-        reference = fresh()
-        for index in range(total):
-            reference.execute("INSERT INTO events VALUES (?, ?)",
-                              [index, f"n{index}"])
-        _expect(databases_equal(promoted.database, reference),
-                "promoted database lost or duplicated statements")
-        _expect(promoted.wal.generation >= 1,
-                "promoted WAL must continue the generation sequence")
-
-        promoted.execute("INSERT INTO events VALUES (?, ?)",
-                         [total, "post-failover"])
-        group.sync()
-        reference.execute("INSERT INTO events VALUES (?, ?)",
-                          [total, "post-failover"])
-        _expect(databases_equal(group.followers[0].database, reference),
-                "surviving follower failed to catch up from new primary")
-    return (f"{total} stmts across a rotation; bravo promoted in "
-            f"{group.last_promotion:.2f} virtual s (window 5.0); "
-            f"0 lost / 0 duplicated; charlie re-follows the new primary")
+    record = sim.run(REPLICA_FAILOVER)
+    window = record.group.promotion_window
+    [(name, epoch, elapsed)] = record.promotions
+    _expect((name, epoch) == ("bravo", 2) and elapsed <= window,
+            f"bravo must take epoch 2 inside {window} virtual s, got "
+            f"{record.promotions!r}")
+    _expect(all(outcome == "ok" for __, outcome in record.steps)
+            and record.verdict.ok and not record.verdict.lost_unreplicated,
+            f"every step must succeed and nothing be lost, got "
+            f"{record.verdict.violations!r}")
+    return (f"{record.verdict.acknowledgments} acked stmts across a "
+            f"rotation; bravo promoted in {elapsed:.2f} virtual s "
+            f"(window {window}); 0 lost / 0 duplicated; charlie "
+            f"re-follows the new primary")
 
 
 def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
@@ -823,156 +768,50 @@ def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
             f"rotted charlie refused promotion")
 
 
+def split_brain(lease_timeout: float = 2.0, duration: float = 100.0):
+    """Scenario 14's schedule: eight replicated writes, then alpha's
+    channel is cut for *duration*; alpha acknowledges three writes
+    nobody sees and refuses a fourth once its lease dies, and bravo is
+    promoted and writes four more."""
+    return ([("write",)] * 8 + [("sync",), ("partition", duration, "alpha")]
+            + [("write",)] * 3
+            + [("advance", lease_timeout + 1.0), ("write",), ("failover",)]
+            + [("write",)] * 4 + [("sync",)])
+
+
 def scenario_split_brain(concurrency: int | None = None) -> str:
-    """Scenario 14: a partitioned zombie primary versus the epoch fence.
-
-    A leased primary is partitioned away mid-stream.  While its lease
-    is still live it keeps acknowledging writes nobody will ever
-    replicate; once the lease dies its writes are refused with a
-    structured error (never silently accepted).  A follower is promoted
-    under a bumped epoch.  When the partition heals, the zombie's
-    shipments — claiming the deposed epoch — must be fenced by every
-    survivor, and the zombie must demote: quarantine its diverged tail
-    and name every acknowledged-but-lost statement.  The write-history
-    auditor then certifies the whole run from the outside: no
-    acknowledged-and-replicated write lost, exactly one acknowledging
-    primary per epoch, all survivors byte-identical.
-    """
+    """Scenario 14: a partitioned zombie primary versus the epoch fence:
+    refused, fenced, demoted, its lost acknowledgments named, and the
+    run certified by the write-history auditor."""
     del concurrency                    # single-writer scenario, no fan-out
-    import os
-    import tempfile
-
-    from repro.db import Database
-    from repro.db.recovery import databases_equal
-    from repro.errors import FederationError, LeaseError
-    from repro.federation import (
-        FaultyChannel,
-        FollowerNode,
-        MembershipService,
-        PrimaryNode,
-        ReplicationGroup,
-        WriteHistoryAuditor,
-    )
-
-    def fresh() -> Database:
-        database = Database()
-        database.execute(
-            "CREATE TABLE events (id INTEGER PRIMARY KEY, note TEXT)")
-        return database
-
-    with tempfile.TemporaryDirectory() as workdir:
-        timeline = VirtualClock()
-        membership = MembershipService(timeline, lease_timeout=2.0)
-        auditor = WriteHistoryAuditor()
-        alpha_net = FaultyChannel(timeline, name="alpha-net", seed=14)
-        primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                              fresh(), timeline=timeline,
-                              membership=membership, channel=alpha_net,
-                              auditor=auditor)
-        bravo = FollowerNode("bravo", os.path.join(workdir, "bravo"),
-                             fresh(), timeline=timeline, auditor=auditor)
-        charlie = FollowerNode("charlie", os.path.join(workdir, "charlie"),
-                               fresh(), timeline=timeline, auditor=auditor)
-        group = ReplicationGroup(primary, [bravo, charlie],
-                                 membership=membership,
-                                 promotion_window=5.0)
-        _expect(primary.epoch == 1, "the first election must open epoch 1")
-
-        # -- phase 1: healthy replication under epoch 1 --------------------
-        replicated = 8
-        for index in range(replicated):
-            primary.execute(
-                f"INSERT INTO events VALUES ({index}, 'n{index}')", [])
-        group.sync()
-
-        # -- phase 2: the partition opens; the zombie keeps promising ------
-        alpha_net.partition(timeline.now(), timeline.now() + 100.0)
-        zombie_acks = 3
-        for index in range(replicated, replicated + zombie_acks):
-            primary.execute(
-                f"INSERT INTO events VALUES ({index}, 'zombie{index}')",
-                [])
-        _expect(len(primary.acked) == replicated + zombie_acks,
-                "the zombie must still ack under its live lease")
-
-        # -- phase 3: the lease dies; refusal is loud, never silent --------
-        timeline.advance(3.0)
-        refused = False
-        try:
-            primary.execute("INSERT INTO events VALUES (99, 'late')", [])
-        except LeaseError as error:
-            refused = error.kind == "expired"
-        _expect(refused, "an expired, unrenewable lease must refuse "
-                         "writes with a structured error")
-        _expect(primary.writes_refused == 1,
-                "the refusal must be counted")
-
-        # -- phase 4: failover bumps the epoch over the zombie -------------
-        promoted = group.promote()
-        _expect(promoted.name == "bravo" and promoted.epoch == 2,
-                f"bravo must take epoch 2, got {promoted.name!r} at "
-                f"epoch {promoted.epoch!r}")
-        post_failover = 4
-        for index in range(20, 20 + post_failover):
-            promoted.execute(
-                f"INSERT INTO events VALUES ({index}, 'e2-{index}')", [])
-        group.sync()
-
-        # -- phase 5: heal; the zombie's claim is fenced everywhere --------
-        survivor = group.followers[0]
-        fenced_before = survivor.shipments_fenced
-        survivor.catch_up(primary)     # the zombie still ships epoch 1
-        _expect(survivor.shipments_fenced > fenced_before,
-                "the survivor must fence the zombie's stale-epoch "
-                "shipments")
-        _expect(survivor.applied != {} and survivor.last_fence is not None,
-                "fencing must leave an audit trail")
-
-        # -- phase 6: the zombie demotes and owns its divergence -----------
-        rejoined, divergence = primary.demote(promoted, database=fresh())
-        _expect(primary.demoted and not primary.alive,
-                "a demoted primary must stop accepting writes")
-        lost = divergence.acknowledged_lost
-        _expect(len(lost) == zombie_acks,
-                f"the divergence report must name all {zombie_acks} "
-                f"acknowledged-but-lost statements, got {len(lost)}")
-        _expect(all(entry.acknowledged for entry in lost)
-                and divergence.quarantined,
-                "lost acks must be flagged and the diverged files "
-                "quarantined")
-        rejoined.catch_up(promoted)
-
-        # -- phase 7: the outside judge certifies the run ------------------
-        reference = fresh()
-        for index in range(replicated):
-            reference.execute(
-                f"INSERT INTO events VALUES ({index}, 'n{index}')", [])
-        for index in range(20, 20 + post_failover):
-            reference.execute(
-                f"INSERT INTO events VALUES ({index}, 'e2-{index}')", [])
-        _expect(databases_equal(promoted.database, reference),
-                "the surviving history must hold exactly the replicated "
-                "plus post-failover writes")
-        for node in (survivor, rejoined):
-            _expect(databases_equal(node.database, reference),
-                    f"{node.name} must converge to the survivors' "
-                    f"history")
-        verdict = auditor.certify(promoted, [survivor, rejoined])
-        _expect(verdict.ok,
-                f"the write-history audit must certify the run, got: "
-                f"{verdict.violations!r}")
-        _expect(all(len(nodes) == 1 for nodes
-                    in verdict.epochs_with_acks.values()),
-                "at most one primary may acknowledge per epoch")
-        _expect([ack.position() for ack in verdict.lost_unreplicated]
-                == [(0, index) for index in
-                    range(replicated, replicated + zombie_acks)],
-                "every lost ack must be unreplicated and accounted for")
-    return (f"epoch 1→2 under a 100s partition: {zombie_acks} zombie "
-            f"acks fenced ({survivor.shipments_fenced} shipments), "
-            f"expired lease refused loudly, zombie demoted and reported "
-            f"{len(lost)} lost acks; audit certified: one writer per "
-            f"epoch, 0 replicated acks lost, survivors byte-identical")
+    record = sim.run(split_brain())
+    refused = [outcome for __, outcome in record.steps if outcome != "ok"]
+    _expect(len(refused) == 1 and isinstance(refused[0], LeaseError)
+            and refused[0].kind == "expired",
+            f"exactly one write must be refused on the expired lease, "
+            f"got {refused!r}")
+    _expect([promotion[:2] for promotion in record.promotions]
+            == [("bravo", 2)],
+            f"bravo must take epoch 2, got {record.promotions!r}")
+    fenced = sum(fence[3] for fence in record.fences)
+    _expect(fenced > 0, "the survivor must fence the zombie's "
+                        "stale-epoch shipments")
+    [divergence] = record.divergences
+    lost = [(entry.generation, entry.index)
+            for entry in divergence.acknowledged_lost]
+    verdict = record.verdict
+    _expect(lost == [(0, index) for index in range(8, 11)]
+            and divergence.quarantined and verdict.ok
+            and [ack.position() for ack in verdict.lost_unreplicated]
+            == lost,
+            f"the zombie must quarantine its tail and name the lost acks "
+            f"(0, 8..10), and the audit certify the run; got {lost}, "
+            f"{verdict.violations!r}")
+    return (f"epoch 1→2 under a 100s partition: {len(lost)} zombie "
+            f"acks fenced ({fenced} shipments), expired lease refused "
+            f"loudly, zombie demoted and reported {len(lost)} lost acks; "
+            f"audit certified: one writer per epoch, 0 replicated acks "
+            f"lost, survivors byte-identical")
 
 
 MATRIX = ScenarioMatrix(

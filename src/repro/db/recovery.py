@@ -455,47 +455,6 @@ def _run_replay_amplification(workdir: str) -> ScenarioResult:
         first)
 
 
-def _run_replica_catch_up(workdir: str) -> ScenarioResult:
-    # WAL shipping rides on this module's replay path: a follower that
-    # catches up across a rotation boundary AND a torn active tail must
-    # apply every complete statement exactly once, and its staleness
-    # bound must be honest before and after.
-    from repro.federation.replication import FollowerNode, PrimaryNode
-    from repro.sources import VirtualClock
-
-    statements = _seed_statements(24)
-    split = len(statements) * 2 // 3
-    timeline = VirtualClock()
-    primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                          _genomic_database(), timeline=timeline)
-    follower = FollowerNode("bravo", os.path.join(workdir, "bravo"),
-                            _genomic_database(), timeline=timeline,
-                            apply_cost=0.0)
-
-    _apply(primary.database, statements[:split])
-    first = follower.catch_up(primary)
-    timeline.advance(7.0)
-    stale_before = follower.staleness_bound()
-    primary.rotate()
-    _apply(primary.database, statements[split:])
-    primary.wal.close()
-    _cut_tail(primary.wal_path)  # the primary crashed mid-append
-    second = follower.catch_up(primary)
-
-    # Reference: everything except the torn final statement.
-    reference = _genomic_database()
-    _apply(reference, statements[:-1])
-    passed = databases_equal(follower.database, reference) \
-        and first + second == len(statements) - 1 \
-        and stale_before == 7.0 \
-        and follower.staleness_bound() == 0.0
-    return ScenarioResult(
-        "replica-catch-up", passed,
-        f"{first}+{second} stmts over a rotation + torn tail, "
-        f"staleness {stale_before:.1f} -> 0.0",
-        first + second)
-
-
 def _run_scrub_during_recovery(workdir: str) -> ScenarioResult:
     # A crash leaves a sealed segment plus a torn active tail.  Scrub
     # must map the damage exactly (torn tail on the active file, sealed
@@ -573,7 +532,6 @@ MATRIX = ScenarioMatrix(
         ("crash-mid-checkpoint", _run_mid_checkpoint),
         ("unflushed-group-commit", _run_group_commit_window),
         ("replay-does-not-grow-log", _run_replay_amplification),
-        ("replica-catch-up", _run_replica_catch_up),
         ("scrub-during-recovery", _run_scrub_during_recovery),
     ),
     timed=True,

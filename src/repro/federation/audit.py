@@ -33,6 +33,12 @@ from repro.federation.replication import (
 )
 
 
+def _active_digest(wal_path: str) -> "str | None":
+    """A 0-byte active file is absent, as :func:`disk_shipments` has it."""
+    return file_digest(wal_path) if os.path.exists(wal_path) \
+        and os.path.getsize(wal_path) else None
+
+
 @dataclass(frozen=True)
 class Acknowledgment:
     """One promise made to a client: *node*, holding *epoch*, told the
@@ -168,16 +174,13 @@ class WriteHistoryAuditor:
                     f"DivergenceReport: {ack.node} epoch {ack.epoch} "
                     f"gen {ack.generation} index {ack.index}")
         primary_sealed = sealed_digests(primary.wal_path)
-        primary_active = file_digest(primary.wal_path) \
-            if os.path.exists(primary.wal_path) else None
+        primary_active = _active_digest(primary.wal_path)
         for follower in followers:
             if sealed_digests(follower.wal_path) != primary_sealed:
                 report.violations.append(
                     f"survivor {follower.name!r} sealed segments differ "
                     f"from primary {primary.name!r}")
-            follower_active = file_digest(follower.wal_path) \
-                if os.path.exists(follower.wal_path) else None
-            if follower_active != primary_active:
+            if _active_digest(follower.wal_path) != primary_active:
                 report.violations.append(
                     f"survivor {follower.name!r} active segment differs "
                     f"from primary {primary.name!r}")

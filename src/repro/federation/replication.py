@@ -500,8 +500,12 @@ class PrimaryNode:
             successor=successor.name, successor_epoch=successor.epoch)
         for generation, (records, sealed) in disk_history(
                 self.wal_path, "local").items():
-            survived = theirs.get(generation, ([], True))[0]
-            diverged_here = False
+            survived, kept_sealed = theirs.get(generation, ([], None))
+            # A seal the successor lacks, or a header-only file of a
+            # generation it lacks, would shadow the rejoined follower's.
+            diverged_here = (sealed and not (
+                kept_sealed and len(survived) == len(records))) or (
+                not records and kept_sealed is None)
             for index, record in enumerate(records):
                 if (index < len(survived)
                         and record_checksum_body(record)
@@ -675,10 +679,7 @@ class FollowerNode:
                 f"diverged: ledger says {done} records applied but the "
                 f"shipment carries only {total}")
         if diverged and shipment.sealed and os.path.exists(path):
-            os.replace(path, f"{path}.quarantined")
-            self.last_round.quarantined.append(f"{path}.quarantined")
-            self.last_round.repaired.append(generation)
-            _metric("federation", "segments_quarantined")
+            self._quarantine(path, generation)
         self._suspect.discard(generation)
         if start and held != path:
             shutil.copyfile(held, path)  # the prefix, verified as active
@@ -686,6 +687,11 @@ class FollowerNode:
             handle.seek(start)
             handle.write(data)
             handle.truncate()
+        seal = f"{self.wal_path}.{generation:06d}"
+        if not shipment.sealed and os.path.exists(seal):
+            # The sender holds this generation active, so the local
+            # seal is a deposed leader's and would replay ahead of it.
+            self._quarantine(seal, generation)
         if not shipment.sealed:        # other prefixes here are overwritten
             self._verified = {other: entry for other, entry
                               in self._verified.items()
@@ -709,6 +715,12 @@ class FollowerNode:
                     self.name, shipment.epoch, shipment.generation,
                     done + offset)
         return applied
+
+    def _quarantine(self, path: str, generation: int) -> None:
+        os.replace(path, f"{path}.quarantined")
+        self.last_round.quarantined.append(f"{path}.quarantined")
+        self.last_round.repaired.append(generation)
+        _metric("federation", "segments_quarantined")
 
     def _refuse_hole(self, shipment: Shipment, data: bytes) -> None:
         """Reject *shipment* if its header says the generation before it

@@ -31,8 +31,10 @@ from repro.federation import (
     ReplicationGroup,
     Shipment,
     WriteHistoryAuditor,
+    disk_shipments,
     payload_digest,
 )
+from repro.sim import group as sim
 from repro.sources import VirtualClock
 
 
@@ -236,35 +238,17 @@ class TestFencing:
 
 
 class TestZombieFailover:
-    def _cluster(self, tmp_path, *, lease_timeout=2.0):
-        timeline = VirtualClock()
-        membership = MembershipService(timeline,
-                                       lease_timeout=lease_timeout)
-        auditor = WriteHistoryAuditor()
-        alpha_net = FaultyChannel(timeline, name="alpha-net", seed=3)
-        primary = PrimaryNode("alpha", str(tmp_path / "alpha"),
-                              _database(), timeline=timeline,
-                              membership=membership, channel=alpha_net,
-                              auditor=auditor)
-        followers = [
-            FollowerNode(name, str(tmp_path / name), _database(),
-                         timeline=timeline, auditor=auditor)
-            for name in ("bravo", "charlie")
-        ]
-        group = ReplicationGroup(primary, followers,
-                                 membership=membership)
-        return group, membership, auditor, timeline, alpha_net
-
     def test_zombie_promotion_requires_an_expired_lease(self, tmp_path):
-        group, __, ___, ____, _____ = self._cluster(tmp_path)
+        group, __, ___, ____, _____ = sim.build(str(tmp_path))
         group.primary.execute("INSERT INTO t VALUES (1, 'a')", [])
         group.sync()
         with pytest.raises(FederationError, match="lease is still live"):
             group.promote()
 
     def test_split_brain_is_fenced_demoted_and_audited(self, tmp_path):
-        group, membership, auditor, timeline, alpha_net = \
-            self._cluster(tmp_path)
+        group, membership, auditor, timeline, channels = \
+            sim.build(str(tmp_path))
+        alpha_net = channels["alpha"]
         zombie = group.primary
         rows = [(1, "a"), (2, "b"), (3, "c")]
         for row_id, value in rows:
@@ -299,8 +283,8 @@ class TestZombieFailover:
         assert zombie.demoted
         assert [(entry.generation, entry.index, entry.acknowledged)
                 for entry in report.statements] == [(0, 3, True)]
-        assert "'INSERT INTO t VALUES (4, 'lost')'" in repr(
-            report.acknowledged_lost[0]) or True
+        assert report.acknowledged_lost[0].sql == \
+            "INSERT INTO t VALUES (4, 'lost')"
         assert report.quarantined and all(
             path.endswith(".diverged") for path in report.quarantined)
         with pytest.raises(FederationError, match="demoted"):
@@ -320,7 +304,8 @@ class TestZombieFailover:
         assert verdict.epochs_with_acks == {1: {"alpha"}, 2: {"bravo"}}
 
     def test_unreported_loss_is_a_violation(self, tmp_path):
-        group, __, auditor, timeline, alpha_net = self._cluster(tmp_path)
+        group, __, auditor, timeline, channels = sim.build(str(tmp_path))
+        alpha_net = channels["alpha"]
         zombie = group.primary
         zombie.execute("INSERT INTO t VALUES (1, 'a')", [])
         group.sync()
@@ -338,8 +323,44 @@ class TestZombieFailover:
                    for violation in verdict.violations)
 
     def test_demote_refuses_a_non_newer_successor(self, tmp_path):
-        group, __, ___, timeline, alpha_net = self._cluster(tmp_path)
+        group, __, ___, ____, _____ = sim.build(str(tmp_path))
         zombie = group.primary
         zombie.execute("INSERT INTO t VALUES (1, 'a')", [])
         with pytest.raises(FederationError, match="not newer"):
             zombie.demote(zombie, database=_database())
+
+    def test_demotion_sets_aside_a_seal_the_successor_never_made(
+            self, tmp_path):
+        """The zombie sealed generation 0 after the last round; the
+        successor holds it active.  Kept, the seal would sit beside the
+        shipped active file and every later round would read it
+        twice."""
+        group, __, auditor, timeline, ___ = sim.build(str(tmp_path))
+        zombie = group.primary
+        zombie.execute("INSERT INTO t VALUES (1, 'a')", [])
+        group.sync()
+        zombie.rotate()
+        timeline.advance(3.0)
+        promoted = group.promote()
+        rejoined, report = zombie.demote(promoted, database=_database())
+        assert report.statements == []  # every record matched
+        assert sorted(os.path.basename(path) for path in report.quarantined) \
+            == ["wal.jsonl.000000.diverged", "wal.jsonl.diverged"]
+        promoted.execute("INSERT INTO t VALUES (2, 'b')", [])
+        rejoined.catch_up(promoted)
+        assert [shipment.generation
+                for shipment in disk_shipments(rejoined.wal_path)] == [0]
+        verdict = auditor.certify(promoted, [rejoined])
+        assert verdict.ok, verdict.violations
+
+
+class TestAudit:
+    def test_an_empty_active_file_counts_as_absent(self, tmp_path):
+        """Rotating an empty log leaves a 0-byte active file, which
+        ships as nothing; the followers hold no active file at all."""
+        group, __, auditor, ___, ____ = sim.build(str(tmp_path))
+        group.primary.rotate()
+        group.sync()
+        assert os.path.getsize(group.primary.wal_path) == 0
+        verdict = auditor.certify(group.primary, group.followers)
+        assert verdict.ok, verdict.violations

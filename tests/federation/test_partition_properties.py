@@ -1,143 +1,65 @@
-"""Property-based partition/failover/heal schedules.
+"""Property-based replication schedules over the whole action alphabet.
 
-Hypothesis drives arbitrary interleavings of writes, catch-up rounds,
-clock advances, partition windows, and failover attempts against a
-leased three-node group, then heals everything, demotes every zombie,
-and lets the :class:`WriteHistoryAuditor` judge the wreckage.  The
-invariants must hold for *every* schedule:
+Hypothesis draws schedules of writes, catch-up rounds, syncs, clock
+advances, per-node partition windows, rotations, checkpoints, torn
+crashes and failover attempts, and :func:`repro.sim.group.run` applies
+each to a leased three-node group, heals it, and judges the wreckage.
+The verdict must certify *every* schedule:
 
 - no acknowledged-and-replicated write is ever lost;
 - at most one node acknowledges writes per epoch;
 - every acknowledged-but-lost write is named by a DivergenceReport;
-- all survivors converge byte-identically after the final heal.
+- all survivors converge byte-identically, and every follower's
+  database equals the primary's;
+- no step raises anything but a ``ReproError``.
 
 The suites are derandomised (a fixed example set per source revision)
-and a ``REPRO_TEST_SEED`` sweep walks fresh schedules per CI seed, so a
-failure is always a replayable ``(seed, events)`` pair.  One such pair
-is pinned: the double failover that used to crown a follower missing a
+and a ``REPRO_TEST_SEED`` sweep walks fresh schedules per CI seed;
+hypothesis shrinks a failure to a short schedule that replays as
+``run(schedule, seed=..., drop_rate=...)``.  One such schedule is
+pinned: the double failover that used to crown a follower missing a
 replicated write.
 
 Plus focused interleaving tests for the narrowest race: a lease
 expiring while an ``execute`` is already in flight.
 """
 
-import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from repro.db import Database
 from repro.db.storage import read_wal_records
 from repro.errors import FederationError, LeaseError
-from repro.federation import (
-    FaultyChannel,
-    FollowerNode,
-    MembershipService,
-    PrimaryNode,
-    ReplicationGroup,
-    WriteHistoryAuditor,
-)
+from repro.federation import FaultyChannel, MembershipService, PrimaryNode
+from repro.sim import group as sim
 from repro.sources import VirtualClock
 from tests.concurrency.scheduler import harness_seed
 
 LEASE_TIMEOUT = 2.0
+
+STEPS = st.one_of(
+    st.just(("write",)),
+    st.just(("sync",)),
+    st.just(("failover",)),
+    st.just(("rotate",)),
+    st.just(("checkpoint",)),
+    st.tuples(st.just("catch_up"), st.sampled_from(sim.NODES)),
+    st.tuples(st.just("advance"), st.floats(0.1, 4.0, allow_nan=False)),
+    st.tuples(st.just("partition"), st.floats(1.0, 12.0, allow_nan=False),
+              st.sampled_from(sim.NODES + ("all",))),
+    st.tuples(st.just("crash"), st.integers(0, 120)),
+)
+SCHEDULES = st.lists(STEPS, min_size=6, max_size=40)
+SEEDS = st.integers(0, 2**16)
+DROP_RATES = st.sampled_from((0.0, 0.05))
 
 
 def _database():
     database = Database()
     database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
     return database
-
-
-def _build(root, seed, drop_rate=0.0):
-    timeline = VirtualClock()
-    membership = MembershipService(timeline, lease_timeout=LEASE_TIMEOUT)
-    auditor = WriteHistoryAuditor()
-    channels = {
-        name: FaultyChannel(timeline, name=f"{name}-net", seed=seed,
-                            drop_rate=drop_rate)
-        for name in ("alpha", "bravo", "charlie")
-    }
-    primary = PrimaryNode("alpha", f"{root}/alpha", _database(),
-                          timeline=timeline, membership=membership,
-                          channel=channels["alpha"], auditor=auditor)
-    followers = [
-        FollowerNode(name, f"{root}/{name}", _database(),
-                     timeline=timeline, channel=channels[name],
-                     auditor=auditor)
-        for name in ("bravo", "charlie")
-    ]
-    group = ReplicationGroup(primary, followers, membership=membership,
-                             promotion_window=60.0)
-    return group, membership, auditor, timeline, channels
-
-
-def _run_schedule(root, seed, events):
-    group, membership, auditor, timeline, channels = _build(
-        root, seed, drop_rate=0.05)
-    zombies = []
-    sequence = 0
-    for event in events:
-        kind = event[0]
-        if kind == "write":
-            sequence += 1
-            try:
-                group.primary.execute(
-                    "INSERT INTO t VALUES (?, ?)",
-                    [sequence, f"v{sequence}"])
-            except FederationError:
-                pass  # refusal is an availability cost, never a fork
-        elif kind == "sync":
-            for follower in group.followers:
-                follower.catch_up(group.primary)
-        elif kind == "advance":
-            timeline.advance(event[1])
-        elif kind == "partition":
-            now = timeline.now()
-            for channel in channels.values():
-                channel.partition(now, now + event[1])
-        elif kind == "failover":
-            if membership.lease_expired() and group.followers:
-                old = group.primary
-                try:
-                    group.promote()
-                except FederationError:
-                    continue
-                if old.alive:
-                    zombies.append(old)
-    # Heal everything: every scheduled window is behind us now.
-    timeline.advance(1000.0)
-    for zombie in zombies:
-        if (zombie.epoch is not None and group.primary.epoch is not None
-                and group.primary.epoch > zombie.epoch):
-            rejoined, __ = zombie.demote(group.primary,
-                                         database=_database())
-            group.followers.append(rejoined)
-    for __ in range(25):
-        for follower in group.followers:
-            follower.catch_up(group.primary)
-    return group, auditor
-
-
-@st.composite
-def schedules(draw):
-    return draw(st.lists(
-        st.one_of(
-            st.just(("write",)),
-            st.just(("sync",)),
-            st.just(("failover",)),
-            st.tuples(st.just("advance"),
-                      st.floats(0.1, 4.0, allow_nan=False)),
-            st.tuples(st.just("partition"),
-                      st.floats(1.0, 12.0, allow_nan=False)),
-        ),
-        min_size=6, max_size=40))
-
-
-def _certified(root, seed, events):
-    group, auditor = _run_schedule(root, seed, events)
-    return auditor.certify(group.primary, group.followers)
 
 
 class TestDoubleFailover:
@@ -147,17 +69,19 @@ class TestDoubleFailover:
     #: Found by the property suite at a 5 % drop rate: charlie's catch-up
     #: round is dropped, bravo wins the first failover holding the
     #: write, and the second failover has only charlie to offer.
-    LOST_WRITE = [("write",), ("sync",), ("advance", 2.0), ("failover",),
-                  ("advance", 2.0), ("failover",)]
+    LOST_WRITE = [("write",), ("catch_up", "bravo"), ("catch_up", "charlie"),
+                  ("advance", 2.0), ("failover",), ("advance", 2.0),
+                  ("failover",)]
 
     def test_the_pinned_double_failover_loses_nothing(self):
-        with tempfile.TemporaryDirectory() as root:
-            verdict = _certified(root, 8, self.LOST_WRITE)
-            assert verdict.ok, verdict.violations
+        record = sim.run(self.LOST_WRITE, seed=8, drop_rate=0.05)
+        assert record.verdict.ok, record.verdict.violations
+        assert [promotion[0] for promotion in record.promotions] == ["bravo"]
+        assert isinstance(record.steps[-1][1], FederationError)
 
     def test_a_follower_missing_a_replicated_write_is_refused(self):
         with tempfile.TemporaryDirectory() as root:
-            group, membership, auditor, timeline, __ = _build(root, seed=0)
+            group, membership, auditor, timeline, __ = sim.build(root)
             bravo, charlie = group.followers
             group.primary.execute("INSERT INTO t VALUES (1, 'v1')", [])
             bravo.catch_up(group.primary)  # charlie never hears of it
@@ -181,7 +105,7 @@ class TestDoubleFailover:
         """The refusal is about what the candidate holds *after* the
         salvage: a cleanly dead primary's directory is still readable."""
         with tempfile.TemporaryDirectory() as root:
-            group, __, auditor, timeline, __ = _build(root, seed=0)
+            group, __, auditor, timeline, __ = sim.build(root)
             bravo, charlie = group.followers
             group.primary.execute("INSERT INTO t VALUES (1, 'v1')", [])
             bravo.catch_up(group.primary)
@@ -193,45 +117,36 @@ class TestDoubleFailover:
 
 
 class TestPartitionSchedules:
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(events=schedules(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(schedule=SCHEDULES, seed=SEEDS, drop_rate=DROP_RATES)
     def test_auditor_invariants_hold_for_arbitrary_schedules(
-            self, events, seed):
-        with tempfile.TemporaryDirectory() as root:
-            group, auditor = _run_schedule(root, seed, events)
-            verdict = auditor.certify(group.primary, group.followers)
-            assert verdict.ok, verdict.violations
+            self, schedule, seed, drop_rate):
+        verdict = sim.run(schedule, seed=seed, drop_rate=drop_rate).verdict
+        assert verdict.ok, verdict.violations
 
-    def test_seeded_sweep_holds_the_invariants(self):
-        """Fresh schedules per ``REPRO_TEST_SEED``, from the same event
-        alphabet the strategy draws from."""
-        for sweep in range(12):
-            rng = random.Random(
-                ("partition-sweep", harness_seed(), sweep).__repr__())
-            events = [rng.choice((
-                ("write",), ("sync",), ("failover",),
-                ("advance", round(rng.uniform(0.1, 4.0), 3)),
-                ("partition", round(rng.uniform(1.0, 12.0), 3)),
-            )) for __ in range(rng.randint(6, 40))]
-            seed = rng.randrange(2**16)
-            with tempfile.TemporaryDirectory() as root:
-                verdict = _certified(root, seed, events)
-                assert verdict.ok, (seed, events, verdict.violations)
+    @seed(f"partition-sweep {harness_seed()}")
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(schedule=SCHEDULES, seed=SEEDS, drop_rate=DROP_RATES)
+    def test_seeded_sweep_holds_the_invariants(self, schedule, seed,
+                                               drop_rate):
+        """Fresh schedules per ``REPRO_TEST_SEED``, from the same
+        alphabet the derandomised property draws from."""
+        verdict = sim.run(schedule, seed=seed, drop_rate=drop_rate).verdict
+        assert verdict.ok, verdict.violations
 
     @settings(max_examples=20, deadline=None, derandomize=True)
-    @given(events=schedules(), seed=st.integers(0, 2**16))
-    def test_schedules_replay_deterministically(self, events, seed):
-        verdicts = []
-        for __ in range(2):
-            with tempfile.TemporaryDirectory() as root:
-                group, auditor = _run_schedule(root, seed, events)
-                verdict = auditor.certify(group.primary, group.followers)
-                verdicts.append(
-                    (verdict.ok, verdict.acknowledgments,
-                     sorted(verdict.epochs_with_acks),
-                     [ack.position()
-                      for ack in verdict.lost_unreplicated]))
-        assert verdicts[0] == verdicts[1]
+    @given(schedule=SCHEDULES, seed=SEEDS, drop_rate=DROP_RATES)
+    def test_schedules_replay_deterministically(self, schedule, seed,
+                                                drop_rate):
+        runs = [sim.run(schedule, seed=seed, drop_rate=drop_rate)
+                for __ in range(2)]
+        assert len({(tuple(type(outcome).__name__
+                           for __, outcome in record.steps),
+                     tuple(record.promotions), tuple(record.fences),
+                     record.verdict.summary(),
+                     tuple(ack.position()
+                           for ack in record.verdict.lost_unreplicated))
+                    for record in runs}) == 1
 
 
 class TestLeaseExpiryRacingExecute:
