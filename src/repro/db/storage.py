@@ -32,9 +32,9 @@ WAL header  ``{"$wal": 3, "generation": N, "epoch": E-or-null,
 WAL record  ``{"sql": ..., "params": [...], "crc": C}`` — every other
             line; a committed transaction of several statements is
             one record: their texts, then their parameters end to end
-image       ``{"format": 2, "tables": [...], "indexes": [...],
+image       ``{"format": 2, "indexes": [...], "tables": [...],
             "digest": D}`` (plus ``wal_generation`` after a
-            checkpoint); every table spec names its ``layout``
+            checkpoint); sorted keys; table specs name their ``layout``
 ==========  ==========================================================
 
 ``C`` is the CRC32 of the line's own bytes before ``, "crc": `` (plus
@@ -88,6 +88,8 @@ from repro.obs.metrics import count as _metric
 _TABLE_KEYS = ("name", "columns", "primary_key", "unique", "layout", "rows")
 _COLUMN_KEYS = ("name", "type", "not_null", "default")
 _INDEX_KEYS = ("name", "table", "column", "using", "parameters")
+#: The exact cell classes an image or WAL record holds as they are.
+_JSON_SCALARS = frozenset((bool, int, float, str, type(NULL)))
 
 _SEGMENT_SUFFIX = re.compile(r"\.(\d{6})$")
 
@@ -191,47 +193,47 @@ def _decode_value(encoded: Any, database: Database) -> Any:
     return encoded
 
 
-def _type_name(column: Column) -> str:
-    return column.sql_type.name
+def _encode_row(values: Sequence[Any], database: Database) -> list:
+    """Encode a row's cells (or a statement's parameters) for JSON."""
+    return [value if type(value) in _JSON_SCALARS
+            else _encode_value(value, database) for value in values]
 
 
 def build_image(database: Database,
                 wal_generation: int | None = None) -> dict[str, Any]:
-    """The image of *database* as a JSON-ready dict (what gets saved)."""
-    image: dict[str, Any] = {"format": IMAGE_FORMAT, "tables": [],
-                             "indexes": []}
-    if wal_generation is not None:
-        image["wal_generation"] = wal_generation
+    """The image of *database* as a JSON-ready dict (what gets saved),
+    every key in sorted order: its plain dump is canonical."""
+    image: dict[str, Any] = {"format": IMAGE_FORMAT, "indexes": [],
+                             "tables": []}
     for table_name in database.catalog.table_names:
         table = database.catalog.table(table_name)
         schema = table.schema
         image["tables"].append({
-            "name": schema.name,
             "columns": [
                 {
-                    "name": column.name,
-                    "type": _type_name(column),
-                    "not_null": column.not_null,
                     "default": _encode_value(column.default, database),
+                    "name": column.name,
+                    "not_null": column.not_null,
+                    "type": column.sql_type.name,
                 }
                 for column in schema.columns
             ],
-            "primary_key": schema.primary_key,
-            "unique": list(schema.unique),
             "layout": table.layout,
-            "rows": [
-                [_encode_value(value, database) for value in row]
-                for _, row in table.rows()
-            ],
+            "name": schema.name,
+            "primary_key": schema.primary_key,
+            "rows": [_encode_row(row, database) for _, row in table.rows()],
+            "unique": list(schema.unique),
         })
     for definition in database.index_definitions:
         image["indexes"].append({
-            "name": definition.name,
-            "table": definition.table,
             "column": definition.column,
+            "name": definition.name,
+            "parameters": dict(sorted(definition.parameters.items())),
+            "table": definition.table,
             "using": definition.using,
-            "parameters": definition.parameters,
         })
+    if wal_generation is not None:
+        image["wal_generation"] = wal_generation
     return image
 
 
@@ -252,18 +254,20 @@ def save_database(database: Database, path: str,
     is fsynced before the rename and the parent directory after it, so
     a crash at any point leaves either the previous image or the new
     one — never half of each, and never a rename the disk forgot.
-    The image header carries a whole-file SHA-256 digest
-    (:func:`image_digest`) verified on every load.  ``wal_generation``
+    The image is dumped once; its SHA-256 (:func:`image_digest`,
+    verified on every load) is appended as a last field.  ``wal_generation``
     records which WAL generation this image covers; recovery skips
     older sealed segments.  It is refused inside a transaction.
     """
     if database.in_transaction:
         raise TransactionError("cannot save an image inside a transaction")
-    image = build_image(database, wal_generation)
-    image["digest"] = image_digest(image)
+    body = json.dumps(build_image(database, wal_generation),
+                      sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest()
     temporary = path + ".tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(image))  # C encoder; json.dump is Python
+    with open(temporary, "wb") as handle:
+        handle.write(memoryview(body)[:-1])
+        handle.write(f', "digest": "{digest}"}}'.encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temporary, path)
@@ -587,6 +591,8 @@ class WriteAheadLog:
         self.epoch = epoch
         self._handle = None
         self._pending = 0
+        #: Records behind the header this log wrote (``None``: unknown).
+        self._records: int | None = None
         self._generation = self._initial_generation()
 
     # -- lifecycle -------------------------------------------------------------
@@ -625,11 +631,12 @@ class WriteAheadLog:
         self._pending = 0
 
     def close(self) -> None:
-        """Flush and release the persistent handle."""
+        """Flush and release the handle, and forget the record count."""
         if self._handle is not None:
             self.flush()
             self._handle.close()
             self._handle = None
+        self._records = None
 
     # -- appending -------------------------------------------------------------
 
@@ -654,11 +661,8 @@ class WriteAheadLog:
     def append(self, sql: "str | list", parameters: Sequence[Any]) -> None:
         """Log one mutating statement or committed transaction (the
         attached sink entry point)."""
-        record = {
-            "sql": sql,
-            "params": [_encode_value(value, self._database)
-                       for value in parameters],
-        }
+        record = {"sql": sql,
+                  "params": _encode_row(parameters, self._database)}
         line = checksum_line(json.dumps(record)) + "\n"
         _metric("storage", "wal_appends")
         if self._handle is None:
@@ -668,7 +672,10 @@ class WriteAheadLog:
             if blank:
                 self._handle.write(
                     _header_record(self._generation, self.epoch))
+                self._records = 0
         self._handle.write(line)
+        if self._records is not None:
+            self._records += 1
         self._pending += 1
         if self._pending >= self.flush_every_n:
             self.flush()
@@ -689,34 +696,37 @@ class WriteAheadLog:
         written *after* :meth:`rotate` can never swallow them.  The new
         header names the sealed record count (:data:`PREDECESSOR`): a
         follower that never sees a purged segment can tell it is short.
+        That count is kept by the open handle; a file this log did not
+        write, or closed since, is parsed (and a damaged line refused).
         """
+        records = None if self._handle is None else self._records
         self.close()
-        self._end_last_line()
-        if self._file_is_blank():
-            open(self.path, "a", encoding="utf-8").close()
-            return None
-        sealed_records = len(read_wal_records(self.path)[0])
-        if not sealed_records:
+        if records is None:
+            self._end_last_line()
+            if self._file_is_blank():
+                open(self.path, "a", encoding="utf-8").close()
+                return None
+            records = len(read_wal_records(self.path)[0])
+        sealed_path, predecessor = None, records
+        if not records:
             # Header-only (or blank-line) file: nothing to seal — but
             # truncating must restamp the header, or a reopened log
             # would fall back to generation 0 and recovery would
             # skew-skip everything appended since the last checkpoint.
-            header = _read_header(self.path) or {}
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.write(_header_record(self._generation, self.epoch,
-                                            header.get(PREDECESSOR)))
-            return None
-        sealed_path = f"{self.path}.{self._generation:06d}"
-        os.replace(self.path, sealed_path)
-        if self.fsync:
-            # The seal rename must survive a crash just like the
-            # records behind it: flush the directory entry too.
-            fsync_directory(sealed_path)
-        self._generation += 1
+            predecessor = (_read_header(self.path) or {}).get(PREDECESSOR)
+        else:
+            sealed_path = f"{self.path}.{self._generation:06d}"
+            os.replace(self.path, sealed_path)
+            if self.fsync:
+                # The seal rename must survive a crash just like the
+                # records behind it: flush the directory entry too.
+                fsync_directory(sealed_path)
+            self._generation += 1
+            _metric("storage", "wal_rotations")
         with open(self.path, "w", encoding="utf-8") as handle:
             handle.write(_header_record(self._generation, self.epoch,
-                                        sealed_records))
-        _metric("storage", "wal_rotations")
+                                        predecessor))
+        self._records = 0
         return sealed_path
 
     def set_epoch(self, epoch: int | None) -> None:

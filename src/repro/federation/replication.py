@@ -450,6 +450,7 @@ class PrimaryNode:
         return self.wal.rotate()
 
     def checkpoint(self, image_path: str) -> None:
+        self._require_alive()
         self.wal.rotate()
         save_database(self.database, image_path,
                       wal_generation=self.wal.generation)

@@ -26,6 +26,7 @@ from repro.core.types import DnaSequence
 from repro.db import Database
 from repro.db.index.base import SequenceIndex
 from repro.db.index.kmer import KmerIndex
+from repro.db.schema import Column, TableSchema
 from repro.db.storage import build_image, image_digest, save_database
 from repro.errors import DatabaseError
 from repro.sources import (
@@ -363,3 +364,27 @@ class TestImageBytes:
         with open(expected, "w", encoding="utf-8") as handle:
             json.dump(image, handle)
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_image_keys_are_in_canonical_order(self):
+        """A plain dump of the image is the sorted-key dump its digest
+        covers, UDT payloads, bytes cells and index parameters
+        included."""
+        database, __, __, __ = _table(4)
+        database.execute("INSERT INTO t VALUES (1, ?)",
+                         [DnaSequence("ACGTN")])
+        dna = database.catalog.resolve_type("DNA")
+        database.create_table(TableSchema("u", [
+            Column("id", database.catalog.resolve_type("INTEGER")),
+            Column("s", dna, default=DnaSequence("GATTACA")),
+            Column("b", database.catalog.resolve_type("BLOB")),
+        ], "id", ()))
+        database.execute("INSERT INTO u (id, b) VALUES (1, ?)",
+                         [b"\x00\xff"])
+        database.execute("CREATE INDEX seqs ON u (s) USING kmer "
+                         "WITH (k = 4)")
+        image = build_image(database, 2)
+        assert {"$udt", "data"} <= set(image["tables"][1]["columns"][1]
+                                       ["default"])
+        assert image["tables"][1]["rows"][0][2] == {"$bytes": "00ff"}
+        assert image["indexes"][0]["parameters"] == {"k": 4}
+        assert json.dumps(image) == json.dumps(image, sort_keys=True)

@@ -126,6 +126,49 @@ class TestEpochHeaders:
         wal.close()
         assert len(read_wal_records(wal.path)[0]) == 1
 
+    def test_the_kept_rotation_count_equals_a_parse(self, tmp_path):
+        """The count a log keeps while its handle is open, and the parse
+        it falls back to otherwise, both stamp what the sealed file
+        holds."""
+        def sealed_count(wal, sealed):
+            stamped = _header(wal.path)[PREDECESSOR]
+            assert stamped == len(read_wal_records(sealed)[0])
+            return stamped
+
+        database = _database()
+        # (a) The log's own appends, across two rotations.
+        wal = _wal(tmp_path / "a.jsonl", database)
+        for key in range(3):
+            database.execute(f"INSERT INTO t VALUES ({key}, 'a')", [])
+        assert sealed_count(wal, wal.rotate()) == 3
+        database.execute("INSERT INTO t VALUES (3, 'a')", [])
+        assert sealed_count(wal, wal.rotate()) == 1
+        wal.close()
+        # (b) A log opened over records it did not write.
+        wal = _wal(tmp_path / "a.jsonl", database)
+        database.execute("INSERT INTO t VALUES (4, 'a')", [])
+        wal.close()
+        wal = _wal(tmp_path / "a.jsonl", database)
+        database.execute("INSERT INTO t VALUES (5, 'a')", [])
+        assert sealed_count(wal, wal.rotate()) == 2
+        # (c) A closed log whose file lost a torn tail behind its back.
+        database.execute("INSERT INTO t VALUES (6, 'a')", [])
+        database.execute("INSERT INTO t VALUES (7, 'a')", [])
+        wal.close()
+        with open(wal.path, "rb+") as handle:
+            handle.truncate(len(handle.read()) - 5)
+        assert sealed_count(wal, wal.rotate()) == 1
+        # (d) A damaged middle line present at open is refused.
+        database.execute("INSERT INTO t VALUES (8, 'a')", [])
+        wal.close()
+        with open(wal.path, "ab") as handle:
+            handle.write(b'{"sql": "torn\n')
+        wal = _wal(wal.path, database)
+        database.execute("INSERT INTO t VALUES (9, 'a')", [])
+        with pytest.raises(StorageError) as excinfo:
+            wal.rotate()
+        assert excinfo.value.kind == "corrupt_middle"
+
     def test_set_epoch_on_blank_file_stamps_first_append(self, tmp_path):
         database = _database()
         wal = _wal(tmp_path / "wal.jsonl", database)

@@ -6,7 +6,7 @@ each replays as ``run(schedule)``.
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import FederationError, ReproError
 from repro.sim import group as sim
 
 PINNED = {
@@ -44,6 +44,16 @@ def test_step_errors_are_logged_and_the_heal_promotes():
         == ["str", "LeaseError", "FederationError"]
     assert [promotion[:2] for promotion in record.promotions] \
         == [("bravo", 2)]
+    assert record.verdict.ok, record.verdict.violations
+
+
+def test_a_crashed_primary_refuses_a_checkpoint():
+    """A dead primary refuses ``checkpoint`` as it refuses ``rotate``."""
+    record = sim.run([("write",), ("crash", 1), ("checkpoint",)])
+    [(step, outcome)] = record.steps[2:]
+    assert step == ("checkpoint",)
+    assert isinstance(outcome, FederationError)
+    assert str(outcome) == "primary 'alpha' is down"
     assert record.verdict.ok, record.verdict.violations
 
 
