@@ -1,21 +1,22 @@
 """Page cache: the one reader of ``memory_budget``, with disk spill.
 
-Every sealed column page is admitted here.  The budget bounds resident
-encoded pages plus what the streaming operators hold, which they
+Every sealed page is admitted here, a kernel's *cell page*
+(``ColumnStore.cells``) like a column's.  The budget bounds resident
+pages plus what the streaming operators hold, which they
 :meth:`~PageCache.charge` (refused if it leaves no room for the largest
 page: the two stay within the budget unless one page alone exceeds it)
 and :meth:`~PageCache.release`.  Room is made at the cold end: a page
 is written to a spill file and dropped until an access faults it back
 in — cold for a scan, so a table larger than the budget cannot flush
 the rest; hot otherwise (LRU).  With ``budget_bytes=None`` nothing ever
-spills — the cache is a plain dict, the row-layout-compatible default.
+spills — the cache is a plain dict, the row-layout-compatible default —
+and it keeps a resident page's decoded **forms** beside its bytes
+(:meth:`PageCache.get`); under a budget it holds pages, nothing else.
 
 Spill files are plain per-page temporary files that outlive eviction:
 once a page has been written, re-evicting it after a fault is free
 (the bytes on disk are immutable — page updates allocate a fresh page
-id).  Beside a resident page's bytes the cache keeps its decoded
-**forms** (:meth:`PageCache.get`), which die with its residency; the
-budget does not count them.  Observable via the metrics registry:
+id).  Observable via the metrics registry:
 
 - ``columnar_pages_evicted`` / ``columnar_page_faults`` /
   ``columnar_spill_bytes`` counters,
@@ -41,12 +42,12 @@ class PageCache:
         self.budget_bytes = budget_bytes
         self._resident: "OrderedDict[int, bytes]" = OrderedDict()
         self._spilled: dict[int, str] = {}
-        self._forms: dict[int, dict] = {}  # resident page id -> its forms
+        self._forms: dict[int, dict] = {}  # unbudgeted: page id -> forms
         self.resident_bytes = self.peak_resident_bytes = 0  # with charges
         self._charged = self._largest = 0  # operators' bytes; largest page
         self._spill_dir: "tempfile.TemporaryDirectory | None" = None
         self._next_id = 0
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         # lifetime totals, mirrored into the metrics registry
         self.pages_evicted = 0
         self.page_faults = 0
@@ -64,7 +65,6 @@ class PageCache:
                and self.resident_bytes + size > self.budget_bytes):
             page_id, data = self._resident.popitem(last=False)
             self.resident_bytes -= len(data)
-            self._forms.pop(page_id, None)
             if page_id not in self._spilled:
                 if self._spill_dir is None:
                     self._spill_dir = tempfile.TemporaryDirectory(
@@ -88,7 +88,7 @@ class PageCache:
 
     def put(self, data: bytes) -> int:
         """Admit a freshly sealed page; returns its page id."""
-        with self._lock:
+        with self.lock:
             page_id = self._next_id
             self._next_id += 1
             self._largest = max(self._largest, len(data))
@@ -98,7 +98,7 @@ class PageCache:
     def get(self, page_id: int, scan=False) -> "tuple[bytes, dict]":
         """The encoded bytes of *page_id*, faulting from disk if cold (cold
         for a *scan*), and its forms, for the caller to read and fill."""
-        with self._lock:
+        with self.lock:
             data = self._resident.get(page_id)
             if data is not None:
                 self._resident.move_to_end(page_id)
@@ -111,12 +111,13 @@ class PageCache:
             else:
                 raise StorageError(f"column page {page_id} is unknown to "
                                    f"the cache", kind="malformed")
-            return data, self._forms.setdefault(page_id, {})
+            return data, (self._forms.setdefault(page_id, {})
+                          if self.budget_bytes is None else {})
 
     def charge(self, size: int) -> bool:
         """Count *size* bytes an operator holds, evicting pages for them,
         unless that would leave no room for the largest page."""
-        with self._lock:
+        with self.lock:
             if self._charged + size + self._largest > self.budget_bytes:
                 return False
             self._make_room(size)
@@ -124,25 +125,26 @@ class PageCache:
             return True
 
     def release(self, size: int) -> None:
-        with self._lock:
+        with self.lock:
             self._charged -= size
             self.resident_bytes -= size
             self._publish()
 
-    def drop(self, page_id: int) -> None:
-        """Forget a page (its slot was rewritten under a new id)."""
-        with self._lock:
-            self._forms.pop(page_id, None)
-            data = self._resident.pop(page_id, None)
-            if data is not None:
-                self.resident_bytes -= len(data)
-            if page_id in self._spilled:
-                with contextlib.suppress(OSError):
-                    os.unlink(self._spilled.pop(page_id))
+    def drop(self, *page_ids: int) -> None:
+        """Forget pages: a slot rewritten under a new id, its cell pages."""
+        with self.lock:
+            for page_id in page_ids:
+                self._forms.pop(page_id, None)
+                data = self._resident.pop(page_id, None)
+                if data is not None:
+                    self.resident_bytes -= len(data)
+                if page_id in self._spilled:
+                    with contextlib.suppress(OSError):
+                        os.unlink(self._spilled.pop(page_id))
             self._publish()
 
     def close(self) -> None:
-        with self._lock:
+        with self.lock:
             self._resident.clear()
             self._forms.clear()
             self._spilled.clear()

@@ -14,30 +14,32 @@ immutable), so a rolled-back delete revives it in place; updates rewrite
 the affected column pages in place under fresh page ids, preserving the
 row's scan position.  Each sealed page carries its zone map, which
 :meth:`ColumnStore.scan` uses to skip whole groups that provably
-cannot satisfy a comparison predicate.
+cannot satisfy a comparison predicate, and the kernels' *cell pages*
+sealed over it (:meth:`ColumnStore.cells`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from typing import Iterator
 
 from repro.db.columnar import pages as page_codec
 from repro.db.columnar.pages import ZONE_EMPTY
-from repro.db.columnar.vector import KernelError
 from repro.db.values import NULL
 from repro.obs.metrics import count
 
 
 class PageRef:
-    """One sealed column page: cache handle + zone map + size."""
+    """One sealed column page: cache handle, zone map, size, cell pages."""
 
-    __slots__ = ("page_id", "nbytes", "zone")
+    __slots__ = ("page_id", "nbytes", "zone", "cells")
 
     def __init__(self, page_id: int, nbytes: int, zone) -> None:
         self.page_id = page_id
         self.nbytes = nbytes
         self.zone = zone
+        self.cells: dict = {}
 
 
 class RowGroup:
@@ -95,8 +97,8 @@ class GroupView:
 
     A sealed group's pages are read one column at a time, the first time
     that column is asked for: a scan pays for the columns its plan reads
-    and no others.  What a view hands out is shared by every scan while
-    its page stays resident (:meth:`ColumnStore.form`): never written to.
+    and no others.  What a view hands out may be shared by other scans
+    (:meth:`ColumnStore.form`): never written to.
     """
 
     __slots__ = ("_store", "_group", "row_ids", "_tail_rows")
@@ -118,29 +120,23 @@ class GroupView:
         a page that is not SEQ-encoded."""
         if self._group is None:
             return None
-        return self._store.form(self._group.pages[position], SEQ,
+        return self._store.form(self._group.pages[position].page_id, SEQ,
                                 page_codec.seq_page)
 
     def column_values(self, position: int) -> list:
         """Positional values of one column (tombstones included)."""
         if self._group is None:
             return [row[position] for row in self._tail_rows]
-        return self._store.values(self._group.pages[position])
+        return self._store.values(self._group.pages[position].page_id)
 
     def kernel_cells(self, position: int, key, run) -> list:
         """``run(page, values_fn)``: a page kernel's cells for a call on
-        the column alone, kept as the page's form *key* unless one failed
-        (an exception raised by two scans would grow one traceback)."""
-        def values_fn() -> list:
-            return self.column_values(position)
-
+        the column alone, from its cell page (:meth:`ColumnStore.cells`)."""
+        values_fn = partial(self.column_values, position)
         if self._group is None:
             return run(None, values_fn)
-        return self._store.form(
-            self._group.pages[position], key,
-            lambda data, page_id: run(
-                page_codec.seq_page(data, page_id=page_id), values_fn),
-            keep=lambda cells: KernelError not in set(map(type, cells)))
+        return self._store.cells(self._group.pages[position], key, run,
+                                 values_fn)
 
     def enumerate_rows(self) -> Iterator[tuple[int, tuple]]:
         """Live ``(offset, row)`` pairs in ordinal order, every column
@@ -154,7 +150,7 @@ class GroupView:
                 yield offset, row
 
 
-VALUES, SEQ = "values", "seq"  # form keys; a kernel's: (tag, function)
+VALUES, SEQ = "values", "seq"  # form keys; a cell page's: (tag, function)
 
 
 class ColumnStore:
@@ -177,26 +173,42 @@ class ColumnStore:
 
     # -- page plumbing ------------------------------------------------------
 
-    def form(self, ref: PageRef, key, build, keep=None, scan=True):
-        """Form *key* of one sealed page, built once per residency (and
-        kept if ``keep(form)``).  Every call is one ``pages_read`` and one
-        CRC32 check: a kept form skips decoding, never verification."""
+    def form(self, page_id: int, key, build, scan=True):
+        """Form *key* of one sealed page, built once per residency if the
+        cache keeps forms (no budget).  Every call is one ``pages_read``
+        and one CRC32 check: a kept form skips decoding, never verification."""
         count("columnar", "pages_read")
-        data, forms = self.runtime.cache.get(ref.page_id, scan)
+        data, forms = self.runtime.cache.get(page_id, scan)
         if key in forms:
-            page_codec.verify(data, ref.page_id)
+            page_codec.verify(data, page_id)
             return forms[key]
         count("columnar", "pages_decoded")
-        form = build(data, page_id=ref.page_id)  # verifies as it decodes
-        if keep is None or keep(form):
-            forms[key] = form
-        return form
-
-    def values(self, ref: PageRef, scan=True) -> list:
+        return forms.setdefault(key, build(data, page_id=page_id))
+    def values(self, page_id: int, scan=True) -> list:
         """The positional values of one sealed page (its kept form)."""
-        return self.form(ref, VALUES, lambda data, page_id: (
+        return self.form(page_id, VALUES, lambda data, page_id: (
             page_codec.decode_page(data, self.runtime.codec,
                                    page_id=page_id)), scan=scan)
+
+    def cells(self, ref: PageRef, key, run, values_fn) -> list:
+        """A kernel's cells ``run(SeqPage, values_fn)`` over page *ref*,
+        sealed once as its cell page *key* if a page holds them exactly;
+        a read checks the CRC32 of *ref*, then of the cell page."""
+        count("columnar", "pages_read")
+        data = self.runtime.cache.get(ref.page_id, True)[0]
+        if key in ref.cells:
+            page_codec.verify(data, ref.page_id)
+            return self.values(ref.cells[key])
+        count("columnar", "pages_decoded")
+        cells = run(page_codec.seq_page(data, page_id=ref.page_id), values_fn)
+        kinds = set(map(type, cells)) - {type(NULL)}
+        if kinds in ({int}, {float}, {bool}, set()):  # INT, FLOAT, BOOL
+            sealed = page_codec.encode_page(cells, None, self.runtime.codec)
+            with self.runtime.cache.lock:  # one cell page per page, kernel
+                if key not in ref.cells:
+                    ref.cells[key] = cell = self.runtime.cache.put(sealed)
+                    self.runtime.cache.get(cell)[1][VALUES] = cells
+        return cells
 
     def _seal_tail(self) -> None:
         codec = self.runtime.codec
@@ -241,7 +253,8 @@ class ColumnStore:
             return list(self._tail[ordinal - self._tail_start])
         group = self._group_at(ordinal)
         offset = ordinal - group.start
-        return [self.values(ref, scan=False)[offset] for ref in group.pages]
+        return [self.values(ref.page_id, scan=False)[offset]
+                for ref in group.pages]
 
     def replace(self, row_id: int, row: list) -> None:
         ordinal = self._ordinal_of[row_id]
@@ -251,16 +264,16 @@ class ColumnStore:
         group = self._group_at(ordinal)
         offset = ordinal - group.start
         cache = self.runtime.cache
-        for position, (column, new) in enumerate(zip(self.schema.columns,
-                                                     row)):
-            values = list(self.values(group.pages[position], scan=False))
+        for position, (column, ref, new) in enumerate(
+                zip(self.schema.columns, group.pages, row)):
+            values = list(self.values(ref.page_id, scan=False))
             if values[offset] is new or (values[offset] == new and
                                          type(values[offset]) is type(new)):
                 continue
             values[offset] = new
             data = page_codec.encode_page(values, column.sql_type.name,
                                           self.runtime.codec)
-            cache.drop(group.pages[position].page_id)
+            cache.drop(ref.page_id, *ref.cells.values())
             page_id = cache.put(data)
             cache.get(page_id)[1][VALUES] = values  # what the page decodes to
             group.pages[position] = PageRef(page_id, len(data),
@@ -289,7 +302,7 @@ class ColumnStore:
     def clear(self) -> None:
         for group in self._groups:
             for ref in group.pages:
-                self.runtime.cache.drop(ref.page_id)
+                self.runtime.cache.drop(ref.page_id, *ref.cells.values())
         self._groups = []
         self._starts = []
         self._tail_start = 0

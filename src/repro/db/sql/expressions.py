@@ -648,8 +648,8 @@ class Evaluator:
             except Exception as exc:
                 return _failure(exc, name)
 
-        # Cells of a call on the column alone are kept beside the page
-        # (one set per argument value would grow without bound).
+        # Cells of a call on the column alone are sealed as a cell page
+        # of the page (one per argument value would grow without bound).
         key = (descriptor.kernel, function)
 
         def page(batch: Batch, context: RowContext) -> list:

@@ -214,41 +214,78 @@ def _parsed(page) -> "tuple | None":
                      page.packed, page.nulls, page.spans())
 
 
+def page_bytes(cache, page_id) -> bytes:
+    """A page's bytes, resident or spilled, read without a fault."""
+    if page_id in cache._resident:
+        return cache._resident[page_id]
+    with open(cache._spilled[page_id], "rb") as handle:
+        return handle.read()
+
+
+def _refs(db):
+    """Every column page the tables of *db* hold, as its ``PageRef``."""
+    for name in db.catalog.table_names:
+        store = db.catalog.table(name).column_store
+        for group in store._groups if store is not None else ():
+            yield from group.pages
+
+
+def cell_pages(db) -> list:
+    """``(source ref, kernel key, cell page id)`` of every cell page the
+    tables of *db* record."""
+    return [(ref, key, cell_id) for ref in _refs(db)
+            for key, cell_id in ref.cells.items()]
+
+
 def stale_forms(db) -> list:
     """``(page id, key)`` of every form *db*'s page cache keeps that is not
-    what its page's bytes decode to now, or whose page is not resident."""
+    what its page's bytes decode to now, or whose page is not resident;
+    of every cell page that is not its kernel run over its source page's
+    bytes now; and ``(page id, "orphan")`` of every page the cache holds
+    that no table holds, as a column page or a cell page over one."""
     from repro.db.columnar import pages
     from repro.db.columnar.store import SEQ, VALUES
     from repro.db.columnar.vector import KERNELS
 
-    cache = db.columnar.cache
+    cache, codec = db.columnar.cache, db.columnar.codec
     stale = []
     for page_id, forms in cache._forms.items():
         data = cache._resident.get(page_id)
         if data is None:
             stale.extend((page_id, key) for key in forms)
             continue
-        values = pages.decode_page(data, db.columnar.codec)
+        values = pages.decode_page(data, codec)
         seq = pages.seq_page(data)
         for key, form in forms.items():
             if key == VALUES:
                 same = _typed(form) == _typed(values)
-            elif key == SEQ:
-                same = _parsed(form) == _parsed(seq)
-            else:  # a kernel's cells: (tag, registered function)
-                tag, function = key
-                same = _typed(form) == _typed(
-                    KERNELS[tag](seq, lambda: values, function, ()))
+            else:
+                same = key == SEQ and _parsed(form) == _parsed(seq)
             if not same:
                 stale.append((page_id, key))
+    held = set()
+    for ref, (tag, function), cell_id in cell_pages(db):
+        held.add(cell_id)
+        source = page_bytes(cache, ref.page_id)
+        cells = KERNELS[tag](pages.seq_page(source),
+                             lambda: pages.decode_page(source, codec),
+                             function, ())
+        if _typed(pages.decode_page(page_bytes(cache, cell_id), codec)) \
+                != _typed(cells):
+            stale.append((cell_id, (tag, function)))
+    held.update(ref.page_id for ref in _refs(db))
+    stale.extend((page_id, "orphan") for page_id
+                 in (set(cache._resident) | set(cache._spilled)) - held)
     return stale
 
 
 def test_twice_over_one_store_no_operator_writes_what_a_page_keeps():
-    # Forms are shared by every scan of a resident page: an operator that
-    # wrote into a batch column it was handed would change the next
-    # scan's answer.  The whole corpus, twice over one store per budget,
-    # must answer as the oracle and leave every form its page's decode.
+    # Forms are shared by every scan of a resident page, and a cell page's
+    # decode by every scan that reads it: an operator that wrote into a
+    # batch column it was handed would change the next scan's answer.
+    # The whole corpus, twice over one store per budget, must answer as
+    # the oracle and leave every form and every cell page its page's
+    # decode; under a budget the cache keeps pages and no form at all.
     oracles = [_outcome(_make(**CONFIGS[0]), sql, parameters)
                for sql, parameters in _CASES]
     unbudgeted = _make(layout="column")
@@ -259,7 +296,8 @@ def test_twice_over_one_store_no_operator_writes_what_a_page_keeps():
             for (sql, parameters), oracle in zip(_CASES, oracles):
                 assert _outcome(db, sql, parameters) == oracle, (
                     sql, budget, round_)
-        assert db.columnar.cache._forms, budget   # something was kept
+        assert bool(db.columnar.cache._forms) is (budget is None), budget
+        assert cell_pages(db), budget             # cells were sealed
         assert stale_forms(db) == [], budget
 
 

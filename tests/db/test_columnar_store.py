@@ -9,10 +9,13 @@ the store directly (group views, zone pruning, the tail/sealed split).
 
 import random
 
+import pytest
+
 from repro.adapter.adapter import install_genomics
 from repro.db import Database
 from repro.db.values import NULL
 from repro.obs.metrics import disable_metrics, enable_metrics
+from tests.db.test_columnar_differential import cell_pages, stale_forms
 
 PAGE_ROWS = 8
 
@@ -175,7 +178,9 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
     # the pages the scan would otherwise have fetched.  A page is decoded
     # once while it stays resident: the first scan that needs a form
     # builds it (``columnar_pages_decoded``), every later scan reads the
-    # same pages and decodes none.
+    # same pages and decodes none.  An argument-free kernel's first scan
+    # seals its cells as one cell page per page; every later scan reads
+    # the page and its cell page, two ``pages_read``, and runs nothing.
     from repro.db.columnar import pages
 
     groups, tail = 6, 3
@@ -194,9 +199,10 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
         lambda data, *args, **kwargs: (decoded.append(data),
                                        decode_page(data, *args, **kwargs))[1])
 
-    def counters(sql, parameters=()):
+    def counters(sql, parameters=(), sealed=0):
         """``(pages read, pages skipped, decode_page calls, forms built)``
-        of the first scan, then ``(… 0, 0)`` of the second."""
+        of the first scan; the second reads *sealed* more pages (the cell
+        pages the first sealed) and builds and decodes none."""
         scans = []
         for __ in range(2):
             registry = enable_metrics()
@@ -211,7 +217,7 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
                           len(decoded),
                           snapshot.get("columnar_pages_decoded", 0)))
         first, second = scans
-        assert second == first[:2] + (0, 0), (sql, second)
+        assert second == (first[0] + sealed, first[1], 0, 0), (sql, second)
         return first
 
     assert counters("SELECT count(*), avg(gc), min(k), max(k) FROM reads") \
@@ -219,8 +225,8 @@ def test_page_counters_count_the_pages_a_scan_reads_and_saves(monkeypatch):
     # The kernels parse SEQ pages (one form each) and decode no value.
     assert counters("SELECT count(*) FROM reads WHERE contains(seq, ?)",
                     ("GTAC",)) == (groups, 0, 0, groups)
-    assert counters("SELECT count(*), avg(gc_content(seq)) FROM reads") \
-        == (groups, 0, 0, groups)
+    assert counters("SELECT count(*), avg(gc_content(seq)) FROM reads",
+                    sealed=groups) == (groups, 0, 0, groups)
     # gc and k were decoded by the first statement and are still resident.
     assert counters("SELECT * FROM reads") \
         == (groups * 5, 0, groups * 3, groups * 3)
@@ -258,20 +264,7 @@ def _scan_all(databases):
         _both(databases, sql)
 
 
-def _forms_live(db, *tables):
-    """Every kept form belongs to a resident page some table still
-    holds, and is what that page's bytes decode to."""
-    from tests.db.test_columnar_differential import stale_forms
-    cache = db.columnar.cache
-    held = {ref.page_id for name in tables
-            for group in db.catalog.table(name).column_store._groups
-            for ref in group.pages}
-    assert set(cache._forms) <= set(cache._resident) & held
-    assert stale_forms(db) == []
-
-
 def test_a_kept_form_never_skips_the_crc_check():
-    import pytest
     from repro.errors import StorageError
 
     from repro.db.columnar.store import SEQ, VALUES
@@ -279,12 +272,19 @@ def test_a_kept_form_never_skips_the_crc_check():
     _, db = _genomic_pair()
     _scan_all((db,))
     cache = db.columnar.cache
-    # Each statement meets one page whose form it reads with a bit of
-    # its body flipped: values, a kernel's cells, a parsed SEQ body.
-    for sql, kept in zip(KEEPING, (VALUES, tuple, SEQ)):
-        page_id = next(page_id for page_id, forms in cache._forms.items()
-                       if any(key == kept or type(key) is kept
-                              for key in forms))
+    sealed = cell_pages(db)
+    (source, _, cell), cells = sealed[0], {page for *_, page in sealed}
+
+    def kept(form):
+        return next(page_id for page_id, forms in cache._forms.items()
+                    if form in forms and page_id not in cells)
+
+    # Each statement meets one page it reads with a bit of its body
+    # flipped: a page whose values or parsed SEQ body is kept, and the
+    # page a kernel's cells were sealed over or their cell page.
+    for sql, page_id in ((KEEPING[0], kept(VALUES)),
+                         (KEEPING[1], source.page_id), (KEEPING[1], cell),
+                         (KEEPING[2], kept(SEQ))):
         data = cache._resident[page_id]
         middle = len(data) // 2
         cache._resident[page_id] = (data[:middle]
@@ -305,19 +305,25 @@ def test_under_a_budget_only_resident_pages_keep_forms():
         cache = databases[1].columnar.cache
         for sql in KEEPING * 3:
             _both(databases, sql)
-            assert set(cache._forms) <= set(cache._resident), (budget, sql)
+            assert cache._forms == {}, (budget, sql)
         assert cache.pages_evicted > 0
-        _forms_live(databases[1], "reads", "samples")
+        assert stale_forms(databases[1]) == []
 
 
 def test_no_write_leaves_a_stale_form():
-    databases = _genomic_pair()
+    # Unbudgeted, with kept forms; at 64 bytes, with spilled cell pages.
+    for budget in (None, 64):
+        _no_write_leaves_a_stale_form(budget)
+
+
+def _no_write_leaves_a_stale_form(budget):
+    databases = _genomic_pair(budget)
     db = databases[1]
     _scan_all(databases)
     # UPDATE of a sealed row: its rewritten pages come under fresh ids.
     _both(databases, "UPDATE reads SET seq = dna('GGGCCCAT'), sample = 'u' "
                      "WHERE id IN (1, 6, 13)")
-    _forms_live(db, "reads", "samples")
+    assert stale_forms(db) == []
     _scan_all(databases)
     # DELETE, then rolled back: the tombstones revive in place.
     for each in databases:
@@ -326,23 +332,24 @@ def test_no_write_leaves_a_stale_form():
     _scan_all(databases)
     for each in databases:
         each.rollback()
-    _forms_live(db, "reads", "samples")
+    assert stale_forms(db) == []
     _scan_all(databases)
     # TRUNCATE (Table.truncate → ColumnStore.clear) forgets every page.
     for each in databases:
         each.catalog.table("reads").truncate()
     assert db.catalog.table("reads").column_store._groups == []
-    _forms_live(db, "reads", "samples")
+    assert stale_forms(db) == []
     _scan_all(databases)
     db.columnar.close()
-    assert db.columnar.cache._forms == {}
+    cache = db.columnar.cache
+    assert (cache._forms, cache._resident, cache._spilled) == ({}, {}, {})
 
 
 def test_a_user_function_named_like_a_kernel_never_reads_its_cells():
     _, db = _genomic_pair()
     for name in ("gc_content", "reverse_complement"):
         sql = f"SELECT {name}(seq) FROM reads WHERE seq IS NOT NULL"
-        assert len(set(db.execute(sql).rows)) > 1      # cells now kept
+        assert len(set(db.execute(sql).rows)) > 1
         # No kernel tag: evaluated value by value.
         db.register_function(name, lambda seq: "untagged", replace=True)
         assert set(db.execute(sql).rows) == {("untagged",)}
@@ -359,7 +366,6 @@ def test_a_user_function_named_like_a_kernel_never_reads_its_cells():
 def test_a_failed_kernel_cell_is_never_kept():
     # Each scan captures its own failure: one exception object raised by
     # two statements would carry (and grow) one traceback.
-    import pytest
     from repro.errors import DatabaseError
 
     db = Database(layout="column", page_rows=2)
@@ -374,9 +380,92 @@ def test_a_failed_kernel_cell_is_never_kept():
         raised.append(caught.value)
     assert raised[0] is not raised[1]
     assert str(raised[0]) == str(raised[1])
+    assert cell_pages(db) == []
     assert not any(type(key) is tuple
                    for forms in db.columnar.cache._forms.values()
                    for key in forms)
+
+
+def _typed_rows(rows) -> list:
+    return [(type(value), value) for row in rows for value in row]
+
+
+def test_cell_pages_spill_and_fault_back_bit_identical(monkeypatch):
+    # At 64 bytes no two pages are resident at once: a kernel's cells
+    # outlive their residency as a spilled cell page, and every later
+    # scan faults them back, verified, and runs no kernel.
+    from repro.db.columnar import pages
+
+    row, db = _genomic_pair(64)
+    cache = db.columnar.cache
+    sql = "SELECT id, gc_content(seq), length(seq) FROM reads"
+    twin = _typed_rows(row.execute(sql).rows)
+    assert _typed_rows(db.execute(sql).rows) == twin
+    sealed = cell_pages(db)
+    assert len(sealed) == 2 * 10          # two kernels, ten sealed groups
+    assert sum(cell_id in cache._spilled
+               for _, __, cell_id in sealed) >= len(sealed) - 1
+    parsed = []
+    seq_page = pages.seq_page
+    monkeypatch.setattr(pages, "seq_page", lambda *args, **kwargs: (
+        parsed.append(1), seq_page(*args, **kwargs))[1])
+    for _ in range(2):
+        faults = cache.page_faults
+        assert _typed_rows(db.execute(sql).rows) == twin
+        assert cache.page_faults - faults >= len(sealed)
+    assert parsed == [] and cell_pages(db) == sealed
+    assert cache._forms == {} and stale_forms(db) == []
+
+
+def test_two_scans_at_once_seal_one_cell_page_per_page(monkeypatch):
+    # Two scans build the first page's cells before either seals them:
+    # sealing is atomic, so one cell page is kept and none is orphaned.
+    import threading
+
+    from repro.db.columnar import pages
+
+    db, twin = _reads(), _reads(layout="row")
+    sql = "SELECT count(*), avg(gc_content(seq)) FROM reads"
+    barrier, waited = threading.Barrier(2, timeout=10), set()
+    encode_page = pages.encode_page
+
+    def encode(values, type_name, codec):
+        if type_name is None and threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            barrier.wait()
+        return encode_page(values, type_name, codec)
+
+    monkeypatch.setattr(pages, "encode_page", encode)
+    answers = []
+    scans = [threading.Thread(target=lambda: answers.append(
+        db.execute(sql).rows)) for _ in range(2)]
+    for scan in scans:
+        scan.start()
+    for scan in scans:
+        scan.join(timeout=30)
+        assert not scan.is_alive()
+    assert answers == [twin.execute(sql).rows] * 2
+    groups = db.catalog.table("reads").column_store._groups
+    assert len(cell_pages(db)) == len(groups)
+    assert stale_forms(db) == []
+
+
+@pytest.mark.parametrize("budget", (None, 64))
+def test_a_tagged_user_function_never_reads_the_builtins_cells(budget):
+    # Cells are sealed per (kernel tag, registered function): the
+    # reverse_complement kernel leaves every cell to the function, so
+    # each function tagged with it answers for itself, sealed or not.
+    _, db = _genomic_pair(budget)
+    sql = "SELECT reverse_complement(seq) FROM reads WHERE seq IS NOT NULL"
+    assert len(set(db.execute(sql).rows)) > 1
+    for answer in (0.5, 1.5, "tagged"):
+        db.register_function("reverse_complement",
+                             lambda seq, answer=answer: answer,
+                             replace=True, kernel="reverse_complement")
+        for _ in range(2):
+            assert set(db.execute(sql).rows) == {(answer,)}, answer
+    assert {key[1](None) for _, key, __ in cell_pages(db)} == {0.5, 1.5}
+    assert stale_forms(db) == []
 
 
 # -- one memory bound, and a scan that cannot flush it ----------------------
