@@ -593,176 +593,47 @@ def scenario_replica_failover(concurrency: int | None = None) -> str:
             f"re-follows the new primary")
 
 
+#: Scenario 13: after a clean sync, flips land in bravo's sealed
+#: generation 0, alpha's image, a shipment to charlie and, once charlie
+#: alone holds generation 2, that segment; then the primary dies.
+BIT_ROT_REPAIR = (
+    [("write",)] * 8 + [("rotate",)] + [("write",)] * 8 + [("checkpoint",)]
+    + [("write",)] * 4
+    + [("sync",), ("scrub", "bravo"), ("scrub", "charlie"),
+       ("flip", "bravo", "wal", 300, 0x01), ("scrub", "bravo"),
+       ("catch_up", "bravo"), ("scrub", "bravo"),
+       ("flip", "alpha", "image", 90, 0x01),
+       ("flip", "charlie", "shipment", 1500, 0x01), ("scrub", "charlie")]
+    + [("write",)] * 6
+    + [("rotate",), ("catch_up", "charlie"),
+       ("flip", "charlie", "wal", 2000, 0x01),
+       ("crash", 0), ("advance", 3.0), ("failover",)])
+
+
 def scenario_bit_rot_repair(concurrency: int | None = None) -> str:
-    """Scenario 13: seeded bit rot across the replication topology.
-
-    Byte-flips are injected at three points — a follower's sealed
-    segment, the primary's checkpoint image, and an in-flight shipment
-    payload — and every one must be *detected* (per-record CRC32,
-    whole-file digest, shipment digest) and *contained* (nothing
-    corrupt applied, the rotted follower refused promotion).  Clean
-    state must scrub clean first (zero false positives), and after the
-    catch-up round repairs them the replicas must converge
-    byte-identical to the primary.
-    """
+    """Scenario 13: seeded bit rot across the replication topology:
+    clean state scrubs clean; every flip is detected (per-record CRC32,
+    image digest, shipment digest) and none applied; a round repairs
+    the rotted segment; promotion refuses the rotted follower."""
     del concurrency                    # single-writer scenario, no fan-out
-    import os
-    import tempfile
-
-    from repro.db import Database
-    from repro.db.recovery import databases_equal
-    from repro.db.scrub import _flip_byte
-    from repro.db.storage import read_image
-    from repro.errors import FederationError, StorageError
-    from repro.federation import (
-        FollowerNode,
-        PrimaryNode,
-        ReplicationGroup,
-        Shipment,
-        sealed_digests,
-    )
-
-    def fresh() -> Database:
-        database = Database()
-        database.execute(
-            "CREATE TABLE events (id INTEGER PRIMARY KEY, note TEXT)")
-        return database
-
-    injected = detected = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        timeline = VirtualClock()
-        primary = PrimaryNode("alpha", os.path.join(workdir, "alpha"),
-                              fresh(), timeline=timeline)
-        bravo = FollowerNode("bravo", os.path.join(workdir, "bravo"),
-                             fresh(), timeline=timeline)
-        charlie = FollowerNode("charlie", os.path.join(workdir, "charlie"),
-                               fresh(), timeline=timeline)
-        group = ReplicationGroup(primary, [bravo, charlie],
-                                 promotion_window=5.0)
-
-        for index in range(8):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        primary.rotate()
-        for index in range(8, 16):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        image_path = os.path.join(workdir, "alpha", "image.json")
-        primary.checkpoint(image_path)     # rotates, then writes the image
-        for index in range(16, 20):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        group.sync()
-
-        # -- phase 0: clean state, zero false positives --------------------
-        _expect(bravo.verify_ledger() == [] and charlie.verify_ledger() == [],
-                "clean follower ledgers must verify with zero defects")
-        _expect(bravo.last_round.clean and charlie.last_round.clean,
-                "a clean catch-up round must report no divergence")
-        read_image(image_path)             # digest must verify
-        _expect(bravo.rejected_shipments == 0
-                and charlie.rejected_shipments == 0,
-                "clean shipping must reject nothing")
-
-        # -- phase 1: bit rot in a follower's sealed segment ---------------
-        rotted_path = bravo.wal_path + ".000000"
-        _flip_byte(rotted_path, fraction=0.5)
-        injected += 1
-        defects = bravo.verify_ledger()
-        _expect(len(defects) == 1 and defects[0].kind == "bit_rot"
-                and defects[0].path == rotted_path
-                and defects[0].offset is not None,
-                f"sealed-segment rot must verify as localized bit_rot, "
-                f"got {[(d.kind, d.path) for d in defects]}")
-        detected += 1
-        bravo.catch_up(primary)
-        repair = bravo.last_round
-        _expect(repair.repaired == [0] and len(repair.quarantined) == 1
-                and os.path.exists(repair.quarantined[0]),
-                f"catch-up must quarantine and re-fetch generation 0, "
-                f"got {repair.summary()}")
-        _expect(bravo.verify_ledger() == [],
-                "repaired ledger must verify clean again")
-
-        # -- phase 2: bit rot in the primary's checkpoint image ------------
-        _flip_byte(image_path, fraction=0.5)
-        injected += 1
-        try:
-            read_image(image_path)
-            _expect(False, "rotted image must fail its digest check")
-        except StorageError as error:
-            _expect(error.kind == "digest_mismatch",
-                    f"image rot must read as digest_mismatch, "
-                    f"got {error.kind!r}")
-            detected += 1
-
-        # -- phase 3: bit rot in an in-flight shipment ---------------------
-        shipment = primary.ship()[0]
-        flipped = shipment.payload.replace("n1", "nX", 1)
-        corrupt = Shipment(shipment.generation, flipped,
-                           shipment.sealed, shipment.digest)
-        injected += 1
-        before = charlie.applied_total()
-        try:
-            charlie.apply_shipment(corrupt)
-            _expect(False, "corrupt in-flight shipment must be rejected")
-        except FederationError:
-            detected += 1
-        _expect(charlie.rejected_shipments == 1
-                and charlie.applied_total() == before,
-                "rejection must be counted and apply nothing")
-        _expect(charlie.verify_ledger() == [],
-                "a rejected shipment must not touch the local ledger")
-
-        # -- phase 4: promotion refuses the rotted candidate ---------------
-        for index in range(20, 26):
-            primary.execute("INSERT INTO events VALUES (?, ?)",
-                            [index, f"n{index}"])
-        primary.rotate()
-        charlie.catch_up(primary)          # charlie alone pulls ahead
-        rotted_charlie = charlie.wal_path + ".000002"
-        # In a record's SQL text (a flipped key reads as malformed).
-        _flip_byte(rotted_charlie, fraction=0.4)
-        injected += 1
-        group.fail_primary()
-        promoted = group.promote()
-        _expect(promoted.name == "bravo",
-                f"promotion must refuse rotted charlie and elect bravo, "
-                f"elected {promoted.name!r}")
-        _expect(len(group.refused) == 1
-                and group.refused[0].startswith("charlie: bit_rot"),
-                f"the refusal ledger must name charlie's bit rot, "
-                f"got {group.refused!r}")
-        detected += 1
-
-        reference = fresh()
-        for index in range(26):
-            reference.execute("INSERT INTO events VALUES (?, ?)",
-                              [index, f"n{index}"])
-        _expect(databases_equal(promoted.database, reference),
-                "promoted database lost or duplicated statements")
-
-        # -- phase 5: the rotted survivor repairs and converges ------------
-        charlie.verify_ledger()
-        charlie.catch_up(promoted)
-        repair = charlie.last_round
-        _expect(repair.repaired == [2] and len(repair.quarantined) == 1,
-                f"charlie must repair generation 2 from the new primary, "
-                f"got {repair.summary()}")
-        _expect(charlie.verify_ledger() == [],
-                "repaired survivor must verify clean")
-        _expect(databases_equal(charlie.database, reference),
-                "repaired survivor must converge to the reference")
-        mine, theirs = (sealed_digests(charlie.wal_path),
-                        sealed_digests(promoted.wal_path))
-        shared = set(mine) & set(theirs)
-        _expect(shared and all(mine[gen] == theirs[gen] for gen in shared),
-                f"sealed segments must converge byte-identical, "
-                f"digests differ on {sorted(shared)!r}")
-    _expect(injected == detected == 4,
-            f"every injected flip must be detected: "
-            f"{detected}/{injected}")
-    return (f"{injected} seeded flips (sealed segment, image, in-flight, "
+    record = sim.run(BIT_ROT_REPAIR)
+    seen = [getattr(outcome, "kind", outcome) for step, outcome
+            in record.steps if step[0] in ("flip", "scrub")]
+    [charlie], refused = record.group.followers, record.group.refused
+    _expect(seen == ["ok", "ok", "bit_rot", "bit_rot", "ok",
+                     "digest_mismatch", "ok", "ok", "bit_rot"]
+            and charlie.last_rejection.endswith("digest mismatch in flight")
+            and [promotion[:2] for promotion in record.promotions]
+            == [("bravo", 2)] and len(refused) == 1
+            and refused[0].startswith("charlie: bit_rot")
+            and record.verdict.ok,
+            f"every flip must be detected and contained and charlie "
+            f"refused; got {seen}, {charlie.last_rejection!r}, "
+            f"{refused!r}, {record.verdict.violations!r}")
+    flips = [outcome for step, outcome in record.steps if step[0] == "flip"]
+    detected = sum(outcome != "ok" for outcome in flips) \
+        + charlie.rejected_shipments
+    return (f"{len(flips)} seeded flips (sealed segment, image, in-flight, "
             f"promote-time) — {detected} detected, 0 applied, 0 false "
             f"positives; quarantine + re-fetch converged byte-identical; "
             f"rotted charlie refused promotion")

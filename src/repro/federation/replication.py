@@ -579,8 +579,10 @@ class FollowerNode:
         #: lines only: ``(length, newlines, sha256 state, records,
         #: path)``, *path* being the local file that holds those bytes.
         self._verified: dict[int, tuple] = {}
-        #: sealed generations :meth:`verify_ledger` found damaged.
+        #: generations :meth:`verify_ledger` found damaged.
         self._suspect: set[int] = set()
+        #: the generation the local active file holds.
+        self._active = segment_generation(self.wal_path)
         self.last_round = RoundReport(name)
         self.last_catchup = timeline.now()
         self.rejected_shipments = 0
@@ -596,11 +598,12 @@ class FollowerNode:
 
     def _request(self) -> dict[int, tuple[int, str]]:
         """The verified-prefix table a round sends: generation →
-        ``(length, sha256)`` of each prefix still whole on disk."""
+        ``(length, sha256)`` of each prefix whole on disk, not suspect."""
         return {generation: (length, hasher.hexdigest())
                 for generation, (length, __, hasher, ___, path)
                 in self._verified.items()
-                if os.path.isfile(path) and os.path.getsize(path) == length}
+                if generation not in self._suspect and os.path.isfile(path)
+                and os.path.getsize(path) == length}
 
     def apply_shipment(self, shipment: Shipment) -> int:
         """Verify, persist, and replay one shipment; returns statements
@@ -694,9 +697,13 @@ class FollowerNode:
             # seal is a deposed leader's and would replay ahead of it.
             self._quarantine(seal, generation)
         if not shipment.sealed:        # other prefixes here are overwritten
+            self._active = generation
             self._verified = {other: entry for other, entry
                               in self._verified.items()
                               if entry[4] != path or other == generation}
+        elif self._active == generation:  # the seal supersedes the copy
+            os.remove(self.wal_path)
+            self._active = None
         fresh = records[done - base:]
         applied = apply_wal_records(fresh, self.database)
         self.applied[generation] = done + len(fresh)
@@ -794,26 +801,30 @@ class FollowerNode:
 
         Sealed segments must parse completely with valid CRCs; the
         active file may end in a torn tail (a crashed shipment) but
-        must otherwise verify.  An empty list means this follower is
-        fit for promotion.  A damaged file loses its verified prefix,
-        so the next round asks for it whole; a damaged sealed
-        generation is also marked suspect, so that round quarantines
-        it before the primary's copy replaces it.  No file moves
-        here."""
+        must otherwise verify; every file must open with the bytes this
+        follower verified (else ``bit_rot``).  An empty list means it
+        is fit for promotion.  A damaged file's generations turn
+        suspect: the next round asks for them whole and quarantines a
+        sealed copy before the primary's lands.  No file moves here."""
         defects: list[StorageError] = []
         files = list_sealed_segments(self.wal_path)
         if os.path.exists(self.wal_path):
             files.append((None, self.wal_path))
         for generation, path in files:
+            held = {other: entry for other, entry in self._verified.items()
+                    if entry[4] == path}
             try:
-                read_wal_records(path, allow_torn_tail=generation is None)
+                with open(path, "rb") as handle:
+                    data = handle.read()
+                parse_wal_payload(data, path=path,
+                                  allow_torn_tail=generation is None)
+                if any(hashlib.sha256(data[:entry[0]]).digest()
+                       != entry[2].digest() for entry in held.values()):
+                    raise StorageError(f"{path!r} lost verified bytes "
+                                       f"(bit rot)", path=path, kind="bit_rot")
             except StorageError as exc:
                 defects.append(exc)
-                if generation is not None:
-                    self._suspect.add(generation)
-                for held in [held for held, entry in self._verified.items()
-                             if entry[4] == path or held == generation]:
-                    del self._verified[held]
+                self._suspect |= held.keys() | ({generation} - {None})
         return defects
 
     def staleness_bound(self) -> float:

@@ -15,26 +15,39 @@ and returns a :class:`Run`.  The steps:
 - ``("rotate",)``; ``("checkpoint",)`` — also an image, never a purge;
 - ``("crash", k)`` — the primary dies appending an unacknowledged
   statement, of which the first *k* bytes reach its disk;
-- ``("failover",)`` — promote: the primary is dead or its lease lapsed.
+- ``("failover",)`` — promote: the primary is dead or its lease lapsed;
+- ``("flip", node, target, offset, mask)`` — XOR *mask* into byte
+  *offset* (mod their size) of *node*'s ``"wal"`` files end to end,
+  sealed then active, or of its ``"image"``; a ``"shipment"`` flip is
+  one round for follower *node* that reads the primary's files so
+  flipped but keeps each file's true digest (damage in flight);
+- ``("cut", node, "wal" | "image", offset)`` — truncate there;
+- ``("scrub", node)`` — the follower's ``verify_ledger()``.
 
 A step may raise only a :class:`~repro.errors.ReproError`, which the
-step log records; anything else propagates.  The heal closes every
-window and stops drops; each follower runs one round against each
-zombie (where fencing shows) and the zombie demotes; a dead primary is
-replaced; rounds run until one applies nothing.  The verdict is the
-auditor's ``certify`` plus every follower's database equal to the
-primary's.  A failing schedule replays as ``run(schedule, ...)``.
+step log records; anything else propagates.  A scrub records its first
+defect, a flip or cut the error replay meets in the damaged file.  The
+heal closes every window and stops drops; each follower runs one round
+against each zombie (where fencing shows) and the zombie demotes; every
+follower is scrubbed; a dead primary is replaced; rounds run until one
+applies nothing; an error stops the heal and is recorded.  The verdict
+is the auditor's ``certify``, every follower's database equal to the
+primary's, and no ``disagreements``.  A failing schedule replays as
+``run(schedule, ...)``.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
-from repro.errors import ReproError
+from repro.db.scrub import scrub_image, scrub_wal_file
+from repro.db.storage import list_sealed_segments, read_image, read_wal_records
+from repro.errors import ReproError, StorageError
 from repro.federation import (
     AuditReport,
     FaultyChannel,
@@ -53,13 +66,24 @@ NODES = ("alpha", "bravo", "charlie")
 class Run:
     """``steps`` pairs each step with ``"ok"`` or the error it raised;
     ``promotions`` holds ``(node, epoch, virtual seconds)``, ``fences``
-    ``(follower, zombie, zombie epoch, shipments fenced)``; ``group`` is
-    the healed group."""
+    ``(follower, zombie, zombie epoch, shipments fenced)``; ``damaged``
+    names the nodes whose WAL a step damaged, ``rot_at_source`` says one
+    was not then a follower (that log has no repair path);
+    ``disagreements`` are the scrub verdicts the truth contradicts
+    (scrub ≢ replay on a damaged file, a defect on a follower no step
+    damaged); ``scrubs`` maps each follower to what the heal's scrub
+    found; ``heal_error`` stopped the heal; ``group`` is the healed
+    group."""
 
     steps: list = field(default_factory=list)
     promotions: list = field(default_factory=list)
     fences: list = field(default_factory=list)
     divergences: list = field(default_factory=list)
+    damaged: set = field(default_factory=set)
+    rot_at_source: bool = False
+    disagreements: list = field(default_factory=list)
+    scrubs: dict = field(default_factory=dict)
+    heal_error: "ReproError | None" = None
     verdict: "AuditReport | None" = None
     group: "ReplicationGroup | None" = None
 
@@ -91,14 +115,77 @@ def build(root: str, *, seed: int = 0, drop_rate: float = 0.0,
     return group, membership, auditor, timeline, channels
 
 
-def _step(step: tuple, sql: str, group, timeline, channels) -> None:
+def _damage(directory: str, target: str, offset: int,
+            mask: "int | None") -> "str | None":
+    """XOR *mask* into byte *offset* (mod their size) of the image in
+    *directory*, or of its WAL files end to end, sealed then active, or
+    cut there (*mask* ``None``); returns the file damaged."""
+    wal = os.path.join(directory, "wal.jsonl")
+    paths = [path for path in (
+        [os.path.join(directory, "image.json")] if target == "image"
+        else [path for __, path in list_sealed_segments(wal)] + [wal])
+        if os.path.exists(path)]
+    sizes = [os.path.getsize(path) for path in paths]
+    offset %= sum(sizes) or 1
+    for path, size in zip(paths, sizes):
+        if offset < size:
+            with open(path, "rb+") as handle:
+                handle.seek(offset)
+                if mask is None:
+                    handle.truncate()
+                else:
+                    byte = handle.read(1)[0] ^ mask
+                    handle.seek(offset)
+                    handle.write(bytes([byte]))
+            return path
+        offset -= size
+    return None
+
+
+def _judge(path: str, record: Run) -> None:
+    """Hold scrub ≡ replay on the damaged *path*, and raise the error
+    replay meets there."""
+    image, active = path.endswith(".json"), path.endswith(".jsonl")
+    verdict = scrub_image(path) if image \
+        else scrub_wal_file(path, active=active)
+    try:
+        read_image(path) if image \
+            else read_wal_records(path, allow_torn_tail=active)
+    except StorageError as refusal:
+        if not verdict.damaged:
+            record.disagreements.append(f"scrub ≢ replay: {refusal}")
+        raise
+    if verdict.damaged:
+        record.disagreements.append(f"scrub ≢ replay: replay reads {path}")
+
+
+def _in_flight(primary: PrimaryNode, offset: int, mask: int):
+    """*primary* as one round sees it: its WAL files read with a byte
+    flipped, each shipment keeping its file's true digest."""
+
+    def ship(request=None):
+        clean = primary.ship()
+        _damage(primary.directory, "wal", offset, mask)
+        try:
+            damaged = primary.ship(request)
+        finally:
+            _damage(primary.directory, "wal", offset, mask)
+        return [replace(shipment, digest=original.digest)
+                for shipment, original in zip(damaged, clean)]
+
+    return SimpleNamespace(name=primary.name, ship=ship)
+
+
+def _step(step: tuple, sql: str, group, timeline, channels,
+          record: Run) -> None:
     action, primary = step[0], group.primary
+    named = [follower for follower in group.followers
+             if follower.name in step[1:2]]
     if action == "write":
         primary.execute(sql)
     elif action == "catch_up":
-        for follower in group.followers:
-            if follower.name == step[1]:
-                follower.catch_up(primary)
+        for follower in named:
+            follower.catch_up(primary)
     elif action == "sync":
         group.sync()
     elif action == "advance":
@@ -121,6 +208,23 @@ def _step(step: tuple, sql: str, group, timeline, channels) -> None:
             handle.truncate(min(len(data), start + step[1]))
     elif action == "failover":
         group.promote()
+    elif action == "scrub":
+        for follower in named:
+            defects = follower.verify_ledger()
+            if defects:
+                raise defects[0]
+    elif action == "flip" and step[2] == "shipment":
+        for follower in named:
+            follower.catch_up(_in_flight(primary, *step[3:]))
+    elif action in ("flip", "cut"):
+        path = _damage(os.path.join(os.path.dirname(primary.directory),
+                                    step[1]), step[2], step[3],
+                       step[4] if action == "flip" else None)
+        if path is not None:
+            if step[2] == "wal":
+                record.damaged.add(step[1])
+                record.rot_at_source |= not named
+            _judge(path, record)
     else:
         raise ValueError(f"unknown schedule action {step!r}")
 
@@ -147,7 +251,7 @@ def run(schedule, *, seed: int = 0, drop_rate: float = 0.0,
             writes += step[0] in ("write", "crash")
             try:
                 _step(step, f"INSERT INTO t VALUES ({writes}, 'v{writes}')",
-                      group, timeline, channels)
+                      group, timeline, channels, record)
                 record.steps.append((step, "ok"))
             except ReproError as error:
                 record.steps.append((step, error))
@@ -157,28 +261,38 @@ def run(schedule, *, seed: int = 0, drop_rate: float = 0.0,
             for window in channel.faults.windows:
                 timeline.advance(max(0.0, window.end - timeline.now()))
         timeline.advance(lease_timeout)
-        for zombie in zombies:
-            for follower in group.followers:
-                fenced = follower.shipments_fenced
-                follower.catch_up(zombie)
-                if follower.shipments_fenced > fenced:
-                    record.fences.append(
-                        (follower.name, zombie.name, zombie.epoch,
-                         follower.shipments_fenced - fenced))
-            rejoined, report = zombie.demote(
-                group.primary, database=_database(),
-                channel=channels[zombie.name])
-            record.divergences.append(report)
-            group.followers.append(rejoined)
         dead = group.primary
-        if not dead.alive and group.followers:
-            group.promote()
+        try:
+            for zombie in zombies:
+                for follower in group.followers:
+                    fenced = follower.shipments_fenced
+                    follower.catch_up(zombie)
+                    if follower.shipments_fenced > fenced:
+                        record.fences.append(
+                            (follower.name, zombie.name, zombie.epoch,
+                             follower.shipments_fenced - fenced))
+                rejoined, report = zombie.demote(
+                    group.primary, database=_database(),
+                    channel=channels[zombie.name])
+                record.divergences.append(report)
+                group.followers.append(rejoined)
+            for follower in group.followers:
+                defects = follower.verify_ledger()
+                record.scrubs[follower.name] = defects
+                if defects and follower.name not in record.damaged:
+                    record.disagreements.append(
+                        f"false positive: the scrub of {follower.name!r} "
+                        f"found {defects[0]} though no step damaged it")
+            if not dead.alive and group.followers:
+                group.promote()
+            while group.sync():
+                pass
+        except ReproError as error:
+            record.heal_error = error
         promoted_over(dead)
-        while group.sync():
-            pass
         record.group = group
         record.verdict = auditor.certify(group.primary, group.followers)
-        record.verdict.violations += [
+        record.verdict.violations += record.disagreements + [
             f"survivor {follower.name!r} database differs from primary "
             f"{group.primary.name!r}" for follower in group.followers
             if not databases_equal(follower.database,

@@ -1,9 +1,10 @@
-"""Randomized corruption fuzzing of the scrub taxonomy.
+"""Scrub's verdict agrees with what replay actually refuses.
 
 The hand-picked scrub scenarios (``repro.db.scrub.self_test``) damage
-files in carefully chosen spots.  This fuzzer damages them in *seeded
-arbitrary* spots — a byte flipped anywhere, a truncation at any offset
-— and checks the property the taxonomy exists for:
+files in carefully chosen spots.  Here damage lands in *seeded
+arbitrary* spots — a byte flipped anywhere, a cut at any offset — as a
+step of the schedule driver (:mod:`repro.sim.group`), which checks the
+law the taxonomy exists for after every flip or cut:
 
     **scrub's verdict must agree with what replay actually refuses.**
 
@@ -11,8 +12,10 @@ For a sealed WAL segment, ``FileVerdict.damaged`` must hold exactly
 when strict replay (``read_wal_records(allow_torn_tail=False)``)
 raises.  For the active segment, the torn-tail allowance is part of
 the contract on *both* sides.  For an image, ``scrub_image`` must
-agree with ``read_image``.  And an untouched checkpointed state must
-scrub perfectly clean — zero false positives, every time.
+agree with ``read_image``.  A disagreement is a violation on the run.
+The seeded cases below aim the driver's damage at each kind of file;
+``tests/federation/test_partition_properties.py`` draws the same steps
+at random, at every node and in flight.
 
 Bit flips cannot reach *structural* damage — a ``crc`` field that is
 retyped, dropped or renamed, a header or image stamped with another
@@ -23,7 +26,6 @@ is exactly where replay and recovery stop.
 """
 
 import json
-import os
 import random
 import re
 
@@ -44,61 +46,35 @@ from repro.db.storage import (
     read_image,
     read_wal_records,
 )
-from tests.concurrency.scheduler import harness_seed
+from repro.sim import group as sim
 
-#: Seeded fuzz cases per target file; each case draws its own damage.
+#: Seeded cases per target file; each case draws its own damage.
 CASES = 12
 
-
-def _rng(case: int, salt: str) -> random.Random:
-    return random.Random(("scrub-fuzz", harness_seed(), case,
-                          salt).__repr__())
-
-
-def _flip_random_byte(path: str, rng: random.Random) -> int:
-    """Flip one random bit of one random byte; returns the offset."""
-    with open(path, "rb") as handle:
-        data = bytearray(handle.read())
-    offset = rng.randrange(len(data))
-    data[offset] ^= 1 << rng.randrange(8)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return offset
+#: The primary's files: twelve writes fill the active file; a rotation
+#: seals them as generation 0 (over 900 bytes) before the new active
+#: file's header; a checkpoint also writes an image.
+ACTIVE = [("write",)] * 12
+SEALED = ACTIVE + [("rotate",)]
+IMAGE = ACTIVE + [("checkpoint",)]
 
 
-def _truncate_at_random(path: str, rng: random.Random) -> int:
-    """Cut the file at a random offset; returns the new size."""
-    size = os.path.getsize(path)
-    keep = rng.randrange(size)
-    with open(path, "rb") as handle:
-        data = handle.read(keep)
-    with open(path, "wb") as handle:
-        handle.write(data)
-    return keep
+def _damaged(state, case, salt, step):
+    """The outcome of ``step(rng)`` on the primary after *state*: the
+    error replay meets, or ``"ok"``; the law must hold."""
+    rng = random.Random(repr(("scrub-fuzz", case, salt)))
+    record = sim.run(state + [step(rng)])
+    assert not record.disagreements, record.disagreements
+    return record.steps[-1][1]
 
 
-def _sealed_replay_refuses(path: str) -> bool:
-    try:
-        read_wal_records(path, allow_torn_tail=False)
-        return False
-    except StorageError:
-        return True
+def _flip(target, size):
+    return lambda rng: ("flip", "alpha", target, rng.randrange(size),
+                        1 << rng.randrange(8))
 
 
-def _active_replay_refuses(path: str) -> bool:
-    try:
-        read_wal_records(path, allow_torn_tail=True)
-        return False
-    except StorageError:
-        return True
-
-
-def _image_replay_refuses(path: str) -> bool:
-    try:
-        read_image(path)
-        return False
-    except StorageError:
-        return True
+def _cut(target, size):
+    return lambda rng: ("cut", "alpha", target, rng.randrange(size))
 
 
 @pytest.fixture()
@@ -107,111 +83,61 @@ def state(tmp_path):
 
 
 class TestCleanStateHasZeroFalsePositives:
-    def test_untouched_files_scrub_clean(self, state):
-        image, wal_path = state
-        report = scrub(image, wal_path)
-        assert report.ok
-        assert report.damaged == []
-        assert report.files_scanned == 4     # image + 2 sealed + active
-        assert report.records_verified > 0
-        assert all(not verdict.bad_offsets
-                   for verdict in report.verdicts)
+    def test_untouched_files_scrub_clean(self):
+        record = sim.run(IMAGE + ACTIVE + [("rotate",), ("sync",),
+                                           ("scrub", "bravo"),
+                                           ("scrub", "charlie")])
+        assert all(outcome == "ok" for __, outcome in record.steps)
+        assert record.scrubs == {"bravo": [], "charlie": []}
+        assert record.verdict.ok, record.verdict.violations
 
-    def test_clean_replay_accepts_everything(self, state):
-        image, wal_path = state
-        assert not _image_replay_refuses(image)
-        assert not _active_replay_refuses(wal_path)
-        for __, sealed in list_sealed_segments(wal_path):
-            assert not _sealed_replay_refuses(sealed)
+    def test_clean_replay_accepts_everything(self):
+        """A zero mask flips nothing: scrub and replay both read it."""
+        for state, target in ((SEALED, "wal"), (IMAGE, "image")):
+            for case in range(CASES // 2):
+                assert _damaged(state, case, "clean", lambda rng: (
+                    "flip", "alpha", target, rng.randrange(2**16), 0)) == "ok"
 
 
+@pytest.mark.parametrize("case", range(CASES))
 class TestSealedSegmentAgreement:
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_byte_flip(self, tmp_path, case):
-        __, wal_path = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "sealed-flip")
-        segments = list_sealed_segments(wal_path)
-        __, target = segments[rng.randrange(len(segments))]
-        _flip_random_byte(target, rng)
-        verdict = scrub_wal_file(target)
-        assert verdict.damaged == _sealed_replay_refuses(target), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_byte_flip(self, case):
+        _damaged(SEALED, case, "sealed-flip", _flip("wal", 900))
 
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_truncation(self, tmp_path, case):
-        __, wal_path = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "sealed-cut")
-        segments = list_sealed_segments(wal_path)
-        __, target = segments[rng.randrange(len(segments))]
-        _truncate_at_random(target, rng)
-        verdict = scrub_wal_file(target)
-        assert verdict.damaged == _sealed_replay_refuses(target), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_truncation(self, case):
+        _damaged(SEALED, case, "sealed-cut", _cut("wal", 900))
 
 
+@pytest.mark.parametrize("case", range(CASES))
 class TestActiveSegmentAgreement:
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_byte_flip(self, tmp_path, case):
-        __, wal_path = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "active-flip")
-        _flip_random_byte(wal_path, rng)
-        verdict = scrub_wal_file(wal_path, active=True)
-        # The torn-tail allowance applies on both sides: a trailing
-        # crash artifact is dropped by replay and non-damaging to
-        # scrub; damage anywhere else refuses on both sides.
-        assert verdict.damaged == _active_replay_refuses(wal_path), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_byte_flip(self, case):
+        _damaged(ACTIVE, case, "active-flip", _flip("wal", 2**16))
 
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_truncation_is_a_crash_artifact(self, tmp_path,
-                                                   case):
-        __, wal_path = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "active-cut")
-        _truncate_at_random(wal_path, rng)
-        verdict = scrub_wal_file(wal_path, active=True)
-        assert verdict.damaged == _active_replay_refuses(wal_path), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_truncation_is_a_crash_artifact(self, case):
+        assert _damaged(ACTIVE, case, "active-cut", _cut("wal", 2**16)) \
+            == "ok"
 
 
+@pytest.mark.parametrize("case", range(CASES))
 class TestImageAgreement:
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_byte_flip(self, tmp_path, case):
-        image, __ = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "image-flip")
-        _flip_random_byte(image, rng)
-        verdict = scrub_image(image)
-        assert verdict.damaged == _image_replay_refuses(image), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_byte_flip(self, case):
+        _damaged(IMAGE, case, "image-flip", _flip("image", 2**16))
 
-    @pytest.mark.parametrize("case", range(CASES))
-    def test_random_truncation(self, tmp_path, case):
-        image, __ = _build_checkpointed_state(str(tmp_path))
-        rng = _rng(case, "image-cut")
-        _truncate_at_random(image, rng)
-        verdict = scrub_image(image)
-        assert verdict.damaged == _image_replay_refuses(image), \
-            (verdict.kind, verdict.verdict, verdict.detail)
+    def test_random_truncation(self, case):
+        _damaged(IMAGE, case, "image-cut", _cut("image", 2**16))
 
 
 class TestVerdictsNameTheDamage:
-    def test_damaged_verdicts_carry_a_taxonomy_kind(self, tmp_path):
-        """Across many seeded flips, every damaged verdict classifies
-        itself with a known taxonomy label (never a bare 'damaged')."""
+    def test_damaged_verdicts_carry_a_taxonomy_kind(self):
+        """Across many seeded flips, every damaged file is refused with
+        a known taxonomy label (never a bare 'damaged')."""
         known = {"torn_tail", "malformed", "corrupt_middle", "bit_rot",
                  "digest_mismatch", "unreadable"}
-        seen = set()
-        for case in range(CASES):
-            workdir = tmp_path / f"case{case}"
-            workdir.mkdir()
-            __, wal_path = _build_checkpointed_state(str(workdir))
-            rng = _rng(case, "taxonomy")
-            __, target = list_sealed_segments(wal_path)[0]
-            _flip_random_byte(target, rng)
-            verdict = scrub_wal_file(target)
-            if verdict.damaged:
-                assert verdict.verdict in known, verdict.verdict
-                seen.add(verdict.verdict)
-        assert seen, "no flip damaged anything — fuzzer is toothless"
+        seen = {outcome.kind for case in range(CASES)
+                for outcome in [_damaged(SEALED, case, "taxonomy",
+                                         _flip("wal", 900))]
+                if outcome != "ok"}
+        assert seen and seen <= known, seen
 
 
 _CRC = re.compile(r', "crc": (\d+)}$')
@@ -319,7 +245,8 @@ class TestStructuralDamage:
                        + [_CRC.sub("}", lines[-1])])
         verdict = scrub_wal_file(wal_path, active=True)
         assert verdict.damaged and verdict.verdict == "bit_rot"
-        assert _active_replay_refuses(wal_path)
+        with pytest.raises(StorageError):
+            read_wal_records(wal_path, allow_torn_tail=True)
 
     @staticmethod
     def _rewrite_image(path, damage, *, restamp):
@@ -346,7 +273,8 @@ class TestStructuralDamage:
         self._rewrite_image(image, damage, restamp=restamp)
         verdict = scrub_image(image)
         assert verdict.damaged and verdict.verdict == "malformed"
-        assert _image_replay_refuses(image)
+        with pytest.raises(StorageError):
+            read_image(image)
         with pytest.raises(StorageError) as excinfo:
             load_database(image, _genomic_database())
         error = excinfo.value

@@ -4,26 +4,26 @@ every shipment whole.
 
 ``FollowerNode.apply_shipment`` remembers, per generation, the prefix it
 has verified (length, SHA-256, record count) and resumes parsing after
-it when the next shipment opens with exactly those bytes.  The oracle is
-the same follower made to forget that prefix before every apply (a
-monkeypatch here, no switch in ``src/``): over random interleavings of
-appends, flushes, torn tails, ships, epoch restamps, rotations, purges
-and single-byte flips anywhere in a payload — the verified prefix
-included — both must answer alike: ledger, applied counts, local file
-bytes, rejections and their text (record index and offset included).
-A third follower is fed the same history as the answers to its own
-verified-prefix requests (suffixes past what it verified): it must end
-with the same ledger, database and files, byte for byte.
+it when the next shipment opens with exactly those bytes; ``_request``
+asks to be shipped only what lies past it.  The oracle is the same
+schedule driven by :func:`repro.sim.group.run` with followers that ask
+for whole files and forget every prefix before each apply (a monkeypatch
+here, no switch in ``src/``).  Over schedules of writes, rounds,
+rotations, checkpoints, torn crashes, failovers (epoch restamps) and
+damage — byte flips and cuts in the primary's WAL or image and flips in
+flight — both runs must answer alike: step outcomes, ledgers, rejection
+counts and texts (record index and offset included), every node's file
+bytes and database.
 """
 
-import hashlib
+import contextlib
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from repro.db import Database
 from repro.db import storage
@@ -32,9 +32,30 @@ from repro.db.storage import WriteAheadLog
 from repro.errors import FederationError
 from repro.federation import FollowerNode, Shipment, disk_shipments
 from repro.federation.replication import payload_digest
+from repro.sim import group as sim
 from repro.sources import VirtualClock
+from tests.concurrency.scheduler import harness_seed
+from tests.federation.test_partition_properties import LOAD, MASKS, OFFSETS
 
 TORN = '{"sql": "INSERT INTO t VALUES'
+
+#: Damage the primary's WAL or image at the source, or a shipment in
+#: flight, often in the newest bytes (those a follower has not
+#: verified); a follower's own files are left alone (scrub judges
+#: those).
+WHERE = st.one_of(OFFSETS, st.integers(-200, -1))
+DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.just("alpha"),
+              st.sampled_from(("wal", "image")), WHERE, MASKS),
+    st.tuples(st.just("flip"), st.sampled_from(sim.NODES[1:]),
+              st.just("shipment"), WHERE, MASKS),
+    st.tuples(st.just("cut"), st.just("alpha"),
+              st.sampled_from(("wal", "image")), WHERE),
+)
+#: Half the steps write or sync, so rounds meet verified prefixes.
+STEPS = st.sampled_from([st.just(("write",)), st.just(("sync",)), LOAD,
+                         DAMAGE]).flatmap(lambda steps: steps)
+SCHEDULES = st.lists(STEPS, min_size=10, max_size=40)
 
 
 def _database():
@@ -43,142 +64,76 @@ def _database():
     return database
 
 
-def _forget_before_every_apply(patch, node):
-    """Turn *node* into the reference: every apply parses whole."""
-    apply = node.apply_shipment
+def _whole(patch):
+    """Followers that ask for whole files and parse every one whole."""
+    apply = FollowerNode.apply_shipment
 
-    def apply_whole(shipment):
+    def apply_whole(node, shipment):
         node._verified.clear()
-        return apply(shipment)
+        return apply(node, shipment)
 
-    patch.setattr(node, "apply_shipment", apply_whole)
-
-
-def _answer(shipments, request):
-    """*shipments* as the answer to *request*: a payload opening with
-    the requested prefix ships from its end, any other whole (damaged
-    payloads included, so the three followers see the same bytes)."""
-    answer = []
-    for shipment in shipments:
-        data = shipment.payload.encode("utf-8")
-        length, digest = request.get(shipment.generation, (0, None))
-        if hashlib.sha256(data[:length]).hexdigest() == digest:
-            shipment = replace(shipment, start=length,
-                               payload=data[length:].decode("utf-8"))
-        answer.append(shipment)
-    return answer
+    patch.setattr(FollowerNode, "_request", lambda node: {})
+    patch.setattr(FollowerNode, "apply_shipment", apply_whole)
 
 
-def _files(directory):
-    return {path.name: path.read_bytes()
-            for path in sorted(Path(directory).iterdir())}
+def _answers(record, root):
+    """Everything a run answered, its directory named ``<root>``, and
+    its nodes' databases."""
+    def text(outcome):
+        return f"{type(outcome).__name__}: {outcome}".replace(root, "<root>")
+
+    nodes = [record.group.primary, *record.group.followers]
+    return ([(step, text(outcome)) for step, outcome in record.steps],
+            text(record.heal_error), record.promotions,
+            [(node.name, getattr(node, "applied", None),
+              getattr(node, "rejected_shipments", None),
+              text(getattr(node, "last_rejection", None)))
+             for node in nodes],
+            {str(path.relative_to(root)): path.read_bytes()
+             for path in sorted(Path(root).rglob("*")) if path.is_file()}), \
+        [node.database for node in nodes]
 
 
-def _deliver(node, shipment):
-    try:
-        return ("applied", node.apply_shipment(shipment))
-    except FederationError as error:
-        return ("refused", str(error), error.generation, error.index)
+def _same_as_whole_parse(schedule, drop_rate):
+    answers = []
+    with tempfile.TemporaryDirectory() as scratch, \
+            pytest.MonkeyPatch.context() as patch:
+        for name in ("incremental", "whole"):
+            root = os.path.join(scratch, name)   # kept until compared
+            patch.setattr(sim, "tempfile", SimpleNamespace(
+                TemporaryDirectory=lambda: contextlib.nullcontext(root)))
+            if name == "whole":
+                _whole(patch)
+            answers.append(_answers(sim.run(schedule, drop_rate=drop_rate),
+                                    root))
+    (mine, my_databases), (theirs, their_databases) = answers
+    assert mine == theirs
+    assert all(map(databases_equal, my_databases, their_databases))
 
 
-def _flip(payload, where, mask):
-    where %= len(payload)
-    return (payload[:where] + chr(ord(payload[where]) ^ mask)
-            + payload[where + 1:])
-
-
-events = st.one_of(
-    st.tuples(st.just("append"), st.integers(1, 4)),
-    st.tuples(st.just("flush")),
-    st.tuples(st.just("ship")),
-    st.tuples(st.just("torn"), st.integers(1, len(TORN))),
-    st.tuples(st.just("epoch"), st.integers(1, 9)),
-    st.tuples(st.just("rotate")),
-    st.tuples(st.just("purge")),
-    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(0, 2**20),
-              st.sampled_from([1, 2, 4, 0x20]), st.booleans()),
-)
+#: Damage in the bytes a round ships past a verified prefix: in flight,
+#: and at the source.
+PAST_THE_PREFIX = [[("write",), ("sync",), ("write",), (*damage, -5, 0x01),
+                    ("sync",)]
+                   for damage in (("flip", "bravo", "shipment"),
+                                  ("flip", "alpha", "wal"))]
 
 
 class TestIncrementalEqualsWholeParse:
+    @example(schedule=PAST_THE_PREFIX[0], drop_rate=0.0)
+    @example(schedule=PAST_THE_PREFIX[1], drop_rate=0.0)
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(script=st.lists(events, min_size=10, max_size=40))
-    def test_same_answers_as_a_follower_that_parses_whole(self, script):
-        with tempfile.TemporaryDirectory() as root, \
-                pytest.MonkeyPatch.context() as patch:
-            os.makedirs(os.path.join(root, "primary"))
-            primary = _database()
-            wal = WriteAheadLog(os.path.join(root, "primary", "wal.jsonl"),
-                                primary, flush_every_n=1000)
-            wal.attach()
-            # One name, three directories: rejection texts name the node.
-            nodes = [FollowerNode("bravo", os.path.join(root, directory),
-                                  _database(), timeline=VirtualClock())
-                     for directory in ("incremental", "reference",
-                                       "suffixes")]
-            _forget_before_every_apply(patch, nodes[1])
-            rows = 0
-            for event in script:
-                kind = event[0]
-                if kind == "append":
-                    for __ in range(event[1]):
-                        primary.execute("INSERT INTO t VALUES (?, ?)",
-                                        [rows, f"v{rows}"])
-                        rows += 1
-                    continue
-                if kind == "flush":
-                    wal.flush()
-                elif kind == "epoch":
-                    wal.set_epoch(event[1])
-                elif kind == "rotate":
-                    wal.rotate()
-                elif kind == "purge":
-                    wal.purge(before_generation=wal.generation)
-                shipments = disk_shipments(wal.path)
-                if not shipments or kind in ("flush", "epoch", "rotate",
-                                             "purge"):
-                    continue
-                if kind == "torn":
-                    # The primary died mid-append: the active payload
-                    # ends in part of a record.
-                    last = shipments[-1]
-                    payload = last.payload + TORN[:event[1]]
-                    shipments[-1] = Shipment(last.generation, payload,
-                                             False, payload_digest(payload))
-                if kind == "flip":
-                    __, which, where, mask, at_source = event
-                    chosen = shipments[which % len(shipments)]
-                    payload = _flip(chosen.payload, where, mask)
-                    # Rot on the primary's disk ships a matching digest;
-                    # damage in flight keeps the digest of the original.
-                    shipments[which % len(shipments)] = Shipment(
-                        chosen.generation, payload, chosen.sealed,
-                        payload_digest(payload) if at_source
-                        else chosen.digest)
-                request = nodes[2]._request()
-                answer = _answer(shipments, request)
-                if kind == "ship":
-                    assert disk_shipments(wal.path, request) == answer
-                for shipment, cut in zip(shipments, answer):
-                    outcomes = [_deliver(node, shipment)
-                                for node in nodes[:2]]
-                    assert outcomes[0] == outcomes[1], shipment
-                    _deliver(nodes[2], cut)
-                incremental, reference, suffixes = nodes
-                assert suffixes.applied == incremental.applied
-                assert (_files(suffixes.directory)
-                        == _files(incremental.directory))
-                assert databases_equal(suffixes.database,
-                                       incremental.database)
-                assert incremental.applied == reference.applied
-                assert (incremental.rejected_shipments
-                        == reference.rejected_shipments)
-                assert incremental.last_rejection == reference.last_rejection
-                assert (_files(incremental.directory)
-                        == _files(reference.directory))
-                assert databases_equal(incremental.database,
-                                       reference.database)
-            wal.close()
+    @given(schedule=SCHEDULES, drop_rate=st.sampled_from((0.0, 0.05)))
+    def test_same_answers_as_a_follower_that_parses_whole(self, schedule,
+                                                          drop_rate):
+        _same_as_whole_parse(schedule, drop_rate)
+
+    @seed(f"incremental-sweep {harness_seed()}")
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(schedule=SCHEDULES, drop_rate=st.sampled_from((0.0, 0.05)))
+    def test_seeded_sweep_parses_alike(self, schedule, drop_rate):
+        """Fresh schedules per ``REPRO_TEST_SEED``."""
+        _same_as_whole_parse(schedule, drop_rate)
 
 
 class TestOnlyNewLinesAreClassified:

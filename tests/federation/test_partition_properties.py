@@ -2,16 +2,24 @@
 
 Hypothesis draws schedules of writes, catch-up rounds, syncs, clock
 advances, per-node partition windows, rotations, checkpoints, torn
-crashes and failover attempts, and :func:`repro.sim.group.run` applies
-each to a leased three-node group, heals it, and judges the wreckage.
-The verdict must certify *every* schedule:
+crashes, failover attempts, byte flips and cuts (in a WAL, an image or
+a shipment) and scrubs, and :func:`repro.sim.group.run` applies each to
+a leased three-node group, heals it, and judges the wreckage.  After
+every flip or cut, scrub must call the damaged file damaged exactly
+when replay refuses it.  Unless damage hit the WAL of a node that was
+not then a follower (which has no repair path), the verdict must
+certify the schedule:
 
 - no acknowledged-and-replicated write is ever lost;
 - at most one node acknowledges writes per epoch;
 - every acknowledged-but-lost write is named by a DivergenceReport;
 - all survivors converge byte-identically, and every follower's
   database equals the primary's;
-- no step raises anything but a ``ReproError``.
+- the heal's scrub finds nothing on a follower no step damaged;
+- no step raises anything but a ``ReproError``, and the heal none.
+
+A heal may crown nobody only when the scrub found every follower
+damaged.
 
 The suites are derandomised (a fixed example set per source revision)
 and a ``REPRO_TEST_SEED`` sweep walks fresh schedules per CI seed;
@@ -39,7 +47,9 @@ from tests.concurrency.scheduler import harness_seed
 
 LEASE_TIMEOUT = 2.0
 
-STEPS = st.one_of(
+OFFSETS = st.integers(-2**16, 2**16)
+MASKS = st.sampled_from((0x01, 0x02, 0x04, 0x20, 0x80))
+LOAD = st.one_of(
     st.just(("write",)),
     st.just(("sync",)),
     st.just(("failover",)),
@@ -51,9 +61,29 @@ STEPS = st.one_of(
               st.sampled_from(sim.NODES + ("all",))),
     st.tuples(st.just("crash"), st.integers(0, 120)),
 )
-SCHEDULES = st.lists(STEPS, min_size=6, max_size=40)
+DAMAGE = st.one_of(
+    st.tuples(st.just("flip"), st.sampled_from(sim.NODES),
+              st.sampled_from(("wal", "image", "shipment")), OFFSETS, MASKS),
+    st.tuples(st.just("cut"), st.sampled_from(sim.NODES),
+              st.sampled_from(("wal", "image")), OFFSETS),
+    st.tuples(st.just("scrub"), st.sampled_from(sim.NODES)),
+)
+SCHEDULES = st.lists(st.one_of(LOAD, DAMAGE), min_size=6, max_size=40)
 SEEDS = st.integers(0, 2**16)
 DROP_RATES = st.sampled_from((0.0, 0.05))
+
+
+def _judge(record):
+    """The certify property's verdict on one run."""
+    assert not record.disagreements, record.disagreements
+    if record.rot_at_source:
+        return
+    if not record.group.primary.alive:       # the heal crowned nobody
+        assert all(record.scrubs.values()), (record.heal_error,
+                                             record.scrubs)
+        return
+    assert record.verdict.ok, record.verdict.violations
+    assert record.heal_error is None, record.heal_error
 
 
 def _database():
@@ -121,8 +151,7 @@ class TestPartitionSchedules:
     @given(schedule=SCHEDULES, seed=SEEDS, drop_rate=DROP_RATES)
     def test_auditor_invariants_hold_for_arbitrary_schedules(
             self, schedule, seed, drop_rate):
-        verdict = sim.run(schedule, seed=seed, drop_rate=drop_rate).verdict
-        assert verdict.ok, verdict.violations
+        _judge(sim.run(schedule, seed=seed, drop_rate=drop_rate))
 
     @seed(f"partition-sweep {harness_seed()}")
     @settings(max_examples=12, deadline=None, database=None)
@@ -131,8 +160,7 @@ class TestPartitionSchedules:
                                                drop_rate):
         """Fresh schedules per ``REPRO_TEST_SEED``, from the same
         alphabet the derandomised property draws from."""
-        verdict = sim.run(schedule, seed=seed, drop_rate=drop_rate).verdict
-        assert verdict.ok, verdict.violations
+        _judge(sim.run(schedule, seed=seed, drop_rate=drop_rate))
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(schedule=SCHEDULES, seed=SEEDS, drop_rate=DROP_RATES)

@@ -6,7 +6,8 @@ each replays as ``run(schedule)``.
 
 import pytest
 
-from repro.errors import FederationError, ReproError
+from repro.db.scrub import FileVerdict
+from repro.errors import FederationError, ReproError, StorageError
 from repro.sim import group as sim
 
 PINNED = {
@@ -22,13 +23,33 @@ PINNED = {
     "follower-seal": [("write",), ("sync",), ("rotate",),
                       ("catch_up", "charlie"), ("advance", 3.0),
                       ("failover",)],
+    # Bravo's scrub took its flipped last newline, inside bytes it had
+    # verified, for a torn tail; promoted, its reopened WAL cut the
+    # record.
+    "rot-in-a-verified-prefix": [("write",), ("write",), ("sync",),
+                                 ("flip", "bravo", "wal", -1, 0x20),
+                                 ("crash", 5)],
+    # The same rot scrubbed clean, and the next round shipped only the
+    # bytes past it: bravo kept it.
+    "rot-in-a-verified-prefix-repaired": [("write",), ("sync",),
+                                          ("flip", "bravo", "wal", -1, 0x20),
+                                          ("scrub", "bravo"), ("write",),
+                                          ("sync",)],
+    # Damage in flight stopped bravo's round after the seal of
+    # generation 0 landed: bravo kept its active copy of 0 too and,
+    # promoted, appended to it.
+    "stale-active-copy": [("write",), ("sync",), ("write",), ("rotate",),
+                          ("write",), ("flip", "bravo", "shipment", 300, 1),
+                          ("partition", 100.0, "alpha"), ("advance", 3.0),
+                          ("failover",), ("write",), ("sync",)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_a_pinned_schedule_certifies(name):
     record = sim.run(PINNED[name])
-    assert all(outcome == "ok" for __, outcome in record.steps)
+    assert all(outcome == "ok" for step, outcome in record.steps
+               if step[0] != "scrub")
     assert record.verdict.ok, record.verdict.violations
 
 
@@ -57,7 +78,34 @@ def test_a_crashed_primary_refuses_a_checkpoint():
     assert record.verdict.ok, record.verdict.violations
 
 
+def test_a_scrub_that_disagrees_with_replay_is_a_violation(monkeypatch):
+    monkeypatch.setattr(sim, "scrub_wal_file",
+                        lambda path, active: FileVerdict(path, "wal_sealed"))
+    record = sim.run([("write",), ("sync",), ("flip", "bravo", "wal", 90, 1)])
+    assert isinstance(record.steps[-1][1], StorageError)
+    assert record.disagreements and not record.verdict.ok
+    assert record.disagreements[0] in record.verdict.violations
+
+
+def test_the_heal_records_a_rotted_primarys_ship():
+    record = sim.run([("write",), ("flip", "alpha", "wal", 0, 0x80)])
+    assert record.rot_at_source and not record.disagreements
+    assert isinstance(record.heal_error, StorageError)
+    assert record.heal_error.kind == "bit_rot"
+
+
+def test_a_heal_crowns_nobody_only_over_damaged_followers():
+    record = sim.run([("write",), ("sync",),
+                      ("flip", "bravo", "wal", -9, 1),
+                      ("flip", "charlie", "wal", -9, 1), ("crash", 0)])
+    assert isinstance(record.heal_error, FederationError)
+    assert not record.group.primary.alive and not record.rot_at_source
+    assert all(defects[0].kind == "bit_rot"
+               for defects in record.scrubs.values())
+    assert sorted(record.scrubs) == sorted(record.damaged)
+
+
 def test_an_error_outside_the_package_propagates():
     with pytest.raises(ValueError, match="unknown schedule action") as caught:
-        sim.run([("flip",)])
+        sim.run([("melt",)])
     assert not isinstance(caught.value, ReproError)
