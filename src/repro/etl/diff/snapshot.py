@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.etl.wrappers.base import split_records
+
 
 @dataclass(frozen=True)
 class SnapshotDifferential:
@@ -46,19 +48,14 @@ def split_flat_snapshot(text: str, terminator: str = "//") -> dict[str, str]:
     """Split a flat-file dump into per-record texts keyed by accession.
 
     Records end with a *terminator* line (GenBank/EMBL/SwissProt all use
-    ``//``).  The accession is taken from the first ``ACCESSION`` /
-    ``AC`` line found in the record.
+    ``//``) and are cut as the wrappers cut them.  The accession is taken
+    from the first ``ACCESSION`` / ``AC`` line found in the record.
     """
     records: dict[str, str] = {}
-    current: list[str] = []
-    for line in text.splitlines():
-        current.append(line)
-        if line.strip() == terminator:
-            record_text = "\n".join(current) + "\n"
-            accession = _accession_of(current)
-            if accession is not None:
-                records[accession] = record_text
-            current = []
+    for record_text in split_records(text, terminator):
+        accession = _accession_of(record_text.splitlines())
+        if accession is not None:
+            records[accession] = record_text
     return records
 
 

@@ -140,19 +140,36 @@ class Wrapper:
     def split_snapshot(self, text: str) -> list[str]:
         """Split a full dump into individual record texts."""
         self.refuse_torn(text)
-        records: list[str] = []
-        current: list[str] = []
-        for line in text.splitlines():
-            current.append(line)
-            if line.strip() == self.record_terminator:
-                records.append("\n".join(current) + "\n")
-                current = []
-        return records
+        return split_records(text, self.record_terminator)
 
     def parse_snapshot(self, text: str) -> list[ParsedRecord]:
         """Parse every record of a full dump."""
         return [self.parse_record(record)
                 for record in self.split_snapshot(text)]
+
+
+#: The ASCII line boundaries ``str.splitlines`` honours besides ``\n``.
+_OTHER_BREAKS = re.compile(r"[\r\x0b\x0c\x1c-\x1e]")
+
+
+def split_records(text: str, terminator: str = "//") -> list[str]:
+    """A dump's records (each up to its *terminator* line), torn tail
+    dropped.  One ``str.split`` cuts a well-formed dump; the line loop
+    runs whenever the two could read it differently: a line boundary
+    other than ``\\n``, or a *terminator* that is not a bare line."""
+    separator = f"\n{terminator}\n"
+    pieces = text.split(separator)
+    if (text.isascii() and not _OTHER_BREAKS.search(text)
+            and text.count(terminator) == len(pieces) - 1):
+        return [piece + separator for piece in pieces[:-1]]
+    records: list[str] = []
+    current: list[str] = []
+    for line in text.splitlines():
+        current.append(line)
+        if line.strip() == terminator:
+            records.append("\n".join(current) + "\n")
+            current = []
+    return records
 
 
 def required_line(lines: list[str], prefix: str, record: str) -> str:

@@ -31,7 +31,7 @@ repository underneath.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import FederationError, SourceError
@@ -142,14 +142,19 @@ class ShardSlice:
 
     # -- filtered access paths --------------------------------------------------
 
+    def _in_range(self, ordered: tuple[str, ...]) -> tuple[str, ...]:
+        """The owned stretch of the sorted *ordered*: a shard is a range."""
+        edges = self.shard_map.boundaries
+        low = bisect_left(ordered, edges[self.shard - 1]) if self.shard else 0
+        high = (bisect_left(ordered, edges[self.shard])
+                if self.shard < len(edges) else len(ordered))
+        return ordered[low:high]
+
     def accessions(self) -> tuple[str, ...]:
-        return tuple(accession for accession in self.inner.accessions()
-                     if self.owns(accession))
+        return self._in_range(self.inner.accessions())
 
     def query_accessions(self) -> tuple[str, ...]:
-        return tuple(accession
-                     for accession in self.inner.query_accessions()
-                     if self.owns(accession))
+        return self._in_range(self.inner.query_accessions())
 
     def query(self, accession: str) -> str | None:
         text = self.inner.query(accession)

@@ -30,9 +30,10 @@ UPDATE = "update"
 DELETE = "delete"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceRecord:
-    """One repository entry (source-level, pre-wrapper representation)."""
+    """One repository entry (source-level, pre-wrapper representation);
+    a value: edits build new records (:meth:`bumped`, ``replace``)."""
 
     accession: str
     version: int
@@ -98,6 +99,8 @@ class Repository:
         self._log: list[LogEntry] = []
         self._subscribers: list[Callable[[LogEntry, str | None], None]] = []
         self._records: dict[str, SourceRecord] = {}
+        #: accession → (record, its rendered text), see :meth:`_text_of`.
+        self._texts: dict[str, tuple[SourceRecord, str]] = {}
         self.error_rate = error_rate
 
         initial = universe.subset(coverage, self._rng)
@@ -174,7 +177,7 @@ class Repository:
         self._log.append(entry)
         if self.capabilities.active:
             record = self._records.get(accession)
-            rendered = self.render_record(record) if record else None
+            rendered = self._text_of(record) if record else None
             for subscriber in list(self._subscribers):
                 subscriber(entry, rendered)
 
@@ -221,6 +224,7 @@ class Repository:
             else:
                 accession = self._rng.choice(sorted(self._records))
                 del self._records[accession]
+                self._texts.pop(accession, None)
                 self._emit(DELETE, accession)
         return self._log[start:]
 
@@ -238,7 +242,7 @@ class Repository:
             raise SourceError(f"{self.name} is not queryable",
                               source=self.name, operation="query")
         record = self._records.get(accession)
-        return self.render_record(record) if record else None
+        return self._text_of(record) if record else None
 
     def query_accessions(self) -> tuple[str, ...]:
         if not self.capabilities.queryable:
@@ -278,4 +282,26 @@ class Repository:
         raise NotImplementedError
 
     def render_snapshot(self, records: Iterable[SourceRecord]) -> str:
-        return "".join(self.render_record(record) for record in records)
+        return "".join(self._text_of(record) for record in records)
+
+    @staticmethod
+    def sequence_block(sequence: str, line: str) -> str:
+        """Flat-file sequence lines, 60 residues in groups of 10, laid out
+        by the *line* template (``groups``, 1-based ``start`` / ``end``)."""
+        lines = []
+        for offset in range(0, len(sequence), 60):
+            chunk = sequence[offset:offset + 60]
+            groups = " ".join(chunk[at:at + 10]
+                              for at in range(0, len(chunk), 10))
+            lines.append(line.format(groups=groups, start=offset + 1,
+                                     end=offset + len(chunk)))
+        return "\n".join(lines)
+
+    def _text_of(self, record: SourceRecord) -> str:
+        """*record*'s text, rendered once per record version: a stored text
+        serves only the very record it came from (a race renders twice)."""
+        stored = self._texts.get(record.accession)
+        if stored is None or stored[0] is not record:
+            stored = (record, self.render_record(record))
+            self._texts[record.accession] = stored
+        return stored[1]

@@ -5,16 +5,6 @@ from __future__ import annotations
 from repro.sources.base import Capabilities, Repository, SourceRecord
 
 
-def _sequence_block(sequence: str) -> str:
-    """EMBL SQ formatting: 60 bases per line, position counter at the end."""
-    lines = []
-    for offset in range(0, len(sequence), 60):
-        chunk = sequence[offset:offset + 60].lower()
-        groups = " ".join(chunk[i:i + 10] for i in range(0, len(chunk), 10))
-        lines.append(f"     {groups:<66}{min(offset + 60, len(sequence)):>9}")
-    return "\n".join(lines)
-
-
 def _location(exons: tuple[tuple[int, int], ...], length: int) -> str:
     if not exons:
         return f"1..{length}"
@@ -52,7 +42,8 @@ class EmblRepository(Repository):
             f"FT   CDS             {_location(record.exons, length)}",
             f'FT                   /gene="{record.name}"',
             f"SQ   Sequence {length} BP;",
-            _sequence_block(record.sequence_text),
+            self.sequence_block(record.sequence_text.lower(),
+                                "     {groups:<66}{end:>9}"),
             "//",
         ]
         return "\n".join(lines) + "\n"

@@ -5,16 +5,6 @@ from __future__ import annotations
 from repro.sources.base import Capabilities, Repository, SourceRecord
 
 
-def _origin_block(sequence: str) -> str:
-    """GenBank ORIGIN formatting: 60 bases per line in groups of 10."""
-    lines = []
-    for offset in range(0, len(sequence), 60):
-        chunk = sequence[offset:offset + 60].lower()
-        groups = " ".join(chunk[i:i + 10] for i in range(0, len(chunk), 10))
-        lines.append(f"{offset + 1:>9} {groups}")
-    return "\n".join(lines)
-
-
 def _location(exons: tuple[tuple[int, int], ...], length: int) -> str:
     """1-based inclusive GenBank location text for the CDS."""
     if not exons:
@@ -63,7 +53,8 @@ class GenBankRepository(Repository):
             f'                     /gene="{record.name}"',
             f'                     /product="{record.name} protein"',
             "ORIGIN",
-            _origin_block(record.sequence_text),
+            self.sequence_block(record.sequence_text.lower(),
+                                "{start:>9} {groups}"),
             "//",
         ]
         return "\n".join(lines) + "\n"

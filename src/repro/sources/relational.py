@@ -57,8 +57,5 @@ class RelationalRepository(Repository):
 
     def render_snapshot(self, records) -> str:
         buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(_COLUMNS)
-        for record in records:
-            writer.writerow(self.row_of(record))
-        return buffer.getvalue()
+        csv.writer(buffer).writerow(_COLUMNS)
+        return buffer.getvalue() + super().render_snapshot(records)

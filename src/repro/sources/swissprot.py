@@ -12,15 +12,6 @@ from __future__ import annotations
 from repro.sources.base import Capabilities, Repository, SourceRecord
 
 
-def _sequence_block(sequence: str) -> str:
-    lines = []
-    for offset in range(0, len(sequence), 60):
-        chunk = sequence[offset:offset + 60]
-        groups = " ".join(chunk[i:i + 10] for i in range(0, len(chunk), 10))
-        lines.append(f"     {groups}")
-    return "\n".join(lines)
-
-
 def _entry_name(record: SourceRecord) -> str:
     organism_tag = "".join(
         word[:3].upper() for word in record.organism.split()[:2]
@@ -52,7 +43,7 @@ class SwissProtRepository(Repository):
             f"GN   Name={record.name};",
             f"OS   {record.organism}.",
             f"SQ   SEQUENCE   {length} AA;",
-            _sequence_block(record.sequence_text),
+            self.sequence_block(record.sequence_text, "     {groups}"),
             "//",
         ]
         return "\n".join(lines) + "\n"
