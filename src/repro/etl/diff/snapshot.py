@@ -63,7 +63,10 @@ def _accession_of(lines: list[str]) -> str | None:
     for line in lines:
         stripped = line.strip()
         if stripped.startswith("ACCESSION"):
-            return stripped.split()[1]
+            # A line with no accession (garbled) keys the record by the
+            # line itself, which no parse confirms: monitors quarantine it.
+            fields = stripped.split()
+            return fields[1] if len(fields) > 1 else stripped
         if stripped.startswith("AC "):
             return stripped.split()[1].rstrip(";")
     return None

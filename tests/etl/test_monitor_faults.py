@@ -75,6 +75,21 @@ class TestSnapshotMonitorFaults:
             proxy.inner.snapshot()
         )
 
+    def test_a_garbled_accession_line_is_quarantined(self, monkeypatch):
+        """A garble from right after ``ACCESSION`` to the end of a line
+        ``len(dump) // 8`` characters on leaves a line with no accession;
+        the split raised ``IndexError`` out of ``poll``."""
+        monitor, proxy = self._monitor()
+        proxy.advance(1)
+        dump = proxy.inner.snapshot()
+        start = dump.index("ACCESSION") + 9
+        end = dump.index("\n", start + len(dump) // 8)
+        garbled = dump[:start] + "#" * (end - start) + dump[end:]
+        monkeypatch.setattr(proxy, "snapshot", lambda: garbled)
+        deltas = monitor.poll()
+        assert not [delta for delta in deltas if delta.operation == DELETE]
+        assert monitor.quarantine and monitor.health.quarantined
+
     def test_quarantine_report_is_readable(self):
         monitor, proxy = self._monitor()
         proxy.corrupt_with_rate(1.0)
