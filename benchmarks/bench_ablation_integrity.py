@@ -367,8 +367,9 @@ if __name__ == "__main__":
     quick = "--quick" in sys.argv
     payload = report(statements=800 if quick else STATEMENTS,
                      repeats=3 if quick else REPEATS)
-    write_bench_json("ablation_integrity", payload)
-    if "--check" in sys.argv:
+    if "--check" not in sys.argv:     # a gate compares, it writes nothing
+        write_bench_json("ablation_integrity", payload)
+    else:
         failures = []
         if payload["write_us_per_record"] > MAX_WRITE_US:
             failures.append(

@@ -180,8 +180,9 @@ if __name__ == "__main__":
 
     quick = "--quick" in sys.argv
     payload = report(requests=60 if quick else REQUESTS)
-    write_bench_json("ablation_overload", payload)
-    if "--check" in sys.argv:
+    if "--check" not in sys.argv:     # a gate compares, it writes nothing
+        write_bench_json("ablation_overload", payload)
+    else:
         gate = payload["gate"]
         if not gate["retention_ok"]:
             print(f"FAIL: protected goodput retention "

@@ -354,8 +354,9 @@ if __name__ == "__main__":
     payload = report(statements=2_000 if quick else STATEMENTS,
                      repeats=7 if quick else REPEATS,
                      grid_writes=24 if quick else GRID_WRITES)
-    write_bench_json("ablation_partitions", payload)
-    if "--check" in sys.argv:
+    if "--check" not in sys.argv:     # a gate compares, it writes nothing
+        write_bench_json("ablation_partitions", payload)
+    else:
         print()
         failures = []
         lease_us = payload["hot_path"]["lease_us_per_write"]

@@ -548,8 +548,9 @@ if __name__ == "__main__":
             row_count=A15_QUICK_ROWS if quick else A15_ROWS,
             repeats=3 if quick else A15_REPEATS),
     }
-    write_bench_json("ablation_storage", payload)
-    if "--check" in sys.argv:
+    if "--check" not in sys.argv:     # a gate compares, it writes nothing
+        write_bench_json("ablation_storage", payload)
+    else:
         a15 = payload["a15"]
         # (what, measured, bound): a floor on a speedup, a budget on a cost
         floors = (

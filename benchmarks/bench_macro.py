@@ -176,8 +176,9 @@ if __name__ == "__main__":
     seed = harness_seed()
     reference = load_reference()
     payload = report(quick, seed)
-    write_bench_json("macro", payload)
-    if "--check" in sys.argv:
+    if "--check" not in sys.argv:     # a gate compares, it writes nothing
+        write_bench_json("macro", payload)
+    else:
         print()
         structural = payload["structural"]
         if not structural["ok"]:
