@@ -126,12 +126,14 @@ class WriteHistoryAuditor:
         2. **no acknowledged-and-replicated write lost** — every ack
            that at least one follower applied must still sit at its
            position, with the same SQL text, in the surviving
-           primary's on-disk history;
+           primary's on-disk history, or in a purged generation its
+           image covers (``primary.image_generation``);
         3. **honest loss accounting** — an acknowledged write that *is*
            gone (necessarily unreplicated, by invariant 2) must be
            named by some recorded :class:`DivergenceReport`;
         4. **byte-identical convergence** — every follower in
-           *followers* holds exactly the primary's segment bytes.
+           *followers* holds exactly the primary's segment bytes (a
+           sealed generation the primary purged is not compared).
         """
         report = AuditReport(ok=True, acknowledgments=len(self.acks),
                              applies=len(self.applies))
@@ -152,11 +154,13 @@ class WriteHistoryAuditor:
                     for divergence in self.divergences
                     for entry in divergence.statements
                     if entry.acknowledged}
+        covered = primary.image_generation
         for ack in self.acks:
             records = history.get(ack.generation, ([], True))[0]
             survives = (ack.index < len(records)
                         and str(records[ack.index].get("sql", ""))
-                        == ack.sql)
+                        == ack.sql) or (ack.generation < covered
+                                        and ack.generation not in history)
             if survives:
                 continue
             if (ack.epoch, ack.generation, ack.index) in replicated:
@@ -176,7 +180,10 @@ class WriteHistoryAuditor:
         primary_sealed = sealed_digests(primary.wal_path)
         primary_active = _active_digest(primary.wal_path)
         for follower in followers:
-            if sealed_digests(follower.wal_path) != primary_sealed:
+            if {generation: digest for generation, digest
+                    in sealed_digests(follower.wal_path).items()
+                    if generation >= covered
+                    or generation in primary_sealed} != primary_sealed:
                 report.violations.append(
                     f"survivor {follower.name!r} sealed segments differ "
                     f"from primary {primary.name!r}")

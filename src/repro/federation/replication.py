@@ -144,12 +144,14 @@ class RoundReport:
     was replaced by the primary's file; ``quarantined`` the local files
     set aside as ``*.quarantined``; ``local_only`` the sealed
     generations **only this follower** holds — a demoted zombie's tail,
-    or segments the primary purged — reported, never deleted."""
+    or segments the primary purged — reported, never deleted;
+    ``refused`` the error that stopped the round, if one did."""
 
     follower: str
     repaired: list[int] = field(default_factory=list)
     quarantined: list[str] = field(default_factory=list)
     local_only: list[int] = field(default_factory=list)
+    refused: "FederationError | None" = None
 
     @property
     def clean(self) -> bool:
@@ -353,6 +355,8 @@ class PrimaryNode:
         #: ``(generation, index)`` of every statement acknowledged to a
         #: client — the promises :meth:`demote` checks against history.
         self.acked: set[tuple[int, int]] = set()
+        #: The WAL generations below it live only in this node's image.
+        self.image_generation = 0
         self._record_counts: dict[int, int] = {}
         if self.lease is not None or auditor is not None:
             self._seed_record_counts()
@@ -454,6 +458,7 @@ class PrimaryNode:
         self.wal.rotate()
         save_database(self.database, image_path,
                       wal_generation=self.wal.generation)
+        self.image_generation = self.wal.generation
 
     def ship(self, request: "dict | None" = None) -> list[Shipment]:
         """Flush, then answer a follower's verified-prefix *request*
@@ -791,7 +796,8 @@ class FollowerNode:
                     return applied
                 try:
                     applied += self.apply_shipment(shipment)
-                except FederationError:
+                except FederationError as error:
+                    self.last_round.refused = error
                     return applied
         self.last_catchup = self.timeline.now()
         return applied

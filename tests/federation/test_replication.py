@@ -22,12 +22,7 @@ from repro.federation import replication
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
-from repro.db.storage import (
-    WriteAheadLog,
-    checkpoint,
-    checksum_line,
-    parse_wal_payload,
-)
+from repro.db.storage import checksum_line, parse_wal_payload
 from repro.errors import FederationError, StorageError
 from repro.federation.replication import file_digest
 from repro.federation import (
@@ -40,6 +35,7 @@ from repro.federation import (
     payload_digest,
     sealed_digests,
 )
+from repro.sim import group as sim
 from repro.sources import VirtualClock
 
 
@@ -304,79 +300,56 @@ class TestReplicationEdgeCases:
 
 
 class TestPurgedPredecessorRegression:
-    """A checkpoint purges the segment it sealed.  A follower that had
-    applied only part of that generation never sees the rest; the next
-    generation must be refused — with the hole named — rather than
-    applied over it (which lost the purged writes without a word)."""
+    """A purge deletes the segment the checkpoint sealed.  A follower
+    that had applied only part of that generation never sees the rest;
+    the next generation must be refused — with the hole named — rather
+    than applied over it (which lost the purged writes without a word).
+    The heal's round is refused again, so each refused follower counts
+    two rejections."""
 
-    @pytest.fixture
-    def feed(self, tmp_path):
-        os.makedirs(tmp_path / "primary")
-        database = _database()
-        wal = WriteAheadLog(str(tmp_path / "primary" / "wal.jsonl"),
-                            database)
-        wal.attach()
-        follower = FollowerNode("bravo", str(tmp_path / "bravo"),
-                                _database(), timeline=VirtualClock())
+    @staticmethod
+    def _run(schedule, name):
+        record = sim.run(schedule)
+        [follower] = [follower for follower in record.group.followers
+                      if follower.name == name]
+        return record, follower
 
-        def ship():
-            wal.flush()
-            return sum(follower.apply_shipment(shipment)
-                       for shipment in disk_shipments(wal.path))
-
-        yield database, wal, follower, ship, str(tmp_path / "image.json")
-        wal.close()
-
-    def test_purged_predecessor_is_refused_not_skipped(self, feed):
-        database, wal, follower, ship, image = feed
-        database.execute("INSERT INTO t VALUES (1, 'a')", [])
-        assert ship() == 1
-        database.execute("INSERT INTO t VALUES (2, 'b')", [])
-        checkpoint(database, image, wal)      # rotate → image → purge
-        database.execute("INSERT INTO t VALUES (3, 'c')", [])
-        with pytest.raises(FederationError) as excinfo:
-            ship()
-        error = excinfo.value
+    def test_purged_predecessor_is_refused_not_skipped(self):
+        record, bravo = self._run([("write",), ("catch_up", "bravo"),
+                                   ("write",), ("purge",), ("write",),
+                                   ("catch_up", "bravo")], "bravo")
+        error = record.steps[-1][1]
+        assert isinstance(error, FederationError)
         assert (error.node, error.generation, error.records,
                 error.index) == ("bravo", 0, 2, 1)
         assert "generation 0 sealed 2 records" in str(error)
-        assert follower.rejected_shipments == 1
-        assert follower.applied == {0: 1}
-        assert databases_equal(follower.database, _reference([(1, "a")]))
+        assert bravo.rejected_shipments == 2
+        assert bravo.applied == {0: 1}
+        assert databases_equal(bravo.database, _reference([(1, "v1")]))
 
-    def test_a_fresh_follower_refuses_purged_generations(self, feed,
-                                                         tmp_path):
+    def test_a_fresh_follower_refuses_purged_generations(self):
         """The first generation a follower sees is new to its ledger
         too: its header's predecessor count must hold."""
-        database, wal, __, ___, image = feed
-        for row in range(5):
-            database.execute("INSERT INTO t VALUES (?, ?)", [row, "v"])
-        checkpoint(database, image, wal)      # purges generation 0
-        for row in range(5, 8):
-            database.execute("INSERT INTO t VALUES (?, ?)", [row, "v"])
-        wal.flush()
-        fresh = FollowerNode("charlie", str(tmp_path / "charlie"),
-                             _database(), timeline=VirtualClock())
-        (shipment,) = disk_shipments(wal.path)
-        with pytest.raises(FederationError) as excinfo:
-            fresh.apply_shipment(shipment)
-        assert (excinfo.value.generation, excinfo.value.records,
-                excinfo.value.index) == (0, 5, 0)
-        assert fresh.applied == {}
-        assert fresh.database.execute("SELECT count(*) FROM t").rows \
+        record, charlie = self._run(
+            [("write",)] * 5 + [("purge",)] + [("write",)] * 3
+            + [("catch_up", "charlie")], "charlie")
+        error = record.steps[-1][1]
+        assert isinstance(error, FederationError)
+        assert (error.node, error.generation, error.records,
+                error.index) == ("charlie", 0, 5, 0)
+        assert charlie.rejected_shipments == 2
+        assert charlie.applied == {}
+        assert charlie.database.execute("SELECT count(*) FROM t").rows \
             == [(0,)]
 
-    def test_shipping_before_the_checkpoint_never_refuses(self, feed):
-        database, wal, follower, ship, image = feed
-        for cycle in range(3):
-            database.execute("INSERT INTO t VALUES (?, ?)",
-                             [cycle, f"v{cycle}"])
-            ship()
-            checkpoint(database, image, wal)
-        database.execute("INSERT INTO t VALUES (9, 'z')", [])
-        assert ship() == 1
-        assert follower.rejected_shipments == 0
-        assert databases_equal(follower.database, database)
+    def test_shipping_before_the_checkpoint_never_refuses(self):
+        record, bravo = self._run(
+            [("write",), ("catch_up", "bravo"), ("purge",)] * 3
+            + [("write",), ("catch_up", "bravo")], "bravo")
+        assert all(outcome == "ok" for __, outcome in record.steps)
+        assert bravo.rejected_shipments == 0
+        assert bravo.applied == {0: 1, 1: 1, 2: 1, 3: 1}
+        assert databases_equal(bravo.database, record.group.primary.database)
 
 
 class _CountingChannel(ReplicationChannel):
