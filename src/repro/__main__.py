@@ -137,10 +137,11 @@ def _run_quality(arguments) -> int:
 
 
 def _run_recover(arguments) -> int:
-    from repro.db.recovery import recover, self_test
+    from repro.db.recovery import recover
+    from repro.sim.matrix import self_test
 
     if arguments.self_test:
-        return 0 if self_test(verbose=True) else 1
+        return 0 if self_test("recover") else 1
     if arguments.wal is None:
         print("recover: --wal is required (or use --self-test)",
               file=sys.stderr)
@@ -189,10 +190,11 @@ def _run_chaos(arguments) -> int:
 
 
 def _run_scrub(arguments) -> int:
-    from repro.db.scrub import scrub, self_test
+    from repro.db.scrub import scrub
+    from repro.sim.matrix import self_test
 
     if arguments.self_test:
-        return 0 if self_test(verbose=True) else 1
+        return 0 if self_test("scrub") else 1
     if arguments.image is None and arguments.wal is None:
         print("scrub: give --image and/or --wal (or use --self-test)",
               file=sys.stderr)

@@ -714,4 +714,4 @@ def self_test(verbose: bool = True, concurrency: int | None = None,
     """The ``python -m repro chaos --self-test`` smoke target: every
     scenario (or just *only*) at fan-out width *concurrency*."""
     return MATRIX.self_test(
-        verbose, lambda scenario: scenario(concurrency), only)
+        lambda scenario: scenario(concurrency), verbose, only)

@@ -30,7 +30,9 @@ Verdicts, per file — the worst thing found in it:
   named that does not exist included).
 
 ``python -m repro scrub --image X --wal Y`` prints the report;
-``--self-test`` runs the seeded corruption matrix below.
+``--self-test`` runs the corruption matrix, schedules of the
+replication driver (:mod:`repro.sim.matrix`) that damage a primary's
+files and hold scrub and recovery to one verdict.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.db.storage import (
     MALFORMED,
     OK,
     TORN_TAIL,
-    checksum_line,
     classify_wal,
     list_sealed_segments,
     read_image,
@@ -54,7 +55,6 @@ from repro.db.storage import (
 from repro.errors import StorageError
 from repro.obs.metrics import count as _metric, observe as _observe
 from repro.obs.trace import span as _span
-from repro.selftest import ScenarioMatrix, ScenarioResult
 
 DIGEST_MISMATCH = "digest_mismatch"
 UNREADABLE = "unreadable"
@@ -213,160 +213,3 @@ def scrub(image_path: "str | None" = None,
                      records=report.records_verified,
                      damaged=len(report.damaged))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Seeded corruption matrix (``python -m repro scrub --self-test``)
-# ---------------------------------------------------------------------------
-
-def _build_checkpointed_state(workdir: str):
-    """A genomic database with an image, two sealed segments, and an
-    active segment — the full on-disk shape one scrub pass covers."""
-    from repro.db.recovery import _apply, _genomic_database, \
-        _seed_statements
-    from repro.db.storage import WriteAheadLog, checkpoint
-
-    image = os.path.join(workdir, "image.json")
-    wal_path = os.path.join(workdir, "wal.jsonl")
-    statements = _seed_statements(30)
-    database = _genomic_database()
-    log = WriteAheadLog(wal_path, database)
-    log.attach()
-    _apply(database, statements[:8])
-    checkpoint(database, image, log)       # image covers the prefix
-    _apply(database, statements[8:16])
-    log.rotate()                           # sealed, not covered
-    _apply(database, statements[16:24])
-    log.rotate()                           # sealed, not covered
-    _apply(database, statements[24:])      # active tail
-    log.close()
-    return image, wal_path
-
-
-def _flip_byte(path: str, *, fraction: float = 0.5) -> int:
-    """Flip one byte near *fraction* of the file, keeping it parseable
-    JSON where possible (swap a letter, not a structural character);
-    returns the flipped offset."""
-    with open(path, "rb") as handle:
-        data = bytearray(handle.read())
-    start = int(len(data) * fraction)
-    for offset in range(start, len(data)):
-        if chr(data[offset]).isalnum():
-            original = data[offset]
-            flipped = original ^ 0x01
-            if chr(flipped).isalnum() and flipped != original:
-                data[offset] = flipped
-                with open(path, "wb") as handle:
-                    handle.write(data)
-                return offset
-    raise AssertionError(f"no flippable byte in {path}")
-
-
-def _scenario_clean(workdir: str) -> ScenarioResult:
-    image, wal_path = _build_checkpointed_state(workdir)
-    report = scrub(image, wal_path)
-    passed = (report.ok and not report.damaged
-              and report.files_scanned == 4       # image + 2 sealed + active
-              and report.records_verified > 0
-              and all(not verdict.bad_offsets
-                      for verdict in report.verdicts))
-    return ScenarioResult("clean-state-no-false-positives", passed,
-                          report.summary())
-
-
-def _scenario_sealed_bit_rot(workdir: str) -> ScenarioResult:
-    image, wal_path = _build_checkpointed_state(workdir)
-    sealed = list_sealed_segments(wal_path)[0][1]
-    flipped_at = _flip_byte(sealed, fraction=0.6)
-    report = scrub(image, wal_path)
-    damaged = report.damaged
-    passed = (len(damaged) == 1
-              and damaged[0].path == sealed
-              and damaged[0].verdict in (BIT_ROT, TORN_TAIL,
-                                         CORRUPT_MIDDLE, MALFORMED)
-              and len(damaged[0].bad_offsets) == 1
-              and damaged[0].bad_offsets[0][1] <= flipped_at)
-    index, offset = damaged[0].bad_offsets[0] if damaged \
-        and damaged[0].bad_offsets else (0, 0)
-    return ScenarioResult(
-        "sealed-segment-bit-rot", passed,
-        f"flip@{flipped_at}B -> {damaged[0].verdict if damaged else '?'} "
-        f"record #{index} from {offset}B")
-
-
-def _scenario_image_rot(workdir: str) -> ScenarioResult:
-    image, wal_path = _build_checkpointed_state(workdir)
-    _flip_byte(image, fraction=0.5)
-    report = scrub(image, wal_path)
-    damaged = report.damaged
-    passed = (len(damaged) == 1 and damaged[0].kind == "image"
-              and damaged[0].verdict in (DIGEST_MISMATCH, MALFORMED))
-    return ScenarioResult(
-        "image-digest-mismatch", passed,
-        damaged[0].verdict if damaged else "no damage found")
-
-
-def _scenario_torn_active_tail(workdir: str) -> ScenarioResult:
-    from repro.db.recovery import _cut_tail, recover, _genomic_database
-
-    image, wal_path = _build_checkpointed_state(workdir)
-    _cut_tail(wal_path)
-    report = scrub(image, wal_path)
-    active = next(verdict for verdict in report.verdicts
-                  if verdict.kind == "wal_active")
-    # A torn active tail is a crash artifact: scrub reports it but the
-    # report stays clean, and recovery proceeds right through it.
-    __, recovery = recover(image, wal_path,
-                           database=_genomic_database())
-    passed = (report.ok and active.verdict == TORN_TAIL
-              and recovery.torn_tail_dropped)
-    return ScenarioResult(
-        "torn-active-tail-is-not-damage", passed,
-        f"active verdict {active.verdict}, recovery dropped it")
-
-
-def _scenario_old_format(workdir: str) -> ScenarioResult:
-    from repro.db.recovery import _genomic_database, recover
-
-    image, wal_path = _build_checkpointed_state(workdir)
-    with open(wal_path, "rb") as handle:
-        __, __, body = handle.read().partition(b"\n")
-    # What the previous release wrote: a version-2 header, no epoch.
-    old = checksum_line('{"$wal": 2, "generation": 3}').encode("utf-8")
-    with open(wal_path, "wb") as handle:
-        handle.write(old + b"\n" + body)
-    report = scrub(image, wal_path)
-    active = report.verdicts[-1]
-    try:
-        recover(image, wal_path, database=_genomic_database())
-    except StorageError as exc:
-        refused = (exc.kind == MALFORMED
-                   and (exc.record_index, exc.offset) == (1, 0)
-                   and "version 2" in str(exc))
-    else:
-        refused = False
-    passed = (refused and [verdict.path for verdict in report.damaged]
-              == [wal_path] and active.verdict == MALFORMED
-              and active.bad_offsets == [(1, 0)])
-    return ScenarioResult(
-        "old-format-is-refused", passed,
-        f"version-2 header -> {active.verdict}, recovery refused "
-        f"in agreement")
-
-
-MATRIX = ScenarioMatrix(
-    title="integrity scrub corruption matrix:",
-    verdict="scenarios verified correctly",
-    scenarios=(
-        ("clean-state-no-false-positives", _scenario_clean),
-        ("sealed-segment-bit-rot", _scenario_sealed_bit_rot),
-        ("image-digest-mismatch", _scenario_image_rot),
-        ("torn-active-tail-is-not-damage", _scenario_torn_active_tail),
-        ("old-format-is-refused", _scenario_old_format),
-    ),
-)
-
-
-def self_test(verbose: bool = True) -> bool:
-    """The ``python -m repro scrub --self-test`` smoke target."""
-    return MATRIX.self_test(verbose)

@@ -28,7 +28,6 @@ from repro.db.scrub import (
     scrub,
     scrub_image,
     scrub_wal_file,
-    self_test,
 )
 from repro.db.storage import (
     WriteAheadLog,
@@ -223,6 +222,3 @@ class TestReportShape:
         assert ScrubReport([verdict]).ok
         verdict.verdict = BIT_ROT
         assert not ScrubReport([verdict]).ok
-
-    def test_self_test_passes(self):
-        assert self_test(verbose=False)

@@ -1,7 +1,7 @@
 """Scrub's verdict agrees with what replay actually refuses.
 
-The hand-picked scrub scenarios (``repro.db.scrub.self_test``) damage
-files in carefully chosen spots.  Here damage lands in *seeded
+The hand-picked scrub scenarios (``repro.sim.matrix``) damage files in
+carefully chosen spots.  Here damage lands in *seeded
 arbitrary* spots — a byte flipped anywhere, a cut at any offset — as a
 step of the schedule driver (:mod:`repro.sim.group`), which checks the
 law the taxonomy exists for after every flip or cut:
@@ -31,15 +31,15 @@ import re
 
 import pytest
 
-from repro.db.recovery import _genomic_database, recover
-from repro.db.scrub import (
-    _build_checkpointed_state,
-    scrub,
-    scrub_image,
-    scrub_wal_file,
-)
+from repro.adapter import install_genomics
+from repro.core.types import DnaSequence
+from repro.db import Database
+from repro.db.recovery import recover
+from repro.db.scrub import scrub, scrub_image, scrub_wal_file
 from repro.db.storage import (
     StorageError,
+    WriteAheadLog,
+    checkpoint,
     image_digest,
     list_sealed_segments,
     load_database,
@@ -77,9 +77,33 @@ def _cut(target, size):
     return lambda rng: ("cut", "alpha", target, rng.randrange(size))
 
 
+def _genomic_database():
+    database = Database()
+    install_genomics(database)
+    return database
+
+
 @pytest.fixture()
 def state(tmp_path):
-    return _build_checkpointed_state(str(tmp_path))
+    """A ``DNA``-column table in an image (rows 0–7), two sealed
+    segments it does not cover (8–15, 16–23) and an active one."""
+    image = str(tmp_path / "image.json")
+    wal_path = str(tmp_path / "wal.jsonl")
+    database = _genomic_database()
+    log = WriteAheadLog(wal_path, database)
+    log.attach()
+    database.execute("CREATE TABLE genes (id INTEGER PRIMARY KEY, "
+                     "name TEXT, seq DNA)")
+    for index in range(30):
+        if index == 8:
+            checkpoint(database, image, log)
+        elif index in (16, 24):
+            log.rotate()
+        database.execute("INSERT INTO genes VALUES (?, ?, ?)",
+                         [index, f"g{index:04d}",
+                          DnaSequence("ACGT"[index % 4] * 12)])
+    log.close()
+    return image, wal_path
 
 
 class TestCleanStateHasZeroFalsePositives:
