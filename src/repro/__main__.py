@@ -170,17 +170,17 @@ def _run_recover(arguments) -> int:
 
 
 def _run_chaos(arguments) -> int:
-    from repro.chaos import self_test
+    from repro.errors import SettingError
+    from repro.sim.matrix import self_test
 
     if arguments.concurrency is not None and arguments.concurrency < 1:
         print("chaos: --concurrency must be >= 1", file=sys.stderr)
         return 2
     if arguments.self_test:
         try:
-            passed = self_test(verbose=True,
-                               concurrency=arguments.concurrency,
+            passed = self_test("chaos", width=arguments.concurrency,
                                only=arguments.only)
-        except ValueError as error:
+        except SettingError as error:
             print(f"chaos: {error}", file=sys.stderr)
             return 2
         return 0 if passed else 1
@@ -423,10 +423,10 @@ def _run_macro(arguments) -> int:
 
 
 def _run_shard(arguments) -> int:
-    from repro.chaos import REPLICA_FAILOVER
     from repro.federation import sharded_federation
     from repro.serving import summarize, synthetic_workload
     from repro.sim import group as sim
+    from repro.sim.matrix import REPLICA_FAILOVER
 
     deadline = 25.0
     print(f"scatter-gather federation: {arguments.count} requests at "
@@ -466,9 +466,9 @@ def _run_shard(arguments) -> int:
 
 
 def _run_partition(arguments) -> int:
-    from repro.chaos import split_brain
     from repro.errors import LeaseError
     from repro.sim import group as sim
+    from repro.sim.matrix import split_brain
 
     lease_timeout = arguments.lease
     duration = arguments.duration

@@ -51,25 +51,22 @@ def split_flat_snapshot(text: str, terminator: str = "//") -> dict[str, str]:
     ``//``) and are cut as the wrappers cut them.  The accession is taken
     from the first ``ACCESSION`` / ``AC`` line found in the record.
     """
-    records: dict[str, str] = {}
-    for record_text in split_records(text, terminator):
-        accession = _accession_of(record_text.splitlines())
-        if accession is not None:
-            records[accession] = record_text
-    return records
+    return {_accession_of(record_text.splitlines()): record_text
+            for record_text in split_records(text, terminator)}
 
 
-def _accession_of(lines: list[str]) -> str | None:
+def _accession_of(lines: list[str]) -> str:
+    """The record's accession.  A record whose accession line is garbled
+    or gone is keyed by that line, or by its first line, which no parse
+    confirms: monitors quarantine it and defer the dump's deletes."""
     for line in lines:
         stripped = line.strip()
         if stripped.startswith("ACCESSION"):
-            # A line with no accession (garbled) keys the record by the
-            # line itself, which no parse confirms: monitors quarantine it.
             fields = stripped.split()
             return fields[1] if len(fields) > 1 else stripped
         if stripped.startswith("AC "):
             return stripped.split()[1].rstrip(";")
-    return None
+    return lines[0].strip()
 
 
 def split_ace_snapshot(text: str) -> dict[str, str]:

@@ -1,11 +1,8 @@
 """One harness for the ``--self-test`` scenario matrices.
 
 ``repro chaos``, ``repro recover`` and ``repro scrub`` each print a
-table of named fault-injection scenarios (the last two from the
-schedules in :mod:`repro.sim.matrix`).  What the tables share lives
-here, once: the result type, the loop that runs a table (a scenario
-that crashes is a failed scenario, never a traceback), the ``only``
-filter, and the report printer.
+table of the named schedules in :mod:`repro.sim.matrix`: a scenario
+that crashes is a failed scenario, never a traceback.
 
 A scenario returns its detail string when it passed; it reports a
 broken expectation by raising :class:`ScenarioFailure` (see
@@ -17,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-
-@dataclass
-class ScenarioResult:
-    """Outcome of one scenario."""
-
-    name: str
-    passed: bool
-    detail: str = ""
+from repro.errors import SettingError
 
 
 class ScenarioFailure(AssertionError):
@@ -43,43 +33,33 @@ class ScenarioMatrix:
     title: str
     verdict: str                  # "<n>/<m> scenarios <verdict>"
     scenarios: Sequence[tuple[str, Callable]]
-    passed_label: str = "ok  "
-    name_width: int = 28
-
-    def run(self, invoke: Callable,
-            only: str | None = None) -> list[ScenarioResult]:
-        """Run every scenario (or just *only*) through ``invoke``;
-        never raises for a scenario's sake — failures and crashes land
-        in the results."""
-        if only is not None and only not in dict(self.scenarios):
-            known = ", ".join(name for name, __ in self.scenarios)
-            raise ValueError(f"unknown scenario {only!r}; one of: {known}")
-        results = []
-        for name, scenario in self.scenarios:
-            if only is not None and name != only:
-                continue
-            try:
-                outcome = ScenarioResult(name, True, invoke(scenario))
-            except ScenarioFailure as failure:
-                outcome = ScenarioResult(name, False, str(failure))
-            except Exception as error:   # a crash is a failed scenario
-                outcome = ScenarioResult(
-                    name, False, f"crashed: {type(error).__name__}: {error}")
-            results.append(outcome)
-        return results
-
-    def line(self, result: ScenarioResult) -> str:
-        status = self.passed_label if result.passed else "FAIL"
-        return f"  {status:<4} {result.name:<{self.name_width}} {result.detail}"
 
     def self_test(self, invoke: Callable, verbose: bool = True,
                   only: str | None = None) -> bool:
-        """Run the matrix, print the report, return whether all passed."""
-        results = self.run(invoke, only)
+        """Run every scenario (or just *only*) through ``invoke``, print
+        the report, and return whether all passed.  A scenario that
+        fails or crashes is a ``FAIL`` row, never a traceback."""
+        names = [name for name, __ in self.scenarios]
+        if only is not None and only not in names:
+            raise SettingError(
+                f"unknown scenario {only!r}; one of: {', '.join(names)}",
+                what="only", where=self.title, value=only)
+        rows = []
+        for name, scenario in self.scenarios:
+            if only not in (None, name):
+                continue
+            try:
+                rows.append(("ok", name, invoke(scenario)))
+            except ScenarioFailure as failure:
+                rows.append(("FAIL", name, str(failure)))
+            except Exception as error:   # a crash is a failed scenario
+                rows.append(("FAIL", name,
+                             f"crashed: {type(error).__name__}: {error}"))
+        passed = sum(status == "ok" for status, __, __ in rows)
         if verbose:
             print(self.title)
-            for result in results:
-                print(self.line(result))
-            passed = sum(result.passed for result in results)
-            print(f"{passed}/{len(results)} {self.verdict}")
-        return all(result.passed for result in results)
+            width = max(map(len, names))
+            for status, name, detail in rows:
+                print(f"  {status:<4} {name:<{width}}  {detail}")
+            print(f"{passed}/{len(rows)} {self.verdict}")
+        return passed == len(rows)

@@ -1,0 +1,337 @@
+"""One seeded schedule driver for mediated sources.
+
+:func:`build` puts :class:`~repro.sources.FaultyRepository` proxies of
+the named kinds on one virtual clock behind a
+:class:`~repro.mediator.CachedMediator` (a monitor per source, the
+cheapest Figure 2 allows) at fan-out *width*, or is
+:func:`~repro.serving.overload_federation` for a serving *policy*.
+:func:`run` applies a schedule and returns a :class:`Run`.  A step sets
+a proxy's faults (:data:`SETTERS`; *source* may be ``"all"``) or is
+``("churn", source, n)``, ``("advance", dt)``, ``("ask", kind[,
+accession[, strict]])``, ``("poll", source)``, ``("sync",)``,
+``("trace", "on" | "off")`` or ``("burst", n, load, seed)`` (*n*
+requests served at *load* × capacity); a
+:class:`~repro.errors.ReproError` it raises is logged.  After every
+step the driver records each standing invariant broken: a live answer
+holds no key a fault-free mediation over every ``proxy.inner`` lacks,
+and each of its keys from a source health names neither failed nor
+skipped; a skipped source saw no call; no monitor deletes an accession
+its source holds or delivers a ``delta_id`` twice, and after a poll
+without faults its images are its source's split dump; a cached answer
+is fresh truth unless a source changed since the last sync; a traced
+answer names a captured trace; a shed names its reason and no source.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from dataclasses import dataclass, field
+
+from repro import obs
+from repro.errors import ReproError
+from repro.etl.delta import DELETE
+from repro.mediator import CachedMediator, Mediator
+from repro.serving import overload_federation, synthetic_workload
+from repro.sim.clock import VirtualClock
+from repro.sources import (
+    AceRepository,
+    Capabilities,
+    EmblRepository,
+    FaultyRepository,
+    GenBankRepository,
+    RelationalRepository,
+    SwissProtRepository,
+    Universe,
+)
+
+KINDS = {
+    "GenBank": GenBankRepository,
+    "EMBL": EmblRepository,
+    "AceDB": AceRepository,
+    # Figure 2's logged row: it keeps a change log and pushes nothing.
+    "RelationalDB": lambda universe: RelationalRepository(
+        universe, capabilities=Capabilities(queryable=True, logged=True)),
+    "SwissProt": SwissProtRepository,
+}
+#: Three overlapping sources, each with its proxy's seed.
+THREE = (("GenBank", 1), ("EMBL", 2), ("AceDB", 3))
+#: ``fail`` the next *n* calls (a float: each at that rate), an
+#: ``outage`` for *dt*, ``corrupt`` at a rate, ``slow`` each call by
+#: *latency* (a *rate* of them ten times), ``drop`` / ``restore`` the
+#: ``"log"`` or ``"push"`` channel.
+SETTERS = {
+    "fail": lambda proxy, n, *operations: (
+        proxy.fail_with_rate if isinstance(n, float) else proxy.fail_next)(
+            n, *operations),
+    "outage": lambda proxy, dt: proxy.schedule_outage(
+        proxy.timeline.now(), proxy.timeline.now() + dt),
+    "corrupt": FaultyRepository.corrupt_with_rate,
+    "slow": lambda proxy, latency, rate=0.0: proxy.add_latency(
+        latency, slow_rate=rate),
+    "drop": lambda proxy, channel: getattr(proxy, f"drop_{channel}_channel")(),
+    "restore": lambda proxy, channel: getattr(
+        proxy, f"restore_{channel}_channel")(),
+}
+ACTIONS = ("churn", "advance", "ask", "poll", "sync", "trace", "burst")
+
+
+#: The clock, the proxies by name, the mediator and a server or ``None``.
+World = namedtuple("World", "clock proxies mediator server")
+
+
+@dataclass
+class Run:
+    """``steps`` pairs each step with ``"ok"`` or the error it raised;
+    ``facts`` holds what each step showed, ``violations`` each standing
+    invariant a step broke."""
+
+    world: World
+    steps: list = field(default_factory=list)
+    facts: list = field(default_factory=list)
+    violations: list = field(default_factory=list)
+
+    def shown(self, name: str):
+        """Fact *name* as the last step that showed it shows it;
+        ``name@k`` as step *k* does; ``cost.<counter>`` at the end."""
+        if name.startswith("cost."):
+            return getattr(self.world.mediator.cost, name[5:])
+        name, __, step = name.partition("@")
+        facts = [self.facts[int(step)]] if step else self.facts[::-1]
+        return next((shown[name] for shown in facts if name in shown), None)
+
+
+def build(seed: int, kinds=THREE, *, width: "int | None" = None,
+          retry=None, breaker=None, policy=None) -> World:
+    """The world of *kinds* (``(kind, proxy seed)`` pairs) over
+    ``Universe(seed)``, or *policy*'s served federation."""
+    if policy is not None:
+        server, mediator, proxies, __ = overload_federation(
+            seed=seed, policy=policy, max_concurrency=width)
+    else:
+        universe, clock = Universe(seed=seed, size=24), VirtualClock()
+        proxies = [FaultyRepository(KINDS[kind](universe), clock, seed=number)
+                   for kind, number in kinds]
+        server, mediator = None, CachedMediator(
+            proxies, retry_policy=retry, breaker_policy=breaker,
+            timeline=clock, max_concurrency=width)
+    return World(mediator.timeline, {proxy.name: proxy for proxy in proxies},
+                 mediator, server)
+
+
+def _rows(answer) -> list:
+    """``(source, accession, sequence)`` per view, in answer order."""
+    views = ([view for views in answer.values() for view in views]
+             if isinstance(answer, dict) else answer)
+    return [(view.source, view.accession, view.sequence_text)
+            for view in views]
+
+
+def _show_health(health, facts: dict) -> None:
+    facts.update(complete=health.complete, retried=health.sources_retried,
+                 failed=health.sources_failed, skipped=health.sources_skipped,
+                 retries=health.total_retries, elapsed=health.elapsed,
+                 deadline_hit=health.deadline_hit,
+                 attempts={name: outcome.attempts for name, outcome
+                           in sorted(health.outcomes.items())})
+
+
+class _Driver:
+    """Applies steps to one world; each step method fills *facts*."""
+
+    def __init__(self, world: World) -> None:
+        self.world, self.record = world, Run(world)
+        self.truth = Mediator([proxy.inner for proxy in
+                               world.proxies.values()], max_concurrency=1)
+        self.delivered, self.unsynced = set(), set()
+        self.sink = None
+        self.hits, self.index, self.step = 0, 0, None
+
+    def named(self, source: str) -> list:
+        return [proxy for name, proxy in self.world.proxies.items()
+                if source in (name, "all")]
+
+    def violate(self, message: str) -> None:
+        self.record.violations.append(
+            f"step {self.index} {self.step}: {message}")
+
+    def truthful(self, kind: str, *args, **params):
+        """The fault-free answer, asked with tracing suspended."""
+        tracer = obs.set_tracer(None)
+        try:
+            return getattr(self.truth, kind)(*args, **params)
+        finally:
+            obs.set_tracer(tracer)
+
+    def hold(self, answer, kind: str, *args, calls=None, **params) -> None:
+        """The answer invariants, for one answer to ``kind(*args)``."""
+        health = answer.health
+        if health.shed:
+            if not health.shed_reason or health.outcomes:
+                self.violate(f"a shed as {health.summary()}")
+            return
+        truth = self.truthful(kind, *args, **params)
+        if getattr(answer, "from_cache", False):
+            if not self.unsynced and sorted(_rows(answer)) != sorted(
+                    _rows(truth)):
+                self.violate("a cached answer differs from fresh truth")
+            return
+        keys = {row[:2] for row in _rows(answer)}
+        true = {row[:2] for row in _rows(truth)}
+        down = set(health.sources_failed + health.sources_skipped)
+        if keys - true:
+            self.violate(f"rows no source holds: {sorted(keys - true)[:3]}")
+        lost = {key for key in true if key[0] not in down} - keys
+        if lost:
+            self.violate(f"rows lost from live sources: {sorted(lost)[:3]}")
+        for name in health.sources_skipped if calls else ():
+            if self.world.proxies[name].stats.calls != calls[name]:
+                self.violate(f"skipped source {name} saw a call")
+        if self.sink is not None and health.trace_id not in {
+                trace[0]["trace"] for trace in self.sink.traces}:
+            self.violate(f"trace id {health.trace_id} names no trace")
+
+    def deliver(self, facts: dict, names, poll) -> None:
+        """Run *poll* over the monitors of *names*; hold the monitor
+        invariants on what it delivers and on each fault-free monitor."""
+        proxies = self.world.proxies
+
+        def faults(name):
+            stats = proxies[name].stats
+            return stats.failures, stats.corruptions
+
+        before = {name: faults(name) for name in names}
+        deltas = poll()
+        facts["deltas"] = len(deltas)
+        for delta in deltas:
+            if delta.delta_id in self.delivered:
+                self.violate(f"delta {delta.delta_id} delivered twice")
+            self.delivered.add(delta.delta_id)
+            if delta.operation == DELETE and delta.accession in \
+                    proxies[delta.source].inner.accessions():
+                self.violate(f"a DELETE of {delta.accession}, which "
+                             f"{delta.source} still holds")
+        for name in names:
+            monitor = self.world.mediator.monitors[name]
+            if faults(name) == before[name] and monitor._images != \
+                    monitor._split_snapshot(proxies[name].inner.snapshot()):
+                self.violate(f"{name}'s monitor differs from its source "
+                             f"after a fault-free poll")
+
+    # -- the alphabet -----------------------------------------------------------
+
+    def churn(self, facts, source, n) -> None:
+        proxies = self.named(source)
+        touched = {entry.accession for proxy in proxies
+                   for entry in proxy.advance(n)}
+        self.unsynced.update(proxy.name for proxy in proxies)
+        facts.update(touched=len(touched), dropped=sum(
+            proxy.stats.dropped_notifications for proxy in proxies))
+
+    def advance(self, facts, dt) -> None:
+        self.world.clock.advance(dt)
+
+    def ask(self, facts, kind, accession=None, strict=False) -> None:
+        mediator = self.world.mediator
+        args = () if accession is None else (accession,)
+        calls = {name: proxy.stats.calls
+                 for name, proxy in self.world.proxies.items()}
+        inner = getattr(mediator, "mediator", mediator)
+        try:
+            answer = getattr(mediator, kind)(*args, strict=strict)
+        finally:
+            facts["breakers"] = {
+                wrapper.repository.name: wrapper.breaker.state
+                for wrapper in inner.wrappers
+                if wrapper.breaker.state != "closed"}
+            _show_health(mediator.last_health, facts)
+        self.hits += answer.from_cache
+        _show_health(answer.health, facts)
+        facts.update(rows=_rows(answer), from_cache=answer.from_cache,
+                     hits=self.hits)
+        facts["sources"] = tuple(sorted({row[0] for row in facts["rows"]}))
+        if self.sink is not None and answer.health.trace_id is not None:
+            trace = next((trace for trace in self.sink.traces
+                          if trace[0]["trace"] == answer.health.trace_id), [])
+            facts["spans"] = {
+                span["attrs"]["source"]: "{status}/{breaker}".format_map(
+                    span["attrs"])
+                for span in trace if span["name"] == "source.attempt"}
+            facts["unavailable"] = ",".join(sorted({
+                span["attrs"]["unavailable"] for span in trace
+                if span["attrs"].get("degraded") is True}))
+        self.hold(answer, kind, *args, calls=calls)
+
+    def poll(self, facts, source) -> None:
+        monitor = self.world.mediator.monitors[source]
+        self.deliver(facts, (source,), monitor.poll)
+        facts.update(degraded=monitor.health.degraded_polls,
+                     quarantined=monitor.health.quarantined)
+
+    def sync(self, facts) -> None:
+        cached = self.world.mediator
+        self.deliver(facts, tuple(cached.monitors), cached.sync)
+        self.unsynced &= cached.suspect_sources
+        facts.update(suspect=tuple(sorted(cached.suspect_sources)),
+                     cached=len(cached.cache),
+                     staleness=cached.staleness_bound())
+
+    def trace(self, facts, switch) -> None:
+        if switch == "on":
+            self.sink = obs.InMemorySink()
+            obs.enable(clock=self.world.clock, sink=self.sink)
+        else:
+            obs.disable()
+            facts["traces"] = len(self.sink.traces)
+            self.sink = None
+
+    def burst(self, facts, n, load, seed) -> None:
+        server = self.world.server
+        accessions = sorted(set().union(*(
+            proxy.accessions() for proxy in self.world.proxies.values())))[:8]
+        requests = synthetic_workload(
+            accessions, count=n, load_factor=load,
+            capacity=server.policy.capacity, mean_service=3.0, seed=seed)
+        results = server.serve(requests)
+        for request, result in zip(requests, results):
+            self.hold(result.answer, request.kind, **request.params)
+        good = [not result.shed
+                and result.in_deadline(server.policy.deadline)
+                for result in results]
+        ladder = server.brownout
+        facts.update(
+            good=sum(good), shed=sum(result.shed for result in results),
+            tail=next((index for index, ok in enumerate(reversed(good))
+                       if not ok), len(good)),
+            brownout=ladder.level_name,
+            peak=max((level for __, level in ladder.transitions), default=0),
+            limited=tuple(sorted(
+                name for name, limiter in server.limiters.items() if
+                limiter.decreases and limiter.limit < server.policy.capacity)))
+
+
+def run(schedule, seed: int = 101, kinds=THREE, **options) -> Run:
+    """Build the world (*options* as :func:`build` takes them), apply
+    *schedule*, and return the record."""
+    driver = _Driver(build(seed, kinds, **options))
+    try:
+        for driver.index, driver.step in enumerate(schedule):
+            action, *arguments = driver.step
+            if action not in (*ACTIONS, *SETTERS):
+                raise ValueError(f"unknown schedule action {driver.step!r}")
+            facts: dict = {}
+            try:
+                if action in SETTERS:
+                    for proxy in driver.named(arguments[0]):
+                        SETTERS[action](proxy, *arguments[1:])
+                else:
+                    getattr(driver, action)(facts, *arguments)
+                outcome = "ok"
+            except ReproError as error:
+                facts["error"] = type(error).__name__
+                outcome = error
+            driver.record.steps.append((driver.step, outcome))
+            driver.record.facts.append(facts)
+    finally:
+        if driver.sink is not None:
+            obs.disable()
+    return driver.record
