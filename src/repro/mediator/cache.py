@@ -135,10 +135,14 @@ class QueryCache:
         if self._cost is not None:
             self._cost.bump(f"cache_{counter}", amount)
 
-    def get(self, key: Hashable) -> CacheEntry | None:
+    def get(self, key: Hashable,
+            usable: Callable[[CacheEntry], bool] | None = None,
+            ) -> CacheEntry | None:
+        """The entry for *key*, counted as a hit only if it is served:
+        one *usable* rejects is a miss, like an absent one."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or (usable is not None and not usable(entry)):
                 self._count("misses")
                 return None
             self._entries.move_to_end(key)
@@ -156,24 +160,16 @@ class QueryCache:
                 self._count("evictions")
         return entry
 
-    def _evict(self, stale: Callable[[CacheEntry, object], bool],
-               witness) -> int:
+    def invalidate(self, delta: Delta) -> int:
+        """Evict exactly the entries whose provenance *delta* touches."""
         with self._lock:
             keys = [key for key, entry in self._entries.items()
-                    if stale(entry, witness)]
+                    if entry.touched_by(delta)]
             for key in keys:
                 del self._entries[key]
             if keys:
                 self._count("invalidations", len(keys))
             return len(keys)
-
-    def invalidate(self, delta: Delta) -> int:
-        """Evict exactly the entries whose provenance *delta* touches."""
-        return self._evict(CacheEntry.touched_by, delta)
-
-    def invalidate_source(self, source: str) -> int:
-        """Evict every entry depending on *source* (monitor resync)."""
-        return self._evict(CacheEntry.depends_on, source)
 
 
 def normalize_query(kind: str, **params) -> tuple:
@@ -291,10 +287,7 @@ class CachedMediator:
     # -- cached query API -------------------------------------------------------
 
     def _lookup(self, key):
-        entry = self.cache.get(key)
-        if entry is not None and self._serviceable(entry):
-            return entry
-        return None
+        return self.cache.get(key, self._serviceable)
 
     @staticmethod
     def _materialize(entry):

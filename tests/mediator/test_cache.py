@@ -158,6 +158,18 @@ class TestSuspectSources:
         assert cached.suspect_sources == set()
         assert cached.find_genes().from_cache
 
+    def test_an_entry_of_a_suspect_source_counts_as_a_miss(self):
+        timeline, repositories, cached = _cached(faulty=True)
+        cached.find_genes()
+        repositories[1].fail_next(1, "query_accessions", "snapshot")
+        cached.sync()
+        hits, misses = cached.cost.cache_hits, cached.cost.cache_misses
+        assert cached.find_genes().from_cache is False
+        assert (cached.cost.cache_hits, cached.cost.cache_misses) == (
+            hits, misses + 1)
+        assert (cached.cache.stats.hits, cached.cache.stats.misses) == (
+            hits, misses + 1)
+
     def test_staleness_bound_tracks_the_last_clean_sweep(self):
         timeline, repositories, cached = _cached(faulty=True)
         assert cached.staleness_bound() == 0.0
