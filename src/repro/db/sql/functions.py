@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Any
 
 from repro.db.catalog import Catalog
 from repro.db.values import NULL
 from repro.errors import TypeCheckError
+
+#: Enough digits for any float's integer part plus 30 decimals.
+_ROUNDING = Context(prec=60, rounding=ROUND_HALF_UP)
 
 
 def null_safe(function):
@@ -29,12 +33,23 @@ def _sql_length(value: Any) -> int:
 
 
 def _sql_substr(value: str, start: int, count: int | None = None) -> str:
+    """SQLite's substr: *start* is 1-based, counts from the end when
+    negative, and 0 is the place before the first character; a negative
+    *count* takes the characters before *start*."""
     if not isinstance(value, str):
         raise TypeCheckError("substr() requires text")
-    begin = max(0, start - 1)  # SQL substr is 1-based
-    if count is None:
-        return value[begin:]
-    return value[begin:begin + count]
+    size = len(value) + abs(start) + 1 if count is None else abs(count)
+    if start < 0:
+        start += len(value)
+    elif start > 0:
+        start -= 1
+    elif size:
+        size -= 1
+    if count is not None and count < 0:
+        start -= size
+    if start < 0:
+        size, start = max(0, size + start), 0
+    return value[start:start + size]
 
 
 def _coalesce(*arguments: Any) -> Any:
@@ -51,7 +66,13 @@ def _nullif(first: Any, second: Any) -> Any:
 
 
 def _round(value: float, digits: int = 0) -> float:
-    return round(value, digits)
+    """SQLite's round: halves go away from zero, on the decimal *value*
+    prints as (so ``round(2.675, 2)`` is 2.68); always a REAL."""
+    value = float(value)
+    if abs(value) >= 2.0 ** 52:   # already whole, or infinite
+        return value
+    step = Decimal(1).scaleb(-min(max(digits, 0), 30))
+    return float(Decimal(repr(value)).quantize(step, context=_ROUNDING))
 
 
 def register_builtin_functions(catalog: Catalog) -> None:

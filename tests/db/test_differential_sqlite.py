@@ -269,6 +269,16 @@ STATEMENTS = (
     ("SELECT s, sum(a) AS x FROM t GROUP BY s ORDER BY -x", []),
     ("SELECT -a AS a FROM t ORDER BY a + 0 LIMIT 3", []),
     ("SELECT -a AS a FROM t ORDER BY a LIMIT 3", []),
+    # SQLite's substr: 0 is the place before the first character, a
+    # negative start counts from the end, a negative count looks back.
+    ("SELECT substr('hello', 0, 2), substr('hello', -2), "
+     "substr('hello', -10, 3), substr('hello', 2, -1) FROM t LIMIT 1", []),
+    # SQLite's round: halves away from zero, on the decimal the value
+    # prints as, and always a REAL.
+    ("SELECT round(2.5), round(-2.5), round(0.125, 2), round(2.675, 2), "
+     "round(1.005, 2) FROM t LIMIT 1", []),
+    ("SELECT a, round(a), round(b, 1) FROM t ORDER BY a", []),
+    ("SELECT nullif(NULL, 1), nullif(1, NULL) FROM t LIMIT 1", []),
 )
 
 
