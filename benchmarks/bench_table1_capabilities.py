@@ -45,8 +45,8 @@ class TestTable1Reproduction:
         order = {NO: 0, PART: 1, YES: 2}
         for column in matrix.columns[:-1]:
             for req_id in REQUIREMENT_IDS:
-                assert (order[matrix.verdict("GenAlg+UDB", req_id)]
-                        >= order[matrix.verdict(column, req_id)])
+                assert (order[matrix.cells[("GenAlg+UDB", req_id)]]
+                        >= order[matrix.cells[(column, req_id)]])
 
 
 @pytest.mark.benchmark(group="table1-probes")

@@ -51,14 +51,6 @@ class Constant(Term):
             return repr(self.value)
         return str(self.value)
 
-    def __hash__(self) -> int:
-        return hash((repr(self.value), self.sort))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Constant):
-            return NotImplemented
-        return self.sort == other.sort and self.value == other.value
-
 
 @dataclass(frozen=True)
 class Variable(Term):
@@ -108,14 +100,6 @@ class Application(Term):
 
     def __repr__(self) -> str:
         return f"Application({self})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Application):
-            return NotImplemented
-        return self.operator == other.operator and self.args == other.args
-
-    def __hash__(self) -> int:
-        return hash((self.operator, self.args))
 
 
 # ---------------------------------------------------------------------------

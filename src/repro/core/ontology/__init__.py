@@ -13,7 +13,6 @@ from repro.core.ontology.mapping import (
     derive_signature,
     parse_binding,
 )
-from repro.core.ontology.obo import dump_file, dumps, load_file, loads
 
 __all__ = [
     "IS_A",
@@ -25,8 +24,4 @@ __all__ = [
     "builtin_genomics_ontology",
     "derive_signature",
     "parse_binding",
-    "dumps",
-    "loads",
-    "dump_file",
-    "load_file",
 ]

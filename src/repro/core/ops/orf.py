@@ -26,9 +26,6 @@ class OpenReadingFrame:
     frame: int
     protein: ProteinSequence
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 def _read_frame(codes: bytes, frame: int, table: CodonTable
                 ) -> "tuple[bytes, bytes]":

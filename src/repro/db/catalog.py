@@ -159,10 +159,6 @@ class Catalog:
         self._opaque_by_class[klass] = found
         return found
 
-    @property
-    def type_names(self) -> tuple[str, ...]:
-        return tuple(self._types)
-
     # -- functions ----------------------------------------------------------------
 
     def register_function(
@@ -192,10 +188,6 @@ class Catalog:
 
     def has_function(self, name: str) -> bool:
         return name.lower() in self._functions
-
-    @property
-    def function_names(self) -> tuple[str, ...]:
-        return tuple(self._functions)
 
     # -- aggregates -----------------------------------------------------------------
 

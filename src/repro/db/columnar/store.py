@@ -299,18 +299,6 @@ class ColumnStore:
             group = self._group_at(ordinal)
             group.row_ids[ordinal - group.start] = row_id
 
-    def clear(self) -> None:
-        for group in self._groups:
-            for ref in group.pages:
-                self.runtime.cache.drop(ref.page_id, *ref.cells.values())
-        self._groups = []
-        self._starts = []
-        self._tail_start = 0
-        self._tail = []
-        self._tail_ids = []
-        self._ordinal_of = {}
-        self._live = 0
-
     def items(self) -> Iterator[tuple[int, list]]:
         for view in self.scan():
             row_ids = view.row_ids

@@ -56,9 +56,6 @@ class Index:
     def delete(self, key: Any, row_id: int) -> None:
         raise NotImplementedError
 
-    def clear(self) -> None:
-        raise NotImplementedError
-
     # -- lookups ----------------------------------------------------------------
 
     def search_equal(self, key: Any) -> Iterable[int]:

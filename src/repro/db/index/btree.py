@@ -56,10 +56,6 @@ class BTreeIndex(Index):
     def __len__(self) -> int:
         return self._entries
 
-    def clear(self) -> None:
-        self._root = _Leaf()
-        self._entries = 0
-
     # -- descent ---------------------------------------------------------------
 
     def _find_leaf(self, wrapped: tuple) -> _Leaf:

@@ -36,10 +36,6 @@ class HashIndex(Index):
     def __len__(self) -> int:
         return self._entries
 
-    def clear(self) -> None:
-        self._buckets.clear()
-        self._entries = 0
-
     def insert(self, key: Any, row_id: int) -> None:
         if key is None:
             return

@@ -69,18 +69,6 @@ class SuffixArrayIndex(SequenceIndex):
         self._document_rows: list[int] = []     # parallel: owning row id
         self._dirty = True
 
-    def __len__(self) -> int:
-        return len(self._texts)
-
-    def clear(self) -> None:
-        self._texts.clear()
-        self._wildcard_rows.clear()
-        self._corpus = ""
-        self._suffix_array = []
-        self._document_starts = []
-        self._document_rows = []
-        self._dirty = True
-
     def insert(self, key: Any, row_id: int) -> None:
         if key is None:
             return

@@ -480,12 +480,6 @@ class Evaluator:
 
         return ast.fold_expression(build, expression)[0]
 
-    def evaluate(self, expression: ast.Expression, context: RowContext) -> Any:
-        """One value, for the one row of *context*: the compiled column
-        over a one-row batch (what a plan does not compile ahead)."""
-        return one(self.compile(expression, context.frame), context,
-                   context.values)
-
     def is_aggregate_call(self, expression: ast.Expression) -> bool:
         """True for calls to built-in or registered aggregates."""
         if not isinstance(expression, ast.FunctionCall):

@@ -769,21 +769,6 @@ class WriteAheadLog:
                 removed.append(path)
         return removed
 
-    # -- replay ------------------------------------------------------------------
-
-    def replay(self, target: Database | None = None) -> int:
-        """Re-execute logged statements; returns how many were applied.
-
-        The target's WAL sink is suppressed for the duration, so replay
-        never re-appends to the log it is reading.
-        """
-        target = target or self._database
-        self.flush()
-        if not os.path.exists(self.path):
-            return 0
-        records, _ = read_wal_records(self.path, allow_torn_tail=True)
-        return apply_wal_records(records, target)
-
 
 def checkpoint(database: Database, image_path: str,
                wal: WriteAheadLog | None = None) -> None:

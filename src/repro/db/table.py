@@ -40,9 +40,6 @@ class RowHeap:
         self._rows[row_id] = row
         self._put_back = True
 
-    def clear(self) -> None:
-        self._rows.clear()
-
     def items(self) -> Iterator[tuple[int, list[Any]]]:
         if self._put_back:
             self._rows = dict(sorted(self._rows.items()))
@@ -150,10 +147,6 @@ class Table:
             index.insert(validated[self.schema.position(index.column)], row_id)
         return row_id
 
-    def insert_named(self, **named_values: Any) -> int:
-        """Insert from column-name keywords, applying schema defaults."""
-        return self.insert(self.schema.complete_row(named_values))
-
     def delete(self, row_id: int) -> tuple[list[Any], Any]:
         """Remove one row; returns it and its place in the heap — what
         :meth:`put_back` takes to undo the delete."""
@@ -181,12 +174,6 @@ class Table:
                 index.delete(old_row[position], row_id)
                 index.insert(validated[position], row_id)
         self._heap.replace(row_id, validated)
-
-    def truncate(self) -> None:
-        """Remove all rows (keeps schema and indexes)."""
-        self._heap.clear()
-        for index in self._indexes.values():
-            index.clear()
 
     # -- indexes -----------------------------------------------------------------------
 

@@ -50,9 +50,6 @@ class SqlType:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SqlType) and self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash(self.name)
-
 
 class IntegerType(SqlType):
     name = "INTEGER"
@@ -197,11 +194,6 @@ def not3(value: "bool | None") -> "bool | None":
     if value is UNKNOWN:
         return UNKNOWN
     return not value
-
-
-def is_truthy(value: "bool | None") -> bool:
-    """A WHERE clause keeps a row only when the predicate is true."""
-    return value is True
 
 
 def compare(operator: str, left: Any, right: Any) -> "bool | None":

@@ -22,13 +22,6 @@ class SnapshotDifferential:
     deleted: tuple[str, ...]
     updated: tuple[str, ...]
 
-    @property
-    def total_changes(self) -> int:
-        return len(self.inserted) + len(self.deleted) + len(self.updated)
-
-    def is_empty(self) -> bool:
-        return self.total_changes == 0
-
 
 def snapshot_differential(
     old: Mapping[str, str], new: Mapping[str, str]

@@ -47,12 +47,6 @@ class TreeNode:
                 return child
         return None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return (self.label == other.label and self.value == other.value
-                and self.children == other.children)
-
     def render(self, indent: int = 0) -> str:
         value = f" = {self.value}" if self.value is not None else ""
         lines = [f"{'  ' * indent}{self.label}{value}"]

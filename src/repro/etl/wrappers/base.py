@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from repro.core.types import DnaSequence, Gene, Interval, ProteinSequence
+from repro.core.types import DnaSequence, Interval, ProteinSequence
 from repro.errors import ReproError, WrapperError
 
 #: What ``parse_record`` may raise on garbled text: the garbage fails
@@ -48,25 +48,6 @@ class ParsedRecord:
         if not self.accession:
             raise WrapperError("a parsed record needs an accession")
         object.__setattr__(self, "exons", tuple(self.exons))
-
-    def to_gene(self) -> Gene:
-        """Build the GENE GDT value for a DNA-bearing record."""
-        if self.dna is None:
-            raise WrapperError(
-                f"record {self.accession} carries no DNA sequence"
-            )
-        exons = self.exons
-        if exons and exons[-1].end > len(self.dna):
-            # Defensive: corrupt annotations must not crash the pipeline;
-            # fall back to a single-exon reading of the whole span.
-            exons = ()
-        return Gene(
-            name=self.name or self.accession,
-            sequence=self.dna,
-            exons=exons,
-            organism=self.organism,
-            accession=self.accession,
-        )
 
 
 _SPAN = re.compile(r"(\d+)\.\.(\d+)")

@@ -293,9 +293,6 @@ class CapabilityMatrix:
             matrix.evidence[req_id] = evidence
         return matrix
 
-    def verdict(self, system: str, req_id: str) -> str:
-        return self.cells[(system, req_id)]
-
     def genalg_matches_claim(self) -> bool:
         """Does the probed column achieve the paper's all-YES claim?"""
         return all(

@@ -146,9 +146,6 @@ class FaultyChannel(ReplicationChannel):
                 what="direction", where=self.name, value=direction)
         return self.faults.window(start, end, direction)
 
-    def partitioned_now(self, instant: float | None = None) -> bool:
-        return bool(self.faults.open_tags(instant))
-
     # -- interposition -----------------------------------------------------------
 
     def _before(self, operation: str) -> None:

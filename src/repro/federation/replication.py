@@ -207,21 +207,6 @@ class DivergenceReport:
     def acknowledged_lost(self) -> list[DivergedStatement]:
         return [entry for entry in self.statements if entry.acknowledged]
 
-    @property
-    def clean(self) -> bool:
-        return not self.statements
-
-    def summary(self) -> str:
-        if self.clean:
-            return (f"{self.node} (epoch {self.epoch}) demoted under "
-                    f"{self.successor} (epoch {self.successor_epoch}): "
-                    f"no divergence")
-        return (f"{self.node} (epoch {self.epoch}) demoted under "
-                f"{self.successor} (epoch {self.successor_epoch}): "
-                f"{len(self.statements)} diverged statement(s), "
-                f"{len(self.acknowledged_lost)} of them acknowledged, "
-                f"{len(self.quarantined)} file(s) quarantined")
-
 
 def disk_shipments(wal_path: str, request: "dict | None" = None, *,
                    epoch: "int | None" = None,

@@ -105,13 +105,6 @@ class ShardMap:
                 boundaries.append(pivot)
         return cls(tuple(boundaries))
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ShardMap)
-                and self.boundaries == other.boundaries)
-
-    def __hash__(self) -> int:
-        return hash(self.boundaries)
-
     def __repr__(self) -> str:
         return f"ShardMap({self.count} shards, {self.boundaries!r})"
 
@@ -204,15 +197,8 @@ class ShardSlice:
         return self.inner.representation
 
     @property
-    def stores_protein(self) -> bool:
-        return self.inner.stores_protein
-
-    @property
     def clock(self) -> int:
         return self.inner.clock
-
-    def push_channel_available(self) -> bool:
-        return self.inner.push_channel_available()
 
     def __len__(self) -> int:
         return len(self.accessions())

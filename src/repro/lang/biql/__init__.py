@@ -1,13 +1,5 @@
 """BiQL: the biological query language (parse → translate → run)."""
 
-from repro.lang.biql.builder import (
-    FieldRef,
-    QueryBuilder,
-    count,
-    field,
-    find,
-    render_biql,
-)
 from repro.lang.biql.parser import BiqlQuery, Condition, parse_biql
 from repro.lang.biql.session import BiqlSession
 from repro.lang.biql.translator import ENTITIES, translate
@@ -19,10 +11,4 @@ __all__ = [
     "translate",
     "ENTITIES",
     "BiqlSession",
-    "QueryBuilder",
-    "FieldRef",
-    "field",
-    "find",
-    "count",
-    "render_biql",
 ]

@@ -8,7 +8,7 @@ fields.  The loop is split from the terminal so it is fully testable
 
 Run interactively against a demo warehouse::
 
-    python -m repro.lang.biql.repl
+    python -m repro shell
 """
 
 from __future__ import annotations
@@ -122,12 +122,3 @@ def demo_session(seed: int = 42, size: int = 80) -> BiqlSession:
     ])
     warehouse.initial_load()
     return BiqlSession(warehouse)
-
-
-def main() -> None:  # pragma: no cover - interactive entry point
-    print("building a demo warehouse (3 sources)...")
-    BiqlRepl(demo_session()).run()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -91,17 +91,6 @@ class BiqlSession:
             self.last_parameters = parameters
             return self.warehouse.query(sql, parameters)
 
-    def run_query(self, query: "BiqlQuery | object") -> ResultSet:
-        """Execute an already-built query (builder or parse output)."""
-        self._admit()
-        with _span("biql.query"):
-            built = query.build() if hasattr(query, "build") else query
-            with _span("biql.translate"):
-                sql, parameters = translate(built)
-            self.last_sql = sql
-            self.last_parameters = parameters
-            return self.warehouse.query(sql, parameters)
-
     def render(self, text: str) -> str:
         """Execute and render per the query's ``AS <format>`` clause."""
         self._admit()

@@ -122,14 +122,6 @@ class QueryCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def keys(self) -> tuple:
-        with self._lock:
-            return tuple(self._entries)
-
     def _count(self, counter: str, amount: int = 1) -> None:
         self.stats.bump(counter, amount)
         if self._cost is not None:
@@ -230,10 +222,6 @@ class CachedMediator:
     @property
     def source_names(self) -> tuple[str, ...]:
         return self.mediator.source_names
-
-    def install_overload_controls(self, retry_budgets=None,
-                                  hedgers=None) -> None:
-        self.mediator.install_overload_controls(retry_budgets, hedgers)
 
     def staleness_bound(self) -> float:
         """Virtual time since the last clean monitor sweep — the maximum

@@ -759,12 +759,6 @@ class Mediator:
     def source_names(self) -> tuple[str, ...]:
         return tuple(w.repository.name for w in self.wrappers)
 
-    def breaker_for(self, source: str) -> CircuitBreaker:
-        for wrapper in self.wrappers:
-            if wrapper.repository.name == source:
-                return wrapper.breaker
-        raise MediatorError(f"no mediated source named {source!r}")
-
     @contextmanager
     def _query_scope(self) -> Iterator[None]:
         """One mediator query = one extraction per source, at most."""
@@ -1082,9 +1076,6 @@ class Mediator:
                 )
             self._finish(health, started, strict)
             return batch
-
-    def count_genes(self, **filters) -> int:
-        return len(self.find_genes(**filters))
 
     def disagreements(self, accession: str) -> dict[str, set[str]]:
         """Field → distinct values across sources (what C8 looks like)."""

@@ -17,8 +17,8 @@ share the interface:
   ``parallel = True``, which makes every interleaving-sensitive code
   path replayable without threads.
 
-A pool's :meth:`~WorkerPool.run` returns results **in submission
-order** regardless of completion order — answer fusion stays
+A parallel pool's ``run`` returns results **in submission order**
+regardless of completion order — answer fusion stays
 deterministic by construction.
 """
 
@@ -94,7 +94,9 @@ def run_on_tracks(timeline, jobs: Sequence[Callable[[], _T]],
 
 
 class WorkerPool:
-    """Interface: run a batch of thunks, return results in order."""
+    """Interface: how a fan-out runs.  A ``parallel`` pool also has
+    ``run``, which takes a batch of thunks and returns results in order;
+    the mediator runs a sequential pool's jobs inline itself."""
 
     #: Whether jobs may observe each other mid-flight (drives the
     #: mediator's decision to isolate each job on a clock track).
@@ -102,18 +104,12 @@ class WorkerPool:
     #: Lane count used for the makespan join.
     max_workers: int = 1
 
-    def run(self, tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-        raise NotImplementedError
-
 
 class SequentialPool(WorkerPool):
     """Jobs run inline on the caller's thread, in submission order."""
 
     parallel = False
     max_workers = 1
-
-    def run(self, tasks: Sequence[Callable[[], _T]]) -> list[_T]:
-        return [task() for task in tasks]
 
 
 _executor: ThreadPoolExecutor | None = None

@@ -22,7 +22,6 @@ from repro.obs.export import (
     InMemorySink,
     JsonlTraceSink,
     layer_breakdown,
-    load_traces,
     render_trace,
 )
 from repro.obs.metrics import (
@@ -79,7 +78,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "layer_breakdown",
-    "load_traces",
     "observe",
     "render_trace",
     "set_registry",

@@ -3,7 +3,7 @@
 A finished trace is a list of span dicts (see ``Span.to_dict``).  The
 :class:`JsonlTraceSink` appends one JSON object per line so traces from
 long processes stream to disk and can be read back with standard
-tooling (``jq``, pandas, or :func:`load_traces` here).  The renderer
+tooling (``jq``, pandas).  The renderer
 turns one trace into the human view the ``python -m repro trace`` CLI
 prints: the span tree with wall/virtual durations, annotations, and a
 per-layer time breakdown (a span's *layer* is its name up to the first
@@ -20,7 +20,6 @@ __all__ = [
     "InMemorySink",
     "JsonlTraceSink",
     "layer_breakdown",
-    "load_traces",
     "render_trace",
 ]
 
@@ -51,19 +50,6 @@ class JsonlTraceSink:
                 handle.write(json.dumps(span.to_dict(), sort_keys=True))
                 handle.write("\n")
         self.exported += len(spans)
-
-
-def load_traces(path) -> dict[str, list[dict[str, Any]]]:
-    """Read a JSONL sink file back into {trace_id: [span, ...]}."""
-    traces: dict[str, list[dict[str, Any]]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            traces.setdefault(record["trace"], []).append(record)
-    return traces
 
 
 def _layer(name: str) -> str:

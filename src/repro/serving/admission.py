@@ -133,13 +133,9 @@ class AdmissionQueue:
                 f"shed_by_class.{PRIORITY_NAMES.get(priority, priority)}")
         return reason
 
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
     def __len__(self) -> int:
         return len(self._heap)
 
     def __repr__(self) -> str:
         return (f"AdmissionQueue(depth={self.depth}/{self.capacity}, "
-                f"admitted={self.admitted}, shed={self.total_shed})")
+                f"admitted={self.admitted}, shed={sum(self.shed.values())})")

@@ -50,11 +50,6 @@ class RetryBudget:
     def _publish(self) -> None:
         _gauge("serving", f"retry_tokens.{self.source}", self._tokens)
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
     def record_success(self) -> None:
         """A call succeeded: deposit ``ratio`` tokens (capped at burst)."""
         with self._lock:
@@ -76,5 +71,5 @@ class RetryBudget:
             return False
 
     def __repr__(self) -> str:
-        return (f"RetryBudget({self.source!r}, tokens={self.tokens:.2f}, "
+        return (f"RetryBudget({self.source!r}, tokens={self._tokens:.2f}, "
                 f"spent={self.spent}, denied={self.denied})")

@@ -99,11 +99,6 @@ class Hedger:
         self.won += 1
         _metric("serving", "hedges_won")
 
-    @property
-    def tokens(self) -> float:
-        with self._lock:
-            return self._tokens
-
     def __repr__(self) -> str:
         return (f"Hedger({self.source!r}, issued={self.issued}, "
                 f"won={self.won}, observations={self.latency.count})")

@@ -9,7 +9,7 @@ serving loop, same capacity, no protection whatsoever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import MediatorError
 
@@ -129,6 +129,3 @@ class ServingPolicy:
             hedging=False,
             brownout=False,
         )
-
-    def with_overrides(self, **changes) -> "ServingPolicy":
-        return replace(self, **changes)

@@ -231,10 +231,6 @@ class FederationServer:
     def source_names(self) -> tuple[str, ...]:
         return self.mediator.source_names
 
-    @property
-    def shed_by_reason(self) -> dict[str, int]:
-        return dict(self.queue.shed)
-
     def budget_for(self, request: Request) -> float | None:
         """The per-query deadline budget, charged from arrival."""
         if request.deadline is not None:
@@ -276,10 +272,6 @@ class FederationServer:
             self.timeline.advance(end - base)
         ordered_results = [results[index] for index in range(len(requests))]
         return ordered_results
-
-    def submit(self, request: Request) -> ServedResult:
-        """Serve one request right now (arrival = the current instant)."""
-        return self.serve([request])[0]
 
     def admit_inline(self, priority: int = INTERACTIVE) -> str | None:
         """Admission verdict for work executed outside :meth:`serve`.

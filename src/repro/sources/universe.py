@@ -150,9 +150,6 @@ class Universe:
         ]
         self._by_accession = {spec.accession: spec for spec in self.genes}
 
-    def __len__(self) -> int:
-        return len(self.genes)
-
     def spec(self, accession: str) -> GeneSpec:
         return self._by_accession[accession]
 

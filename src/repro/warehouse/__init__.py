@@ -18,7 +18,6 @@ from repro.warehouse.schema import (
     USER_TABLES,
     create_schema,
     is_public_table,
-    is_user_table,
 )
 from repro.warehouse.assembly import (
     build_chromosome,
@@ -56,5 +55,4 @@ __all__ = [
     "PUBLIC_TABLES",
     "USER_TABLES",
     "is_public_table",
-    "is_user_table",
 ]

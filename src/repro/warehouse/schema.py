@@ -164,8 +164,3 @@ def create_schema(database: Database, with_indexes: bool = True) -> None:
 def is_public_table(name: str) -> bool:
     """True when *name* belongs to the read-only public space."""
     return name.lower() in PUBLIC_TABLES
-
-
-def is_user_table(name: str) -> bool:
-    """True when *name* is user-owned (and therefore updateable)."""
-    return name.lower() in USER_TABLES

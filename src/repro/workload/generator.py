@@ -46,7 +46,6 @@ from repro.serving.policy import (
     BATCH,
     INTERACTIVE,
     MAINTENANCE,
-    PRIORITY_NAMES,
 )
 from repro.serving.server import Request
 
@@ -104,10 +103,6 @@ class Tenant:
     def label(self) -> str:
         return f"u{self.uid:04d}"
 
-    @property
-    def priority_name(self) -> str:
-        return PRIORITY_NAMES[self.priority]
-
 
 @dataclass
 class EpochTraffic:
@@ -145,13 +140,6 @@ class MacroWorkload:
     def total_biql(self) -> int:
         return sum(len(epoch.biql) for epoch in self.epochs)
 
-    def phase_names(self) -> list:
-        seen: list = []
-        for epoch in self.epochs:
-            if epoch.phase not in seen:
-                seen.append(epoch.phase)
-        return seen
-
     def active_tenants(self) -> int:
         return len(set(self.tenant_of.values()))
 
@@ -185,10 +173,6 @@ class ZipfSampler:
     def draw(self, rng: random.Random) -> str:
         roll = rng.random() * self._total
         return self.ranked[bisect_right(self._cumulative, roll)]
-
-    def head(self, count: int) -> list:
-        """The *count* most popular accessions, hottest first."""
-        return self.ranked[:count]
 
 
 def _weighted(rng: random.Random, pairs):

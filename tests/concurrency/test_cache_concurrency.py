@@ -60,16 +60,16 @@ class TestInvalidationVsRead:
             # Atomic outcomes only: the pre-delta answer or a miss.
             assert observed in ([["view-of-X1"]], [None])
             # The invalidation always lands; unrelated entries survive.
-            assert ("gene", "X1") not in cache
-            assert ("gene", "Y2") in cache
+            assert ("gene", "X1") not in cache._entries
+            assert ("gene", "Y2") in cache._entries
             assert cache.get(("gene", "X1")) is None
 
     def test_extent_entries_fall_to_any_delta_of_their_source(self):
         cache = _seeded_cache()
         cache.invalidate(_delta(source="EMBL", accession="Q9"))
-        assert ("find_genes",) not in cache   # depends on EMBL's extent
-        assert ("gene", "X1") in cache        # GenBank record untouched
-        assert ("gene", "Y2") in cache
+        assert ("find_genes",) not in cache._entries   # depends on EMBL's extent
+        assert ("gene", "X1") in cache._entries        # GenBank record untouched
+        assert ("gene", "Y2") in cache._entries
 
     def test_duplicate_delivery_is_idempotent(self):
         cache = _seeded_cache()
@@ -80,7 +80,7 @@ class TestInvalidationVsRead:
         # finds nothing left to evict.
         assert (first, second) == (2, 0)
         assert cache.stats.invalidations == 2
-        assert ("gene", "Y2") in cache
+        assert ("gene", "Y2") in cache._entries
 
     def test_interleaved_duplicate_deliveries_evict_exactly_once(self):
         def deliverer(cache, counts, index):
@@ -130,7 +130,7 @@ class TestCachedMediatorUnderPermutedPools:
                       {record_key("GenBank", str(index))})
         assert len(cache) == 2
         assert cache.stats.evictions == 2
-        assert cache.keys() == (("gene", "2"), ("gene", "3"))
+        assert list(cache._entries) == [("gene", "2"), ("gene", "3")]
 
     def test_get_refreshes_lru_order(self):
         cache = QueryCache(max_entries=2)
@@ -138,7 +138,8 @@ class TestCachedMediatorUnderPermutedPools:
         cache.put(("b",), [2], {record_key("S", "b")})
         assert cache.get(("a",)) is not None   # a becomes most recent
         cache.put(("c",), [3], {record_key("S", "c")})
-        assert ("a",) in cache and ("b",) not in cache
+        assert ("a",) in cache._entries
+        assert ("b",) not in cache._entries
 
     def test_zero_capacity_rejected(self):
         from repro.errors import MediatorError

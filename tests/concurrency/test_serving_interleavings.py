@@ -102,7 +102,7 @@ class TestHedgeOrderings:
         # (zero-latency) replica, which answers instantly.
         for proxy in proxies:
             _train(server, proxy.name, [0.05] * 8)
-        result = server.submit(self.request(accession))
+        result = server.serve([self.request(accession)])[0]
         assert set(result.health.sources_hedged) == \
             set(server.source_names)
         assert mediator.cost.hedges_won == mediator.cost.hedges_issued > 0
@@ -119,7 +119,7 @@ class TestHedgeOrderings:
         # bound, so no hedge is ever issued.
         for proxy in proxies:
             _train(server, proxy.name, [2.0] * 8)
-        result = server.submit(self.request(accession))
+        result = server.serve([self.request(accession)])[0]
         assert result.health.sources_hedged == ()
         assert mediator.cost.hedges_issued == 0
         assert not result.shed
@@ -153,8 +153,8 @@ class TestHedgeOrderings:
         )
         _train(server, "GenBank", [0.05] * 8)
         accession = sorted(proxies[0].accessions())[0]
-        result = server.submit(
-            Request(kind="gene", params={"accession": accession}))
+        result = server.serve([
+            Request(kind="gene", params={"accession": accession})])[0]
         outcome = result.health.outcome("GenBank")
         assert outcome.hedged and not outcome.hedge_won
         assert outcome.status == "failed"

@@ -1,4 +1,4 @@
-"""Tests for the ontology DAG, OBO round-trip, and signature derivation."""
+"""Tests for the ontology DAG and signature derivation."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.core.ontology import (
     Ontology,
     builtin_genomics_ontology,
     derive_signature,
-    dumps,
-    loads,
     make_term,
     parse_binding,
 )
@@ -94,33 +92,6 @@ class TestGraph:
             small_ontology.merge(other)
         merged = small_ontology.merge(other, on_conflict="skip")
         assert len(merged) == 4
-
-
-class TestObo:
-    def test_roundtrip(self, small_ontology):
-        restored = loads(dumps(small_ontology))
-        assert len(restored) == len(small_ontology)
-        assert restored.find("seq").term_id == "T:1"
-        assert restored.is_a("T:2", "T:0")
-
-    def test_builtin_roundtrip(self):
-        ontology = builtin_genomics_ontology()
-        restored = loads(dumps(ontology))
-        assert len(restored) == len(ontology)
-        assert restored.find("mRNA").algebra_binding == "sort:mrna"
-
-    def test_malformed_line(self):
-        with pytest.raises(OntologyError):
-            loads("[Term]\nid: X:1\nname: x\nbroken line")
-
-    def test_missing_id(self):
-        with pytest.raises(OntologyError):
-            loads("[Term]\nname: x")
-
-    def test_comments_and_unknown_stanzas_ignored(self):
-        text = "! comment\n[Typedef]\nid: part_of\n\n[Term]\nid: A:1\nname: a\n"
-        ontology = loads(text)
-        assert len(ontology) == 1
 
 
 class TestBindings:

@@ -19,7 +19,7 @@ from typing import Any
 from repro.db.columnar.vector import KernelError
 from repro.db.sql import ast
 from repro.db.sql.expressions import NATIVE_AGGREGATES, RowContext
-from repro.db.values import NULL, UNKNOWN, and3, compare, is_truthy, not3, or3
+from repro.db.values import NULL, UNKNOWN, and3, compare, not3, or3
 from repro.errors import DatabaseError, SqlSyntaxError, TypeCheckError
 
 
@@ -57,7 +57,7 @@ class ReferenceEvaluator:
     def evaluate_predicate(self, expression: ast.Expression,
                            context: RowContext) -> bool:
         """Evaluate as a WHERE-style filter: only true keeps the row."""
-        return is_truthy(self._as_bool(self.evaluate(expression, context)))
+        return self._as_bool(self.evaluate(expression, context)) is True
 
     def is_aggregate_call(self, expression: ast.Expression) -> bool:
         """True for calls to built-in or registered aggregates."""

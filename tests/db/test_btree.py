@@ -56,14 +56,6 @@ class TestBasics:
         tree.delete(1, 9)
         assert len(tree) == 1
 
-    def test_clear(self):
-        tree = make_tree()
-        for i in range(50):
-            tree.insert(i, i)
-        tree.clear()
-        assert len(tree) == 0
-        assert list(tree.search_range()) == []
-
 
 class TestSplitting:
     def test_many_inserts_force_splits(self):

@@ -1,98 +1,8 @@
-"""Tests for selectivity calibration (section 6.5 cost estimation)."""
+"""Selectivity from ANALYZE statistics (section 6.5 cost estimation)."""
 
 import pytest
 
-from repro.adapter import install_genomics
-from repro.core.types import DnaSequence
 from repro.db import Database
-from repro.db.sql.calibration import (
-    calibrate_function_selectivity,
-    measure_predicate_selectivity,
-)
-from repro.errors import DatabaseError
-
-
-@pytest.fixture
-def db():
-    database = Database()
-    install_genomics(database)
-    database.execute(
-        "CREATE TABLE frags (id INTEGER PRIMARY KEY, seq DNA)"
-    )
-    # 10 rows: 3 contain ATGGCC, all contain ATG.
-    rows = []
-    for index in range(10):
-        body = "TTTT" + ("ATGGCC" if index < 3 else "ATGAAA") + "TTTT"
-        rows.append((index, DnaSequence(body)))
-    database.executemany("INSERT INTO frags VALUES (?, ?)", rows)
-    return database
-
-
-class TestMeasurement:
-    def test_measures_exact_fraction(self, db):
-        selectivity = measure_predicate_selectivity(
-            db, "frags", "contains(seq, ?)", ["ATGGCC"]
-        )
-        assert selectivity == pytest.approx(0.3)
-
-    def test_universal_predicate(self, db):
-        assert measure_predicate_selectivity(
-            db, "frags", "contains(seq, ?)", ["ATG"]
-        ) == 1.0
-
-    def test_impossible_predicate(self, db):
-        assert measure_predicate_selectivity(
-            db, "frags", "contains(seq, ?)", ["GGGGGGGG"]
-        ) == 0.0
-
-    def test_empty_table_rejected(self, db):
-        db.execute("CREATE TABLE empty (id INTEGER)")
-        with pytest.raises(DatabaseError):
-            measure_predicate_selectivity(db, "empty", "id = 1")
-
-
-class TestCalibration:
-    def test_updates_catalog(self, db):
-        before = db.catalog.function("contains").selectivity
-        measured = calibrate_function_selectivity(
-            db, "contains", "frags", "seq",
-            ["ATGGCC", "GGGGGGGG"],  # 0.3 and 0.0 -> mean 0.15
-        )
-        assert measured == pytest.approx(0.15)
-        after = db.catalog.function("contains").selectivity
-        assert after == pytest.approx(0.15)
-        assert after != before
-
-    def test_no_update_when_disabled(self, db):
-        before = db.catalog.function("contains").selectivity
-        calibrate_function_selectivity(
-            db, "contains", "frags", "seq", ["ATGGCC"],
-            update_catalog=False,
-        )
-        assert db.catalog.function("contains").selectivity == before
-
-    def test_needs_probes(self, db):
-        with pytest.raises(DatabaseError):
-            calibrate_function_selectivity(db, "contains", "frags",
-                                           "seq", [])
-
-    def test_calibration_changes_estimates_in_plans(self, db):
-        db.execute("CREATE INDEX iseq ON frags (seq) USING kmer WITH (k = 4)")
-        calibrate_function_selectivity(
-            db, "contains", "frags", "seq", ["ATGGCC"]
-        )
-        plan = db.explain(
-            "SELECT id FROM frags WHERE contains(seq, 'ATGGCC')"
-        )
-        # 10 rows * measured 0.3 -> ~3 estimated rows in the plan.
-        assert "~3 rows" in plan
-
-    def test_description_notes_calibration(self, db):
-        calibrate_function_selectivity(
-            db, "contains", "frags", "seq", ["ATGGCC"]
-        )
-        descriptor = db.catalog.function("contains")
-        assert "calibrated" in descriptor.description
 
 
 class TestAnalyze:

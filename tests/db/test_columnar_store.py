@@ -334,12 +334,6 @@ def _no_write_leaves_a_stale_form(budget):
         each.rollback()
     assert stale_forms(db) == []
     _scan_all(databases)
-    # TRUNCATE (Table.truncate → ColumnStore.clear) forgets every page.
-    for each in databases:
-        each.catalog.table("reads").truncate()
-    assert db.catalog.table("reads").column_store._groups == []
-    assert stale_forms(db) == []
-    _scan_all(databases)
     db.columnar.close()
     cache = db.columnar.cache
     assert (cache._forms, cache._resident, cache._spilled) == ({}, {}, {})

@@ -44,12 +44,6 @@ class TestHashIndex:
         with pytest.raises(DatabaseError):
             list(index.search_range(1, 2))
 
-    def test_clear(self):
-        index = HashIndex("h", "t", "c")
-        index.insert("a", 1)
-        index.clear()
-        assert len(index) == 0
-
 
 class TestKmerIndex:
     def test_candidates_contain_true_matches(self):

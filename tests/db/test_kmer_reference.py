@@ -3,7 +3,7 @@
 ``RowKmerIndex`` below is the k-mer index in its simplest form: every
 row's words posted under its row id, unposted on every delete, and an
 ambiguous value spelt window by window with ``Alphabet.expand``.  Both
-indexes ride on one table, so every insert, delete, update, truncate and
+indexes ride on one table, so every insert, delete, update, full delete and
 rolled-back transaction reaches both, and after every step their
 candidate sets and ``len()`` must be equal — with one sequence in
 several rows, text and sequence keys, values with one ambiguity code per
@@ -196,7 +196,7 @@ def _run(database, table, step):
         database.execute("INSERT INTO t VALUES (?, ?)",
                          [step[1], _cell(table, step[2])])
     elif kind == "truncate":
-        table.truncate()
+        database.execute("DELETE FROM t")
     else:
         database.begin()
         database.execute("DELETE FROM t WHERE id = ?", [step[1]])

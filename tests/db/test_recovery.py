@@ -1,6 +1,6 @@
 """Recovery-matrix tests: crash consistency of image + WAL + checkpoint.
 
-The headline regression: ``WriteAheadLog.replay()`` used to drive every
+The headline regression: WAL replay used to drive every
 replayed statement through ``Database.execute``, whose WAL hook appended
 it straight back to the log file being read — doubling the log on every
 recovery.  These tests pin the fixed contract: replay never grows the
@@ -22,6 +22,7 @@ from repro.db.storage import (
     WAL_FORMAT,
     WriteAheadLog,
     _header_record,
+    apply_wal_records,
     checkpoint,
     checksum_line,
     load_database,
@@ -38,6 +39,11 @@ def db():
     database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
     database.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b')")
     return database
+
+
+def replay(wal_path, target):
+    """Apply every record of the WAL file at *wal_path* to *target*."""
+    return apply_wal_records(read_wal_records(wal_path)[0], target)
 
 
 def genomic_db():
@@ -61,7 +67,7 @@ class TestReplaySelfAppendRegression:
         recovered = load_database(image)
         attached = WriteAheadLog(wal_path, recovered)
         attached.attach()  # the sink points at the log being replayed
-        applied = attached.replay()
+        applied = replay(wal_path, recovered)
         attached.flush()
 
         assert applied == 2
@@ -81,7 +87,7 @@ class TestReplaySelfAppendRegression:
             recovered = load_database(image)
             attached = WriteAheadLog(wal_path, recovered)
             attached.attach()
-            attached.replay()
+            replay(wal_path, recovered)
             attached.flush()
             assert os.path.getsize(wal_path) == size
             assert recovered.query(
@@ -95,7 +101,8 @@ class TestReplaySelfAppendRegression:
         db.execute("INSERT INTO t VALUES (3, 'c')")
         target = Database()
         target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        wal.replay(target)  # replays elsewhere, sink must survive
+        wal.flush()
+        replay(wal_path, target)  # replays elsewhere, sink must survive
         db.execute("INSERT INTO t VALUES (4, 'd')")
         wal.close()
         records, _ = read_wal_records(wal_path)
@@ -120,7 +127,7 @@ class TestTornRecordTaxonomy:
             handle.write('{"sql": "INSERT INTO t VAL')
         target = Database()
         target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        assert WriteAheadLog(wal_path, target).replay(target) == 4
+        assert replay(wal_path, target) == 4
 
     def test_torn_middle_record_is_corruption(self, db, tmp_path):
         wal_path = self._logged(db, tmp_path)
@@ -131,7 +138,7 @@ class TestTornRecordTaxonomy:
         target = Database()
         target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
         with pytest.raises(StorageError):
-            WriteAheadLog(wal_path, target).replay(target)
+            replay(wal_path, target)
 
     def test_malformed_but_valid_json_record_rejected(self, db, tmp_path):
         wal_path = self._logged(db, tmp_path, count=1)
@@ -204,7 +211,7 @@ class TestExecutemanyLogging:
         assert len(records) == 3
         target = Database()
         target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        assert WriteAheadLog(wal_path, target).replay(target) == 3
+        assert replay(wal_path, target) == 3
 
     def test_executemany_inside_committed_transaction(self, db, tmp_path):
         wal_path = str(tmp_path / "wal.jsonl")
@@ -222,7 +229,7 @@ class TestExecutemanyLogging:
             == [(["INSERT INTO t VALUES (?, ?)"] * 2, [10, "x", 11, "y"])]
         target = Database()
         target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-        assert WriteAheadLog(wal_path, target).replay(target) == 2
+        assert replay(wal_path, target) == 2
         assert target.query("SELECT id, v FROM t").rows == [(10, "x"),
                                                            (11, "y")]
 

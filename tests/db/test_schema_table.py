@@ -82,8 +82,8 @@ class TestTable:
         assert table.row(row_id) == [1, "lacZ", "E. coli"]
         assert len(table) == 1
 
-    def test_insert_named_with_default(self, table):
-        row_id = table.insert_named(id=1, name="lacZ")
+    def test_complete_row_fills_the_default(self, table):
+        row_id = table.insert(table.schema.complete_row({"id": 1, "name": "lacZ"}))
         assert table.row(row_id)[2] == "unknown"
 
     def test_primary_key_uniqueness(self, table):
@@ -122,11 +122,10 @@ class TestTable:
         with pytest.raises(DatabaseError):
             table.row(999)
 
-    def test_truncate(self, table):
-        table.insert([1, "a", "x"])
-        table.truncate()
+    def test_delete_clears_unique_state(self, table):
+        table.delete(table.insert([1, "a", "x"]))
         assert len(table) == 0
-        table.insert([1, "a", "x"])  # unique state also cleared
+        table.insert([1, "a", "x"])
 
 
 class TestTableIndexes:

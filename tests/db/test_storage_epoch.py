@@ -18,6 +18,7 @@ from repro.db.storage import (
     WAL_FORMAT,
     StorageError,
     WriteAheadLog,
+    apply_wal_records,
     checksum_line,
     read_wal_records,
     segment_epoch,
@@ -76,7 +77,7 @@ class TestEpochHeaders:
         database.execute("INSERT INTO t VALUES (2, 'b')", [])
         wal.close()
         twin = _database()
-        WriteAheadLog(wal.path, twin).replay(twin)
+        apply_wal_records(read_wal_records(wal.path)[0], twin)
         assert databases_equal(database, twin)
 
     def test_rotation_carries_the_epoch(self, tmp_path):

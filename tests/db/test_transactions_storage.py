@@ -10,6 +10,7 @@ from repro.db import Database
 from repro.db.recovery import databases_equal, recover
 from repro.db.storage import (
     WriteAheadLog,
+    apply_wal_records,
     checkpoint,
     load_database,
     read_wal_records,
@@ -17,6 +18,11 @@ from repro.db.storage import (
     segment_generation,
 )
 from repro.errors import StorageError, TransactionError
+
+
+def replay(wal_path, target):
+    """Apply every record of the WAL file at *wal_path* to *target*."""
+    return apply_wal_records(read_wal_records(wal_path)[0], target)
 
 
 @pytest.fixture
@@ -247,7 +253,7 @@ class TestWal:
         db.execute("UPDATE t SET v = 'x' WHERE id = 1")
 
         recovered = load_database(image)
-        WriteAheadLog(wal_path, recovered).replay()
+        replay(wal_path, recovered)
         assert recovered.query("SELECT count(*) FROM t").scalar() == 3
         assert recovered.query("SELECT v FROM t WHERE id = 1").scalar() == "x"
 
@@ -266,7 +272,9 @@ class TestWal:
         db.begin()
         db.execute("INSERT INTO t VALUES (3, 'c')")
         db.rollback()
-        assert wal.replay(Database()) == 0
+        wal.flush()
+        assert not os.path.exists(wal_path) or \
+            read_wal_records(wal_path)[0] == []
 
     def test_committed_transaction_logged(self, db, tmp_path):
         image = str(tmp_path / "image.json")
@@ -278,7 +286,7 @@ class TestWal:
         db.execute("INSERT INTO t VALUES (3, 'c')")
         db.commit()
         recovered = load_database(image)
-        WriteAheadLog(wal_path, recovered).replay()
+        replay(wal_path, recovered)
         assert recovered.query("SELECT count(*) FROM t").scalar() == 3
 
     def test_torn_final_record_tolerated(self, db, tmp_path):
@@ -291,7 +299,7 @@ class TestWal:
         with open(wal_path, "a") as handle:
             handle.write('{"sql": "INSERT INTO t VAL')  # torn write
         recovered = load_database(image)
-        assert WriteAheadLog(wal_path, recovered).replay() == 1
+        assert replay(wal_path, recovered) == 1
 
     def test_checkpoint_truncates(self, db, tmp_path):
         image = str(tmp_path / "image.json")
@@ -322,6 +330,6 @@ class TestWal:
         recovered = Database()
         install_genomics(recovered)
         load_database(image, recovered)
-        WriteAheadLog(wal_path, recovered).replay()
+        replay(wal_path, recovered)
         assert recovered.query("SELECT seq FROM s").scalar() \
             == DnaSequence("ATGGCC")

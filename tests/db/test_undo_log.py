@@ -38,12 +38,19 @@ def snapshot(table):
 
 
 def restore(table, saved):
-    table._heap.clear()
+    """Empty the table and its indexes, reload the saved rows and
+    rebuild every index from them."""
+    held = list(table._heap.items())
+    for index in table._indexes.values():
+        position = table.schema.position(index.column)
+        for row_id, row in held:
+            index.delete(row[position], row_id)
+    for row_id, _ in held:
+        table._heap.remove(row_id)
     for row_id, row in saved["rows"].items():
         table._heap.append(row_id, list(row))
     table._next_row_id = saved["next_row_id"]
     for index in table._indexes.values():
-        index.clear()
         position = table.schema.position(index.column)
         for row_id, row in table._heap.items():
             index.insert(row[position], row_id)
@@ -217,7 +224,7 @@ class TestCosts:
             database = _filled(layout, rows)
             counted = []
             for index in database.catalog.table("t").indexes:
-                for method in ("insert", "delete", "clear"):
+                for method in ("insert", "delete"):
                     original = getattr(index, method)
                     setattr(index, method,
                             lambda *args, _original=original:

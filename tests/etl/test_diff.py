@@ -141,11 +141,11 @@ class TestSnapshotDifferential:
         assert diff.inserted == ("d",)
         assert diff.deleted == ("a",)
         assert diff.updated == ("c",)
-        assert diff.total_changes == 3
+        assert len(diff.inserted + diff.deleted + diff.updated) == 3
 
     def test_empty_diff(self):
         diff = snapshot_differential({"a": "1"}, {"a": "1"})
-        assert diff.is_empty()
+        assert not (diff.inserted or diff.deleted or diff.updated)
 
     def test_split_flat_genbank_style(self):
         text = ("LOCUS x\nACCESSION GA1\nORIGIN\n//\n"

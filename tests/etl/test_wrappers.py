@@ -140,15 +140,6 @@ class TestErrorHandling:
         with pytest.raises(KeyError):
             wrapper_for("MysteryDB")
 
-    def test_out_of_bounds_exons_degrade_gracefully(self):
-        # Corrupt annotation: exons beyond the sequence; to_gene falls
-        # back to a single exon instead of crashing the pipeline.
-        record = RelationalWrapper().parse_record(
-            'GA1,1,g,E. coli,desc,ATGC,0-400\n'
-        )
-        gene = record.to_gene()
-        assert gene.exons == (Interval(0, 4),)
-
 
 class TestFasta:
     def test_roundtrip(self):

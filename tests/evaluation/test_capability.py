@@ -83,8 +83,8 @@ class TestMatrix:
         order = {NO: 0, PART: 1, YES: 2}
         for system in PAPER_MATRIX:
             for req_id in REQUIREMENT_IDS:
-                ours = order[matrix.verdict("GenAlg+UDB", req_id)]
-                theirs = order[matrix.verdict(system, req_id)]
+                ours = order[matrix.cells[("GenAlg+UDB", req_id)]]
+                theirs = order[matrix.cells[(system, req_id)]]
                 assert ours >= theirs
 
     def test_rendering(self, matrix):

@@ -101,9 +101,9 @@ class TestFaultyChannel:
             channel.ship(primary)
         assert caught.value.kind == "partitioned"
         assert caught.value.direction == "request"
-        assert channel.partitioned_now()
+        assert channel.faults.open_tags()
         timeline.advance(10.0)  # half-open window: heals at end
-        assert not channel.partitioned_now()
+        assert not channel.faults.open_tags()
         primary.execute("INSERT INTO t VALUES (1, 'a')", [])
         assert len(channel.ship(primary)) == 1
 

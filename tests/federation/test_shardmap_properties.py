@@ -147,6 +147,6 @@ class TestSplitAgreement:
             self, population, shards, probes):
         first = ShardMap.for_accessions(population, shards)
         second = ShardMap.for_accessions(list(population), shards)
-        assert first == second
+        assert first.boundaries == second.boundaries
         assert [first.shard_of(probe) for probe in probes] == \
             [second.shard_of(probe) for probe in probes]

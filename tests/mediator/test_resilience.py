@@ -149,7 +149,8 @@ class TestCircuitBreaker:
                                           reset_timeout=1e9))
         mediator.find_genes()
         mediator.find_genes()
-        assert mediator.breaker_for("GenBank").state == OPEN
+        breaker = {w.repository.name: w.breaker for w in mediator.wrappers}
+        assert breaker["GenBank"].state == OPEN
         calls_before = genbank.stats.calls
         answers = mediator.find_genes()
         assert genbank.stats.calls == calls_before

@@ -7,10 +7,10 @@ from repro.obs.export import (
     InMemorySink,
     JsonlTraceSink,
     layer_breakdown,
-    load_traces,
     render_trace,
 )
 from repro.sources import VirtualClock
+from tests.obs.jsonl import load_traces
 
 
 def _run_traced_workload(sink, clock=None):

@@ -23,6 +23,7 @@ from repro.sources import (
     VirtualClock,
 )
 from repro.warehouse import UnifyingDatabase
+from tests.obs.jsonl import load_traces
 
 
 def _federation(size=16, source_count=4):
@@ -58,7 +59,7 @@ class TestTraceIdCorrelation:
             obs.disable()
         trace_id = answers.health.trace_id
         assert trace_id is not None
-        traces = obs.load_traces(path)
+        traces = load_traces(path)
         assert set(traces) == {trace_id}
         spans = traces[trace_id]
         retried = [span for span in _spans_named(spans, "source.attempt")

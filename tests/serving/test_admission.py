@@ -24,7 +24,7 @@ class TestCapacity:
         for seq in range(5):
             queue.push(f"q{seq}", priority=INTERACTIVE, seq=seq)
         assert queue.depth == 5
-        assert queue.total_shed == 0
+        assert sum(queue.shed.values()) == 0
 
     def test_pressure_is_depth_over_capacity(self):
         queue = AdmissionQueue(4)
@@ -92,7 +92,7 @@ class TestBookkeeping:
         queue.note_shed("brownout", BATCH)
         queue.note_shed("deadline", INTERACTIVE)
         assert queue.shed == {"brownout": 2, "deadline": 1}
-        assert queue.total_shed == 3
+        assert sum(queue.shed.values()) == 3
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):

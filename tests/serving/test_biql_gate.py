@@ -53,7 +53,7 @@ class TestAdmission:
         assert caught.value.reason == "queue_full"
         # Refused up front: nothing was parsed or translated.
         assert session.last_sql is None
-        assert server.shed_by_reason.get("queue_full") == 1
+        assert server.queue.shed.get("queue_full") == 1
 
     def test_brownout_sheds_by_session_priority(self, warehouse):
         policy = ServingPolicy(capacity=4, deadline=25.0)

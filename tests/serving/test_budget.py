@@ -41,7 +41,7 @@ class TestCaps:
         budget = RetryBudget("AceDB", ratio=1.0, burst=2.0)
         for __ in range(10):
             budget.record_success()
-        assert budget.tokens == pytest.approx(2.0)
+        assert budget._tokens == pytest.approx(2.0)
 
     def test_bad_parameters_raise(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ class TestTokens:
         hedger = Hedger("GenBank", ratio=1.0, burst=2.0)
         for __ in range(10):
             hedger.observe(1.0)
-        assert hedger.tokens == pytest.approx(2.0)
+        assert hedger._tokens == pytest.approx(2.0)
 
 
 class TestAccounting:

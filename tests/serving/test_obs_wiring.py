@@ -51,7 +51,7 @@ class TestMetrics:
 
     def test_shed_and_hedge_counters_match_the_server(self):
         registry, server = self.run_workload()
-        for reason, total in server.shed_by_reason.items():
+        for reason, total in server.queue.shed.items():
             assert registry.value("serving", f"shed.{reason}") == total
         issued = sum(h.issued for h in server.hedgers.values())
         won = sum(h.won for h in server.hedgers.values())

@@ -1,5 +1,7 @@
 """ServingPolicy: validation, the unprotected baseline, overrides."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import MediatorError
@@ -54,12 +56,12 @@ class TestUnprotected:
 
 
 class TestOverrides:
-    def test_with_overrides_returns_new_policy(self):
+    def test_replace_returns_new_policy(self):
         base = ServingPolicy()
-        tweaked = base.with_overrides(brownout=False, capacity=2)
+        tweaked = replace(base, brownout=False, capacity=2)
         assert tweaked.capacity == 2 and not tweaked.brownout
         assert base.capacity == 4 and base.brownout
 
     def test_overrides_are_validated(self):
         with pytest.raises(MediatorError):
-            ServingPolicy().with_overrides(capacity=0)
+            replace(ServingPolicy(), capacity=0)

@@ -43,7 +43,7 @@ def gene_request(accession, arrival=0.0, priority=INTERACTIVE,
 def measure_gene_duration(accession):
     """One gene query's duration on a fresh quiet federation."""
     server, __, __, __ = quiet_federation(bare_policy())
-    return server.submit(gene_request(accession)).latency
+    return server.serve([gene_request(accession)])[0].latency
 
 
 class TestServeBasics:
@@ -62,7 +62,7 @@ class TestServeBasics:
                                  arrival=4.0 * i) for i in range(8)]
         results = server.serve(requests)
         assert not any(r.shed for r in results)
-        assert server.queue.total_shed == 0
+        assert not server.queue.shed
 
     def test_clock_advances_by_the_makespan(self, quiet):
         server, __, __, accessions = quiet
@@ -117,7 +117,7 @@ class TestDeadlineAccounting:
             assert late.health.deadline_hit
             assert late.queue_wait == pytest.approx(2.0 * duration)
             assert late.completed == pytest.approx(2.0 * duration)
-        assert server.shed_by_reason == {"deadline": 2}
+        assert server.queue.shed == {"deadline": 2}
 
     def test_shed_queries_never_touch_a_source(self):
         duration = measure_gene_duration("any")
@@ -142,7 +142,7 @@ class TestDeadlineAccounting:
         server, __, sources, accessions = quiet_federation(
             bare_policy(deadline=None), breaker_policy=lenient)
         sources[1].schedule_outage(0.0, 100_000.0)   # EMBL down
-        baseline = server.submit(gene_request(accessions[0]))
+        baseline = server.serve([gene_request(accessions[0])])[0]
         # Unqueued, the 40.0 default budget lets EMBL run all 3
         # attempts before failing.
         assert baseline.health.outcome("EMBL").attempts == 3
@@ -191,7 +191,7 @@ class TestQueueBound:
         shed = [r for r in results if r.shed]
         assert len(shed) == 7                 # 1 running + 2 queued
         assert {r.shed_reason for r in shed} == {"queue_full"}
-        assert server.shed_by_reason == {"queue_full": 7}
+        assert server.queue.shed == {"queue_full": 7}
 
     def test_strict_mode_raises_instead_of_degrading(self):
         server, __, __, accessions = quiet_federation(
@@ -207,7 +207,7 @@ class TestQueueBound:
         results = server.serve([gene_request(accessions[i % 8], 0.0)
                                 for i in range(12)])
         assert not any(r.shed for r in results)
-        assert server.queue.total_shed == 0
+        assert not server.queue.shed
         # Late answers stay late — that's the baseline's failure mode.
         assert any(not r.in_deadline(5.0) for r in results)
 
@@ -235,7 +235,7 @@ class TestBrownoutServing:
             cached=True)
         mediator.gene(accessions[0])          # prime the cache
         server.brownout.level = CACHE_ONLY
-        hit = server.submit(gene_request(accessions[0], priority=BATCH))
+        hit = server.serve([gene_request(accessions[0], priority=BATCH)])[0]
         assert hit.from_cache and not hit.shed
         assert hit.latency == 0.0             # no live work at all
 
@@ -244,7 +244,7 @@ class TestBrownoutServing:
             policy=self.policy(), fail_rate=0.0, slow_rate=0.0,
             cached=True)
         server.brownout.level = CACHE_ONLY
-        miss = server.submit(gene_request(accessions[3], priority=BATCH))
+        miss = server.serve([gene_request(accessions[3], priority=BATCH)])[0]
         assert miss.shed and miss.shed_reason == "brownout"
 
     def test_cache_only_still_runs_interactive_live(self):
@@ -252,8 +252,8 @@ class TestBrownoutServing:
             policy=self.policy(), fail_rate=0.0, slow_rate=0.0,
             cached=True)
         server.brownout.level = CACHE_ONLY
-        live = server.submit(gene_request(accessions[3],
-                                          priority=INTERACTIVE))
+        live = server.serve([gene_request(accessions[3],
+                                          priority=INTERACTIVE)])[0]
         assert not live.shed and not live.from_cache
         assert live.latency > 0.0
 

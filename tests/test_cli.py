@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from tests.obs.jsonl import load_traces
 
 
 class TestCli:
@@ -162,7 +163,7 @@ class TestCli:
                          "status=retried", "status=skipped", "breaker=open",
                          "per-layer breakdown", "from_cache=True"):
             assert expected in output, expected
-        traces = obs.load_traces(path)
+        traces = load_traces(path)
         assert list(traces) == ["t000001"]
         assert not obs.enabled()                 # CLI cleans up after itself
 

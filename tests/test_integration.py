@@ -16,7 +16,6 @@ from repro import (
 from repro.core import ops
 from repro.core.types import DnaSequence
 from repro.lang import genalgxml
-from repro.lang.biql import field, find
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -113,11 +112,7 @@ class TestCrossLayerConsistency:
         via_biql = set(session.run(
             f"FIND genes WHERE sequence CONTAINS '{motif}' SHOW accession"
         ).column("accession"))
-        via_builder = set(session.run_query(
-            find("genes").where(field("sequence").contains(motif))
-            .show("accession")
-        ).column("accession"))
-        assert via_sql == via_biql == via_builder
+        assert via_sql == via_biql
 
         # The mediator sees per-source views; its accession set must be
         # a subset of warehouse accessions matching in ANY source view
