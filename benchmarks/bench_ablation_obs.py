@@ -195,7 +195,7 @@ class TestA10Shape:
 
     def test_globals_restored_after_a_run(self):
         run_mode("sampled 100%", queries=1, repeats=1)
-        assert not obs.enabled()
+        assert obs.get_tracer() is None
         assert obs.get_registry() is None
 
 

@@ -312,11 +312,6 @@ def encode_page(values: Sequence[Any], type_name: "str | None",
     return page + _U32.pack(zlib.crc32(page))
 
 
-def page_encoding(data: bytes) -> int:
-    """The encoding tag of an encoded page (no checksum verification)."""
-    return _HEADER.unpack_from(data)[2]
-
-
 def _malformed(page_id: "int | None", encoding: int,
                why: str) -> StorageError:
     name = ENCODING_NAMES.get(encoding, encoding)

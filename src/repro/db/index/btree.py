@@ -186,22 +186,3 @@ class BTreeIndex(Index):
                 slot += 1
             current = current.next
             slot = 0
-
-    def items(self) -> Iterator[tuple[Any, list[int]]]:
-        """All (key, row ids) pairs in key order (for testing/inspection)."""
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        leaf: "_Leaf | None" = node
-        while leaf is not None:
-            yield from ((key, list(ids)) for key, ids in leaf.postings)
-            leaf = leaf.next
-
-    def depth(self) -> int:
-        """Tree height (a single leaf has depth 1)."""
-        levels = 1
-        node = self._root
-        while isinstance(node, _Inner):
-            levels += 1
-            node = node.children[0]
-        return levels

@@ -494,14 +494,6 @@ def segment_generation(path: str) -> int | None:
     return None if header is None else header["generation"]
 
 
-def segment_epoch(path: str) -> int | None:
-    """The replication epoch stamped in a WAL file's header; ``None``
-    when the segment was written without a lease (no leadership claim)
-    or its header cannot be trusted."""
-    header = _read_header(path)
-    return None if header is None else header["epoch"]
-
-
 def _replay(data: bytes, path: str, allow_torn_tail: bool,
             start: int = 0, first_index: int = 1,
             ) -> tuple[list[dict], bool]:

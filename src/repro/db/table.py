@@ -201,10 +201,6 @@ class Table:
         self.on_plan_change()
         return index
 
-    @property
-    def indexes(self) -> tuple[Index, ...]:
-        return tuple(self._indexes.values())
-
     def indexes_on(self, column: str) -> tuple[Index, ...]:
         column = column.lower()
         return tuple(

@@ -153,20 +153,6 @@ class RoundReport:
     local_only: list[int] = field(default_factory=list)
     refused: "FederationError | None" = None
 
-    @property
-    def clean(self) -> bool:
-        return not self.repaired and not self.local_only
-
-    def summary(self) -> str:
-        parts = []
-        if self.repaired:
-            parts.append(f"generations {self.repaired} diverged, "
-                         f"repaired from the primary")
-        if self.local_only:
-            parts.append(f"local-only generations {self.local_only} "
-                         f"(not on the primary)")
-        return f"{self.follower}: " + (", ".join(parts) or "no divergence")
-
 
 @dataclass(frozen=True)
 class DivergedStatement:

@@ -394,11 +394,6 @@ class MediatedGene:
     description: str | None
     sequence_text: str
 
-    @property
-    def length(self) -> int:
-        """Sequence length, always in step with ``sequence_text``."""
-        return len(self.sequence_text)
-
 
 class LiveSourceWrapper:
     """Query-time access to one repository through its native interface.

@@ -43,11 +43,9 @@ from repro.obs.trace import (
     Tracer,
     annotate,
     capture_context,
-    current_span,
     current_trace_id,
     disable,
     enable,
-    enabled,
     get_tracer,
     set_tracer,
     span,
@@ -67,13 +65,11 @@ __all__ = [
     "annotate",
     "capture_context",
     "count",
-    "current_span",
     "current_trace_id",
     "disable",
     "disable_metrics",
     "enable",
     "enable_metrics",
-    "enabled",
     "gauge",
     "get_registry",
     "get_tracer",

@@ -157,12 +157,6 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------------
 
-    def value(self, group: str, name: str) -> float:
-        """Counter value (0.0 when never bumped) — test convenience."""
-        key = self._key(group, name)
-        instrument = self._counters.get(key)
-        return instrument.value if instrument is not None else 0.0
-
     def snapshot(self) -> dict[str, float]:
         """Flat {key: value} view of counters and gauges."""
         out: dict[str, float] = {}

@@ -49,11 +49,9 @@ __all__ = [
     "NOOP_SPAN",
     "annotate",
     "capture_context",
-    "current_span",
     "current_trace_id",
     "disable",
     "enable",
-    "enabled",
     "get_tracer",
     "set_tracer",
     "span",
@@ -168,12 +166,6 @@ class _NoopSpan:
 
     def annotate(self, **attributes: Any) -> "_NoopSpan":
         return self
-
-    def fail(self, error) -> "_NoopSpan":
-        return self
-
-    def finish(self) -> None:
-        return None
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -353,10 +345,6 @@ def disable() -> None:
     set_tracer(None)
 
 
-def enabled() -> bool:
-    return _ACTIVE is not None
-
-
 def span(name: str, **attributes: Any):
     """Open a span — THE instrumentation entry point.
 
@@ -367,15 +355,6 @@ def span(name: str, **attributes: Any):
     if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, **attributes)
-
-
-def current_span():
-    """The active span on this thread (the no-op span when none)."""
-    tracer = _ACTIVE
-    if tracer is None:
-        return NOOP_SPAN
-    current = tracer.current()
-    return current if current is not None else NOOP_SPAN
 
 
 def current_trace_id() -> str | None:

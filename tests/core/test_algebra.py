@@ -105,6 +105,10 @@ class TestTerms:
             Variable("x", "string"), Variable("y", "string"),
         ))
         assert {v.name for v in term.variables()} == {"x", "y"}
+        closed = Application(operator, (
+            Variable("x", "string"), Constant("b", "string"),
+        ))
+        assert {v.name for v in closed.variables()} == {"x"}
 
     def test_depth(self, signature):
         inner = Application(
@@ -115,6 +119,8 @@ class TestTerms:
             signature.resolve("length", ("string",)), (inner,)
         )
         assert outer.depth() == 3
+        assert Application(signature.resolve("length", ("string",)),
+                           (Variable("x", "string"),)).depth() == 2
 
     def test_parse_the_papers_example(self, signature):
         term = parse_term(

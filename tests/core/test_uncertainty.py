@@ -88,6 +88,10 @@ class TestAlternatives:
         same = Alternatives.of(DnaSequence(prefix), DnaSequence(prefix))
         assert not same.is_conflicting()
 
+    def test_equal_alternatives_hash_alike(self):
+        assert Alternatives.of("a", "b") == Alternatives.of("a", "b")
+        assert hash(Alternatives.of("a", "b")) == hash(Alternatives.of("a", "b"))
+
     def test_add_is_immutable(self):
         first = Alternatives.of("a")
         second = first.add(Uncertain("b", 0.9))

@@ -29,6 +29,11 @@ from repro.errors import StorageError
 CODEC = ValueCodec(Catalog())
 
 
+def page_encoding(data: bytes) -> int:
+    """The encoding tag in a page's header (no checksum verification)."""
+    return pages._HEADER.unpack_from(data)[2]
+
+
 def roundtrip(values, type_name):
     data = pages.encode_page(values, type_name, CODEC)
     return data, pages.decode_page(data, CODEC)
@@ -58,14 +63,14 @@ sequences = st.one_of(
 def test_int_pages_round_trip(values):
     data, decoded = roundtrip(values, "INTEGER")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.INT
+    assert page_encoding(data) == pages.INT
 
 
 def test_int_pages_fall_back_to_json_past_int64():
     values = [1, 1 << 100, NULL, -(1 << 90), 0]
     data, decoded = roundtrip(values, "INTEGER")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.INT
+    assert page_encoding(data) == pages.INT
 
 
 @settings(max_examples=60, deadline=None)
@@ -73,7 +78,7 @@ def test_int_pages_fall_back_to_json_past_int64():
 def test_float_pages_round_trip(values):
     data, decoded = roundtrip(values, "REAL")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.FLOAT
+    assert page_encoding(data) == pages.FLOAT
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,7 +86,7 @@ def test_float_pages_round_trip(values):
 def test_bool_pages_round_trip(values):
     data, decoded = roundtrip(values, "BOOLEAN")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.BOOL
+    assert page_encoding(data) == pages.BOOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -89,7 +94,7 @@ def test_bool_pages_round_trip(values):
 def test_text_pages_round_trip(values):
     data, decoded = roundtrip(values, "TEXT")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.DICT
+    assert page_encoding(data) == pages.DICT
 
 
 def test_dictionary_overflow_stays_lossless():
@@ -98,7 +103,7 @@ def test_dictionary_overflow_stays_lossless():
     values = distinct + [NULL] + distinct[::-1]
     data, decoded = roundtrip(values, "TEXT")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.DICT
+    assert page_encoding(data) == pages.DICT
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +111,7 @@ def test_dictionary_overflow_stays_lossless():
 def test_blob_pages_round_trip(values):
     data, decoded = roundtrip(values, "BLOB")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.BLOB
+    assert page_encoding(data) == pages.BLOB
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,7 +123,7 @@ def test_seq_pages_round_trip(values, one_alphabet):
     data, decoded = roundtrip(values, "DNA")
     assert decoded == values
     if any(value is not NULL for value in values):
-        assert pages.page_encoding(data) == pages.SEQ
+        assert page_encoding(data) == pages.SEQ
         assert pages.seq_page(data).rows() == \
             [value for value in values if value is not NULL]
 
@@ -168,7 +173,7 @@ def test_mixed_values_take_the_obj_fallback():
     values = ["abc", 42, NULL, 2.5, True, b"\x00\xff"]
     data, decoded = roundtrip(values, "TEXT")
     assert decoded == values
-    assert pages.page_encoding(data) == pages.OBJ
+    assert page_encoding(data) == pages.OBJ
 
 
 class _Ordinal(int):
@@ -201,7 +206,7 @@ def test_the_encoding_is_chosen_from_the_set_of_value_types():
     values = [_Ordinal(4), NULL, _Ordinal(-9)]
     data, decoded = roundtrip(values, "INTEGER")
     assert decoded == [4, NULL, -9]
-    assert pages.page_encoding(data) == pages.INT
+    assert page_encoding(data) == pages.INT
     # True among integers survives as True, not as 1.
     __, decoded = roundtrip([1, True, NULL], "INTEGER")
     assert decoded == [1, True, NULL] and decoded[1] is True
@@ -220,7 +225,7 @@ def test_a_page_without_a_declared_type_takes_the_encoding_it_fits(
     # What a spilled block is: the values of an expression, no column.
     data = pages.encode_page(values, None, CODEC)
     decoded = pages.decode_page(data, CODEC)
-    assert pages.page_encoding(data) == encoding
+    assert page_encoding(data) == encoding
     assert decoded == values
     assert list(map(type, decoded)) == list(map(type, values))
 
@@ -302,7 +307,7 @@ def test_a_short_body_under_a_valid_crc_is_malformed(encoding):
     # bare struct.error, and never a silently shorter value list.
     type_name, values = SHORT_PAGES[encoding]
     data = pages.encode_page(values, type_name, CODEC)
-    tag = pages.page_encoding(data)
+    tag = page_encoding(data)
     assert tag == {"int-json": pages.INT,
                    "seq-mixed": pages.SEQ}.get(encoding, encoding)
     assert pages.decode_page(data, CODEC) == values

@@ -197,6 +197,16 @@ class TestAggregates:
         with pytest.raises(SqlSyntaxError):
             db.query("SELECT name FROM genes WHERE count(*) > 1")
 
+    def test_a_malformed_aggregate_is_refused_once_a_group_needs_it(
+            self, db):
+        for sql in ("SELECT sum(*) FROM genes WHERE id = 1",
+                    "SELECT max(id, length) FROM genes WHERE id = 1"):
+            with pytest.raises(SqlSyntaxError):
+                db.query(sql)
+        # Grouped, over no rows: no group ever asks for its state.
+        assert db.query("SELECT organism, sum(*) FROM genes WHERE id > 100 "
+                        "GROUP BY organism").rows == []
+
     def test_having_without_group_rejected(self, db):
         with pytest.raises(SqlSyntaxError):
             db.query("SELECT name FROM genes HAVING 1 = 1")

@@ -20,10 +20,17 @@ from repro.db.storage import (
     WriteAheadLog,
     apply_wal_records,
     checksum_line,
+    _read_header,
     read_wal_records,
-    segment_epoch,
     segment_generation,
 )
+
+
+def segment_epoch(path):
+    """The replication epoch in a WAL file's header; ``None`` when the
+    segment was written without a lease or its header is untrusted."""
+    header = _read_header(str(path))
+    return None if header is None else header["epoch"]
 
 
 def _database():

@@ -134,7 +134,7 @@ def _answers(database):
             table.row(row_id)[0] for row_id in row_ids)
 
     answers = {"rows": [tuple(row) for __, row in table.rows()]}
-    for index in table.indexes:
+    for index in table._indexes.values():
         if isinstance(index, KmerIndex):
             answers[index.name] = [keys(index.search_contains(pattern))
                                    for pattern in PATTERNS]
@@ -223,7 +223,7 @@ class TestCosts:
         for rows in (40, 400):
             database = _filled(layout, rows)
             counted = []
-            for index in database.catalog.table("t").indexes:
+            for index in database.catalog.table("t")._indexes.values():
                 for method in ("insert", "delete"):
                     original = getattr(index, method)
                     setattr(index, method,

@@ -36,7 +36,7 @@ def populated(**options) -> Database:
 
 def assert_indexes_mirror_heap(table: Table) -> None:
     """Every key index holds exactly the non-NULL keys of the live rows."""
-    for index in table.indexes:
+    for index in table._indexes.values():
         if not isinstance(index, UniqueHashIndex):
             continue
         position = table.schema.position(index.column)
@@ -89,7 +89,7 @@ class TestEnforcement:
         schema = TableSchema("t", [Column("id", INTEGER)],
                              primary_key="id", unique=("id",))
         table = Table(schema)
-        assert [index.name for index in table.indexes] == ["$t_id_key"]
+        assert list(table._indexes) == ["$t_id_key"]
 
 
 class TestIndexFollowsHeap:

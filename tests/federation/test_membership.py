@@ -16,7 +16,7 @@ import pytest
 
 from repro.db import Database
 from repro.db.recovery import databases_equal
-from repro.db.storage import read_wal_records, segment_epoch
+from repro.db.storage import read_wal_records
 from repro.errors import (
     ChannelError,
     FederationError,
@@ -36,6 +36,7 @@ from repro.federation import (
 )
 from repro.sim import group as sim
 from repro.sources import VirtualClock
+from tests.db.test_storage_epoch import segment_epoch
 
 
 def _database():

@@ -523,7 +523,7 @@ class TestAntiEntropy:
         follower = group.followers[0]
         follower.catch_up(group.primary)
         report = follower.last_round
-        assert report.clean and "no divergence" in report.summary()
+        assert report.repaired == [] and report.local_only == []
         assert report.quarantined == [] and report.repaired == []
 
     def test_rotted_segment_quarantined_and_refetched(self, cluster):
@@ -557,7 +557,7 @@ class TestAntiEntropy:
         os.replace(sealed, group.primary.wal_path + ".000000")
         follower.catch_up(group.primary)
         report = follower.last_round
-        assert report.repaired == [0] and not report.clean
+        assert report.repaired == [0]
         assert os.path.exists(follower.wal_path + ".000000.quarantined")
         assert sealed_digests(follower.wal_path) == \
             sealed_digests(group.primary.wal_path)
@@ -568,7 +568,8 @@ class TestAntiEntropy:
         follower = group.followers[0]
         os.remove(follower.wal_path + ".000000")
         follower.catch_up(group.primary)
-        assert follower.last_round.clean   # absence is lag, not rot
+        report = follower.last_round   # absence is lag, not rot
+        assert report.repaired == [] and report.local_only == []
         # The round ships what is missing whole; the ledger dedupes.
         assert sealed_digests(follower.wal_path) == \
             sealed_digests(group.primary.wal_path)
@@ -738,7 +739,5 @@ class TestLocalOnlySegmentsRegression:
         follower.catch_up(group.primary)
         report = follower.last_round
         assert report.local_only == [7]
-        assert not report.clean
-        assert "local-only" in report.summary()
         # The stray file is evidence, not repair material: left in place.
         assert os.path.exists(stray)

@@ -60,16 +60,16 @@ class TestQueries:
         __, sources = setting
         mediator = Mediator(sources)
         rows = mediator.find_genes(min_length=100, name_prefix="lac")
-        assert all(row.length >= 100 for row in rows)
+        assert all(len(row.sequence_text) >= 100 for row in rows)
         assert all(row.name.startswith("lac") for row in rows)
 
     def test_custom_predicate(self, setting):
         __, sources = setting
         mediator = Mediator(sources)
         rows = mediator.find_genes(
-            predicate=lambda row: row.length % 2 == 0
+            predicate=lambda row: len(row.sequence_text) % 2 == 0
         )
-        assert all(row.length % 2 == 0 for row in rows)
+        assert all(len(row.sequence_text) % 2 == 0 for row in rows)
 
     def test_count(self, setting):
         __, sources = setting

@@ -50,7 +50,7 @@ def _sources(seed, size=36, sliced=False):
 
 
 def _even_length(row):
-    return row.length % 2 == 0
+    return len(row.sequence_text) % 2 == 0
 
 
 def _history(universe, sources, seed, steps):
@@ -300,8 +300,9 @@ class TestReuseRatio:
         finally:
             obs.disable()
             obs.disable_metrics()
-        assert registry.value("mediation", "records_parsed") == total
-        assert registry.value("mediation", "records_wrapped") == 2 * total
+        counters = registry.snapshot()
+        assert counters["mediation_records_parsed"] == total
+        assert counters["mediation_records_wrapped"] == 2 * total
         first, second = (
             [span for span in spans if span["name"] == "mediator.fan_out"][0]
             for spans in sink.traces)

@@ -6,7 +6,6 @@ from repro.errors import MediatorError
 from repro.mediator import (
     BreakerPolicy,
     CircuitBreaker,
-    MediatedGene,
     MediationCost,
     Mediator,
     RetryPolicy,
@@ -264,14 +263,6 @@ class TestPerQueryAttemptNumbering:
 
 
 class TestSatellites:
-    def test_mediated_gene_length_tracks_its_sequence(self):
-        gene = MediatedGene(accession="X", source="S", name=None,
-                            organism=None, description=None,
-                            sequence_text="ATGC")
-        assert gene.length == 4
-        gene.sequence_text = "ATGCAT"
-        assert gene.length == 6
-
     def test_duplicate_source_names_rejected(self):
         universe = Universe(seed=71, size=10)
         with pytest.raises(MediatorError, match="duplicate"):

@@ -215,10 +215,11 @@ class TestMetricsPublication:
             mediator.find_genes()
         finally:
             obs.disable_metrics()
-        assert registry.value("mediation", "queries_answered") == 1.0
-        assert registry.value("mediation", "retries") == 1.0
-        assert registry.value("mediation", "source_requests") > 0
-        assert registry.value("faults", "failures") == 1.0
+        counters = registry.snapshot()
+        assert counters["mediation_queries_answered"] == 1.0
+        assert counters["mediation_retries"] == 1.0
+        assert counters["mediation_source_requests"] > 0
+        assert counters["faults_failures"] == 1.0
 
     def test_disabled_registry_leaves_struct_counters_intact(self):
         __, timeline, sources = _federation()

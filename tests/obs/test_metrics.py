@@ -19,8 +19,8 @@ class TestDisabledFastPath:
         obs.count("g", "n", 3)
         second = obs.enable_metrics()
         assert second is obs.get_registry()
-        assert second.value("g", "n") == 0.0       # fresh, not reused
-        assert first.value("g", "n") == 3.0
+        assert "g_n" not in second.snapshot()       # fresh, not reused
+        assert first.snapshot()["g_n"] == 3.0
 
 
 class TestInstruments:
@@ -28,7 +28,7 @@ class TestInstruments:
         registry = MetricsRegistry()
         registry.counter("mediation", "retries").inc()
         registry.counter("mediation", "retries").inc(2.0)
-        assert registry.value("mediation", "retries") == 3.0
+        assert registry.snapshot()["mediation_retries"] == 3.0
 
     def test_create_on_first_use_returns_the_same_instrument(self):
         registry = MetricsRegistry()
@@ -91,7 +91,7 @@ class TestModuleHelpers:
         obs.count("mediation", "retries", 2)
         obs.gauge("cache", "entries", 9)
         obs.observe("storage", "recovery_ms", 40.0)
-        assert registry.value("mediation", "retries") == 2.0
+        assert registry.snapshot()["mediation_retries"] == 2.0
         assert registry.snapshot()["cache_entries"] == 9.0
         histogram = registry.histogram("storage", "recovery_ms")
         assert histogram.count == 1 and histogram.total == 40.0

@@ -51,12 +51,13 @@ class TestMetrics:
 
     def test_shed_and_hedge_counters_match_the_server(self):
         registry, server = self.run_workload()
+        counters = registry.snapshot()
         for reason, total in server.queue.shed.items():
-            assert registry.value("serving", f"shed.{reason}") == total
+            assert counters[f"serving_shed.{reason}"] == total
         issued = sum(h.issued for h in server.hedgers.values())
         won = sum(h.won for h in server.hedgers.values())
-        assert registry.value("serving", "hedges_issued") == issued
-        assert registry.value("serving", "hedges_won") == won
+        assert counters["serving_hedges_issued"] == issued
+        assert counters["serving_hedges_won"] == won
         assert issued > 0               # the storm actually hedged
 
     def test_prometheus_text_carries_the_serving_group(self):

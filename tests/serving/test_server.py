@@ -297,6 +297,16 @@ class TestOverloadBehaviour:
         # spend to the burst allowance plus what successes earned.
         assert budget.spent <= budget.burst + budget.deposits
 
+    def test_limits_never_exclude_every_source(self):
+        server, __, __, accessions = quiet_federation(
+            bare_policy(adaptive_concurrency=True))
+        names = server.source_names
+        # Every source holds more calls in flight than its limit allows:
+        # the one with the most headroom (first by name on a tie) stays.
+        server._intervals = [(0.0, 10.0, frozenset(names))] * 100
+        excluded = server._exclusions(gene_request(accessions[0]), 1.0)
+        assert set(names) - excluded == {min(names)}
+
     def test_aimd_throttles_a_dead_source(self):
         server, mediator, sources, accessions = overload_federation()
         sources[1].schedule_outage(0.0, 100_000.0)

@@ -165,7 +165,7 @@ class TestCli:
             assert expected in output, expected
         traces = load_traces(path)
         assert list(traces) == ["t000001"]
-        assert not obs.enabled()                 # CLI cleans up after itself
+        assert obs.get_tracer() is None         # CLI cleans up after itself
 
     def test_trace_accepts_a_custom_query(self, capsys):
         assert main(["trace", "COUNT genes"]) == 0
