@@ -110,10 +110,6 @@ class GroupView:
         self.row_ids = row_ids  # None entries mark tombstones
         self._tail_rows = tail_rows
 
-    @property
-    def sealed(self) -> bool:
-        return self._group is not None
-
     def seq_rows(self, position: int) -> "page_codec.SeqPage | None":
         """One column as the page kernels read it (:class:`pages.SeqPage`):
         verified and parsed, not decoded.  ``None`` for the tail and for

@@ -138,7 +138,7 @@ def test_group_views_expose_live_offsets():
     db.execute("DELETE FROM t WHERE id IN (2, ?)", (PAGE_ROWS + 1,))
     store = db.catalog.table("t").column_store
     views = list(store.scan())
-    assert [view.sealed for view in views] == [True, False]
+    assert [view._group is not None for view in views] == [True, False]
     for view in views:
         column = view.column_values(0)
         for offset, row in view.enumerate_rows():

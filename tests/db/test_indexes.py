@@ -44,6 +44,12 @@ class TestHashIndex:
         with pytest.raises(DatabaseError):
             list(index.search_range(1, 2))
 
+    def test_a_probe_an_index_lacks_is_refused(self):
+        with pytest.raises(DatabaseError):
+            KmerIndex("k", "t", "c", k=4).search_equal("ACGT")
+        with pytest.raises(DatabaseError):
+            HashIndex("h", "t", "c").search_contains("ACGT")
+
 
 class TestKmerIndex:
     def test_candidates_contain_true_matches(self):
