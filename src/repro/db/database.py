@@ -89,6 +89,9 @@ class ResultSet:
             raise DatabaseError(f"no output column {name!r}") from None
         return [row[position] for row in self.rows]
 
+    def to_dicts(self) -> list[dict[str, Any]]:
+        return [dict(zip(self.columns, row)) for row in self.rows]
+
     def pretty(self, max_rows: int = 20) -> str:
         """A fixed-width text table (for examples and the BiQL shell)."""
         def fmt(value: Any) -> str:

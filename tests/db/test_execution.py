@@ -238,6 +238,10 @@ class TestResultSet:
     def test_first_on_empty(self, db):
         assert db.query("SELECT * FROM genes WHERE id = 99").first() is None
 
+    def test_to_dicts(self, db):
+        dicts = db.query("SELECT id, name FROM genes WHERE id = 1").to_dicts()
+        assert dicts == [{"id": 1, "name": "lacZ"}]
+
     def test_unknown_output_column(self, db):
         with pytest.raises(DatabaseError):
             db.query("SELECT id FROM genes").column("nope")
