@@ -70,7 +70,7 @@ _seen = {}
 def _profile(frame, event, arg, _seen=_seen, _id=id):
     if event == "call":
         code = frame.f_code
-        _seen[_id(code)] = code
+        _seen[_id(code)] = code  # held, so its id is never reused
 
 
 def _dump():
@@ -83,20 +83,11 @@ def _dump():
         if path.startswith(prefix):
             lines.add(f"{path}\\t{code.co_firstlineno}\\t{code.co_name}\\n")
     out = os.path.join(os.environ["REPRO_REACH_OUT"], f"{os.getpid()}.txt")
-    with open(out, "a") as handle:
+    with open(out, "w") as handle:
         handle.writelines(sorted(lines))
 
 
-_exit = os._exit
-
-
-def _dump_then_exit(status):
-    _dump()
-    _exit(status)
-
-
 if os.environ.get("REPRO_REACH_OUT"):
-    os._exit = _dump_then_exit
     atexit.register(_dump)
     threading.setprofile(_profile)
     sys.setprofile(_profile)
