@@ -67,9 +67,10 @@ class TestInvalidationVsRead:
     def test_extent_entries_fall_to_any_delta_of_their_source(self):
         cache = _seeded_cache()
         cache.invalidate(_delta(source="EMBL", accession="Q9"))
-        assert ("find_genes",) not in cache._entries   # depends on EMBL's extent
-        assert ("gene", "X1") in cache._entries        # GenBank record untouched
-        assert ("gene", "Y2") in cache._entries
+        entries = cache._entries
+        assert ("find_genes",) not in entries   # depends on EMBL's extent
+        assert ("gene", "X1") in entries        # GenBank record untouched
+        assert ("gene", "Y2") in entries
 
     def test_duplicate_delivery_is_idempotent(self):
         cache = _seeded_cache()

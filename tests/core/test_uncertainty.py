@@ -90,7 +90,8 @@ class TestAlternatives:
 
     def test_equal_alternatives_hash_alike(self):
         assert Alternatives.of("a", "b") == Alternatives.of("a", "b")
-        assert hash(Alternatives.of("a", "b")) == hash(Alternatives.of("a", "b"))
+        pair = Alternatives.of("a", "b")
+        assert hash(pair) == hash(Alternatives.of("a", "b"))
 
     def test_add_is_immutable(self):
         first = Alternatives.of("a")

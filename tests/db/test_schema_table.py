@@ -83,7 +83,8 @@ class TestTable:
         assert len(table) == 1
 
     def test_complete_row_fills_the_default(self, table):
-        row_id = table.insert(table.schema.complete_row({"id": 1, "name": "lacZ"}))
+        row = table.schema.complete_row({"id": 1, "name": "lacZ"})
+        row_id = table.insert(row)
         assert table.row(row_id)[2] == "unknown"
 
     def test_primary_key_uniqueness(self, table):

@@ -254,7 +254,8 @@ class TestTheCatalogIsTheSignature:
     def test_every_udf_is_an_operator_and_every_operator_a_udf(self):
         bare, installed = Database(), Database()
         install_genomics(installed)
-        udfs = set(installed.catalog._functions) - set(bare.catalog._functions)
+        udfs = (set(installed.catalog._functions)
+                - set(bare.catalog._functions))
         assert udfs == set(FUNCTIONS)
         assert set(OPERATORS) - udfs == {"length"}
         assert adapter.ANSWERED_BY_THE_ENGINE == ("length",)
