@@ -390,8 +390,9 @@ def list_sealed_segments(wal_path: str) -> list[tuple[int, str]]:
     return segments
 
 
-def _header_record(generation: int, epoch: int | None,
-                   predecessor: int | None = None) -> str:
+def header_record(generation: int, epoch: int | None,
+                  predecessor: int | None = None) -> str:
+    """The checksummed ``$wal`` header line that opens a WAL file."""
     header = {"$wal": WAL_FORMAT, "generation": generation, "epoch": epoch}
     if predecessor is not None:
         header[PREDECESSOR] = predecessor
@@ -663,7 +664,7 @@ class WriteAheadLog:
             self._handle = open(self.path, "a", encoding="utf-8")
             if blank:
                 self._handle.write(
-                    _header_record(self._generation, self.epoch))
+                    header_record(self._generation, self.epoch))
                 self._records = 0
         self._handle.write(line)
         if self._records is not None:
@@ -716,7 +717,7 @@ class WriteAheadLog:
             self._generation += 1
             _metric("storage", "wal_rotations")
         with open(self.path, "w", encoding="utf-8") as handle:
-            handle.write(_header_record(self._generation, self.epoch,
+            handle.write(header_record(self._generation, self.epoch,
                                         predecessor))
         self._records = 0
         return sealed_path
@@ -743,7 +744,7 @@ class WriteAheadLog:
                 if index not in headers]
         predecessor = next(iter(headers.values()), {}).get(PREDECESSOR)
         with open(self.path, "wb") as handle:
-            handle.write(_header_record(self._generation, epoch,
+            handle.write(header_record(self._generation, epoch,
                                         predecessor).encode("utf-8"))
             handle.write(b"\n".join(body))
         if self.fsync:

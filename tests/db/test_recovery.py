@@ -21,7 +21,7 @@ from repro.db.recovery import databases_equal, recover
 from repro.db.storage import (
     WAL_FORMAT,
     WriteAheadLog,
-    _header_record,
+    header_record,
     apply_wal_records,
     checkpoint,
     checksum_line,
@@ -336,7 +336,7 @@ class TestWalHeaderRegressions:
             self, db, tmp_path):
         wal_path = str(tmp_path / "wal.jsonl")
         with open(wal_path, "w", encoding="utf-8") as handle:
-            handle.write(_header_record(7, None))
+            handle.write(header_record(7, None))
         wal = WriteAheadLog(wal_path, db)
         assert wal.generation == 7
         assert wal.rotate() is None  # nothing to seal ...

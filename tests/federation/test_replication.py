@@ -13,8 +13,11 @@ quarantines and replaces rotted or diverged segments, and a follower
 whose ledger fails verification is refused promotion.
 """
 
+import hashlib
 import os
+import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -301,11 +304,10 @@ class TestReplicationEdgeCases:
 
 class TestPurgedPredecessorRegression:
     """A purge deletes the segment the checkpoint sealed.  A follower
-    that had applied only part of that generation never sees the rest;
-    the next generation must be refused — with the hole named — rather
-    than applied over it (which lost the purged writes without a word).
-    The heal's round is refused again, so each refused follower counts
-    two rejections."""
+    that had applied only part of that generation never sees the rest:
+    the next generation alone is refused — with the hole named — rather
+    than applied over it (which lost the purged writes without a word),
+    and the round ships the image that covers the hole instead."""
 
     @staticmethod
     def _run(schedule, name):
@@ -314,33 +316,57 @@ class TestPurgedPredecessorRegression:
                       if follower.name == name]
         return record, follower
 
+    @staticmethod
+    def _refused_then_healed(name, before, after):
+        """*before* writes, *name* catching up after the first, a purge,
+        *after* writes: the WAL alone is refused, the round heals."""
+        with tempfile.TemporaryDirectory() as root:
+            group, *__ = sim.build(root)
+            primary = group.primary
+            [follower] = [node for node in group.followers
+                          if node.name == name]
+            for row in range(before + after):
+                if row == before:
+                    primary.checkpoint(purge=True)
+                primary.execute("INSERT INTO t VALUES (?, 'v')", [row])
+                if row == 0 and name == "bravo":
+                    follower.catch_up(primary)
+            [wal] = [shipment for shipment in primary.ship()
+                     if not shipment.image]
+            with pytest.raises(FederationError) as caught:
+                follower.apply_shipment(wal)
+            follower.catch_up(primary)
+            assert follower.image_generation == 1
+            assert databases_equal(follower.database, primary.database)
+            return caught.value
+
     def test_purged_predecessor_is_refused_not_skipped(self):
-        record, bravo = self._run([("write",), ("catch_up", "bravo"),
-                                   ("write",), ("purge",), ("write",),
-                                   ("catch_up", "bravo")], "bravo")
-        error = record.steps[-1][1]
-        assert isinstance(error, FederationError)
+        error = self._refused_then_healed("bravo", 2, 1)
         assert (error.node, error.generation, error.records,
                 error.index) == ("bravo", 0, 2, 1)
         assert "generation 0 sealed 2 records" in str(error)
-        assert bravo.rejected_shipments == 2
-        assert bravo.applied == {0: 1}
-        assert databases_equal(bravo.database, _reference([(1, "v1")]))
+        record, bravo = self._run([("write",), ("catch_up", "bravo"),
+                                   ("write",), ("purge",), ("write",),
+                                   ("catch_up", "bravo")], "bravo")
+        assert all(outcome == "ok" for __, outcome in record.steps)
+        assert bravo.rejected_shipments == 0 and bravo.applied[1] == 1
+        assert databases_equal(bravo.database, _reference(
+            [(row, f"v{row}") for row in (1, 2, 3)]))
 
     def test_a_fresh_follower_refuses_purged_generations(self):
         """The first generation a follower sees is new to its ledger
         too: its header's predecessor count must hold."""
+        error = self._refused_then_healed("charlie", 5, 3)
+        assert (error.node, error.generation, error.records,
+                error.index) == ("charlie", 0, 5, 0)
         record, charlie = self._run(
             [("write",)] * 5 + [("purge",)] + [("write",)] * 3
             + [("catch_up", "charlie")], "charlie")
-        error = record.steps[-1][1]
-        assert isinstance(error, FederationError)
-        assert (error.node, error.generation, error.records,
-                error.index) == ("charlie", 0, 5, 0)
-        assert charlie.rejected_shipments == 2
-        assert charlie.applied == {}
-        assert charlie.database.execute("SELECT count(*) FROM t").rows \
-            == [(0,)]
+        assert all(outcome == "ok" for __, outcome in record.steps)
+        assert charlie.rejected_shipments == 0
+        assert charlie.applied == {1: 3} and charlie.image_generation == 1
+        assert databases_equal(charlie.database,
+                               record.group.primary.database)
 
     def test_shipping_before_the_checkpoint_never_refuses(self):
         record, bravo = self._run(
@@ -455,16 +481,16 @@ class TestShipmentIntegrity:
         group.primary.execute("INSERT INTO t VALUES (1, 'aa')", [])
         group.primary.rotate()
         timeline.advance(5.0)
-        sealed = group.primary.wal_path + ".000000"
-        with open(sealed) as handle:
-            payload = handle.read()
-        with open(sealed, "w") as handle:
-            handle.write(payload.replace("aa", "ab"))
-        # The sealed shipment now fails its CRC mid-round: catch_up
-        # must stop without resetting the staleness clock — the
-        # replica IS falling behind and the bound must say so.
+        # Damage in flight (rot on the primary's disk is repaired within
+        # the round): catch_up must stop without resetting the
+        # staleness clock — the replica IS falling behind and the bound
+        # must say so.
+        tampering = SimpleNamespace(name="alpha", ship=lambda request: [
+            replace(shipment, payload=shipment.payload.replace("aa", "ab"))
+            for shipment in group.primary.ship(request)])
         before = follower.staleness_bound()
-        assert follower.catch_up(group.primary) == 0
+        assert follower.catch_up(tampering) == 0
+        assert "digest mismatch" in follower.last_rejection
         assert follower.staleness_bound() == pytest.approx(before)
 
     def test_a_shipment_cannot_be_built_without_a_digest(self, cluster):
@@ -575,27 +601,34 @@ class TestAntiEntropy:
             sealed_digests(group.primary.wal_path)
         assert follower.applied_total() == 6
 
-    def test_promote_refuses_corrupt_ledger(self, cluster):
+    def test_promote_repairs_a_corrupt_ledger_first(self, cluster):
         group = self._shipped_cluster(cluster)
-        # charlie pulls ahead, then rots: the refusal must override
-        # "most caught up" and fall through to clean-but-behind bravo.
+        # charlie pulls ahead, then rots: the dead primary's intact disk
+        # repairs it, so the most caught up is crowned.
         group.primary.execute("INSERT INTO t VALUES (99, 'z')", [])
-        group.followers[1].catch_up(group.primary)
-        self._rot(group.followers[1].wal_path + ".000000")
+        charlie = group.followers[1]
+        charlie.catch_up(group.primary)
+        sealed = charlie.wal_path + ".000000"
+        self._rot(sealed)
         group.fail_primary()
         promoted = group.promote()
-        assert promoted.name == "bravo"
-        assert len(group.refused) == 1
-        assert group.refused[0].startswith("charlie: bit_rot")
+        assert promoted.name == "charlie" and group.refused == []
+        assert charlie.last_round.repaired == [0]
+        assert os.path.exists(sealed + ".quarantined")
+        assert databases_equal(promoted.database, _reference(
+            [(index, f"v{index}") for index in range(6)] + [(99, "z")]))
 
-    def test_promote_refuses_when_every_ledger_is_corrupt(self, cluster):
+    def test_promote_repairs_every_corrupt_ledger(self, cluster):
         group = self._shipped_cluster(cluster)
         for follower in group.followers:
             self._rot(follower.wal_path + ".000000")
         group.fail_primary()
-        with pytest.raises(FederationError, match="ledger verification"):
-            group.promote()
-        assert len(group.refused) == 2
+        assert group.promote().name == "bravo"
+        assert group.refused == []
+        group.followers[0].verify_ledger()   # charlie's turn to be scrubbed
+        group.sync()
+        assert sealed_digests(group.followers[0].wal_path) == \
+            sealed_digests(group.primary.wal_path)
 
 
 class TestDiskShipments:
@@ -644,25 +677,48 @@ class TestInvalidUtf8Regression:
         assert file_digest(sealed) is None
 
     def test_disk_shipments_classifies_bit_rot(self, rotted):
+        """The rot ships as it lies on disk (its digest is the file's);
+        the follower's CRC check classifies it, record and offset."""
         group, sealed = rotted
-        with pytest.raises(StorageError) as caught:
-            disk_shipments(group.primary.wal_path)
-        assert caught.value.kind == "bit_rot"
-        assert caught.value.path == sealed
-        assert caught.value.offset is not None
+        [shipment, __] = disk_shipments(group.primary.wal_path)
+        with open(sealed, "rb") as handle:
+            assert shipment.digest == hashlib.sha256(
+                handle.read()).hexdigest()
+        with pytest.raises(FederationError) as caught:
+            group.followers[0].apply_shipment(shipment)
+        cause = caught.value.__cause__
+        assert isinstance(cause, StorageError) and cause.kind == "bit_rot"
+        assert cause.record_index is not None and cause.offset is not None
 
-    def test_disk_shipments_can_skip_the_rotted_file(self, rotted):
-        group, __ = rotted
-        shipments = disk_shipments(group.primary.wal_path,
-                                   on_bit_rot="skip")
-        # The healthy active segment still ships.
-        assert [s.sealed for s in shipments] == [False]
+    def test_disk_shipments_can_skip_the_rotted_file(self, cluster):
+        """A follower holding a verified seal steps over the source's
+        rotted copy of it, and the healthy active segment still lands."""
+        group, __ = cluster
+        for index in range(4):
+            group.primary.execute("INSERT INTO t VALUES (?, ?)",
+                                  [index, f"v{index}"])
+        sealed = group.primary.rotate()
+        group.sync()
+        group.primary.execute("INSERT INTO t VALUES (9, 'i')", [])
+        group.primary.wal.flush()
+        self._rot_bytes(sealed)
+        follower = group.followers[0]
+        assert follower.fill([lambda request: disk_shipments(
+            group.primary.wal_path, request)])
+        assert "bit_rot payload" in follower.last_rejection
+        assert follower.applied == {0: 4, 1: 1}
 
     def test_ship_classifies_bit_rot(self, rotted):
-        group, __ = rotted
-        with pytest.raises(StorageError) as caught:
-            group.primary.ship()
-        assert caught.value.kind == "bit_rot"
+        """The round's CRC check classifies the primary's rot; the
+        primary sets the file aside and ships the image covering it."""
+        group, sealed = rotted
+        follower = group.followers[0]
+        follower.catch_up(group.primary)
+        assert "bit_rot payload" in follower.last_rejection
+        assert os.path.exists(sealed + ".quarantined")
+        assert group.primary.image_generation == 2
+        assert follower.image_generation == 2
+        assert databases_equal(follower.database, group.primary.database)
 
     def test_catch_up_repairs_a_rotted_local_segment(self, cluster):
         group, __ = cluster
