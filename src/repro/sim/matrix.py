@@ -46,7 +46,8 @@ REPLICA_FAILOVER = (
 
 #: Chaos 13: after a clean sync, flips land in bravo's sealed
 #: generation 0, alpha's image, a shipment to charlie and, once charlie
-#: alone holds generation 2, that segment; then the primary dies.
+#: alone holds generation 2, that segment; then the primary dies, and
+#: charlie, repaired from alpha's disk, is crowned.
 BIT_ROT_REPAIR = (
     [("write",)] * 8 + [("rotate",)] + [("write",)] * 8 + [("checkpoint",)]
     + [("write",)] * 4
@@ -217,8 +218,8 @@ SCENARIOS = {"recover": (
              report=(("refused", ((25, "bit_rot"), (26, "bit_rot"),
                                   (29, "digest_mismatch"),
                                   (40, "bit_rot"))),
-                     ("rejected", 1), ("promoted", (("bravo", 2),)),
-                     ("barred", ("charlie",)))),
+                     ("rejected", 0), ("promoted", (("charlie", 2),)),
+                     ("barred", ()))),
     Scenario("split-brain", tuple(split_brain()),
              report=(("refused", ((14, "expired"),)),
                      ("promoted", (("bravo", 2),)), ("fenced", 1),
