@@ -18,11 +18,10 @@ and the optimizer will consider it.  Five implementations ship:
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 from repro.core.ops.search import Pattern, pattern_or_none
 from repro.core.types.sequence import DnaSequence, PackedSequence
-from repro.errors import DatabaseError
 
 
 class Index:
@@ -32,10 +31,12 @@ class Index:
     maps column values (or structures derived from them) to row ids.
     """
 
-    #: Class-level capability flags the optimizer reads.
-    supports_equality = False
-    supports_range = False
-    supports_contains = False
+    #: The probes the optimizer may send, each a ``search_<probe>``
+    #: method: ``equal`` (row ids whose value equals a key), ``range``
+    #: (row ids in key order between two bounds), ``contains`` (a
+    #: candidate set the executor re-checks, never missing a match;
+    #: ``None`` means scan everything).
+    probes: frozenset = frozenset()
     #: True when each key maps to at most one row (a key constraint).
     unique = False
 
@@ -56,30 +57,6 @@ class Index:
     def delete(self, key: Any, row_id: int) -> None:
         raise NotImplementedError
 
-    # -- lookups ----------------------------------------------------------------
-
-    def search_equal(self, key: Any) -> Iterable[int]:
-        """Row ids whose column value equals *key*."""
-        raise DatabaseError(f"{type(self).__name__} has no equality search")
-
-    def search_range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterable[int]:
-        """Row ids whose column value lies in the given range, key order."""
-        raise DatabaseError(f"{type(self).__name__} has no range search")
-
-    def search_contains(self, pattern: str) -> "set[int] | None":
-        """Row ids whose value may contain *pattern* as a subsequence.
-
-        Returns a **candidate set**: implementations may over-approximate
-        (the executor re-checks the predicate) but must never miss a true
-        match.  ``None`` means "cannot narrow; scan everything".
-        """
-        raise DatabaseError(f"{type(self).__name__} has no contains search")
 
 
 class SequenceIndex(Index):
@@ -91,7 +68,7 @@ class SequenceIndex(Index):
     sequence type — that of the sequences seen, DNA before any.
     """
 
-    supports_contains = True
+    probes = frozenset({"contains"})
     _klass: "type[PackedSequence]" = DnaSequence
 
     def _value(self, key: Any) -> Pattern:

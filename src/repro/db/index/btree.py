@@ -41,8 +41,7 @@ class _Inner:
 class BTreeIndex(Index):
     """B+ tree over one column; equality and range capable."""
 
-    supports_equality = True
-    supports_range = True
+    probes = frozenset({"equal", "range"})
 
     def __init__(self, name: str, table_name: str, column: str,
                  order: int = 32) -> None:

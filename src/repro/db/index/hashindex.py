@@ -26,7 +26,7 @@ def hashable(key: Any) -> Any:
 class HashIndex(Index):
     """Dictionary-backed index over one column."""
 
-    supports_equality = True
+    probes = frozenset({"equal"})
 
     def __init__(self, name: str, table_name: str, column: str) -> None:
         super().__init__(name, table_name, column)

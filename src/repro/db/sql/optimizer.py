@@ -265,7 +265,7 @@ class Planner:
                  probe_first) = bounds
                 equality = low is high
                 for index in table.indexes_on(column):
-                    if equality and index.supports_equality:
+                    if equality and "equal" in index.probes:
                         plan: PlanNode = IndexEqualScan(
                             table, binding, index, low, self._evaluator,
                             probe_first,
@@ -279,7 +279,7 @@ class Planner:
                         plan.estimated_rows = (
                             base_rows * self._selectivity(conjunct, schemas)
                         )
-                    elif not equality and index.supports_range:
+                    elif not equality and "range" in index.probes:
                         plan = IndexRangeScan(
                             table, binding, index, self._evaluator,
                             low, high, include_low, include_high,
@@ -300,7 +300,7 @@ class Planner:
                 if (column is not None
                         and self._independent(pattern, schemas)):
                     for index in table.indexes_on(column):
-                        if index.supports_contains:
+                        if "contains" in index.probes:
                             plan = IndexContainsScan(
                                 table, binding, index, pattern,
                                 self._evaluator,
@@ -530,7 +530,7 @@ class Planner:
                 # key column has instead of running it into a hash table.
                 index = next((index for index
                               in right_table.indexes_on(column)
-                              if index.supports_equality), None)
+                              if "equal" in index.probes), None)
             plan = Join(plan, right_plan, join.condition, self._evaluator,
                         join.kind, equi, self._database.columnar, index)
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db.index.btree import BTreeIndex
 from repro.db.index.hashindex import HashIndex
 from repro.db.index.kmer import KmerIndex
 from repro.db.index.suffix import SuffixArrayIndex
@@ -41,14 +42,17 @@ class TestHashIndex:
 
     def test_no_range_support(self):
         index = HashIndex("h", "t", "c")
-        with pytest.raises(DatabaseError):
-            list(index.search_range(1, 2))
+        assert index.probes == {"equal"}
+        assert not hasattr(index, "search_range")
 
     def test_a_probe_an_index_lacks_is_refused(self):
-        with pytest.raises(DatabaseError):
-            KmerIndex("k", "t", "c", k=4).search_equal("ACGT")
-        with pytest.raises(DatabaseError):
-            HashIndex("h", "t", "c").search_contains("ACGT")
+        """The optimizer sends only the probes an index lists, and an
+        index has a ``search_<probe>`` method for each and no other."""
+        for index in (KmerIndex("k", "t", "c", k=4), HashIndex("h", "t", "c"),
+                      BTreeIndex("b", "t", "c"),
+                      SuffixArrayIndex("s", "t", "c")):
+            assert {probe for probe in ("equal", "range", "contains")
+                    if hasattr(index, f"search_{probe}")} == index.probes
 
 
 class TestKmerIndex:
