@@ -26,7 +26,7 @@ from typing import Iterator
 
 from repro.db.columnar import pages as page_codec
 from repro.db.columnar.pages import ZONE_EMPTY
-from repro.db.values import NULL
+from repro.db.values import NULL, OneKind
 from repro.obs.metrics import count
 
 
@@ -197,8 +197,10 @@ class ColumnStore:
             return self.values(ref.cells[key])
         count("columnar", "pages_decoded")
         cells = run(page_codec.seq_page(data, page_id=ref.page_id), values_fn)
-        kinds = set(map(type, cells)) - {type(NULL)}
-        if kinds in ({int}, {float}, {bool}, set()):  # INT, FLOAT, BOOL
+        kinds = set(map(type, cells))
+        if kinds in ({int}, {float}, {bool}):  # a dense INT, FLOAT, BOOL
+            cells = OneKind(cells, bool if bool in kinds else float)
+        if kinds - {type(NULL)} in ({int}, {float}, {bool}, set()):
             sealed = page_codec.encode_page(cells, None, self.runtime.codec)
             with self.runtime.cache.lock:  # one cell page per page, kernel
                 if key not in ref.cells:

@@ -183,7 +183,9 @@ class _Ordinal(int):
 def test_the_encoding_is_chosen_from_the_set_of_value_types():
     # Decided from set(map(type, values)), one issubclass per type: what
     # the five per-value isinstance passes decided, on every input.
-    choose = pages.choose_encoding
+    def choose(type_name, values):
+        return pages.choose_encoding(type_name, set(map(type, values)))
+
     assert choose("INTEGER", [1, 2, 3]) == pages.INT
     assert choose("INTEGER", [1, True]) == pages.OBJ      # True is no INT
     assert choose("INTEGER", [True]) == pages.OBJ

@@ -197,6 +197,19 @@ def test_there_is_one_join_and_its_body_asks_kind_questions_per_batch():
                              "hash", "_bucket_key"}, python_ast.unparse(loop)
 
 
+def test_no_column_is_told_apart_by_being_a_plain_list():
+    # A column is a list, or a list subclass that marks it: Failing (a
+    # cell holds a failure) or OneKind (no NULL, one kind of value).  A
+    # ``type(...) is list`` test would take a marker for a failure.
+    plain = re.compile(r"type\([^()]*\)\s+is\s+(?:not\s+)?list\b")
+    found = [f"{path.name}:{number}" for path in (DB / "sql").glob("*.py")
+             for number, line in enumerate(
+                 path.read_text().splitlines(), start=1)
+             if plain.search(line)]
+    assert found == []
+    assert plain.search("return value if type(value) is list else value")
+
+
 def test_only_expressions_py_dispatches_on_expression_node_type():
     handler = re.compile(
         r"def _(?:eval|compile)_(?:%s)\b" % "|".join(
