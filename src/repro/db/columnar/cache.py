@@ -13,10 +13,10 @@ spills — the cache is a plain dict, the row-layout-compatible default —
 and it keeps a resident page's decoded **forms** beside its bytes
 (:meth:`PageCache.get`); under a budget it holds pages, nothing else.
 
-Spill files are plain per-page temporary files that outlive eviction:
-once a page has been written, re-evicting it after a fault is free
-(the bytes on disk are immutable — page updates allocate a fresh page
-id).  Observable via the metrics registry:
+Pages spill into one anonymous file, each written once (``os.pwrite``)
+and faulted with one ``os.pread``: re-evicting it is free (page updates
+allocate a fresh page id), and a dropped page's extent is reused by a
+later page that fits.  Observable via the metrics registry:
 
 - ``columnar_pages_evicted`` / ``columnar_page_faults`` /
   ``columnar_spill_bytes`` counters,
@@ -25,11 +25,12 @@ id).  Observable via the metrics registry:
 
 from __future__ import annotations
 
-import contextlib
+import math
 import os
 import tempfile
 import threading
 from collections import OrderedDict
+from operator import itemgetter
 
 from repro.errors import StorageError
 from repro.obs.metrics import count, gauge
@@ -41,11 +42,12 @@ class PageCache:
     def __init__(self, budget_bytes: "int | None" = None) -> None:
         self.budget_bytes = budget_bytes
         self._resident: "OrderedDict[int, bytes]" = OrderedDict()
-        self._spilled: dict[int, str] = {}
+        self._spilled: dict[int, tuple[int, int]] = {}  # (offset, length)
+        self._free: list = [(0, math.inf)]  # dropped extents; the end
         self._forms: dict[int, dict] = {}  # unbudgeted: page id -> forms
         self.resident_bytes = self.peak_resident_bytes = 0  # with charges
         self._charged = self._largest = 0  # operators' bytes; largest page
-        self._spill_dir: "tempfile.TemporaryDirectory | None" = None
+        self._spill_file = None  # opened at the first eviction
         self._next_id = 0
         self.lock = threading.RLock()
         # lifetime totals, mirrored into the metrics registry
@@ -66,16 +68,24 @@ class PageCache:
             page_id, data = self._resident.popitem(last=False)
             self.resident_bytes -= len(data)
             if page_id not in self._spilled:
-                if self._spill_dir is None:
-                    self._spill_dir = tempfile.TemporaryDirectory(
-                        prefix="repro-pages-")
-                path = os.path.join(self._spill_dir.name, f"{page_id}.page")
-                with open(path, "wb") as handle:
-                    handle.write(data)
-                self._spilled[page_id] = path
+                self._spilled[page_id] = self._write(data)
                 count("columnar", "spill_bytes", len(data))
             self.pages_evicted += 1
             count("columnar", "pages_evicted")
+
+    def _write(self, data: bytes) -> tuple[int, int]:
+        """Write *data* into the smallest free extent it fits, the rest of
+        which stays free (the last extent is the file's unbounded end)."""
+        if self._spill_file is None:
+            self._spill_file = tempfile.TemporaryFile(prefix="repro-pages-")
+        size = len(data)
+        offset, length = min((extent for extent in self._free
+                              if extent[1] >= size), key=itemgetter(1))
+        self._free.remove((offset, length))
+        if length > size:
+            self._free.append((offset + size, length - size))
+        os.pwrite(self._spill_file.fileno(), data, offset)
+        return offset, size
 
     def _admit(self, page_id: int, data: bytes, cold: bool = False) -> None:
         self._make_room(len(data))
@@ -103,8 +113,8 @@ class PageCache:
             if data is not None:
                 self._resident.move_to_end(page_id)
             elif page_id in self._spilled:
-                with open(self._spilled[page_id], "rb") as handle:
-                    data = handle.read()
+                offset, length = self._spilled[page_id]
+                data = os.pread(self._spill_file.fileno(), length, offset)
                 self.page_faults += 1
                 count("columnar", "page_faults")
                 self._admit(page_id, data, cold=scan)
@@ -139,8 +149,7 @@ class PageCache:
                 if data is not None:
                     self.resident_bytes -= len(data)
                 if page_id in self._spilled:
-                    with contextlib.suppress(OSError):
-                        os.unlink(self._spilled.pop(page_id))
+                    self._free.append(self._spilled.pop(page_id))
             self._publish()
 
     def close(self) -> None:
@@ -148,7 +157,8 @@ class PageCache:
             self._resident.clear()
             self._forms.clear()
             self._spilled.clear()
+            self._free = [(0, math.inf)]
             self.resident_bytes = self._charged = 0
-            if self._spill_dir is not None:
-                self._spill_dir.cleanup()
-                self._spill_dir = None
+            if self._spill_file is not None:
+                self._spill_file.close()
+                self._spill_file = None

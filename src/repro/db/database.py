@@ -55,9 +55,9 @@ _DDL = (ast.CreateTable, ast.CreateIndex, ast.DropTable, ast.DropIndex)
 class ResultSet:
     """The rows of a SELECT, with their output column names."""
 
-    def __init__(self, columns: Sequence[str], rows: Sequence[tuple]) -> None:
+    def __init__(self, columns: Sequence[str], rows: list[tuple]) -> None:
         self.columns = list(columns)
-        self.rows = [tuple(row) for row in rows]
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
-from collections import namedtuple
-from itertools import accumulate, chain, islice, repeat
+from collections import defaultdict, deque, namedtuple
+from itertools import accumulate, chain, count, filterfalse, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -105,10 +105,24 @@ def table_batches(pairs: Iterable[tuple], columns: Sequence[int],
         size = min(size * 2, MAX_BATCH_ROWS)
 
 
-def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterator[tuple]:
-    """Per row, the tuple of sort keys that tells groups (or DISTINCT
-    rows) apart."""
-    return zip(*[sort_keys(column) for column in columns])
+#: The exact types of a column that is its own group keys.
+_OWN_KEYS = frozenset((int, float, str, bytes))
+
+
+def _group_key(value: Any) -> Any:
+    """The cell itself where its ``sort_key`` only wraps it (a number, a
+    text, a bytes value: equal and hashing alike exactly when the keys
+    do), else that key — NULL, a bool (``True`` is not ``1``), a UDT."""
+    key = sort_key(value)
+    return value if 2 <= key[0] <= 4 else key
+
+
+def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterable[Any]:
+    """Per row, the key that tells groups (or DISTINCT rows) apart: the
+    :func:`_group_key` of its one cell, or the tuple of them."""
+    keyed = [column if set(map(type, column)) <= _OWN_KEYS
+             else list(map(_group_key, column)) for column in columns]
+    return keyed[0] if len(keyed) == 1 else zip(*keyed)
 
 
 def merged(sources: Sequence[Iterator[list]],
@@ -145,12 +159,13 @@ def merged(sources: Sequence[Iterator[list]],
             entry[1] = [column[taken:] for column in entry[1]]
 
 
-def _partition(key: tuple) -> int:
-    """The spill partition of a group key: the same in every process, and
-    for equal keys — numbers go by ``hash``: ``0.0 == -0.0`` print apart."""
+def _partition(values: Sequence[Any]) -> int:
+    """The spill partition of a group's key *values*: the same in every
+    process, and for equal keys — numbers go by ``hash``: ``0.0 == -0.0``
+    print apart; nothing else is hashed."""
     return zlib.crc32(repr([hash(value) if rank == 2 else value
-                            for rank, value in key]).encode("utf-8")
-                      ) % SPILL_PARTITIONS
+                            for rank, value in map(sort_key, values)]
+                           ).encode("utf-8")) % SPILL_PARTITIONS
 
 
 class PlanNode:
@@ -176,10 +191,10 @@ class PlanNode:
 
     def execute(self, parameters: Sequence[Any],
                 outer: "RowContext | None" = None) -> Iterator[tuple]:
-        """The rows of the plan rooted here, one tuple at a time."""
+        """The rows of the plan rooted here, one tuple at a time (batch
+        by batch, as it is iterated)."""
         context = RowContext.without_row(parameters, outer)
-        for batch in self.run(context):
-            yield from batch.rows()
+        return chain.from_iterable(map(Batch.rows, self.run(context)))
 
     def run(self, context: RowContext) -> Iterator[Batch]:
         """The operator's non-empty batches, counted."""
@@ -892,13 +907,16 @@ class Aggregate(PlanNode):
                     keys = columns[:len(self._keys)]
                     routed: dict[int, list] = {}  # partition -> its rows
                     # group key -> its rows in this batch (None: all)
-                    members: dict = {(): None} if size and not keys else {}
-                    for row, key in enumerate(_bucket_keys(keys)
-                                              if keys else ()):
-                        members.setdefault(key, []).append(row)
+                    if keys:  # each row onto its group's list, in C
+                        members: dict = defaultdict(list)
+                        deque(map(list.append, map(members.__getitem__,
+                                                   _bucket_keys(keys)),
+                                  count()), maxlen=0)
+                    else:
+                        members = {(): None} if size else {}
                     if cache and not partitions:  # key cells, a cell a fold
-                        new = [key for key in members if key not in groups]
-                        need = footprint(new) + 8 * len(new) * len(self._folds)
+                        new = len(members.keys() - groups.keys())
+                        need = 8 * new * (len(keys) + len(self._folds))
                         if not new or cache.charge(need):
                             charged += need
                         else:
@@ -909,8 +927,9 @@ class Aggregate(PlanNode):
                         state = groups.get(key)
                         if state is None:
                             if cache and partitions:
-                                routed.setdefault(_partition(key),
-                                                  []).extend(rows)
+                                routed.setdefault(_partition(
+                                    [column[rows[0]] for column in keys]),
+                                    []).extend(rows)
                                 continue
                             first = rows[0] if rows else 0
                             state = groups[key] = _GroupState(
@@ -997,11 +1016,12 @@ class Distinct(PlanNode):
     def batches(self, context) -> Iterator[Batch]:
         seen: set = set()
         for batch in self.child.run(context):
-            keep = []
-            for row, key in enumerate(_bucket_keys(batch.columns)):
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(row)
+            first: dict = {}  # row key -> its first row in this batch
+            deque(map(first.setdefault, _bucket_keys(batch.columns),
+                      count()), maxlen=0)
+            keep = list(map(first.__getitem__,
+                            filterfalse(seen.__contains__, first)))
+            seen.update(first)
             if keep:
                 yield batch.take(keep)
 

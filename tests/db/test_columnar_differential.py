@@ -11,6 +11,7 @@ gaps, NULLs, tombstones, one alphabet or three) and holds every kernel
 to the registered function cell by cell, failures included.
 """
 
+import os
 import random
 
 import pytest
@@ -218,8 +219,8 @@ def page_bytes(cache, page_id) -> bytes:
     """A page's bytes, resident or spilled, read without a fault."""
     if page_id in cache._resident:
         return cache._resident[page_id]
-    with open(cache._spilled[page_id], "rb") as handle:
-        return handle.read()
+    offset, length = cache._spilled[page_id]
+    return os.pread(cache._spill_file.fileno(), length, offset)
 
 
 def _refs(db):

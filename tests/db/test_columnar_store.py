@@ -7,6 +7,7 @@ These tests mirror random workloads through both layouts and also poke
 the store directly (group views, zone pruning, the tail/sealed split).
 """
 
+import os
 import random
 
 import pytest
@@ -554,3 +555,50 @@ def test_point_reads_keep_their_pages_through_scans():
         # (what LRU does for a set that fits), and a scan between two
         # passes faults its pages in cold, never flushing them.
         assert faults[0] <= 10 and faults[1:] == [0, 0, 0], (scans, faults)
+
+
+# -- the spill file ----------------------------------------------------------
+
+def _spilling_pair():
+    """A row twin and a 64-byte column table of 16 rows in four sealed
+    groups: no two pages are resident at once, so every page spills."""
+    databases = _pair(memory_budget=64)
+    for db in databases:
+        db.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", [
+            (index, index % 2, f"n{index}", index / 4) for index in range(16)])
+    _both(databases, "SELECT * FROM t")
+    return databases
+
+
+def test_a_rewritten_page_reuses_a_dropped_extent_of_the_spill_file():
+    databases = _spilling_pair()
+    cache = databases[1].columnar.cache
+    sizes = []
+    for _ in range(6):
+        # One group's pages come under fresh ids; the old ones' extents
+        # are free, and the new pages (the same sizes) are written there.
+        _both(databases,
+              "UPDATE t SET k = 1 - k, score = -score WHERE id < 4")
+        _both(databases, "SELECT * FROM t")
+        sizes.append(os.fstat(cache._spill_file.fileno()).st_size)
+    assert sizes[1:] == sizes[:1] * 5, sizes
+    databases[1].columnar.close()
+    assert cache._spill_file is None and cache._spilled == {}
+
+
+def test_a_byte_flipped_in_the_spill_file_is_bit_rot_at_the_fault():
+    from repro.errors import StorageError
+
+    _, db = _spilling_pair()
+    cache = db.columnar.cache
+    page_id = next(page_id for page_id in cache._spilled
+                   if page_id not in cache._resident)
+    offset, length = cache._spilled[page_id]
+    handle = cache._spill_file.fileno()
+    byte = os.pread(handle, 1, offset + length // 2)
+    os.pwrite(handle, bytes([byte[0] ^ 0x10]), offset + length // 2)
+    faults = cache.page_faults
+    with pytest.raises(StorageError) as raised:
+        db.execute("SELECT * FROM t")
+    assert raised.value.kind == "bit_rot"
+    assert cache.page_faults > faults
