@@ -30,7 +30,8 @@ from repro.adapter import serializers as codec
 from repro.core.algebra import Algebra, genomics_algebra
 from repro.core.algebra.signature import Operator
 from repro.core.ops.similarity import kmer_cosine, kmer_vector
-from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
+from repro.core.types import (DnaSequence, Protein, ProteinSequence,
+                               RnaSequence)
 from repro.db import Database, OpaqueType
 from repro.db.values import NULL
 from repro.errors import TypeCheckError
@@ -84,11 +85,25 @@ def _similarity(first, second, k=KMER_K):
     return _cosine(first, second, k, -math.inf)
 
 
+def _expressed(express):
+    """``express`` of a stored gene, its protein's residues kept on the
+    gene's sequence under its exons (a gene whose exons are reassigned
+    asks afresh); the ``Protein`` is built anew from the calling gene."""
+    def call(gene):
+        residues = gene.sequence.derive(
+            (express, tuple(gene.exons)), lambda __: express(gene).sequence)
+        return Protein(residues, gene_name=gene.name, name=(
+            f"{gene.name} protein" if gene.name else None))
+    return call
+
+
 def _memoized(operator: Operator, function):
     """What SQL calls for *operator*'s bound *function*: the function
     itself, unless the operator keeps a fact on its stored operand."""
     if operator.name in FACTS and operator.arity == 1:
         return lambda value: value.derive(function, function)
+    if operator.name == "express":
+        return _expressed(function)
     return {"resembles": _resembles,
             "similarity": _similarity}.get(operator.name, function)
 

@@ -44,23 +44,30 @@ def kmer_profile(sequence: "PackedSequence | str", k: int) -> Counter:
                     for key, count in Counter(keys).items()})
 
 
+def _run_bytes(codes: bytes, k: int) -> bytes:
+    """The windows of *codes* that hold no code past 3 (an ambiguity code
+    or gap in DNA / RNA), a ``kmer_bytes`` byte each, run after run."""
+    return b"".join(kmer_bytes(run, k) or b""
+                    for run in BELOW_4_RUNS.findall(codes))
+
+
 @lru_cache(maxsize=512)
 def _prepared(klass: "type[PackedSequence] | None",
               operand: "PackedSequence | str",
-              k: int) -> "tuple[dict, int, bytes | dict]":
+              k: int) -> "tuple[dict, int, bytes | dict, tuple, bool]":
     """(key → count, ``|b|²``, window byte → count: a ``translate`` table
-    while no count passes 255) of an operand b read as a *klass* value —
-    once per distinct operand, not once per row."""
+    while no count passes 255, its distinct counts, whether every window
+    is a byte) of an operand b read as a *klass* value — once per
+    distinct operand, not once per row."""
     codes = (read_pattern(klass, operand).codes if klass
              else _text_codes(operand.upper()))
-    counts = dict(Counter(kmer_keys(codes, k)))
-    dense = Counter(b"".join(kmer_bytes(run, k) or b""
-                             for run in BELOW_4_RUNS.findall(codes)))
-    try:
-        dense = bytes(map(dense.get, range(256), repeat(0)))
-    except ValueError:  # a count past 255
-        dense = dict(dense)
-    return counts, sum(map(mul, counts.values(), counts.values())), dense
+    keys, runs = kmer_keys(codes, k), _run_bytes(codes, k)
+    counts, dense = dict(Counter(keys)), Counter(runs)
+    levels = tuple(set(dense.values()))
+    dense = (bytes(_looked_up(dense, range(256)))
+             if max(levels, default=0) < 256 else dict(dense))
+    return (counts, sum(map(mul, counts.values(), counts.values())), dense,
+            levels, len(runs) == len(keys))
 
 
 def _looked_up(counts: "bytes | dict", windows: "Sequence") -> Iterable[int]:
@@ -73,15 +80,18 @@ def _looked_up(counts: "bytes | dict", windows: "Sequence") -> Iterable[int]:
 class KmerVector:
     """The k-mer windows, by position, of codes read as a *klass* value
     (or as text) — ``kmer_bytes`` if it reads them (``dense``), else
-    ``kmer_keys`` — and, counted on first ask, their square-sum ``|a|²``."""
+    ``kmer_keys`` — and, each made on first use, the ``kmer_bytes`` of
+    its runs of codes below 4 (``runs``, k ≤ 4) and its square-sum
+    ``|a|²``."""
 
-    __slots__ = ("klass", "k", "keys", "dense", "_squares")
+    __slots__ = ("klass", "k", "keys", "dense", "runs", "_codes", "_squares")
 
     def __init__(self, klass: "type[PackedSequence] | None", codes: bytes,
                  k: int) -> None:
         keys = kmer_bytes(codes, k)
         self.klass, self.k, self.dense = klass, k, keys is not None
         self.keys = keys if self.dense else kmer_keys(codes, k)
+        self.runs, self._codes = keys, None if self.dense or k > 4 else codes
         self._squares: "int | None" = None
 
     def squares(self) -> int:
@@ -89,6 +99,21 @@ class KmerVector:
             own = Counter(self.keys).values()
             self._squares = sum(map(mul, own, own))
         return self._squares
+
+    def dot(self, prepared: tuple) -> int:
+        """``a·b = Σᵢ b[windowᵢ]``, b being *prepared*.  A window with a
+        code past 3 counts nothing against a b with none, so then a's
+        ``runs`` are read through b's byte table, one C ``count`` per
+        distinct count; else each window by its key."""
+        counts, __, dense, levels, whole = prepared
+        if whole and self._codes is not None:
+            self.runs, self._codes = _run_bytes(self._codes, self.k), None
+        if self.runs is None or not (whole or self.dense):
+            return sum(_looked_up(counts, self.keys))
+        if type(dense) is dict:  # a count past 255
+            return sum(_looked_up(dense, self.runs))
+        translated = self.runs.translate(dense)
+        return sum(map(mul, levels, map(translated.count, levels)))
 
 
 def kmer_vector(
@@ -116,7 +141,7 @@ def jaccard_similarity(
 ) -> float:
     """Jaccard index of the k-mer *sets* of two sequences (in ``[0, 1]``)."""
     vector = kmer_vector(first, second, k)
-    counts, __, dense = _prepared(vector.klass, second, k)
+    counts, __, dense = _prepared(vector.klass, second, k)[:3]
     words_a = set(vector.keys)
     shared = sum(map(bool, _looked_up(dense, bytes(words_a)) if vector.dense
                      else _looked_up(counts, words_a)))
@@ -130,17 +155,18 @@ def kmer_cosine(vector: KmerVector, second: "PackedSequence | str",
     (*second*'s, read as *vector*'s type) — or, when that is under
     *floor*, an upper bound of it that is too.
 
-    ``a·b = Σᵢ b[windowᵢ]`` is one pass over a's windows, before a is
-    counted.  The cosine ``√(a·b² / (|a|²·|b|²))`` rounds once on exact
+    ``a·b`` (:meth:`KmerVector.dot`) is read before a is counted.  The
+    cosine ``√(a·b² / (|a|²·|b|²))`` rounds once on exact
     integers, then roots: equal vectors give 1.0.  And ``|a|² ≥`` the
     number of windows, so that in place of ``|a|²`` bounds it from above
     — in floats too: ``/`` and ``sqrt`` round monotonically.
     """
     keys = vector.keys
-    counts, squares, dense = _prepared(vector.klass, second, vector.k)
+    prepared = _prepared(vector.klass, second, vector.k)
+    squares = prepared[1]
     if not keys or not squares:
         return 1.0 if not keys and not squares else 0.0
-    dot = sum(_looked_up(dense if vector.dense else counts, keys))
+    dot = vector.dot(prepared)
     ceiling = math.sqrt(dot * dot / (len(keys) * squares))
     if ceiling < floor:
         return ceiling
@@ -232,54 +258,34 @@ def _extend(
     scheme: ScoringScheme,
     x_drop: float,
 ) -> tuple[int, int, int, int, float]:
-    """Ungapped X-drop extension of a seed in both directions.
+    """Ungapped X-drop extension of a seed: rightward, then leftward from
+    the best score the rightward walk reached.
 
     Returns (query_start, query_end, subject_start, subject_end, score).
     """
-    score = float(sum(
+    best = running = float(sum(
         scheme.score(query[query_pos + i], subject[subject_pos + i])
         for i in range(word_size)
     ))
-
-    # Extend right.
-    best = score
-    best_right = 0
-    offset = word_size
-    running = score
-    while query_pos + offset < len(query) and subject_pos + offset < len(subject):
-        running += scheme.score(query[query_pos + offset],
-                                subject[subject_pos + offset])
-        offset += 1
+    right = left = 0  # symbols taken on at each end
+    for step, (one, other) in enumerate(zip(
+            query[query_pos + word_size:], subject[subject_pos + word_size:]),
+            1):
+        running += scheme.score(one, other)
         if running > best:
-            best = running
-            best_right = offset - word_size
+            best, right = running, step
         elif best - running > x_drop:
             break
-    score = best
-
-    # Extend left.
-    best = score
-    best_left = 0
-    offset = 1
-    running = score
-    while query_pos - offset >= 0 and subject_pos - offset >= 0:
-        running += scheme.score(query[query_pos - offset],
-                                subject[subject_pos - offset])
+    running = best
+    for step, (one, other) in enumerate(zip(
+            reversed(query[:query_pos]), reversed(subject[:subject_pos])), 1):
+        running += scheme.score(one, other)
         if running > best:
-            best = running
-            best_left = offset
+            best, left = running, step
         elif best - running > x_drop:
             break
-        offset += 1
-    score = best
-
-    return (
-        query_pos - best_left,
-        query_pos + word_size + best_right,
-        subject_pos - best_left,
-        subject_pos + word_size + best_right,
-        score,
-    )
+    return (query_pos - left, query_pos + word_size + right,
+            subject_pos - left, subject_pos + word_size + right, best)
 
 
 def blast_search(

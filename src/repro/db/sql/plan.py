@@ -26,11 +26,12 @@ differential suite enforces.
 
 from __future__ import annotations
 
+import math
 import zlib
 from bisect import bisect_left
 from collections import defaultdict, deque, namedtuple
 from itertools import accumulate, chain, count, filterfalse, islice, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.db.columnar.spill import IndexedRun, cut, footprint
@@ -112,16 +113,27 @@ _OWN_KEYS = frozenset((int, float, str, bytes))
 def _group_key(value: Any) -> Any:
     """The cell itself where its ``sort_key`` only wraps it (a number, a
     text, a bytes value: equal and hashing alike exactly when the keys
-    do), else that key — NULL, a bool (``True`` is not ``1``), a UDT."""
+    do) — every NaN as ``math.nan``, so all NaNs are one group — else
+    that key — NULL, a bool (``True`` is not ``1``), a UDT."""
     key = sort_key(value)
-    return value if 2 <= key[0] <= 4 else key
+    if 2 <= key[0] <= 4:
+        return value if value == value else math.nan
+    return key
+
+
+def _own_keys(column: Sequence[Any]) -> bool:
+    """Whether *column* keys its groups itself: numbers, texts and bytes
+    values, and no NaN (the only value unequal to itself)."""
+    kinds = set(map(type, column))
+    return kinds <= _OWN_KEYS and (float not in kinds
+                                   or all(map(eq, column, column)))
 
 
 def _bucket_keys(columns: Sequence[Sequence[Any]]) -> Iterable[Any]:
     """Per row, the key that tells groups (or DISTINCT rows) apart: the
     :func:`_group_key` of its one cell, or the tuple of them."""
-    keyed = [column if set(map(type, column)) <= _OWN_KEYS
-             else list(map(_group_key, column)) for column in columns]
+    keyed = [column if _own_keys(column) else list(map(_group_key, column))
+             for column in columns]
     return keyed[0] if len(keyed) == 1 else zip(*keyed)
 
 
@@ -162,10 +174,12 @@ def merged(sources: Sequence[Iterator[list]],
 def _partition(values: Sequence[Any]) -> int:
     """The spill partition of a group's key *values*: the same in every
     process, and for equal keys — numbers go by ``hash``: ``0.0 == -0.0``
-    print apart; nothing else is hashed."""
-    return zlib.crc32(repr([hash(value) if rank == 2 else value
-                            for rank, value in map(sort_key, values)]
-                           ).encode("utf-8")) % SPILL_PARTITIONS
+    print apart; a NaN, whose hash is its identity, and anything else is
+    printed."""
+    return zlib.crc32(repr([
+        hash(value) if rank == 2 and value == value else value
+        for rank, value in map(sort_key, values)]).encode("utf-8")
+    ) % SPILL_PARTITIONS
 
 
 class PlanNode:

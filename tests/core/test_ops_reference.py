@@ -798,12 +798,47 @@ def ref_find_motif(subject, pattern):
                    for i, symbol in enumerate(motif))]
 
 
+def ref_extend(query, subject, query_pos, subject_pos, word_size, scheme,
+               x_drop):
+    """The replaced ``_extend``: two index-walking X-drop loops."""
+    score = float(sum(
+        scheme.score(query[query_pos + i], subject[subject_pos + i])
+        for i in range(word_size)))
+    best, best_right, offset, running = score, 0, word_size, score
+    while (query_pos + offset < len(query)
+           and subject_pos + offset < len(subject)):
+        running += scheme.score(query[query_pos + offset],
+                                subject[subject_pos + offset])
+        offset += 1
+        if running > best:
+            best = running
+            best_right = offset - word_size
+        elif best - running > x_drop:
+            break
+    score = best
+    best, best_left, offset, running = score, 0, 1, score
+    while query_pos - offset >= 0 and subject_pos - offset >= 0:
+        running += scheme.score(query[query_pos - offset],
+                                subject[subject_pos - offset])
+        if running > best:
+            best = running
+            best_left = offset
+        elif best - running > x_drop:
+            break
+        offset += 1
+    return (query_pos - best_left, query_pos + word_size + best_right,
+            subject_pos - best_left, subject_pos + word_size + best_right,
+            best)
+
+
 def ref_blast_search(query, subjects, word_size, min_score=20.0,
                      x_drop=10.0):
     """The parent's ``WordIndex.add`` + ``blast_search``, verbatim but
     for being one function: words are text, looked up as text."""
     from repro.core.ops.align import simple_scoring
-    from repro.core.ops.similarity import Hit, _extend
+    from repro.core.ops.similarity import Hit
+
+    _extend = ref_extend
 
     scheme = simple_scoring(match=2, mismatch=-3)
     texts, postings = {}, {}
@@ -973,6 +1008,25 @@ class TestKmerKernel:
         assert ("s0", 100) in index.seeds(query[:word_size])
         assert index.seeds(query[:word_size - 1]) == ()
 
+    @derandomised
+    @given(query=st.text(alphabet="ACGT", min_size=1, max_size=40),
+           subject=st.text(alphabet="ACGT", min_size=1, max_size=40),
+           word_size=st.integers(1, 6), x_drop=st.sampled_from(
+               (0.0, 2.5, 10.0)), data=st.data())
+    def test_the_x_drop_walks_are_the_loops_they_replaced(
+            self, query, subject, word_size, x_drop, data):
+        from repro.core.ops.align import simple_scoring
+        from repro.core.ops.similarity import _extend
+
+        word_size = min(word_size, len(query), len(subject))
+        query_pos = data.draw(st.integers(0, len(query) - word_size))
+        subject_pos = data.draw(st.integers(0, len(subject) - word_size))
+        for scheme in (simple_scoring(match=2, mismatch=-3),
+                       simple_scoring(match=1.5, mismatch=-0.5)):
+            arguments = (query, subject, query_pos, subject_pos, word_size,
+                         scheme, x_drop)
+            assert _extend(*arguments) == ref_extend(*arguments)
+
 
 # ===========================================================================
 # A k-mer window is a byte where it fits; express reads the gene's codes
@@ -994,9 +1048,8 @@ def dots(first, second, k):
     from repro.core.ops._tables import kmer_keys
 
     vector = similarity.kmer_vector(first, second, k)
-    counts, __, dense = similarity._prepared(vector.klass, second, k)
-    read = sum(similarity._looked_up(dense if vector.dense else counts,
-                                     vector.keys))
+    prepared = similarity._prepared(vector.klass, second, k)
+    counts, read = prepared[0], vector.dot(prepared)
     keyed = sum(similarity._looked_up(
         counts, kmer_keys(_codes_of(first, second), k)))
     profile_a, profile_b = (ref_kmer_profile(str(operand).upper(), k)
@@ -1006,13 +1059,20 @@ def dots(first, second, k):
 
 
 _CONCRETE = set("ACGTU")
+#: Mostly concrete DNA with a few IUPAC codes or gaps: runs between them.
+ambiguous = st.text(alphabet="ACGT" * 12 + "NRY-", min_size=1,
+                    max_size=120)
 
 
 class TestKmerBytes:
     @derandomised
-    @given(first=nucleotides, second=nucleotides, k=st.integers(1, 6),
-           rna=st.booleans())
+    @given(first=st.one_of(nucleotides, ambiguous),
+           second=st.one_of(nucleotides, ambiguous, st.text(
+               alphabet="ACGT", max_size=120)),
+           k=st.integers(1, 6), rna=st.booleans())
     def test_the_dense_dot_is_the_keyed_dot(self, first, second, k, rna):
+        """Subjects and probes with IUPAC codes and gaps too: an
+        ambiguous value against a concrete probe dots its runs."""
         klass = RnaSequence if rna else DnaSequence
         if rna:
             first, second = first.replace("T", "U"), second.replace("T", "U")
@@ -1023,6 +1083,29 @@ class TestKmerBytes:
             assert read == keyed == spelt, (one, other, k)
         assert dots(klass(first), second, k)[0] is (
             k <= 4 and set(first) <= _CONCRETE)
+
+    def test_an_ambiguous_value_against_a_concrete_probe_stays_in_c(
+            self, monkeypatch):
+        """With the keyed lookup refused once the probes are prepared, a
+        value holding an N still answers against an ACGT probe (its runs'
+        windows are dotted), and a probe holding one reaches it."""
+        from repro.core.ops import similarity
+
+        value = DnaSequence("ATGAAACCCGGGNTTTAAACGTACGTTGCA" * 4)
+        probe, ambiguous = (DnaSequence("AAACCCGGGTTTAAACGTACG"),
+                            DnaSequence("AAACCNGGG"))
+        want = ref_cosine_similarity(value, probe, 4)
+        for prepared in (probe, ambiguous):
+            similarity._prepared(DnaSequence, prepared, 4)
+
+        def refused(*arguments):
+            raise AssertionError("keyed lookup")
+        monkeypatch.setattr(similarity, "_looked_up", refused)
+        assert not similarity.kmer_vector(value, probe, 4).dense
+        assert ops.cosine_similarity(value, probe) == want
+        assert ops.resembles(value, probe, want)
+        with pytest.raises(AssertionError, match="keyed lookup"):
+            ops.cosine_similarity(value, ambiguous)
 
     @derandomised
     @given(first=residues, second=residues, k=st.integers(1, 6))

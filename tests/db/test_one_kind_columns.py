@@ -240,17 +240,20 @@ def test_a_spilled_group_by_fails_as_the_unbudgeted_one():
 # -- group keys -------------------------------------------------------------
 #
 # A GROUP BY or DISTINCT keys a number, a text or a bytes cell by itself
-# and everything else by its ``sort_key``.  The draws mix what must stay
-# apart (``True`` and ``1``, ``''`` and ``b''``, two NaNs) with what must
-# meet (``1`` and ``1.0``, ``0.0`` and ``-0.0``, one NaN object twice),
-# through stored columns and through ``cell(id)``, a function returning
-# any drawn value.  The oracle groups by the tuple of ``sort_key`` s.
+# and everything else by its ``sort_key``; every NaN is one group.  The
+# draws mix what must stay apart (``True`` and ``1``, ``''`` and ``b''``)
+# with what must meet (``1`` and ``1.0``, ``0.0`` and ``-0.0``, one NaN
+# object twice, two NaNs), through stored columns and through
+# ``cell(id)``, a function returning any drawn value.  The oracle groups
+# by the tuple of ``sort_key`` s, every NaN read as ``math.nan``.
 
-#: A stored NaN is decoded afresh from a column page: one per draw.
+#: A fresh NaN, one per draw; ``math.nan`` is the shared one.  A column
+#: page decodes every stored NaN afresh, a row heap keeps what it got.
 _NAN = st.builds(float, st.just("nan"))
 _KEYED = {
     "i": ("INTEGER", st.integers(-1, 1)),
-    "f": ("REAL", st.one_of(st.sampled_from([1.0, 0.0, -0.0]), _NAN)),
+    "f": ("REAL", st.one_of(st.sampled_from([1.0, 0.0, -0.0, math.nan]),
+                            _NAN)),
     "s": ("TEXT", st.text(alphabet="ab", max_size=1)),
     "b": ("BOOLEAN", st.booleans()),
     "x": ("BLOB", st.binary(max_size=1)),
@@ -301,8 +304,9 @@ def _grouped(table, keys, distinct):
             continue
         named = dict(zip(_KEYED, row[1:]), **{"cell(id)": cells[row[0]]})
         cells_of = tuple(named[key] for key in keys)
-        group = groups.setdefault(tuple(map(values.sort_key, cells_of)),
-                                  [cells_of, 0, row[0]])
+        group = groups.setdefault(tuple(
+            values.sort_key(math.nan if cell != cell else cell)
+            for cell in cells_of), [cells_of, 0, row[0]])
         group[1] += 1
     if distinct:
         return repr([cells_of for cells_of, _, _ in groups.values()])
@@ -345,11 +349,40 @@ def test_bucket_keys_follow_the_rule_on_its_edge_cells():
     assert keys[1] != keys[2] and keys[4] != keys[5]  # True != 1
     assert keys[2] == keys[3] and keys[5] == keys[6]  # 1 == 1.0, 0 == -0.0
     assert keys[8] != keys[9] and keys[7] is nan      # '' != b''
+    # Every NaN keys as the one ``math.nan``, a float column included.
+    assert list(_bucket_keys([[float("nan"), 2.5, nan]])) == [nan, 2.5, nan]
+    assert list(_bucket_keys([[float("nan")], ["a"]])) == [(nan, "a")]
     # Two columns key by tuples; a NULL in one batch leaves the cells of
     # the others keyed as a dense batch keys them.
     assert list(_bucket_keys([[1, NULL], ["a", True]])) == [
         (1, "a"), ((0, ""), (1, True))]
     assert list(_bucket_keys([[2, NULL]]))[0] == _bucket_keys([[2]])[0] == 2
+
+
+@pytest.mark.parametrize("budget", ("none", "quarter", "64 B"))
+def test_every_nan_is_one_group_in_both_layouts(budget):
+    """Failing-first: shared and fresh NaNs made 4 groups over a row
+    heap (which keeps the shared object) and 6 over column pages (which
+    decode each afresh), and a spilled group went to a partition by the
+    NaN's identity hash."""
+    floats = [math.nan, 1.0, math.nan, float("nan"), 0.0, -0.0, math.nan]
+
+    def loaded(layout, memory_budget=None):
+        database = Database(layout=layout, memory_budget=memory_budget,
+                            page_rows=2)
+        database.execute("CREATE TABLE n (id INTEGER, f REAL)")
+        database.executemany("INSERT INTO n VALUES (?, ?)",
+                             list(enumerate(floats)))
+        return database
+    resident = loaded("column").columnar.cache.resident_bytes
+    limit = {"none": None, "quarter": max(1, resident // 4),
+             "64 B": 64}[budget]
+    for database in (loaded("row"), loaded("column", limit)):
+        assert repr(database.execute(
+            "SELECT f, count(*), min(id) FROM n GROUP BY f").rows) == repr(
+                [(math.nan, 4, 0), (1.0, 1, 1), (0.0, 2, 4)])
+        assert repr(database.execute("SELECT DISTINCT f FROM n").rows) == (
+            repr([(math.nan,), (1.0,), (0.0,)]))
 
 
 def test_a_group_by_runs_no_python_call_per_row():

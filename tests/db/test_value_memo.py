@@ -2,7 +2,8 @@
 
 The adapter keeps what a function derives from its stored operand alone
 on that value (``PackedSequence.derive``): the unary statistics, the ORF
-count at the default minimum and the k-mer vector at the default k.  The
+count at the default minimum, the k-mer vector at the default k, and a
+gene's expressed residues (on its sequence, under its exons).  The
 law is that a memoized answer is the core operation's answer on a fresh
 equal value, bit for bit — errors included — on every layout, and that
 no byte anywhere (``==``, ``hash``, ``to_bytes``, column pages, images,
@@ -16,15 +17,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adapter import install_genomics
+from repro.adapter.serializers import serialize_gene
 from repro.core import ops
 from repro.core.ops.similarity import kmer_cosine
-from repro.core.types import DnaSequence, ProteinSequence, RnaSequence
+from repro.core.types import (DnaSequence, Gene, Interval, ProteinSequence,
+                              RnaSequence)
 from repro.core.types.alphabet import DNA, PROTEIN, RNA
 from repro.db import Database
 from repro.db.columnar.pages import encode_page
 from repro.db.columnar.spill import ValueCodec
 from repro.db.storage import WriteAheadLog, save_database
-from repro.errors import DatabaseError, SortMismatchError, TypeCheckError
+from repro.errors import (DatabaseError, SortMismatchError,
+                          TranslationError, TypeCheckError)
 from tests.core.test_ops_reference import ref_cosine_similarity
 
 CONFIGS = (
@@ -285,6 +289,123 @@ class TestUpdate:
         assert after != before
 
 
+#: Genes over mostly concrete DNA, exons between sorted cuts: some
+#: express, some have no start codon or an untranslatable codon.
+genes = st.lists(st.tuples(
+    st.text(alphabet="ACGT" * 6 + "ATG" * 2 + "N-", max_size=60),
+    st.lists(st.integers(0, 60), max_size=6)), min_size=1, max_size=4)
+
+
+def gene(text, cuts, name="g") -> Gene:
+    bounds = sorted({min(cut, len(text)) for cut in cuts})
+    exons = tuple(Interval(start, end)
+                  for start, end in zip(bounds[::2], bounds[1::2]))
+    return Gene(name, DnaSequence(text), exons)
+
+
+def genes_loaded(config, drawn) -> Database:
+    database = Database(**config)
+    install_genomics(database)
+    database.execute("CREATE TABLE gs (id INTEGER PRIMARY KEY, g GENE)")
+    database.executemany("INSERT INTO gs VALUES (?, ?)", [
+        (row_id, gene(text, cuts, f"g{row_id}"))
+        for row_id, (text, cuts) in enumerate(drawn)])
+    return database
+
+
+class TestExpress:
+    """``express`` keeps the protein's residues on the stored gene's
+    sequence, keyed by its exons, and builds a fresh ``Protein`` from
+    the calling gene each time."""
+
+    @every_layout
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(drawn=genes)
+    def test_twice_through_sql_is_express_on_a_fresh_gene(self, config,
+                                                           drawn):
+        database = genes_loaded(config, drawn)
+        sql = "SELECT express(g) FROM gs WHERE id = ?"
+        for row_id, (text, cuts) in enumerate(drawn):
+            want = outcome(lambda: ops.express(
+                gene(text, cuts, f"g{row_id}")))
+            got = [outcome(lambda: database.execute(sql, [row_id]).rows[0][0])
+                   for __ in range(3)]
+            assert got == [want] * 3, (text, cuts)
+            if want[0] == "value":
+                first, second = (database.execute(sql, [row_id]).rows[0][0]
+                                 for __ in range(2))
+                assert first is not second and first == second
+                assert first.annotations is not second.annotations
+            else:  # no start codon, a short or untranslatable region
+                assert want[1] is TranslationError
+
+    @every_layout
+    def test_a_gene_is_asked_for_its_exons_now(self, config):
+        database = Database(**config)
+        install_genomics(database)
+        text = "ATGAAATTTCCCATGGGGTAA"
+        asked = gene(text, (0, 21))
+        express = [ops.express(gene(text, cuts))
+                   for cuts in ((0, 21), (0, 3, 9, 21))]
+        answers = []
+        for cuts in ((0, 21), (0, 3, 9, 21), (3, 12), (0, 21)):
+            asked.exons = gene(text, cuts).exons
+            answers.append(outcome(lambda: database.execute(
+                "SELECT express(?)", [asked]).rows[0][0]))
+        assert answers[:3] == [("value", express[0]), ("value", express[1]),
+                               ("error", TranslationError,
+                                "mRNA has no start codon and no annotated "
+                                "CDS")]
+        assert answers[3] == answers[0]
+        asked.name = "renamed"  # the protein is named by the gene asking
+        assert database.execute("SELECT express(?)", [asked]).rows[0][0] \
+            == ops.express(gene(text, (0, 21), "renamed"))
+
+    @every_layout
+    def test_no_byte_changes(self, tmp_path, config):
+        drawn = [("ATGAAATTTGGGCCCTAA" * 2, (0, 9, 18, 36)),
+                 ("CCCAAATTTGGG", ())]
+        outputs = []
+        for asked in (False, True):
+            directory = tmp_path / str(asked)
+            directory.mkdir()
+            database = genes_loaded(config, drawn)
+            wal = WriteAheadLog(str(directory / "wal.jsonl"), database)
+            wal.attach()
+            if asked:
+                for __ in range(2):
+                    database.execute("SELECT id, express(g) FROM gs "
+                                     "WHERE id = 0")
+            database.execute("UPDATE gs SET g = ? WHERE id = 1",
+                             [gene("ATGCCCTAA", ())])
+            wal.close()
+            save_database(database, str(directory / "image.json"))
+            outputs.append([(directory / name).read_bytes()
+                            for name in ("wal.jsonl", "image.json")])
+        assert outputs[0] == outputs[1]
+        value, fresh = gene(*drawn[0]), gene(*drawn[0])
+        ops_answer = ops.express(value)
+        value.sequence.derive((ops.express, value.exons),
+                              lambda __: ops_answer.sequence)
+        assert value == fresh and serialize_gene(value) == serialize_gene(
+            fresh)
+        assert hash(value.sequence) == hash(fresh.sequence)
+        assert value.sequence.to_bytes() == fresh.sequence.to_bytes()
+        codec = ValueCodec(database.catalog)
+        assert encode_page([value], "GENE", codec) == encode_page(
+            [fresh], "GENE", codec)
+
+    def test_the_residues_are_kept_on_the_stored_gene(self):
+        database = genes_loaded(CONFIGS[0], [("ATGAAATTTGGGCCCTAA", ())])
+        database.execute("SELECT express(g) FROM gs")
+        table = database.catalog.table("gs")
+        stored_gene = next(row[1] for __, row in table.rows())
+        kept = stored_gene.sequence._derived
+        assert list(kept) == [(ops.express, stored_gene.exons)]
+        assert kept[(ops.express, stored_gene.exons)] == ProteinSequence(
+            "MKFGP")
+
+
 class TestDenseWindows:
     """``resembles`` / ``similarity`` dot one byte per window where a value
     is concrete DNA or RNA, one key per window elsewhere; the answer is
@@ -318,6 +439,29 @@ class TestDenseWindows:
                     assert cell(database, f"SELECT resembles({column}, "
                                 f"{constructor}(?), ?)", row_id,
                                 [spelt, at_default]) is True
+
+    @every_layout
+    def test_an_n_row_against_an_acgt_probe_looks_up_no_key(
+            self, config, monkeypatch):
+        """The row's windows that hold no N are dotted through the
+        probe's byte table (prepared before the keyed lookup is
+        refused), memo empty or filled."""
+        from repro.core.ops import similarity
+
+        text = "ATGAAACCCGGGNTTTAAACGTACGTTGCA" * 4
+        probe = "AAACCCGGGTTTAAACGTACG"
+        want = ref_cosine_similarity(text, probe, 4)
+        database = loaded(config, [(text, "M")])
+        similarity._prepared(DnaSequence, DnaSequence(probe), 4)
+
+        def refused(*arguments):
+            raise AssertionError("keyed lookup")
+        monkeypatch.setattr(similarity, "_looked_up", refused)
+        for __ in range(2):
+            assert cell(database, "SELECT similarity(d, dna(?))", 0,
+                        [probe]) == want
+            assert cell(database, "SELECT resembles(d, dna(?), ?)", 0,
+                        [probe, want]) is True
 
     def test_a_memoized_vector_of_a_concrete_value_is_a_byte_a_window(self):
         concrete = "ATGAAACCCGGGTTTTAA" * 10
