@@ -10,17 +10,25 @@ pretending it ran.
 import pytest
 
 from repro.errors import OverloadError
-from repro.mediator import BreakerPolicy
+from repro.mediator import BreakerPolicy, CachedMediator
 from repro.serving import (
     BATCH,
     CACHE_ONLY,
     INTERACTIVE,
     MAINTENANCE,
+    FederationServer,
     Request,
     ServingPolicy,
     overload_federation,
     summarize,
     synthetic_workload,
+)
+from repro.sources import (
+    EmblRepository,
+    FaultyRepository,
+    GenBankRepository,
+    Universe,
+    VirtualClock,
 )
 from tests.serving.conftest import quiet_federation
 
@@ -327,6 +335,34 @@ class TestOverloadBehaviour:
                 statuses = {o.status
                             for o in r.health.outcomes.values()}
                 assert statuses - {"skipped"}
+
+    def test_a_cache_hit_feeds_no_limiter(self):
+        # A hit's outcomes are those of the miss that filled its entry:
+        # fed to the AIMD limiters, they would cut limits on calls that
+        # never happened.
+        universe = Universe(seed=71, size=24)
+        timeline = VirtualClock()
+        sources = [FaultyRepository(GenBankRepository(universe), timeline,
+                                    seed=1),
+                   FaultyRepository(EmblRepository(universe), timeline,
+                                    seed=2)]
+        for proxy in sources:
+            proxy.add_latency(3.0)
+        server = FederationServer(
+            CachedMediator(sources, timeline=timeline, max_concurrency=1),
+            ServingPolicy(capacity=4, deadline=100.0,
+                          aimd_latency_target=2.0, aimd_cooldown=0.0))
+        accession = sources[0].accessions()[0]
+        miss = server.serve([gene_request(accession)])[0]
+        limits = {name: limiter.limit
+                  for name, limiter in server.limiters.items()}
+        calls = [proxy.stats.calls for proxy in sources]
+        hit = server.serve([gene_request(accession)])[0]
+        assert (miss.from_cache, hit.from_cache) == (False, True)
+        assert [proxy.stats.calls for proxy in sources] == calls
+        assert {name: limiter.limit
+                for name, limiter in server.limiters.items()} == limits
+        assert limits == {"GenBank": 2.0, "EMBL": 2.0}
 
     def test_protection_beats_collapse_at_4x(self):
         __, __, __, protected = self.serve_at(4.0, count=120)
