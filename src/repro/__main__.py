@@ -1,56 +1,15 @@
-"""Command-line entry point: ``python -m repro <command>``.
+"""Command-line entry point: ``python -m repro <verb>``.
 
-Commands:
-
-- ``demo``    — the quickstart pipeline (algebra + extended SQL) on
-  synthetic data, printed to stdout;
-- ``matrix``  — reproduce Table 1 (live capability probes);
-- ``shell``   — an interactive BiQL session over a demo warehouse;
-- ``quality`` — build a noisy multi-source warehouse and print the
-  measured per-source quality report (B10);
-- ``recover`` — rebuild a database from ``image + WAL`` after a crash
-  (``--image``/``--wal``), or run the fault-injection crash matrix
-  (``--self-test``);
-- ``chaos``   — run the federation fault-injection scenario matrix
-  (``--self-test``, optionally ``--only NAME``): flaky sources,
-  outages, corrupt dumps, channel loss, circuit-breaker recovery,
-  deadline budgets, replica failover, bit-rot repair;
-- ``scrub``   — verify the checksums of an ``image + WAL`` pair on
-  disk without replaying anything (``--image``/``--wal``), localizing
-  any bit rot to the record and byte offset (a named path that cannot
-  be opened is reported ``unreadable``, exit 1), or run the seeded
-  corruption matrix (``--self-test``);
-- ``trace``   — run one BiQL query plus a mediated fan-out against a
-  4-source faulty federation with tracing on, render the span tree
-  (per-source attempts, retries, breaker state, cache hits) and the
-  per-layer time breakdown, optionally exporting JSONL (``--jsonl``);
-- ``stats``   — run a small federated workload with the metrics
-  registry on and print the Prometheus-style text dump;
-- ``overload`` — serve the calibrated A11 overload workload twice
-  (with and without the serving-layer protections) and print the
-  goodput / latency / shed comparison side by side;
-- ``shard``   — serve the same saturating workload at several shard
-  counts (scatter-gather federation), print the per-count goodput
-  table, then demonstrate WAL-shipped replica failover;
-- ``macro``   — simulate one day-in-the-life of multi-tenant traffic
-  through the full stack (BiQL sessions, sharded serving, answer
-  caches, scheduled outages, ETL churn, WAL-shipped replica) and
-  print the end-to-end goodput / latency / staleness report
-  (``--quick`` for the scaled-down CI day);
-- ``partition`` — cut a leased primary off behind a one-way network
-  partition and walk the whole failover story on the virtual clock:
-  the zombie keeps acknowledging under its live lease, the lease
-  expires and writes are refused loudly, a follower is promoted under
-  a bumped epoch, the healed zombie's stale-epoch shipments are
-  fenced, the zombie demotes and names every acknowledged-but-lost
-  statement, and the write-history auditor certifies the run
-  (``--lease``/``--duration``/``--seed`` shape the schedule).
+Each verb is declared once, in :data:`VERBS`: the function that runs
+it, its help line and its arguments.  ``python -m repro --help`` lists
+the verbs, ``python -m repro <verb> --help`` one verb's arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 
 def _run_demo(arguments) -> int:
@@ -508,6 +467,113 @@ def _run_partition(arguments) -> int:
     return 0 if record.verdict.ok else 1
 
 
+class Verb(NamedTuple):
+    """One ``python -m repro`` verb: what runs it, its help line, and its
+    arguments as ``(flags, add_argument options)`` pairs."""
+
+    run: Callable
+    help: str
+    arguments: tuple = ()
+
+
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+#: The demo federation's shape, shared by ``trace`` and ``stats``.
+_UNIVERSE = (_arg("--seed", type=int, default=11,
+                  help="universe seed (default 11)"),
+             _arg("--size", type=int, default=24,
+                  help="universe size (default 24)"))
+
+#: Every verb the command line knows, in ``--help`` order.
+VERBS = {
+    "demo": Verb(_run_demo, "the quickstart pipeline (algebra + extended "
+                            "SQL) on synthetic data"),
+    "matrix": Verb(_run_matrix, "reproduce Table 1 with live capability "
+                                "probes"),
+    "quality": Verb(_run_quality, "measured per-source quality of a noisy "
+                                  "multi-source warehouse (B10)"),
+    "shell": Verb(_run_shell, "an interactive BiQL session over a demo "
+                              "warehouse"),
+    "recover": Verb(_run_recover, "rebuild a database from image + WAL", (
+        _arg("--image", default=None, help="checkpoint image path"),
+        _arg("--wal", default=None, help="write-ahead log path"),
+        _arg("--output", default=None,
+             help="write the recovered state to a fresh image"),
+        _arg("--genomics", action="store_true",
+             help="register the genomic UDTs/UDFs before restoring"),
+        _arg("--self-test", action="store_true",
+             help="run the fault-injection crash matrix and exit"),
+    )),
+    "chaos": Verb(_run_chaos, "federation fault-injection scenario matrix", (
+        _arg("--self-test", action="store_true",
+             help="run the fault/degradation scenario matrix and exit"),
+        _arg("--concurrency", type=int, default=None,
+             help="mediator fan-out width for the scenarios (default: one "
+                  "worker per source)"),
+        _arg("--only", default=None, metavar="NAME",
+             help="run a single scenario by name (e.g. bit-rot-repair)"),
+    )),
+    "scrub": Verb(_run_scrub, "verify on-disk image/WAL checksums without "
+                              "replaying", (
+        _arg("--image", default=None, help="checkpoint image path"),
+        _arg("--wal", default=None,
+             help="write-ahead log path (its sealed segments are scanned "
+                  "too)"),
+        _arg("--self-test", action="store_true",
+             help="run the seeded corruption matrix and exit"),
+    )),
+    "trace": Verb(_run_trace, "trace one federated query end to end", (
+        _arg("query", nargs="?",
+             default="FIND genes SHOW accession, name LIMIT 5",
+             help="BiQL query to run against the warehouse leg"),
+        _arg("--jsonl", default=None,
+             help="also export the trace as JSONL (one span per line)"),
+        *_UNIVERSE,
+    )),
+    "stats": Verb(_run_stats, "Prometheus-style metrics dump of a small "
+                              "workload", _UNIVERSE),
+    "overload": Verb(_run_overload, "protected vs unprotected serving under "
+                                    "an overload storm", (
+        _arg("--load", type=float, default=4.0,
+             help="offered load as a multiple of serving capacity "
+                  "(default 4.0)"),
+        _arg("--count", type=int, default=120,
+             help="number of requests (default 120)"),
+        _arg("--seed", type=int, default=3,
+             help="workload seed (default 3)"),
+    )),
+    "shard": Verb(_run_shard, "scatter-gather sharding scale-up plus "
+                              "replica failover demo", (
+        _arg("--load", type=float, default=24.0,
+             help="offered load as a multiple of one shard's capacity "
+                  "(default 24.0)"),
+        _arg("--count", type=int, default=280,
+             help="number of requests (default 280)"),
+        _arg("--seed", type=int, default=9,
+             help="workload seed (default 9)"),
+    )),
+    "macro": Verb(_run_macro, "day-in-the-life macro workload through the "
+                              "full stack", (
+        _arg("--quick", action="store_true",
+             help="the scaled-down CI day instead of the full one"),
+        _arg("--seed", type=int, default=0, help="day seed (default 0)"),
+    )),
+    "partition": Verb(_run_partition, "epoch-fenced failover demo: zombie "
+                                      "primary, lease expiry, fencing, "
+                                      "divergence audit", (
+        _arg("--lease", type=float, default=2.0,
+             help="lease timeout in virtual seconds (default 2.0)"),
+        _arg("--duration", type=float, default=60.0,
+             help="partition duration in virtual seconds (default 60.0; "
+                  "must exceed the lease)"),
+        _arg("--seed", type=int, default=0,
+             help="channel fault seed (default 0)"),
+    )),
+}
+
+
 def main(argv: "list[str] | None" = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -516,125 +582,11 @@ def main(argv: "list[str] | None" = None) -> int:
                     "(CIDR 2003 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, run in (("demo", _run_demo), ("matrix", _run_matrix),
-                      ("quality", _run_quality), ("shell", _run_shell)):
-        subparsers.add_parser(name).set_defaults(run=run)
-    recover_parser = subparsers.add_parser(
-        "recover", help="rebuild a database from image + WAL",
-    )
-    recover_parser.set_defaults(run=_run_recover)
-    recover_parser.add_argument("--image", default=None,
-                                help="checkpoint image path")
-    recover_parser.add_argument("--wal", default=None,
-                                help="write-ahead log path")
-    recover_parser.add_argument("--output", default=None,
-                                help="write the recovered state to a "
-                                     "fresh image")
-    recover_parser.add_argument("--genomics", action="store_true",
-                                help="register the genomic UDTs/UDFs "
-                                     "before restoring")
-    recover_parser.add_argument("--self-test", action="store_true",
-                                help="run the fault-injection crash "
-                                     "matrix and exit")
-    chaos_parser = subparsers.add_parser(
-        "chaos", help="federation fault-injection scenario matrix",
-    )
-    chaos_parser.set_defaults(run=_run_chaos)
-    chaos_parser.add_argument("--self-test", action="store_true",
-                              help="run the fault/degradation scenario "
-                                   "matrix and exit")
-    chaos_parser.add_argument("--concurrency", type=int, default=None,
-                              help="mediator fan-out width for the "
-                                   "scenarios (default: one worker per "
-                                   "source)")
-    chaos_parser.add_argument("--only", default=None, metavar="NAME",
-                              help="run a single scenario by name "
-                                   "(e.g. bit-rot-repair)")
-    scrub_parser = subparsers.add_parser(
-        "scrub", help="verify on-disk image/WAL checksums without "
-                      "replaying",
-    )
-    scrub_parser.set_defaults(run=_run_scrub)
-    scrub_parser.add_argument("--image", default=None,
-                              help="checkpoint image path")
-    scrub_parser.add_argument("--wal", default=None,
-                              help="write-ahead log path (its sealed "
-                                   "segments are scanned too)")
-    scrub_parser.add_argument("--self-test", action="store_true",
-                              help="run the seeded corruption matrix "
-                                   "and exit")
-    trace_parser = subparsers.add_parser(
-        "trace", help="trace one federated query end to end",
-    )
-    trace_parser.set_defaults(run=_run_trace)
-    trace_parser.add_argument("query", nargs="?",
-                              default="FIND genes SHOW accession, name "
-                                      "LIMIT 5",
-                              help="BiQL query to run against the "
-                                   "warehouse leg")
-    trace_parser.add_argument("--jsonl", default=None,
-                              help="also export the trace as JSONL "
-                                   "(one span per line)")
-    trace_parser.add_argument("--seed", type=int, default=11,
-                              help="universe seed (default 11)")
-    trace_parser.add_argument("--size", type=int, default=24,
-                              help="universe size (default 24)")
-    stats_parser = subparsers.add_parser(
-        "stats", help="Prometheus-style metrics dump of a small workload",
-    )
-    stats_parser.set_defaults(run=_run_stats)
-    stats_parser.add_argument("--seed", type=int, default=11,
-                              help="universe seed (default 11)")
-    stats_parser.add_argument("--size", type=int, default=24,
-                              help="universe size (default 24)")
-    overload_parser = subparsers.add_parser(
-        "overload", help="protected vs unprotected serving under an "
-                         "overload storm",
-    )
-    overload_parser.set_defaults(run=_run_overload)
-    overload_parser.add_argument("--load", type=float, default=4.0,
-                                 help="offered load as a multiple of "
-                                      "serving capacity (default 4.0)")
-    overload_parser.add_argument("--count", type=int, default=120,
-                                 help="number of requests (default 120)")
-    overload_parser.add_argument("--seed", type=int, default=3,
-                                 help="workload seed (default 3)")
-    shard_parser = subparsers.add_parser(
-        "shard", help="scatter-gather sharding scale-up plus replica "
-                      "failover demo",
-    )
-    shard_parser.set_defaults(run=_run_shard)
-    shard_parser.add_argument("--load", type=float, default=24.0,
-                              help="offered load as a multiple of one "
-                                   "shard's capacity (default 24.0)")
-    shard_parser.add_argument("--count", type=int, default=280,
-                              help="number of requests (default 280)")
-    shard_parser.add_argument("--seed", type=int, default=9,
-                              help="workload seed (default 9)")
-    macro_parser = subparsers.add_parser(
-        "macro", help="day-in-the-life macro workload through the "
-                      "full stack",
-    )
-    macro_parser.set_defaults(run=_run_macro)
-    macro_parser.add_argument("--quick", action="store_true",
-                              help="the scaled-down CI day instead of "
-                                   "the full one")
-    macro_parser.add_argument("--seed", type=int, default=0,
-                              help="day seed (default 0)")
-    partition_parser = subparsers.add_parser(
-        "partition", help="epoch-fenced failover demo: zombie primary, "
-                          "lease expiry, fencing, divergence audit",
-    )
-    partition_parser.set_defaults(run=_run_partition)
-    partition_parser.add_argument("--lease", type=float, default=2.0,
-                                  help="lease timeout in virtual "
-                                       "seconds (default 2.0)")
-    partition_parser.add_argument("--duration", type=float, default=60.0,
-                                  help="partition duration in virtual "
-                                       "seconds (default 60.0; must "
-                                       "exceed the lease)")
-    partition_parser.add_argument("--seed", type=int, default=0,
-                                  help="channel fault seed (default 0)")
+    for name, verb in VERBS.items():
+        verb_parser = subparsers.add_parser(name, help=verb.help)
+        verb_parser.set_defaults(run=verb.run)
+        for flags, options in verb.arguments:
+            verb_parser.add_argument(*flags, **options)
     arguments = parser.parse_args(argv)
     return arguments.run(arguments)
 

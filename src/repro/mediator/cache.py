@@ -24,8 +24,8 @@ cache can be precise instead of timer-based:
   monitor sweep.
 
 Only *complete* answers are cached — a degraded answer is a fact about
-source availability, not about the data — and only predicate-free
-queries (an opaque callable cannot be a cache key).
+source availability, not about the data — under the key of the
+:class:`~repro.mediator.mediator.Request` they answer.
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ from repro.mediator.mediator import (
     MediatedBatch,
     MediationCost,
     Mediator,
+    Request,
 )
 from repro.obs.metrics import (
     LockedCounters,
     count as _metric,
     gauge as _gauge,
 )
-from repro.obs.trace import annotate as _annotate, span as _span
+from repro.obs.trace import span as _span
 
 #: Provenance key kinds.
 EXTENT = "extent"    # depends on everything a source holds (full scans)
@@ -79,14 +80,11 @@ class CacheStats(LockedCounters):
 class CacheEntry:
     """One cached answer plus the provenance that can invalidate it."""
 
-    __slots__ = ("key", "answer", "provenance", "cached_at")
+    __slots__ = ("answer", "provenance")
 
-    def __init__(self, key: Hashable, answer, provenance: frozenset,
-                 cached_at: float) -> None:
-        self.key = key
+    def __init__(self, answer, provenance: frozenset) -> None:
         self.answer = answer
         self.provenance = provenance
-        self.cached_at = cached_at
 
     def touched_by(self, delta: Delta) -> bool:
         return bool(self.provenance & {extent_key(delta.source),
@@ -141,9 +139,8 @@ class QueryCache:
             self._count("hits")
             return entry
 
-    def put(self, key: Hashable, answer, provenance,
-            cached_at: float = 0.0) -> CacheEntry:
-        entry = CacheEntry(key, answer, frozenset(provenance), cached_at)
+    def put(self, key: Hashable, answer, provenance) -> CacheEntry:
+        entry = CacheEntry(answer, frozenset(provenance))
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -164,28 +161,24 @@ class QueryCache:
             return len(keys)
 
 
-def normalize_query(kind: str, **params) -> tuple:
-    """Canonical hashable key for one mediator query.
-
-    ``None`` parameters are dropped and the rest sorted by name, so
-    ``find_genes(organism=None, name_prefix="p")`` and
-    ``find_genes(name_prefix="p")`` share an entry.
-    """
-    pieces = tuple(sorted(
-        (name, tuple(value) if isinstance(value, (list, tuple)) else value)
-        for name, value in params.items() if value is not None
-    ))
-    return (kind,) + pieces
+def _own_copy(answer):
+    """*answer* with rows, per-accession lists and health of its own."""
+    health = answer.health.copy()
+    if isinstance(answer, MediatedBatch):
+        return MediatedBatch({accession: list(views)
+                              for accession, views in answer.items()},
+                             health=health)
+    return MediatedAnswer(answer, health=health)
 
 
-class CachedMediator:
+class CachedMediator(Mediator):
     """A :class:`Mediator` fronted by a delta-invalidated answer cache.
 
     One ETL monitor per source (the cheapest strategy Figure 2 allows,
     via :func:`~repro.etl.monitors.choose_monitor`) supplies the delta
     stream; :meth:`sync` drains it into precise invalidations.  Serving
-    stays mediator-shaped: answers carry their ``health``, and a
-    ``from_cache`` attribute says whether the sources were consulted.
+    stays mediator-shaped: answers carry their ``health``, and
+    ``from_cache`` says whether the sources were consulted.
     """
 
     def __init__(
@@ -196,32 +189,14 @@ class CachedMediator:
         monitors: dict[str, SourceMonitor] | None = None,
         **mediator_options,
     ) -> None:
-        self.mediator = Mediator(sources, **mediator_options)
-        self.cache = QueryCache(max_entries, cost=self.mediator.cost)
+        super().__init__(sources, **mediator_options)
+        self.cache = QueryCache(max_entries, cost=self.cost)
         if monitors is None:
             monitors = {repository.name: choose_monitor(repository)
                         for repository in sources}
         self.monitors = monitors
         self.suspect_sources: set[str] = set()
         self.last_sync = self.timeline.now()
-
-    # -- plumbing ---------------------------------------------------------------
-
-    @property
-    def timeline(self):
-        return self.mediator.timeline
-
-    @property
-    def cost(self) -> MediationCost:
-        return self.mediator.cost
-
-    @property
-    def last_health(self):
-        return self.mediator.last_health
-
-    @property
-    def source_names(self) -> tuple[str, ...]:
-        return self.mediator.source_names
 
     def staleness_bound(self) -> float:
         """Virtual time since the last clean monitor sweep — the maximum
@@ -272,103 +247,51 @@ class CachedMediator:
         return not any(entry.depends_on(source)
                        for source in self.suspect_sources)
 
-    # -- cached query API -------------------------------------------------------
+    # -- the cache protocol -----------------------------------------------------
 
-    def _lookup(self, key):
-        return self.cache.get(key, self._serviceable)
-
-    @staticmethod
-    def _materialize(entry):
-        """A served copy of a cached answer (mutations can't poison it)."""
-        answer = entry.answer
-        if isinstance(answer, MediatedBatch):
-            copy = MediatedBatch(
-                {accession: list(views)
-                 for accession, views in answer.items()},
-                health=answer.health)
-        else:
-            copy = MediatedAnswer(list(answer), health=answer.health)
-        copy.from_cache = True
-        return copy
-
-    def peek(self, kind: str, **params):
-        """A cached answer for one query, or ``None`` — never goes live.
+    def peek(self, request: Request):
+        """A cached answer to *request*, or ``None`` — never goes live.
 
         The brownout ladder's cache-only rung: under sustained overload
         non-interactive queries may still be answered from here, but a
-        miss is a shed, not a source fan-out.  *kind* and *params* must
-        match the corresponding query method's cache key (``gene``,
-        ``genes``, ``find_genes``).
+        miss is a shed, not a source fan-out.  An entry of a suspect
+        source is a miss.
         """
-        entry = self._lookup(normalize_query(kind, **params))
-        return self._materialize(entry) if entry is not None else None
+        entry = self.cache.get(request.key, self._serviceable)
+        if entry is None:
+            return None
+        served = _own_copy(entry.answer)
+        served.from_cache = True
+        return served
 
-    def _cached(self, spn, key, accessions, live: Callable, *args, **options):
-        """The cache protocol, said once: serve *key* from a serviceable
-        entry, else ask ``live(*args, **options)`` and keep the answer —
-        but only a complete one (a degraded answer is a fact about
-        availability, not about the data) — under the provenance of
-        *accessions* at every source (``None``: the sources' extents)."""
-        entry = self._lookup(key)
-        if entry is not None:
-            spn.annotate(cache="hit")
-            return self._materialize(entry)
-        spn.annotate(cache="miss")
-        answer = live(*args, **options)
-        if answer.health.complete:
-            names = self.source_names
-            provenance = ({extent_key(name) for name in names}
-                          if accessions is None else
-                          {record_key(name, accession) for name in names
-                           for accession in accessions})
-            self.cache.put(key, answer, provenance, self.timeline.now())
-        answer.from_cache = False
-        return answer
+    def answer(self, request: Request, *, strict: bool = False,
+               deadline_at: float | None = None,
+               exclude: Sequence[str] = ()):
+        """The cache protocol, said once: serve *request* from a
+        serviceable entry, else ask the sources (:meth:`Mediator.answer`)
+        and keep the answer — but only a complete one (a degraded
+        answer is a fact about availability, not about the data) —
+        under the provenance of the request's accessions at every
+        source (an extent request: the sources' extents).
 
-    def find_genes(
-        self,
-        organism: str | None = None,
-        name_prefix: str | None = None,
-        contains_motif: str | None = None,
-        min_length: int | None = None,
-        predicate: Callable | None = None,
-        strict: bool = False,
-        *,
-        deadline_at: float | None = None,
-        exclude: Sequence[str] = (),
-    ) -> MediatedAnswer:
-        if predicate is not None:
-            # An opaque callable cannot key a cache entry; go live.
-            _annotate(cache="bypass")
-            return self.mediator.find_genes(
-                organism, name_prefix, contains_motif, min_length,
-                predicate, strict, deadline_at=deadline_at, exclude=exclude)
-        key = normalize_query("find_genes", organism=organism,
-                              name_prefix=name_prefix,
-                              contains_motif=contains_motif,
-                              min_length=min_length)
-        with _span("cache.find_genes") as spn:
-            return self._cached(
-                spn, key, None, self.mediator.find_genes,
-                organism, name_prefix, contains_motif, min_length,
-                None, strict, deadline_at=deadline_at, exclude=exclude)
-
-    def gene(self, accession: str, strict: bool = False, *,
-             deadline_at: float | None = None,
-             exclude: Sequence[str] = ()) -> MediatedAnswer:
-        key = normalize_query("gene", accession=accession)
-        with _span("cache.gene", accession=accession) as spn:
-            return self._cached(
-                spn, key, (accession,), self.mediator.gene, accession,
-                strict, deadline_at=deadline_at, exclude=exclude)
-
-    def genes(
-        self, accessions: Sequence[str], strict: bool = False, *,
-        deadline_at: float | None = None,
-        exclude: Sequence[str] = (),
-    ) -> MediatedBatch:
-        key = normalize_query("genes", accessions=tuple(accessions))
-        with _span("cache.genes", accessions=len(accessions)) as spn:
-            return self._cached(
-                spn, key, accessions, self.mediator.genes, accessions,
-                strict, deadline_at=deadline_at, exclude=exclude)
+        Law: the answer equals the live mediator's, as of the last
+        clean :meth:`sync`.  Entry and caller never share a list, a
+        dict or a health report.
+        """
+        with _span(f"cache.{request.kind}", **request.span_fields) as spn:
+            served = self.peek(request)
+            spn.annotate(cache="miss" if served is None else "hit")
+            if served is not None:
+                return served
+            answer = super().answer(request, strict=strict,
+                                    deadline_at=deadline_at,
+                                    exclude=exclude)
+            if answer.health.complete:
+                names = self.source_names
+                provenance = (
+                    {extent_key(name) for name in names}
+                    if request.accessions is None else
+                    {record_key(name, accession) for name in names
+                     for accession in request.accessions})
+                self.cache.put(request.key, _own_copy(answer), provenance)
+            return answer

@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import MediatorError
-
-#: Priority classes, in admission order (lower admits first).
-INTERACTIVE = 0   # a biologist waiting at a prompt
-BATCH = 1         # pipelines and bulk exports
-MAINTENANCE = 2   # resyncs, prefetch, housekeeping
-
-PRIORITY_NAMES = {INTERACTIVE: "interactive", BATCH: "batch",
-                  MAINTENANCE: "maintenance"}
+from repro.mediator.mediator import (  # a request's priority classes
+    BATCH,
+    INTERACTIVE,
+    MAINTENANCE,
+    PRIORITY_NAMES,
+)
 
 #: Brownout levels (stepwise degradation, hysteretic recovery).
 NORMAL = 0        # full service

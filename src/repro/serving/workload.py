@@ -19,8 +19,9 @@ heavy-tailed latency model, a cached mediator, and a
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
+from repro.mediator.mediator import QUERY_KINDS, MediatedBatch
 from repro.serving.policy import BATCH, INTERACTIVE, MAINTENANCE, ServingPolicy
 from repro.serving.server import FederationServer, Request
 
@@ -32,7 +33,8 @@ _KIND_WEIGHTS = (("gene", 0.80), ("genes", 0.15), ("find_genes", 0.05))
 _PRIORITY_WEIGHTS = ((INTERACTIVE, 0.70), (BATCH, 0.25), (MAINTENANCE, 0.05))
 
 
-def _weighted(rng: random.Random, pairs) -> object:
+def weighted(rng: random.Random, pairs) -> object:
+    """A value of *pairs* ``(value, weight)``, drawn by one roll."""
     roll = rng.random()
     acc = 0.0
     for value, weight in pairs:
@@ -40,6 +42,19 @@ def _weighted(rng: random.Random, pairs) -> object:
         if roll < acc:
             return value
     return pairs[-1][0]
+
+
+def drawn_params(kind: str, draw: Callable[[], str],
+                 batch_size: int) -> dict:
+    """The parameters of a drawn *kind* request: none for an extent
+    scan, else one accession ``draw()`` names, *batch_size* of them for
+    a batch."""
+    keyed_by = QUERY_KINDS[kind].keyed_by
+    if keyed_by is None:
+        return {}
+    if QUERY_KINDS[kind].shape is MediatedBatch:
+        return {keyed_by: [draw() for __ in range(batch_size)]}
+    return {keyed_by: draw()}
 
 
 def synthetic_workload(
@@ -73,19 +88,13 @@ def synthetic_workload(
     arrival = start
     for index in range(count):
         arrival += rng.expovariate(rate)
-        kind = _weighted(rng, _KIND_WEIGHTS)
-        if kind == "gene":
-            params = {"accession": rng.choice(accessions)}
-        elif kind == "genes":
-            size = min(batch_size, len(accessions))
-            params = {"accessions": [rng.choice(accessions)
-                                     for __ in range(size)]}
-        else:
-            params = {}
+        kind = weighted(rng, _KIND_WEIGHTS)
+        params = drawn_params(kind, lambda: rng.choice(accessions),
+                              min(batch_size, len(accessions)))
         requests.append(Request(
             kind=kind,
             params=params,
-            priority=_weighted(rng, _PRIORITY_WEIGHTS),
+            priority=weighted(rng, _PRIORITY_WEIGHTS),
             arrival=arrival,
             label=f"q{index:04d}",
         ))
@@ -146,14 +155,9 @@ def overload_federation(
     ]
     retry_policy = RetryPolicy(max_attempts=3, base_delay=1.0,
                                multiplier=2.0, jitter=0.0, deadline=40.0)
-    if cached:
-        mediator = CachedMediator(sources, retry_policy=retry_policy,
-                                  timeline=timeline,
-                                  max_concurrency=max_concurrency)
-    else:
-        mediator = Mediator(sources, retry_policy=retry_policy,
-                            timeline=timeline,
-                            max_concurrency=max_concurrency)
+    mediator = (CachedMediator if cached else Mediator)(
+        sources, retry_policy=retry_policy, timeline=timeline,
+        max_concurrency=max_concurrency)
     # Faults start *after* the mediator's sync monitors take their
     # clean initial snapshots — the chaos begins at serve time.
     for proxy in sources:

@@ -280,8 +280,7 @@ def play(scenario: Scenario, width: "int | None" = None) -> str:
     if scenario.world is not None:
         run = sources.run(scenario.schedule, width=width, **scenario.world)
         expect(not run.violations, "; ".join(run.violations))
-        mediator = run.world.mediator
-        width = getattr(mediator, "mediator", mediator).max_concurrency
+        width = run.world.mediator.max_concurrency
         return _detail(scenario, run.shown, f"width {width}, "
                        f"t+{run.world.clock.now():g}")
     run = group.run(scenario.schedule)

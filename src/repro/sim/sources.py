@@ -31,6 +31,7 @@ from repro import obs
 from repro.errors import ReproError
 from repro.etl.delta import DELETE
 from repro.mediator import CachedMediator, Mediator
+from repro.mediator.mediator import Request
 from repro.serving import overload_federation, synthetic_workload
 from repro.sim.clock import VirtualClock
 from repro.sources import (
@@ -154,23 +155,23 @@ class _Driver:
         self.record.violations.append(
             f"step {self.index} {self.step}: {message}")
 
-    def truthful(self, kind: str, *args, **params):
+    def truthful(self, request: Request):
         """The fault-free answer, asked with tracing suspended."""
         tracer = obs.set_tracer(None)
         try:
-            return getattr(self.truth, kind)(*args, **params)
+            return self.truth.answer(request)
         finally:
             obs.set_tracer(tracer)
 
-    def hold(self, answer, kind: str, *args, calls=None, **params) -> None:
-        """The answer invariants, for one answer to ``kind(*args)``."""
+    def hold(self, answer, request: Request, calls=None) -> None:
+        """The answer invariants, for one answer to *request*."""
         health = answer.health
         if health.shed:
             if not health.shed_reason or health.outcomes:
                 self.violate(f"a shed as {health.summary()}")
             return
-        truth = self.truthful(kind, *args, **params)
-        if getattr(answer, "from_cache", False):
+        truth = self.truthful(request)
+        if answer.from_cache:
             if not self.unsynced and sorted(_rows(answer)) != sorted(
                     _rows(truth)):
                 self.violate("a cached answer differs from fresh truth")
@@ -232,16 +233,16 @@ class _Driver:
 
     def ask(self, facts, kind, accession=None, strict=False) -> None:
         mediator = self.world.mediator
-        args = () if accession is None else (accession,)
+        request = Request(kind, {} if accession is None
+                          else {"accession": accession})
         calls = {name: proxy.stats.calls
                  for name, proxy in self.world.proxies.items()}
-        inner = getattr(mediator, "mediator", mediator)
         try:
-            answer = getattr(mediator, kind)(*args, strict=strict)
+            answer = mediator.answer(request, strict=strict)
         finally:
             facts["breakers"] = {
                 wrapper.repository.name: wrapper.breaker.state
-                for wrapper in inner.wrappers
+                for wrapper in mediator.wrappers
                 if wrapper.breaker.state != "closed"}
             _show_health(mediator.last_health, facts)
         self.hits += answer.from_cache
@@ -259,7 +260,7 @@ class _Driver:
             facts["unavailable"] = ",".join(sorted({
                 span["attrs"]["unavailable"] for span in trace
                 if span["attrs"].get("degraded") is True}))
-        self.hold(answer, kind, *args, calls=calls)
+        self.hold(answer, request, calls=calls)
 
     def poll(self, facts, source) -> None:
         monitor = self.world.mediator.monitors[source]
@@ -293,7 +294,7 @@ class _Driver:
             capacity=server.policy.capacity, mean_service=3.0, seed=seed)
         results = server.serve(requests)
         for request, result in zip(requests, results):
-            self.hold(result.answer, request.kind, **request.params)
+            self.hold(result.answer, request)
         good = [not result.shed
                 and result.in_deadline(server.policy.deadline)
                 for result in results]

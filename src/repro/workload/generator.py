@@ -48,6 +48,7 @@ from repro.serving.policy import (
     MAINTENANCE,
 )
 from repro.serving.server import Request
+from repro.serving.workload import drawn_params, weighted
 
 #: Query mix: point lookups dominate, extent scans are the stragglers.
 DEFAULT_KIND_WEIGHTS = (("gene", 0.72), ("genes", 0.18),
@@ -175,16 +176,6 @@ class ZipfSampler:
         return self.ranked[bisect_right(self._cumulative, roll)]
 
 
-def _weighted(rng: random.Random, pairs):
-    roll = rng.random()
-    acc = 0.0
-    for value, weight in pairs:
-        acc += weight
-        if roll < acc:
-            return value
-    return pairs[-1][0]
-
-
 def day_in_the_life(
     accessions: Sequence[str],
     *,
@@ -220,7 +211,7 @@ def day_in_the_life(
     if not phases:
         raise ReproError("a day needs at least one diurnal phase")
     rng = random.Random(("macro-workload", seed).__repr__())
-    tenants = [Tenant(uid, _weighted(rng, priority_weights))
+    tenants = [Tenant(uid, weighted(rng, priority_weights))
                for uid in range(users)]
     sampler = ZipfSampler(accessions, zipf_exponent, rng)
     workload = MacroWorkload(seed=seed, epoch_length=epoch_length,
@@ -235,15 +226,9 @@ def day_in_the_life(
             arrival = rng.expovariate(rate)
             while arrival < epoch_length:
                 tenant = tenants[rng.randrange(users)]
-                kind = _weighted(rng, kind_weights)
-                if kind == "gene":
-                    params = {"accession": sampler.draw(rng)}
-                elif kind == "genes":
-                    size = min(batch_size, len(sampler.ranked))
-                    params = {"accessions": [sampler.draw(rng)
-                                             for __ in range(size)]}
-                else:
-                    params = {}
+                kind = weighted(rng, kind_weights)
+                params = drawn_params(kind, lambda: sampler.draw(rng),
+                                      min(batch_size, len(sampler.ranked)))
                 label = f"{tenant.label}.e{epoch_index:02d}.q{serial:05d}"
                 traffic.requests.append(Request(
                     kind=kind, params=params, priority=tenant.priority,

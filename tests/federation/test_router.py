@@ -96,10 +96,10 @@ class TestPointLookups:
         accession = accessions[0]
         owner = server.shard_map.shard_of(accession)
         seen = spy_on_serve(server)
-        before = [shard.inner.cost.source_requests
+        before = [shard.mediator.cost.source_requests
                   for shard in server.servers]
         ask(server, "gene", accession=accession)
-        after = [shard.inner.cost.source_requests
+        after = [shard.mediator.cost.source_requests
                  for shard in server.servers]
         assert after[owner] > before[owner]
         for shard, (was, now) in enumerate(zip(before, after)):
@@ -107,7 +107,7 @@ class TestPointLookups:
                 assert [len(batch) for batch in seen[shard]] == [1]
             else:
                 assert now == was  # untouched shards did zero work
-                assert seen[shard] == [[]]  # their serve saw nothing
+                assert seen[shard] == []  # their serve was not called
 
     def test_gene_matches_the_unsharded_answer(self):
         sharded, accessions, __ = federation(4)
@@ -142,7 +142,7 @@ class TestScatterGather:
         seen = spy_on_serve(server)
         ask(server, "genes", accessions=wanted)
         for shard in range(server.count):
-            assert bool(seen[shard][0]) == (shard in owners)
+            assert bool(seen[shard]) == (shard in owners)
 
     def test_find_genes_matches_the_unsharded_answer(self):
         sharded, __, __ = federation(4)

@@ -14,8 +14,14 @@ from repro.federation import (
     ShardedFederationServer,
     sharded_federation,
 )
-from repro.mediator import Mediator
-from repro.serving import Request, summarize, synthetic_workload
+from repro.mediator import CachedMediator, Mediator, MediatedBatch
+from repro.mediator.pool import SequentialPool
+from repro.serving import (
+    FederationServer,
+    Request,
+    summarize,
+    synthetic_workload,
+)
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -152,6 +158,67 @@ class TestShardedEqualsUnsharded:
         served = server.submit(_request("find_genes", min_length=1))
         assert _keys(served.answer) == _keys(single.find_genes(min_length=1))
         assert served.answer.health.complete
+
+
+    @staticmethod
+    def _sources():
+        universe = Universe(seed=71, size=48)
+        return [GenBankRepository(universe), EmblRepository(universe),
+                AceRepository(universe)]
+
+    def _asker(self, stack):
+        """*stack*'s way to answer one request, over fault-free sources."""
+        if stack == "Mediator":
+            return Mediator(self._sources()).answer
+        if stack.startswith("CachedMediator"):
+            cached = CachedMediator(self._sources())
+
+            def ask(request):
+                if stack.endswith("hit"):
+                    cached.answer(request)
+                answer = cached.answer(request)
+                assert answer.from_cache == stack.endswith("hit")
+                return answer
+            return ask
+        if stack == "FederationServer":
+            server = FederationServer(Mediator(self._sources()))
+            return lambda request: server.serve([request])[0].answer
+        shards = int(stack.rpartition("-")[2])
+        server, *__ = sharded_federation(shards, seed=71, size=48,
+                                         fail_rate=0.0, slow_rate=0.0)
+        return lambda request: server.submit(request).answer
+
+    @pytest.mark.parametrize("kind", ["gene", "genes", "find_genes"])
+    @pytest.mark.parametrize("stack", [
+        "Mediator", "CachedMediator-miss", "CachedMediator-hit",
+        "FederationServer", "Sharded-1", "Sharded-2", "Sharded-4"])
+    def test_every_layer_answers_like_the_sequential_mediator(self, stack,
+                                                              kind):
+        """The spine's law: each layer's one ``answer`` equals the plain
+        sequential mediator's, kind by kind."""
+        reference = Mediator(self._sources(), pool=SequentialPool())
+        union = sorted({accession for source in self._sources()
+                        for accession in source.accessions()})
+        requests = {
+            "gene": [Request("gene", {"accession": accession})
+                     for accession in union[::9] + ["GA-none"]],
+            "genes": [Request("genes", {"accessions": batch})
+                      for batch in (list(reversed(union[::5])),
+                                    union[:3] + union[:2], [])],
+            "find_genes": [Request("find_genes", filters) for filters in (
+                {}, {"min_length": 200}, {"contains_motif": "ACGT"},
+                {"organism": "Escherichia coli", "name_prefix": "t"})],
+        }[kind]
+        ask = self._asker(stack)
+        for request in requests:
+            got, want = ask(request), reference.answer(request)
+            assert type(got) is type(want) is request.shape
+            assert got.health.complete
+            if request.shape is MediatedBatch:
+                assert list(got) == list(want)
+                got, want = ([view for views in answer.values()
+                              for view in views] for answer in (got, want))
+            assert _keys(got) == _keys(want), (stack, request.params)
 
 
 class TestDeterminismAndScaling:

@@ -6,7 +6,9 @@ import pytest
 
 from repro.errors import MediatorError
 from repro.mediator import CachedMediator, MediationCost, QueryCache
-from repro.mediator.cache import extent_key, normalize_query, record_key
+from repro.mediator.cache import extent_key, record_key
+from repro.mediator.mediator import Request
+from repro.serving import FederationServer, ServingPolicy
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -49,6 +51,10 @@ def _keys(rows):
     return [(row.source, row.accession) for row in rows]
 
 
+def _key(kind, **params):
+    return Request(kind, params).key
+
+
 class TestHitsAndMisses:
     def test_second_identical_query_hits_without_touching_sources(self):
         timeline, repositories, cached = _cached()
@@ -76,8 +82,8 @@ class TestHitsAndMisses:
         assert len(cached.cache) == 2
 
     def test_none_filters_normalize_away(self):
-        assert (normalize_query("find_genes", organism=None, min_length=3)
-                == normalize_query("find_genes", min_length=3))
+        assert (_key("find_genes", organism=None, min_length=3)
+                == _key("find_genes", min_length=3))
 
     def test_gene_and_batch_lookups_cache_too(self):
         timeline, repositories, cached = _cached()
@@ -91,12 +97,65 @@ class TestHitsAndMisses:
         assert {_keys(views)[0][1] for views in batch_again.values()
                 if views} <= set(accessions)
 
-    def test_predicate_queries_bypass_the_cache(self):
+
+class TestServedAnswersAreTheCallers:
+    """An entry and the answers served from it share no list, no dict
+    and no health report: what a caller does to its answer, or the
+    serving layer to its health, reaches no later caller."""
+
+    def test_emptying_a_miss_leaves_the_entry_whole(self):
         timeline, repositories, cached = _cached()
-        cached.find_genes(predicate=lambda row: True)
-        cached.find_genes(predicate=lambda row: True)
-        assert len(cached.cache) == 0
-        assert cached.cost.cache_hits == 0
+        accession = repositories[0].accessions()[0]
+        mine = cached.gene(accession)
+        views = _keys(mine)
+        assert views and not mine.from_cache
+        mine.clear()
+        again = cached.gene(accession)
+        assert again.from_cache and _keys(again) == views
+
+    def test_emptying_a_batch_leaves_the_entry_whole(self):
+        timeline, repositories, cached = _cached()
+        accessions = list(repositories[0].accessions()[:3])
+        for served in (cached.genes(accessions), cached.genes(accessions)):
+            for views in served.values():
+                views.clear()
+            served.clear()
+        again = cached.genes(accessions)
+        assert again.from_cache and list(again) == accessions
+        assert all(again[accession] for accession in accessions)
+
+    def test_each_served_answer_has_its_own_health(self):
+        timeline, repositories, cached = _cached()
+        accession = repositories[0].accessions()[0]
+        miss = cached.gene(accession)
+        first = cached.gene(accession)
+        second = cached.gene(accession)
+        healths = [miss.health, first.health, second.health]
+        assert len({id(health) for health in healths}) == 3
+        assert len({id(health.outcomes) for health in healths}) == 3
+        miss.health.queue_wait = first.health.queue_wait = 9.0
+        miss.health.outcomes["EMBL"].status = "failed"
+        third = cached.gene(accession)
+        assert third.health.queue_wait == 0.0
+        assert third.health.complete
+        assert third.health.summary() == second.health.summary()
+
+    def test_a_hit_does_not_report_a_misses_queue_wait(self):
+        timeline, repositories, cached = _cached(faulty=True)
+        for proxy in repositories:
+            proxy.add_latency(3.0)
+        server = FederationServer(cached, ServingPolicy(
+            capacity=1, deadline=None, retry_budget_ratio=None,
+            adaptive_concurrency=False, hedging=False, brownout=False))
+        accession = repositories[0].accessions()[0]
+        first, queued = server.serve([
+            Request("find_genes"),
+            Request("gene", {"accession": accession})])
+        assert queued.queue_wait > 0.0 and not queued.from_cache
+        direct = cached.gene(accession)
+        assert direct.from_cache
+        assert direct.health.queue_wait == 0.0
+        assert "queued" not in direct.health.summary()
 
 
 class TestPreciseInvalidation:
@@ -112,8 +171,8 @@ class TestPreciseInvalidation:
         assert [(delta.source, delta.accession) for delta in deltas] == [
             ("EMBL", touched)]
         entries = cached.cache._entries
-        assert normalize_query("gene", accession=touched) not in entries
-        assert normalize_query("gene", accession=untouched) in entries
+        assert _key("gene", accession=touched) not in entries
+        assert _key("gene", accession=untouched) in entries
         # The survivor still serves from cache; the evictee re-mediates.
         assert cached.gene(untouched).from_cache
         refreshed = cached.gene(touched)
@@ -130,8 +189,8 @@ class TestPreciseInvalidation:
         _touch(genbank, genbank.accessions()[0])
         cached.sync()
         entries = cached.cache._entries
-        assert normalize_query("find_genes") not in entries
-        assert normalize_query("gene", accession=unrelated) in entries
+        assert _key("find_genes") not in entries
+        assert _key("gene", accession=unrelated) in entries
         assert cached.cost.cache_invalidations == 1
 
     def test_degraded_answers_are_never_cached(self):
@@ -226,8 +285,8 @@ class TestSweepSurvivesRaisingMonitor:
         assert {(delta.source, delta.accession) for delta in deltas} == {
             ("AceDB", before), ("GenBank", after)}
         entries = cached.cache._entries
-        assert normalize_query("gene", accession=before) not in entries
-        assert normalize_query("gene", accession=after) not in entries
+        assert _key("gene", accession=before) not in entries
+        assert _key("gene", accession=after) not in entries
         assert cached.suspect_sources == {"EMBL"}
         # A raising monitor is a failed sweep: the bound must not reset.
         assert cached.staleness_bound() == 3.0

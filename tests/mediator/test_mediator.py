@@ -63,14 +63,6 @@ class TestQueries:
         assert all(len(row.sequence_text) >= 100 for row in rows)
         assert all(row.name.startswith("lac") for row in rows)
 
-    def test_custom_predicate(self, setting):
-        __, sources = setting
-        mediator = Mediator(sources)
-        rows = mediator.find_genes(
-            predicate=lambda row: len(row.sequence_text) % 2 == 0
-        )
-        assert all(len(row.sequence_text) % 2 == 0 for row in rows)
-
     def test_count(self, setting):
         __, sources = setting
         mediator = Mediator(sources)

@@ -49,10 +49,6 @@ def _sources(seed, size=36, sliced=False):
     return universe, sources
 
 
-def _even_length(row):
-    return len(row.sequence_text) % 2 == 0
-
-
 def _history(universe, sources, seed, steps):
     """A seeded stream of ``(method, kwargs)`` queries; between them the
     sources churn in place."""
@@ -74,7 +70,6 @@ def _history(universe, sources, seed, steps):
                 "contains_motif": "".join(rng.choice("ACGT")
                                           for __ in range(4)),
                 "min_length": rng.randrange(90, 260),
-                "predicate": _even_length,
             }
             yield "find_genes", {
                 name: filters[name]

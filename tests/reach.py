@@ -22,7 +22,8 @@ The unreached functions are compared with ``tests/reach_allowlist.txt``
 (format described at the top of that file).  Exit status: 0 when they
 match; 1 when a function is unreached and not allow-listed, or an
 allow-list entry covers nothing unreached (it is stale); 2 when an entry
-point itself failed, since its reach would then be short.
+point itself failed, or a registered verb has no run, since its reach
+would then be short (a run that names no verb is refused too).
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ REASONS = ("paper §", "sql-surface", "safety", "abstract", "full-macro")
 DISPLAY_PATTERN = "*:__repr__,__str__"
 DISPLAY_NAMES = ("__repr__", "__str__")
 
-#: ``python -m repro`` invocations.
-CLI_RUNS = (
-    ("demo",), ("matrix",), ("quality",), ("shell",),
-    ("recover", "--self-test"), ("scrub", "--self-test"),
-    ("chaos", "--self-test"), ("chaos", "--self-test", "--concurrency", "2"),
-    ("trace", "--jsonl", "trace.jsonl"), ("stats",), ("overload",),
-    ("shard", "--count", "120"), ("macro", "--quick"), ("partition",),
-)
+#: ``python -m repro`` invocations, by verb: each verb of
+#: ``repro.__main__.VERBS`` has at least one, and each names a verb.
+CLI_RUNS = {
+    "demo": [()], "matrix": [()], "quality": [()], "shell": [()],
+    "recover": [("--self-test",)], "scrub": [("--self-test",)],
+    "chaos": [("--self-test",), ("--self-test", "--concurrency", "2")],
+    "trace": [("--jsonl", "trace.jsonl")], "stats": [()], "overload": [()],
+    "shard": [("--count", "120")], "macro": [("--quick",)],
+    "partition": [()],
+}
 #: What ``shell`` reads from stdin before it reaches EOF: each command
 #: once, and a query rendered as FASTA.
 SHELL_SESSION = ("\\help\n\\entities\n\\fields genes\n"
@@ -94,12 +97,25 @@ if os.environ.get("REPRO_REACH_OUT"):
 '''
 
 
+def unmatched_verbs() -> list[str]:
+    """Registered verbs :data:`CLI_RUNS` does not run, and runs that
+    name no registered verb."""
+    from repro.__main__ import VERBS
+
+    return ([f"verb {name!r} has no run" for name in VERBS
+             if not CLI_RUNS.get(name)]
+            + [f"run {name!r} names no verb" for name in CLI_RUNS
+               if name not in VERBS])
+
+
 def entry_points(root: Path) -> list[tuple[str, list[str], str | None]]:
     """``(label, argv, stdin)`` for every entry point, run from *root*."""
     python = sys.executable
-    runs = [(" ".join(("repro",) + verb), [python, "-m", "repro", *verb],
-             SHELL_SESSION if verb == ("shell",) else "")
-            for verb in CLI_RUNS]
+    runs = [(" ".join(("repro", verb) + flags),
+             [python, "-m", "repro", verb, *flags],
+             SHELL_SESSION if verb == "shell" else "")
+            for verb, invocations in CLI_RUNS.items()
+            for flags in invocations]
     runs.append(("e2e --quick --check",
                  [python, "benchmarks/e2e/run.py", "--quick", "--check"],
                  None))
@@ -222,6 +238,11 @@ def covers(target: str, item: Def) -> bool:
 
 
 def main() -> int:
+    unmatched = unmatched_verbs()
+    if unmatched:
+        print("the CLI runs and the registered verbs disagree:\n  "
+              + "\n  ".join(unmatched))
+        return 2
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         scratch = Path(scratch)

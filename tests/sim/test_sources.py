@@ -82,14 +82,14 @@ def test_a_schedule_holds_at_widths_1_and_3(scenario):
 
 
 def test_a_mediator_that_drops_a_live_sources_rows_fails(monkeypatch):
-    real = CachedMediator.find_genes
+    real = CachedMediator.answer
 
-    def dropping(self, *args, **options):
-        answer = real(self, *args, **options)
+    def dropping(self, request, **options):
+        answer = real(self, request, **options)
         answer[:] = [row for row in answer if row.source != "AceDB"]
         return answer
 
-    monkeypatch.setattr(CachedMediator, "find_genes", dropping)
+    monkeypatch.setattr(CachedMediator, "answer", dropping)
     with pytest.raises(ScenarioFailure, match="rows lost from live sources"):
         matrix.play(_entry("intermittent-retry"))
 

@@ -130,10 +130,72 @@ def test_the_clock_is_not_imported_from_the_fault_injector():
 
 def test_the_cache_protocol_and_the_cli_dispatch_are_said_once():
     cache = (SRC / "mediator" / "cache.py").read_text()
-    assert _enclosing_functions(
-        SRC / "mediator" / "cache.py", "_lookup") == {
-            "CachedMediator.peek", "CachedMediator._cached"}
+    # A hit is a peek; a miss goes live through Mediator.answer.
+    assert _enclosing_functions(SRC / "mediator" / "cache.py", "peek") == {
+        "CachedMediator.answer"}
+    assert cache.count("self.cache.get(") == 1
     assert cache.count("self.cache.put(") == 1
     main = (SRC / "__main__.py").read_text()
     assert "arguments.command ==" not in main
     assert main.count("arguments.run(arguments)") == 1
+
+
+#: The packages of the query spine: client-facing serving down to the
+#: wrappers, and the drivers that replay schedules through them.
+SPINE = ("mediator", "serving", "federation", "sim", "workload")
+VERBS = ("gene", "genes", "find_genes")
+
+
+def test_the_three_verbs_are_defined_in_one_module():
+    owners = []
+    for package in SPINE:
+        for path in sorted((SRC / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in VERBS:
+                    owners.append((_relative(path), node.name))
+    assert sorted(owners) == [("src/repro/mediator/mediator.py", verb)
+                              for verb in sorted(VERBS)]
+
+
+def _probes(text):
+    """Lines of *text* whose ``getattr`` dispatches on a request kind or
+    probes for ``peek`` / ``mediator`` / ``from_cache``."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and len(node.args) >= 2):
+            continue
+        name = node.args[1]
+        if (isinstance(name, ast.Constant)
+                and name.value in ("peek", "mediator", "from_cache")
+                or getattr(name, "id", None) == "kind"
+                or getattr(name, "attr", None) == "kind"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_nothing_dispatches_on_a_kind_or_probes_a_layer():
+    found = {_relative(path): _probes(path.read_text())
+             for path in _sources("src")}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+    # ...and the check finds what it looks for.
+    assert _probes("getattr(m, request.kind)(**params)\n"
+                   "getattr(answer, 'from_cache', False)\n"
+                   "getattr(server, 'mediator', server)\n"
+                   "getattr(cache, 'peek', None)\n"
+                   "getattr(truth, kind)()\n"
+                   "getattr(cost, name)\n") == [1, 2, 3, 4, 5]
+
+
+def test_the_unwrapping_helpers_are_gone():
+    for path in _sources("src"):
+        assert "normalize_query" not in path.read_text(), _relative(path)
+    server = (SRC / "serving" / "server.py").read_text()
+    assert "self.inner" not in server
+    cache = (SRC / "mediator" / "cache.py").read_text()
+    assert "class CachedMediator(Mediator):" in cache
+    assert "@property" not in cache  # no forwarding to a wrapped mediator
+    mediator = (SRC / "mediator" / "mediator.py").read_text()
+    assert "predicate" not in mediator
+

@@ -9,12 +9,14 @@ gives a reason from the closed set, and appears once.
 
 import functools
 
+import tests.reach as reach
 from tests.reach import (
     DISPLAY_PATTERN,
     PACKAGE,
     REASONS,
     definitions,
     read_allowlist,
+    unmatched_verbs,
 )
 
 
@@ -68,3 +70,15 @@ def test_an_entry_without_a_closed_reason_is_refused(tmp_path):
                          "core/ontology/graph.py:Ontology.merge  abstract\n"
                          "core/ontology/graph.py:Ontology.merge  abstract\n")
     assert len(problems(read_allowlist(allowlist))) == 3
+
+
+def test_every_registered_verb_is_run_and_every_run_names_a_verb(
+        monkeypatch):
+    assert unmatched_verbs() == []
+    runs = dict(reach.CLI_RUNS)
+    del runs["macro"]
+    runs["bogus"] = [()]
+    monkeypatch.setattr(reach, "CLI_RUNS", runs)
+    assert unmatched_verbs() == ["verb 'macro' has no run",
+                                 "run 'bogus' names no verb"]
+

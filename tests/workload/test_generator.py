@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serving.policy import INTERACTIVE, PRIORITY_NAMES
-from repro.serving.server import REQUEST_KINDS
+from repro.mediator.mediator import QUERY_KINDS
 from repro.workload import (
     DiurnalPhase,
     MacroWorkload,
@@ -61,7 +61,7 @@ class TestDayShape:
         workload = short_day()
         for epoch in workload.epochs:
             for request in epoch.requests:
-                assert request.kind in REQUEST_KINDS
+                assert request.kind in QUERY_KINDS
                 assert request.priority in PRIORITY_NAMES
                 assert request.label in workload.tenant_of
                 if request.kind == "gene":
