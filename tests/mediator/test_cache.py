@@ -97,6 +97,16 @@ class TestHitsAndMisses:
         assert {_keys(views)[0][1] for views in batch_again.values()
                 if views} <= set(accessions)
 
+    def test_a_batch_is_keyed_by_its_accessions_each_once(self):
+        timeline, repositories, cached = _cached()
+        accession = repositories[0].accessions()[0]
+        doubled = cached.genes([accession, accession])
+        single = cached.genes([accession])
+        assert (doubled.from_cache, single.from_cache) == (False, True)
+        assert (cached.cost.cache_misses, cached.cost.cache_hits) == (1, 1)
+        assert len(cached.cache) == 1
+        assert single == doubled
+
 
 class TestServedAnswersAreTheCallers:
     """An entry and the answers served from it share no list, no dict
