@@ -5,7 +5,10 @@ The paper's architectural argument, run live: the same biological
 question answered by (a) a mediator that extracts from every source at
 query time and (b) the warehouse that integrated the sources up front.
 The mediator is always fresh but pays per query; the warehouse answers
-instantly (and reconciled) but lags until refreshed.
+instantly (and reconciled) but lags until refreshed.  Between them
+holds one law, asserted here for every accession: reconciling the
+mediator's per-source records of an accession gives the warehouse's
+row, except where a source changed since the last refresh.
 
 Run:  python examples/mediator_vs_warehouse.py
 """
@@ -13,6 +16,7 @@ Run:  python examples/mediator_vs_warehouse.py
 import time
 
 from repro import Mediator, UnifyingDatabase
+from repro.sim.sources import unreconciled
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -63,6 +67,9 @@ def main() -> None:
     print(f"  warehouse rows: {len(integrated)} (reconciled, one per gene)")
     print(f"  bytes shipped by the mediator: "
           f"{mediator.cost.bytes_shipped:,}")
+    assert unreconciled(mediator, warehouse) == []
+    print("  law: reconciling the mediator's records gives the warehouse "
+          "row, for every accession")
 
     print()
     print("ten repeated queries (the workload a project database sees):")
@@ -83,16 +90,23 @@ def main() -> None:
 
     print()
     print("freshness — the mediator's one advantage:")
-    for source in sources:
-        source.advance(10)
+    changed = {entry.accession for source in sources
+               for entry in source.advance(10)}
     fresh = mediator.find_genes(contains_motif=MOTIF)
     lagging = warehouse.query(sql)
     print(f"  after 30 source updates: mediator sees {len(fresh)} rows, "
           f"warehouse still {len(lagging)} (stale)")
+    stale = {line.split(":")[0]
+             for line in unreconciled(mediator, warehouse)}
+    assert stale <= changed
+    print(f"  law: {len(stale)} accessions differ, each one an update "
+          f"touched")
     report = warehouse.refresh()
     refreshed = warehouse.query(sql)
     print(f"  one incremental refresh ({report.deltas_processed} deltas) "
           f"-> warehouse sees {len(refreshed)} rows")
+    assert unreconciled(mediator, warehouse) == []
+    print("  law: after the refresh it holds for every accession again")
 
     print()
     print("what only the warehouse can do:")

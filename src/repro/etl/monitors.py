@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SourceError
+from repro.errors import SettingError, SourceError
 from repro.etl.delta import DELETE, INSERT, UPDATE, Delta
 from repro.etl.diff.snapshot import (
     snapshot_differential,
@@ -137,7 +137,7 @@ class SourceMonitor:
         self.quarantine: list[QuarantinedRecord] = []
         try:
             self._wrapper = wrapper_for(repository.name)
-        except KeyError:
+        except SettingError:
             self._wrapper = None  # unknown format: ingest unvalidated
 
     def __repr__(self) -> str:

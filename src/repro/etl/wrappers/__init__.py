@@ -1,5 +1,6 @@
 """Source wrappers: native formats → GDT-bearing parsed records."""
 
+from repro.errors import SettingError
 from repro.etl.wrappers.base import (
     PARSE_FAILURES,
     ParsedRecord,
@@ -27,11 +28,15 @@ WRAPPER_BY_SOURCE = {
 
 
 def wrapper_for(source_name: str) -> Wrapper:
-    """Instantiate the wrapper matching a simulated repository's name."""
-    try:
-        return WRAPPER_BY_SOURCE[source_name]()
-    except KeyError:
-        raise KeyError(f"no wrapper registered for source {source_name!r}")
+    """The wrapper made for a simulated repository: its records name
+    *source_name* as their ``source``."""
+    if source_name not in WRAPPER_BY_SOURCE:
+        raise SettingError(f"no wrapper for source {source_name!r}",
+                           what="source", where="wrapper_for",
+                           value=source_name)
+    wrapper = WRAPPER_BY_SOURCE[source_name]()
+    wrapper.source = source_name
+    return wrapper
 
 
 __all__ = [

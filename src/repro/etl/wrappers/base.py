@@ -29,11 +29,14 @@ PARSE_FAILURES = (ReproError, ValueError, IndexError, KeyError)
 class ParsedRecord:
     """A source record after wrapping: identity + GDT values.
 
-    A value: the mediator hands the same record to every query that
-    meets the same source text, so nothing may change one in place.
+    The one record value from wrapper to answer: a mediated view, a
+    staging row and the integrator's input.  A value: the mediator
+    hands the same record to every query that meets the same source
+    text, so nothing may change one in place.
     """
 
-    source_format: str
+    #: The repository the wrapper was made for, by name (``wrapper_for``).
+    source: str
     accession: str
     version: int = 1
     name: str | None = None
@@ -48,6 +51,11 @@ class ParsedRecord:
         if not self.accession:
             raise WrapperError("a parsed record needs an accession")
         object.__setattr__(self, "exons", tuple(self.exons))
+
+    @property
+    def sequence_text(self) -> str:
+        """The DNA as text, a mediated gene's sequence (``""``: none)."""
+        return "" if self.dna is None else str(self.dna)
 
 
 _SPAN = re.compile(r"(\d+)\.\.(\d+)")
@@ -85,6 +93,8 @@ class Wrapper:
     """
 
     format_name: str = "abstract"
+    #: What its records name as their source (``wrapper_for`` sets it).
+    source: str = ""
     record_terminator: str = "//"
 
     def parse_record(self, text: str) -> ParsedRecord:

@@ -69,7 +69,7 @@ class GenBankWrapper(Wrapper):
         dna = decode("".join(sequence_lines))
 
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=accession,
             version=version,
             name=name,
@@ -125,7 +125,7 @@ class EmblWrapper(Wrapper):
         dna = decode("".join(sequence_lines))
 
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=accession,
             version=version,
             name=name,
@@ -172,7 +172,7 @@ class SwissProtWrapper(Wrapper):
         protein = decode_protein("".join(sequence_lines))
 
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=accession,
             name=name,
             organism=organism,
@@ -218,7 +218,7 @@ class FastaWrapper(Wrapper):
         description = parts[1] if len(parts) > 1 else None
         body = "".join(lines[1:])
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=accession,
             description=description,
             dna=decode(body) if self.molecule == "dna" else None,

@@ -58,7 +58,7 @@ class AceWrapper(Wrapper):
             raise WrapperError(f"AceDB object {name!r} has no DNA tag")
 
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=fields["Accession"],
             version=int(fields.get("Version", 1)),
             name=name,
@@ -90,7 +90,7 @@ class RelationalWrapper(Wrapper):
                 start, _, end = span.partition("-")
                 exons.append(Interval(int(start), int(end)))
         return ParsedRecord(
-            source_format=self.format_name,
+            source=self.source,
             accession=values["accession"],
             version=int(values["version"]),
             name=values["name"],

@@ -6,7 +6,6 @@ from repro.mediator.mediator import (
     LiveSourceWrapper,
     MediatedAnswer,
     MediatedBatch,
-    MediatedGene,
     MediationCost,
     Mediator,
     QueryHealth,
@@ -23,7 +22,6 @@ from repro.mediator.cache import CachedMediator, CacheStats, QueryCache
 
 __all__ = [
     "Mediator",
-    "MediatedGene",
     "MediatedAnswer",
     "MediatedBatch",
     "MediationCost",

@@ -4,7 +4,6 @@ from repro.warehouse.integrator import (
     ConsolidatedRecord,
     DEFAULT_RELIABILITY,
     Integrator,
-    StagedRecord,
 )
 from repro.warehouse.matching import (
     FieldMatch,
@@ -43,7 +42,6 @@ __all__ = [
     "build_genome",
     "gene_density",
     "Integrator",
-    "StagedRecord",
     "ConsolidatedRecord",
     "DEFAULT_RELIABILITY",
     "SchemaMatcher",

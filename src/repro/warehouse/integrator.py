@@ -33,6 +33,7 @@ from repro.core.types import (
     Uncertain,
 )
 from repro.errors import IntegrationError
+from repro.etl.wrappers import ParsedRecord
 
 #: Default source-reliability weights (the curation hierarchy of §5.2).
 DEFAULT_RELIABILITY: Mapping[str, float] = {
@@ -44,21 +45,6 @@ DEFAULT_RELIABILITY: Mapping[str, float] = {
     "AceDB": 0.45,
 }
 _FALLBACK_RELIABILITY = 0.40
-
-
-@dataclass
-class StagedRecord:
-    """One source's current view of one accession (a staging row)."""
-
-    source: str
-    accession: str
-    version: int
-    name: str | None = None
-    organism: str | None = None
-    description: str | None = None
-    dna: DnaSequence | None = None
-    protein: ProteinSequence | None = None
-    exons: tuple[Interval, ...] = ()
 
 
 @dataclass
@@ -78,7 +64,8 @@ class ConsolidatedRecord:
 
 
 class Integrator:
-    """Reliability-weighted reconciliation of staged records."""
+    """Reliability-weighted reconciliation of each source's
+    :class:`~repro.etl.wrappers.ParsedRecord` of one accession."""
 
     def __init__(self,
                  reliability: Mapping[str, float] | None = None) -> None:
@@ -131,9 +118,9 @@ class Integrator:
         return scored[0][1], alternatives
 
     def _latest_per_source(
-        self, records: Sequence[StagedRecord]
-    ) -> list[StagedRecord]:
-        latest: dict[str, StagedRecord] = {}
+        self, records: Sequence[ParsedRecord]
+    ) -> list[ParsedRecord]:
+        latest: dict[str, ParsedRecord] = {}
         for record in records:
             existing = latest.get(record.source)
             if existing is None or record.version >= existing.version:
@@ -141,7 +128,7 @@ class Integrator:
         return [latest[source] for source in sorted(latest)]
 
     def consolidate(
-        self, records: Sequence[StagedRecord]
+        self, records: Sequence[ParsedRecord]
     ) -> ConsolidatedRecord:
         """Merge every source's view of one accession."""
         if not records:
@@ -156,40 +143,29 @@ class Integrator:
         result = ConsolidatedRecord(accession=accession,
                                     source_count=len(records))
 
-        for field_name in ("name", "organism", "description"):
-            readings = [(r.source, getattr(r, field_name)) for r in records]
-            winner, alternatives = self._vote(readings)
+        # The conflicts table files a DNA disagreement as "sequence".
+        for field_name in ("name", "organism", "description", "dna",
+                           "protein"):
+            winner, alternatives = self._vote(
+                [(r.source, getattr(r, field_name)) for r in records])
             setattr(result, field_name, winner)
             if alternatives is not None:
-                result.conflicts.append((field_name, alternatives))
+                result.conflicts.append((
+                    "sequence" if field_name == "dna" else field_name,
+                    alternatives))
 
-        dna_winner, dna_alternatives = self._vote(
-            [(r.source, r.dna) for r in records]
-        )
-        result.dna = dna_winner
-        if dna_alternatives is not None:
-            result.conflicts.append(("sequence", dna_alternatives))
-
-        protein_winner, protein_alternatives = self._vote(
-            [(r.source, r.protein) for r in records]
-        )
-        result.protein = protein_winner
-        if protein_alternatives is not None:
-            result.conflicts.append(("protein", protein_alternatives))
-
-        if dna_winner is not None:
-            exons = self._exons_for(records, dna_winner)
+        if result.dna is not None:
             result.gene = Gene(
                 name=result.name or accession,
-                sequence=dna_winner,
-                exons=exons,
+                sequence=result.dna,
+                exons=self._exons_for(records, result.dna),
                 organism=result.organism,
                 accession=accession,
             )
         return result
 
     def _exons_for(
-        self, records: Sequence[StagedRecord], dna: DnaSequence
+        self, records: Sequence[ParsedRecord], dna: DnaSequence
     ) -> tuple[Interval, ...]:
         """Exon structure from the most reliable source agreeing with the
         chosen sequence (falling back to any in-bounds structure)."""

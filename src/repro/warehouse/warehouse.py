@@ -30,11 +30,7 @@ from repro.etl.wrappers import ParsedRecord, Wrapper, wrapper_for
 from repro.obs.metrics import count as _metric
 from repro.obs.trace import span as _span
 from repro.sources.base import Repository
-from repro.warehouse.integrator import (
-    ConsolidatedRecord,
-    Integrator,
-    StagedRecord,
-)
+from repro.warehouse.integrator import ConsolidatedRecord, Integrator
 from repro.warehouse.schema import create_schema, is_public_table
 
 
@@ -142,13 +138,13 @@ class UnifyingDatabase:
 
     # -- staging ------------------------------------------------------------------
 
-    def _stage(self, source: str, parsed: ParsedRecord) -> None:
-        skey = f"{source}:{parsed.accession}"
+    def _stage(self, parsed: ParsedRecord) -> None:
+        skey = f"{parsed.source}:{parsed.accession}"
         self.db.execute("DELETE FROM staging WHERE skey = ?", [skey])
         self.db.execute(
             "INSERT INTO staging VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             [
-                skey, source, parsed.accession, parsed.version,
+                skey, parsed.source, parsed.accession, parsed.version,
                 parsed.name, parsed.organism, parsed.description,
                 parsed.dna, parsed.protein,
                 _exons_to_text(parsed.exons), self._tick(),
@@ -159,22 +155,16 @@ class UnifyingDatabase:
         self.db.execute("DELETE FROM staging WHERE skey = ?",
                         [f"{source}:{accession}"])
 
-    def _staged_records(self, accession: str) -> list[StagedRecord]:
+    def _staged_records(self, accession: str) -> list[ParsedRecord]:
         rows = self.db.query(
             "SELECT source, accession, version, name, organism, "
             "description, dna, protein, exons FROM staging "
             "WHERE accession = ?",
             [accession],
         )
-        return [
-            StagedRecord(
-                source=row[0], accession=row[1], version=row[2] or 1,
-                name=row[3], organism=row[4], description=row[5],
-                dna=row[6], protein=row[7],
-                exons=_exons_from_text(row[8]),
-            )
-            for row in rows
-        ]
+        return [ParsedRecord(source, accession, version or 1, *values,
+                             exons=_exons_from_text(exons))
+                for source, accession, version, *values, exons in rows]
 
     # -- reconcile + load -------------------------------------------------------------
 
@@ -295,7 +285,7 @@ class UnifyingDatabase:
                         self._quarantine(name, None, record_text, error,
                                          report)
                         continue
-                    self._stage(name, parsed)
+                    self._stage(parsed)
                     affected.add(parsed.accession)
                     report.deltas_processed += 1
             for accession in sorted(affected):
@@ -368,7 +358,7 @@ class UnifyingDatabase:
                 self._quarantine(source, delta.accession,
                                  delta.after or "", error, report)
                 return
-            self._stage(source, parsed)
+            self._stage(parsed)
         self.db.execute(
             "INSERT INTO provenance VALUES (?, ?, ?, ?, ?, ?)",
             [delta.delta_id, delta.accession, source, delta.timestamp,

@@ -217,6 +217,19 @@ class TestSnapshotMonitor:
         assert deltas  # CSV splitting path works too
 
 
+class TestUnregisteredFormat:
+    def test_a_monitor_over_an_unknown_source_ingests_unvalidated(
+            self, universe):
+        repository = GenBankRepository(universe)
+        repository.name = "MysteryDB"
+        monitor = SnapshotMonitor(repository)
+        assert monitor._wrapper is None
+        repository.advance(6)
+        deltas = monitor.poll()
+        assert deltas and monitor.health.quarantined == 0
+        assert {delta.source for delta in deltas} == {"MysteryDB"}
+
+
 class TestDeltaContract:
     def test_delta_ids_unique(self, universe):
         repository = SwissProtRepository(universe)

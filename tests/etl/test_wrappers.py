@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.types import DnaSequence, Interval
-from repro.errors import WrapperError
+from repro.errors import SettingError, WrapperError
 from repro.etl.wrappers import (
     AceWrapper,
     EmblWrapper,
@@ -21,6 +21,7 @@ from repro.sources import (
     GenBankRepository,
     RelationalRepository,
     SwissProtRepository,
+    TrEmblRepository,
     Universe,
 )
 
@@ -137,8 +138,20 @@ class TestErrorHandling:
             RelationalWrapper().parse_record("a,b,c\n")
 
     def test_unknown_source_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SettingError, match="MysteryDB") as caught:
             wrapper_for("MysteryDB")
+        assert (caught.value.what, caught.value.where, caught.value.value) \
+            == ("source", "wrapper_for", "MysteryDB")
+
+    def test_each_record_names_the_source_its_wrapper_was_made_for(
+            self, universe):
+        """SwissProt and TrEMBL share one format, not one source."""
+        for repository in (SwissProtRepository(universe),
+                           TrEmblRepository(universe)):
+            records = wrapper_for(repository.name).parse_snapshot(
+                repository.snapshot())
+            assert {record.source for record in records} \
+                == {repository.name}
 
 
 class TestFasta:

@@ -16,6 +16,7 @@ from repro import (
 from repro.core import ops
 from repro.core.types import DnaSequence
 from repro.lang import genalgxml
+from repro.sim.sources import unreconciled
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -114,21 +115,18 @@ class TestCrossLayerConsistency:
         ).column("accession"))
         assert via_sql == via_biql
 
-        # The mediator sees per-source views; its accession set must be
-        # a subset of warehouse accessions matching in ANY source view
-        # — and every warehouse hit whose reconciled sequence matches
-        # must come from some source view that also matches.
-        mediator = Mediator(
-            [s for s in sources if s.name != "SwissProt"]
-        )
-        mediated = {row.accession
-                    for row in mediator.find_genes(contains_motif=motif)}
-        assert mediated  # non-trivial
-        # Sanity: mediated accessions exist in the warehouse.
-        loaded = set(warehouse.query(
-            "SELECT accession FROM public_genes"
-        ).column("accession"))
-        assert mediated <= loaded
+        # The mediator ≡ the warehouse: consolidating the mediator's
+        # per-source records of each accession gives its public_genes
+        # row.  A protein databank serves the mediator no genes, so the
+        # law's warehouse loads the world's nucleotide sources.
+        nucleotide = [s for s in sources if not s.stores_protein]
+        mediator = Mediator(nucleotide)
+        assert mediator.find_genes(contains_motif=motif)  # non-trivial
+        reconciled = UnifyingDatabase(nucleotide)
+        reconciled.initial_load()
+        assert len(reconciled.query("SELECT accession FROM public_genes")) \
+            == len(set().union(*(s.accessions() for s in nucleotide)))
+        assert unreconciled(mediator, reconciled) == []
 
     def test_xml_export_of_query_results_round_trips(self, world):
         __, __, warehouse = world

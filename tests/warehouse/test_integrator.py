@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.types import DnaSequence, Interval, ProteinSequence
 from repro.errors import IntegrationError
-from repro.warehouse.integrator import Integrator, StagedRecord
+from repro.etl.wrappers import ParsedRecord
+from repro.warehouse.integrator import Integrator
 
 
 def staged(source, accession="GA1", version=1, **kwargs):
-    return StagedRecord(source=source, accession=accession,
+    return ParsedRecord(source=source, accession=accession,
                         version=version, **kwargs)
 
 
