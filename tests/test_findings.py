@@ -1,21 +1,23 @@
-"""Every open finding of CHANGES.md as the check its fix must pass.
+"""Every finding of CHANGES.md as the check its fix must pass.
 
-Each test is a strict ``xfail`` naming the CHANGES.md line that records
-it: the suite fails when a fix lands without deleting the mark, and
-``pytest -rx`` lists what is still open.
+An open finding is a strict ``xfail`` naming the CHANGES.md line that
+records it: the suite fails when a fix lands without deleting the mark,
+and ``pytest -rx`` lists what is still open.  A mended one stays here,
+unmarked, as its regression test.
 """
-
-import pytest
 
 from repro.sim import group
 
 
-@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND, PR 46")
 def test_a_primary_with_no_follower_reports_its_rotted_write():
     """Two failovers leave charlie with no follower; a flipped byte in
-    its log loses the acknowledged write, and no DivergenceReport names
-    it (repair starts from a follower's claim, and none is left)."""
+    its log would lose the acknowledged write unreported, since no
+    follower's claim names the rot.  The heal's sync has charlie verify
+    the generation itself and re-cut it from its database as an
+    image."""
     record = group.run([("write",), ("advance", 2.0), ("crash", 0),
                         ("failover",), ("advance", 2.0), ("crash", 0),
                         ("failover",), ("flip", "charlie", "wal", 0, 1)])
     assert record.verdict.ok, record.verdict.violations
+    assert record.group.primary.name == "charlie"
+    assert record.group.primary.image_generation > 0
