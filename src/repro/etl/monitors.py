@@ -189,7 +189,7 @@ class SourceMonitor:
     def _normalize(text: str) -> str:
         """Canonical line endings, so per-record images compare equal to
         snapshot-split images (CSV renderers emit ``\\r\\n``)."""
-        return text.replace("\r\n", "\n")
+        return text.replace("\r\n", "\n") if "\r" in text else text
 
     def _split_snapshot(self, text: str) -> dict[str, str]:
         splitter = _SPLITTERS[self.repository.representation]

@@ -139,8 +139,9 @@ class Wrapper:
                 for record in self.split_snapshot(text)]
 
 
-#: The ASCII line boundaries ``str.splitlines`` honours besides ``\n``.
-_OTHER_BREAKS = re.compile(r"[\r\x0b\x0c\x1c-\x1e]")
+#: The ASCII line boundaries ``str.splitlines`` honours besides ``\n``
+#: (each ruled out by a memchr-speed ``in``, never a regex scan).
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def split_records(text: str, terminator: str = "//") -> list[str]:
@@ -150,7 +151,7 @@ def split_records(text: str, terminator: str = "//") -> list[str]:
     other than ``\\n``, or a *terminator* that is not a bare line."""
     separator = f"\n{terminator}\n"
     pieces = text.split(separator)
-    if (text.isascii() and not _OTHER_BREAKS.search(text)
+    if (text.isascii() and not any(map(text.__contains__, _OTHER_BREAKS))
             and text.count(terminator) == len(pieces) - 1):
         return [piece + separator for piece in pieces[:-1]]
     records: list[str] = []
