@@ -56,7 +56,7 @@ def harness_seed() -> int:
 def measure(mode: str, seed: int) -> dict:
     spec = (MacroSpec.quick(seed) if mode == "quick"
             else MacroSpec.full(seed))
-    return run_macro(spec).to_payload()
+    return run_macro(spec)
 
 
 def _reference_of(payload: dict) -> dict:

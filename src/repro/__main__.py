@@ -342,8 +342,8 @@ def _run_macro(arguments) -> int:
           f"seed {spec.seed}): {spec.shards} shards x "
           f"{spec.capacity} lanes, {spec.users} tenants, "
           f"{spec.total_epochs} epochs of {spec.epoch_length:.0f} "
-          f"virtual s, {len(spec.outages)} scheduled outages\n")
-    payload = run_macro(spec).to_payload()
+          f"virtual s, {spec.scheduled('outage')} scheduled outages\n")
+    payload = run_macro(spec)
     headline = payload["headline"]
     workload = payload["workload"]
     print(f"  offered {workload['requests']} requests from "

@@ -176,7 +176,7 @@ def _damage(directory: str, target: str, offset: int,
     return None
 
 
-def _judge(path: str, record: Run) -> None:
+def _judge(path: str, disagreements: list) -> None:
     """Hold scrub ≡ replay on *path* (scrub's first bad line is where
     replay stops), and raise the error replay meets there."""
     image, active = path.endswith(".json"), path.endswith(".jsonl")
@@ -189,10 +189,10 @@ def _judge(path: str, record: Run) -> None:
         stopped = [(refusal.record_index, refusal.offset)]
         if not verdict.damaged or verdict.bad_offsets[:1] not in ([],
                                                                   stopped):
-            record.disagreements.append(f"scrub ≢ replay: {refusal}")
+            disagreements.append(f"scrub ≢ replay: {refusal}")
         raise
     if verdict.damaged:
-        record.disagreements.append(f"scrub ≢ replay: replay reads {path}")
+        disagreements.append(f"scrub ≢ replay: replay reads {path}")
 
 
 def _records(directory: str) -> dict:
@@ -220,7 +220,7 @@ def _reopen(group, auditor: WriteHistoryAuditor, term: tuple,
     finally:
         for path in _files(directory, "image") + _files(directory, "wal"):
             with suppress(StorageError):
-                _judge(path, record)
+                _judge(path, record.disagreements)
     group.primary = PrimaryNode(
         old.name, directory, database, timeline=old.timeline,
         membership=old.membership, channel=old.channel, auditor=auditor)
@@ -319,7 +319,7 @@ def _step(step: tuple, sql: str, group, timeline, channels, auditor,
         if path is not None:
             if step[2] == "wal":
                 record.damaged.add(step[1])
-            _judge(path, record)
+            _judge(path, record.disagreements)
     else:
         raise ValueError(f"unknown schedule action {step!r}")
 

@@ -278,9 +278,11 @@ def play(scenario: Scenario, width: "int | None" = None) -> str:
     :class:`~repro.selftest.ScenarioFailure` unless the run shows what
     it must, else return its detail line."""
     if scenario.world is not None:
-        run = sources.run(scenario.schedule, width=width, **scenario.world)
+        run = sources.drive(sources.build(width=width, **scenario.world),
+                            scenario.schedule)
         expect(not run.violations, "; ".join(run.violations))
-        width = run.world.mediator.max_concurrency
+        [mediator] = run.world.mediators
+        width = mediator.max_concurrency
         return _detail(scenario, run.shown, f"width {width}, "
                        f"t+{run.world.clock.now():g}")
     run = group.run(scenario.schedule)

@@ -4,8 +4,9 @@
 day of multi-tenant, zipfian, diurnal traffic;
 :func:`~repro.workload.simulator.run_macro` drives it through the
 whole stack — BiQL sessions, the sharded serving tier, per-shard
-answer caches, ETL churn, and a WAL-shipped replica — and reports the
-end-to-end numbers CI gates on (``benchmarks/bench_macro.py``).
+answer caches, ETL churn, and a WAL-shipped replica — as a schedule of
+the source driver, and reports the end-to-end numbers CI gates on
+(``benchmarks/bench_macro.py``).
 """
 
 from repro.workload.generator import (
@@ -18,11 +19,7 @@ from repro.workload.generator import (
     day_in_the_life,
 )
 from repro.workload.simulator import (
-    MacroFederation,
-    MacroReport,
     MacroSpec,
-    OutageSpec,
-    PartitionSpec,
     build_macro_federation,
     columnar_analytics,
     run_macro,
@@ -36,11 +33,7 @@ __all__ = [
     "Tenant",
     "ZipfSampler",
     "day_in_the_life",
-    "MacroFederation",
-    "MacroReport",
     "MacroSpec",
-    "OutageSpec",
-    "PartitionSpec",
     "build_macro_federation",
     "columnar_analytics",
     "run_macro",

@@ -1,64 +1,37 @@
 """The macro simulator: one simulated day through the whole stack.
 
-:func:`run_macro` is the end-to-end regression gate ROADMAP item 5
-asks for.  It stands up the *full* production shape — per-shard
-cached mediators over faultable shard slices, a scatter-gather
-:class:`~repro.federation.ShardedFederationServer`, a WAL-attached
-warehouse with a catch-up read replica, and BiQL sessions admission-
-gated by the serving tier — then drives one
-:func:`~repro.workload.generator.day_in_the_life` through it, epoch by
-epoch:
-
-====== =====================================================
-step   what happens inside one epoch
-====== =====================================================
-1      scheduled source outages open (``repro.sources.faults``)
-2      the epoch's Poisson traffic replays through the
-       sharded serving tier (admission, AIMD, hedging,
-       brownout, per-shard answer caches)
-3      the epoch's BiQL statements run through sessions the
-       federation may refuse (``admit_inline``)
-4      ETL churn: one base source mutates, the warehouse
-       refreshes incrementally (monitor deltas → WAL appends)
-5      every shard's cache syncs its monitors (precise
-       invalidations; outages leave sources *suspect* and the
-       staleness bound grows honestly)
-6      every ``ship_every`` epochs the replica catches up on
-       the warehouse WAL; scheduled :class:`PartitionSpec`
-       windows cut the replication channel (rounds are dropped
-       loudly and the lag bound grows); lag is sampled each
-       epoch
-====== =====================================================
-
-When the day schedules partitions, it ends with a failover drill:
-the warehouse dock is re-stamped under a bumped epoch and a straggler
-shipment claiming the deposed epoch must be fenced by the replica —
-so ``BENCH_macro.json`` carries real fence/failover counters.
-
-Everything runs on one shared :class:`~repro.sources.VirtualClock`
-and every random draw is seeded, so a :class:`MacroReport` — goodput,
-latency percentiles, cache hit rate, staleness and replica-lag bounds,
-shed taxonomy, replica convergence — is **bit-reproducible**: two runs
-with the same spec and seed produce identical numbers.
+:func:`build_macro_federation` stands up the production shape as a
+:class:`~repro.sim.sources.World`: per-shard cached mediators over
+faultable shard slices behind a scatter-gather server, and a
+WAL-attached warehouse with a follower.  :func:`run_macro`, the
+end-to-end regression gate, drives one
+:func:`~repro.workload.generator.day_in_the_life` through it as a
+schedule of the source driver, which holds every standing invariant
+after each step.  Each epoch runs its
+:attr:`MacroSpec.faults`, ``("serve", requests)``, its ``("biql", text,
+priority)`` statements, ``("churn", source, etl_steps)``,
+``("refresh",)``, ``("sync",)`` and, every ``ship_every`` epochs,
+``("ship",)``; the day ends with a last ``("ship",)``, or the fence
+``("drill",)`` when it has a partition.  A broken invariant fails the
+day, and so does a step error other than a refused BiQL statement.
+All on one virtual clock, every draw seeded: two runs of one spec
+return identical payloads.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 from repro.adapter import install_genomics
 from repro.db import Database
-from repro.db.recovery import databases_equal
 from repro.db.values import NULL
-from repro.errors import FederationError, OverloadError, ReproError
+from repro.errors import OverloadError, ReproError
 from repro.federation.channel import FaultyChannel
 from repro.federation.replication import FollowerNode, disk_shipments
 from repro.federation.serving import ShardedFederationServer
 from repro.federation.sharding import ShardMap, ShardSlice
-from repro.lang.biql import BiqlSession
 from repro.mediator import CachedMediator, RetryPolicy
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -67,14 +40,9 @@ from repro.obs.metrics import (
     set_registry as _set_registry,
 )
 from repro.obs.trace import span as _span
-from repro.serving.policy import (
-    BATCH,
-    INTERACTIVE,
-    MAINTENANCE,
-    PRIORITY_NAMES,
-    ServingPolicy,
-)
+from repro.serving.policy import PRIORITY_NAMES, ServingPolicy
 from repro.serving.server import FederationServer, summarize
+from repro.sim.sources import World, drive
 from repro.sources import (
     AceRepository,
     EmblRepository,
@@ -84,51 +52,7 @@ from repro.sources import (
     VirtualClock,
 )
 from repro.warehouse import UnifyingDatabase
-from repro.workload.generator import (
-    DEFAULT_DAY,
-    DiurnalPhase,
-    MacroWorkload,
-    day_in_the_life,
-)
-
-
-@dataclass(frozen=True)
-class OutageSpec:
-    """One scheduled source outage, anchored to an epoch's start.
-
-    At the start of epoch ``epoch``, source ``source`` of shard
-    ``shard`` goes dark from ``delay`` after the epoch opens for
-    ``duration`` virtual seconds.  Durations longer than an epoch are
-    deliberate: they guarantee the cache's monitor sweep lands inside
-    the outage, so the staleness bound visibly grows and recovers.
-    """
-
-    epoch: int
-    shard: int
-    source: int
-    delay: float = 0.0
-    duration: float = 40.0
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    """One scheduled replication partition, anchored to an epoch's start.
-
-    At the start of epoch ``epoch``, the replica's replication channel
-    goes dark from ``delay`` after the epoch opens for ``duration``
-    virtual seconds.  Catch-up rounds inside the window are dropped
-    with a structured :class:`~repro.errors.ChannelError` (counted as
-    ``partition_drops``), so the replica's lag bound grows honestly
-    and recovers on heal.  Scheduling at least one partition also arms
-    the end-of-day failover drill: the warehouse dock is re-stamped
-    under a bumped epoch, the replica adopts it on catch-up, and one
-    straggler shipment still claiming the deposed epoch must be fenced
-    — never applied — which the report counts as ``shipments_fenced``.
-    """
-
-    epoch: int
-    delay: float = 0.0
-    duration: float = 40.0
+from repro.workload.generator import DEFAULT_DAY, DiurnalPhase, day_in_the_life
 
 
 @dataclass(frozen=True)
@@ -158,40 +82,38 @@ class MacroSpec:
     ship_every: int = 2
     biql_per_epoch: int = 2
     apply_cost: float = 0.02
-    outages: tuple = ()
-    partitions: tuple = ()
-
-    @property
-    def aggregate_capacity(self) -> int:
-        return self.shards * self.capacity
+    #: ``(epoch, step)`` pairs, each step run as the epoch opens: an
+    #: ``("outage", "shard{k}:{source}", dt, delay)``, or a
+    #: ``("partition", dt, delay)`` of the follower's channel, which also
+    #: arms the end-of-day fence drill.
+    faults: tuple = ()
 
     @property
     def total_epochs(self) -> int:
         return sum(phase.epochs for phase in self.phases)
+
+    def scheduled(self, action: str) -> int:
+        """How many of :attr:`faults` are *action* steps."""
+        return sum(step[0] == action for __, step in self.faults)
 
     @classmethod
     def full(cls, seed: int = 0) -> "MacroSpec":
         """The headline day BENCH_macro.json reports."""
         return cls(
             name="full", seed=seed,
-            outages=(
+            faults=(
                 # A morning wobble on shard 0's GenBank…
-                OutageSpec(epoch=3, shard=0, source=0, delay=2.0,
-                           duration=45.0),
+                (3, ("outage", "shard0:GenBank", 45.0, 2.0)),
                 # …and a peak-hour double outage: shard 1 loses EMBL
                 # while shard 2 loses AceDB, both spanning past the
                 # epoch's cache sync.
-                OutageSpec(epoch=6, shard=1, source=1, delay=1.0,
-                           duration=50.0),
-                OutageSpec(epoch=7, shard=2, source=2, delay=0.0,
-                           duration=45.0),
-            ),
-            partitions=(
+                (6, ("outage", "shard1:EMBL", 50.0, 1.0)),
+                (7, ("outage", "shard2:AceDB", 45.0)),
                 # Mid-afternoon the replica link is cut for ninety
                 # virtual seconds — long enough to swallow the epoch-5
                 # catch-up round, short enough to heal well before the
                 # end-of-day convergence check.
-                PartitionSpec(epoch=5, delay=2.0, duration=90.0),
+                (5, ("partition", 90.0, 2.0)),
             ),
         )
 
@@ -205,88 +127,56 @@ class MacroSpec:
                     DiurnalPhase("evening", 1, 1.0)),
             epoch_length=15.0, capacity=3, cache_entries=256,
             etl_steps=2, ship_every=2, biql_per_epoch=1,
-            outages=(OutageSpec(epoch=1, shard=0, source=0, delay=1.0,
-                                duration=24.0),),
-            partitions=(PartitionSpec(epoch=1, delay=1.0,
-                                      duration=60.0),),
+            faults=((1, ("outage", "shard0:GenBank", 24.0, 1.0)),
+                    (1, ("partition", 60.0, 1.0))),
         )
 
 
 @dataclass
-class MacroFederation:
-    """The full stack one macro run drives."""
-
-    spec: MacroSpec
-    timeline: VirtualClock
-    repositories: list
-    shard_map: ShardMap
-    #: ``proxies[shard][index]`` — the faultable per-shard sources.
-    proxies: list
-    mediators: list
-    server: ShardedFederationServer
-    warehouse: UnifyingDatabase
-    dock: "_WarehouseDock"
-    follower: FollowerNode
-    replica_channel: FaultyChannel
-    accessions: list
-
-
 class _WarehouseDock:
-    """Duck-typed shipping dock: lets a :class:`FollowerNode` catch up
-    on the *warehouse's* WAL as if the warehouse were a shard primary
-    (``catch_up`` only needs ``.name`` and ``.ship(request)``).  When
-    *epoch* is set the dock stamps its leadership claim on every
-    shipment, so a partition-scheduled day exercises the fence end to
-    end."""
+    """Lets a :class:`FollowerNode` catch up on the warehouse's *wal* as
+    on a primary's; a set *epoch* is the leadership claim each shipment
+    carries, so a partition-scheduled day exercises the fence."""
 
-    def __init__(self, name: str, wal, *, epoch: "int | None" = None) -> None:
-        self.name = name
-        self.wal = wal
-        self.epoch = epoch
+    name: str
+    wal: object
+    epoch: "int | None" = None
 
     def ship(self, request=None):
         self.wal.flush()
         return disk_shipments(self.wal.path, request, epoch=self.epoch)
 
 
-def build_macro_federation(spec: MacroSpec,
-                           workdir: str) -> MacroFederation:
-    """Stand up the day-in-the-life stack for *spec*.
+def build_macro_federation(spec: MacroSpec, workdir: str) -> World:
+    """Stand up the day-in-the-life world for *spec*.
 
     Three base repositories feed two consumers at once: sliced and
     fault-wrapped, they are the serving tier's per-shard sources;
-    clean, they are the warehouse's ETL feed.  Epoch churn mutates the
-    *base* repositories, so the same delta stream reaches the shard
-    caches (as invalidations) and the warehouse (as refresh work) —
-    exactly the coupling a macro test exists to exercise.
+    clean, they are the warehouse's ETL feed.  Churn mutates the *base*
+    repositories, so the same delta stream reaches the shard caches (as
+    invalidations) and the warehouse (as refresh work) — exactly the
+    coupling a macro test exists to exercise.
     """
     universe = Universe(seed=spec.seed, size=spec.size)
-    timeline = VirtualClock()
-    repositories = [
-        GenBankRepository(universe),
-        EmblRepository(universe),
-        AceRepository(universe),
-    ]
-    union = sorted({accession for repository in repositories
-                    for accession in repository.accessions()})
-    shard_map = ShardMap.for_accessions(union, spec.shards)
+    clock = VirtualClock()
+    repositories = [GenBankRepository(universe), EmblRepository(universe),
+                    AceRepository(universe)]
+    shard_map = ShardMap.for_accessions(sorted(
+        {accession for repository in repositories
+         for accession in repository.accessions()}), spec.shards)
     retry_policy = RetryPolicy(max_attempts=3, base_delay=1.0,
                                multiplier=2.0, jitter=0.0, deadline=40.0)
-    proxies: list[list[FaultyRepository]] = []
+    proxies: dict[str, FaultyRepository] = {}
     mediators: list[CachedMediator] = []
     servers: list[FederationServer] = []
     for shard in range(shard_map.count):
-        shard_proxies = []
-        for index, repository in enumerate(repositories, start=1):
-            proxy = FaultyRepository(
-                ShardSlice(repository, shard_map, shard),
-                timeline, seed=1000 * spec.seed + 100 * shard + index)
-            shard_proxies.append(proxy)
-        proxies.append(shard_proxies)
-        mediator = CachedMediator(shard_proxies,
+        shard_proxies = [
+            FaultyRepository(ShardSlice(repository, shard_map, shard), clock,
+                             seed=1000 * spec.seed + 100 * shard + index)
+            for index, repository in enumerate(repositories, start=1)]
+        mediator = CachedMediator(shard_proxies, timeline=clock,
                                   max_entries=spec.cache_entries,
-                                  retry_policy=retry_policy,
-                                  timeline=timeline)
+                                  retry_policy=retry_policy)
         mediators.append(mediator)
         # Faults start *after* the cache's monitors take their clean
         # initial snapshots — the chaos begins at serve time.
@@ -294,6 +184,7 @@ def build_macro_federation(spec: MacroSpec,
             proxy.fail_with_rate(spec.fail_rate)
             proxy.add_latency(spec.latency, slow_rate=spec.slow_rate,
                               slow_factor=spec.slow_factor)
+            proxies[f"shard{shard}:{proxy.name}"] = proxy
         servers.append(FederationServer(
             mediator,
             ServingPolicy(capacity=spec.capacity, deadline=spec.deadline),
@@ -302,109 +193,22 @@ def build_macro_federation(spec: MacroSpec,
     server = ShardedFederationServer(shard_map, servers)
 
     # The warehouse sees the clean base repositories; its WAL attaches
-    # *before* the initial load so the replica can converge on replay.
+    # *before* the initial load so the follower can converge on replay.
     warehouse = UnifyingDatabase(repositories)
     wal = warehouse.attach_wal(os.path.join(workdir, "warehouse.jsonl"))
     warehouse.initial_load()
-    shell = UnifyingDatabase([])   # schema-only twin for the replica
-    replica_channel = FaultyChannel(timeline, name="replica-net",
-                                    seed=spec.seed)
-    follower = FollowerNode("replica", os.path.join(workdir, "replica"),
-                            shell.db, timeline=timeline,
-                            apply_cost=spec.apply_cost,
-                            channel=replica_channel)
+    shell = UnifyingDatabase([])   # schema-only twin for the follower
+    follower = FollowerNode(
+        "replica", os.path.join(workdir, "replica"), shell.db,
+        timeline=clock, apply_cost=spec.apply_cost,
+        channel=FaultyChannel(clock, name="replica-net", seed=spec.seed))
     # A partition-scheduled day runs the fence for real: the dock
-    # claims epoch 1 from the first shipment so the end-of-day
-    # failover drill has a deposed epoch to straggle under.
+    # claims epoch 1 from the first shipment so the end-of-day drill
+    # has a deposed epoch to straggle under.
     dock = _WarehouseDock("warehouse", wal,
-                          epoch=1 if spec.partitions else None)
-    return MacroFederation(
-        spec=spec, timeline=timeline, repositories=repositories,
-        shard_map=shard_map, proxies=proxies, mediators=mediators,
-        server=server, warehouse=warehouse, dock=dock,
-        follower=follower, replica_channel=replica_channel,
-        accessions=union,
-    )
-
-
-@dataclass
-class MacroReport:
-    """What one simulated day measured, reproducibly."""
-
-    spec: MacroSpec
-    workload_requests: int
-    workload_biql: int
-    active_tenants: int
-    overall: dict
-    phases: dict
-    priorities: dict
-    cache: dict
-    staleness: dict
-    replica: dict
-    biql: dict
-    columnar: dict
-    makespan: float
-
-    def to_payload(self) -> dict:
-        """The JSON-stable dict BENCH_macro.json serializes.
-
-        Only virtual-time and counter values appear — nothing read
-        from the wall clock — so two runs with one seed serialize to
-        identical bytes.
-        """
-        spec = self.spec
-        return {
-            "spec": {
-                "name": spec.name,
-                "seed": spec.seed,
-                "shards": spec.shards,
-                "size": spec.size,
-                "users": spec.users,
-                "epochs": spec.total_epochs,
-                "epoch_length": spec.epoch_length,
-                "capacity_per_shard": spec.capacity,
-                "deadline": spec.deadline,
-                "outages": len(spec.outages),
-                "partitions": len(spec.partitions),
-            },
-            "workload": {
-                "requests": self.workload_requests,
-                "biql_statements": self.workload_biql,
-                "active_tenants": self.active_tenants,
-            },
-            "headline": {
-                "goodput_ratio": _round(self.overall["goodput_ratio"]),
-                "p50_latency": _round(self.overall["p50"]),
-                "p99_latency": _round(self.overall["p99"]),
-                "shed_rate": _round(self.overall["shed_rate"]),
-                "cache_hit_rate": _round(self.cache["hit_rate"]),
-                "staleness_max": _round(self.staleness["max"]),
-                "replica_lag_max": _round(self.replica["lag_max"]),
-                "replica_converged": self.replica["converged"],
-            },
-            "overall": _round_dict(self.overall),
-            "phases": {name: _round_dict(stats)
-                       for name, stats in sorted(self.phases.items())},
-            "priorities": {name: _round_dict(stats)
-                           for name, stats in
-                           sorted(self.priorities.items())},
-            "cache": _round_dict(self.cache),
-            "staleness": _round_dict(self.staleness),
-            "replica": _round_dict(self.replica),
-            "biql": dict(self.biql),
-            "columnar": dict(self.columnar),
-            "virtual_makespan": _round(self.makespan),
-        }
-
-
-def _round(value):
-    return round(value, 6) if isinstance(value, float) else value
-
-
-def _round_dict(mapping: dict) -> dict:
-    return {key: (_round_dict(value) if isinstance(value, dict)
-                  else _round(value))
-            for key, value in mapping.items()}
+                          1 if spec.scheduled("partition") else None)
+    return World(clock, repositories, proxies, mediators, server, warehouse,
+                 follower, dock)
 
 
 #: The analytics pass runs deliberately memory-starved: the budget is a
@@ -471,14 +275,14 @@ def columnar_analytics(database, *, memory_budget: int = ANALYTICS_BUDGET,
     }
 
 
-def _columnar_section(federation: MacroFederation) -> dict:
+def _columnar_section(database) -> dict:
     """Run the analytics pass under a private registry and fold its
-    page/spill counters into the report section."""
+    page/spill counters into the payload section."""
     previous = _get_registry()
     registry = MetricsRegistry()
     _set_registry(registry)
     try:
-        section = columnar_analytics(federation.warehouse.db)
+        section = columnar_analytics(database)
     finally:
         _set_registry(previous)
     snapshot = registry.snapshot()
@@ -495,184 +299,158 @@ def _columnar_section(federation: MacroFederation) -> dict:
     return section
 
 
-def run_macro(spec: MacroSpec, *,
-              workdir: str | None = None) -> MacroReport:
-    """Simulate one day through the full stack; returns the report.
+def run_macro(spec: MacroSpec, *, workdir: str | None = None) -> dict:
+    """Simulate one day through the full stack; returns the JSON-stable
+    payload BENCH_macro.json serializes.
 
-    *workdir* holds the warehouse WAL and the replica's segment files;
-    a temporary directory is created (and left for the OS) when not
-    given — no path ever reaches the report, so the choice cannot
-    perturb reproducibility.
+    *workdir* holds the warehouse WAL and the follower's segment files;
+    when it is not given, a temporary directory holds them for the run
+    — no path ever reaches the payload, so the choice cannot perturb
+    reproducibility.
     """
     if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-macro-")
+        with tempfile.TemporaryDirectory(prefix="repro-macro-") as workdir:
+            return run_macro(spec, workdir=workdir)
     with _span("macro.run", mode=spec.name, seed=spec.seed):
-        federation = build_macro_federation(spec, workdir)
+        world = build_macro_federation(spec, workdir)
         workload = day_in_the_life(
-            federation.accessions,
-            users=spec.users,
-            phases=spec.phases,
+            sorted(set().union(*(repository.accessions()
+                                 for repository in world.repositories))),
+            users=spec.users, phases=spec.phases,
             epoch_length=spec.epoch_length,
-            capacity=spec.aggregate_capacity,
-            mean_service=spec.mean_service,
-            seed=spec.seed,
+            capacity=spec.shards * spec.capacity,
+            mean_service=spec.mean_service, seed=spec.seed,
             zipf_exponent=spec.zipf_exponent,
-            biql_per_epoch=spec.biql_per_epoch,
-        )
-        return _drive(spec, federation, workload)
-
-
-def _drive(spec: MacroSpec, federation: MacroFederation,
-           workload: MacroWorkload) -> MacroReport:
-    timeline = federation.timeline
-    started = timeline.now()
-    outages: dict[int, list[OutageSpec]] = {}
-    for outage in spec.outages:
-        outages.setdefault(outage.epoch, []).append(outage)
-    partitions: dict[int, list[PartitionSpec]] = {}
-    for window in spec.partitions:
-        partitions.setdefault(window.epoch, []).append(window)
-    sessions = {
-        priority: BiqlSession(federation.warehouse,
-                              server=federation.server,
-                              priority=priority)
-        for priority in (INTERACTIVE, BATCH, MAINTENANCE)
-    }
-    results = []
-    phase_results: dict[str, list] = {}
-    staleness_samples: list[float] = []
-    lag_samples: list[float] = []
-    biql_run = biql_refused = 0
-    for epoch in workload.epochs:
-        with _span("macro.epoch", index=epoch.index, phase=epoch.phase):
-            now = timeline.now()
-            for outage in outages.get(epoch.index, ()):
-                proxy = federation.proxies[outage.shard][outage.source]
-                proxy.schedule_outage(now + outage.delay,
-                                      now + outage.delay + outage.duration)
-            for window in partitions.get(epoch.index, ()):
-                federation.replica_channel.partition(
-                    now + window.delay,
-                    now + window.delay + window.duration)
-            served = federation.server.serve(epoch.requests)
-            results.extend(served)
-            phase_results.setdefault(epoch.phase, []).extend(served)
-            for text, priority in epoch.biql:
-                try:
-                    sessions[priority].run(text)
-                    biql_run += 1
-                except OverloadError:
-                    biql_refused += 1
-            # ETL churn: one base source mutates, the warehouse follows.
-            target = federation.repositories[
-                epoch.index % len(federation.repositories)]
-            target.advance(spec.etl_steps)
-            federation.warehouse.refresh()
-            # Cache sync: monitor sweeps turn the same churn into
-            # precise invalidations; outage-covered sweeps fail and
-            # the staleness bound grows until a clean one.
-            stale = 0.0
-            for mediator in federation.mediators:
-                mediator.sync()
-                stale = max(stale, mediator.staleness_bound())
-            staleness_samples.append(stale)
-            _gauge("macro", "staleness_bound", stale)
-            lag = federation.follower.staleness_bound()
-            lag_samples.append(lag)
-            _gauge("macro", "replica_lag", lag)
+            biql_per_epoch=spec.biql_per_epoch)
+        names = [repository.name for repository in world.repositories]
+        schedule = []
+        for epoch in workload.epochs:
+            schedule += [step for at, step in spec.faults
+                         if at == epoch.index]
+            schedule.append(("serve", epoch.requests))
+            schedule += [("biql", text, priority)
+                         for text, priority in epoch.biql]
+            schedule += [("churn", names[epoch.index % len(names)],
+                          spec.etl_steps), ("refresh",), ("sync",)]
             if (epoch.index + 1) % spec.ship_every == 0:
-                federation.follower.catch_up(federation.dock)
-    failover_drills = 0
-    if spec.partitions:
-        # End-of-day failover drill: the warehouse side is "promoted"
-        # under a bumped epoch; the replica adopts the new claim on
-        # its final catch-up, then one straggler shipment still
-        # stamped with the deposed epoch must be fenced, never
-        # applied — the same end state the chaos split-brain scenario
-        # proves, measured inside the macro day.
-        deposed = federation.dock.epoch
-        federation.dock.epoch = deposed + 1
-        failover_drills = 1
-    federation.follower.catch_up(federation.dock)
-    if failover_drills:
-        federation.dock.wal.flush()
-        straggler = disk_shipments(federation.dock.wal.path,
-                                   epoch=deposed)[0]
-        try:
-            federation.follower.apply_shipment(straggler)
-        except FederationError:
-            pass
-    converged = databases_equal(federation.warehouse.db,
-                                federation.follower.database)
-    with _span("macro.columnar_analytics"):
-        columnar = _columnar_section(federation)
-    return _report(spec, federation, workload, results, phase_results,
-                   staleness_samples, lag_samples,
-                   biql_run, biql_refused, converged, columnar,
-                   failover_drills=failover_drills,
-                   makespan=timeline.now() - started)
+                schedule.append(("ship",))
+        schedule.append(("drill",) if spec.scheduled("partition")
+                        else ("ship",))
+        started = world.clock.now()
+        run = drive(world, schedule)
+        makespan = world.clock.now() - started
+        failures = run.violations + [
+            f"step {index} {step[0]}: {outcome!r}"
+            for index, (step, outcome) in enumerate(run.steps)
+            if outcome != "ok" and not (
+                step[0] == "biql" and isinstance(outcome, OverloadError))]
+        if not run.shown("converged"):
+            failures.append("the follower differs from the warehouse")
+        if failures:
+            raise ReproError(f"the {spec.name} day (seed {spec.seed}) "
+                             f"failed {len(failures)} checks: "
+                             + "; ".join(failures[:3]))
+        with _span("macro.columnar_analytics"):
+            columnar = _columnar_section(world.warehouse.db)
+        return _payload(spec, workload, run, columnar, makespan)
 
 
-def _report(spec: MacroSpec, federation: MacroFederation,
-            workload: MacroWorkload, results, phase_results,
-            staleness_samples, lag_samples, biql_run, biql_refused,
-            converged, columnar, *, failover_drills,
-            makespan) -> MacroReport:
+def _payload(spec: MacroSpec, workload, run, columnar: dict,
+             makespan: float) -> dict:
+    """The payload of a day's *run*: only virtual-time and counter
+    values — nothing read from the wall clock — so two runs with one
+    seed serialize to identical bytes."""
+    world, follower = run.world, run.world.follower
+    shown = {action: [facts for (step, __), facts in zip(run.steps,
+                                                         run.facts)
+                      if step[0] == action]
+             for action in ("serve", "sync")}
+    results, phases = [], {}
+    for epoch, facts in zip(workload.epochs, shown["serve"]):
+        results += facts["served"]
+        phases.setdefault(epoch.phase, []).extend(facts["served"])
     overall = summarize(results, budget=spec.deadline)
-    phases = {name: summarize(batch, budget=spec.deadline)
-              for name, batch in phase_results.items()}
     priorities = {}
     for priority, name in sorted(PRIORITY_NAMES.items()):
         batch = [result for result in results
                  if result.request.priority == priority]
         if batch:
             priorities[name] = summarize(batch, budget=spec.deadline)
-    hits = sum(mediator.cost.cache_hits
-               for mediator in federation.mediators)
-    misses = sum(mediator.cost.cache_misses
-                 for mediator in federation.mediators)
-    invalidations = sum(mediator.cost.cache_invalidations
-                        for mediator in federation.mediators)
-    lookups = hits + misses
+    hits, misses, invalidations = (
+        sum(getattr(mediator.cost, counter) for mediator in world.mediators)
+        for counter in ("cache_hits", "cache_misses", "cache_invalidations"))
     cache = {
         "hits": hits,
         "misses": misses,
         "invalidations": invalidations,
-        "hit_rate": hits / lookups if lookups else 0.0,
+        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
     }
-    staleness = {
-        "max": max(staleness_samples, default=0.0),
-        "final": staleness_samples[-1] if staleness_samples else 0.0,
-    }
+    stale = [facts["staleness"] for facts in shown["sync"]]
+    lags = [facts["lag"] for facts in shown["sync"]]
+    staleness = {"max": max(stale), "final": stale[-1]}
+    biql = [outcome for step, outcome in run.steps if step[0] == "biql"]
     replica = {
-        "lag_max": max(lag_samples, default=0.0),
-        "lag_final": federation.follower.staleness_bound(),
-        "applied_statements": federation.follower.statements_applied,
-        "rejected_shipments": federation.follower.rejected_shipments,
-        "shipments_fenced": federation.follower.shipments_fenced,
-        "partition_drops": federation.replica_channel.stats.partitioned,
-        "failover_drills": failover_drills,
-        "epoch": federation.follower.epoch,
-        "converged": converged,
+        "lag_max": max(lags),
+        "lag_final": follower.staleness_bound(),
+        "applied_statements": follower.statements_applied,
+        "rejected_shipments": follower.rejected_shipments,
+        "shipments_fenced": follower.shipments_fenced,
+        "partition_drops": follower.channel.stats.partitioned,
+        "failover_drills": sum(step[0] == "drill" for step, __ in run.steps),
+        "epoch": follower.epoch,
+        "converged": run.shown("converged"),
     }
-    if not converged:   # pragma: no cover - a converged day is the norm
-        raise ReproError(
-            "macro replica failed to converge with the warehouse")
+    _gauge("macro", "staleness_bound", stale[-1])
+    _gauge("macro", "replica_lag", lags[-1])
     _gauge("macro", "goodput_ratio", overall["goodput_ratio"])
     _gauge("macro", "shed_rate", overall["shed_rate"])
     _gauge("macro", "cache_hit_rate", cache["hit_rate"])
-    return MacroReport(
-        spec=spec,
-        workload_requests=workload.total_requests,
-        workload_biql=workload.total_biql,
-        active_tenants=workload.active_tenants(),
-        overall=overall,
-        phases=phases,
-        priorities=priorities,
-        cache=cache,
-        staleness=staleness,
-        replica=replica,
-        biql={"run": biql_run, "refused": biql_refused},
-        columnar=columnar,
-        makespan=makespan,
-    )
+    return _rounded({
+        "spec": {
+            "name": spec.name,
+            "seed": spec.seed,
+            "shards": spec.shards,
+            "size": spec.size,
+            "users": spec.users,
+            "epochs": spec.total_epochs,
+            "epoch_length": spec.epoch_length,
+            "capacity_per_shard": spec.capacity,
+            "deadline": spec.deadline,
+            "outages": spec.scheduled("outage"),
+            "partitions": spec.scheduled("partition"),
+        },
+        "workload": {
+            "requests": workload.total_requests,
+            "biql_statements": workload.total_biql,
+            "active_tenants": workload.active_tenants(),
+        },
+        "headline": {
+            "goodput_ratio": overall["goodput_ratio"],
+            "p50_latency": overall["p50"],
+            "p99_latency": overall["p99"],
+            "shed_rate": overall["shed_rate"],
+            "cache_hit_rate": cache["hit_rate"],
+            "staleness_max": staleness["max"],
+            "replica_lag_max": replica["lag_max"],
+            "replica_converged": replica["converged"],
+        },
+        "overall": overall,
+        "phases": {name: summarize(batch, budget=spec.deadline)
+                   for name, batch in sorted(phases.items())},
+        "priorities": dict(sorted(priorities.items())),
+        "cache": cache,
+        "staleness": staleness,
+        "replica": replica,
+        "biql": {"run": biql.count("ok"),
+                 "refused": len(biql) - biql.count("ok")},
+        "columnar": columnar,
+        "virtual_makespan": makespan,
+    })
+
+
+def _rounded(value):
+    """*value* with each float in it, however deep in dicts, rounded to
+    6 places, so two same-seed runs serialize to identical bytes."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    return round(value, 6) if isinstance(value, float) else value

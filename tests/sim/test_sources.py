@@ -82,8 +82,9 @@ def test_a_schedule_holds_at_widths_1_and_3(scenario):
     runs = {}
     for width in (1, 3):
         matrix.play(scenario, width)
-        runs[width] = [sources.run(scenario.schedule, width=width,
-                                   **scenario.world) for __ in range(2)]
+        runs[width] = [sources.drive(sources.build(width=width,
+                                                   **scenario.world),
+                                     scenario.schedule) for __ in range(2)]
         assert _record(runs[width][0]) == _record(runs[width][1])
     if any(step[0] == "burst" for step in scenario.schedule):
         return
@@ -125,7 +126,7 @@ def test_a_monitor_that_deletes_a_present_accession_fails(monkeypatch):
 
 def test_an_unknown_action_propagates():
     with pytest.raises(ValueError, match="unknown schedule action"):
-        sources.run([("melt",)])
+        sources.drive(sources.build(), [("melt",)])
 
 
 def test_the_law_skips_only_what_churn_left_pending():
@@ -133,7 +134,7 @@ def test_the_law_skips_only_what_churn_left_pending():
     accessions that churn touched; a refresh brings the law back."""
     scenario = next(entry for entry in PINNED
                     if entry.name == "mediated-is-warehoused")
-    run = sources.run(scenario.schedule, **scenario.world)
+    run = sources.drive(sources.build(**scenario.world), scenario.schedule)
     assert not run.violations
     world = run.world
     truth = Mediator([proxy.inner for proxy in world.proxies.values()])
@@ -158,7 +159,7 @@ def test_a_warehouse_that_takes_the_first_reading_fails(monkeypatch):
     scenario = _entry("intermittent-retry")
     with pytest.raises(ScenarioFailure, match="the mediator ≢ the warehouse"):
         matrix.play(scenario)
-    run = sources.run(scenario.schedule, **scenario.world)
+    run = sources.drive(sources.build(**scenario.world), scenario.schedule)
     named = {re.search(r"warehouse: (GA\d+): differs on", line).group(1)
              for line in run.violations}
     staged = run.world.warehouse._staged_records
