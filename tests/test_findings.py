@@ -6,7 +6,18 @@ and ``pytest -rx`` lists what is still open.  A mended one stays here,
 unmarked, as its regression test.
 """
 
+import pytest
+
 from repro.sim import group
+from repro.sources import (
+    AceRepository,
+    EmblRepository,
+    GenBankRepository,
+    RelationalRepository,
+    SwissProtRepository,
+    Universe,
+)
+from repro.warehouse import UnifyingDatabase
 
 
 def test_a_primary_with_no_follower_reports_its_rotted_write():
@@ -21,3 +32,24 @@ def test_a_primary_with_no_follower_reports_its_rotted_write():
     assert record.verdict.ok, record.verdict.violations
     assert record.group.primary.name == "charlie"
     assert record.group.primary.image_generation > 0
+
+
+@pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND, PR 51")
+def test_a_protein_databank_does_not_vote_on_gene_rows():
+    """A gene row's name, organism and description are the nucleotide
+    sources' reading: loading SwissProt beside them changes none.  Today
+    ``Integrator.consolidate`` votes the protein's text in (GA100011
+    reads "polE3 protein" against "polE3, putative transcription
+    factor")."""
+    universe = Universe(seed=2003, size=60)
+    nucleotide = (GenBankRepository, EmblRepository, AceRepository,
+                  RelationalRepository)
+
+    def rows(*kinds) -> dict:
+        warehouse = UnifyingDatabase([kind(universe) for kind in kinds])
+        warehouse.initial_load()
+        return {accession: values for accession, *values in warehouse.query(
+            "SELECT accession, name, organism, description "
+            "FROM public_genes")}
+
+    assert rows(*nucleotide, SwissProtRepository) == rows(*nucleotide)
